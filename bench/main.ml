@@ -363,7 +363,6 @@ let parallel_check id =
 (* --- serving engine throughput -------------------------------------- *)
 
 type serve_result = {
-  accounting : string;
   requests : int;
   rps : float;
   p50_ns : int;
@@ -374,12 +373,11 @@ type serve_result = {
 }
 
 (* End-to-end ingest throughput through the streaming engine — the number
-   `rbgp serve` reports as req/s — for the journal (O(moves+1)/request)
-   and full-scan (O(n+ell)/request) accounting paths, plus a mid-stream
-   checkpoint/resume identity check: the resumed engine must finish with
-   exactly the costs and assignment of the uninterrupted run.  The
-   checkpoint round-trips through its binary encoding so the measurement
-   covers the real serialization path. *)
+   `rbgp serve` reports as req/s — plus a mid-stream checkpoint/resume
+   identity check: the resumed engine must finish with exactly the costs
+   and assignment of the uninterrupted run.  The checkpoint round-trips
+   through its binary encoding so the measurement covers the real
+   serialization path. *)
 let serve_bench () =
   let n = 512 and ell = 8 and steps = 100_000 and seed = 42 in
   let sinst = Rbgp_ring.Instance.blocks ~n ~ell in
@@ -388,53 +386,48 @@ let serve_bench () =
     | Rbgp_ring.Trace.Fixed a -> a
     | Rbgp_ring.Trace.Adaptive _ -> assert false
   in
-  let one accounting label =
-    let engine = Rbgp_serve.Engine.create ~accounting ~alg:"onl-dynamic" ~seed sinst in
-    Array.iter (fun e -> ignore (Rbgp_serve.Engine.ingest engine e)) trace;
-    let m = Rbgp_serve.Engine.metrics engine in
-    let r = Rbgp_serve.Engine.result engine in
-    let resume_identical =
-      let cut = steps / 2 in
-      let first = Rbgp_serve.Engine.create ~accounting ~alg:"onl-dynamic" ~seed sinst in
-      Array.iter
-        (fun e -> ignore (Rbgp_serve.Engine.ingest first e))
-        (Array.sub trace 0 cut);
-      let ckpt =
-        Rbgp_serve.Checkpoint.of_string
-          (Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint first))
-      in
-      match Rbgp_serve.Engine.resume ~accounting ckpt with
-      | resumed ->
-          Array.iter
-            (fun e -> ignore (Rbgp_serve.Engine.ingest resumed e))
-            (Array.sub trace cut (steps - cut));
-          let rr = Rbgp_serve.Engine.result resumed in
-          rr.Rbgp_ring.Simulator.cost = r.Rbgp_ring.Simulator.cost
-          && rr.Rbgp_ring.Simulator.max_load = r.Rbgp_ring.Simulator.max_load
-          && Rbgp_serve.Engine.assignment resumed
-             = Rbgp_serve.Engine.assignment engine
-      | exception Failure _ -> false
+  let engine = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed sinst in
+  Array.iter (fun e -> ignore (Rbgp_serve.Engine.ingest engine e)) trace;
+  let m = Rbgp_serve.Engine.metrics engine in
+  let r = Rbgp_serve.Engine.result engine in
+  let resume_identical =
+    let cut = steps / 2 in
+    let first = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed sinst in
+    Array.iter
+      (fun e -> ignore (Rbgp_serve.Engine.ingest first e))
+      (Array.sub trace 0 cut);
+    let ckpt =
+      Rbgp_serve.Checkpoint.of_string
+        (Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint first))
     in
-    let sr =
-      {
-        accounting = label;
-        requests = Rbgp_serve.Metrics.requests m;
-        rps = Rbgp_serve.Metrics.rps m;
-        p50_ns = Rbgp_serve.Metrics.quantile m 0.5;
-        p99_ns = Rbgp_serve.Metrics.quantile m 0.99;
-        serve_comm = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.comm;
-        serve_mig = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.mig;
-        resume_identical;
-      }
-    in
-    Printf.printf
-      "serve (%s accounting): %d reqs, %.0f req/s, p50 %d ns, p99 %d ns, \
-       resume %s\n"
-      label sr.requests sr.rps sr.p50_ns sr.p99_ns
-      (if resume_identical then "identical" else "DIVERGED");
-    sr
+    match Rbgp_serve.Engine.resume ckpt with
+    | resumed ->
+        Array.iter
+          (fun e -> ignore (Rbgp_serve.Engine.ingest resumed e))
+          (Array.sub trace cut (steps - cut));
+        let rr = Rbgp_serve.Engine.result resumed in
+        rr.Rbgp_ring.Simulator.cost = r.Rbgp_ring.Simulator.cost
+        && rr.Rbgp_ring.Simulator.max_load = r.Rbgp_ring.Simulator.max_load
+        && Rbgp_serve.Engine.assignment resumed
+           = Rbgp_serve.Engine.assignment engine
+    | exception Failure _ -> false
   in
-  [ one `Incremental "journal"; one `Diff "diff" ]
+  let sr =
+    {
+      requests = Rbgp_serve.Metrics.requests m;
+      rps = Rbgp_serve.Metrics.rps m;
+      p50_ns = Rbgp_serve.Metrics.quantile m 0.5;
+      p99_ns = Rbgp_serve.Metrics.quantile m 0.99;
+      serve_comm = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.comm;
+      serve_mig = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.mig;
+      resume_identical;
+    }
+  in
+  Printf.printf
+    "serve: %d reqs, %.0f req/s, p50 %d ns, p99 %d ns, resume %s\n"
+    sr.requests sr.rps sr.p50_ns sr.p99_ns
+    (if resume_identical then "identical" else "DIVERGED");
+  sr
 
 (* --- domains sweep: interval-sharded batched ingest ------------------ *)
 
@@ -1140,16 +1133,12 @@ let write_bench_json ~components ~experiments ~parallel ~serve ~sweep ~ingest
         (if i < List.length parallel - 1 then "," else ""))
     parallel;
   out "  ],\n  \"serve\": [\n";
-  List.iteri
-    (fun i s ->
-      out
-        "    {\"accounting\": \"%s\", \"alg\": \"onl-dynamic\", \
-         \"requests\": %d, \"rps\": %s, \"p50_ns\": %d, \"p99_ns\": %d, \
-         \"comm\": %d, \"mig\": %d, \"resume_identical\": %b}%s\n"
-        (json_escape s.accounting) s.requests (json_num s.rps) s.p50_ns
-        s.p99_ns s.serve_comm s.serve_mig s.resume_identical
-        (if i < List.length serve - 1 then "," else ""))
-    serve;
+  out
+    "    {\"alg\": \"onl-dynamic\", \"requests\": %d, \"rps\": %s, \
+     \"p50_ns\": %d, \"p99_ns\": %d, \"comm\": %d, \"mig\": %d, \
+     \"resume_identical\": %b}\n"
+    serve.requests (json_num serve.rps) serve.p50_ns serve.p99_ns
+    serve.serve_comm serve.serve_mig serve.resume_identical;
   out "  ],\n  \"domains_sweep\": [\n";
   List.iteri
     (fun i p ->

@@ -238,11 +238,6 @@ let configure_faults = function
 let format_conv =
   Arg.enum [ ("auto", `Auto); ("text", `Text); ("bin", `Binary) ]
 
-let accounting_conv =
-  Arg.enum
-    [ ("auto", `Auto); ("incremental", `Incremental); ("diff", `Diff);
-      ("check", `Check) ]
-
 let open_source ~trace ~format ~mmap ~n =
   match trace with
   | "-" ->
@@ -355,7 +350,7 @@ let consume_prefix source (ckpt : Ckpt.t) =
    persistently failing source cannot spin.  Only failures the recovery
    machinery is built for are caught (named exception list below); anything
    else escapes to the top level untouched. *)
-let supervised_serve ~alg ~accounting ~epsilon ~seed ~inst ~trace ~format
+let supervised_serve ~alg ~epsilon ~seed ~inst ~trace ~format
     ~mmap ~n ~decisions ~metrics_every ~checkpoint_path ~checkpoint_every
     ~checkpoint_keep ~stop_after ~batch ~budget_ns ~cooloff =
   let ckpt_path =
@@ -371,7 +366,7 @@ let supervised_serve ~alg ~accounting ~epsilon ~seed ~inst ~trace ~format
   let rec attempt () =
     let engine, recovered =
       if !restarts = 0 then
-        (Engine.create ~accounting ~epsilon ~alg ~seed inst, None)
+        (Engine.create ~epsilon ~alg ~seed inst, None)
       else
         match Ckpt.read_latest ~path:ckpt_path () with
         | r ->
@@ -383,12 +378,12 @@ let supervised_serve ~alg ~accounting ~epsilon ~seed ~inst ~trace ~format
             Logs.warn (fun k ->
                 k "supervise: restored generation %d at request %d"
                   r.Ckpt.generation r.Ckpt.ckpt.Ckpt.pos);
-            (Engine.resume ~accounting r.Ckpt.ckpt, Some r.Ckpt.ckpt)
+            (Engine.resume r.Ckpt.ckpt, Some r.Ckpt.ckpt)
         | exception (Invalid_argument msg | Failure msg | Sys_error msg) ->
             Logs.warn (fun k ->
                 k "supervise: no verifiable checkpoint (%s); starting fresh"
                   msg);
-            (Engine.create ~accounting ~epsilon ~alg ~seed inst, None)
+            (Engine.create ~epsilon ~alg ~seed inst, None)
     in
     Engine.set_solver_budget engine ~budget_ns ~cooloff;
     let source = open_source ~trace ~format ~mmap ~n in
@@ -453,15 +448,6 @@ let mmap_arg =
            files, stream everything else), on (require the mmap path; fails \
            on pipes), off (always stream through a channel).  Both paths \
            produce identical decisions, costs and checkpoints.")
-
-let accounting_arg =
-  Arg.(
-    value & opt accounting_conv `Auto
-    & info [ "accounting" ] ~docv:"MODE"
-        ~doc:
-          "Cost accounting mode: auto, incremental (require move journal), \
-           diff (full scans), or check (incremental verified against the \
-           full-scan oracle).")
 
 let decisions_arg =
   Arg.(
@@ -572,7 +558,7 @@ let install_handler signal handler =
   | exception (Invalid_argument _ | Sys_error _) -> ()
 
 let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every ~checkpoint_keep
-    ~accounting ~supervise =
+    ~supervise =
   let addr = Net.parse_addr listen in
   let http = Option.map Net.parse_addr http in
   (match checkpoint_dir with
@@ -582,8 +568,7 @@ let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every ~checkpoint_keep
         invalid_arg (Printf.sprintf "serve: --checkpoint-dir %s is a file" dir)
   | None -> ());
   let router =
-    Tenant.create ?checkpoint_dir ~checkpoint_every ~checkpoint_keep
-      ~accounting ()
+    Tenant.create ?checkpoint_dir ~checkpoint_every ~checkpoint_keep ()
   in
   let server = Net.server ?http ~supervise ~router addr in
   (* request_drain only sets a flag, so it is safe from a signal
@@ -612,8 +597,8 @@ let listen_arg =
            protocol, hosting one engine per tenant routed by the frame \
            stream id.  Tenants are configured by clients at OPEN time, so \
            --alg/--n/--ell/--trace do not apply; --checkpoint-dir, \
-           --checkpoint-every, --checkpoint-keep, --accounting, --faults \
-           and --supervise do.")
+           --checkpoint-every, --checkpoint-keep, --faults and --supervise \
+           do.")
 
 let http_arg =
   Arg.(
@@ -980,7 +965,7 @@ let serve_cmd =
              bounded exponential backoff between restarts.  Requires \
              --checkpoint and a re-openable --trace file (not stdin).")
   in
-  let run alg n ell epsilon seed trace format mmap accounting no_decisions
+  let run alg n ell epsilon seed trace format mmap no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
       stop_after batch domains faults solver_budget budget_cooloff supervise
       listen http checkpoint_dir verbose =
@@ -990,16 +975,16 @@ let serve_cmd =
     match listen with
     | Some listen ->
         net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every
-          ~checkpoint_keep ~accounting ~supervise
+          ~checkpoint_keep ~supervise
     | None ->
     let inst = Rbgp_ring.Instance.blocks ~n ~ell in
     if supervise then
-      supervised_serve ~alg ~accounting ~epsilon ~seed ~inst ~trace ~format
+      supervised_serve ~alg ~epsilon ~seed ~inst ~trace ~format
         ~mmap ~n ~decisions:(not no_decisions) ~metrics_every
         ~checkpoint_path ~checkpoint_every ~checkpoint_keep ~stop_after
         ~batch ~budget_ns:solver_budget ~cooloff:budget_cooloff
     else begin
-      let engine = Engine.create ~accounting ~epsilon ~alg ~seed inst in
+      let engine = Engine.create ~epsilon ~alg ~seed inst in
       Engine.set_solver_budget engine ~budget_ns:solver_budget
         ~cooloff:budget_cooloff;
       let source = open_source ~trace ~format ~mmap ~n in
@@ -1019,7 +1004,7 @@ let serve_cmd =
           injection and supervised crash recovery.")
     Term.(
       const run $ alg_arg $ n $ ell $ epsilon $ seed_arg $ trace_arg
-      $ format_arg $ mmap_arg $ accounting_arg $ decisions_arg
+      $ format_arg $ mmap_arg $ decisions_arg
       $ metrics_every_arg $ checkpoint_path_arg $ checkpoint_every_arg
       $ checkpoint_keep_arg $ stop_after_arg $ batch_arg $ domains_arg
       $ faults_arg $ solver_budget_arg $ budget_cooloff_arg $ supervise_arg
@@ -1041,14 +1026,14 @@ let resume_cmd =
              consume the already-served prefix first, verifying it matches \
              the checkpoint request for request.")
   in
-  let run from trace format mmap accounting skip_prefix no_decisions
+  let run from trace format mmap skip_prefix no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
       stop_after batch domains faults solver_budget budget_cooloff verbose =
     setup_logs verbose;
     Rbgp_util.Pool.set_domains domains;
     configure_faults faults;
     let ckpt = Ckpt.read ~path:from in
-    let engine = Engine.resume ~accounting ckpt in
+    let engine = Engine.resume ckpt in
     Engine.set_solver_budget engine ~budget_ns:solver_budget
       ~cooloff:budget_cooloff;
     let source = open_source ~trace ~format ~mmap ~n:ckpt.Ckpt.n in
@@ -1068,7 +1053,7 @@ let resume_cmd =
           otherwise; both verified against the snapshot).")
     Term.(
       const run $ from_arg $ trace_arg $ format_arg $ mmap_arg
-      $ accounting_arg $ skip_prefix_arg $ decisions_arg $ metrics_every_arg
+      $ skip_prefix_arg $ decisions_arg $ metrics_every_arg
       $ checkpoint_path_arg $ checkpoint_every_arg $ checkpoint_keep_arg
       $ stop_after_arg $ batch_arg $ domains_arg $ faults_arg
       $ solver_budget_arg $ budget_cooloff_arg $ verbose_arg)

@@ -46,7 +46,6 @@ let never_move (inst : Instance.t) =
     ~restore:(fun s ->
       let r = open_snapshot name s in
       Assignment.restore_array a (Binc.read_int_array r))
-  @@ Online.with_journal (Assignment.journal a)
   @@ Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve:(fun _ -> ())
@@ -92,7 +91,6 @@ let greedy_colocate ?(threshold = 1) (inst : Instance.t) =
       let r = open_snapshot name s in
       Assignment.restore_array a (Binc.read_int_array r);
       restore_int_array name counts r)
-  @@ Online.with_journal (Assignment.journal a)
   @@ Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve
@@ -160,7 +158,6 @@ let counter_threshold ?theta ~epsilon (inst : Instance.t) =
       Assignment.restore_array a (Binc.read_int_array r);
       restore_int_array name counts r;
       restore_int_array name cuts r)
-  @@ Online.with_journal (Assignment.journal a)
   @@ Online.make ~name
     ~augmentation:
       (float_of_int (Intervals.max_slice_len dec) /. float_of_int k)
@@ -264,7 +261,6 @@ let component_learning (inst : Instance.t) =
       let uf = Rbgp_util.Union_find.create n in
       Array.iteri (fun p rep -> ignore (Rbgp_util.Union_find.union uf p rep)) reps;
       uf_ref := uf)
-  @@ Online.with_journal (Assignment.journal a)
   @@ Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve
@@ -291,7 +287,6 @@ let static_oracle (inst : Instance.t) ~trace =
       let r = open_snapshot name s in
       Assignment.restore_array a (Binc.read_int_array r);
       moved := Binc.read_varint r = 1)
-  @@ Online.with_journal (Assignment.journal a)
   @@ Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve

@@ -238,7 +238,6 @@ let serve_batch t edges =
 
 let online t =
   Rbgp_ring.Online.with_batch (serve_batch t)
-  @@ Rbgp_ring.Online.with_journal (Assignment.journal t.assignment)
   @@ Rbgp_ring.Online.make ~name:"onl-dynamic"
        ~augmentation:
          (float_of_int (Intervals.max_slice_len t.dec)

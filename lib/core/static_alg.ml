@@ -48,8 +48,7 @@ let augmentation t =
   Float.max 2.0 d_singleton +. t.eps' +. 1e-6
 
 let online t =
-  Rbgp_ring.Online.with_journal (Assignment.journal t.assignment)
-  @@ Rbgp_ring.Online.make ~name:"onl-static" ~augmentation:(augmentation t)
+  Rbgp_ring.Online.make ~name:"onl-static" ~augmentation:(augmentation t)
     ~assignment:(fun () -> t.assignment)
     ~serve:(fun e -> serve t e)
 

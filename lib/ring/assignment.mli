@@ -71,8 +71,9 @@ val hamming : t -> t -> int
 
 val diff_into : t -> t -> int
 (** [diff_into target scratch] copies [target] into [scratch] and returns
-    their Hamming distance — used by the simulator to charge migrations with
-    one pass and no allocation. *)
+    their Hamming distance in one pass and no allocation — the [O(n)]
+    reference the test suite checks the simulator's journal billing
+    against. *)
 
 val restore_array : t -> int array -> unit
 (** [restore_array t a] moves every process to its server in [a], in place,

@@ -15,13 +15,11 @@ let make ~name ~augmentation ~assignment ~serve =
     augmentation;
     assignment;
     serve;
-    journal = None;
+    journal = Some (Assignment.journal (assignment ()));
     snapshot = None;
     restore = None;
     batch = None;
   }
-
-let with_journal journal t = { t with journal = Some journal }
 
 let with_state ~snapshot ~restore t =
   { t with snapshot = Some snapshot; restore = Some restore }

@@ -2,10 +2,11 @@
 
     An algorithm owns a mutable {!Assignment.t}; the {!Simulator} charges
     communication by inspecting the assignment *before* calling [serve] and
-    charges migration by diffing it afterwards, per the model of Section 2
-    (serve-then-optionally-migrate).  Algorithms must therefore perform all
-    reactions to a request inside [serve] and must never hand out their
-    assignment for mutation.
+    charges migration from the assignment's move journal afterwards, per
+    the model of Section 2 (serve-then-optionally-migrate).  Algorithms
+    must therefore perform all reactions to a request inside [serve], move
+    processes only through {!Assignment.set} (or functions built on it),
+    and never hand out their assignment for mutation.
 
     [augmentation] is the capacity factor the algorithm claims
     (e.g. [2 + eps] for the dynamic-model algorithm, [3 + eps] for the
@@ -21,21 +22,17 @@ type t = {
           {b Contract}: this must return a {e live view} of the algorithm's
           one mutable assignment — the same [Assignment.t] value on every
           call, mutated in place by [serve] — {e not} a copy.  The simulator
-          relies on this: it caches the handle once per step (and the
-          incremental accounting path reads it across steps), so a fresh
-          copy per call would silently decouple cost accounting from the
-          algorithm's real state. *)
+          relies on this: it takes the handle and its journal once per
+          stepper, so a fresh copy per call would silently decouple cost
+          accounting from the algorithm's real state. *)
   serve : int -> unit;
       (** React to a request on ring edge [(e, e+1 mod n)]: optionally
           migrate processes. *)
   journal : Assignment.journal option;
-      (** The move journal of the algorithm's assignment, when the
-          algorithm supports incremental accounting (see
-          {!Assignment.journal}).  When present, the simulator charges
-          migration, tracks loads and checks capacity in [O(moves + 1)] per
-          request instead of re-scanning all [n] processes and [ell]
-          servers; when absent it falls back to the [O(n + ell)]
-          {!Assignment.diff_into} scan. *)
+      (** The move journal of the algorithm's assignment
+          ({!Assignment.journal}), attached by {!make} and therefore always
+          [Some].  The simulator drains it after every request to charge
+          migration in [O(moves + 1)]. *)
   snapshot : (unit -> string) option;
       (** Serialize the algorithm's complete mutable state (including its
           assignment) to an opaque, versioned byte string, when the
@@ -71,13 +68,9 @@ val make :
   assignment:(unit -> Assignment.t) ->
   serve:(int -> unit) ->
   t
-(** Builds a journal-less algorithm ([journal = None]); the simulator uses
-    the full-scan accounting fallback for it. *)
-
-val with_journal : Assignment.journal -> t -> t
-(** [with_journal j t] declares that [t] supports incremental accounting.
-    [j] must be the journal of the same assignment returned by
-    [t.assignment] (i.e. [Assignment.journal (t.assignment ())]). *)
+(** Builds an algorithm without checkpoint state or a batched path.  It
+    calls [assignment ()] once to attach the assignment's move journal, so
+    every later {!Assignment.set} on it is journaled. *)
 
 val with_state : snapshot:(unit -> string) -> restore:(string -> unit) -> t -> t
 (** [with_state ~snapshot ~restore t] declares that [t] supports explicit

@@ -1,5 +1,3 @@
-type accounting = [ `Auto | `Incremental | `Diff | `Check ]
-
 type result = {
   cost : Cost.t;
   steps : int;
@@ -10,7 +8,7 @@ type result = {
 
 (* Largest integer load that satisfies [load <= augmentation * k + 1e-9] —
    the same tolerance as Assignment.check_capacity, precomputed so the
-   incremental path compares integers. *)
+   per-step capacity check compares integers. *)
 let capacity_cap (inst : Instance.t) ~augmentation =
   int_of_float ((augmentation *. float_of_int inst.Instance.k) +. 1e-9)
 
@@ -18,134 +16,51 @@ type stepper = {
   inst : Instance.t;
   alg : Online.t;
   strict : bool;
+  cap : int;
+  current : Assignment.t;
+  journal : Assignment.journal;
+  drain : int -> unit;
+  moved : int ref;
   s_cost : Cost.t;
   mutable s_steps : int;
-  s_max_load_ref : int ref;
+  mutable s_max_load : int;
   mutable s_violations : int;
-  account : Assignment.t -> int;
-  capacity_ok : Assignment.t -> bool;
 }
 
-let stepper ?(strict = true) ?(accounting = `Auto) ?cost ?max_load ?violations
-    ?(steps_done = 0) (inst : Instance.t) (alg : Online.t) =
-  let cost = match cost with Some c -> c | None -> Cost.zero () in
-  let shadow = Assignment.copy (alg.Online.assignment ()) in
-  let max_load_init =
-    match max_load with
-    | Some m -> max m (Assignment.max_load shadow)
-    | None -> Assignment.max_load shadow
+let stepper ?(strict = true) ?cost ?max_load ?violations ?(steps_done = 0)
+    (inst : Instance.t) (alg : Online.t) =
+  let current = alg.Online.assignment () in
+  let journal = Assignment.journal current in
+  (* setup-time moves (algorithm construction, or a checkpoint restore)
+     predate the simulation and are already in the shadow snapshot *)
+  Assignment.journal_clear journal;
+  let shadow = Assignment.to_array current in
+  let moved = ref 0 in
+  (* Bills one journaled process against the shadow, which is advanced per
+     touched process: a process that moved away and back within one step
+     costs nothing, and one that moved twice costs 1 — the Hamming
+     distance between the assignments before and after the step. *)
+  let drain p =
+    let s = Assignment.server_of current p in
+    if shadow.(p) <> s then begin
+      incr moved;
+      shadow.(p) <- s
+    end
   in
-  let max_load = ref max_load_init in
-  let journal =
-    match (accounting, alg.Online.journal) with
-    | `Diff, _ -> None
-    | `Auto, j -> j
-    | (`Incremental | `Check), (Some _ as j) -> j
-    | (`Incremental | `Check), None ->
-        invalid_arg
-          (Printf.sprintf "Simulator.stepper: %s exposes no move journal"
-             alg.Online.name)
-  in
-  let account, capacity_ok =
-    match journal with
-    | None ->
-        (* O(n + ell) fallback: full diff scan and load re-scan per request *)
-        let account current =
-          let moved = Assignment.diff_into current shadow in
-          let load = Assignment.max_load current in
-          if load > !max_load then max_load := load;
-          moved
-        in
-        let capacity_ok current =
-          Assignment.check_capacity current
-            ~augmentation:alg.Online.augmentation
-        in
-        (account, capacity_ok)
-    | Some j ->
-        (* O(moves + 1) incremental accounting off the move journal.  The
-           shadow is advanced per touched process (deduplicated against the
-           current state, so back-and-forth moves within one step charge the
-           Hamming distance, exactly like diff_into); server loads cross the
-           capacity boundary at most once per unit change, so a running
-           count of over-capacity servers stays exact.  The running maximum
-           load is only checked on destination servers *after* the whole
-           step is applied: mid-step transients (a process arriving before
-           another departs) are not observable states of the model. *)
-        let cap = capacity_cap inst ~augmentation:alg.Online.augmentation in
-        let over = ref 0 in
-        Array.iter
-          (fun load -> if load > cap then incr over)
-          (Assignment.loads shadow);
-        let dsts = ref [] in
-        (* setup-time moves (algorithm construction, or a checkpoint
-           restore) predate the simulation and are already reflected in the
-           shadow snapshot *)
-        Assignment.journal_clear j;
-        let oracle =
-          match accounting with
-          | `Check -> Some (Assignment.copy shadow)
-          | _ -> None
-        in
-        let account current =
-          let moved = ref 0 in
-          Assignment.journal_drain j (fun p ->
-              let s_new = Assignment.server_of current p in
-              let s_old = Assignment.server_of shadow p in
-              if s_old <> s_new then begin
-                incr moved;
-                Assignment.set shadow p s_new;
-                if Assignment.load shadow s_new = cap + 1 then incr over;
-                if Assignment.load shadow s_old = cap then decr over;
-                dsts := s_new :: !dsts
-              end);
-          List.iter
-            (fun s ->
-              let load = Assignment.load shadow s in
-              if load > !max_load then max_load := load)
-            !dsts;
-          dsts := [];
-          (match oracle with
-          | None -> ()
-          | Some oracle ->
-              let d = Assignment.diff_into current oracle in
-              if d <> !moved then
-                failwith
-                  (Printf.sprintf
-                     "Simulator.run: %s journal accounting charged %d \
-                      migrations where diff_into charges %d"
-                     alg.Online.name !moved d);
-              if Assignment.hamming shadow oracle <> 0 then
-                failwith
-                  (Printf.sprintf
-                     "Simulator.run: %s journal shadow diverged from the \
-                      diff_into oracle"
-                     alg.Online.name);
-              let ok_inc = !over = 0 in
-              let ok_oracle =
-                Assignment.check_capacity current
-                  ~augmentation:alg.Online.augmentation
-              in
-              if ok_inc <> ok_oracle then
-                failwith
-                  (Printf.sprintf
-                     "Simulator.run: %s incremental capacity check disagrees \
-                      with check_capacity"
-                     alg.Online.name));
-          !moved
-        in
-        let capacity_ok _current = !over = 0 in
-        (account, capacity_ok)
-  in
+  let load = Assignment.max_load current in
   {
     inst;
     alg;
     strict;
-    s_cost = cost;
+    cap = capacity_cap inst ~augmentation:alg.Online.augmentation;
+    current;
+    journal;
+    drain;
+    moved;
+    s_cost = (match cost with Some c -> c | None -> Cost.zero ());
     s_steps = steps_done;
-    s_max_load_ref = max_load;
+    s_max_load = (match max_load with Some m -> max m load | None -> load);
     s_violations = (match violations with Some v -> v | None -> 0);
-    account;
-    capacity_ok;
   }
 
 (* [serve_now st x] performs the algorithm action for this step; [x] is
@@ -153,27 +68,32 @@ let stepper ?(strict = true) ?(accounting = `Auto) ?cost ?max_load ?violations
    the prepared path) so the actions can be top-level or per-batch values
    and no per-request closure is allocated (r11 patrols this path). *)
 let step_with st e serve_now x =
-  let alg = st.alg in
   if e < 0 || e >= st.inst.Instance.n then
     invalid_arg "Simulator.step: edge out of range";
-  (* one live handle per step: Online.assignment is contractually a live
-     view, so the post-serve state is visible through the same handle *)
-  let current = alg.Online.assignment () in
+  (* Online.assignment is contractually a live view, so the handle taken
+     once per stepper sees the post-serve state *)
+  let current = st.current in
   let comm = if Assignment.cuts_edge current e then 1 else 0 in
   st.s_cost.Cost.comm <- st.s_cost.Cost.comm + comm;
   serve_now st x;
-  let moved = st.account current in
+  st.moved := 0;
+  Assignment.journal_drain st.journal st.drain;
+  let moved = !(st.moved) in
   st.s_cost.Cost.mig <- st.s_cost.Cost.mig + moved;
-  if not (st.capacity_ok current) then begin
+  (* loads are read only after the whole step: mid-step transients (a
+     process arriving before another departs) are not states of the
+     model *)
+  let load = Assignment.max_load current in
+  if load > st.s_max_load then st.s_max_load <- load;
+  if load > st.cap then begin
     st.s_violations <- st.s_violations + 1;
     if st.strict then
       failwith
         (Printf.sprintf
            "Simulator.run: %s violated capacity at step %d (max load %d, \
             claimed augmentation %.3f, k=%d)"
-           alg.Online.name st.s_steps
-           (Assignment.max_load current)
-           alg.Online.augmentation st.inst.Instance.k)
+           st.alg.Online.name st.s_steps load st.alg.Online.augmentation
+           st.inst.Instance.k)
   end;
   st.s_steps <- st.s_steps + 1;
   (comm, moved)
@@ -220,20 +140,19 @@ let stepper_result st =
   {
     cost = st.s_cost;
     steps = st.s_steps;
-    max_load = !(st.s_max_load_ref);
+    max_load = st.s_max_load;
     capacity_violations = st.s_violations;
     per_step = None;
   }
 
-let run ?(strict = true) ?(record_steps = false) ?on_step ?(accounting = `Auto)
-    (inst : Instance.t) (alg : Online.t) trace ~steps =
+let run ?(strict = true) ?(record_steps = false) ?on_step (inst : Instance.t)
+    (alg : Online.t) trace ~steps =
   if steps < 0 then invalid_arg "Simulator.run: negative steps";
   Trace.validate ~n:inst.Instance.n trace ~steps;
-  let st = stepper ~strict ~accounting inst alg in
+  let st = stepper ~strict inst alg in
   let series = if record_steps then Array.make steps (0, 0) else [||] in
   for t = 0 to steps - 1 do
-    let current = alg.Online.assignment () in
-    let e = Trace.next trace t current in
+    let e = Trace.next trace t st.current in
     if e < 0 || e >= inst.Instance.n then
       invalid_arg "Simulator.run: trace produced edge out of range";
     let _ = step st e in

@@ -16,25 +16,16 @@
     The per-step hook receives cumulative costs and supports time-series
     experiments (cost curves, crossover plots) without a second run.
 
-    {2 Accounting modes}
+    {2 Accounting}
 
-    Historically every step paid an [O(n)] {!Assignment.diff_into} scan for
-    migrations plus [O(ell)] load scans for the running maximum and the
-    capacity check — even when the algorithm moved nothing.  Algorithms
-    that expose a move journal ({!Online.t.journal}) are instead charged
-    incrementally in [O(moves + 1)] per request; the full-scan path remains
-    both as the fallback for journal-less algorithms and as a cross-check
-    oracle ([`Check]) used by the test suite.  All modes produce identical
-    results. *)
-
-type accounting = [ `Auto | `Incremental | `Diff | `Check ]
-(** [`Auto] (default): incremental when the algorithm exposes a journal,
-    full-scan otherwise.  [`Incremental]: require the journal (raises
-    [Invalid_argument] if absent).  [`Diff]: force the full-scan path even
-    when a journal is available.  [`Check]: run the incremental path {e and}
-    verify it against the full-scan oracle after every step, raising
-    [Failure] on any divergence in migration charges, shadow state or
-    capacity verdicts. *)
+    Migrations are billed from the assignment's move journal
+    ({!Online.t.journal}) in [O(moves + 1)] per request: each journaled
+    process is compared against a shadow of its previous server, so a
+    process that moves away and back within one step costs nothing.  The
+    running maximum load and the capacity check read the assignment's
+    [O(1)] cached maximum ({!Assignment.max_load}) once the step is
+    complete, so mid-step transients are never observed.  The test suite
+    checks every step against an [O(n)] {!Assignment.diff_into} oracle. *)
 
 type result = {
   cost : Cost.t;
@@ -53,7 +44,6 @@ type stepper
 
 val stepper :
   ?strict:bool ->
-  ?accounting:accounting ->
   ?cost:Cost.t ->
   ?max_load:int ->
   ?violations:int ->
@@ -111,7 +101,6 @@ val run :
   ?strict:bool ->
   ?record_steps:bool ->
   ?on_step:(int -> Cost.t -> unit) ->
-  ?accounting:accounting ->
   Instance.t ->
   Online.t ->
   Trace.t ->
@@ -121,8 +110,7 @@ val run :
     @param strict raise [Failure] on a capacity violation (default [true])
     @param record_steps keep the cumulative cost series (default [false])
     @param on_step called after each step with the step index and cumulative
-    cost
-    @param accounting migration/load accounting mode (default [`Auto]) *)
+    cost *)
 
 val replay_cost : Instance.t -> int array -> assignments:int array array -> Cost.t
 (** [replay_cost inst trace ~assignments] computes the cost of an arbitrary

@@ -94,12 +94,12 @@ let check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max
   if r.Simulator.max_load < prev_max then
     fail "running max load decreased: %d -> %d" prev_max r.Simulator.max_load
 
-let make_engine ?(strict = true) ?(accounting = `Auto) ?sanitize ~epsilon ~alg
-    ~seed ?(cost = Cost.zero ()) ?max_load ?violations ?(steps_done = 0)
+let make_engine ?(strict = true) ?sanitize ~epsilon ~alg ~seed
+    ?(cost = Cost.zero ()) ?max_load ?violations ?(steps_done = 0)
     ?(prefix = [||]) (inst : Instance.t) (online : Online.t) =
   let stepper =
-    Simulator.stepper ~strict ~accounting ~cost ?max_load ?violations
-      ~steps_done inst online
+    Simulator.stepper ~strict ~cost ?max_load ?violations ~steps_done inst
+      online
   in
   let cap = max 1024 (Array.length prefix) in
   let buf = Array.make cap 0 in
@@ -124,10 +124,10 @@ let make_engine ?(strict = true) ?(accounting = `Auto) ?sanitize ~epsilon ~alg
     spans = [];
   }
 
-let create ?strict ?accounting ?sanitize ?(epsilon = 0.5) ~alg ~seed inst =
+let create ?strict ?sanitize ?(epsilon = 0.5) ~alg ~seed inst =
   let spec = Registry.find alg in
   let online = spec.Registry.build ~epsilon ~seed inst in
-  make_engine ?strict ?accounting ?sanitize ~epsilon ~alg ~seed inst online
+  make_engine ?strict ?sanitize ~epsilon ~alg ~seed inst online
 
 let push_prefix t e =
   if t.pos >= Array.length t.prefix then begin
@@ -370,8 +370,7 @@ let verify_against (ckpt : Checkpoint.t) t ~how =
          "Engine.resume: assignment of %s diverged from checkpoint after %s"
          ckpt.Checkpoint.alg how)
 
-let resume ?(strict = true) ?(accounting = `Auto) ?sanitize
-    (ckpt : Checkpoint.t) =
+let resume ?(strict = true) ?sanitize (ckpt : Checkpoint.t) =
   let inst =
     Instance.make ~n:ckpt.Checkpoint.n ~ell:ckpt.Checkpoint.ell
       ~k:ckpt.Checkpoint.k ~initial:(Array.copy ckpt.Checkpoint.initial) ()
@@ -388,7 +387,7 @@ let resume ?(strict = true) ?(accounting = `Auto) ?sanitize
          moves are not billed, exactly like construction-time moves. *)
       restore state;
       let t =
-        make_engine ~strict ~accounting ?sanitize ~epsilon:ckpt.Checkpoint.epsilon
+        make_engine ~strict ?sanitize ~epsilon:ckpt.Checkpoint.epsilon
           ~alg:ckpt.Checkpoint.alg ~seed:ckpt.Checkpoint.seed
           ~cost:
             {
@@ -409,7 +408,7 @@ let resume ?(strict = true) ?(accounting = `Auto) ?sanitize
          instance) and re-serve the stored prefix through the same
          accounting *)
       let t =
-        make_engine ~strict ~accounting ?sanitize ~epsilon:ckpt.Checkpoint.epsilon
+        make_engine ~strict ?sanitize ~epsilon:ckpt.Checkpoint.epsilon
           ~alg:ckpt.Checkpoint.alg ~seed:ckpt.Checkpoint.seed inst online
       in
       let m = Array.length ckpt.Checkpoint.prefix in

@@ -65,7 +65,6 @@ type t
 
 val create :
   ?strict:bool ->
-  ?accounting:Rbgp_ring.Simulator.accounting ->
   ?sanitize:bool ->
   ?epsilon:float ->
   alg:string ->
@@ -147,7 +146,6 @@ val checkpoint : t -> Checkpoint.t
 
 val resume :
   ?strict:bool ->
-  ?accounting:Rbgp_ring.Simulator.accounting ->
   ?sanitize:bool ->
   Checkpoint.t ->
   t

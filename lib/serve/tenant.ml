@@ -16,20 +16,18 @@ type t = {
   dir : string option;
   every : int;
   keep : int;
-  accounting : Rbgp_ring.Simulator.accounting option;
   sanitize : bool option;
   slots : (string, tenant) Hashtbl.t;
 }
 
 let create ?checkpoint_dir ?(checkpoint_every = 0) ?(checkpoint_keep = 3)
-    ?accounting ?sanitize () =
+    ?sanitize () =
   if checkpoint_every < 0 then invalid_arg "Tenant.create: checkpoint_every";
   if checkpoint_keep < 1 then invalid_arg "Tenant.create: checkpoint_keep";
   {
     dir = checkpoint_dir;
     every = checkpoint_every;
     keep = checkpoint_keep;
-    accounting;
     sanitize;
     slots = Hashtbl.create 16;
   }
@@ -186,8 +184,8 @@ let drain t =
 
 let make_engine t (o : Proto.open_payload) =
   let inst = Rbgp_ring.Instance.blocks ~n:o.n ~ell:o.ell in
-  Engine.create ?accounting:t.accounting ?sanitize:t.sanitize
-    ~epsilon:o.epsilon ~alg:o.alg ~seed:o.seed inst
+  Engine.create ?sanitize:t.sanitize ~epsilon:o.epsilon ~alg:o.alg ~seed:o.seed
+    inst
 
 (* A durable generation to resume from, if any survives verification.
    [read_latest] already falls back past torn/corrupt generations;
@@ -222,7 +220,7 @@ let revive t tn (o : Proto.open_payload) =
             tn.tid ck.Checkpoint.alg ck.Checkpoint.n ck.Checkpoint.ell
             ck.Checkpoint.seed )
     else begin
-      match Engine.resume ?accounting:t.accounting ?sanitize:t.sanitize ck with
+      match Engine.resume ?sanitize:t.sanitize ck with
       | e ->
           install_engine tn e;
           tn.last_ckpt_pos <- ck.Checkpoint.pos;

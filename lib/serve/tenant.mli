@@ -45,7 +45,6 @@ val create :
   ?checkpoint_dir:string ->
   ?checkpoint_every:int ->
   ?checkpoint_keep:int ->
-  ?accounting:Rbgp_ring.Simulator.accounting ->
   ?sanitize:bool ->
   unit ->
   t

@@ -28,23 +28,25 @@ let set_domains d =
   | _ -> ());
   Atomic.set override d
 
-let positive_env name =
+(* The environment knobs are read once, at program start: [map] consults
+   them per call, and a per-call getenv would allocate on the serving hot
+   path.  The [set_*] overrides still win over them. *)
+let env_value name parse =
   match Sys.getenv_opt name with
   | None | Some "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> Some d
-      | _ -> None)
+  | Some s -> parse (String.trim s)
 
-let env_domains () = positive_env "RBGP_DOMAINS"
+let positive_env name =
+  env_value name (fun s ->
+      match int_of_string_opt s with Some d when d >= 1 -> Some d | _ -> None)
+
+let default_domains =
+  match positive_env "RBGP_DOMAINS" with
+  | Some d -> d
+  | None -> Stdlib.max 1 (Domain.recommended_domain_count ())
 
 let domains () =
-  match Atomic.get override with
-  | Some d -> d
-  | None -> (
-      match env_domains () with
-      | Some d -> d
-      | None -> Stdlib.max 1 (Domain.recommended_domain_count ()))
+  match Atomic.get override with Some d -> d | None -> default_domains
 
 let grain_override = Atomic.make None
 
@@ -54,10 +56,10 @@ let set_grain g =
   | _ -> ());
   Atomic.set grain_override g
 
+let env_grain = positive_env "RBGP_GRAIN"
+
 let grain () =
-  match Atomic.get grain_override with
-  | Some g -> Some g
-  | None -> positive_env "RBGP_GRAIN"
+  match Atomic.get grain_override with Some g -> Some g | None -> env_grain
 
 (* --- measured per-item cost, by job family --------------------------- *)
 
@@ -107,16 +109,15 @@ let set_sequential_cutoff c =
   | _ -> ());
   Atomic.set cutoff_override c
 
+let env_cutoff_ns =
+  let positive s =
+    match float_of_string_opt s with Some c when c > 0. -> Some c | _ -> None
+  in
+  Option.value ~default:default_cutoff_ns
+    (env_value "RBGP_SEQ_CUTOFF_NS" positive)
+
 let sequential_cutoff_ns () =
-  match Atomic.get cutoff_override with
-  | Some c -> c
-  | None -> (
-      match Sys.getenv_opt "RBGP_SEQ_CUTOFF_NS" with
-      | None | Some "" -> default_cutoff_ns
-      | Some s -> (
-          match float_of_string_opt (String.trim s) with
-          | Some c when c > 0. -> c
-          | _ -> default_cutoff_ns))
+  match Atomic.get cutoff_override with Some c -> c | None -> env_cutoff_ns
 
 (* Aim for chunks carrying about this much work, so cursor round-trips are
    amortized on cheap items while expensive items still load-balance. *)

@@ -24,7 +24,9 @@
 
     The default domain count is resolved, in order, from: an explicit
     {!set_domains} override (the [--domains] CLI flag), the [RBGP_DOMAINS]
-    environment variable, and [Domain.recommended_domain_count ()].  With a
+    environment variable, and [Domain.recommended_domain_count ()].  Like
+    [RBGP_GRAIN] and [RBGP_SEQ_CUTOFF_NS] below, the variable is read once
+    at program start; changing it later has no effect.  With a
     single domain (or a single item) [map] degrades to a plain sequential
     [Array.map] in the calling domain — no workers are woken.  Nested
     [map]s (from a worker, or from [f] itself) also run sequentially rather

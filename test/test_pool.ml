@@ -1,15 +1,17 @@
-(* Tests for the deterministic work pool and the incremental (journal)
-   simulator accounting.
+(* Tests for the deterministic work pool and the journal-driven simulator
+   accounting.
 
    The pool's contract is that parallel execution is observationally
    identical to sequential execution: same results, same order, same
    surfaced exception, same experiment tables byte for byte.  The journal's
-   contract is that O(moves+1) incremental accounting bills exactly what
-   the O(n+ell) diff/scan oracle bills, on every algorithm and any trace. *)
+   contract is that O(moves+1) accounting bills exactly what an O(n+ell)
+   diff_into/scan oracle bills, on every algorithm and any trace. *)
 
 module Rng = Rbgp_util.Rng
 module Pool = Rbgp_util.Pool
 module Simulator = Rbgp_ring.Simulator
+module Assignment = Rbgp_ring.Assignment
+module Online = Rbgp_ring.Online
 module Trace = Rbgp_ring.Trace
 module Cost = Rbgp_ring.Cost
 module Runner = Rbgp_harness.Runner
@@ -251,9 +253,7 @@ let test_experiment_determinism id () =
     (String.length seq > 0);
   Alcotest.(check string) (id ^ " parallel == sequential") seq par
 
-(* --- journal accounting vs the diff/scan oracle ---------------------- *)
-
-let all_specs = Runner.core_algorithms ~epsilon:0.5 @ Runner.baseline_algorithms ~epsilon:0.5
+(* --- journal accounting vs the diff_into oracle ------------------------ *)
 
 let gen_case =
   QCheck2.Gen.(
@@ -265,39 +265,40 @@ let gen_case =
     let* trace = array_size (return steps) (int_range 0 (n - 1)) in
     return (n, ell, seed, trace))
 
-let run_with accounting (spec : Runner.alg_spec) (n, ell, seed, trace) =
+(* Runs [spec] through the simulator while a test-held copy of the
+   assignment re-derives every step's bill the O(n + ell) way: migrations
+   are the diff_into distance to the previous step, the running maximum is
+   the max of Assignment.max_load, and a violation is a step that fails
+   check_capacity.  The journal-billed result must agree on all three. *)
+let matches_oracle (n, ell, seed, trace) (spec : Runner.alg_spec) =
   let inst = Runner.instance ~n ~ell in
   let alg = spec.Runner.build inst ~trace ~seed in
-  Simulator.run ~strict:false ~accounting inst alg (Trace.fixed trace)
-    ~steps:(Array.length trace)
+  let current = alg.Online.assignment () in
+  let oracle = Assignment.copy current in
+  let max_load = ref (Assignment.max_load oracle) in
+  let violations = ref 0 in
+  let mig = ref 0 in
+  let per_step_ok = ref true in
+  let on_step _ (c : Cost.t) =
+    let d = Assignment.diff_into current oracle in
+    if c.Cost.mig - !mig <> d then per_step_ok := false;
+    mig := c.Cost.mig;
+    max_load := max !max_load (Assignment.max_load oracle);
+    if
+      not
+        (Assignment.check_capacity oracle ~augmentation:alg.Online.augmentation)
+    then incr violations
+  in
+  let r =
+    Simulator.run ~strict:false ~on_step inst alg (Trace.fixed trace)
+      ~steps:(Array.length trace)
+  in
+  !per_step_ok
+  && r.Simulator.cost.Cost.mig = !mig
+  && r.Simulator.max_load = !max_load
+  && r.Simulator.capacity_violations = !violations
 
-(* `Check runs the incremental path and verifies every step against the
-   diff_into/scan oracle internally, raising Failure on any divergence *)
-let prop_check_mode case =
-  List.for_all
-    (fun (spec : Runner.alg_spec) ->
-      let r = run_with `Check spec case in
-      r.Simulator.steps = Array.length (let _, _, _, t = case in t))
-    all_specs
-
-(* identically-seeded algorithms must produce identical result records
-   under forced-incremental and forced-diff accounting *)
-let prop_diff_vs_incremental case =
-  List.for_all
-    (fun (spec : Runner.alg_spec) ->
-      let a = run_with `Incremental spec case in
-      let b = run_with `Diff spec case in
-      a.Simulator.cost = b.Simulator.cost
-      && a.Simulator.max_load = b.Simulator.max_load
-      && a.Simulator.capacity_violations = b.Simulator.capacity_violations)
-    all_specs
-
-let prop_mts_variants_check case =
-  List.for_all
-    (fun (spec : Runner.alg_spec) ->
-      let r = run_with `Check spec case in
-      Cost.total r.Simulator.cost >= 0)
-    (Runner.mts_variants ~epsilon:0.5)
+let prop_matches_oracle specs case = List.for_all (matches_oracle case) specs
 
 let () =
   Alcotest.run "pool"
@@ -336,10 +337,11 @@ let () =
       ( "journal accounting",
         [
           qtest ~count:40 "incremental matches oracle (core + baselines)"
-            gen_case prop_check_mode;
-          qtest ~count:40 "diff == incremental results"
-            gen_case prop_diff_vs_incremental;
-          qtest ~count:20 "mts variants under check mode"
-            gen_case prop_mts_variants_check;
+            gen_case
+            (prop_matches_oracle
+               (Runner.core_algorithms ~epsilon:0.5
+               @ Runner.baseline_algorithms ~epsilon:0.5));
+          qtest ~count:20 "mts variants match oracle" gen_case
+            (prop_matches_oracle (Runner.mts_variants ~epsilon:0.5));
         ] );
     ]

@@ -216,6 +216,20 @@ let test_simulator_accounting () =
   Alcotest.(check int) "max load" 5 r.Simulator.max_load;
   Alcotest.(check int) "violations" 0 r.Simulator.capacity_violations
 
+let test_simulator_mid_step_transients () =
+  let inst = Instance.blocks ~n:8 ~ell:2 in
+  (* within one serve, at capacity 4 = 1.0 * k: process 0 visits server 1
+     and comes back, then process 1 lands on the full server 1 before
+     process 4 leaves it.  Both servers pass through load 5, but the step
+     ends at loads 4/4 with processes 1 and 4 swapped. *)
+  let moves = [ (0, 0, 1); (0, 0, 0); (0, 1, 1); (0, 4, 0) ] in
+  let alg = scripted ~augmentation:1.0 inst moves in
+  let r = Simulator.run inst alg (Trace.fixed [| 0 |]) ~steps:1 in
+  Alcotest.(check int) "mig is the Hamming distance" 2 r.Simulator.cost.Cost.mig;
+  Alcotest.(check int) "max load ignores transients" 4 r.Simulator.max_load;
+  Alcotest.(check int) "no violation from transients" 0
+    r.Simulator.capacity_violations
+
 let test_simulator_comm_before_migration () =
   let inst = Instance.blocks ~n:8 ~ell:2 in
   (* the algorithm collocates the endpoints during step 0, but the request
@@ -349,6 +363,8 @@ let () =
       ( "simulator",
         [
           Alcotest.test_case "accounting" `Quick test_simulator_accounting;
+          Alcotest.test_case "mid-step transients" `Quick
+            test_simulator_mid_step_transients;
           Alcotest.test_case "comm before migration" `Quick
             test_simulator_comm_before_migration;
           Alcotest.test_case "capacity enforcement" `Quick

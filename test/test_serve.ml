@@ -3,7 +3,7 @@
 
    The contracts under test:
    - the incremental engine bills exactly what the batch simulator bills
-     on the same request sequence (every algorithm, both accounting paths);
+     on the same request sequence (every algorithm);
    - checkpoint ⇒ resume is byte-identical to an uninterrupted run —
      costs, max load, violations and final assignment — for every
      algorithm in the serving registry, whether the resume goes through
@@ -113,42 +113,34 @@ let test_engine_decisions_cumulative () =
 
 (* --- checkpoint / resume -------------------------------------------- *)
 
-(* the satellite requirement, verbatim: checkpoint at a step, resume, and
-   the final result equals the uninterrupted run — for every algorithm in
-   the registry and both accounting modes *)
+(* checkpoint at a step, resume, and the final result equals the
+   uninterrupted run — for every algorithm in the registry, which covers
+   both the explicit-restore and the prefix-replay resume paths *)
 let test_checkpoint_resume_all_algorithms () =
   let n = 48 and ell = 4 and steps = 600 and cut = 251 and seed = 23 in
   let inst = Instance.blocks ~n ~ell in
   let trace = gen_trace ~n ~steps ~seed:9 in
   List.iter
-    (fun accounting ->
-      List.iter
-        (fun (spec : Registry.spec) ->
-          let name =
-            Printf.sprintf "%s/%s" spec.Registry.name
-              (match accounting with `Diff -> "diff" | _ -> "auto")
-          in
-          let uninterrupted =
-            let e = Engine.create ~accounting ~alg:spec.Registry.name ~seed inst in
-            Array.iter (fun q -> ignore (Engine.ingest e q)) trace;
-            outcome_of e
-          in
-          let first = Engine.create ~accounting ~alg:spec.Registry.name ~seed inst in
-          Array.iter
-            (fun q -> ignore (Engine.ingest first q))
-            (Array.sub trace 0 cut);
-          let ckpt = Engine.checkpoint first in
-          (* the snapshot must survive its on-disk representation *)
-          let ckpt = Ckpt.of_string (Ckpt.to_string ckpt) in
-          let resumed = Engine.resume ~accounting ckpt in
-          Alcotest.(check int) (name ^ ": resumed pos") cut (Engine.pos resumed);
-          Array.iter
-            (fun q -> ignore (Engine.ingest resumed q))
-            (Array.sub trace cut (steps - cut));
-          check_outcome (name ^ ": resume == uninterrupted") uninterrupted
-            (outcome_of resumed))
-        Registry.all)
-    [ `Auto; `Diff ]
+    (fun (spec : Registry.spec) ->
+      let name = spec.Registry.name in
+      let uninterrupted =
+        let e = Engine.create ~alg:name ~seed inst in
+        Array.iter (fun q -> ignore (Engine.ingest e q)) trace;
+        outcome_of e
+      in
+      let first = Engine.create ~alg:name ~seed inst in
+      Array.iter (fun q -> ignore (Engine.ingest first q)) (Array.sub trace 0 cut);
+      let ckpt = Engine.checkpoint first in
+      (* the snapshot must survive its on-disk representation *)
+      let ckpt = Ckpt.of_string (Ckpt.to_string ckpt) in
+      let resumed = Engine.resume ckpt in
+      Alcotest.(check int) (name ^ ": resumed pos") cut (Engine.pos resumed);
+      Array.iter
+        (fun q -> ignore (Engine.ingest resumed q))
+        (Array.sub trace cut (steps - cut));
+      check_outcome (name ^ ": resume == uninterrupted") uninterrupted
+        (outcome_of resumed))
+    Registry.all
 
 let test_checkpoint_explicit_state_presence () =
   let inst = Instance.blocks ~n:32 ~ell:4 in
@@ -226,25 +218,23 @@ let qcheck_checkpoint_resume =
       let* wseed = int_bound 10_000 in
       let* steps = int_range 50 400 in
       let* cut = int_range 1 (steps - 1) in
-      let* diff = bool in
-      return (alg_idx, seed, wseed, steps, cut, diff))
+      return (alg_idx, seed, wseed, steps, cut))
   in
   qtest ~count:60 "qcheck: checkpoint at random step resumes identically" gen
-    (fun (alg_idx, seed, wseed, steps, cut, diff) ->
+    (fun (alg_idx, seed, wseed, steps, cut) ->
       let spec = List.nth Registry.all alg_idx in
-      let accounting = if diff then `Diff else `Auto in
       let n = 48 and ell = 4 in
       let inst = Instance.blocks ~n ~ell in
       let trace = gen_trace ~n ~steps ~seed:wseed in
       let uninterrupted =
-        let e = Engine.create ~accounting ~alg:spec.Registry.name ~seed inst in
+        let e = Engine.create ~alg:spec.Registry.name ~seed inst in
         Array.iter (fun q -> ignore (Engine.ingest e q)) trace;
         outcome_of e
       in
-      let first = Engine.create ~accounting ~alg:spec.Registry.name ~seed inst in
+      let first = Engine.create ~alg:spec.Registry.name ~seed inst in
       Array.iter (fun q -> ignore (Engine.ingest first q)) (Array.sub trace 0 cut);
       let ckpt = Ckpt.of_string (Ckpt.to_string (Engine.checkpoint first)) in
-      let resumed = Engine.resume ~accounting ckpt in
+      let resumed = Engine.resume ckpt in
       Array.iter
         (fun q -> ignore (Engine.ingest resumed q))
         (Array.sub trace cut (steps - cut));
@@ -265,8 +255,8 @@ let decision_key (d : Engine.decision) =
     d.Engine.comm d.Engine.moved d.Engine.cum_comm d.Engine.cum_mig
     d.Engine.max_load
 
-let per_request_run ?accounting ~alg ~seed inst trace =
-  let e = Engine.create ?accounting ~alg ~seed inst in
+let per_request_run ~alg ~seed inst trace =
+  let e = Engine.create ~alg ~seed inst in
   let ds = Array.map (fun q -> decision_key (Engine.ingest e q)) trace in
   (ds, outcome_of e)
 
@@ -791,7 +781,7 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "resume == uninterrupted (all algs, both \
-                              accountings)" `Quick
+                              restore paths)" `Quick
             test_checkpoint_resume_all_algorithms;
           Alcotest.test_case "explicit state exactly for baselines" `Quick
             test_checkpoint_explicit_state_presence;
