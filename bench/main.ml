@@ -169,8 +169,7 @@ let mts_step solver =
   let i = ref 0 in
   fun () ->
     incr i;
-    ignore
-      (Rbgp_mts.Mts.serve solver (Rbgp_mts.Mts.indicator (!i * 31 mod k) ~n:k))
+    ignore (Rbgp_mts.Mts.serve solver (!i * 31 mod k))
 
 let offline_reqs = Array.init 512 (fun i -> (i * 131) mod k)
 let inst = Rbgp_ring.Instance.blocks ~n:512 ~ell:8

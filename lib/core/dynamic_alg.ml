@@ -22,7 +22,6 @@ type t = {
   cut_locals : int array;  (* the same cuts in interval-local coordinates *)
   bases : int array;  (* first global edge of each interval *)
   route_of_edge : int array;  (* global edge -> (interval lsl route_bits) lor local *)
-  indicators : float array array;  (* reusable cost vector per interval *)
   assignment : Assignment.t;
   scratch_servers : int array;
   (* batch scratch, grown on demand; see [serve_batch] *)
@@ -107,8 +106,6 @@ let create ?shift ?(mts = Rbgp_mts.Smin_mw.solver) ~epsilon (inst : Instance.t)
       cut_locals;
       bases;
       route_of_edge;
-      indicators =
-        Array.init ell' (fun i -> Array.make (Intervals.width dec i) 0.0);
       assignment = Assignment.create inst;
       scratch_servers = Array.make n 0;
       batch_order = [||];
@@ -121,17 +118,6 @@ let create ?shift ?(mts = Rbgp_mts.Smin_mw.solver) ~epsilon (inst : Instance.t)
   in
   apply_cuts t;
   t
-
-(* Feed one request to interval i's solver through its reusable indicator
-   vector (Mts.serve only reads the vector, so setting and clearing one
-   entry leaves it all-zero for the next request — no per-request
-   allocation). *)
-let serve_local t i local =
-  let vec = t.indicators.(i) in
-  vec.(local) <- 1.0;
-  let new_local = Mts.serve t.solvers.(i) vec in
-  vec.(local) <- 0.0;
-  new_local
 
 (* Move interval i's cut to [new_local], updating the assignment
    incrementally: server i owns the vertex slice (cuts.(i), cuts.(i+1)]
@@ -166,7 +152,7 @@ let serve t e =
     invalid_arg "Dynamic_alg.serve: edge out of range";
   let r = t.route_of_edge.(e) in
   let i = r lsr route_bits in
-  move_cut t i (serve_local t i (r land route_mask))
+  move_cut t i (Mts.serve t.solvers.(i) (r land route_mask))
 
 let ensure_batch_scratch t b =
   if Array.length t.batch_order < b then begin
@@ -224,11 +210,12 @@ let serve_batch t edges =
       let stop = offsets.(i) + counts.(i) in
       for idx = offsets.(i) to stop - 1 do
         let j = order.(idx) in
-        locals.(j) <- serve_local t i (t.route_of_edge.(edges.(j)) land route_mask)
+        locals.(j) <-
+          Mts.serve t.solvers.(i) (t.route_of_edge.(edges.(j)) land route_mask)
       done
     in
-    (* each worker touches only its claimed intervals' solvers, indicator
-       vectors and [locals] slots; the pool's join publishes all writes
+    (* each worker touches only its claimed intervals' solvers and
+       [locals] slots; the pool's join publishes all writes
        before the merge reads them.  The family estimate keeps small
        batches sequential automatically. *)
     ignore (Pool.map ~family:"dynalg.shard" run work);

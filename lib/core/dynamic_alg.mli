@@ -3,8 +3,9 @@
     The ring is partitioned by the shifted interval decomposition
     ({!Rbgp_ring.Intervals}); each interval runs an independent black-box
     MTS solver over its edges (line metric).  A request on edge [e] is
-    forwarded, as an indicator cost vector, to the MTS instance of the
-    interval containing [e]; the solvers' states are the cut edges, and
+    forwarded, as the unit task on [e]'s interval-local index
+    ({!Rbgp_mts.Mts.serve}), to the MTS instance of the interval
+    containing [e]; the solvers' states are the cut edges, and
     the cut edges determine the process-to-server map through
     {!Rbgp_ring.Intervals.slices_of_cuts}.
 

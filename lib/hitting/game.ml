@@ -14,11 +14,10 @@ let start_edge ~k =
 
 let of_mts mts =
   let module M = Rbgp_mts.Mts in
-  let k = Rbgp_mts.Metric.size (M.metric mts) in
   {
     name = M.name mts;
     position = (fun () -> M.state mts);
-    serve = (fun e -> ignore (M.serve mts (M.indicator e ~n:k)));
+    serve = (fun e -> ignore (M.serve mts e));
     hit_cost = (fun () -> M.hit_cost mts);
     move_cost = (fun () -> M.move_cost mts);
   }

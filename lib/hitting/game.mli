@@ -28,8 +28,9 @@ val start_edge : k:int -> int
 (** The central starting edge [ceil(k/2) - 1] (0-based). *)
 
 val of_mts : Rbgp_mts.Mts.t -> player
-(** Adapt an MTS solver on [Line k] to the game: each request becomes an
-    indicator cost vector.  Movement/hit accounting is the solver's own.
+(** Adapt an MTS solver on [Line k] to the game: each request becomes the
+    unit task on its edge ({!Rbgp_mts.Mts.serve}).  Movement/hit
+    accounting is the solver's own.
     Note the MTS convention charges the hit at the {e new} state while the
     game charges it at the {e old} position; for competitive-ratio purposes
     the two differ by at most the movement cost (tests quantify this). *)

@@ -5,7 +5,7 @@ type t = {
   mutable hit : float;
   mutable move : float;
   mutable steps : int;
-  next : float array -> int -> int;
+  next : int -> int -> int;
 }
 
 type factory = Metric.t -> start:int -> rng:Rbgp_util.Rng.t -> t
@@ -18,20 +18,13 @@ let name t = t.name
 let metric t = t.metric
 let state t = t.state
 
-(* top-level so [serve] (r11-patrolled via the solver path) passes a
-   static function to [Array.iter], not a per-call closure *)
-let check_cost_entry c =
-  if c < 0.0 || Float.is_nan c then
-    invalid_arg "Mts.serve: cost entries must be non-negative"
-
-let serve t cost_vector =
-  if Array.length cost_vector <> Metric.size t.metric then
-    invalid_arg "Mts.serve: cost vector size mismatch";
-  Array.iter check_cost_entry cost_vector;
-  let s' = t.next cost_vector t.state in
+let serve t e =
+  if e < 0 || e >= Metric.size t.metric then
+    invalid_arg "Mts.serve: task state out of range";
+  let s' = t.next e t.state in
   Metric.check_state t.metric s';
   t.move <- t.move +. float_of_int (Metric.distance t.metric t.state s');
-  t.hit <- t.hit +. cost_vector.(s');
+  if s' = e then t.hit <- t.hit +. 1.0;
   t.state <- s';
   t.steps <- t.steps + 1;
   s'
@@ -40,9 +33,3 @@ let hit_cost t = t.hit
 let move_cost t = t.move
 let total_cost t = t.hit +. t.move
 let steps t = t.steps
-
-let indicator e ~n =
-  if e < 0 || e >= n then invalid_arg "Mts.indicator: index out of range";
-  let v = Array.make n 0.0 in
-  v.(e) <- 1.0;
-  v

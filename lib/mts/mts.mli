@@ -3,10 +3,14 @@
 
     An MTS instance over a metric [(S, d)] starts in state [s0]; each step a
     cost vector [T] arrives, the solver moves to a state [s'] and pays
-    [d(s, s') + T(s')].  The paper plugs an arbitrary [alpha(k)]-competitive
-    MTS algorithm into each interval; here solvers are first-class values so
-    the composed algorithm can be instantiated with any of
-    {!Work_function}, {!Smin_mw}, {!Hst_mts} or {!Marking}
+    [d(s, s') + T(s')].  The ring reduction only ever emits unit tasks: a
+    request on an edge becomes the indicator vector [T = 1_e] of one state
+    [e] of one interval's line metric.  The interface is therefore
+    indicator-native: a task is the state [e] it charges, and a step pays
+    [d(s, s') + [s' = e]].  The paper plugs an arbitrary
+    [alpha(k)]-competitive MTS algorithm into each interval; here solvers
+    are first-class values so the composed algorithm can be instantiated
+    with any of {!Work_function}, {!Smin_mw}, {!Hst_mts} or {!Marking}
     (experiment E9 ablates this choice). *)
 
 type t
@@ -20,29 +24,27 @@ val make :
   name:string ->
   metric:Metric.t ->
   start:int ->
-  next:(float array -> int -> int) ->
+  next:(int -> int -> int) ->
   t
 (** [make ~name ~metric ~start ~next] wraps a transition function
-    [next cost_vector current_state -> new_state] with state tracking and
-    cost accounting.  Used by the solver modules; exposed for tests that
-    need scripted solvers. *)
+    [next task_state current_state -> new_state] with state tracking and
+    cost accounting.  [next] sees only tasks already checked to be in
+    range.  Used by the solver modules; exposed for tests that need
+    scripted solvers. *)
 
 val name : t -> string
 val metric : t -> Metric.t
 val state : t -> int
 
-val serve : t -> float array -> int
-(** Feed one cost vector (length = number of states, entries >= 0); returns
-    the new state.  Accumulates [hit] ([T(s')]) and [move] ([d(s, s')])
-    costs. *)
+val serve : t -> int -> int
+(** [serve t e] feeds the unit task charging state [e] and returns the new
+    state [s'].  Accumulates [hit] (1 when [s' = e], else 0) and [move]
+    ([d(s, s')]).  Raises [Invalid_argument] when [e] is not a state of
+    the metric. *)
 
 val hit_cost : t -> float
 val move_cost : t -> float
 val total_cost : t -> float
 
 val steps : t -> int
-(** Number of cost vectors served so far. *)
-
-val indicator : int -> n:int -> float array
-(** [indicator e ~n]: the unit cost vector charging 1 at state [e] — the
-    only vector shape the ring reduction generates. *)
+(** Number of tasks served so far. *)

@@ -3,24 +3,66 @@ module Smin = Rbgp_util.Smin
 
 let default_scale metric = Float.max 1.0 (float_of_int (Metric.diameter metric))
 
+(* An all-float record is stored flat: updating [m] does not allocate. *)
+type minimum = { mutable m : float }
+
 let make_solver ~c metric ~start ~rng =
   let s = Metric.size metric in
+  (* grad smin_c x in factored form: x.(i) counts the tasks state i has
+     received, scaled.(i) = x.(i) / c, weights.(i) = exp (m - scaled.(i))
+     for the smallest scaled cost m, and [at_min] states sit at m.  These
+     are the exact floats Smin.grad_c_into computes from x, so the
+     distributions below match the dense form bit for bit. *)
   let x = Array.make s 0.0 in
-  (* scratch gradient plus two rotating distribution buffers: the serve
-     loop allocates nothing.  of_grad_into performs the same validation
-     and renormalization as of_grad, so outputs are bit-identical. *)
+  let scaled = Array.make s 0.0 in
+  let weights = Array.make s 0.0 in
+  let low = { m = 0.0 } in
+  let at_min = ref 0 in
+  let rescale () =
+    let m = ref scaled.(0) in
+    for i = 1 to s - 1 do
+      if scaled.(i) < !m then m := scaled.(i)
+    done;
+    let m = !m in
+    low.m <- m;
+    at_min := 0;
+    for i = 0 to s - 1 do
+      weights.(i) <- exp (m -. scaled.(i));
+      if scaled.(i) = m then incr at_min
+    done
+  in
+  (* scratch gradient plus two rotating distribution buffers, reused by
+     every step.  The sum, the division and of_grad_into's check and
+     renormalisation run over the same floats in the same index order as
+     Smin.grad_c_into followed by Dist.of_grad_into. *)
   let grad = Array.make s 0.0 in
+  let normalize_into dst =
+    let z = ref 0.0 in
+    for i = 0 to s - 1 do
+      z := !z +. weights.(i)
+    done;
+    let z = !z in
+    for i = 0 to s - 1 do
+      grad.(i) <- weights.(i) /. z
+    done;
+    Dist.of_grad_into grad dst
+  in
   let current_dist = ref (Dist.uniform s) in
   let next_dist = ref (Dist.uniform s) in
-  Smin.grad_c_into ~c x grad;
-  Dist.of_grad_into grad !current_dist;
-  let next cost current =
-    for i = 0 to s - 1 do
-      x.(i) <- x.(i) +. cost.(i)
-    done;
-    Smin.grad_c_into ~c x grad;
+  rescale ();
+  normalize_into !current_dist;
+  (* A task on e raises x.(e) alone, so one weight changes — unless it
+     lifts the last state at the minimum: then m rises and every weight
+     is recomputed against the new m. *)
+  let next e current =
+    let old = scaled.(e) in
+    x.(e) <- x.(e) +. 1.0;
+    let v = x.(e) /. c in
+    scaled.(e) <- v;
+    if old = low.m && v > low.m then decr at_min;
+    if !at_min = 0 then rescale () else weights.(e) <- exp (low.m -. v);
     let new_dist = !next_dist in
-    Dist.of_grad_into grad new_dist;
+    normalize_into new_dist;
     let state =
       Dist.resample_coupled rng ~current ~old_dist:!current_dist
         ~new_dist

@@ -15,7 +15,18 @@
     reduction emits) the expected hitting cost telescopes into
     [smin_c(x_final) <= min(x) + c ln s] (Lemma A.3 (i)/(iii)), giving an
     O(log s)-competitive-against-static behaviour; against dynamic optima it
-    is the randomized workhorse of experiments E2/E3/E9. *)
+    is the randomized workhorse of experiments E2/E3/E9.
+
+    The step is incremental.  A unit task on state [e] raises [x_e] alone,
+    so the solver caches [x_i / c] and the weights
+    [w_i = exp (m - x_i / c)] for the minimum [m] of the scaled costs,
+    together with the number of states at [m].  A task recomputes one
+    weight; only a task that lifts the last state at the minimum moves [m]
+    and recomputes all [s].  The normalisation [z = sum w_i], the
+    distribution check and the coupled resample then run over the same
+    floats in the same order as on the dense cost vector (adding the
+    vector's [+0.0] entries to non-negative sums is exact), so states,
+    probabilities and rng draws are bit-identical to the dense form. *)
 
 val solver : Mts.factory
 

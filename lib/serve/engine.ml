@@ -453,11 +453,69 @@ let resume ?(strict = true) ?sanitize (ckpt : Checkpoint.t) =
       Metrics.reset t.metrics;
       t
 
+(* Decision records are the serve stream's per-request output, so they are
+   written by hand rather than through Printf: the record's exact length
+   is known up front, and its fixed key fragments and decimal digits go
+   straight into the one buffer that becomes the string.  The bytes are
+   those of the %d format (pinned by a qcheck in test_serve). *)
+
+(* Characters in the decimal form of [n], sign included.  Digits are
+   counted on the non-positive side, where min_int has a negation. *)
+let int_width n =
+  let rec count w v = if v > -10 then w else count (w + 1) (v / 10) in
+  if n < 0 then count 2 n else count 1 (-n)
+
+(* Write [n], whose decimal form is [w] characters wide, at [pos];
+   returns the position after it. *)
+let put_int b pos w n =
+  let rec digits i v =
+    let q = v / 10 in
+    Bytes.set b i (Char.unsafe_chr (48 + (10 * q) - v));
+    if q < 0 then digits (i - 1) q
+  in
+  digits (pos + w - 1) (if n < 0 then n else -n);
+  if n < 0 then Bytes.set b pos '-';
+  pos + w
+
+let put_key b pos key =
+  Bytes.blit_string key 0 b pos (String.length key);
+  pos + String.length key
+
+(* the record's bytes without its eight values *)
+let decision_fixed_len =
+  String.length
+    "{\"type\":\"decision\",\"step\":,\"edge\":,\"comm\":,\"mig\":,\"cum_comm\":,\
+     \"cum_mig\":,\"max_load\":,\"latency_ns\":}"
+
 let decision_to_json d =
-  Printf.sprintf
-    "{\"type\":\"decision\",\"step\":%d,\"edge\":%d,\"comm\":%d,\"mig\":%d,\
-     \"cum_comm\":%d,\"cum_mig\":%d,\"max_load\":%d,\"latency_ns\":%d}"
-    d.step d.edge d.comm d.moved d.cum_comm d.cum_mig d.max_load d.latency_ns
+  let w_step = int_width d.step and w_edge = int_width d.edge in
+  let w_comm = int_width d.comm and w_moved = int_width d.moved in
+  let w_cum_comm = int_width d.cum_comm and w_cum_mig = int_width d.cum_mig in
+  let w_max_load = int_width d.max_load in
+  let w_latency = int_width d.latency_ns in
+  let b =
+    Bytes.create
+      (decision_fixed_len + w_step + w_edge + w_comm + w_moved + w_cum_comm
+     + w_cum_mig + w_max_load + w_latency)
+  in
+  let pos = put_key b 0 "{\"type\":\"decision\",\"step\":" in
+  let pos = put_int b pos w_step d.step in
+  let pos = put_key b pos ",\"edge\":" in
+  let pos = put_int b pos w_edge d.edge in
+  let pos = put_key b pos ",\"comm\":" in
+  let pos = put_int b pos w_comm d.comm in
+  let pos = put_key b pos ",\"mig\":" in
+  let pos = put_int b pos w_moved d.moved in
+  let pos = put_key b pos ",\"cum_comm\":" in
+  let pos = put_int b pos w_cum_comm d.cum_comm in
+  let pos = put_key b pos ",\"cum_mig\":" in
+  let pos = put_int b pos w_cum_mig d.cum_mig in
+  let pos = put_key b pos ",\"max_load\":" in
+  let pos = put_int b pos w_max_load d.max_load in
+  let pos = put_key b pos ",\"latency_ns\":" in
+  let pos = put_int b pos w_latency d.latency_ns in
+  Bytes.set b pos '}';
+  Bytes.unsafe_to_string b
 
 let result_to_json t =
   let r = result t in

@@ -1,13 +1,23 @@
 (* Tests for the metrical-task-system substrate: metrics, the solver
    interface's cost accounting, the exact offline DP (cross-checked against
    brute force), the deterministic work-function algorithm (competitive
-   bound + work-function invariants), and the randomized solvers. *)
+   bound + work-function invariants), the randomized solvers, and the
+   smooth-min solver's cached-weight step against the dense reference. *)
 
 module Metric = Rbgp_mts.Metric
 module Mts = Rbgp_mts.Mts
 module Offline = Rbgp_mts.Offline
 module Wfa = Rbgp_mts.Work_function
 module Rng = Rbgp_util.Rng
+module Dist = Rbgp_util.Dist
+module Smin = Rbgp_util.Smin
+
+(* the unit cost vector charging 1 at state [e]: the dense task the ring
+   reduction's requests stand for *)
+let indicator e ~n =
+  let v = Array.make n 0.0 in
+  v.(e) <- 1.0;
+  v
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -30,29 +40,37 @@ let test_metric () =
 let test_mts_accounting () =
   (* scripted solver: always moves to the requested state *)
   let metric = Metric.Line 4 in
-  let t =
-    Mts.make ~name:"follow" ~metric ~start:0 ~next:(fun cost _ ->
-        let best = ref 0 in
-        Array.iteri (fun i c -> if c > cost.(!best) then best := i) cost;
-        !best)
-  in
-  ignore (Mts.serve t (Mts.indicator 3 ~n:4));
+  let t = Mts.make ~name:"follow" ~metric ~start:0 ~next:(fun e _ -> e) in
+  ignore (Mts.serve t 3);
   (* moved 0 -> 3 (distance 3) and pays the task at the new state (1) *)
   Alcotest.(check (float 1e-9)) "move" 3.0 (Mts.move_cost t);
   Alcotest.(check (float 1e-9)) "hit" 1.0 (Mts.hit_cost t);
-  ignore (Mts.serve t (Mts.indicator 0 ~n:4));
-  Alcotest.(check int) "state sticky" 0 (Mts.state t);
-  Alcotest.(check int) "steps" 2 (Mts.steps t)
+  ignore (Mts.serve t 0);
+  Alcotest.(check int) "state follows" 0 (Mts.state t);
+  Alcotest.(check int) "steps" 2 (Mts.steps t);
+  (* a solver that dodges the task pays no hit *)
+  let dodge =
+    Mts.make ~name:"dodge" ~metric ~start:0 ~next:(fun e _ -> (e + 1) mod 4)
+  in
+  ignore (Mts.serve dodge 2);
+  Alcotest.(check (float 1e-9)) "dodged hit" 0.0 (Mts.hit_cost dodge);
+  Alcotest.(check (float 1e-9)) "dodge move" 3.0 (Mts.move_cost dodge)
 
 let test_mts_validation () =
   let metric = Metric.Line 3 in
   let t = Mts.make ~name:"id" ~metric ~start:1 ~next:(fun _ s -> s) in
-  Alcotest.check_raises "bad size"
-    (Invalid_argument "Mts.serve: cost vector size mismatch") (fun () ->
-      ignore (Mts.serve t [| 0.0 |]));
-  Alcotest.check_raises "negative cost"
-    (Invalid_argument "Mts.serve: cost entries must be non-negative")
-    (fun () -> ignore (Mts.serve t [| 0.0; -1.0; 0.0 |]))
+  List.iter
+    (fun e ->
+      Alcotest.check_raises
+        (Printf.sprintf "task state %d" e)
+        (Invalid_argument "Mts.serve: task state out of range") (fun () ->
+          ignore (Mts.serve t e)))
+    [ -1; 3; max_int; min_int ];
+  Alcotest.(check int) "rejected tasks are not served" 0 (Mts.steps t);
+  let rogue = Mts.make ~name:"rogue" ~metric ~start:0 ~next:(fun _ _ -> 3) in
+  Alcotest.check_raises "solver leaving the metric"
+    (Invalid_argument "Metric: state out of range") (fun () ->
+      ignore (Mts.serve rogue 0))
 
 (* --- Offline DP vs brute force ---------------------------------------- *)
 
@@ -126,7 +144,7 @@ let test_offline_indicators =
   qtest ~count:200 "indicator specialization matches generic DP"
     indicator_seq_gen (fun (s, start, es) ->
       let m = Metric.Line s in
-      let tasks = Array.map (fun e -> Mts.indicator e ~n:s) es in
+      let tasks = Array.map (fun e -> indicator e ~n:s) es in
       Float.abs
         (Offline.opt_cost_indicators m ~start es -. Offline.opt_cost m ~start tasks)
       < 1e-6)
@@ -149,7 +167,7 @@ let test_wfa_competitive =
     indicator_seq_gen (fun (s, start, es) ->
       let m = Metric.Line s in
       let t = Wfa.solver m ~start ~rng:(Rng.create 0) in
-      Array.iter (fun e -> ignore (Mts.serve t (Mts.indicator e ~n:s))) es;
+      Array.iter (fun e -> ignore (Mts.serve t e)) es;
       let opt = Offline.opt_cost_indicators m ~start es in
       let bound =
         (float_of_int ((2 * s) - 1) *. opt)
@@ -161,7 +179,7 @@ let test_wfa_work_function_invariants =
   qtest ~count:150 "work function is 1-Lipschitz and lower-bounds cost"
     indicator_seq_gen (fun (s, start, es) ->
       let t, wf = Wfa.solver_introspect (Metric.Line s) ~start in
-      Array.iter (fun e -> ignore (Mts.serve t (Mts.indicator e ~n:s))) es;
+      Array.iter (fun e -> ignore (Mts.serve t e)) es;
       let w = wf () in
       let lipschitz = ref true in
       for i = 0 to s - 2 do
@@ -178,12 +196,12 @@ let test_wfa_stationary () =
   let m = Metric.Line s in
   let t = Wfa.solver m ~start:4 ~rng:(Rng.create 0) in
   for _ = 1 to 200 do
-    ignore (Mts.serve t (Mts.indicator 4 ~n:s))
+    ignore (Mts.serve t 4)
   done;
   Alcotest.(check bool) "moved away" true (Mts.state t <> 4);
   let before = Mts.total_cost t in
   for _ = 1 to 100 do
-    ignore (Mts.serve t (Mts.indicator 4 ~n:s))
+    ignore (Mts.serve t 4)
   done;
   Alcotest.(check (float 1e-9)) "no further cost" before (Mts.total_cost t)
 
@@ -191,7 +209,7 @@ let test_wfa_stationary () =
 
 let run_solver solver m ~start es ~seed =
   let t = solver m ~start ~rng:(Rng.create seed) in
-  Array.iter (fun e -> ignore (Mts.serve t (Mts.indicator e ~n:(Metric.size m)) : int)) es;
+  Array.iter (fun e -> ignore (Mts.serve t e : int)) es;
   Mts.total_cost t
 
 let test_smin_mw_distribution () =
@@ -244,6 +262,93 @@ let test_randomized_reasonable =
       && loose (run_solver Rbgp_mts.Hst_mts.solver m ~start es ~seed:2)
       && loose (run_solver Rbgp_mts.Marking.solver m ~start es ~seed:3))
 
+(* --- smooth-min MW: cached-weight step vs the dense reference --------- *)
+
+(* The dense (cost-vector) form of the smooth-min MW step, kept as the
+   oracle for Smin_mw's cached-weight step: add the whole task vector to
+   the cumulative costs x, recompute grad smin_c x from scratch (one exp
+   per state), renormalise through Dist.of_grad_into and follow it
+   through the maximal-stay coupling.  Returns the serve function and
+   the hit and move cost accessors. *)
+let reference_smin_mw ~c ~s ~start rng =
+  let x = Array.make s 0.0 in
+  let grad = Array.make s 0.0 in
+  let current_dist = ref (Dist.uniform s) in
+  let next_dist = ref (Dist.uniform s) in
+  Smin.grad_c_into ~c x grad;
+  Dist.of_grad_into grad !current_dist;
+  let state = ref start and hit = ref 0.0 and move = ref 0.0 in
+  let serve e =
+    let cost = indicator e ~n:s in
+    for i = 0 to s - 1 do
+      x.(i) <- x.(i) +. cost.(i)
+    done;
+    Smin.grad_c_into ~c x grad;
+    let new_dist = !next_dist in
+    Dist.of_grad_into grad new_dist;
+    let s' =
+      Dist.resample_coupled rng ~current:!state ~old_dist:!current_dist
+        ~new_dist
+    in
+    next_dist := !current_dist;
+    current_dist := new_dist;
+    move := !move +. float_of_int (abs (s' - !state));
+    hit := !hit +. cost.(s');
+    state := s';
+    s'
+  in
+  (serve, (fun () -> !hit), fun () -> !move)
+
+(* Task sequences built from segments: long hammering of one state (the
+   hammered state leaves the minimum and stays above it), uniform random
+   tasks, and sweeps over every state, which lift the whole layer at the
+   minimum and so force the recompute when the minimum moves. *)
+let smin_case_gen =
+  QCheck2.Gen.(
+    oneof [ oneofl [ 1; 2; 186 ]; int_range 3 24 ] >>= fun s ->
+    int_range 0 (s - 1) >>= fun start ->
+    opt (oneof [ return 1.0; float_range 1.0 40.0 ]) >>= fun c ->
+    int_range 0 1_000_000 >>= fun seed ->
+    let segment =
+      oneof
+        [
+          (pair (int_range 0 (s - 1)) (int_range 1 600) >|= fun (e, len) ->
+           Array.make len e);
+          (list_size (int_range 1 60) (int_range 0 (s - 1)) >|= Array.of_list);
+          (bool >|= fun up ->
+           Array.init s (fun i -> if up then i else s - 1 - i));
+        ]
+    in
+    list_size (int_range 1 8) segment >|= fun segs ->
+    (s, start, c, seed, Array.concat segs))
+
+let print_smin_case (s, start, c, seed, es) =
+  Printf.sprintf "s=%d start=%d c=%s seed=%d tasks=%d" s start
+    (match c with None -> "default" | Some c -> Printf.sprintf "%h" c)
+    seed (Array.length es)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_smin_mw_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~print:print_smin_case
+       ~name:"smin-mw cached step == dense reference (bit-equal)"
+       smin_case_gen (fun (s, start, c, seed, es) ->
+         let m = Metric.Line s in
+         let solver, c_eff =
+           match c with
+           | None ->
+               (Rbgp_mts.Smin_mw.solver, Float.max 1.0 (float_of_int (s - 1)))
+           | Some c -> (Rbgp_mts.Smin_mw.solver_with_scale ~c, c)
+         in
+         let t = solver m ~start ~rng:(Rng.create seed) in
+         let serve, hit, move =
+           reference_smin_mw ~c:c_eff ~s ~start (Rng.create seed)
+         in
+         Array.for_all (fun e -> Mts.serve t e = serve e) es
+         && same_bits (Mts.hit_cost t) (hit ())
+         && same_bits (Mts.move_cost t) (move ())))
+
 let test_marking_uniform () =
   (* marking on the uniform metric: competitive on repeated hammering *)
   let s = 8 in
@@ -287,5 +392,6 @@ let () =
           Alcotest.test_case "hst rejects uniform" `Quick test_hst_rejects_uniform;
           test_randomized_reasonable;
           Alcotest.test_case "marking on uniform" `Quick test_marking_uniform;
+          test_smin_mw_matches_reference;
         ] );
     ]

@@ -113,7 +113,20 @@ let test_map_under_grain () =
         [ 1; 3; 1000 ])
     ~finally:(fun () -> Pool.set_grain None)
 
+(* Run [f] under a sequential cutoff of 10 s.  The first tagged map of a
+   family runs in parallel, and on a loaded host its wall time is noisy
+   enough to push est * n past the 200 us default; no scheduler noise
+   carries a job of a few hundred [succ] calls past 10 s.  The default
+   itself is checked in "sequential cutoff override". *)
+let with_pinned_cutoff f =
+  Fun.protect
+    ~finally:(fun () -> Pool.set_sequential_cutoff None)
+    (fun () ->
+      Pool.set_sequential_cutoff (Some 1e10);
+      f ())
+
 let test_auto_grain_estimates () =
+  with_pinned_cutoff @@ fun () ->
   Pool.reset_estimates ();
   Alcotest.(check bool)
     "no estimate before any tagged map" true
@@ -143,6 +156,7 @@ let test_auto_grain_estimates () =
 let test_auto_grain_forced_grain_wins () =
   (* an explicit grain disables the cost heuristic: the job goes parallel
      with the forced chunk size even though its estimate says "tiny" *)
+  with_pinned_cutoff @@ fun () ->
   Pool.reset_estimates ();
   let items = Array.init 128 (fun i -> i) in
   ignore (Pool.map ~domains:4 ~family:"test.grain" succ items);

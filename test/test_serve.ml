@@ -28,8 +28,8 @@ module Ckpt = Rbgp_serve.Checkpoint
 module Metrics = Rbgp_serve.Metrics
 module Source = Rbgp_serve.Source
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let fixed = function Trace.Fixed a -> a | Trace.Adaptive _ -> assert false
 
@@ -110,6 +110,93 @@ let test_engine_decisions_cumulative () =
       Alcotest.(check int) "cum comm" !cum_comm d.Engine.cum_comm;
       Alcotest.(check int) "cum mig" !cum_mig d.Engine.cum_mig)
     trace
+
+(* --- pinned output digests ------------------------------------------- *)
+
+(* CRC-32 of the decision stream (latency zeroed: it is wall clock) and of
+   the final checkpoint bytes, for each MTS solver inside the Section-3
+   reduction, on one seeded rotating trace.  The digests were taken from
+   the cost-vector form of the solvers (a dense task vector per request);
+   the indicator-native step must reproduce every probability, rng draw
+   and decision of that form bit for bit. *)
+let pinned_digests =
+  [
+    ("onl-dynamic", (0xcd2e073e, 0x4fafa6a4));
+    ("dyn/wfa", (0xdeed93c1, 0x4c6668b9));
+    ("dyn/hst-mw", (0xe4c3719f, 0x11875278));
+    ("dyn/marking", (0xcea04350, 0xb7775575));
+  ]
+
+let output_digests ~alg =
+  let n = 512 and ell = 8 in
+  let inst = Instance.blocks ~n ~ell in
+  let trace = gen_trace ~n ~steps:20_000 ~seed:7919 in
+  let engine = Engine.create ~alg ~seed:42 inst in
+  let crc = ref 0 in
+  Array.iter
+    (fun e ->
+      let d = Engine.ingest engine e in
+      let line = Engine.decision_to_json { d with Engine.latency_ns = 0 } in
+      crc := Rbgp_util.Crc32.update !crc line ~pos:0 ~len:(String.length line))
+    trace;
+  (* a CRC over a whole checkpoint, its own CRC-32 trailer included, is
+     the constant CRC residue: digest the body the trailer covers *)
+  let ckpt = Ckpt.to_string (Engine.checkpoint engine) in
+  (!crc, Rbgp_util.Crc32.string ~len:(String.length ckpt - 4) ckpt)
+
+let test_pinned_digests () =
+  List.iter
+    (fun (alg, (want_decisions, want_ckpt)) ->
+      let got_decisions, got_ckpt = output_digests ~alg in
+      Alcotest.(check string)
+        (alg ^ ": decision stream")
+        (Printf.sprintf "%08x" want_decisions)
+        (Printf.sprintf "%08x" got_decisions);
+      Alcotest.(check string)
+        (alg ^ ": final checkpoint")
+        (Printf.sprintf "%08x" want_ckpt)
+        (Printf.sprintf "%08x" got_ckpt))
+    pinned_digests
+
+(* The JSONL record format the serve stream has always had, as a Printf
+   format: the reference for Engine.decision_to_json's byte writer. *)
+let decision_to_json_printf (d : Engine.decision) =
+  Printf.sprintf
+    "{\"type\":\"decision\",\"step\":%d,\"edge\":%d,\"comm\":%d,\"mig\":%d,\
+     \"cum_comm\":%d,\"cum_mig\":%d,\"max_load\":%d,\"latency_ns\":%d}"
+    d.step d.edge d.comm d.moved d.cum_comm d.cum_mig d.max_load d.latency_ns
+
+let qcheck_decision_to_json =
+  let field =
+    QCheck2.Gen.(
+      oneof
+        [
+          return 0;
+          return max_int;
+          return min_int;
+          int_range (-1) 1;
+          int_range (-1_000_000) 1_000_000;
+          int;
+        ])
+  in
+  let gen =
+    QCheck2.Gen.(
+      pair (tup4 field field field field) (tup4 field field field field)
+      >|= fun ((step, edge, comm, moved), (cum_comm, cum_mig, max_load, latency_ns)) ->
+      {
+        Engine.step;
+        edge;
+        comm;
+        moved;
+        cum_comm;
+        cum_mig;
+        max_load;
+        latency_ns;
+      })
+  in
+  qtest ~count:2000 "decision_to_json == Printf format"
+    ~print:decision_to_json_printf gen (fun d ->
+      Engine.decision_to_json d = decision_to_json_printf d)
 
 (* --- checkpoint / resume -------------------------------------------- *)
 
@@ -777,6 +864,9 @@ let () =
             test_engine_matches_simulator;
           Alcotest.test_case "decision records are cumulative" `Quick
             test_engine_decisions_cumulative;
+          Alcotest.test_case "pinned decision + checkpoint digests (4 solvers)"
+            `Quick test_pinned_digests;
+          qcheck_decision_to_json;
         ] );
       ( "checkpoint",
         [

@@ -314,6 +314,30 @@ let test_expectation () =
   let d = Dist.of_weights [| 1.0; 1.0; 2.0 |] in
   checkf "expectation" 1.25 (Dist.expectation d float_of_int)
 
+let test_of_grad_validation () =
+  let g = [| 0.25; 0.5; 0.25 |] in
+  let dst = Dist.uniform 3 in
+  Dist.of_grad_into g dst;
+  check
+    Alcotest.(array (float 0.0))
+    "into == of_grad"
+    (Dist.to_array (Dist.of_grad g))
+    (Dist.to_array dst);
+  List.iter
+    (fun (name, msg, g) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Dist.of_grad g));
+      Alcotest.check_raises (name ^ " (into)") (Invalid_argument msg)
+        (fun () -> Dist.of_grad_into g (Dist.uniform (Array.length g))))
+    [
+      ("negative", "Dist.of_grad: negative or NaN entry", [| 0.5; -0.25; 0.75 |]);
+      ("NaN", "Dist.of_grad: negative or NaN entry", [| 0.5; Float.nan; 0.5 |]);
+      ("last entry", "Dist.of_grad: negative or NaN entry", [| 0.5; 0.5; -1e-9 |]);
+      ("not normalized", "Dist.of_grad: not normalized", [| 0.5; 0.25; 0.5 |]);
+    ];
+  Alcotest.check_raises "empty" (Invalid_argument "Dist.of_grad: empty")
+    (fun () -> ignore (Dist.of_grad [||]))
+
 (* --- Binc: block decoder == channel decoder --------------------------- *)
 
 (* The zero-copy ingest path stands on one claim: Binc.decode_varints over
@@ -580,6 +604,7 @@ let () =
           Alcotest.test_case "earthmover points" `Quick test_earthmover_points;
           test_earthmover_vs_tv;
           Alcotest.test_case "expectation" `Quick test_expectation;
+          Alcotest.test_case "of_grad validation" `Quick test_of_grad_validation;
         ] );
       ( "binc",
         [
