@@ -313,39 +313,9 @@ let serve_loop engine source ~decisions ~metrics_every ~checkpoint_path
   flush stdout;
   prerr_endline (Metrics.summary m)
 
-(* Consume the already-served prefix of a source that replays the stream
-   from the beginning, verifying it against the checkpoint request for
-   request.  Verified in blocks: one next_batch pull per chunk instead of
-   one closure dispatch per already-served request. *)
-let consume_prefix source (ckpt : Ckpt.t) =
-  let prefix = ckpt.Ckpt.prefix in
-  let total = Array.length prefix in
-  let chunk = Array.make (Stdlib.min 8192 (Stdlib.max 1 total)) 0 in
-  let at = ref 0 in
-  while !at < total do
-    let want = Stdlib.min (Array.length chunk) (total - !at) in
-    let got = Source.next_batch source chunk ~limit:want in
-    if got = 0 then
-      failwith
-        (Printf.sprintf
-           "resume: trace ends at request %d but the checkpoint already \
-            served %d requests"
-           !at ckpt.Ckpt.pos);
-    for j = 0 to got - 1 do
-      if chunk.(j) <> prefix.(!at + j) then
-        failwith
-          (Printf.sprintf
-             "resume: trace diverges from checkpoint at request %d (trace \
-              has %d, checkpoint served %d)"
-             (!at + j) chunk.(j)
-             prefix.(!at + j))
-    done;
-    at := !at + got
-  done
-
 (* Supervised serving: run the loop, and on an engine / decode /
    sanitizer / injected failure restore the newest checkpoint generation
-   that verifies, replay its verified prefix from the reopened trace, and
+   that verifies, skip its digest-verified prefix in the reopened trace, and
    continue — with bounded exponential backoff between restarts so a
    persistently failing source cannot spin.  Only failures the recovery
    machinery is built for are caught (named exception list below); anything
@@ -392,7 +362,7 @@ let supervised_serve ~alg ~epsilon ~seed ~inst ~trace ~format
         ~finally:(fun () -> Source.close source)
         (fun () ->
           (match recovered with
-          | Some ckpt -> consume_prefix source ckpt
+          | Some ckpt -> Source.consume_prefix source ckpt
           | None -> ());
           (* --stop-after counts the whole run, so a restarted attempt
              only serves what the restored engine has not already seen *)
@@ -527,8 +497,8 @@ let solver_budget_arg =
           "Per-request solver budget in nanoseconds (0 disables).  A \
            request whose solve exceeds the budget degrades the engine to \
            the never-move path for --budget-cooloff requests before \
-           re-promoting; degraded spans are recorded in metrics and \
-           checkpoints, and resume replays them exactly.")
+           re-promoting; degraded requests are counted in metrics, and a \
+           checkpoint taken mid-cooloff resumes with the rest of it.")
 
 let budget_cooloff_arg =
   Arg.(
@@ -961,7 +931,7 @@ let serve_cmd =
           ~doc:
             "Supervised serving: catch engine, decode and sanitizer \
              failures, restore the newest checkpoint generation that \
-             verifies, replay the verified prefix and continue, with \
+             verifies, skip the digest-verified prefix and continue, with \
              bounded exponential backoff between restarts.  Requires \
              --checkpoint and a re-openable --trace file (not stdin).")
   in
@@ -1023,8 +993,8 @@ let resume_cmd =
       & info [ "skip-prefix" ]
           ~doc:
             "The trace source contains the stream from the beginning: \
-             consume the already-served prefix first, verifying it matches \
-             the checkpoint request for request.")
+             consume the already-served prefix first, verifying its digest \
+             against the checkpoint's.")
   in
   let run from trace format mmap skip_prefix no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
@@ -1040,7 +1010,7 @@ let resume_cmd =
     Fun.protect
       ~finally:(fun () -> Source.close source)
       (fun () ->
-        if skip_prefix then consume_prefix source ckpt;
+        if skip_prefix then Source.consume_prefix source ckpt;
         serve_loop engine source ~decisions:(not no_decisions) ~metrics_every
           ~checkpoint_path ~checkpoint_every ~checkpoint_keep ~stop_after
           ~batch)
@@ -1048,9 +1018,8 @@ let resume_cmd =
   Cmd.v
     (Cmd.info "resume"
        ~doc:
-         "Resume a checkpointed serving run (explicit state restore when \
-          the algorithm supports it, deterministic prefix replay \
-          otherwise; both verified against the snapshot).")
+         "Resume a checkpointed serving run: O(state) restore of the \
+          algorithm's snapshot, verified against the stored assignment.")
     Term.(
       const run $ from_arg $ trace_arg $ format_arg $ mmap_arg
       $ skip_prefix_arg $ decisions_arg $ metrics_every_arg

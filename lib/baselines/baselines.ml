@@ -4,12 +4,9 @@ module Online = Rbgp_ring.Online
 module Binc = Rbgp_util.Binc
 
 (* Every baseline is deterministic with small, flat state, so each one
-   implements the explicit Online snapshot/restore hooks: a versioned
-   Binc-framed byte string holding the assignment plus whatever counters
-   the algorithm keeps.  The serving layer uses these for O(state)
-   checkpoint restores; the randomized core algorithms (whose split rng
-   streams are not worth capturing) rely on its prefix-replay fallback
-   instead. *)
+   implements the Online snapshot/restore hooks: a versioned Binc-framed
+   byte string holding the assignment plus whatever counters the
+   algorithm keeps.  The serving layer's O(state) checkpoints carry it. *)
 let snap_version = 1
 
 let snapshot_of name fill =
@@ -19,7 +16,9 @@ let snapshot_of name fill =
   fill buf;
   Buffer.contents buf
 
-let open_snapshot name s =
+(* Check the header, [read] the fields, and refuse trailing bytes: a
+   restored snapshot re-serializes to exactly the bytes it came from. *)
+let restore_snapshot name read s =
   let r = Binc.reader s in
   let v = Binc.read_varint r in
   if v <> snap_version then
@@ -29,7 +28,9 @@ let open_snapshot name s =
   if not (String.equal stored name) then
     invalid_arg
       (Printf.sprintf "%s: snapshot belongs to algorithm %s" name stored);
-  r
+  read r;
+  if not (Binc.at_end r) then
+    invalid_arg (name ^ ": trailing bytes after the snapshot")
 
 let restore_int_array name dst r =
   let src = Binc.read_int_array r in
@@ -43,9 +44,9 @@ let never_move (inst : Instance.t) =
   Online.with_state
     ~snapshot:(fun () ->
       snapshot_of name (fun buf -> Binc.add_int_array buf (Assignment.to_array a)))
-    ~restore:(fun s ->
-      let r = open_snapshot name s in
-      Assignment.restore_array a (Binc.read_int_array r))
+    ~restore:
+      (restore_snapshot name (fun r ->
+          Assignment.restore_array a (Binc.read_int_array r)))
   @@ Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve:(fun _ -> ())
@@ -87,10 +88,10 @@ let greedy_colocate ?(threshold = 1) (inst : Instance.t) =
       snapshot_of name (fun buf ->
           Binc.add_int_array buf (Assignment.to_array a);
           Binc.add_int_array buf counts))
-    ~restore:(fun s ->
-      let r = open_snapshot name s in
-      Assignment.restore_array a (Binc.read_int_array r);
-      restore_int_array name counts r)
+    ~restore:
+      (restore_snapshot name (fun r ->
+          Assignment.restore_array a (Binc.read_int_array r);
+          restore_int_array name counts r))
   @@ Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve
@@ -153,11 +154,11 @@ let counter_threshold ?theta ~epsilon (inst : Instance.t) =
           Binc.add_int_array buf (Assignment.to_array a);
           Binc.add_int_array buf counts;
           Binc.add_int_array buf cuts))
-    ~restore:(fun s ->
-      let r = open_snapshot name s in
-      Assignment.restore_array a (Binc.read_int_array r);
-      restore_int_array name counts r;
-      restore_int_array name cuts r)
+    ~restore:
+      (restore_snapshot name (fun r ->
+          Assignment.restore_array a (Binc.read_int_array r);
+          restore_int_array name counts r;
+          restore_int_array name cuts r))
   @@ Online.make ~name
     ~augmentation:
       (float_of_int (Intervals.max_slice_len dec) /. float_of_int k)
@@ -252,15 +253,17 @@ let component_learning (inst : Instance.t) =
             (fun p r -> if p < canon.(r) then canon.(r) <- p)
             roots;
           Binc.add_int_array buf (Array.map (fun r -> canon.(r)) roots)))
-    ~restore:(fun s ->
-      let r = open_snapshot name s in
-      Assignment.restore_array a (Binc.read_int_array r);
-      let reps = Binc.read_int_array r in
-      if Array.length reps <> n then
-        invalid_arg (name ^ ": snapshot partition length mismatch");
-      let uf = Rbgp_util.Union_find.create n in
-      Array.iteri (fun p rep -> ignore (Rbgp_util.Union_find.union uf p rep)) reps;
-      uf_ref := uf)
+    ~restore:
+      (restore_snapshot name (fun r ->
+          Assignment.restore_array a (Binc.read_int_array r);
+          let reps = Binc.read_int_array r in
+          if Array.length reps <> n then
+            invalid_arg (name ^ ": snapshot partition length mismatch");
+          let uf = Rbgp_util.Union_find.create n in
+          Array.iteri
+            (fun p rep -> ignore (Rbgp_util.Union_find.union uf p rep))
+            reps;
+          uf_ref := uf))
   @@ Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve
@@ -283,10 +286,10 @@ let static_oracle (inst : Instance.t) ~trace =
       snapshot_of name (fun buf ->
           Binc.add_int_array buf (Assignment.to_array a);
           Binc.add_varint buf (if !moved then 1 else 0)))
-    ~restore:(fun s ->
-      let r = open_snapshot name s in
-      Assignment.restore_array a (Binc.read_int_array r);
-      moved := Binc.read_varint r = 1)
+    ~restore:
+      (restore_snapshot name (fun r ->
+          Assignment.restore_array a (Binc.read_int_array r);
+          moved := Binc.read_varint r = 1))
   @@ Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve

@@ -24,7 +24,13 @@
       ({!Rbgp_offline.Static_opt.segmented}), migrates into it on the first
       request and never moves again.  It realizes (up to its one-shot
       migration) the Theorem 2.2 comparator, so the static algorithm's
-      measured ratio against it is a direct empirical competitive ratio. *)
+      measured ratio against it is a direct empirical competitive ratio.
+
+    Every baseline carries the {!Rbgp_ring.Online.t} snapshot hooks: a
+    versioned byte string with the assignment and the algorithm's
+    counters, refused on a version, name or length mismatch or trailing
+    bytes, so serving checkpoints of baselines are O(state) like those of
+    the paper's algorithms. *)
 
 val never_move : Rbgp_ring.Instance.t -> Rbgp_ring.Online.t
 

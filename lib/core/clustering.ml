@@ -1,5 +1,6 @@
 module Instance = Rbgp_ring.Instance
 module Segment = Rbgp_ring.Segment
+module Binc = Rbgp_util.Binc
 
 type kind = Color of int | Singleton
 
@@ -324,3 +325,124 @@ let check_consistency t =
   if !distinct <> t.num_cuts then
     err "num_cuts=%d but %d distinct positions" t.num_cuts !distinct;
   match !errors with [] -> Ok () | l -> Error (String.concat "; " l)
+
+(* --- O(state) snapshot ------------------------------------------------- *)
+
+(* Layout: cut counts; clusters sorted by cid (kind tag 0 = singleton,
+   c + 1 = color c; size; server); the whole-ring slice if any, else the
+   slices in start-cut order (start cut, sid, length, cid); then the id
+   counters and the three costs.  The color-prefix table and [num_cuts]
+   are derived, and by_end follows from by_start. *)
+let save buf t =
+  Array.iter (Binc.add_varint buf) t.cut_count;
+  let cs = clusters t in
+  Binc.add_varint buf (List.length cs);
+  List.iter
+    (fun c ->
+      Binc.add_varint buf c.cid;
+      Binc.add_varint buf (match c.kind with Singleton -> 0 | Color k -> k + 1);
+      Binc.add_varint buf c.size;
+      Binc.add_varint buf c.server)
+    cs;
+  let add_slice a s =
+    Binc.add_varint buf a;
+    Binc.add_varint buf s.sid;
+    Binc.add_varint buf (Segment.length s.seg);
+    Binc.add_varint buf s.cluster.cid
+  in
+  (match t.whole with
+  | Some s ->
+      Binc.add_varint buf 1;
+      add_slice (start_cut_of t s) s
+  | None ->
+      Binc.add_varint buf 0;
+      let live =
+        Array.fold_left
+          (fun acc o -> if Option.is_some o then acc + 1 else acc)
+          0 t.by_start
+      in
+      Binc.add_varint buf live;
+      Array.iteri
+        (fun a o -> match o with Some s -> add_slice a s | None -> ())
+        t.by_start);
+  Binc.add_varint buf t.next_sid;
+  Binc.add_varint buf t.next_cid;
+  Binc.add_varint buf t.move;
+  Binc.add_varint buf t.merge;
+  Binc.add_varint buf t.mono
+
+let load r t =
+  let n = n t and ell = t.inst.Instance.ell in
+  let bad fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Clustering.load: " ^ m)) fmt
+  in
+  let nat what =
+    let v = Binc.read_varint r in
+    if v < 0 then bad "negative %s" what;
+    v
+  in
+  t.num_cuts <- 0;
+  for e = 0 to n - 1 do
+    t.cut_count.(e) <- nat "cut count";
+    if t.cut_count.(e) > 0 then t.num_cuts <- t.num_cuts + 1
+  done;
+  Hashtbl.reset t.registry;
+  let m = nat "cluster count" in
+  for _ = 1 to m do
+    let cid = nat "cid" in
+    let tag = nat "cluster kind" in
+    let size = nat "cluster size" in
+    let server = nat "server" in
+    if server >= ell then
+      bad "cluster %d on server %d (ell = %d)" cid server ell;
+    if Hashtbl.mem t.registry cid then bad "cluster %d listed twice" cid;
+    let c =
+      if tag = 0 then begin
+        if cid < ell then bad "singleton %d uses a color cid" cid;
+        { cid; kind = Singleton; size; server }
+      end
+      else begin
+        if cid <> tag - 1 || cid >= ell then bad "bad color cluster %d" cid;
+        t.color_clusters.(cid)
+      end
+    in
+    c.size <- size;
+    c.server <- server;
+    Hashtbl.replace t.registry cid c
+  done;
+  Array.iter
+    (fun c ->
+      if not (Hashtbl.mem t.registry c.cid) then
+        bad "color cluster %d missing" c.cid)
+    t.color_clusters;
+  Array.fill t.by_start 0 n None;
+  Array.fill t.by_end 0 n None;
+  t.whole <- None;
+  let read_slice () =
+    let a = nat "start cut" in
+    let sid = nat "sid" in
+    let len = nat "slice length" in
+    let cid = nat "slice cid" in
+    if a >= n || len < 1 || len > n then bad "slice out of range";
+    let cluster =
+      match Hashtbl.find_opt t.registry cid with
+      | Some c -> c
+      | None -> bad "slice %d in unknown cluster %d" sid cid
+    in
+    { sid; seg = Segment.make ~n ~start:((a + 1) mod n) ~len; cluster }
+  in
+  (match nat "whole tag" with
+  | 1 -> t.whole <- Some (read_slice ())
+  | 0 ->
+      for _ = 1 to nat "slice count" do
+        let s = read_slice () in
+        if Option.is_some t.by_start.(start_cut_of t s) then
+          bad "two slices start after cut %d" (start_cut_of t s);
+        register t s
+      done
+  | tag -> bad "bad whole-ring tag %d" tag);
+  t.next_sid <- nat "next sid";
+  t.next_cid <- nat "next cid";
+  t.move <- nat "move cost";
+  t.merge <- nat "merge cost";
+  t.mono <- nat "mono cost"

@@ -59,3 +59,13 @@ val mono_cost : t -> int
 val check_consistency : t -> (unit, string) result
 (** Structural self-check: slices partition the ring, sizes and cluster
     sizes agree, multiset counts match live cuts.  Used by tests. *)
+
+val save : Buffer.t -> t -> unit
+(** Append the procedure's whole state: the cut multiset, every
+    registered cluster (by cid, with kind, size and server), the slices
+    with their cluster ids, the id counters and the costs.  O(n). *)
+
+val load : Rbgp_util.Binc.reader -> t -> unit
+(** Read a {!save} into a freshly created instance on the same problem
+    instance.  Raises [Invalid_argument] on malformed input; callers
+    should then run {!check_consistency}. *)

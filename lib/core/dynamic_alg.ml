@@ -6,6 +6,7 @@ module Mts = Rbgp_mts.Mts
 module Metric = Rbgp_mts.Metric
 module Rng = Rbgp_util.Rng
 module Pool = Rbgp_util.Pool
+module Binc = Rbgp_util.Binc
 
 (* Packed edge routing: one int per edge holding both the owning interval
    and the interval-local index, so the per-request lookup touches one
@@ -223,8 +224,54 @@ let serve_batch t edges =
       move_cut t (t.route_of_edge.(edges.(j)) lsr route_bits) locals.(j)
   end
 
+(* --- O(state) snapshot ------------------------------------------------ *)
+
+let snap_version = 1
+
+(* The whole online state is the per-interval solvers: the shift is a
+   function of the seed (checked, not restored), and the cuts and the
+   assignment are functions of the solver states. *)
+let snapshot t =
+  let buf = Buffer.create 256 in
+  Binc.add_varint buf snap_version;
+  Binc.add_varint buf t.dec.Intervals.shift;
+  Binc.add_varint buf (Array.length t.solvers);
+  Array.iter (Mts.snapshot buf) t.solvers;
+  Buffer.contents buf
+
+let restore t s =
+  let r = Binc.reader s in
+  let v = Binc.read_varint r in
+  if v <> snap_version then
+    invalid_arg
+      (Printf.sprintf "Dynamic_alg.restore: unsupported snapshot version %d" v);
+  let shift = Binc.read_varint r in
+  if shift <> t.dec.Intervals.shift then
+    invalid_arg
+      (Printf.sprintf
+         "Dynamic_alg.restore: snapshot has shift %d, this instance drew %d"
+         shift t.dec.Intervals.shift);
+  let m = Binc.read_varint r in
+  if m <> Array.length t.solvers then
+    invalid_arg
+      (Printf.sprintf "Dynamic_alg.restore: snapshot has %d intervals, need %d"
+         m (Array.length t.solvers));
+  Array.iter (Mts.restore r) t.solvers;
+  if not (Binc.at_end r) then
+    invalid_arg "Dynamic_alg.restore: trailing bytes after the snapshot";
+  let n = t.inst.Instance.n in
+  Array.iteri
+    (fun i solver ->
+      t.cut_locals.(i) <- Mts.state solver;
+      t.cuts.(i) <- (t.bases.(i) + t.cut_locals.(i)) mod n)
+    t.solvers;
+  apply_cuts t
+
 let online t =
-  Rbgp_ring.Online.with_batch (serve_batch t)
+  Rbgp_ring.Online.with_state
+    ~snapshot:(fun () -> snapshot t)
+    ~restore:(fun s -> restore t s)
+  @@ Rbgp_ring.Online.with_batch (serve_batch t)
   @@ Rbgp_ring.Online.make ~name:"onl-dynamic"
        ~augmentation:
          (float_of_int (Intervals.max_slice_len t.dec)

@@ -101,3 +101,10 @@ let rebalance t clusters =
   done
 
 let rebalance_cost t = t.cost
+
+let save buf t = Rbgp_util.Binc.add_varint buf t.cost
+
+let load r t =
+  let cost = Rbgp_util.Binc.read_varint r in
+  if cost < 0 then invalid_arg "Scheduling.load: negative cost";
+  t.cost <- cost

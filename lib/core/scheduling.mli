@@ -31,3 +31,9 @@ val rebalance_cost : t -> int
 val loads : t -> Clustering.cluster list -> int array
 val threshold : t -> x_max:int -> float
 (** The trigger threshold [(max(2, X/k) + eps') k]. *)
+
+val save : Buffer.t -> t -> unit
+(** The procedure's only state: its rebalancing cost (cluster servers
+    belong to {!Clustering}'s snapshot). *)
+
+val load : Rbgp_util.Binc.reader -> t -> unit

@@ -3,6 +3,7 @@ module Segment = Rbgp_ring.Segment
 module Dist = Rbgp_util.Dist
 module Smin = Rbgp_util.Smin
 module Rng = Rbgp_util.Rng
+module Binc = Rbgp_util.Binc
 
 let log_src = Logs.Src.create "rbgp.slicing" ~doc:"Slicing procedure events"
 
@@ -227,3 +228,64 @@ let interval_count t = Array.length t.intervals
 let hit_cost t = t.hit
 let move_cost t = t.move
 let request_count t e = int_of_float t.x.(e)
+
+(* --- O(state) snapshot ------------------------------------------------- *)
+
+let status_tag = function Active -> 0 | Mono -> 1 | Dominated -> 2
+
+let read_nat r what =
+  let v = Binc.read_varint r in
+  if v < 0 then invalid_arg (Printf.sprintf "Slicing.load: negative %s" what);
+  v
+
+(* Request counts, hit and move are whole numbers (unit requests, integer
+   distances): varints.  An interval's [dist] is omitted: while the
+   interval is active it is [dist_of] its segment under the current
+   counts, and an inactive interval never reads it again. *)
+let save buf t =
+  Binc.add_counts buf t.x;
+  Rng.save buf t.rng;
+  Binc.add_varint buf (Array.length t.intervals);
+  Array.iter
+    (fun itv ->
+      Binc.add_varint buf (Segment.first itv.seg);
+      Binc.add_varint buf (Segment.length itv.seg);
+      Binc.add_varint buf (status_tag itv.status);
+      Binc.add_varint buf itv.cut;
+      Binc.add_varint buf itv.rank)
+    t.intervals;
+  Binc.add_varint buf (int_of_float t.hit);
+  Binc.add_varint buf (int_of_float t.move)
+
+let load r t =
+  let n = n t in
+  Binc.read_counts r t.x;
+  Rng.load r t.rng;
+  let m = Binc.read_varint r in
+  if m <> Array.length t.intervals then
+    invalid_arg
+      (Printf.sprintf "Slicing.load: snapshot has %d intervals, need %d" m
+         (Array.length t.intervals));
+  Array.iter
+    (fun itv ->
+      let first = read_nat r "segment start" in
+      let len = read_nat r "segment length" in
+      let status =
+        match Binc.read_varint r with
+        | 0 -> Active
+        | 1 -> Mono
+        | 2 -> Dominated
+        | tag -> invalid_arg (Printf.sprintf "Slicing.load: bad status %d" tag)
+      in
+      let cut = read_nat r "cut" in
+      let rank = read_nat r "rank" in
+      if first >= n || len < 2 || len > n || cut >= n then
+        invalid_arg "Slicing.load: interval out of range";
+      itv.seg <- Segment.make ~n ~start:first ~len;
+      itv.status <- status;
+      itv.cut <- cut;
+      itv.rank <- rank;
+      if status = Active then itv.dist <- dist_of t itv.seg)
+    t.intervals;
+  t.hit <- float_of_int (read_nat r "hit cost");
+  t.move <- float_of_int (read_nat r "move cost")

@@ -64,3 +64,13 @@ val move_cost : t -> float
 (** Sum of cut-edge movement distances ([sum cost_move(I)]). *)
 
 val request_count : t -> int -> int
+
+val save : Buffer.t -> t -> unit
+(** Append the procedure's whole state: request counts, rng words, each
+    interval's segment, status, cut and rank, and the hit/move costs.
+    O(n + intervals), independent of the number of requests served. *)
+
+val load : Rbgp_util.Binc.reader -> t -> unit
+(** Read a {!save} into a freshly created instance on the same problem
+    instance, recomputing each active interval's cut distribution from
+    the counts.  Raises [Invalid_argument] on malformed input. *)

@@ -1,5 +1,6 @@
 module Instance = Rbgp_ring.Instance
 module Assignment = Rbgp_ring.Assignment
+module Binc = Rbgp_util.Binc
 
 type t = {
   inst : Instance.t;
@@ -47,10 +48,43 @@ let augmentation t =
   let d_singleton = 3.0 +. (2.0 *. (1.0 -. t.delta_bar) /. t.delta_bar) in
   Float.max 2.0 d_singleton +. t.eps' +. 1e-6
 
+(* --- O(state) snapshot ------------------------------------------------ *)
+
+let snap_version = 1
+
+let snapshot t =
+  let buf = Buffer.create 1024 in
+  Binc.add_varint buf snap_version;
+  Slicing.save buf t.slicing;
+  Clustering.save buf t.clustering;
+  Scheduling.save buf t.scheduling;
+  Buffer.contents buf
+
+(* The assignment is slice -> cluster -> server: rebuilt, not stored. *)
+let restore t s =
+  let r = Binc.reader s in
+  let v = Binc.read_varint r in
+  if v <> snap_version then
+    invalid_arg
+      (Printf.sprintf "Static_alg.restore: unsupported snapshot version %d" v);
+  Slicing.load r t.slicing;
+  Clustering.load r t.clustering;
+  Scheduling.load r t.scheduling;
+  if not (Binc.at_end r) then
+    invalid_arg "Static_alg.restore: trailing bytes after the snapshot";
+  (match Clustering.check_consistency t.clustering with
+  | Ok () -> ()
+  | Error msg ->
+      invalid_arg ("Static_alg.restore: inconsistent clustering: " ^ msg));
+  sync_assignment t
+
 let online t =
-  Rbgp_ring.Online.make ~name:"onl-static" ~augmentation:(augmentation t)
-    ~assignment:(fun () -> t.assignment)
-    ~serve:(fun e -> serve t e)
+  Rbgp_ring.Online.with_state
+    ~snapshot:(fun () -> snapshot t)
+    ~restore:(fun s -> restore t s)
+  @@ Rbgp_ring.Online.make ~name:"onl-static" ~augmentation:(augmentation t)
+       ~assignment:(fun () -> t.assignment)
+       ~serve:(fun e -> serve t e)
 
 let slicing t = t.slicing
 let clustering t = t.clustering

@@ -24,6 +24,19 @@ val create :
 (** Requires [n > k] and [epsilon > 0]. *)
 
 val online : t -> Rbgp_ring.Online.t
+(** The {!Rbgp_ring.Online.t} view, with the O(state) snapshot hooks
+    ({!snapshot}/{!restore}). *)
+
+val snapshot : t -> string
+(** The whole online state, independent of the number of requests
+    served: {!Slicing.save}, {!Clustering.save} and {!Scheduling.save}
+    behind a version number. *)
+
+val restore : t -> string -> unit
+(** Load a {!snapshot} into a freshly created instance with the same
+    seed, epsilon and problem instance, check the clustering's
+    consistency and rebuild the assignment from it.  Raises
+    [Invalid_argument] on malformed or inconsistent input. *)
 
 val slicing : t -> Slicing.t
 val clustering : t -> Clustering.t

@@ -126,6 +126,8 @@ let intrinsic path : (eff * string) option =
   | [ "Unix"; (("gettimeofday" | "time") as f) ] ->
       Some (e_nondet, "Unix." ^ f)
   | [ "Sys"; "time" ] -> Some (e_nondet, "Sys.time")
+  | [ "Clock"; "now_ns" ] | [ "Rbgp_util"; "Clock"; "now_ns" ] ->
+      Some (e_nondet, "Clock.now_ns")
   | [ "Domain"; "self" ] -> Some (e_nondet, "Domain.self")
   | [ "Random";
       (("self_init" | "int" | "full_int" | "float" | "bool" | "bits") as f) ]

@@ -89,7 +89,12 @@ let nondet_message = function
   | [ "Sys"; "time" ] ->
       Some
         "Sys.time (CPU clock) in lib/; timing belongs in bin/ or bench/, \
-         not in code the serving engine replays"
+         not in code whose state a checkpoint restores"
+  | [ "Clock"; "now_ns" ] | [ "Rbgp_util"; "Clock"; "now_ns" ] ->
+      Some
+        "monotonic clock read in lib/; readings may time, schedule or \
+         degrade serving but must not become algorithm state — justify \
+         the site"
   | [ "Domain"; "self" ] ->
       Some
         "Domain.self is schedule-dependent; deriving state or hashes from \

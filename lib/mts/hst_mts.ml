@@ -63,7 +63,16 @@ let solver : Mts.factory =
     current_dist := new_dist;
     state
   in
-  Mts.make ~name:"hst-mw" ~metric ~start ~next
+  Mts.with_state
+    ~save:(fun buf ->
+      Rbgp_util.Binc.add_counts buf x;
+      Rbgp_util.Rng.save buf rng)
+    ~load:(fun r ->
+      Rbgp_util.Binc.read_counts r x;
+      leaf_mass_into x mass;
+      Dist.of_grad_into mass !current_dist;
+      Rbgp_util.Rng.load r rng)
+  @@ Mts.make ~name:"hst-mw" ~metric ~start ~next
 
 let leaf_distribution metric x =
   if Array.length x <> Metric.size metric then

@@ -25,4 +25,11 @@ let solver : Mts.factory =
           arr.(Rbgp_util.Rng.int rng (Array.length arr))
     end
   in
-  Mts.make ~name:"marking" ~metric ~start ~next
+  Mts.with_state
+    ~save:(fun buf ->
+      Rbgp_util.Binc.add_counts buf phase_cost;
+      Rbgp_util.Rng.save buf rng)
+    ~load:(fun r ->
+      Rbgp_util.Binc.read_counts r phase_cost;
+      Rbgp_util.Rng.load r rng)
+  @@ Mts.make ~name:"marking" ~metric ~start ~next

@@ -1,3 +1,5 @@
+module Binc = Rbgp_util.Binc
+
 type t = {
   name : string;
   metric : Metric.t;
@@ -6,13 +8,20 @@ type t = {
   mutable move : float;
   mutable steps : int;
   next : int -> int -> int;
+  save : (Buffer.t -> unit) option;
+  load : (Binc.reader -> unit) option;
 }
 
 type factory = Metric.t -> start:int -> rng:Rbgp_util.Rng.t -> t
 
 let make ~name ~metric ~start ~next =
   Metric.check_state metric start;
-  { name; metric; state = start; hit = 0.0; move = 0.0; steps = 0; next }
+  {
+    name; metric; state = start; hit = 0.0; move = 0.0; steps = 0; next;
+    save = None; load = None;
+  }
+
+let with_state ~save ~load t = { t with save = Some save; load = Some load }
 
 let name t = t.name
 let metric t = t.metric
@@ -33,3 +42,38 @@ let hit_cost t = t.hit
 let move_cost t = t.move
 let total_cost t = t.hit +. t.move
 let steps t = t.steps
+
+(* hit and move accumulate whole units (a hit is 1, a move on either
+   metric is an integer distance), so both travel as varint counts *)
+let no_hook who t =
+  invalid_arg (Printf.sprintf "Mts.%s: solver %s has no state hook" who t.name)
+
+let snapshot buf t =
+  match t.save with
+  | None -> no_hook "snapshot" t
+  | Some save ->
+      Binc.add_varint buf t.state;
+      Binc.add_varint buf (int_of_float t.hit);
+      Binc.add_varint buf (int_of_float t.move);
+      Binc.add_varint buf t.steps;
+      save buf
+
+let read_count r =
+  let v = Binc.read_varint r in
+  if v < 0 then invalid_arg "Mts: negative count in snapshot";
+  v
+
+let restore r t =
+  match t.load with
+  | None -> no_hook "restore" t
+  | Some load ->
+      let state = Binc.read_varint r in
+      Metric.check_state t.metric state;
+      let hit = read_count r in
+      let move = read_count r in
+      let steps = read_count r in
+      t.state <- state;
+      t.hit <- float_of_int hit;
+      t.move <- float_of_int move;
+      t.steps <- steps;
+      load r

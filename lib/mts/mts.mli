@@ -32,6 +32,26 @@ val make :
     range.  Used by the solver modules; exposed for tests that need
     scripted solvers. *)
 
+val with_state :
+  save:(Buffer.t -> unit) -> load:(Rbgp_util.Binc.reader -> unit) -> t -> t
+(** [with_state ~save ~load t] attaches the solver's own state codec:
+    [save] appends everything the solver's [next] reads besides the
+    current state (counts, work vectors, rng words), and [load] reads it
+    back into the live solver, recomputing every cache derived from it.
+    Contract: after {!restore} of a {!snapshot}, a freshly built solver
+    on the same metric and start state makes exactly the moves and rng
+    draws the original would have made, and snapshots to the same bytes. *)
+
+val snapshot : Buffer.t -> t -> unit
+(** Append the state, the hit/move/steps counters (as varint counts) and
+    the solver's own [save].  Raises [Invalid_argument] for a solver built
+    without {!with_state}. *)
+
+val restore : Rbgp_util.Binc.reader -> t -> unit
+(** Inverse of {!snapshot} on a freshly built solver.  Raises
+    [Invalid_argument] on truncated input, an out-of-range state, a
+    count vector of the wrong length or a solver without {!with_state}. *)
+
 val name : t -> string
 val metric : t -> Metric.t
 val state : t -> int

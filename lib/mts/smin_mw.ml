@@ -71,7 +71,23 @@ let make_solver ~c metric ~start ~rng =
     current_dist := new_dist;
     state
   in
-  Mts.make ~name:(Printf.sprintf "smin-mw(c=%g)" c) ~metric ~start ~next
+  (* every cache above is a function of x: rebuild them from the counts
+     with the same rescale and normalisation the steps run *)
+  let load r =
+    Rbgp_util.Binc.read_counts r x;
+    for i = 0 to s - 1 do
+      scaled.(i) <- x.(i) /. c
+    done;
+    rescale ();
+    normalize_into !current_dist;
+    Rbgp_util.Rng.load r rng
+  in
+  Mts.with_state
+    ~save:(fun buf ->
+      Rbgp_util.Binc.add_counts buf x;
+      Rbgp_util.Rng.save buf rng)
+    ~load
+  @@ Mts.make ~name:(Printf.sprintf "smin-mw(c=%g)" c) ~metric ~start ~next
 
 let solver_with_scale ~c : Mts.factory =
  fun metric ~start ~rng ->

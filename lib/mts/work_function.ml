@@ -59,7 +59,25 @@ let solver_introspect metric ~start =
     done;
     !best
   in
-  let t = Mts.make ~name:"wfa" ~metric ~start ~next in
+  (* w holds whole numbers too, but it is a cost vector, not a count:
+     it travels as exact float bits *)
+  let save buf =
+    Rbgp_util.Binc.add_varint buf s;
+    Array.iter (Rbgp_util.Binc.add_float buf) w
+  in
+  let load r =
+    let len = Rbgp_util.Binc.read_varint r in
+    if len <> s then
+      invalid_arg
+        (Printf.sprintf "Work_function: snapshot holds %d entries, need %d"
+           len s);
+    for i = 0 to s - 1 do
+      w.(i) <- Rbgp_util.Binc.read_float r
+    done
+  in
+  let t =
+    Mts.with_state ~save ~load (Mts.make ~name:"wfa" ~metric ~start ~next)
+  in
   (t, fun () -> Array.copy w)
 
 let solver : Mts.factory =

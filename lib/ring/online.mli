@@ -35,17 +35,19 @@ type t = {
           migration in [O(moves + 1)]. *)
   snapshot : (unit -> string) option;
       (** Serialize the algorithm's complete mutable state (including its
-          assignment) to an opaque, versioned byte string, when the
-          algorithm supports O(state)-cost checkpointing.  Contract: after
-          [restore s] on a {e freshly built} instance of the same algorithm
-          on the same problem instance, all future [serve] behaviour is
-          identical to the instance [s] was taken from.  Randomized
-          algorithms whose rng streams are impractical to capture leave
-          this [None]; the serving layer falls back to deterministic
-          prefix replay (see {!Rbgp_serve.Checkpoint}). *)
+          assignment, rng words and solver state) to an opaque, versioned
+          byte string whose size does not grow with the number of requests
+          served.  Contract: after [restore s] on a {e freshly built}
+          instance of the same algorithm on the same problem instance (and
+          seed), all future [serve] behaviour is identical to the instance
+          [s] was taken from, and [snapshot ()] returns [s] byte for byte.
+          Every algorithm in this library implements it (see
+          {!Rbgp_serve.Checkpoint}); one built with {!make} alone has
+          none, and the serving engine refuses it. *)
   restore : (string -> unit) option;
       (** Inverse of [snapshot]; raises [Invalid_argument] on a byte
-          string this algorithm version cannot decode. *)
+          string this algorithm version cannot decode, including one with
+          trailing bytes. *)
   batch : (int array -> int -> unit) option;
       (** Optional batched request path, the hook behind interval-sharded
           parallel serving.  [batch edges] pre-computes the algorithm's
@@ -68,7 +70,7 @@ val make :
   assignment:(unit -> Assignment.t) ->
   serve:(int -> unit) ->
   t
-(** Builds an algorithm without checkpoint state or a batched path.  It
+(** Builds an algorithm without snapshot hooks or a batched path.  It
     calls [assignment ()] once to attach the assignment's move journal, so
     every later {!Assignment.set} on it is journaled. *)
 

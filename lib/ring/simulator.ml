@@ -106,9 +106,8 @@ let step st e = step_with st e serve_action e
    as if a never-move algorithm had served it (communication charged when
    the edge is cut, zero migrations, loads unchanged) but the real
    algorithm is not consulted, so an over-budget or stalled solver is
-   bypassed without losing cost accounting.  The serving engine records
-   which positions were served this way so a checkpoint replay reproduces
-   the identical call sequence. *)
+   bypassed without losing cost accounting.  The algorithm's state is
+   untouched, so a checkpoint of it stays exact across frozen requests. *)
 let step_frozen st e = step_with st e frozen_action e
 
 (* Batched stepping: pre-solve the algorithm's decisions for the whole

@@ -71,10 +71,8 @@ val step_frozen : stepper -> int -> int * int
     path: communication is charged iff [e] is currently cut, the
     algorithm's [serve] is {e not} called, no migrations occur, and the
     load maximum / capacity check / step counter advance as usual.  Used
-    by the serving engine when a per-request solver budget is exceeded —
-    and during checkpoint replay of positions recorded as degraded, so
-    resumption remains byte-identical.  Raises [Invalid_argument] if [e]
-    is out of [\[0, n)]. *)
+    by the serving engine when a per-request solver budget is exceeded.
+    Raises [Invalid_argument] if [e] is out of [\[0, n)]. *)
 
 val prepare : stepper -> int array -> int -> int * int
 (** [prepare st edges] pre-solves a whole batch of requests and returns a

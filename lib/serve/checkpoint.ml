@@ -11,76 +11,70 @@ type t = {
   k : int;
   initial : int array;
   pos : int;
-  prefix : int array;
+  digest : int;
   comm : int;
   mig : int;
   max_load : int;
   violations : int;
   assignment : int array;
   alg_state : string option;
-  degraded : int array;
   degraded_left : int;
 }
 
 let magic = "RBGC"
-let version = 2
+let version = 3
+
+(* A position-keyed sum over OCaml's 63-bit ring: request [pos] adds
+   [mix pos e], where xor with a position key, multiplication by an odd
+   constant and an xorshift are each bijective in [e].  So two sequences
+   that differ in exactly one request always digest differently, and
+   unlike a chained hash the terms are independent: a batch folds them
+   at full pipeline width instead of one multiply latency per request. *)
+let digest_empty = 0
+
+let[@inline] digest_add d ~pos e =
+  let x = (e lxor (pos * 0x1E3779B97F4A7C15)) * 0x3F58476D1CE4E5B9 in
+  d + (x lxor (x lsr 31))
 
 let fail ?(path = "<string>") fmt =
   Printf.ksprintf
     (fun msg -> invalid_arg (Printf.sprintf "Checkpoint: %s: %s" path msg))
     fmt
 
-(* "%h" prints the exact bits as a hex float literal; float_of_string
-   reads it back losslessly *)
-let add_float buf f = Binc.add_string buf (Printf.sprintf "%h" f)
-
-let read_float ?path r =
-  let s = Binc.read_string r in
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail ?path "bad float literal %S" s
-
-(* v1 layout: magic, varint version, Binc-framed fields through alg_state.
-   v2 appends the degraded-span record (flattened (start, len) pairs plus
-   the in-flight cooloff remainder) and a little-endian CRC-32 trailer
-   over every preceding byte, so torn or bit-flipped records are detected
-   before any field is trusted. *)
-let to_string ?(version = version) t =
-  if version <> 1 && version <> 2 then
-    invalid_arg (Printf.sprintf "Checkpoint.to_string: unknown version %d" version);
-  if version = 1 && (Array.length t.degraded > 0 || t.degraded_left > 0) then
-    invalid_arg "Checkpoint.to_string: degraded spans need version >= 2";
-  let buf = Buffer.create (64 + (8 * (t.pos + t.n))) in
+(* Layout: magic, varint version, Binc-framed fields in record order
+   (floats as exact IEEE bits, the full-width digest as 8 bytes), then a
+   little-endian CRC-32 trailer over every preceding byte, so torn or
+   bit-flipped records are detected before any field is trusted. *)
+let to_string t =
+  let state =
+    match t.alg_state with
+    | Some s -> s
+    | None -> invalid_arg "Checkpoint.to_string: no algorithm state"
+  in
+  let buf = Buffer.create (96 + (2 * t.n) + String.length state) in
   Buffer.add_string buf magic;
   Binc.add_varint buf version;
   Binc.add_string buf t.alg;
-  add_float buf t.epsilon;
+  Binc.add_float buf t.epsilon;
   Binc.add_zigzag buf t.seed;
   Binc.add_varint buf t.n;
   Binc.add_varint buf t.ell;
   Binc.add_varint buf t.k;
   Binc.add_int_array buf t.initial;
   Binc.add_varint buf t.pos;
-  Binc.add_int_array buf t.prefix;
+  Binc.add_int64 buf (Int64.of_int t.digest);
   Binc.add_varint buf t.comm;
   Binc.add_varint buf t.mig;
   Binc.add_varint buf t.max_load;
   Binc.add_varint buf t.violations;
   Binc.add_int_array buf t.assignment;
-  (match t.alg_state with
-  | None -> Binc.add_varint buf 0
-  | Some s ->
-      Binc.add_varint buf 1;
-      Binc.add_string buf s);
-  if version >= 2 then begin
-    Binc.add_int_array buf t.degraded;
-    Binc.add_varint buf t.degraded_left;
-    let crc = Crc32.string (Buffer.contents buf) in
-    Buffer.add_char buf (Char.chr (crc land 0xff));
-    Buffer.add_char buf (Char.chr ((crc lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr ((crc lsr 16) land 0xff));
-    Buffer.add_char buf (Char.chr ((crc lsr 24) land 0xff))
-  end;
+  Binc.add_string buf state;
+  Binc.add_varint buf t.degraded_left;
+  let crc = Crc32.string (Buffer.contents buf) in
+  Buffer.add_char buf (Char.chr (crc land 0xff));
+  Buffer.add_char buf (Char.chr ((crc lsr 8) land 0xff));
+  Buffer.add_char buf (Char.chr ((crc lsr 16) land 0xff));
+  Buffer.add_char buf (Char.chr ((crc lsr 24) land 0xff));
   Buffer.contents buf
 
 let of_string ?path s =
@@ -90,65 +84,58 @@ let of_string ?path s =
   let r = Binc.reader ~pos:(String.length magic) s in
   (try
      let v = Binc.read_varint r in
-     if v <> 1 && v <> 2 then fail ?path "unsupported checkpoint version %d" v;
-     let body_end =
-       if v >= 2 then begin
-         (* verify the CRC trailer before trusting any field *)
-         let len = String.length s in
-         if len < Binc.reader_pos r + 4 then
-           fail ?path "torn record (no room for CRC trailer, %d bytes)" len;
-         let stored =
-           Char.code s.[len - 4]
-           lor (Char.code s.[len - 3] lsl 8)
-           lor (Char.code s.[len - 2] lsl 16)
-           lor (Char.code s.[len - 1] lsl 24)
-         in
-         let actual = Crc32.string ~len:(len - 4) s in
-         if stored <> actual then
-           fail ?path "CRC mismatch (stored %08x, computed %08x over %d bytes)"
-             stored actual (len - 4);
-         len - 4
-       end
-       else String.length s
-     in
+     if v < 1 || v > version then
+       fail ?path "unsupported checkpoint version %d" v;
+     (* verify the CRC trailer (version 2 files carry the same one) before
+        trusting any field, so a flipped version byte reads as corruption *)
+     let len = String.length s in
+     if v >= 2 then begin
+       if len < Binc.reader_pos r + 4 then
+         fail ?path "torn record (no room for CRC trailer, %d bytes)" len;
+       let stored =
+         Char.code s.[len - 4]
+         lor (Char.code s.[len - 3] lsl 8)
+         lor (Char.code s.[len - 2] lsl 16)
+         lor (Char.code s.[len - 1] lsl 24)
+       in
+       let actual = Crc32.string ~len:(len - 4) s in
+       if stored <> actual then
+         fail ?path "CRC mismatch (stored %08x, computed %08x over %d bytes)"
+           stored actual (len - 4)
+     end;
+     if v < version then
+       fail ?path
+         "checkpoint format version %d is no longer supported: it resumed by \
+          prefix replay, and this build reads only version %d state \
+          snapshots (re-serve the trace to write one)"
+         v version;
+     let body_end = len - 4 in
+     (* explicit sequencing: record fields evaluate in unspecified order *)
      let alg = Binc.read_string r in
-     let epsilon = read_float ?path r in
+     let epsilon = Binc.read_float r in
      let seed = Binc.read_zigzag r in
      let n = Binc.read_varint r in
      let ell = Binc.read_varint r in
      let k = Binc.read_varint r in
      let initial = Binc.read_int_array r in
      let pos = Binc.read_varint r in
-     let prefix = Binc.read_int_array r in
+     let digest = Int64.to_int (Binc.read_int64 r) in
      let comm = Binc.read_varint r in
      let mig = Binc.read_varint r in
      let max_load = Binc.read_varint r in
      let violations = Binc.read_varint r in
      let assignment = Binc.read_int_array r in
-     let alg_state =
-       match Binc.read_varint r with
-       | 0 -> None
-       | 1 -> Some (Binc.read_string r)
-       | tag -> fail ?path "bad alg_state tag %d" tag
-     in
-     (* explicit sequencing: tuple components evaluate right-to-left *)
-     let degraded = if v >= 2 then Binc.read_int_array r else [||] in
-     let degraded_left = if v >= 2 then Binc.read_varint r else 0 in
-     if v >= 2 && Binc.reader_pos r <> body_end then
+     let alg_state = Binc.read_string r in
+     let degraded_left = Binc.read_varint r in
+     if Binc.reader_pos r <> body_end then
        fail ?path "record has %d trailing bytes before the CRC"
          (body_end - Binc.reader_pos r);
-     if Array.length prefix <> pos then
-       fail ?path "prefix length %d does not match pos %d"
-         (Array.length prefix) pos;
      if Array.length initial <> n || Array.length assignment <> n then
        fail ?path "assignment arrays do not match n = %d" n;
-     if Array.length degraded land 1 <> 0 then
-       fail ?path "degraded span record has odd length %d"
-         (Array.length degraded);
      {
-       alg; epsilon; seed; n; ell; k; initial; pos; prefix;
-       comm; mig; max_load; violations; assignment; alg_state;
-       degraded; degraded_left;
+       alg; epsilon; seed; n; ell; k; initial; pos; digest;
+       comm; mig; max_load; violations; assignment;
+       alg_state = Some alg_state; degraded_left;
      }
    with Invalid_argument msg when String.length msg >= 4
                                   && String.equal (String.sub msg 0 4) "Binc"
@@ -240,12 +227,10 @@ let read_latest ?(generations = 8) ~path () =
 let to_json t =
   Printf.sprintf
     "{\"type\":\"checkpoint\",\"version\":%d,\"alg\":\"%s\",\"epsilon\":%g,\
-     \"seed\":%d,\"n\":%d,\"ell\":%d,\"k\":%d,\"pos\":%d,\"comm\":%d,\
-     \"mig\":%d,\"max_load\":%d,\"violations\":%d,\"explicit_state\":%b,\
-     \"prefix_len\":%d,\"degraded_spans\":%d,\"degraded_left\":%d}"
-    version t.alg t.epsilon t.seed t.n t.ell t.k t.pos t.comm t.mig
+     \"seed\":%d,\"n\":%d,\"ell\":%d,\"k\":%d,\"pos\":%d,\"digest\":\"%016x\",\
+     \"comm\":%d,\"mig\":%d,\"max_load\":%d,\"violations\":%d,\
+     \"state_bytes\":%d,\"degraded_left\":%d}"
+    version t.alg t.epsilon t.seed t.n t.ell t.k t.pos t.digest t.comm t.mig
     t.max_load t.violations
-    (Option.is_some t.alg_state)
-    (Array.length t.prefix)
-    (Array.length t.degraded / 2)
+    (match t.alg_state with Some s -> String.length s | None -> 0)
     t.degraded_left

@@ -1,32 +1,29 @@
 (** Versioned serving snapshots: everything needed to resume a streaming
-    run and to verify the resumption is exact.
+    run and to verify the resumption is exact, in O(state) bytes.
 
     A checkpoint captures the run's {e identity} (algorithm name, epsilon,
     rng seed, instance parameters), its {e position} (number of requests
-    served, plus the full served prefix), its {e accounting} (cumulative
-    communication/migration, running maximum load, capacity violations),
-    its {e state} (the current assignment, plus — when the algorithm
-    implements the explicit {!Rbgp_ring.Online.t} snapshot hook — an
-    opaque algorithm-state blob) and its {e degradation history} (which
-    prefix positions were served on the frozen never-move path, so replay
-    reproduces the exact call sequence).
+    served, plus a running {!digest_add} digest of the served edge
+    sequence), its {e accounting} (cumulative communication/migration,
+    running maximum load, capacity violations), its {e state} (the
+    current assignment and the algorithm's own
+    {!Rbgp_ring.Online.t.snapshot} blob) and the remaining length of an
+    in-flight solver-budget cooloff.  Nothing in it grows with the number
+    of requests served: the size is O(n + algorithm state), and every
+    registered algorithm implements the snapshot hooks.
 
-    {!Engine.resume} has two paths, both ending in verification against
-    the stored assignment and cost:
+    {!Engine.resume} rebuilds the algorithm from
+    [(name, epsilon, seed, instance)], hands the state blob to its
+    [restore] hook and verifies the restored assignment against the stored
+    one.  The digest lets a caller that re-reads the stream from the
+    beginning ([rbgp resume --skip-prefix], supervised restarts) check
+    that it is the stream the checkpoint served.
 
-    + {b explicit restore}: the algorithm state blob is handed to the
-      algorithm's [restore] hook — O(state), no replay;
-    + {b deterministic prefix replay}: the algorithm is rebuilt from
-      [(name, epsilon, seed, instance)] and the stored prefix is re-served
-      through the same accounting — O(prefix), available for {e every}
-      registered algorithm because all of them are deterministic functions
-      of those four parameters (plus the recorded degraded spans).
-
-    On-disk layout: magic ["RBGC"], varint format version, then a
-    Binc-framed record (see the implementation for field order).  Version
-    2 appends the degraded-span record and a little-endian CRC-32 trailer
-    over all preceding bytes; version 1 files remain readable.  Floats
-    travel as ["%h"] hex-float strings, which round-trip exactly.
+    On-disk layout (version 3): magic ["RBGC"], varint format version,
+    the Binc-framed fields in record order (floats as exact IEEE-754
+    bits), then a little-endian CRC-32 trailer over all preceding bytes.
+    Versions 1 and 2 stored the whole served prefix for replay; they are
+    rejected with a message naming their version.
 
     {b Durability.}  {!write} routes through
     {!Rbgp_util.Durable.atomic_write} (tmp + fsync + rename + parent-dir
@@ -44,16 +41,17 @@ type t = {
   k : int;
   initial : int array;
   pos : int;  (** requests served before the snapshot *)
-  prefix : int array;  (** the served requests, length [pos] *)
+  digest : int;
+      (** {!digest_add} folded over the [pos] served edges in order, from
+          {!digest_empty} *)
   comm : int;
   mig : int;
   max_load : int;
   violations : int;
   assignment : int array;  (** assignment after request [pos - 1] *)
-  alg_state : string option;  (** explicit algorithm snapshot, if supported *)
-  degraded : int array;
-      (** flattened [(start, len)] pairs: prefix positions served on the
-          frozen never-move path (solver-budget degradation) *)
+  alg_state : string option;
+      (** the algorithm's snapshot blob; always [Some] in a checkpoint
+          that {!to_string} accepts or {!of_string} returns *)
   degraded_left : int;
       (** remaining frozen requests if the snapshot was taken
           mid-degradation *)
@@ -62,7 +60,15 @@ type t = {
 val magic : string
 
 val version : int
-(** The current (newest writable) format version. *)
+(** The format version this build writes and reads (3). *)
+
+val digest_empty : int
+(** The digest of the empty request sequence. *)
+
+val digest_add : int -> pos:int -> int -> int
+(** [digest_add d ~pos e] extends digest [d] by edge [e] served as request
+    [pos] (0-based): O(1), no allocation.  Changing any single request of
+    a sequence always changes its digest. *)
 
 val write : path:string -> t -> unit
 (** Atomic durable write via {!Rbgp_util.Durable.atomic_write}.  Honours
@@ -94,17 +100,18 @@ val read_latest : ?generations:int -> path:string -> unit -> recovery
     the ones skipped over.  Raises [Invalid_argument] when none does. *)
 
 val verify : path:string -> (t, string) result
-(** Full check — magic, version, CRC (v2), field decode, internal
+(** Full check — magic, version, CRC, field decode, internal
     consistency — as a [result] for the [rbgp checkpoint verify]
     subcommand. *)
 
-val to_string : ?version:int -> t -> string
-(** Serialize.  [~version:1] emits the legacy CRC-less layout (rejected
-    if [t] carries degradation history) — used by compatibility tests. *)
+val to_string : t -> string
+(** Serialize.  Raises [Invalid_argument] when [alg_state] is [None]. *)
 
 val of_string : ?path:string -> string -> t
+(** Raises [Invalid_argument] naming [path] (default ["<string>"]) on bad
+    magic, a version other than {!version} (older ones by name), CRC
+    mismatch or a torn record. *)
 
 val to_json : t -> string
-(** Inspection record for [rbgp checkpoint]: all scalar fields, array
-    lengths rather than contents, and whether an explicit state blob is
-    present. *)
+(** Inspection record for [rbgp checkpoint]: all scalar fields, the
+    digest in hex and the size of the algorithm state blob. *)

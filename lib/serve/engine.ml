@@ -21,23 +21,23 @@ type t = {
   epsilon : float;
   seed : int;
   online : Online.t;
+  snapshot : unit -> string;  (* the algorithm's O(state) snapshot hook *)
   stepper : Simulator.stepper;
   metrics : Metrics.t;
-  mutable prefix : int array;
   mutable pos : int;
+  mutable digest : int;  (* Checkpoint.digest_add over the served edges *)
   sanitize : bool;
   (* solver-budget degradation: when a request's effective solve time
      exceeds [budget_ns] (> 0 enables), the next [cooloff] requests are
      served on the frozen never-move path, then the solver is re-promoted.
-     [spans] records every frozen stretch, newest first, so checkpoints
-     can reproduce the exact call sequence on replay. *)
+     The frozen requests never reach the algorithm, so its snapshot
+     already reflects them; only the remaining cooloff is checkpointed. *)
   mutable budget_ns : int;
   mutable cooloff : int;
   mutable degraded_left : int;
-  mutable spans : (int * int) list;
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Rbgp_util.Clock.now_ns ()
 
 let sanitize_default () =
   match Sys.getenv_opt "RBGP_SANITIZE" with
@@ -94,16 +94,22 @@ let check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max
   if r.Simulator.max_load < prev_max then
     fail "running max load decreased: %d -> %d" prev_max r.Simulator.max_load
 
+let snapshot_hook ~alg (online : Online.t) =
+  match online.Online.snapshot with
+  | Some snap -> snap
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Engine: algorithm %s has no snapshot hook" alg)
+
 let make_engine ?(strict = true) ?sanitize ~epsilon ~alg ~seed
     ?(cost = Cost.zero ()) ?max_load ?violations ?(steps_done = 0)
-    ?(prefix = [||]) (inst : Instance.t) (online : Online.t) =
+    ?(digest = Checkpoint.digest_empty) (inst : Instance.t)
+    (online : Online.t) =
+  let snapshot = snapshot_hook ~alg online in
   let stepper =
     Simulator.stepper ~strict ~cost ?max_load ?violations ~steps_done inst
       online
   in
-  let cap = max 1024 (Array.length prefix) in
-  let buf = Array.make cap 0 in
-  Array.blit prefix 0 buf 0 (Array.length prefix);
   let sanitize =
     match sanitize with Some b -> b | None -> sanitize_default ()
   in
@@ -113,29 +119,21 @@ let make_engine ?(strict = true) ?sanitize ~epsilon ~alg ~seed
     epsilon;
     seed;
     online;
+    snapshot;
     stepper;
     metrics = Metrics.create ();
-    prefix = buf;
     pos = steps_done;
+    digest;
     sanitize;
     budget_ns = 0;
     cooloff = 64;
     degraded_left = 0;
-    spans = [];
   }
 
 let create ?strict ?sanitize ?(epsilon = 0.5) ~alg ~seed inst =
   let spec = Registry.find alg in
   let online = spec.Registry.build ~epsilon ~seed inst in
   make_engine ?strict ?sanitize ~epsilon ~alg ~seed inst online
-
-let push_prefix t e =
-  if t.pos >= Array.length t.prefix then begin
-    let bigger = Array.make (2 * Array.length t.prefix) 0 in
-    Array.blit t.prefix 0 bigger 0 t.pos;
-    t.prefix <- bigger
-  end;
-  t.prefix.(t.pos) <- e
 
 (* One request's bookkeeping around [play] (the accounting step):
    identical for the per-request and batched paths, so every decision
@@ -155,7 +153,7 @@ let ingest_step t e play x =
     else None
   in
   let comm, moved = play t.stepper x in
-  push_prefix t e;
+  t.digest <- Checkpoint.digest_add t.digest ~pos:t.pos e;
   t.pos <- t.pos + 1;
   let r = Simulator.stepper_result t.stepper in
   (match prev with
@@ -188,31 +186,9 @@ let set_solver_budget t ~budget_ns ~cooloff =
 
 let degrading t = t.degraded_left > 0
 
-let degraded_spans t =
-  let l = List.rev t.spans in
-  let a = Array.make (2 * List.length l) 0 in
-  List.iteri
-    (fun i (s, len) ->
-      a.(2 * i) <- s;
-      a.((2 * i) + 1) <- len)
-    l;
-  a
-
-let spans_of_flat flat =
-  let r = ref [] in
-  for i = 0 to (Array.length flat / 2) - 1 do
-    r := (flat.(2 * i), flat.((2 * i) + 1)) :: !r
-  done;
-  !r
-
-(* Bookkeeping for one request just served frozen (pos already advanced):
-   extend the current span or open a new one, and count the re-promotion
-   when the cooloff ends. *)
+(* Bookkeeping for one request just served frozen: count it, and count
+   the re-promotion when the cooloff ends. *)
 let note_frozen t =
-  let p = t.pos - 1 in
-  (match t.spans with
-  | (s, len) :: rest when s + len = p -> t.spans <- (s, len + 1) :: rest
-  | spans -> t.spans <- (p, 1) :: spans);
   Metrics.note_degraded t.metrics;
   t.degraded_left <- t.degraded_left - 1;
   if t.degraded_left = 0 then Metrics.note_recovered t.metrics
@@ -269,7 +245,7 @@ let ingest_batch t edges =
     ds
   end
 
-(* The no-decision fast path: same accounting, replay prefix and
+(* The no-decision fast path: same accounting, digest and
    checkpoint-observable state as [ingest_batch], but two clock reads and
    one aggregate metrics record per *batch* instead of per request, and no
    decision records allocated — the dominant per-request overheads once
@@ -296,10 +272,15 @@ let ingest_batch_quiet t edges =
     let t0 = now_ns () in
     let play = Simulator.prepare t.stepper edges in
     for j = 0 to b - 1 do
-      ignore (play j);
-      push_prefix t edges.(j);
-      t.pos <- t.pos + 1
+      ignore (play j)
     done;
+    (* a call-free loop, so the digest stays in a register *)
+    let d = ref t.digest in
+    for j = 0 to b - 1 do
+      d := Checkpoint.digest_add !d ~pos:(t.pos + j) edges.(j)
+    done;
+    t.digest <- !d;
+    t.pos <- t.pos + b;
     let latency_ns = now_ns () - t0 in
     let r = Simulator.stepper_result t.stepper in
     Metrics.observe_batch t.metrics ~count:b ~latency_ns
@@ -331,127 +312,73 @@ let checkpoint t =
     k = t.inst.Instance.k;
     initial = Array.copy t.inst.Instance.initial;
     pos = t.pos;
-    prefix = Array.sub t.prefix 0 t.pos;
+    digest = t.digest;
     comm = r.Simulator.cost.Cost.comm;
     mig = r.Simulator.cost.Cost.mig;
     max_load = r.Simulator.max_load;
     violations = r.Simulator.capacity_violations;
     assignment = assignment t;
-    alg_state =
-      Option.map (fun snap -> snap ()) t.online.Online.snapshot;
-    degraded = degraded_spans t;
+    alg_state = Some (t.snapshot ());
     degraded_left = t.degraded_left;
   }
 
-let verify_against (ckpt : Checkpoint.t) t ~how =
+(* The costs are carried over from the checkpoint, so what a restore can
+   get wrong is the state: the restored assignment must be the stored
+   one, and its load must not exceed the stored running maximum. *)
+let verify_against (ckpt : Checkpoint.t) t =
   let r = result t in
-  let mismatch what got want =
+  if r.Simulator.max_load <> ckpt.Checkpoint.max_load then
     failwith
       (Printf.sprintf
-         "Engine.resume: %s of %s diverged from checkpoint after %s: %s = %d, \
-          checkpoint says %d"
-         what ckpt.Checkpoint.alg how what got want)
-  in
-  if r.Simulator.cost.Cost.comm <> ckpt.Checkpoint.comm then
-    mismatch "comm" r.Simulator.cost.Cost.comm ckpt.Checkpoint.comm;
-  if r.Simulator.cost.Cost.mig <> ckpt.Checkpoint.mig then
-    mismatch "mig" r.Simulator.cost.Cost.mig ckpt.Checkpoint.mig;
-  if r.Simulator.max_load <> ckpt.Checkpoint.max_load then
-    mismatch "max_load" r.Simulator.max_load ckpt.Checkpoint.max_load;
-  if r.Simulator.capacity_violations <> ckpt.Checkpoint.violations then
-    mismatch "violations" r.Simulator.capacity_violations
-      ckpt.Checkpoint.violations;
+         "Engine.resume: restored %s has load %d above the checkpoint's \
+          running maximum %d"
+         ckpt.Checkpoint.alg r.Simulator.max_load ckpt.Checkpoint.max_load);
   let same_assignment a b =
     Array.length a = Array.length b && Array.for_all2 Int.equal a b
   in
   if not (same_assignment (assignment t) ckpt.Checkpoint.assignment) then
     failwith
       (Printf.sprintf
-         "Engine.resume: assignment of %s diverged from checkpoint after %s"
-         ckpt.Checkpoint.alg how)
+         "Engine.resume: assignment of %s diverged from checkpoint after \
+          state restore"
+         ckpt.Checkpoint.alg)
 
 let resume ?(strict = true) ?sanitize (ckpt : Checkpoint.t) =
+  let alg = ckpt.Checkpoint.alg in
   let inst =
     Instance.make ~n:ckpt.Checkpoint.n ~ell:ckpt.Checkpoint.ell
       ~k:ckpt.Checkpoint.k ~initial:(Array.copy ckpt.Checkpoint.initial) ()
   in
-  let spec = Registry.find ckpt.Checkpoint.alg in
+  let spec = Registry.find alg in
   let online =
     spec.Registry.build ~epsilon:ckpt.Checkpoint.epsilon
       ~seed:ckpt.Checkpoint.seed inst
   in
-  match (ckpt.Checkpoint.alg_state, online.Online.restore) with
-  | Some state, Some restore ->
-      (* explicit restore: O(state), no replay.  The stepper created below
-         snapshots the restored assignment as its baseline, so restore-time
-         moves are not billed, exactly like construction-time moves. *)
-      restore state;
-      let t =
-        make_engine ~strict ?sanitize ~epsilon:ckpt.Checkpoint.epsilon
-          ~alg:ckpt.Checkpoint.alg ~seed:ckpt.Checkpoint.seed
-          ~cost:
-            {
-              Cost.comm = ckpt.Checkpoint.comm;
-              Cost.mig = ckpt.Checkpoint.mig;
-            }
-          ~max_load:ckpt.Checkpoint.max_load
-          ~violations:ckpt.Checkpoint.violations
-          ~steps_done:ckpt.Checkpoint.pos ~prefix:ckpt.Checkpoint.prefix inst
-          online
-      in
-      verify_against ckpt t ~how:"explicit state restore";
-      t.spans <- spans_of_flat ckpt.Checkpoint.degraded;
-      t.degraded_left <- ckpt.Checkpoint.degraded_left;
-      t
-  | _ ->
-      (* deterministic prefix replay: rebuild from (alg, epsilon, seed,
-         instance) and re-serve the stored prefix through the same
-         accounting *)
-      let t =
-        make_engine ~strict ?sanitize ~epsilon:ckpt.Checkpoint.epsilon
-          ~alg:ckpt.Checkpoint.alg ~seed:ckpt.Checkpoint.seed inst online
-      in
-      let m = Array.length ckpt.Checkpoint.prefix in
-      if Array.length ckpt.Checkpoint.degraded = 0 then begin
-        (* replay through the batched path: byte-identical to per-request
-           ingest by the Online.batch contract, and sharded across domains
-           for algorithms that support it, so long prefixes resume faster *)
-        let chunk = 8192 in
-        let at = ref 0 in
-        while !at < m do
-          let len = Stdlib.min chunk (m - !at) in
-          ignore (ingest_batch t (Array.sub ckpt.Checkpoint.prefix !at len));
-          at := !at + len
-        done
-      end
-      else begin
-        (* span-aware replay: positions the live run served on the frozen
-           never-move path are replayed frozen, everything else through
-           the solver — the exact call sequence of the original run *)
-        let spans = ckpt.Checkpoint.degraded in
-        let nspans = Array.length spans / 2 in
-        let si = ref 0 in
-        let cur_frozen = ref false in
-        let play stepper edge =
-          if !cur_frozen then Simulator.step_frozen stepper edge
-          else Simulator.step stepper edge
-        in
-        for i = 0 to m - 1 do
-          while
-            !si < nspans && spans.(2 * !si) + spans.((2 * !si) + 1) <= i
-          do
-            incr si
-          done;
-          cur_frozen := !si < nspans && spans.(2 * !si) <= i;
-          let e = ckpt.Checkpoint.prefix.(i) in
-          ignore (ingest_step t e play e)
-        done
-      end;
-      verify_against ckpt t ~how:"prefix replay";
-      t.spans <- spans_of_flat ckpt.Checkpoint.degraded;
-      t.degraded_left <- ckpt.Checkpoint.degraded_left;
-      Metrics.reset t.metrics;
-      t
+  (match (ckpt.Checkpoint.alg_state, online.Online.restore) with
+  | Some state, Some restore -> (
+      match restore state with
+      | () -> ()
+      | exception Invalid_argument msg ->
+          failwith
+            (Printf.sprintf "Engine.resume: state of %s rejected: %s" alg msg))
+  | None, _ -> failwith "Engine.resume: checkpoint carries no algorithm state"
+  | Some _, None ->
+      invalid_arg
+        (Printf.sprintf "Engine.resume: algorithm %s has no restore hook" alg));
+  (* O(state), no replay.  The stepper created below snapshots the
+     restored assignment as its baseline, so restore-time moves are not
+     billed, exactly like construction-time moves. *)
+  let t =
+    make_engine ~strict ?sanitize ~epsilon:ckpt.Checkpoint.epsilon ~alg
+      ~seed:ckpt.Checkpoint.seed
+      ~cost:{ Cost.comm = ckpt.Checkpoint.comm; Cost.mig = ckpt.Checkpoint.mig }
+      ~max_load:ckpt.Checkpoint.max_load
+      ~violations:ckpt.Checkpoint.violations ~steps_done:ckpt.Checkpoint.pos
+      ~digest:ckpt.Checkpoint.digest inst online
+  in
+  verify_against ckpt t;
+  t.degraded_left <- ckpt.Checkpoint.degraded_left;
+  t
 
 (* Decision records are the serve stream's per-request output, so they are
    written by hand rather than through Printf: the record's exact length

@@ -11,8 +11,11 @@
     An engine is a deterministic function of
     [(alg, epsilon, seed, instance)] and the request sequence: serving the
     same requests always yields the same decisions, costs and assignments
-    (latencies excepted).  This is what makes checkpoint/resume exact and
-    cheap to verify — see {!resume}.
+    (latencies excepted).  Every registered algorithm also exposes its
+    whole online state through the {!Rbgp_ring.Online.t} snapshot hooks,
+    so a {!checkpoint} is O(state) and {!resume} restores it without
+    re-serving anything — and the resumed engine continues exactly as the
+    uninterrupted one would.
 
     {2 Runtime sanitizer}
 
@@ -35,11 +38,14 @@
     frozen never-move path ({!Rbgp_ring.Simulator.step_frozen}) — the
     solver is bypassed, communication is still billed, nothing moves —
     and the solver is re-promoted after the cooloff.  Frozen stretches
-    are counted in {!Metrics} ([degraded]/[recovered]) and recorded as
-    spans in every {!checkpoint}, so {!resume} replays the identical
-    call sequence and the determinism contract survives degradation.
-    Degradation triggers are evaluated at request boundaries (batch
-    boundaries on the batched paths — a prepared batch is never split).
+    are counted in {!Metrics} ([degraded]/[recovered]).  Frozen requests
+    never reach the algorithm, so its snapshot already accounts for them;
+    a {!checkpoint} taken mid-cooloff records only the remaining cooloff,
+    which {!resume} honours.  Latencies and the budget use the monotonic
+    clock ({!Rbgp_util.Clock}), so a wall-clock step cannot fire a
+    spurious degradation.  Degradation triggers are evaluated at request
+    boundaries (batch boundaries on the batched paths — a prepared batch
+    is never split).
 
     {2 Fault hooks}
 
@@ -58,7 +64,7 @@ type decision = {
   cum_comm : int;
   cum_mig : int;
   max_load : int;  (** running maximum load *)
-  latency_ns : int;  (** wall-clock ingest latency of this request *)
+  latency_ns : int;  (** monotonic-clock ingest latency of this request *)
 }
 
 type t
@@ -72,21 +78,21 @@ val create :
   Rbgp_ring.Instance.t ->
   t
 (** Builds the named algorithm through {!Registry.find} (raising
-    [Invalid_argument] for unknown names) and starts a fresh accounting
-    stepper.  [epsilon] defaults to [0.5]; [sanitize] defaults to the
-    [RBGP_SANITIZE] environment variable (see the sanitizer section
-    above). *)
+    [Invalid_argument] for unknown names, or for an algorithm without the
+    snapshot hook) and starts a fresh accounting stepper.  [epsilon]
+    defaults to [0.5]; [sanitize] defaults to the [RBGP_SANITIZE]
+    environment variable (see the sanitizer section above). *)
 
 val ingest : t -> int -> decision
 (** Serve one request: charge communication, run the algorithm, charge
     migrations, check capacity ([Failure] in strict mode on violation),
-    record the request in the replay prefix and update metrics. *)
+    fold the request into the stream digest and update metrics. *)
 
 val ingest_batch : t -> int array -> decision array
 (** Serve a batch of requests through {!Rbgp_ring.Simulator.prepare}: the
     algorithm may pre-solve the whole batch sharded across pool domains
     (see {!Rbgp_ring.Online.t.batch}), while accounting, sanitizer checks,
-    the replay prefix and metrics are still advanced request by request in
+    the stream digest and metrics are still advanced request by request in
     arrival order.  Every decision field except the wall-clock
     [latency_ns] is byte-identical to calling {!ingest} on each edge in
     turn, for any batch decomposition and any domain count; checkpoints
@@ -97,7 +103,7 @@ val ingest_batch : t -> int array -> decision array
 
 val ingest_batch_quiet : t -> int array -> unit
 (** {!ingest_batch} without the per-request instrumentation: identical
-    accounting, replay prefix, sanitizer behaviour and checkpoints (a
+    accounting, stream digest, sanitizer behaviour and checkpoints (a
     checkpoint taken after a quiet batch is byte-identical to one taken
     after the same requests through {!ingest}), but no decision records
     are built and the clock is read twice per batch instead of twice per
@@ -115,12 +121,8 @@ val set_solver_budget : t -> budget_ns:int -> cooloff:int -> unit
 val degrading : t -> bool
 (** Currently inside a frozen cooloff stretch? *)
 
-val degraded_spans : t -> int array
-(** Flattened [(start, len)] pairs of every frozen stretch so far, in
-    position order — the same record a {!checkpoint} carries. *)
-
 val pos : t -> int
-(** Requests served so far (including any checkpointed prefix). *)
+(** Requests served so far (including those before a resumed checkpoint). *)
 
 val alg_name : t -> string
 val epsilon : t -> float
@@ -140,23 +142,23 @@ val online : t -> Rbgp_ring.Online.t
 val metrics : t -> Metrics.t
 
 val checkpoint : t -> Checkpoint.t
-(** Snapshot the run: instance parameters, seed, served prefix, cumulative
-    costs, current assignment, the algorithm's explicit state when it
-    implements the snapshot hook, and the degraded-span record. *)
+(** Snapshot the run in O(state): instance parameters, seed, position and
+    stream digest, cumulative costs, current assignment, the algorithm's
+    snapshot blob and the remaining solver-budget cooloff. *)
 
 val resume :
   ?strict:bool ->
   ?sanitize:bool ->
   Checkpoint.t ->
   t
-(** Reconstruct an engine mid-stream.  Uses the explicit-restore fast path
-    (O(state)) when the checkpoint carries an algorithm state blob and the
-    rebuilt algorithm implements [restore]; otherwise replays the stored
-    prefix deterministically (O(prefix)).  Either way the reconstructed
-    assignment and cumulative costs are verified against the checkpoint,
-    and [Failure] is raised on any mismatch — a resumed engine is
-    therefore byte-identical (costs, assignments, reports) to one that
-    never stopped.  Replayed requests are excluded from metrics. *)
+(** Reconstruct an engine mid-stream in O(state): rebuild the algorithm
+    from [(alg, epsilon, seed, instance)], hand the checkpoint's state
+    blob to its [restore] hook, carry over position, digest, costs and
+    the remaining cooloff, and verify the restored assignment (and its
+    load) against the stored one.  [Failure] is raised when the hook
+    rejects the blob or the verification fails — a resumed engine is
+    therefore byte-identical (decisions, costs, assignments, checkpoints)
+    to one that never stopped.  Metrics start afresh. *)
 
 val decision_to_json : decision -> string
 (** One-line JSON record (type tag ["decision"]) for the [rbgp serve]

@@ -24,7 +24,7 @@
      seed=K              seed for the probabilistic draws (default 0x5eed)
 
    Counted faults (@N) fire exactly once per process: after firing they
-   disarm, so a supervised restart that replays past the same index does
+   disarm, so a supervised restart that re-serves the same index does
    not re-fire them.  Probabilistic faults draw from a seeded [Rng], so
    a fixed plan over a fixed call sequence injects an identical fault
    schedule — the crash-matrix tests rely on this determinism.

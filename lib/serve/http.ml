@@ -56,8 +56,8 @@ let metrics_body router =
         (Printf.sprintf "rbgp_tenant_up{tenant=\"%s\"} %d\n" (Tenant.id tn) up))
     tns;
   Buffer.add_string buf
-    "# HELP rbgp_tenant_position Requests served (including any resumed \
-     checkpoint prefix).\n\
+    "# HELP rbgp_tenant_position Requests served (including those before \
+     a resumed checkpoint).\n\
      # TYPE rbgp_tenant_position gauge\n";
   List.iter
     (fun tn ->

@@ -7,7 +7,7 @@ type t = {
   mutable mig : int;
   mutable max_load : int;
   mutable lat_sum_ns : float;
-  mutable t0 : float;
+  t0_ns : int;  (* monotonic clock at create *)
   mutable degraded : int;
   mutable recovered : int;
 }
@@ -20,21 +20,10 @@ let create () =
     mig = 0;
     max_load = 0;
     lat_sum_ns = 0.0;
-    t0 = Unix.gettimeofday ();
+    t0_ns = Rbgp_util.Clock.now_ns ();
     degraded = 0;
     recovered = 0;
   }
-
-let reset t =
-  Array.fill t.buckets 0 nbuckets 0;
-  t.requests <- 0;
-  t.comm <- 0;
-  t.mig <- 0;
-  t.max_load <- 0;
-  t.lat_sum_ns <- 0.0;
-  t.t0 <- Unix.gettimeofday ();
-  t.degraded <- 0;
-  t.recovered <- 0
 
 (* top-level so [observe] (per-request, r11-patrolled) allocates no
    closure for the loop *)
@@ -80,7 +69,7 @@ let max_load t = t.max_load
 let degraded t = t.degraded
 let recovered t = t.recovered
 
-let elapsed_s t = Unix.gettimeofday () -. t.t0
+let elapsed_s t = float_of_int (Rbgp_util.Clock.now_ns () - t.t0_ns) *. 1e-9
 
 let rps t =
   if t.requests = 0 then 0.0
@@ -254,7 +243,7 @@ let prometheus_exposition ?(namespace = "rbgp") series =
       s.s_recovered);
   gauge "max_load" "Maximum cluster load observed." (fun s ->
       string_of_int s.s_max_load);
-  gauge "uptime_seconds" "Seconds since metrics were created or reset."
+  gauge "uptime_seconds" "Seconds since metrics were created."
     (fun s -> Printf.sprintf "%.3f" s.s_elapsed_s);
   (* Latency histogram: bucket [i] of the internal log histogram holds
      latencies in [2^i, 2^{i+1}) ns, so its Prometheus upper bound is

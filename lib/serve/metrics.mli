@@ -16,11 +16,7 @@
 type t
 
 val create : unit -> t
-(** Starts the wall clock. *)
-
-val reset : t -> unit
-(** Zero all counters and restart the wall clock (used after a checkpoint
-    replay so replayed requests don't pollute live throughput figures). *)
+(** Starts the clock (monotonic, see {!elapsed_s}). *)
 
 val observe : t -> latency_ns:int -> comm:int -> moved:int -> max_load:int -> unit
 (** Record one served request: its ingest latency, the communication
@@ -52,6 +48,9 @@ val degraded : t -> int
 val recovered : t -> int
 
 val elapsed_s : t -> float
+(** Seconds since {!create}, on the monotonic clock
+    ({!Rbgp_util.Clock}). *)
+
 val rps : t -> float
 (** [requests / elapsed]; [0.] before the first request. *)
 

@@ -184,3 +184,31 @@ let close t =
   match t.backend with
   | Channel c -> if c.owns then close_in_noerr c.ic
   | Mapped _ -> ()
+
+(* Verified in blocks: one next_batch pull per chunk, and the digest is
+   the checkpoint's O(1)-per-request fold, so re-reading a long prefix
+   costs a decode pass and no memory. *)
+let consume_prefix t (ckpt : Checkpoint.t) =
+  let total = ckpt.Checkpoint.pos in
+  let chunk = Array.make (Stdlib.min 8192 (Stdlib.max 1 total)) 0 in
+  let at = ref 0 and digest = ref Checkpoint.digest_empty in
+  while !at < total do
+    let want = Stdlib.min (Array.length chunk) (total - !at) in
+    let got = next_batch t chunk ~limit:want in
+    if got = 0 then
+      failwith
+        (Printf.sprintf
+           "resume: trace ends at request %d but the checkpoint already \
+            served %d requests"
+           !at total);
+    for j = 0 to got - 1 do
+      digest := Checkpoint.digest_add !digest ~pos:(!at + j) chunk.(j)
+    done;
+    at := !at + got
+  done;
+  if !digest <> ckpt.Checkpoint.digest then
+    failwith
+      (Printf.sprintf
+         "resume: trace diverges from the checkpoint within its first %d \
+          requests (trace digest %016x, checkpoint digest %016x)"
+         total !digest ckpt.Checkpoint.digest)

@@ -72,6 +72,13 @@ val header : t -> Rbgp_workloads.Trace_codec.header option
 val kind : t -> [ `Mmap | `Channel ]
 (** Which backend this source resolved to (e.g. for logging and tests). *)
 
+val consume_prefix : t -> Checkpoint.t -> unit
+(** [consume_prefix t ckpt] pulls the [ckpt.pos] requests a checkpoint
+    has already served from a source that replays the stream from the
+    beginning, and checks their {!Checkpoint.digest_add} digest against
+    the checkpoint's.  Raises [Failure] naming the position and both
+    digests when they differ, or when the source ends first. *)
+
 val close : t -> unit
 (** Closes the underlying channel if this source owns it (i.e. was opened
     by {!open_file}); no-op otherwise.  Mapped regions are reclaimed by

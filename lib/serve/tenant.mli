@@ -24,8 +24,10 @@
     - [Dead]: the engine raised mid-request under supervision.  The
       in-memory engine is discarded; re-opening resumes from the last
       durable checkpoint (or in-memory snapshot when the router has no
-      checkpoint directory), replaying the verified prefix — the PR-7
-      crash matrix extended to kill-anywhere-with-live-connections.
+      checkpoint directory) by O(state) snapshot restore — the crash
+      matrix extended to kill-anywhere-with-live-connections.  Neither a
+      close/re-open nor a kill re-serves anything, so a tenant's re-open
+      cost and checkpoint size stay flat however long it has run.
 
     Checkpoints roll per tenant at [dir/<id>.ckpt] via
     {!Checkpoint.write_rolling}/{!Checkpoint.read_latest} on a

@@ -20,6 +20,13 @@ let add_int_array buf a =
   add_varint buf (Array.length a);
   Array.iter (fun x -> add_zigzag buf x) a
 
+let add_int64 buf v = Buffer.add_int64_le buf v
+let add_float buf f = add_int64 buf (Int64.bits_of_float f)
+
+let add_counts buf a =
+  add_varint buf (Array.length a);
+  Array.iter (fun v -> add_varint buf (int_of_float v)) a
+
 type reader = { data : string; mutable pos : int }
 
 let reader ?(pos = 0) data = { data; pos }
@@ -53,6 +60,25 @@ let read_int_array r =
   let len = read_varint r in
   Array.init len (fun _ -> read_zigzag r)
 
+let read_int64 r =
+  if r.pos + 8 > String.length r.data then truncated "read_int64" r.pos;
+  let v = String.get_int64_le r.data r.pos in
+  r.pos <- r.pos + 8;
+  v
+
+let read_float r = Int64.float_of_bits (read_int64 r)
+
+let read_counts r dst =
+  let len = read_varint r in
+  if len <> Array.length dst then
+    invalid_arg
+      (Printf.sprintf "Binc.read_counts: %d counts, expected %d" len
+         (Array.length dst));
+  for i = 0 to len - 1 do
+    let v = read_varint r in
+    if v < 0 then invalid_arg "Binc.read_counts: negative count";
+    dst.(i) <- float_of_int v
+  done
 let at_end r = r.pos >= String.length r.data
 let reader_pos r = r.pos
 

@@ -21,6 +21,16 @@ val add_string : Buffer.t -> string -> unit
 val add_int_array : Buffer.t -> int array -> unit
 (** Append a varint length followed by each element zigzag-encoded. *)
 
+val add_int64 : Buffer.t -> int64 -> unit
+(** Append 8 bytes, little-endian. *)
+
+val add_float : Buffer.t -> float -> unit
+(** Append the exact IEEE-754 bits of a float as an {!add_int64}. *)
+
+val add_counts : Buffer.t -> float array -> unit
+(** Append a vector of whole-number floats (task or request counts kept
+    as floats) as a varint length and one varint per entry. *)
+
 type reader
 (** A cursor over an immutable byte string. *)
 
@@ -29,6 +39,13 @@ val read_varint : reader -> int
 val read_zigzag : reader -> int
 val read_string : reader -> string
 val read_int_array : reader -> int array
+val read_int64 : reader -> int64
+val read_float : reader -> float
+
+val read_counts : reader -> float array -> unit
+(** Read an {!add_counts} vector into [dst]; raises [Invalid_argument]
+    unless it has [dst]'s length and no negative entry. *)
+
 val at_end : reader -> bool
 
 val reader_pos : reader -> int

@@ -35,6 +35,26 @@ let create seed = of_seed64 (Int64.of_int seed)
 
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
+let save buf t =
+  Binc.add_int64 buf t.s0;
+  Binc.add_int64 buf t.s1;
+  Binc.add_int64 buf t.s2;
+  Binc.add_int64 buf t.s3
+
+let load r t =
+  (* read all four words before mutating: a rejected state leaves [t]
+     untouched *)
+  let s0 = Binc.read_int64 r in
+  let s1 = Binc.read_int64 r in
+  let s2 = Binc.read_int64 r in
+  let s3 = Binc.read_int64 r in
+  if Int64.equal (Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3)) 0L then
+    invalid_arg "Rng.load: all-zero xoshiro state";
+  t.s0 <- s0;
+  t.s1 <- s1;
+  t.s2 <- s2;
+  t.s3 <- s3
+
 let bits64 t =
   let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
   let tmp = Int64.shift_left t.s1 17 in

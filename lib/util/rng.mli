@@ -20,6 +20,15 @@ val split : t -> t
 val copy : t -> t
 (** [copy t] duplicates the exact current state (same future outputs). *)
 
+val save : Buffer.t -> t -> unit
+(** Append the four xoshiro256++ state words (32 bytes, see
+    {!Binc.add_int64}). *)
+
+val load : Binc.reader -> t -> unit
+(** Overwrite [t] in place with state words written by {!save}, so every
+    holder of [t] continues the saved stream.  Raises [Invalid_argument]
+    on truncated input or the (unreachable) all-zero state. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -142,7 +142,7 @@ let test_counted_faults_fire_once () =
       (match Fault.crash_check ~step:5 with
       | () -> Alcotest.fail "crash@5 did not fire"
       | exception Fault.Injected_crash _ -> ());
-      (* fired faults disarm: a supervised restart replaying past the
+      (* fired faults disarm: a supervised restart re-serving past the
          same index must not die again *)
       Fault.crash_check ~step:5);
   with_faults "solver-stall@7:123" (fun () ->
@@ -197,7 +197,7 @@ let test_read_flip () =
 
 (* --- checkpoint integrity ---------------------------------------------- *)
 
-let test_v2_crc_detects_corruption () =
+let test_crc_detects_corruption () =
   let e = engine_at ~alg:"onl-dynamic" ~steps:120 in
   let data = Ckpt.to_string (Engine.checkpoint e) in
   (* round-trips clean *)
@@ -212,6 +212,14 @@ let test_v2_crc_detects_corruption () =
       | _ -> Alcotest.failf "corruption at byte %d accepted" i
       | exception Invalid_argument _ -> ())
     [ 20; 50; 80; 99 ];
+  (* a flipped version byte (3 -> 2) is corruption, not an old file *)
+  let b = Bytes.of_string data in
+  Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lxor 0x01));
+  (match Ckpt.of_string (Bytes.to_string b) with
+  | _ -> Alcotest.fail "flipped version byte accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "flipped version caught by the CRC" true
+        (Astring.String.is_infix ~affix:"CRC" msg));
   (* torn records are named as such *)
   match Ckpt.of_string (String.sub data 0 (String.length data - 7)) with
   | _ -> Alcotest.fail "torn record accepted"
@@ -220,25 +228,47 @@ let test_v2_crc_detects_corruption () =
         (Astring.String.is_infix ~affix:"torn" msg
         || Astring.String.is_infix ~affix:"CRC" msg)
 
-let test_v1_still_readable () =
-  let e = engine_at ~alg:"greedy-colocate" ~steps:90 in
-  let ckpt = Engine.checkpoint e in
-  let v1 = Ckpt.to_string ~version:1 ckpt in
-  let v2 = Ckpt.to_string ckpt in
-  Alcotest.(check bool) "v1 and v2 encodings differ" true (v1 <> v2);
-  let back = Ckpt.of_string v1 in
-  Alcotest.(check string) "alg" ckpt.Ckpt.alg back.Ckpt.alg;
-  Alcotest.(check int) "pos" ckpt.Ckpt.pos back.Ckpt.pos;
-  Alcotest.(check (array int)) "prefix" ckpt.Ckpt.prefix back.Ckpt.prefix;
-  Alcotest.(check (array int)) "assignment" ckpt.Ckpt.assignment
-    back.Ckpt.assignment;
-  Alcotest.(check (array int)) "v1 carries no degradation" [||]
-    back.Ckpt.degraded;
-  (* a degraded snapshot cannot be downgraded: v1 has no field for it *)
-  let degraded = { ckpt with Ckpt.degraded = [| 3; 2 |] } in
-  match Ckpt.to_string ~version:1 degraded with
-  | _ -> Alcotest.fail "v1 encoding silently dropped degradation"
-  | exception Invalid_argument _ -> ()
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* Genuine records written by the last prefix-replay release (a
+   greedy-colocate run on n = 8, ell = 2 after four requests): version 1
+   without a trailer, version 2 with a valid CRC.  Both must be refused
+   by version, not misread as corrupt or as state. *)
+let v1_record =
+  of_hex
+    "52424743010f6772656564792d636f6c6f6361746506307831702d3106080204080000\
+     00000202020204040606000a010204000800000002020202000123010f677265656479\
+     2d636f6c6f63617465080000000202020200080000000000000000"
+
+let v2_record =
+  of_hex
+    "52424743020f6772656564792d636f6c6f6361746506307831702d3106080204080000\
+     00000202020204040606000a010204000800000002020202000123010f677265656479\
+     2d636f6c6f636174650800000002020202000800000000000000000000b2df0984"
+
+let test_older_versions_rejected () =
+  List.iter
+    (fun (v, raw) ->
+      match Ckpt.of_string ~path:"old.ckpt" raw with
+      | _ -> Alcotest.failf "version %d record accepted" v
+      | exception Invalid_argument msg ->
+          let names affix = Astring.String.is_infix ~affix msg in
+          Alcotest.(check bool)
+            (Printf.sprintf "message %S names version %d and the path" msg v)
+            true
+            (names (Printf.sprintf "version %d" v) && names "old.ckpt"))
+    [ (1, v1_record); (2, v2_record) ];
+  (* and a version from the future is refused as unsupported *)
+  let e = engine_at ~alg:"never-move" ~steps:10 in
+  let b = Bytes.of_string (Ckpt.to_string (Engine.checkpoint e)) in
+  Bytes.set b 4 '\x09';
+  match Ckpt.of_string (Bytes.to_string b) with
+  | _ -> Alcotest.fail "version 9 accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "future version named" true
+        (Astring.String.is_infix ~affix:"version 9" msg)
 
 let test_injected_tear_and_flip () =
   with_tempdir (fun dir ->
@@ -337,10 +367,10 @@ let () =
         ] );
       ( "checkpoint",
         [
-          Alcotest.test_case "v2 CRC detects corruption" `Quick
-            test_v2_crc_detects_corruption;
-          Alcotest.test_case "v1 records remain readable" `Quick
-            test_v1_still_readable;
+          Alcotest.test_case "CRC trailer detects corruption" `Quick
+            test_crc_detects_corruption;
+          Alcotest.test_case "older versions rejected by name" `Quick
+            test_older_versions_rejected;
           Alcotest.test_case "injected tear and flip" `Quick
             test_injected_tear_and_flip;
           Alcotest.test_case "rolling generations + fallback" `Quick

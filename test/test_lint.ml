@@ -63,6 +63,8 @@ let test_r2 () =
     ~path:"lib/util/fake.ml" "let t () = Sys.time ()";
   check_flags "Domain.self in lib flagged" "r2-nondeterminism"
     ~path:"lib/util/fake.ml" "let d () = Domain.self ()";
+  check_flags "monotonic clock in lib flagged" "r2-nondeterminism"
+    ~path:"lib/serve/fake.ml" "let t () = Rbgp_util.Clock.now_ns ()";
   check_clean "clock in bin/ is fine" "r2-nondeterminism" ~path:"bin/fake.ml"
     "let t () = Unix.gettimeofday ()";
   check_clean "seeded Random in lib is fine" "r2-nondeterminism"

@@ -361,6 +361,49 @@ let test_marking_uniform () =
     true
     (cost <= 10.0 *. (opt +. 1.0))
 
+(* Every solver's snapshot is its whole state: a fresh solver restored
+   from it makes the same moves and rng draws as the original from then
+   on, and re-snapshots to the same bytes. *)
+let qcheck_solver_snapshot =
+  let solvers =
+    [| ("smin-mw", Rbgp_mts.Smin_mw.solver); ("hst-mw", Rbgp_mts.Hst_mts.solver);
+       ("wfa", Wfa.solver); ("marking", Rbgp_mts.Marking.solver) |]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"qcheck: snapshot/restore continues every solver exactly"
+       QCheck2.Gen.(
+         tup4 (int_bound (Array.length solvers - 1)) (int_range 1 12)
+           (int_bound 10_000) (int_range 0 200))
+       (fun (which, s, seed, before) ->
+         let _, factory = solvers.(which) in
+         let metric = Metric.Line s in
+         let rng = Rng.create seed in
+         let tasks = Array.init (before + 200) (fun _ -> Rng.int rng s) in
+         let build () = factory metric ~start:0 ~rng:(Rng.create (seed + 1)) in
+         let a = build () in
+         for i = 0 to before - 1 do
+           ignore (Mts.serve a tasks.(i))
+         done;
+         let buf = Buffer.create 64 in
+         Mts.snapshot buf a;
+         let snap = Buffer.contents buf in
+         let b = build () in
+         let r = Rbgp_util.Binc.reader snap in
+         Mts.restore r b;
+         let again = Buffer.create 64 in
+         Mts.snapshot again b;
+         let same_moves = ref true in
+         for i = before to before + 199 do
+           if Mts.serve a tasks.(i) <> Mts.serve b tasks.(i) then
+             same_moves := false
+         done;
+         Rbgp_util.Binc.at_end r
+         && String.equal snap (Buffer.contents again)
+         && !same_moves
+         && Mts.total_cost a = Mts.total_cost b
+         && Mts.steps a = Mts.steps b))
+
 let () =
   Alcotest.run "rbgp_mts"
     [
@@ -369,6 +412,7 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_mts_accounting;
           Alcotest.test_case "validation" `Quick test_mts_validation;
+          qcheck_solver_snapshot;
         ] );
       ( "offline",
         [

@@ -5,10 +5,10 @@
    - the incremental engine bills exactly what the batch simulator bills
      on the same request sequence (every algorithm);
    - checkpoint ⇒ resume is byte-identical to an uninterrupted run —
-     costs, max load, violations and final assignment — for every
-     algorithm in the serving registry, whether the resume goes through
-     explicit state restore or deterministic prefix replay, and the
-     verification catches tampered snapshots;
+     decisions, costs, max load, violations, final assignment and final
+     checkpoint bytes — for every algorithm in the serving registry, with
+     the O(state) snapshot restore checked against the prefix-replay
+     oracle, and the verification catches tampered snapshots;
    - the framed binary trace format round-trips with the text format and
      detects torn frames;
    - the streaming text reader matches the materializing loader and names
@@ -114,18 +114,29 @@ let test_engine_decisions_cumulative () =
 (* --- pinned output digests ------------------------------------------- *)
 
 (* CRC-32 of the decision stream (latency zeroed: it is wall clock) and of
-   the final checkpoint bytes, for each MTS solver inside the Section-3
-   reduction, on one seeded rotating trace.  The digests were taken from
-   the cost-vector form of the solvers (a dense task vector per request);
-   the indicator-native step must reproduce every probability, rng draw
-   and decision of that form bit for bit. *)
+   the final checkpoint's position, costs and assignment, for each MTS
+   solver inside the Section-3 reduction, on one seeded rotating trace.
+   The decision digests were taken from the cost-vector form of the
+   solvers (a dense task vector per request); the indicator-native step
+   must reproduce every probability, rng draw and decision of that form
+   bit for bit.  The checkpoint digests were taken from the
+   prefix-replay checkpoints that preceded the O(state) format, over the
+   fields both formats share. *)
 let pinned_digests =
   [
-    ("onl-dynamic", (0xcd2e073e, 0x4fafa6a4));
-    ("dyn/wfa", (0xdeed93c1, 0x4c6668b9));
-    ("dyn/hst-mw", (0xe4c3719f, 0x11875278));
-    ("dyn/marking", (0xcea04350, 0xb7775575));
+    ("onl-dynamic", (0xcd2e073e, 0x66617321));
+    ("dyn/wfa", (0xdeed93c1, 0x258cc38e));
+    ("dyn/hst-mw", (0xe4c3719f, 0x3aec856e));
+    ("dyn/marking", (0xcea04350, 0x81a93dcf));
   ]
+
+(* pos, comm, mig, max_load, violations and assignment, Binc-framed *)
+let shared_fields_crc (c : Ckpt.t) =
+  let buf = Buffer.create 64 in
+  List.iter (Rbgp_util.Binc.add_varint buf)
+    [ c.Ckpt.pos; c.Ckpt.comm; c.Ckpt.mig; c.Ckpt.max_load; c.Ckpt.violations ];
+  Rbgp_util.Binc.add_int_array buf c.Ckpt.assignment;
+  Rbgp_util.Crc32.string (Buffer.contents buf)
 
 let output_digests ~alg =
   let n = 512 and ell = 8 in
@@ -139,10 +150,7 @@ let output_digests ~alg =
       let line = Engine.decision_to_json { d with Engine.latency_ns = 0 } in
       crc := Rbgp_util.Crc32.update !crc line ~pos:0 ~len:(String.length line))
     trace;
-  (* a CRC over a whole checkpoint, its own CRC-32 trailer included, is
-     the constant CRC residue: digest the body the trailer covers *)
-  let ckpt = Ckpt.to_string (Engine.checkpoint engine) in
-  (!crc, Rbgp_util.Crc32.string ~len:(String.length ckpt - 4) ckpt)
+  (!crc, shared_fields_crc (Engine.checkpoint engine))
 
 let test_pinned_digests () =
   List.iter
@@ -200,9 +208,36 @@ let qcheck_decision_to_json =
 
 (* --- checkpoint / resume -------------------------------------------- *)
 
-(* checkpoint at a step, resume, and the final result equals the
-   uninterrupted run — for every algorithm in the registry, which covers
-   both the explicit-restore and the prefix-replay resume paths *)
+(* Every decision field except the wall-clock latency, for byte-identity
+   comparisons between runs. *)
+let decision_key (d : Engine.decision) =
+  Printf.sprintf "%d|%d|%d|%d|%d|%d|%d" d.Engine.step d.Engine.edge
+    d.Engine.comm d.Engine.moved d.Engine.cum_comm d.Engine.cum_mig
+    d.Engine.max_load
+
+(* The replay oracle — how resume worked before O(state) snapshots:
+   rebuild the engine from the checkpoint's identity and re-serve
+   [trace.(0 .. pos - 1)] through it, request by request.  [setup] arms
+   whatever the original run had armed (a solver budget) before the
+   replay starts. *)
+let replay_resume ?(setup = ignore) (ckpt : Ckpt.t) trace =
+  let inst =
+    Instance.make ~n:ckpt.Ckpt.n ~ell:ckpt.Ckpt.ell ~k:ckpt.Ckpt.k
+      ~initial:(Array.copy ckpt.Ckpt.initial) ()
+  in
+  let e =
+    Engine.create ~epsilon:ckpt.Ckpt.epsilon ~alg:ckpt.Ckpt.alg
+      ~seed:ckpt.Ckpt.seed inst
+  in
+  setup e;
+  for i = 0 to ckpt.Ckpt.pos - 1 do
+    ignore (Engine.ingest e trace.(i))
+  done;
+  e
+
+(* checkpoint at a step, resume both ways — O(state) snapshot restore and
+   the replay oracle — and both final results equal the uninterrupted
+   run, for every algorithm in the registry *)
 let test_checkpoint_resume_all_algorithms () =
   let n = 48 and ell = 4 and steps = 600 and cut = 251 and seed = 23 in
   let inst = Instance.blocks ~n ~ell in
@@ -220,58 +255,81 @@ let test_checkpoint_resume_all_algorithms () =
       let ckpt = Engine.checkpoint first in
       (* the snapshot must survive its on-disk representation *)
       let ckpt = Ckpt.of_string (Ckpt.to_string ckpt) in
-      let resumed = Engine.resume ckpt in
-      Alcotest.(check int) (name ^ ": resumed pos") cut (Engine.pos resumed);
-      Array.iter
-        (fun q -> ignore (Engine.ingest resumed q))
-        (Array.sub trace cut (steps - cut));
-      check_outcome (name ^ ": resume == uninterrupted") uninterrupted
-        (outcome_of resumed))
+      List.iter
+        (fun (how, resumed) ->
+          Alcotest.(check int)
+            (name ^ ": " ^ how ^ " pos")
+            cut (Engine.pos resumed);
+          Array.iter
+            (fun q -> ignore (Engine.ingest resumed q))
+            (Array.sub trace cut (steps - cut));
+          check_outcome (name ^ ": " ^ how ^ " == uninterrupted") uninterrupted
+            (outcome_of resumed))
+        [ ("snapshot resume", Engine.resume ckpt);
+          ("replay resume", replay_resume ckpt trace) ])
     Registry.all
 
-let test_checkpoint_explicit_state_presence () =
+let test_every_algorithm_has_state_hooks () =
   let inst = Instance.blocks ~n:32 ~ell:4 in
-  let has_state alg =
-    let e = Engine.create ~alg ~seed:1 inst in
-    ignore (Engine.ingest e 0);
-    Option.is_some (Engine.checkpoint e).Ckpt.alg_state
-  in
-  (* deterministic baselines serialize state explicitly; the randomized
-     core algorithms rely on prefix replay *)
   List.iter
-    (fun alg ->
-      Alcotest.(check bool) (alg ^ " has explicit state") true (has_state alg))
-    [ "never-move"; "greedy-colocate"; "counter-threshold";
-      "component-learning" ];
-  List.iter
-    (fun alg ->
-      Alcotest.(check bool) (alg ^ " replays prefix") false (has_state alg))
-    [ "onl-dynamic"; "onl-static"; "dyn/wfa" ]
+    (fun (spec : Registry.spec) ->
+      let alg = spec.Registry.name in
+      let o = spec.Registry.build ~epsilon:0.5 ~seed:1 inst in
+      Alcotest.(check bool) (alg ^ " has a snapshot hook") true
+        (Option.is_some o.Rbgp_ring.Online.snapshot);
+      Alcotest.(check bool) (alg ^ " has a restore hook") true
+        (Option.is_some o.Rbgp_ring.Online.restore);
+      let e = Engine.create ~alg ~seed:1 inst in
+      ignore (Engine.ingest e 0);
+      Alcotest.(check bool) (alg ^ " checkpoints its state") true
+        (Option.is_some (Engine.checkpoint e).Ckpt.alg_state))
+    Registry.all
+
+let expect_failure name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Failure _ -> ()
 
 let test_resume_detects_tampering () =
   let inst = Instance.blocks ~n:32 ~ell:4 in
   let trace = gen_trace ~n:32 ~steps:200 ~seed:2 in
-  let ckpt_for alg =
+  let engine_after alg steps =
     let e = Engine.create ~alg ~seed:4 inst in
-    Array.iter (fun q -> ignore (Engine.ingest e q)) trace;
-    Engine.checkpoint e
+    Array.iter (fun q -> ignore (Engine.ingest e q)) (Array.sub trace 0 steps);
+    e
   in
-  let expect_failure name tampered =
-    Alcotest.check_raises name (Failure "") (fun () ->
-        try ignore (Engine.resume tampered) with Failure _ -> raise (Failure ""))
-  in
-  (* explicit-restore path: the cost is carried by the checkpoint, so what
-     resume can (and does) verify is the restored assignment *)
-  let ckpt = ckpt_for "counter-threshold" in
-  let assignment = Array.copy ckpt.Ckpt.assignment in
-  assignment.(0) <- (assignment.(0) + 1) mod inst.Instance.ell;
-  expect_failure "explicit restore: tampered assignment rejected"
-    { ckpt with Ckpt.assignment };
-  (* prefix-replay path: replay recomputes everything, so a tampered cost
-     diverges from the replayed one *)
-  let ckpt = ckpt_for "onl-static" in
-  expect_failure "prefix replay: tampered comm rejected"
-    { ckpt with Ckpt.comm = ckpt.Ckpt.comm + 1 }
+  (* the cost is carried by the checkpoint, so what resume can (and does)
+     verify is the restored state: against the stored assignment, and by
+     the algorithm's own decoder *)
+  List.iter
+    (fun alg ->
+      let ckpt = Engine.checkpoint (engine_after alg 200) in
+      let state = Option.get ckpt.Ckpt.alg_state in
+      let assignment = Array.copy ckpt.Ckpt.assignment in
+      assignment.(0) <- (assignment.(0) + 1) mod inst.Instance.ell;
+      expect_failure (alg ^ ": tampered assignment") (fun () ->
+          Engine.resume { ckpt with Ckpt.assignment });
+      let truncated = String.sub state 0 (String.length state - 1) in
+      expect_failure (alg ^ ": truncated state") (fun () ->
+          Engine.resume { ckpt with Ckpt.alg_state = Some truncated });
+      expect_failure (alg ^ ": trailing state bytes") (fun () ->
+          Engine.resume { ckpt with Ckpt.alg_state = Some (state ^ "\000") }))
+    [ "counter-threshold"; "onl-dynamic"; "onl-static"; "dyn/wfa" ];
+  (* a stale solver state — the blob of an earlier position, paired with
+     the current assignment — restores a different assignment *)
+  List.iter
+    (fun alg ->
+      let ckpt = Engine.checkpoint (engine_after alg 200) in
+      let stale =
+        List.find
+          (fun (c : Ckpt.t) -> c.Ckpt.assignment <> ckpt.Ckpt.assignment)
+          (List.map
+             (fun s -> Engine.checkpoint (engine_after alg s))
+             [ 190; 150; 100; 50; 0 ])
+      in
+      expect_failure (alg ^ ": stale solver state") (fun () ->
+          Engine.resume { ckpt with Ckpt.alg_state = stale.Ckpt.alg_state }))
+    [ "onl-dynamic"; "onl-static"; "dyn/wfa" ]
 
 let test_checkpoint_file_roundtrip () =
   let inst = Instance.blocks ~n:32 ~ell:4 in
@@ -297,56 +355,6 @@ let test_checkpoint_file_roundtrip () =
           Alcotest.(check bool) "error names the path" true
             (Astring.String.is_infix ~affix:"rbgp_ckpt" msg))
 
-let qcheck_checkpoint_resume =
-  let gen =
-    QCheck2.Gen.(
-      let* alg_idx = int_bound (List.length Registry.all - 1) in
-      let* seed = int_bound 10_000 in
-      let* wseed = int_bound 10_000 in
-      let* steps = int_range 50 400 in
-      let* cut = int_range 1 (steps - 1) in
-      return (alg_idx, seed, wseed, steps, cut))
-  in
-  qtest ~count:60 "qcheck: checkpoint at random step resumes identically" gen
-    (fun (alg_idx, seed, wseed, steps, cut) ->
-      let spec = List.nth Registry.all alg_idx in
-      let n = 48 and ell = 4 in
-      let inst = Instance.blocks ~n ~ell in
-      let trace = gen_trace ~n ~steps ~seed:wseed in
-      let uninterrupted =
-        let e = Engine.create ~alg:spec.Registry.name ~seed inst in
-        Array.iter (fun q -> ignore (Engine.ingest e q)) trace;
-        outcome_of e
-      in
-      let first = Engine.create ~alg:spec.Registry.name ~seed inst in
-      Array.iter (fun q -> ignore (Engine.ingest first q)) (Array.sub trace 0 cut);
-      let ckpt = Ckpt.of_string (Ckpt.to_string (Engine.checkpoint first)) in
-      let resumed = Engine.resume ckpt in
-      Array.iter
-        (fun q -> ignore (Engine.ingest resumed q))
-        (Array.sub trace cut (steps - cut));
-      let got = outcome_of resumed in
-      got.comm = uninterrupted.comm
-      && got.mig = uninterrupted.mig
-      && got.steps = uninterrupted.steps
-      && got.max_load = uninterrupted.max_load
-      && got.violations = uninterrupted.violations
-      && got.assignment = uninterrupted.assignment)
-
-(* --- batched / interval-sharded ingest ------------------------------- *)
-
-(* Every decision field except the wall-clock latency, for byte-identity
-   comparisons between the per-request and batched paths. *)
-let decision_key (d : Engine.decision) =
-  Printf.sprintf "%d|%d|%d|%d|%d|%d|%d" d.Engine.step d.Engine.edge
-    d.Engine.comm d.Engine.moved d.Engine.cum_comm d.Engine.cum_mig
-    d.Engine.max_load
-
-let per_request_run ~alg ~seed inst trace =
-  let e = Engine.create ~alg ~seed inst in
-  let ds = Array.map (fun q -> decision_key (Engine.ingest e q)) trace in
-  (ds, outcome_of e)
-
 (* split [trace] into batches whose sizes are drawn from [rng] *)
 let partition_trace rng ~max_batch trace =
   let steps = Array.length trace in
@@ -357,6 +365,147 @@ let partition_trace rng ~max_batch trace =
       go (at + len) (Array.sub trace at len :: acc)
   in
   go 0 []
+
+(* Virtual stall: 100s reported against a 10s budget, so the frozen
+   window is exact whatever the real latencies are. *)
+let stall_budget_ns = 10_000_000_000
+
+(* snapshot-resume == replay-resume == uninterrupted, on decision streams
+   (latency zeroed) and final checkpoint bytes, over every registry
+   algorithm, random traces, cut points and batch partitions — with an
+   injected solver stall in half the cases, and then the cut inside its
+   cooloff half of the time.  A resumed engine also re-checkpoints to the
+   exact bytes it was resumed from. *)
+let qcheck_checkpoint_resume =
+  let gen =
+    QCheck2.Gen.(
+      let* alg_idx = int_bound (List.length Registry.all - 1) in
+      let* seed = int_bound 10_000 in
+      let* wseed = int_bound 10_000 in
+      let* steps = int_range 50 300 in
+      let* stall = opt (pair (int_bound (steps - 2)) (int_range 1 40)) in
+      let* in_cooloff = bool in
+      let* cut = int_range 1 (steps - 1) in
+      let cut =
+        match stall with
+        | Some (at, cooloff) when in_cooloff ->
+            Stdlib.min (steps - 1) (at + 1 + (cut mod cooloff))
+        | _ -> cut
+      in
+      let* pseed = int_bound 10_000 in
+      let* max_batch = oneofl [ 1; 7; 64 ] in
+      return (alg_idx, seed, wseed, steps, stall, cut, pseed, max_batch))
+  in
+  let print (alg_idx, seed, wseed, steps, stall, cut, pseed, max_batch) =
+    Printf.sprintf
+      "alg=%s seed=%d wseed=%d steps=%d stall=%s cut=%d pseed=%d max_batch=%d"
+      (List.nth Registry.all alg_idx).Registry.name seed wseed steps
+      (match stall with
+      | Some (at, c) -> Printf.sprintf "%d+%d" at c
+      | None -> "none")
+      cut pseed max_batch
+  in
+  qtest ~count:60 ~print
+    "qcheck: checkpoint at random step resumes identically" gen
+    (fun (alg_idx, seed, wseed, steps, stall, cut, pseed, max_batch) ->
+      let alg = (List.nth Registry.all alg_idx).Registry.name in
+      let n = 48 and ell = 4 in
+      let inst = Instance.blocks ~n ~ell in
+      let trace = gen_trace ~n ~steps ~seed:wseed in
+      let setup e =
+        match stall with
+        | Some (_, cooloff) ->
+            Engine.set_solver_budget e ~budget_ns:stall_budget_ns ~cooloff
+        | None -> ()
+      in
+      (* each run re-arms the plan: counted faults fire once per plan *)
+      let with_plan f =
+        match stall with
+        | None -> f ()
+        | Some (at, _) ->
+            Fun.protect ~finally:Rbgp_serve.Fault.disable (fun () ->
+                Rbgp_serve.Fault.configure
+                  (Printf.sprintf "solver-stall@%d:100000000000" at);
+                f ())
+      in
+      let feed e batches =
+        List.concat_map
+          (fun b ->
+            Array.to_list (Array.map decision_key (Engine.ingest_batch e b)))
+          batches
+      in
+      let final e = Ckpt.to_string (Engine.checkpoint e) in
+      let ref_keys, ref_final =
+        with_plan (fun () ->
+            let e = Engine.create ~alg ~seed inst in
+            setup e;
+            let keys =
+              Array.to_list
+                (Array.map (fun q -> decision_key (Engine.ingest e q)) trace)
+            in
+            (keys, final e))
+      in
+      let rng = Rng.create pseed in
+      let head = partition_trace rng ~max_batch (Array.sub trace 0 cut) in
+      let tail =
+        partition_trace rng ~max_batch (Array.sub trace cut (steps - cut))
+      in
+      let snap_keys, snap_final, mid, reckpt =
+        with_plan (fun () ->
+            let first = Engine.create ~alg ~seed inst in
+            setup first;
+            let k1 = feed first head in
+            let mid = final first in
+            let resumed = Engine.resume (Ckpt.of_string mid) in
+            let reckpt = final resumed in
+            setup resumed;
+            let k2 = feed resumed tail in
+            (k1 @ k2, final resumed, mid, reckpt))
+      in
+      let replay_keys, replay_final, replay_mid =
+        with_plan (fun () ->
+            let e = replay_resume ~setup (Ckpt.of_string mid) trace in
+            let replay_mid = final e in
+            let keys = feed e tail in
+            (keys, final e, replay_mid))
+      in
+      let ref_tail = List.filteri (fun i _ -> i >= cut) ref_keys in
+      snap_keys = ref_keys && String.equal snap_final ref_final
+      && String.equal reckpt mid
+      && String.equal replay_mid mid
+      && replay_keys = ref_tail
+      && String.equal replay_final ref_final)
+
+(* O(state): nothing in a checkpoint grows with the number of requests
+   served except varint counters, which gain a byte per 7 bits.  Between
+   T = 2k and 20k on n = 48 edges each per-edge count gains at most one
+   byte, and a few scalar counters one each — where the served prefix of
+   the replay format alone grew by 18,000 bytes. *)
+let test_checkpoint_size_flat () =
+  let n = 48 and ell = 4 in
+  let inst = Instance.blocks ~n ~ell in
+  let trace = gen_trace ~n ~steps:20_000 ~seed:41 in
+  List.iter
+    (fun (spec : Registry.spec) ->
+      let alg = spec.Registry.name in
+      let e = Engine.create ~alg ~seed:7 inst in
+      let size () = String.length (Ckpt.to_string (Engine.checkpoint e)) in
+      Engine.ingest_batch_quiet e (Array.sub trace 0 2_000);
+      let at_2k = size () in
+      Engine.ingest_batch_quiet e (Array.sub trace 2_000 18_000);
+      let at_20k = size () in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d bytes at T=2k, %d at T=20k" alg at_2k at_20k)
+        true
+        (abs (at_20k - at_2k) <= n + 16))
+    Registry.all
+
+(* --- batched / interval-sharded ingest ------------------------------- *)
+
+let per_request_run ~alg ~seed inst trace =
+  let e = Engine.create ~alg ~seed inst in
+  let ds = Array.map (fun q -> decision_key (Engine.ingest e q)) trace in
+  (ds, outcome_of e)
 
 let with_domains d f =
   Rbgp_util.Pool.set_domains (Some d);
@@ -447,8 +596,7 @@ let qcheck_sharded_identity =
           for b = 0 to cut - 1 do
             feed first batches.(b)
           done;
-          (* resume goes through explicit restore or (batched) prefix
-             replay, depending on the algorithm *)
+          (* resume restores the algorithm's O(state) snapshot *)
           let ckpt = Ckpt.of_string (Ckpt.to_string (Engine.checkpoint first)) in
           let resumed = Engine.resume ckpt in
           for b = cut to Array.length batches - 1 do
@@ -650,7 +798,7 @@ let test_source_next_batch_matches_next () =
       Source.close src)
 
 (* The quiet batch path is observationally identical to the instrumented
-   one: same costs, same assignment, same replay prefix — so a checkpoint
+   one: same costs, same assignment, same stream digest — so a checkpoint
    taken after quiet batches resumes byte-identically. *)
 let test_quiet_batch_identity () =
   let n = 128 and ell = 8 in
@@ -680,9 +828,9 @@ let test_quiet_batch_identity () =
         (Metrics.requests (Engine.metrics quiet));
       let ck_loud = Engine.checkpoint loud
       and ck_quiet = Engine.checkpoint quiet in
-      Alcotest.(check (array int))
-        (alg ^ ": identical replay prefix") ck_loud.Ckpt.prefix
-        ck_quiet.Ckpt.prefix;
+      Alcotest.(check string)
+        (alg ^ ": identical checkpoint bytes") (Ckpt.to_string ck_loud)
+        (Ckpt.to_string ck_quiet);
       let resumed = Engine.resume ck_quiet in
       check_outcome
         (alg ^ ": quiet checkpoint resumes")
@@ -719,6 +867,49 @@ let test_source_mmap_vs_channel_serve_identity () =
       check_outcome "mmap == channel" reference (serve ~mmap:`On ~quiet:false);
       check_outcome "mmap quiet == channel instrumented" reference
         (serve ~mmap:`On ~quiet:true))
+
+(* --skip-prefix: re-reading the served prefix from a trace file checks
+   its digest against the checkpoint's.  The identical trace passes and
+   leaves the source at the first unserved request; a trace that differs
+   in one early request, or ends early, is refused with the position and
+   both digests. *)
+let test_consume_prefix_digest () =
+  let n = 64 and ell = 4 and pos = 300 in
+  let trace = gen_trace ~n ~steps:500 ~seed:19 in
+  let e = Engine.create ~alg:"onl-dynamic" ~seed:3 (Instance.blocks ~n ~ell) in
+  Engine.ingest_batch_quiet e (Array.sub trace 0 pos);
+  let ckpt = Engine.checkpoint e in
+  let consume path =
+    let src = Source.open_file ~n path in
+    Fun.protect
+      ~finally:(fun () -> Source.close src)
+      (fun () ->
+        Source.consume_prefix src ckpt;
+        Source.next src)
+  in
+  with_temp ".rbt" (fun path ->
+      Trace_codec.write ~path ~n ~ell ~seed:19 trace;
+      Alcotest.(check (option int)) "identical trace passes" (Some trace.(pos))
+        (consume path);
+      let changed = Array.copy trace in
+      changed.(3) <- (changed.(3) + 1) mod n;
+      Trace_codec.write ~path ~n ~ell ~seed:19 changed;
+      (match consume path with
+      | _ -> Alcotest.fail "a trace differing at request 3 was accepted"
+      | exception Failure msg ->
+          let names affix = Astring.String.is_infix ~affix msg in
+          Alcotest.(check bool)
+            (Printf.sprintf "message %S names the position and both digests" msg)
+            true
+            (names (string_of_int pos)
+            && names (Printf.sprintf "%016x" ckpt.Ckpt.digest)
+            && names "trace digest"));
+      Trace_codec.write ~path ~n ~ell ~seed:19 (Array.sub trace 0 (pos - 1));
+      match consume path with
+      | _ -> Alcotest.fail "a trace shorter than the checkpoint was accepted"
+      | exception Failure msg ->
+          Alcotest.(check bool) "short trace named" true
+            (Astring.String.is_infix ~affix:"trace ends" msg))
 
 (* Construction failures must release the channel exactly when the
    source was to own it: open_file hands its descriptor straight to
@@ -805,9 +996,8 @@ let test_metrics_histogram () =
   Alcotest.(check bool) "rps positive" true (Metrics.rps m > 0.0);
   Alcotest.(check bool) "json tagged" true
     (Astring.String.is_prefix ~affix:"{\"type\":\"metrics\"" (Metrics.to_json m));
-  Metrics.reset m;
-  Alcotest.(check int) "reset" 0 (Metrics.requests m);
-  Alcotest.(check int) "reset quantile" 0 (Metrics.quantile m 0.99)
+  let fresh = Metrics.create () in
+  Alcotest.(check int) "fresh quantile" 0 (Metrics.quantile fresh 0.99)
 
 (* --- runtime sanitizer ------------------------------------------------- *)
 
@@ -873,13 +1063,15 @@ let () =
           Alcotest.test_case "resume == uninterrupted (all algs, both \
                               restore paths)" `Quick
             test_checkpoint_resume_all_algorithms;
-          Alcotest.test_case "explicit state exactly for baselines" `Quick
-            test_checkpoint_explicit_state_presence;
+          Alcotest.test_case "every algorithm has both state hooks" `Quick
+            test_every_algorithm_has_state_hooks;
           Alcotest.test_case "tampered snapshots rejected" `Quick
             test_resume_detects_tampering;
           Alcotest.test_case "file roundtrip + truncation" `Quick
             test_checkpoint_file_roundtrip;
           qcheck_checkpoint_resume;
+          Alcotest.test_case "size is O(state), flat in T" `Quick
+            test_checkpoint_size_flat;
         ] );
       ( "batched",
         [
@@ -917,6 +1109,8 @@ let () =
             test_source_owned_channel_closed_on_header_error;
           Alcotest.test_case "pipe EOF mid-frame is a torn frame" `Quick
             test_source_pipe_eof_mid_frame;
+          Alcotest.test_case "skip-prefix verifies the stream digest" `Quick
+            test_consume_prefix_digest;
         ] );
       ( "metrics",
         [ Alcotest.test_case "log-bucketed histogram" `Quick test_metrics_histogram ] );

@@ -567,6 +567,53 @@ let test_tbl_cells () =
   Alcotest.(check string) "fractional" "3.142" (Rbgp_util.Tbl.cell_f 3.1415);
   Alcotest.(check string) "int" "42" (Rbgp_util.Tbl.cell_i 42)
 
+(* --- state words, exact floats, the monotonic clock ---------------- *)
+
+let test_rng_save_load () =
+  let a = Rng.create 99 in
+  for _ = 1 to 37 do
+    ignore (Rng.bits64 a)
+  done;
+  let buf = Buffer.create 32 in
+  Rng.save buf a;
+  Alcotest.(check int) "four 8-byte words" 32 (Buffer.length buf);
+  let b = Rng.create 1 in
+  Rng.load (Binc.reader (Buffer.contents buf)) b;
+  for i = 1 to 100 do
+    Alcotest.(check int64)
+      (Printf.sprintf "draw %d" i)
+      (Rng.bits64 a) (Rng.bits64 b)
+  done;
+  match Rng.load (Binc.reader (String.make 32 '\000')) b with
+  | () -> Alcotest.fail "all-zero state accepted"
+  | exception Invalid_argument _ -> ()
+
+let test_binc_exact_floats () =
+  let values =
+    [ 0.0; -0.0; 1.0; 0.1; -3.5e-310; Float.max_float; Float.min_float;
+      Float.infinity; Float.neg_infinity; Float.nan; Float.pi ]
+  in
+  let buf = Buffer.create 64 in
+  List.iter (Binc.add_float buf) values;
+  let r = Binc.reader (Buffer.contents buf) in
+  List.iter
+    (fun v ->
+      Alcotest.(check int64)
+        (Printf.sprintf "bits of %h" v)
+        (Int64.bits_of_float v)
+        (Int64.bits_of_float (Binc.read_float r)))
+    values;
+  Alcotest.(check bool) "consumed exactly" true (Binc.at_end r)
+
+let test_clock_monotonic () =
+  let prev = ref (Rbgp_util.Clock.now_ns ()) in
+  for i = 1 to 100_000 do
+    let t = Rbgp_util.Clock.now_ns () in
+    if t < !prev then
+      Alcotest.failf "read %d went backwards: %d after %d" i t !prev;
+    prev := t
+  done
+
 let () =
   Alcotest.run "rbgp_util"
     [
@@ -581,6 +628,13 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "geometric" `Quick test_rng_geometric;
           Alcotest.test_case "exponential" `Quick test_rng_exponential;
+          Alcotest.test_case "save/load continues the stream" `Quick
+            test_rng_save_load;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "non-decreasing over 1e5 reads" `Quick
+            test_clock_monotonic;
         ] );
       ( "smin",
         [
@@ -613,6 +667,8 @@ let () =
           Alcotest.test_case "boundary values" `Quick test_binc_boundaries;
           Alcotest.test_case "zigzag region reads" `Quick
             test_binc_zigzag_region;
+          Alcotest.test_case "floats travel as exact bits" `Quick
+            test_binc_exact_floats;
         ] );
       ( "union-find",
         [
