@@ -1,10 +1,21 @@
 module Dist = Rbgp_util.Dist
 module Smin = Rbgp_util.Smin
+module Rng = Rbgp_util.Rng
 
 let default_scale metric = Float.max 1.0 (float_of_int (Metric.diameter metric))
 
 (* An all-float record is stored flat: updating [m] does not allocate. *)
 type minimum = { mutable m : float }
+
+(* The O(1) miss step's constants, derived in DESIGN.md ("The O(1) miss
+   step").  On a miss that keeps the minimum, with the
+   charged weight not risen, the current state's weight at least
+   [weight_floor] and at most [max_fast_states] states, the dense step's
+   stay probability is at least 1 - (4s + 8) 2^-53, above [stay_floor];
+   so any uniform below [stay_floor] stays there too. *)
+let stay_floor = 1.0 -. 0x1p-20
+let weight_floor = 0x1p-960
+let max_fast_states = 1 lsl 26
 
 let make_solver ~c metric ~start ~rng =
   let s = Metric.size metric in
@@ -31,10 +42,10 @@ let make_solver ~c metric ~start ~rng =
       if scaled.(i) = m then incr at_min
     done
   in
-  (* scratch gradient plus two rotating distribution buffers, reused by
-     every step.  The sum, the division and of_grad_into's check and
-     renormalisation run over the same floats in the same index order as
-     Smin.grad_c_into followed by Dist.of_grad_into. *)
+  (* Whenever a distribution is built, the sum, the division into the
+     scratch gradient and of_grad_into's check and renormalisation run
+     over the same floats in the same index order as Smin.grad_c_into
+     followed by Dist.of_grad_into. *)
   let grad = Array.make s 0.0 in
   let normalize_into dst =
     let z = ref 0.0 in
@@ -47,45 +58,78 @@ let make_solver ~c metric ~start ~rng =
     done;
     Dist.of_grad_into grad dst
   in
-  let current_dist = ref (Dist.uniform s) in
-  let next_dist = ref (Dist.uniform s) in
+  (* [carried] is the distribution of the weights as they stand whenever
+     [fresh] holds: the old distribution of the next dense step.  An O(1)
+     step changes a weight without building any distribution, so it
+     clears [fresh], and the next dense step rebuilds [carried] first. *)
+  let carried = ref (Dist.uniform s) and spare = ref (Dist.uniform s) in
+  let fresh = ref false in
   rescale ();
-  normalize_into !current_dist;
+  (* beyond the state count the bound covers, no uniform in [0, 1) lies
+     below the threshold: the O(1) path is off *)
+  let fast_below = if s <= max_fast_states then stay_floor else 0.0 in
+  let dense u current =
+    let new_dist = !spare in
+    normalize_into new_dist;
+    let state =
+      Dist.resample_coupled_u rng ~u ~current ~old_dist:!carried ~new_dist
+    in
+    spare := !carried;
+    carried := new_dist;
+    fresh := true;
+    state
+  in
   (* A task on e raises x.(e) alone, so one weight changes — unless it
      lifts the last state at the minimum: then m rises and every weight
-     is recomputed against the new m. *)
+     is recomputed against the new m.  Every step draws the coupling's
+     stay uniform first; a dense step rebuilds a stale [carried] from the
+     weights before the task changes them. *)
   let next e current =
     let old = scaled.(e) in
     x.(e) <- x.(e) +. 1.0;
     let v = x.(e) /. c in
     scaled.(e) <- v;
     if old = low.m && v > low.m then decr at_min;
-    if !at_min = 0 then rescale () else weights.(e) <- exp (low.m -. v);
-    let new_dist = !next_dist in
-    normalize_into new_dist;
-    let state =
-      Dist.resample_coupled rng ~current ~old_dist:!current_dist
-        ~new_dist
-    in
-    next_dist := !current_dist;
-    current_dist := new_dist;
-    state
+    let u = Rng.float rng in
+    if !at_min = 0 then begin
+      if not !fresh then normalize_into !carried;
+      rescale ();
+      dense u current
+    end
+    else begin
+      let w' = exp (low.m -. v) in
+      if
+        e <> current && u < fast_below && w' <= weights.(e)
+        && weights.(current) >= weight_floor
+      then begin
+        (* a miss that keeps m: only w_e changes and it can only fall, so
+           the current state's probability can only grow *)
+        weights.(e) <- w';
+        fresh := false;
+        current
+      end
+      else begin
+        if not !fresh then normalize_into !carried;
+        weights.(e) <- w';
+        dense u current
+      end
+    end
   in
   (* every cache above is a function of x: rebuild them from the counts
-     with the same rescale and normalisation the steps run *)
+     with the same rescale the steps run *)
   let load r =
     Rbgp_util.Binc.read_counts r x;
     for i = 0 to s - 1 do
       scaled.(i) <- x.(i) /. c
     done;
     rescale ();
-    normalize_into !current_dist;
-    Rbgp_util.Rng.load r rng
+    fresh := false;
+    Rng.load r rng
   in
   Mts.with_state
     ~save:(fun buf ->
       Rbgp_util.Binc.add_counts buf x;
-      Rbgp_util.Rng.save buf rng)
+      Rng.save buf rng)
     ~load
   @@ Mts.make ~name:(Printf.sprintf "smin-mw(c=%g)" c) ~metric ~start ~next
 

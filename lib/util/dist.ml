@@ -62,8 +62,8 @@ let support (t : t) =
   done;
   !acc
 
-let sample rng (t : t) =
-  let u = Rng.float rng in
+(* Inverse-CDF walk for a uniform [u] in [0, 1). *)
+let sample_at u (t : t) =
   let n = Array.length t in
   let rec go i acc =
     if i >= n - 1 then n - 1
@@ -72,6 +72,8 @@ let sample rng (t : t) =
       if u < acc then i else go (i + 1) acc
   in
   go 0 0.0
+
+let sample rng t = sample_at (Rng.float rng) t
 
 (* Sample from the normalized positive part of (new - old).  Total positive
    mass equals TV distance; if it is numerically zero fall back to sampling
@@ -96,18 +98,34 @@ let sample_excess rng (old_dist : t) (new_dist : t) =
     go 0 0.0
   end
 
-let resample_coupled rng ~current ~old_dist ~new_dist =
-  let po = prob old_dist current and pn = prob new_dist current in
-  if Array.length (old_dist : t :> float array)
-     <> Array.length (new_dist : t :> float array)
-  then invalid_arg "Dist.resample_coupled: size mismatch";
+(* Both entries validate before anything is read or drawn, so a rejected
+   call leaves the rng where it was. *)
+let check_coupled who ~current (old_dist : t) (new_dist : t) =
+  let n = Array.length new_dist in
+  if Array.length old_dist <> n then invalid_arg (who ^ ": size mismatch");
+  if current < 0 || current >= n then
+    invalid_arg (who ^ ": current out of range")
+
+(* The coupling itself, with its first uniform [u] already drawn: [u]
+   decides the stay, or samples [new_dist] when [current] had no mass. *)
+let coupled rng ~u ~current (old_dist : t) (new_dist : t) =
+  let po = old_dist.(current) in
   if po <= 0.0 then
     (* current was not actually in old support: just sample fresh *)
-    sample rng new_dist
+    sample_at u new_dist
   else
-    let stay = Float.min 1.0 (pn /. po) in
-    if Rng.float rng < stay then current
-    else sample_excess rng old_dist new_dist
+    let stay = Float.min 1.0 (new_dist.(current) /. po) in
+    if u < stay then current else sample_excess rng old_dist new_dist
+
+let resample_coupled_u rng ~u ~current ~old_dist ~new_dist =
+  check_coupled "Dist.resample_coupled_u" ~current old_dist new_dist;
+  if not (u >= 0.0 && u < 1.0) then
+    invalid_arg "Dist.resample_coupled_u: u outside [0, 1)";
+  coupled rng ~u ~current old_dist new_dist
+
+let resample_coupled rng ~current ~old_dist ~new_dist =
+  check_coupled "Dist.resample_coupled" ~current old_dist new_dist;
+  coupled rng ~u:(Rng.float rng) ~current old_dist new_dist
 
 let l1_distance (a : t) (b : t) =
   if Array.length a <> Array.length b then

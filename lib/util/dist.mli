@@ -51,7 +51,23 @@ val resample_coupled : Rng.t -> current:int -> old_dist:t -> new_dist:t -> int
     [min(1, new_dist(current)/old_dist(current))] — the maximal-stay coupling.
     If [current] is kept by every caller whenever possible, the marginal
     distribution of the returned position is exactly [new_dist] provided the
-    caller's [current] was distributed as [old_dist]. *)
+    caller's [current] was distributed as [old_dist].  It is
+    {!resample_coupled_u} with [u] drawn by [Rng.float rng]; sizes and
+    [current] are checked before that draw, so a rejected call (raising
+    [Invalid_argument]) leaves [rng] untouched. *)
+
+val resample_coupled_u :
+  Rng.t -> u:float -> current:int -> old_dist:t -> new_dist:t -> int
+(** [resample_coupled_u rng ~u ~current ~old_dist ~new_dist] is the same
+    coupling with its first uniform [u] in [\[0, 1)] already drawn by the
+    caller: [current] is kept when [u] is below the stay probability,
+    [new_dist] is sampled at [u] when [old_dist] gives [current] no mass,
+    and otherwise one more uniform is drawn from [rng] to sample the
+    excess of [new_dist] over [old_dist].  Lets a caller that can decide
+    the stay without either distribution (see {!Rbgp_mts.Smin_mw}) draw
+    [u] first and still follow the coupling draw for draw.  Raises
+    [Invalid_argument] on a size mismatch, an out-of-range [current] or
+    [u] outside [\[0, 1)]. *)
 
 val tv_distance : t -> t -> float
 (** Total variation distance, [1/2 * L1]. *)

@@ -6,7 +6,11 @@
     the standard recommendation for initializing xoshiro state.  [split]
     derives an independent stream, used to give each online algorithm, each
     workload generator and each interval-local sub-algorithm its own stream
-    so that adding draws in one component does not perturb another. *)
+    so that adding draws in one component does not perturb another.
+
+    The state is the four 64-bit xoshiro words in one 32-byte buffer, which
+    a draw reads and writes unboxed: {!int} and {!bool} allocate nothing,
+    {!float} and {!bits64} only their boxed result. *)
 
 type t
 
@@ -21,8 +25,8 @@ val copy : t -> t
 (** [copy t] duplicates the exact current state (same future outputs). *)
 
 val save : Buffer.t -> t -> unit
-(** Append the four xoshiro256++ state words (32 bytes, see
-    {!Binc.add_int64}). *)
+(** Append the four xoshiro256++ state words (32 bytes, each as
+    {!Binc.add_int64} writes it: little-endian). *)
 
 val load : Binc.reader -> t -> unit
 (** Overwrite [t] in place with state words written by {!save}, so every
@@ -34,7 +38,8 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0].
-    Uses rejection sampling, so the result is exactly uniform. *)
+    Uses rejection sampling on the low 62 bits of {!bits64} outputs, so
+    the result is exactly uniform. *)
 
 val float : t -> float
 (** Uniform float in [\[0, 1)], using 53 bits of randomness. *)

@@ -11,6 +11,7 @@ module Wfa = Rbgp_mts.Work_function
 module Rng = Rbgp_util.Rng
 module Dist = Rbgp_util.Dist
 module Smin = Rbgp_util.Smin
+module Binc = Rbgp_util.Binc
 
 (* the unit cost vector charging 1 at state [e]: the dense task the ring
    reduction's requests stand for *)
@@ -264,21 +265,38 @@ let test_randomized_reasonable =
 
 (* --- smooth-min MW: cached-weight step vs the dense reference --------- *)
 
+(* The threshold below which Smin_mw's O(1) miss step stays without
+   building a distribution (DESIGN.md, "The O(1) miss step"). *)
+let stay_floor = 1.0 -. 0x1p-20
+
+(* What the reference saw: misses whose stay uniform was at or above
+   [stay_floor] (Smin_mw must take its dense fallback on those), and steps
+   that began on a state of zero probability (the coupling's fresh-sample
+   branch). *)
+type seen = { mutable late_misses : int; mutable massless : int }
+
 (* The dense (cost-vector) form of the smooth-min MW step, kept as the
    oracle for Smin_mw's cached-weight step: add the whole task vector to
    the cumulative costs x, recompute grad smin_c x from scratch (one exp
    per state), renormalise through Dist.of_grad_into and follow it
-   through the maximal-stay coupling.  Returns the serve function and
-   the hit and move cost accessors. *)
-let reference_smin_mw ~c ~s ~start rng =
-  let x = Array.make s 0.0 in
+   through the maximal-stay coupling.  [x0] seeds the cumulative costs
+   (default zero).  Returns the serve function, the hit and move cost
+   accessors and what it saw, which it learns by peeking at each step's
+   first uniform through a copy of the rng. *)
+let reference_smin_mw ?x0 ~c ~s ~start rng =
+  let x = match x0 with Some x0 -> Array.copy x0 | None -> Array.make s 0.0 in
   let grad = Array.make s 0.0 in
   let current_dist = ref (Dist.uniform s) in
   let next_dist = ref (Dist.uniform s) in
   Smin.grad_c_into ~c x grad;
   Dist.of_grad_into grad !current_dist;
   let state = ref start and hit = ref 0.0 and move = ref 0.0 in
+  let seen = { late_misses = 0; massless = 0 } in
   let serve e =
+    if e <> !state && Rng.float (Rng.copy rng) >= stay_floor then
+      seen.late_misses <- seen.late_misses + 1;
+    if Dist.prob !current_dist !state <= 0.0 then
+      seen.massless <- seen.massless + 1;
     let cost = indicator e ~n:s in
     for i = 0 to s - 1 do
       x.(i) <- x.(i) +. cost.(i)
@@ -297,43 +315,79 @@ let reference_smin_mw ~c ~s ~start rng =
     state := s';
     s'
   in
-  (serve, (fun () -> !hit), fun () -> !move)
+  (serve, (fun () -> !hit), (fun () -> !move), seen)
+
+(* A stretch of the task sequence: fixed tasks, or [Chase len]: [len]
+   tasks each on the solver's current state, an adaptive adversary under
+   which every step is a hit and so a dense step. *)
+type segment = Tasks of int array | Chase of int
 
 (* Task sequences built from segments: long hammering of one state (the
    hammered state leaves the minimum and stays above it), uniform random
-   tasks, and sweeps over every state, which lift the whole layer at the
-   minimum and so force the recompute when the minimum moves. *)
+   tasks, sweeps over every state, which lift the whole layer at the
+   minimum and so force the recompute when the minimum moves, and chases.
+   A chase between random tasks leaves the carried distribution stale
+   after every run of O(1) steps, so the next dense step must rebuild it.
+   Small-scale cases (c in [1, 2]) hammer for at least 800 c tasks, so
+   the hammered state's weight exp (-x/c) passes through the subnormals
+   to 0. *)
 let smin_case_gen =
   QCheck2.Gen.(
     oneof [ oneofl [ 1; 2; 186 ]; int_range 3 24 ] >>= fun s ->
     int_range 0 (s - 1) >>= fun start ->
-    opt (oneof [ return 1.0; float_range 1.0 40.0 ]) >>= fun c ->
+    oneof
+      [
+        (opt (oneof [ return 1.0; float_range 1.0 40.0 ]) >|= fun c -> (c, 1));
+        ( float_range 1.0 2.0 >|= fun c ->
+          (Some c, int_of_float (Float.ceil (800.0 *. c))) );
+      ]
+    >>= fun (c, hammer) ->
     int_range 0 1_000_000 >>= fun seed ->
     let segment =
       oneof
         [
-          (pair (int_range 0 (s - 1)) (int_range 1 600) >|= fun (e, len) ->
-           Array.make len e);
-          (list_size (int_range 1 60) (int_range 0 (s - 1)) >|= Array.of_list);
+          (pair (int_range 0 (s - 1)) (int_range hammer (hammer + 599))
+           >|= fun (e, len) -> Tasks (Array.make len e));
+          (list_size (int_range 1 60) (int_range 0 (s - 1)) >|= fun es ->
+           Tasks (Array.of_list es));
           (bool >|= fun up ->
-           Array.init s (fun i -> if up then i else s - 1 - i));
+           Tasks (Array.init s (fun i -> if up then i else s - 1 - i)));
+          (int_range 1 200 >|= fun len -> Chase len);
         ]
     in
     list_size (int_range 1 8) segment >|= fun segs ->
-    (s, start, c, seed, Array.concat segs))
+    (s, start, c, seed, segs))
 
-let print_smin_case (s, start, c, seed, es) =
-  Printf.sprintf "s=%d start=%d c=%s seed=%d tasks=%d" s start
+let print_smin_case (s, start, c, seed, segs) =
+  let tasks, chased =
+    List.fold_left
+      (fun (t, ch) -> function
+        | Tasks es -> (t + Array.length es, ch)
+        | Chase len -> (t, ch + len))
+      (0, 0) segs
+  in
+  Printf.sprintf "s=%d start=%d c=%s seed=%d tasks=%d chased=%d" s start
     (match c with None -> "default" | Some c -> Printf.sprintf "%h" c)
-    seed (Array.length es)
+    seed tasks chased
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Serves [task ()] to the solver and the reference in lockstep; false as
+   soon as they part. *)
+let lockstep t serve task steps =
+  let rec go k =
+    if k = 0 then true
+    else
+      let e = task () in
+      Mts.serve t e = serve e && go (k - 1)
+  in
+  go steps
 
 let test_smin_mw_matches_reference =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:150 ~print:print_smin_case
        ~name:"smin-mw cached step == dense reference (bit-equal)"
-       smin_case_gen (fun (s, start, c, seed, es) ->
+       smin_case_gen (fun (s, start, c, seed, segs) ->
          let m = Metric.Line s in
          let solver, c_eff =
            match c with
@@ -342,12 +396,95 @@ let test_smin_mw_matches_reference =
            | Some c -> (Rbgp_mts.Smin_mw.solver_with_scale ~c, c)
          in
          let t = solver m ~start ~rng:(Rng.create seed) in
-         let serve, hit, move =
+         let serve, hit, move, _ =
            reference_smin_mw ~c:c_eff ~s ~start (Rng.create seed)
          in
-         Array.for_all (fun e -> Mts.serve t e = serve e) es
+         List.for_all
+           (function
+             | Tasks es -> Array.for_all (fun e -> Mts.serve t e = serve e) es
+             | Chase len -> lockstep t serve (fun () -> Mts.state t) len)
+           segs
          && same_bits (Mts.hit_cost t) (hit ())
          && same_bits (Mts.move_cost t) (move ())))
+
+(* Below the weight floor.  The coupling leaves a state long before the
+   state's weight exp (-(x_i - m)/c) gets near Smin_mw's floor 2^-960, so
+   these states are entered by restoring a crafted snapshot: three states,
+   c = 1, costs x = (0, 0, far), the solver on state 2.  Its weight is
+   normal but below the floor (far = 700), subnormal (720) or 0 (2000:
+   the state has no mass).  The first task, a miss on state 0, keeps the
+   minimum (state 1 still sits there) but fails the floor guard and takes
+   the dense step; at 2000 that is the coupling's fresh-sample branch. *)
+let test_smin_mw_below_floor () =
+  List.iter
+    (fun far ->
+      let x0 = [| 0.0; 0.0; far |] and seed = 17 in
+      let snap = Buffer.create 64 in
+      (* Mts.snapshot's layout: state, hit, move, steps, then the solver's
+         counts and rng words *)
+      List.iter (Binc.add_varint snap) [ 2; 0; 0; 0 ];
+      Binc.add_counts snap x0;
+      Rng.save snap (Rng.create seed);
+      let t =
+        Rbgp_mts.Smin_mw.solver_with_scale ~c:1.0 (Metric.Line 3) ~start:0
+          ~rng:(Rng.create 0)
+      in
+      Mts.restore (Binc.reader (Buffer.contents snap)) t;
+      let serve, hit, move, seen =
+        reference_smin_mw ~x0 ~c:1.0 ~s:3 ~start:2 (Rng.create seed)
+      in
+      let tasks = Rng.create (int_of_float far) in
+      let name = Printf.sprintf "far=%g" far in
+      Alcotest.(check bool) (name ^ ": below the floor") true
+        (exp (-.far) < 0x1p-960);
+      Alcotest.(check bool) (name ^ ": first miss") true (lockstep t serve (fun () -> 0) 1);
+      Alcotest.(check bool)
+        (name ^ ": bit-equal after it") true
+        (lockstep t serve (fun () -> Rng.int tasks 3) 300
+        && lockstep t serve (fun () -> Mts.state t) 50
+        && same_bits (Mts.hit_cost t) (hit ())
+        && same_bits (Mts.move_cost t) (move ()));
+      if far >= 2000.0 then
+        Alcotest.(check bool) (name ^ ": current state had no mass") true
+          (seen.massless >= 1))
+    [ 700.0; 720.0; 2000.0 ]
+
+(* The u >= L fallback, deterministically: the interval solvers of the
+   Section-3 reduction at n=4096, ell=32 (lines of 186 and 187 states,
+   the default scale), seeded 7919 and fed the rotating trace of seed
+   7919, each checked step by step against its own dense reference.  A
+   miss draws a stay uniform at or above L about once in 2^20 misses;
+   in this stream the first such miss is request 127,204. *)
+let test_smin_mw_late_miss () =
+  let n = 4096 and ell = 32 and steps = 130_000 in
+  let parted = ref 0 and seens = ref [] in
+  let checked : Mts.factory =
+   fun metric ~start ~rng ->
+    let s = Metric.size metric in
+    let serve, _, _, seen =
+      reference_smin_mw
+        ~c:(Float.max 1.0 (float_of_int (s - 1)))
+        ~s ~start (Rng.copy rng)
+    in
+    seens := seen :: !seens;
+    let t = Rbgp_mts.Smin_mw.solver metric ~start ~rng in
+    Mts.make ~name:"checked" ~metric ~start ~next:(fun e _ ->
+        let got = Mts.serve t e in
+        if serve e <> got then incr parted;
+        got)
+  in
+  let inst = Rbgp_ring.Instance.blocks ~n ~ell in
+  let alg =
+    Rbgp_core.Dynamic_alg.create ~mts:checked ~epsilon:0.5 inst (Rng.create 7919)
+  in
+  (match Rbgp_workloads.Workloads.rotating ~n ~steps (Rng.create 7919) with
+  | Rbgp_ring.Trace.Fixed trace -> Array.iter (Rbgp_core.Dynamic_alg.serve alg) trace
+  | Rbgp_ring.Trace.Adaptive _ -> Alcotest.fail "rotating trace is adaptive");
+  let late = List.fold_left (fun acc seen -> acc + seen.late_misses) 0 !seens in
+  Alcotest.(check int) "steps where a solver left its reference" 0 !parted;
+  Alcotest.(check bool)
+    (Printf.sprintf "misses with u >= L seen (%d)" late)
+    true (late >= 1)
 
 let test_marking_uniform () =
   (* marking on the uniform metric: competitive on repeated hammering *)
@@ -437,5 +574,9 @@ let () =
           test_randomized_reasonable;
           Alcotest.test_case "marking on uniform" `Quick test_marking_uniform;
           test_smin_mw_matches_reference;
+          Alcotest.test_case "smin-mw: u >= L misses take the dense step"
+            `Quick test_smin_mw_late_miss;
+          Alcotest.test_case "smin-mw: below the weight floor" `Quick
+            test_smin_mw_below_floor;
         ] );
     ]

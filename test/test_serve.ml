@@ -121,13 +121,20 @@ let test_engine_decisions_cumulative () =
    must reproduce every probability, rng draw and decision of that form
    bit for bit.  The checkpoint digests were taken from the
    prefix-replay checkpoints that preceded the O(state) format, over the
-   fields both formats share. *)
+   fields both formats share.  Rows are (alg, (n, ell, requests, engine
+   seed), digests).  The last row is the shape perfbench's
+   serve-onl-dynamic serves: each interval's smooth-min solver runs on a
+   line of 186 or 187 states, and about one request in a hundred lands
+   on a solver's current state; its digests were taken from the
+   smooth-min step that built both distributions on every request. *)
 let pinned_digests =
+  let small = (512, 8, 20_000, 42) in
   [
-    ("onl-dynamic", (0xcd2e073e, 0x66617321));
-    ("dyn/wfa", (0xdeed93c1, 0x258cc38e));
-    ("dyn/hst-mw", (0xe4c3719f, 0x3aec856e));
-    ("dyn/marking", (0xcea04350, 0x81a93dcf));
+    ("onl-dynamic", small, (0xcd2e073e, 0x66617321));
+    ("dyn/wfa", small, (0xdeed93c1, 0x258cc38e));
+    ("dyn/hst-mw", small, (0xe4c3719f, 0x3aec856e));
+    ("dyn/marking", small, (0xcea04350, 0x81a93dcf));
+    ("onl-dynamic", (4096, 32, 100_000, 7919), (0x9f7ab12a, 0x382ef724));
   ]
 
 (* pos, comm, mig, max_load, violations and assignment, Binc-framed *)
@@ -138,11 +145,10 @@ let shared_fields_crc (c : Ckpt.t) =
   Rbgp_util.Binc.add_int_array buf c.Ckpt.assignment;
   Rbgp_util.Crc32.string (Buffer.contents buf)
 
-let output_digests ~alg =
-  let n = 512 and ell = 8 in
+let output_digests ~alg (n, ell, steps, seed) =
   let inst = Instance.blocks ~n ~ell in
-  let trace = gen_trace ~n ~steps:20_000 ~seed:7919 in
-  let engine = Engine.create ~alg ~seed:42 inst in
+  let trace = gen_trace ~n ~steps ~seed:7919 in
+  let engine = Engine.create ~alg ~seed inst in
   let crc = ref 0 in
   Array.iter
     (fun e ->
@@ -154,14 +160,15 @@ let output_digests ~alg =
 
 let test_pinned_digests () =
   List.iter
-    (fun (alg, (want_decisions, want_ckpt)) ->
-      let got_decisions, got_ckpt = output_digests ~alg in
+    (fun (alg, ((n, _, _, _) as shape), (want_decisions, want_ckpt)) ->
+      let got_decisions, got_ckpt = output_digests ~alg shape in
+      let name = Printf.sprintf "%s n=%d" alg n in
       Alcotest.(check string)
-        (alg ^ ": decision stream")
+        (name ^ ": decision stream")
         (Printf.sprintf "%08x" want_decisions)
         (Printf.sprintf "%08x" got_decisions);
       Alcotest.(check string)
-        (alg ^ ": final checkpoint")
+        (name ^ ": final checkpoint")
         (Printf.sprintf "%08x" want_ckpt)
         (Printf.sprintf "%08x" got_ckpt))
     pinned_digests

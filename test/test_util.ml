@@ -33,6 +33,79 @@ let test_rng_copy () =
     check Alcotest.int64 "copy matches" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* Known answers of the xoshiro256++/splitmix64 stream: per seed, the
+   first [bits64], then a [float], then an [int 1000], then the 32 [save]
+   bytes (hex); the same for the [split] child drawn after them.  Two
+   fresh streams agreeing says nothing about the stream itself; these
+   pin it, so a rewrite of the generator must reproduce every draw. *)
+let rng_known_answers =
+  [
+    ( 0,
+      (0x53175d61490b23dfL, 0x1.8769bcf70e034p-2, 276,
+       "507516bb4ee25fd2c97318167e29c61e8a3f274cefff7f9fb105a46212b2717d"),
+      (0x44ab240501d74597L, 0x1.952897c577a1ap-2, 731,
+       "62495352453ca8c0a1557820e0f519018455287bd1ed8531342ab4c75363eea0") );
+    ( 1,
+      (0xcfc5d07f6f03c29bL, 0x1.7e8482652c7fcp-1, 744,
+       "3df2f01881f7e6ecd44858884590cbdf1edd421c398f81e49c494329233ce2cb"),
+      (0xb36f4cca74a0a1ffL, 0x1.187f7ee00008ap-1, 367,
+       "f752a2df5e72fe460d0f2b79a945413263ccf419dc318a71faac25799dd910d6") );
+    ( 7919,
+      (0x29449f6c2ebf2ad7L, 0x1.43e983aa973bp-2, 644,
+       "17daac757714127a00c82ea8fe500dcc970457c104e6e294e3aa4a4ab20283e6"),
+      (0x2f5574c6c48842daL, 0x1.47d0b0b9e8f8p-3, 820,
+       "d1d6b8d5c0f8e2694c2f09761e42726f56a21e0165e4e2e622bd4407d8220319") );
+    ( -1,
+      (0x56ccf8ce948e27b2L, 0x1.cd0b10865cb4bp-1, 723,
+       "b248dda5eb349bc5304e5b1c2eafe062c2e0e194657006f0ac72eb41154e30e5"),
+      (0x7432d27bb478de91L, 0x1.98b0d841d56a3p-1, 691,
+       "439f3b43dae11679720b851a9306d1efd2a01740e57f38bea9566516c0483c4c") );
+  ]
+
+let saved_hex r =
+  let buf = Buffer.create 32 in
+  Rng.save buf r;
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq (Buffer.contents buf))))
+
+let test_rng_known_answers () =
+  let check_draws name r (bits, f, i, saved) =
+    check Alcotest.int64 (name ^ ": bits64") bits (Rng.bits64 r);
+    check Alcotest.string (name ^ ": float") (Printf.sprintf "%h" f)
+      (Printf.sprintf "%h" (Rng.float r));
+    check Alcotest.int (name ^ ": int") i (Rng.int r 1000);
+    check Alcotest.string (name ^ ": save") saved (saved_hex r)
+  in
+  List.iter
+    (fun (seed, parent, child) ->
+      let name = Printf.sprintf "seed %d" seed in
+      let r = Rng.create seed in
+      check_draws name r parent;
+      check_draws (name ^ " split") (Rng.split r) child)
+    rng_known_answers;
+  (* [int]'s rejection loop: bounds just above 2^61 reject about half of
+     the 62-bit draws, [max_int] none *)
+  let r = Rng.create 11 in
+  check
+    Alcotest.(list int)
+    "int rejection draws"
+    [ 2025137469089464960; 1041635069663816853; 1904029476374560781;
+      228188595418811154; 379997043288062709; 718732666512671226;
+      2096551263291112639; 1022316707476413916 ]
+    (List.init 8 (fun _ -> Rng.int r ((1 lsl 61) + 1)));
+  let r = Rng.create 3 in
+  let bounds = [| 1; 2; 3; 7; 1000; (1 lsl 61) + 1; max_int |] in
+  let h = ref 0 in
+  for k = 0 to 99_999 do
+    h := (!h * 31) + Rng.int r bounds.(k mod Array.length bounds)
+  done;
+  check Alcotest.int "hash of 1e5 int draws" (-2676868120396492032) !h;
+  check Alcotest.string "state after them"
+    "cbbe5dc5761c558635f9c61164ef34b637f15ab56c009ac10d09436b7a4f5614"
+    (saved_hex r)
+
 let test_rng_split_diverges () =
   let a = Rng.create 9 in
   let b = Rng.split a in
@@ -336,7 +409,43 @@ let test_of_grad_validation () =
       ("not normalized", "Dist.of_grad: not normalized", [| 0.5; 0.25; 0.5 |]);
     ];
   Alcotest.check_raises "empty" (Invalid_argument "Dist.of_grad: empty")
-    (fun () -> ignore (Dist.of_grad [||]))
+    (fun () -> ignore (Dist.of_grad [||]));
+  (* both coupling entries check sizes and [current] before they read a
+     distribution or draw, so they raise their own messages and a
+     rejected call leaves the rng untouched *)
+  let rng = Rng.create 21 in
+  let d3 = Dist.uniform 3 and d5 = Dist.uniform 5 in
+  List.iter
+    (fun (name, msg, current, old_dist, new_dist) ->
+      Alcotest.check_raises name
+        (Invalid_argument ("Dist.resample_coupled: " ^ msg))
+        (fun () ->
+          ignore (Dist.resample_coupled rng ~current ~old_dist ~new_dist));
+      Alcotest.check_raises (name ^ " (u)")
+        (Invalid_argument ("Dist.resample_coupled_u: " ^ msg))
+        (fun () ->
+          ignore
+            (Dist.resample_coupled_u rng ~u:0.5 ~current ~old_dist ~new_dist)))
+    [
+      ("size mismatch, current past the old one", "size mismatch", 4, d3, d5);
+      ("size mismatch, current past the new one", "size mismatch", 4, d5, d3);
+      ("size mismatch", "size mismatch", 0, d3, d5);
+      ("negative current", "current out of range", -1, d3, d3);
+      ("current past the end", "current out of range", 3, d3, d3);
+    ];
+  List.iter
+    (fun u ->
+      Alcotest.check_raises
+        (Printf.sprintf "u = %g" u)
+        (Invalid_argument "Dist.resample_coupled_u: u outside [0, 1)")
+        (fun () ->
+          ignore
+            (Dist.resample_coupled_u rng ~u ~current:0 ~old_dist:d3
+               ~new_dist:d3)))
+    [ -0.25; 1.0; Float.nan ];
+  check Alcotest.int64 "rejected calls draw nothing"
+    (Rng.bits64 (Rng.create 21))
+    (Rng.bits64 rng)
 
 (* --- Binc: block decoder == channel decoder --------------------------- *)
 
@@ -621,6 +730,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           Alcotest.test_case "split diverges" `Quick test_rng_split_diverges;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int uniform" `Quick test_rng_int_uniform;
