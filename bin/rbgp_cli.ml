@@ -294,10 +294,16 @@ let serve_loop engine source ~decisions ~metrics_every ~checkpoint_path
       else begin
         let before = Engine.pos engine in
         let edges = batch_view got in
-        if decisions then
+        if decisions then begin
+          (* one flush per batch, not one per decision: --batch 1 still
+             flushes every request *)
           Array.iter
-            (fun d -> print_endline (Engine.decision_to_json d))
-            (Engine.ingest_batch engine edges)
+            (fun d ->
+              output_string stdout (Engine.decision_to_json d);
+              output_char stdout '\n')
+            (Engine.ingest_batch engine edges);
+          flush stdout
+        end
         else Engine.ingest_batch_quiet engine edges;
         served := !served + got;
         let after = Engine.pos engine in
@@ -466,7 +472,8 @@ let batch_arg =
            lets interval-sharded algorithms pre-solve requests in parallel \
            across domains (see --domains); decisions, costs and \
            checkpoints are byte-identical to --batch 1.  Metrics and \
-           checkpoint cadences are evaluated at batch boundaries.")
+           checkpoint cadences are evaluated, and decisions flushed to \
+           stdout, at batch boundaries.")
 
 let checkpoint_keep_arg =
   Arg.(

@@ -4,8 +4,10 @@ type t = {
   name : string;
   metric : Metric.t;
   mutable state : int;
-  mutable hit : float;
-  mutable move : float;
+  (* hit and move accumulate whole units (a hit is 1, a move on either
+     metric is an integer distance): ints, so a step boxes no float *)
+  mutable hit : int;
+  mutable move : int;
   mutable steps : int;
   next : int -> int -> int;
   save : (Buffer.t -> unit) option;
@@ -17,7 +19,7 @@ type factory = Metric.t -> start:int -> rng:Rbgp_util.Rng.t -> t
 let make ~name ~metric ~start ~next =
   Metric.check_state metric start;
   {
-    name; metric; state = start; hit = 0.0; move = 0.0; steps = 0; next;
+    name; metric; state = start; hit = 0; move = 0; steps = 0; next;
     save = None; load = None;
   }
 
@@ -32,19 +34,17 @@ let serve t e =
     invalid_arg "Mts.serve: task state out of range";
   let s' = t.next e t.state in
   Metric.check_state t.metric s';
-  t.move <- t.move +. float_of_int (Metric.distance t.metric t.state s');
-  if s' = e then t.hit <- t.hit +. 1.0;
+  t.move <- t.move + Metric.distance t.metric t.state s';
+  if s' = e then t.hit <- t.hit + 1;
   t.state <- s';
   t.steps <- t.steps + 1;
   s'
 
-let hit_cost t = t.hit
-let move_cost t = t.move
-let total_cost t = t.hit +. t.move
+let hit_cost t = float_of_int t.hit
+let move_cost t = float_of_int t.move
+let total_cost t = float_of_int (t.hit + t.move)
 let steps t = t.steps
 
-(* hit and move accumulate whole units (a hit is 1, a move on either
-   metric is an integer distance), so both travel as varint counts *)
 let no_hook who t =
   invalid_arg (Printf.sprintf "Mts.%s: solver %s has no state hook" who t.name)
 
@@ -53,8 +53,8 @@ let snapshot buf t =
   | None -> no_hook "snapshot" t
   | Some save ->
       Binc.add_varint buf t.state;
-      Binc.add_varint buf (int_of_float t.hit);
-      Binc.add_varint buf (int_of_float t.move);
+      Binc.add_varint buf t.hit;
+      Binc.add_varint buf t.move;
       Binc.add_varint buf t.steps;
       save buf
 
@@ -73,7 +73,7 @@ let restore r t =
       let move = read_count r in
       let steps = read_count r in
       t.state <- state;
-      t.hit <- float_of_int hit;
-      t.move <- float_of_int move;
+      t.hit <- hit;
+      t.move <- move;
       t.steps <- steps;
       load r

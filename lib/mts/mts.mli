@@ -65,6 +65,10 @@ val serve : t -> int -> int
 val hit_cost : t -> float
 val move_cost : t -> float
 val total_cost : t -> float
+(** The accumulated costs.  Both are whole numbers (a hit costs 1, a move
+    an integer distance), so the solver counts them as ints — a step
+    allocates nothing for its accounting — and these convert on read,
+    exactly for totals below [2{^53}]. *)
 
 val steps : t -> int
 (** Number of tasks served so far. *)

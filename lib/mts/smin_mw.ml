@@ -11,9 +11,11 @@ type minimum = { mutable m : float }
    step").  On a miss that keeps the minimum, with the
    charged weight not risen, the current state's weight at least
    [weight_floor] and at most [max_fast_states] states, the dense step's
-   stay probability is at least 1 - (4s + 8) 2^-53, above [stay_floor];
-   so any uniform below [stay_floor] stays there too. *)
-let stay_floor = 1.0 -. 0x1p-20
+   stay probability is at least 1 - (4s + 8) 2^-53, above the stay floor
+   1 - 2^-20; so any uniform below the floor stays there too.  The
+   uniform is drawn as its 53 bits (Rng.bits53, u = bits * 2^-53), so the
+   test compares the bits with the floor times 2^53, exactly. *)
+let stay_floor_bits = (1 lsl 53) - (1 lsl 33)
 let weight_floor = 0x1p-960
 let max_fast_states = 1 lsl 26
 
@@ -67,10 +69,13 @@ let make_solver ~c metric ~start ~rng =
   rescale ();
   (* beyond the state count the bound covers, no uniform in [0, 1) lies
      below the threshold: the O(1) path is off *)
-  let fast_below = if s <= max_fast_states then stay_floor else 0.0 in
-  let dense u current =
+  let fast_below = if s <= max_fast_states then stay_floor_bits else 0 in
+  (* the uniform travels as its bits: only a dense step, which hands it to
+     Dist, builds the float *)
+  let dense bits current =
     let new_dist = !spare in
     normalize_into new_dist;
+    let u = float_of_int bits *. 0x1p-53 in
     let state =
       Dist.resample_coupled_u rng ~u ~current ~old_dist:!carried ~new_dist
     in
@@ -90,16 +95,16 @@ let make_solver ~c metric ~start ~rng =
     let v = x.(e) /. c in
     scaled.(e) <- v;
     if old = low.m && v > low.m then decr at_min;
-    let u = Rng.float rng in
+    let bits = Rng.bits53 rng in
     if !at_min = 0 then begin
       if not !fresh then normalize_into !carried;
       rescale ();
-      dense u current
+      dense bits current
     end
     else begin
       let w' = exp (low.m -. v) in
       if
-        e <> current && u < fast_below && w' <= weights.(e)
+        e <> current && bits < fast_below && w' <= weights.(e)
         && weights.(current) >= weight_floor
       then begin
         (* a miss that keeps m: only w_e changes and it can only fall, so
@@ -111,7 +116,7 @@ let make_solver ~c metric ~start ~rng =
       else begin
         if not !fresh then normalize_into !carried;
         weights.(e) <- w';
-        dense u current
+        dense bits current
       end
     end
   in

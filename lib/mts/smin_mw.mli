@@ -30,8 +30,10 @@
     Such a step draws the coupling's stay uniform [u] and, when [u] is
     below [1 - 2^-20], [w_e] did not rise and [w_j] is at least [2^-960]
     (with at most [2^26] states), returns [j] in O(1): no normalisation,
-    no distribution check, no resample.  DESIGN.md derives why the dense
-    step would stay on that [u] too.  Every other step (a hit, a rescale,
+    no distribution check, no resample, and no allocation: [u] is drawn
+    as its 53 bits ({!Rbgp_util.Rng.bits53}) and compared with the
+    threshold on that scale.  DESIGN.md derives why the dense step would
+    stay on that [u] too.  Every other step (a hit, a rescale,
     a failed guard, [u >= 1 - 2^-20]) is dense: the normalisation
     [z = sum w_i], the distribution check and the coupled resample, with
     that same [u], run over the same floats in the same order as on the

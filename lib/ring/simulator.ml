@@ -66,20 +66,21 @@ let stepper ?(strict = true) ?cost ?max_load ?violations ?(steps_done = 0)
 (* [serve_now st x] performs the algorithm action for this step; [x] is
    caller-chosen (the edge for the per-request paths, the batch index for
    the prepared path) so the actions can be top-level or per-batch values
-   and no per-request closure is allocated (r11 patrols this path). *)
-let step_with st e serve_now x =
+   and no per-request closure is allocated (r11 patrols this path).  It
+   returns nothing: a caller that needs the step's charges reads them as
+   the growth of the cumulative costs, so billing allocates nothing. *)
+let advance_with st e serve_now x =
   if e < 0 || e >= st.inst.Instance.n then
     invalid_arg "Simulator.step: edge out of range";
   (* Online.assignment is contractually a live view, so the handle taken
      once per stepper sees the post-serve state *)
   let current = st.current in
-  let comm = if Assignment.cuts_edge current e then 1 else 0 in
-  st.s_cost.Cost.comm <- st.s_cost.Cost.comm + comm;
+  if Assignment.cuts_edge current e then
+    st.s_cost.Cost.comm <- st.s_cost.Cost.comm + 1;
   serve_now st x;
   st.moved := 0;
   Assignment.journal_drain st.journal st.drain;
-  let moved = !(st.moved) in
-  st.s_cost.Cost.mig <- st.s_cost.Cost.mig + moved;
+  st.s_cost.Cost.mig <- st.s_cost.Cost.mig + !(st.moved);
   (* loads are read only after the whole step: mid-step transients (a
      process arriving before another departs) are not states of the
      model *)
@@ -95,12 +96,20 @@ let step_with st e serve_now x =
            st.alg.Online.name st.s_steps load st.alg.Online.augmentation
            st.inst.Instance.k)
   end;
-  st.s_steps <- st.s_steps + 1;
-  (comm, moved)
+  st.s_steps <- st.s_steps + 1
 
 let serve_action st e = st.alg.Online.serve e
 let frozen_action (_ : stepper) (_ : int) = ()
-let step st e = step_with st e serve_action e
+let advance st e = advance_with st e serve_action e
+
+(* A step and its (comm, migrations): the growth of the cumulative costs
+   across it. *)
+let charged st e serve_now x =
+  let comm = st.s_cost.Cost.comm and mig = st.s_cost.Cost.mig in
+  advance_with st e serve_now x;
+  (st.s_cost.Cost.comm - comm, st.s_cost.Cost.mig - mig)
+
+let step st e = charged st e serve_action e
 
 (* A degraded "never-move" accounting step: the request is billed exactly
    as if a never-move algorithm had served it (communication charged when
@@ -108,7 +117,7 @@ let step st e = step_with st e serve_action e
    algorithm is not consulted, so an over-budget or stalled solver is
    bypassed without losing cost accounting.  The algorithm's state is
    untouched, so a checkpoint of it stays exact across frozen requests. *)
-let step_frozen st e = step_with st e frozen_action e
+let advance_frozen st e = advance_with st e frozen_action e
 
 (* Batched stepping: pre-solve the algorithm's decisions for the whole
    batch (in parallel, when the algorithm provides [Online.batch]), then
@@ -133,7 +142,9 @@ let prepare st edges =
     if j <> !next then
       invalid_arg "Simulator.prepare: requests must be played in order";
     incr next;
-    step_with st edges.(j) apply_action j
+    charged st edges.(j) apply_action j
+
+let max_load st = st.s_max_load
 
 let stepper_result st =
   {
@@ -154,7 +165,7 @@ let run ?(strict = true) ?(record_steps = false) ?on_step (inst : Instance.t)
     let e = Trace.next trace t st.current in
     if e < 0 || e >= inst.Instance.n then
       invalid_arg "Simulator.run: trace produced edge out of range";
-    let _ = step st e in
+    advance st e;
     if record_steps then series.(t) <- (st.s_cost.Cost.comm, st.s_cost.Cost.mig);
     match on_step with None -> () | Some f -> f t st.s_cost
   done;

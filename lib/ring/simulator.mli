@@ -66,13 +66,25 @@ val step : stepper -> int -> int * int
     {!stepper_result}.  Raises [Invalid_argument] if [e] is out of
     [\[0, n)]. *)
 
-val step_frozen : stepper -> int -> int * int
-(** [step_frozen st e] serves one request on the degraded never-move
+val advance : stepper -> int -> unit
+(** [advance st e] is {!step} without the pair: the same accounting,
+    returning nothing.  The request's charges are the growth of the
+    stepper's cost record (mutated in place, and the [cost] that
+    {!stepper_result} returns) across the call, so a caller that reads
+    them there, and the load maximum from {!max_load}, bills a request
+    without allocating. *)
+
+val advance_frozen : stepper -> int -> unit
+(** [advance_frozen st e] serves one request on the degraded never-move
     path: communication is charged iff [e] is currently cut, the
     algorithm's [serve] is {e not} called, no migrations occur, and the
     load maximum / capacity check / step counter advance as usual.  Used
     by the serving engine when a per-request solver budget is exceeded.
-    Raises [Invalid_argument] if [e] is out of [\[0, n)]. *)
+    Like {!advance}, it returns nothing.  Raises [Invalid_argument] if
+    [e] is out of [\[0, n)]. *)
+
+val max_load : stepper -> int
+(** The running maximum load, as {!stepper_result} reports it. *)
 
 val prepare : stepper -> int array -> int -> int * int
 (** [prepare st edges] pre-solves a whole batch of requests and returns a

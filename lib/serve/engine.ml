@@ -23,6 +23,7 @@ type t = {
   online : Online.t;
   snapshot : unit -> string;  (* the algorithm's O(state) snapshot hook *)
   stepper : Simulator.stepper;
+  cost : Cost.t;  (* the stepper's live cumulative costs *)
   metrics : Metrics.t;
   mutable pos : int;
   mutable digest : int;  (* Checkpoint.digest_add over the served edges *)
@@ -46,13 +47,13 @@ let sanitize_default () =
 
 (* --- runtime sanitizer ------------------------------------------------ *)
 
-(* Per-request invariant checks, run after every [Simulator.step] when the
+(* Per-request invariant checks, run after every accounting step when the
    engine was created with [~sanitize:true] (or RBGP_SANITIZE=1).  Each
    check is an invariant the rest of the system silently relies on; the
    sanitizer turns a silent corruption into a [Failure] naming the request
    index at which it first became observable. *)
-let check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max
-    (r : Simulator.result) =
+let check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max =
+  let max_load = Simulator.max_load t.stepper in
   let fail fmt =
     Printf.ksprintf
       (fun s ->
@@ -86,13 +87,12 @@ let check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max
       (augmentation *. float_of_int t.inst.Instance.k);
   (* accounting sanity: unit communication charges, monotone cumulatives *)
   if comm <> 0 && comm <> 1 then fail "communication charge %d not in {0,1}" comm;
-  if r.Simulator.cost.Cost.comm < prev_comm then
-    fail "cumulative comm decreased: %d -> %d" prev_comm
-      r.Simulator.cost.Cost.comm;
-  if r.Simulator.cost.Cost.mig < prev_mig then
-    fail "cumulative mig decreased: %d -> %d" prev_mig r.Simulator.cost.Cost.mig;
-  if r.Simulator.max_load < prev_max then
-    fail "running max load decreased: %d -> %d" prev_max r.Simulator.max_load
+  if t.cost.Cost.comm < prev_comm then
+    fail "cumulative comm decreased: %d -> %d" prev_comm t.cost.Cost.comm;
+  if t.cost.Cost.mig < prev_mig then
+    fail "cumulative mig decreased: %d -> %d" prev_mig t.cost.Cost.mig;
+  if max_load < prev_max then
+    fail "running max load decreased: %d -> %d" prev_max max_load
 
 let snapshot_hook ~alg (online : Online.t) =
   match online.Online.snapshot with
@@ -121,6 +121,7 @@ let make_engine ?(strict = true) ?sanitize ~epsilon ~alg ~seed
     online;
     snapshot;
     stepper;
+    cost;
     metrics = Metrics.create ();
     pos = steps_done;
     digest;
@@ -140,38 +141,34 @@ let create ?strict ?sanitize ?(epsilon = 0.5) ~alg ~seed inst =
    field except the wall-clock [latency_ns] is byte-identical between
    them.  [play] takes the stepper and a caller-chosen argument ([e] for
    the per-request paths, the batch index for the prepared path) so the
-   per-request callers pass [Simulator.step]/[step_frozen] directly and
-   allocate no thunk (r11 patrols this path). *)
+   per-request callers pass [Simulator.advance]/[advance_frozen] directly
+   and allocate no thunk (r11 patrols this path).  The step's charges are
+   the growth of the stepper's cumulative costs, read as ints, so the
+   decision record is the request's only allocation. *)
 let ingest_step t e play x =
   let t0 = now_ns () in
-  let prev =
-    if t.sanitize then begin
-      (* capture scalars: the stepper's cost record is mutated in place *)
-      let p = Simulator.stepper_result t.stepper in
-      Some (p.Simulator.cost.Cost.comm, p.Simulator.cost.Cost.mig, p.Simulator.max_load)
-    end
-    else None
-  in
-  let comm, moved = play t.stepper x in
-  t.digest <- Checkpoint.digest_add t.digest ~pos:t.pos e;
-  t.pos <- t.pos + 1;
-  let r = Simulator.stepper_result t.stepper in
-  (match prev with
-  | Some (prev_comm, prev_mig, prev_max) ->
-      check_step_invariants t ~step:(t.pos - 1) ~comm ~prev_comm ~prev_mig
-        ~prev_max r
-  | None -> ());
+  (* scalars: the stepper's cost record is mutated in place *)
+  let prev_comm = t.cost.Cost.comm and prev_mig = t.cost.Cost.mig in
+  let prev_max = if t.sanitize then Simulator.max_load t.stepper else 0 in
+  play t.stepper x;
+  let step = t.pos in
+  t.digest <- Checkpoint.digest_add t.digest ~pos:step e;
+  t.pos <- step + 1;
+  let comm = t.cost.Cost.comm - prev_comm in
+  if t.sanitize then
+    check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max;
   let latency_ns = now_ns () - t0 in
-  Metrics.observe t.metrics ~latency_ns ~comm ~moved
-    ~max_load:r.Simulator.max_load;
+  let moved = t.cost.Cost.mig - prev_mig in
+  let max_load = Simulator.max_load t.stepper in
+  Metrics.observe t.metrics ~latency_ns ~comm ~moved ~max_load;
   {
-    step = t.pos - 1;
+    step;
     edge = e;
     comm;
     moved;
-    cum_comm = r.Simulator.cost.Cost.comm;
-    cum_mig = r.Simulator.cost.Cost.mig;
-    max_load = r.Simulator.max_load;
+    cum_comm = t.cost.Cost.comm;
+    cum_mig = t.cost.Cost.mig;
+    max_load;
     latency_ns;
   }
 
@@ -208,12 +205,12 @@ let check_budget t ~latency_ns ~step =
 let ingest t e =
   if Fault.armed () then Fault.crash_check ~step:t.pos;
   if t.degraded_left > 0 then begin
-    let d = ingest_step t e Simulator.step_frozen e in
+    let d = ingest_step t e Simulator.advance_frozen e in
     note_frozen t;
     d
   end
   else begin
-    let d = ingest_step t e Simulator.step e in
+    let d = ingest_step t e Simulator.advance e in
     check_budget t ~latency_ns:d.latency_ns ~step:d.step;
     d
   end
@@ -221,18 +218,21 @@ let ingest t e =
 let ingest_batch t edges =
   let b = Array.length edges in
   if b = 0 then [||]
-  else if t.degraded_left > 0 || Fault.armed () then begin
+  else if b = 1 then
+    (* a one-edge batch is one request: [ingest] serves it exactly as a
+       prepared batch would (the algorithm's batch hook only runs on
+       longer batches, and the budget check of a batch of one is that
+       request's), without building the prepared batch's closures *)
+    [| ingest t edges.(0) |]
+  else if t.degraded_left > 0 || Fault.armed () then
     (* per-request path: frozen spans, crash points and injected stalls
        land on exact request indices (the batched pre-solve would consult
        the solver for requests that must be served frozen) *)
-    let out = ref [] in
-    Array.iter (fun e -> out := ingest t e :: !out) edges;
-    Array.of_list (List.rev !out)
-  end
+    Array.map (ingest t) edges
   else begin
     let play = Simulator.prepare t.stepper edges in
     (* one play wrapper per batch, indexed by j — not one thunk per request *)
-    let play_step _stepper j = play j in
+    let play_step _stepper j = ignore (play j) in
     let ds = Array.mapi (fun j e -> ingest_step t e play_step j) edges in
     (* degradation triggers are evaluated at batch boundaries — a prepared
        batch's [play j] must run for every j in order, so the switch to the
@@ -265,10 +265,8 @@ let ingest_batch_quiet t edges =
        this one range check per block (gated <2% in the bench) *)
     ignore (ingest_batch t edges)
   else begin
-    let prev = Simulator.stepper_result t.stepper in
     (* capture scalars: the stepper's cost record is mutated in place *)
-    let prev_comm = prev.Simulator.cost.Cost.comm
-    and prev_mig = prev.Simulator.cost.Cost.mig in
+    let prev_comm = t.cost.Cost.comm and prev_mig = t.cost.Cost.mig in
     let t0 = now_ns () in
     let play = Simulator.prepare t.stepper edges in
     for j = 0 to b - 1 do
@@ -282,11 +280,10 @@ let ingest_batch_quiet t edges =
     t.digest <- !d;
     t.pos <- t.pos + b;
     let latency_ns = now_ns () - t0 in
-    let r = Simulator.stepper_result t.stepper in
     Metrics.observe_batch t.metrics ~count:b ~latency_ns
-      ~comm:(r.Simulator.cost.Cost.comm - prev_comm)
-      ~mig:(r.Simulator.cost.Cost.mig - prev_mig)
-      ~max_load:r.Simulator.max_load;
+      ~comm:(t.cost.Cost.comm - prev_comm)
+      ~mig:(t.cost.Cost.mig - prev_mig)
+      ~max_load:(Simulator.max_load t.stepper);
     if t.budget_ns > 0 && latency_ns / b > t.budget_ns then
       t.degraded_left <- t.cooloff
   end
@@ -384,35 +381,103 @@ let resume ?(strict = true) ?sanitize (ckpt : Checkpoint.t) =
    written by hand rather than through Printf: the record's exact length
    is known up front, and its fixed key fragments and decimal digits go
    straight into the one buffer that becomes the string.  The bytes are
-   those of the %d format (pinned by a qcheck in test_serve). *)
+   those of the %d format (pinned by a qcheck in test_serve).  Every
+   helper is a top-level function, so a record allocates its buffer and
+   nothing else. *)
 
-(* Characters in the decimal form of [n], sign included.  Digits are
-   counted on the non-positive side, where min_int has a negation. *)
-let int_width n =
-  let rec count w v = if v > -10 then w else count (w + 1) (v / 10) in
-  if n < 0 then count 2 n else count 1 (-n)
+(* Digits in the decimal form of [v <= 0], by comparison: counting on the
+   non-positive side, where min_int has a negation. *)
+let digits_nonpos v =
+  if v > -100_000 then
+    if v > -10 then 1
+    else if v > -100 then 2
+    else if v > -1_000 then 3
+    else if v > -10_000 then 4
+    else 5
+  else if v > -10_000_000_000 then
+    if v > -1_000_000 then 6
+    else if v > -10_000_000 then 7
+    else if v > -100_000_000 then 8
+    else if v > -1_000_000_000 then 9
+    else 10
+  else if v > -100_000_000_000 then 11
+  else if v > -1_000_000_000_000 then 12
+  else if v > -10_000_000_000_000 then 13
+  else if v > -100_000_000_000_000 then 14
+  else if v > -1_000_000_000_000_000 then 15
+  else if v > -10_000_000_000_000_000 then 16
+  else if v > -100_000_000_000_000_000 then 17
+  else if v > -1_000_000_000_000_000_000 then 18
+  else 19
+
+(* Characters in the decimal form of [n], sign included. *)
+let int_width n = if n < 0 then 1 + digits_nonpos n else digits_nonpos (-n)
+
+(* "00" .. "99": the two digits of [i] at [2i] and [2i + 1]. *)
+let digit_pairs =
+  String.init 200 (fun j ->
+      Char.chr (48 + if j land 1 = 0 then j / 20 else j / 2 mod 10))
+
+(* Write the digits of [v <= 0]'s magnitude so that the last one lands
+   at [i]: two digits per division, from [digit_pairs]. *)
+let rec put_digits b i v =
+  if v <= -100 then begin
+    let q = v / 100 in
+    let r = 2 * ((100 * q) - v) in
+    Bytes.set b i digit_pairs.[r + 1];
+    Bytes.set b (i - 1) digit_pairs.[r];
+    put_digits b (i - 2) q
+  end
+  else if v <= -10 then begin
+    Bytes.set b i digit_pairs.[1 - (2 * v)];
+    Bytes.set b (i - 1) digit_pairs.[-2 * v]
+  end
+  else Bytes.set b i (Char.unsafe_chr (48 - v))
 
 (* Write [n], whose decimal form is [w] characters wide, at [pos];
    returns the position after it. *)
 let put_int b pos w n =
-  let rec digits i v =
-    let q = v / 10 in
-    Bytes.set b i (Char.unsafe_chr (48 + (10 * q) - v));
-    if q < 0 then digits (i - 1) q
-  in
-  digits (pos + w - 1) (if n < 0 then n else -n);
+  put_digits b (pos + w - 1) (if n < 0 then n else -n);
   if n < 0 then Bytes.set b pos '-';
   pos + w
 
-let put_key b pos key =
-  Bytes.blit_string key 0 b pos (String.length key);
-  pos + String.length key
+(* A fixed key fragment as little-endian 8-byte words, padded to whole
+   words.  [put_key] stores whole words, so a key's last word may run up
+   to 7 bytes past the key.  Those bytes are rewritten by what follows,
+   which is written later and always at least as long: a value (one
+   digit or more) and the next key, or the last value and the closing
+   brace, which the 2-byte spill of [",\"latency_ns\":"] needs. *)
+type key = { words : int64 array; len : int }
+
+let key s =
+  let len = String.length s in
+  let padded = s ^ String.make (-len land 7) ' ' in
+  {
+    words =
+      Array.init (String.length padded / 8) (fun i ->
+          String.get_int64_le padded (8 * i));
+    len;
+  }
+
+let put_key b pos k =
+  for i = 0 to Array.length k.words - 1 do
+    Bytes.set_int64_le b (pos + (8 * i)) k.words.(i)
+  done;
+  pos + k.len
+
+let k_step = key "{\"type\":\"decision\",\"step\":"
+let k_edge = key ",\"edge\":"
+let k_comm = key ",\"comm\":"
+let k_mig = key ",\"mig\":"
+let k_cum_comm = key ",\"cum_comm\":"
+let k_cum_mig = key ",\"cum_mig\":"
+let k_max_load = key ",\"max_load\":"
+let k_latency = key ",\"latency_ns\":"
 
 (* the record's bytes without its eight values *)
 let decision_fixed_len =
-  String.length
-    "{\"type\":\"decision\",\"step\":,\"edge\":,\"comm\":,\"mig\":,\"cum_comm\":,\
-     \"cum_mig\":,\"max_load\":,\"latency_ns\":}"
+  k_step.len + k_edge.len + k_comm.len + k_mig.len + k_cum_comm.len
+  + k_cum_mig.len + k_max_load.len + k_latency.len + 1
 
 let decision_to_json d =
   let w_step = int_width d.step and w_edge = int_width d.edge in
@@ -425,21 +490,21 @@ let decision_to_json d =
       (decision_fixed_len + w_step + w_edge + w_comm + w_moved + w_cum_comm
      + w_cum_mig + w_max_load + w_latency)
   in
-  let pos = put_key b 0 "{\"type\":\"decision\",\"step\":" in
+  let pos = put_key b 0 k_step in
   let pos = put_int b pos w_step d.step in
-  let pos = put_key b pos ",\"edge\":" in
+  let pos = put_key b pos k_edge in
   let pos = put_int b pos w_edge d.edge in
-  let pos = put_key b pos ",\"comm\":" in
+  let pos = put_key b pos k_comm in
   let pos = put_int b pos w_comm d.comm in
-  let pos = put_key b pos ",\"mig\":" in
+  let pos = put_key b pos k_mig in
   let pos = put_int b pos w_moved d.moved in
-  let pos = put_key b pos ",\"cum_comm\":" in
+  let pos = put_key b pos k_cum_comm in
   let pos = put_int b pos w_cum_comm d.cum_comm in
-  let pos = put_key b pos ",\"cum_mig\":" in
+  let pos = put_key b pos k_cum_mig in
   let pos = put_int b pos w_cum_mig d.cum_mig in
-  let pos = put_key b pos ",\"max_load\":" in
+  let pos = put_key b pos k_max_load in
   let pos = put_int b pos w_max_load d.max_load in
-  let pos = put_key b pos ",\"latency_ns\":" in
+  let pos = put_key b pos k_latency in
   let pos = put_int b pos w_latency d.latency_ns in
   Bytes.set b pos '}';
   Bytes.unsafe_to_string b

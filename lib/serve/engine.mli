@@ -35,7 +35,7 @@
     {!set_solver_budget} arms a per-request solve-time budget: when a
     request's effective latency (measured, plus any {!Fault}-injected
     stall) exceeds it, the next [cooloff] requests are served on the
-    frozen never-move path ({!Rbgp_ring.Simulator.step_frozen}) — the
+    frozen never-move path ({!Rbgp_ring.Simulator.advance_frozen}) — the
     solver is bypassed, communication is still billed, nothing moves —
     and the solver is re-promoted after the cooloff.  Frozen stretches
     are counted in {!Metrics} ([degraded]/[recovered]).  Frozen requests
@@ -86,7 +86,9 @@ val create :
 val ingest : t -> int -> decision
 (** Serve one request: charge communication, run the algorithm, charge
     migrations, check capacity ([Failure] in strict mode on violation),
-    fold the request into the stream digest and update metrics. *)
+    fold the request into the stream digest and update metrics.  Outside
+    the algorithm, the returned record is the only allocation: the
+    request's charges and totals are read from the stepper as ints. *)
 
 val ingest_batch : t -> int array -> decision array
 (** Serve a batch of requests through {!Rbgp_ring.Simulator.prepare}: the
@@ -99,7 +101,10 @@ val ingest_batch : t -> int array -> decision array
     taken between batches resume identically.  All edges are validated up
     front; on a strict-mode capacity failure mid-batch the engine must
     not be used further (later requests were already pre-solved inside
-    the algorithm). *)
+    the algorithm).  A one-edge batch is {!ingest} on that edge: the
+    batch hook never runs on a single request, and a batch of one's
+    budget check is its request's, so the two paths agree there, without
+    the prepared batch's closures. *)
 
 val ingest_batch_quiet : t -> int array -> unit
 (** {!ingest_batch} without the per-request instrumentation: identical
@@ -108,9 +113,9 @@ val ingest_batch_quiet : t -> int array -> unit
     after the same requests through {!ingest}), but no decision records
     are built and the clock is read twice per batch instead of twice per
     request — metrics advance through one aggregate record (see
-    {!Metrics.observe_batch}).  This is the [--no-decisions] serving path
-    and the engine half of the BENCH_5 million-req/s number.  Sanitizing
-    engines transparently fall back to the checked per-request path. *)
+    {!Metrics.observe_batch}).  This is the [--no-decisions] serving
+    path.  Sanitizing engines transparently fall back to the checked
+    per-request path. *)
 
 val set_solver_budget : t -> budget_ns:int -> cooloff:int -> unit
 (** Arm ([budget_ns > 0]) or disarm ([budget_ns = 0]) the per-request
@@ -162,7 +167,8 @@ val resume :
 
 val decision_to_json : decision -> string
 (** One-line JSON record (type tag ["decision"]) for the [rbgp serve]
-    JSONL stream. *)
+    JSONL stream: the bytes of the [%d] format, written straight into the
+    returned string, which is the call's only allocation. *)
 
 val result_to_json : t -> string
 (** Final summary record (type tag ["result"]): algorithm, requests

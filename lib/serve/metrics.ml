@@ -6,7 +6,7 @@ type t = {
   mutable comm : int;
   mutable mig : int;
   mutable max_load : int;
-  mutable lat_sum_ns : float;
+  mutable lat_sum_ns : int;  (* an int: a float field would box per request *)
   t0_ns : int;  (* monotonic clock at create *)
   mutable degraded : int;
   mutable recovered : int;
@@ -19,26 +19,35 @@ let create () =
     comm = 0;
     mig = 0;
     max_load = 0;
-    lat_sum_ns = 0.0;
+    lat_sum_ns = 0;
     t0_ns = Rbgp_util.Clock.now_ns ();
     degraded = 0;
     recovered = 0;
   }
 
-(* top-level so [observe] (per-request, r11-patrolled) allocates no
-   closure for the loop *)
+(* Bucket [i] holds [2^i, 2^{i+1}) for i >= 1 and bucket 0 holds [0, 2):
+   floor (log2 ns), capped at the last bucket.  Below 2^53, float_of_int
+   is exact, so that is the binary exponent of the float, read from its
+   bits in O(1); the loop covers the rest (top-level, so [observe]
+   allocates no closure for it). *)
 let rec bucket_loop i v = if v <= 1 then i else bucket_loop (i + 1) (v lsr 1)
-let bucket_of ns = if ns <= 1 then 0 else min (nbuckets - 1) (bucket_loop 0 ns)
+
+let bucket_of ns =
+  if ns <= 1 then 0
+  else if ns < 1 lsl 53 then
+    let bits = Int64.bits_of_float (float_of_int ns) in
+    Int64.to_int (Int64.shift_right_logical bits 52) - 1023
+  else Int.min (nbuckets - 1) (bucket_loop 0 ns)
 
 let observe t ~latency_ns ~comm ~moved ~max_load =
-  let latency_ns = max 0 latency_ns in
+  let latency_ns = Int.max 0 latency_ns in
   let b = bucket_of latency_ns in
   t.buckets.(b) <- t.buckets.(b) + 1;
   t.requests <- t.requests + 1;
   t.comm <- t.comm + comm;
   t.mig <- t.mig + moved;
   if max_load > t.max_load then t.max_load <- max_load;
-  t.lat_sum_ns <- t.lat_sum_ns +. float_of_int latency_ns
+  t.lat_sum_ns <- t.lat_sum_ns + latency_ns
 
 (* Aggregate record for the engine's quiet batch path: [count] requests
    that together took [latency_ns] and charged [comm]/[mig].  Per-request
@@ -46,14 +55,14 @@ let observe t ~latency_ns ~comm ~moved ~max_load =
    the histogram gets [count] entries at the batch's mean latency. *)
 let observe_batch t ~count ~latency_ns ~comm ~mig ~max_load =
   if count > 0 then begin
-    let latency_ns = max 0 latency_ns in
+    let latency_ns = Int.max 0 latency_ns in
     let b = bucket_of (latency_ns / count) in
     t.buckets.(b) <- t.buckets.(b) + count;
     t.requests <- t.requests + count;
     t.comm <- t.comm + comm;
     t.mig <- t.mig + mig;
     if max_load > t.max_load then t.max_load <- max_load;
-    t.lat_sum_ns <- t.lat_sum_ns +. float_of_int latency_ns
+    t.lat_sum_ns <- t.lat_sum_ns + latency_ns
   end
 
 (* Solver-budget degradation accounting: [note_degraded] counts requests
@@ -87,7 +96,7 @@ type snapshot = {
   s_max_load : int;
   s_degraded : int;
   s_recovered : int;
-  s_lat_sum_ns : float;
+  s_lat_sum_ns : int;
   s_elapsed_s : float;
   s_buckets : int array;
 }
@@ -132,12 +141,14 @@ let snapshot_quantile s q =
   end
 
 let snapshot_mean_latency_ns s =
-  if s.s_requests = 0 then 0.0 else s.s_lat_sum_ns /. float_of_int s.s_requests
+  if s.s_requests = 0 then 0.0
+  else float_of_int s.s_lat_sum_ns /. float_of_int s.s_requests
 
 let quantile t q = snapshot_quantile (snapshot t) q
 
 let mean_latency_ns t =
-  if t.requests = 0 then 0.0 else t.lat_sum_ns /. float_of_int t.requests
+  if t.requests = 0 then 0.0
+  else float_of_int t.lat_sum_ns /. float_of_int t.requests
 
 let json_of_snapshot s =
   Printf.sprintf
@@ -275,7 +286,8 @@ let prometheus_exposition ?(namespace = "rbgp") series =
       Buffer.add_string buf
         (Printf.sprintf "%s_ingest_latency_seconds_sum" namespace);
       render_labels buf labels;
-      Buffer.add_string buf (Printf.sprintf " %.9g\n" (s.s_lat_sum_ns *. 1e-9));
+      Buffer.add_string buf
+        (Printf.sprintf " %.9g\n" (float_of_int s.s_lat_sum_ns *. 1e-9));
       Buffer.add_string buf
         (Printf.sprintf "%s_ingest_latency_seconds_count" namespace);
       render_labels buf labels;

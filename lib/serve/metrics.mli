@@ -2,9 +2,12 @@
     cumulative request/cost counters.
 
     The histogram has one bucket per power of two of nanoseconds (bucket
-    [i] holds latencies in [\[2^i, 2^{i+1})]), so recording is O(1),
-    allocation-free and the whole structure is a few hundred bytes —
-    cheap enough to update on every request of a hot serving loop.
+    [i] holds latencies in [\[2^i, 2^{i+1})], bucket 0 also 0 and 1), so
+    recording is O(1) — below [2{^53}] ns the bucket is the binary
+    exponent of the latency as a float, read from its bits — and
+    allocation-free: every counter, the latency sum included, is an int.
+    The whole structure is a few hundred bytes, cheap enough to update
+    on every request of a hot serving loop.
     Quantiles are therefore bucket-resolution approximations: {!quantile}
     returns the lower bound of the bucket containing the requested rank
     (within a factor of 2 of the true value).
@@ -60,6 +63,9 @@ val quantile : t -> float -> int
     when nothing was observed. *)
 
 val mean_latency_ns : t -> float
+(** The mean recorded latency; [0.] before the first request.  The sum
+    behind it is an int, so it is exact where a float sum would round
+    (beyond [2{^53}] ns in total). *)
 
 type snapshot
 (** A frozen, immutable copy of every counter and the full histogram,

@@ -616,17 +616,13 @@ let open_stream c ~stream (o : Proto.open_payload) =
   Proto.read_opened f.Proto.payload
 
 let request c ~stream edges ~pos ~len =
-  let b = Buffer.create (len * 3) in
-  Proto.add_req b edges ~pos ~len;
-  send_all c (Proto.frame_to_string ~stream Proto.Req (Buffer.contents b));
+  send_all c (Proto.req_frame ~stream Proto.Req edges ~pos ~len);
   let f = await c ~stream Proto.Decisions in
   let _start, ds = Proto.read_decisions f.Proto.payload in
   ds
 
 let request_quiet c ~stream edges ~pos ~len =
-  let b = Buffer.create (len * 3) in
-  Proto.add_req b edges ~pos ~len;
-  send_all c (Proto.frame_to_string ~stream Proto.Req_quiet (Buffer.contents b));
+  send_all c (Proto.req_frame ~stream Proto.Req_quiet edges ~pos ~len);
   let f = await c ~stream Proto.Ack in
   Proto.read_ack f.Proto.payload
 

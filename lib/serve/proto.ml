@@ -246,29 +246,78 @@ let read_open payload =
       { tenant; alg; n; ell; epsilon; seed })
     payload
 
-let add_req buf edges ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length edges then
-    invalid_arg "Proto.add_req";
-  for i = pos to pos + len - 1 do
-    Rbgp_util.Binc.add_varint buf edges.(i)
-  done
+(* Request frames carry the socket path's per-request bytes, so they
+   are coded in tight loops over one exactly sized buffer rather than
+   through [Buffer] and [Binc] calls per edge; the bytes are those of
+   [frame_to_string] over a payload of edge varints. *)
 
+(* Bytes in the varint of [v >= 0]. *)
+let rec varint_len v = if v < 0x80 then 1 else 1 + varint_len (v lsr 7)
+
+(* Write [v >= 0]'s varint at [pos]; returns the position after it. *)
+let rec put_varint b pos v =
+  if v < 0x80 then begin
+    Bytes.set b pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    put_varint b (pos + 1) (v lsr 7)
+  end
+
+let req_frame ~stream op edges ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length edges then
+    invalid_arg "Proto.req_frame";
+  let plen = ref 0 in
+  for i = pos to pos + len - 1 do
+    let e = edges.(i) in
+    if e < 0 then invalid_arg "Binc.add_varint: negative";
+    plen := !plen + varint_len e
+  done;
+  let plen = !plen in
+  if plen > max_payload then
+    raise (Protocol_error (Printf.sprintf "payload %d over limit" plen));
+  if stream < 0 then invalid_arg "Binc.add_varint: negative";
+  let opn = op_to_int op in
+  let b =
+    Bytes.create (varint_len stream + varint_len opn + varint_len plen + plen)
+  in
+  let p = ref (put_varint b (put_varint b (put_varint b 0 stream) opn) plen) in
+  for i = pos to pos + len - 1 do
+    p := put_varint b !p edges.(i)
+  done;
+  Bytes.unsafe_to_string b
+
+(* Two passes: count the varints (each ends in the one byte of it below
+   0x80), then decode them into an array of exactly that size.  The
+   errors are [Binc.read_varint]'s, raised at the same byte. *)
 let read_req payload =
-  decode "req"
-    (fun r ->
-      let cap = ref (Array.make 64 0) in
-      let n = ref 0 in
-      while not (Rbgp_util.Binc.at_end r) do
-        if !n = Array.length !cap then begin
-          let b = Array.make (2 * !n) 0 in
-          Array.blit !cap 0 b 0 !n;
-          cap := b
-        end;
-        !cap.(!n) <- Rbgp_util.Binc.read_varint r;
-        incr n
-      done;
-      Array.sub !cap 0 !n)
-    payload
+  let len = String.length payload in
+  let count = ref 0 in
+  for i = 0 to len - 1 do
+    if Char.code payload.[i] < 0x80 then incr count
+  done;
+  let edges = Array.make !count 0 in
+  let k = ref 0 and v = ref 0 and shift = ref 0 in
+  for p = 0 to len - 1 do
+    if !shift > 62 then
+      raise (Protocol_error "req: Binc.read_varint: varint too long");
+    let b = Char.code payload.[p] in
+    v := !v lor ((b land 0x7f) lsl !shift);
+    if b < 0x80 then begin
+      edges.(!k) <- !v;
+      incr k;
+      v := 0;
+      shift := 0
+    end
+    else shift := !shift + 7
+  done;
+  if !shift > 0 then
+    raise
+      (Protocol_error
+         (Printf.sprintf "req: Binc.read_varint: truncated input at byte %d"
+            len));
+  edges
 
 let add_opened buf ~pos = Rbgp_util.Binc.add_varint buf pos
 

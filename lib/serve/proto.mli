@@ -123,12 +123,17 @@ type open_payload = {
 val add_open : Buffer.t -> open_payload -> unit
 val read_open : string -> open_payload
 
-val add_req : Buffer.t -> int array -> pos:int -> len:int -> unit
-(** Payload is [len] consecutive edge varints from [pos] — identical to
-    the RBGT/v1 request framing, so a trace block can be re-framed
-    without re-encoding. *)
+val req_frame : stream:int -> op -> int array -> pos:int -> len:int -> string
+(** [req_frame ~stream op edges ~pos ~len] is a whole request frame
+    ([op] is {!Req} or {!Req_quiet}): {!frame_to_string} over a payload
+    of [len] consecutive edge varints from [pos] — identical to the
+    RBGT/v1 request framing.  Written straight into the returned string.
+    Raises [Invalid_argument] on a bad range or a negative edge, and
+    {!Protocol_error} on a payload over {!max_payload}. *)
 
 val read_req : string -> int array
+(** The edges of a request payload.  Raises {!Protocol_error} on a
+    payload that ends inside a varint or holds one over 63 bits. *)
 
 val add_opened : Buffer.t -> pos:int -> unit
 val read_opened : string -> int

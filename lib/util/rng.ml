@@ -91,9 +91,13 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   below t bound (max_int - (max_int mod bound))
 
-let float t =
-  let r = Int64.shift_right_logical (step t) 11 in
-  Int64.to_float r *. (1.0 /. 9007199254740992.0)
+(* The top 53 bits of a draw: a native int, so a caller outside this
+   module gets its uniform without the box a returned float needs (dune's
+   dev profile compiles libraries with -opaque, so no call into this
+   module is inlined). *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
+
+let float t = float_of_int (bits53 t) *. 0x1p-53
 
 let bool t = Int64.logand (step t) 1L = 1L
 

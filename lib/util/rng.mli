@@ -9,8 +9,8 @@
     so that adding draws in one component does not perturb another.
 
     The state is the four 64-bit xoshiro words in one 32-byte buffer, which
-    a draw reads and writes unboxed: {!int} and {!bool} allocate nothing,
-    {!float} and {!bits64} only their boxed result. *)
+    a draw reads and writes unboxed: {!int}, {!bits53} and {!bool}
+    allocate nothing, {!float} and {!bits64} only their boxed result. *)
 
 type t
 
@@ -42,7 +42,14 @@ val int : t -> int -> int
     the result is exactly uniform. *)
 
 val float : t -> float
-(** Uniform float in [\[0, 1)], using 53 bits of randomness. *)
+(** Uniform float in [\[0, 1)], using 53 bits of randomness: exactly
+    [float_of_int (bits53 t) *. 0x1p-53]. *)
+
+val bits53 : t -> int
+(** The 53 random bits behind {!float}, as an int in [\[0, 2{^53})]: the
+    same draw, without the boxed float a cross-module {!float} call
+    returns.  A caller compares it against a scaled threshold and
+    converts only when it needs the float. *)
 
 val bool : t -> bool
 

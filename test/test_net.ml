@@ -157,6 +157,70 @@ let test_dechunker_rejects_garbage () =
       Proto.feed_string d (String.make 11 '\xff');
       ignore (Proto.next d))
 
+(* --- request codec ------------------------------------------------------ *)
+
+(* The request codec against its definition: a frame over a payload of
+   [Binc] edge varints, read back one [Binc.read_varint] at a time.
+   Edges straddle every varint length, and arbitrary byte strings
+   (truncated or over-long varints among them) must decode, or fail,
+   exactly as the reference does. *)
+let reference_req_payload edges ~pos ~len =
+  let b = Buffer.create 16 in
+  for i = pos to pos + len - 1 do
+    Rbgp_util.Binc.add_varint b edges.(i)
+  done;
+  Buffer.contents b
+
+let reference_read_req payload =
+  let r = Rbgp_util.Binc.reader payload in
+  let out = ref [] in
+  match
+    while not (Rbgp_util.Binc.at_end r) do
+      out := Rbgp_util.Binc.read_varint r :: !out
+    done
+  with
+  | () -> Ok (Array.of_list (List.rev !out))
+  | exception Invalid_argument m -> Error ("req: " ^ m)
+
+let gen_edge =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 0 1023;
+        map (fun k -> (1 lsl (7 * k)) - 1) (int_range 1 8);
+        map (fun k -> 1 lsl (7 * k)) (int_range 1 8);
+        int_range 0 max_int;
+      ])
+
+let qcheck_req_codec =
+  qtest ~count:500 "qcheck: request frames and payloads == Binc varints"
+    QCheck2.Gen.(
+      let* edges = array_size (int_range 0 300) gen_edge in
+      let n = Array.length edges in
+      let* pos = int_range 0 n in
+      let* len = int_range 0 (n - pos) in
+      let* stream = int_range 0 100_000 in
+      let* junk = string_size ~gen:char (int_range 0 40) in
+      return (edges, pos, len, stream, junk))
+    (fun (edges, pos, len, stream, junk) ->
+      let payload = reference_req_payload edges ~pos ~len in
+      let decode s =
+        match Proto.read_req s with
+        | a -> Ok a
+        | exception Proto.Protocol_error m -> Error m
+      in
+      List.for_all Fun.id
+        [
+          Proto.req_frame ~stream Proto.Req_quiet edges ~pos ~len
+          = Proto.frame_to_string ~stream Proto.Req_quiet payload;
+          decode payload = Ok (Array.sub edges pos len);
+          decode junk = reference_read_req junk;
+          decode (payload ^ junk) = reference_read_req (payload ^ junk);
+          decode (payload ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")
+          = reference_read_req
+              (payload ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01");
+        ])
+
 (* --- in-process server + client ---------------------------------------- *)
 
 let next_sock =
@@ -564,6 +628,7 @@ let () =
           qcheck_dechunker_random_splits;
           Alcotest.test_case "unrepairable input raises" `Quick
             test_dechunker_rejects_garbage;
+          qcheck_req_codec;
         ] );
       ( "isolation",
         [

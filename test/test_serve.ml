@@ -181,6 +181,16 @@ let decision_to_json_printf (d : Engine.decision) =
      \"cum_comm\":%d,\"cum_mig\":%d,\"max_load\":%d,\"latency_ns\":%d}"
     d.step d.edge d.comm d.moved d.cum_comm d.cum_mig d.max_load d.latency_ns
 
+(* 10^k - 1, 10^k and their negations for k = 0..18: where the writer's
+   width comparisons and its two-digits-per-division loop change
+   regime. *)
+let decimal_boundaries =
+  List.concat_map
+    (fun k ->
+      let p = int_of_float (10.0 ** float_of_int k) in
+      [ p - 1; p; 1 - p; -p ])
+    (List.init 19 Fun.id)
+
 let qcheck_decision_to_json =
   let field =
     QCheck2.Gen.(
@@ -191,6 +201,7 @@ let qcheck_decision_to_json =
           return min_int;
           int_range (-1) 1;
           int_range (-1_000_000) 1_000_000;
+          oneofl decimal_boundaries;
           int;
         ])
   in
@@ -212,6 +223,112 @@ let qcheck_decision_to_json =
   qtest ~count:2000 "decision_to_json == Printf format"
     ~print:decision_to_json_printf gen (fun d ->
       Engine.decision_to_json d = decision_to_json_printf d)
+
+(* The scalar stepper API bills exactly what the pair-returning one
+   does: two steppers over twin algorithms, one driven by [step], the
+   other by [advance], whose charges are the growth of its cumulative
+   costs.  Every seventh request goes through [advance_frozen] on both:
+   it charges communication exactly when the edge is cut, moves
+   nothing and leaves the load maximum where it was. *)
+let test_advance_matches_step () =
+  let n = 64 and ell = 4 and seed = 5 in
+  let inst = Instance.blocks ~n ~ell in
+  let trace = gen_trace ~n ~steps:2_000 ~seed:9 in
+  let build () =
+    let online =
+      (Registry.find "onl-dynamic").Registry.build ~epsilon:0.5 ~seed inst
+    in
+    (online, Simulator.stepper inst online)
+  in
+  let _, paired = build () and online, scalar = build () in
+  let cost = (Simulator.stepper_result scalar).Simulator.cost in
+  let frozen_step st e =
+    let r = Simulator.stepper_result st in
+    let comm0 = r.Simulator.cost.Cost.comm and mig0 = r.Simulator.cost.Cost.mig in
+    let max0 = r.Simulator.max_load in
+    Simulator.advance_frozen st e;
+    let r = Simulator.stepper_result st in
+    [ r.Simulator.cost.Cost.comm - comm0; r.Simulator.cost.Cost.mig - mig0;
+      r.Simulator.max_load - max0 ]
+  in
+  let frozen_cuts = ref 0 in
+  Array.iteri
+    (fun i e ->
+      if i mod 7 = 3 then begin
+        let cut =
+          Rbgp_ring.Assignment.cuts_edge
+            (online.Rbgp_ring.Online.assignment ()) e
+        in
+        if cut then incr frozen_cuts;
+        Alcotest.(check (list int))
+          (Printf.sprintf "request %d: frozen comm, moved, max load growth" i)
+          [ Bool.to_int cut; 0; 0 ] (frozen_step scalar e);
+        Simulator.advance_frozen paired e
+      end
+      else begin
+        let comm, moved = Simulator.step paired e in
+        let comm0 = cost.Cost.comm and mig0 = cost.Cost.mig in
+        Simulator.advance scalar e;
+        let r = Simulator.stepper_result paired in
+        Alcotest.(check (list int))
+          (Printf.sprintf "request %d: comm, moved, totals, max load" i)
+          [ comm; moved; r.Simulator.cost.Cost.comm; r.Simulator.cost.Cost.mig;
+            r.Simulator.max_load ]
+          [ cost.Cost.comm - comm0; cost.Cost.mig - mig0; cost.Cost.comm;
+            cost.Cost.mig; Simulator.max_load scalar ]
+      end)
+    trace;
+  Alcotest.(check bool)
+    (Printf.sprintf "frozen requests on cut edges: %d" !frozen_cuts)
+    true (!frozen_cuts > 0);
+  Alcotest.(check bool) "same result" true
+    (Simulator.stepper_result paired = Simulator.stepper_result scalar)
+
+(* Minor words per request on the serve path, over 20k requests at the
+   shape of the last pinned row (onl-dynamic, n = 4096, ell = 32, seed
+   7919).  A request through [Engine.ingest] and [decision_to_json]
+   allocates its decision record (9 words) and its string (about 16);
+   the algorithm's own serve allocates only on its rare dense solver
+   steps.  A closure, tuple or boxed float back on the path breaks the
+   budget — the r11 lint rule allowlists engine.ml and simulator.ml per
+   file, so it would not. *)
+let words_per_request f trace =
+  let w0 = Gc.minor_words () in
+  Array.iter f trace;
+  (Gc.minor_words () -. w0) /. float_of_int (Array.length trace)
+
+let test_serve_path_allocation () =
+  let n = 4096 and ell = 32 and seed = 7919 in
+  let inst = Instance.blocks ~n ~ell in
+  let trace = gen_trace ~n ~steps:20_000 ~seed in
+  (* the sanitizer's per-request checks allocate; pin it off whatever
+     RBGP_SANITIZE says *)
+  let engine = Engine.create ~sanitize:false ~alg:"onl-dynamic" ~seed inst in
+  let engine_words =
+    words_per_request
+      (fun e -> ignore (Engine.decision_to_json (Engine.ingest engine e)))
+      trace
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "ingest + decision_to_json: %.1f words/request <= 28"
+       engine_words)
+    true (engine_words <= 28.0);
+  let online =
+    (Registry.find "onl-dynamic").Registry.build ~epsilon:0.5 ~seed inst
+  in
+  (* no stepper drains this algorithm's move journal: clear it per
+     request, as a stepper would, so it does not grow *)
+  let serve_words =
+    words_per_request
+      (fun e ->
+        online.Rbgp_ring.Online.serve e;
+        Option.iter Rbgp_ring.Assignment.journal_clear
+          online.Rbgp_ring.Online.journal)
+      trace
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Online.serve: %.2f words/request <= 1" serve_words)
+    true (serve_words <= 1.0)
 
 (* --- checkpoint / resume -------------------------------------------- *)
 
@@ -1006,6 +1123,187 @@ let test_metrics_histogram () =
   let fresh = Metrics.create () in
   Alcotest.(check int) "fresh quantile" 0 (Metrics.quantile fresh 0.99)
 
+(* The histogram's bucket index as a shift loop: floor (log2 ns) for
+   ns >= 2, bucket 0 below, capped at the last of the 63 buckets. *)
+let bucket_by_loop ns =
+  let rec go i v = if v <= 1 then i else go (i + 1) (v lsr 1) in
+  if ns <= 1 then 0 else Stdlib.min 62 (go 0 ns)
+
+(* A bucket's quantile is its lower bound (0 for bucket 0), so one
+   observation's p50 names the bucket [Metrics.observe] filed it in. *)
+let test_metrics_bucket_index () =
+  let powers = List.init 61 (fun k -> 1 lsl (k + 1)) in
+  let probes =
+    [ 0; 1; (1 lsl 53) - 1; 1 lsl 53; (1 lsl 53) + 1; max_int ]
+    @ List.concat_map (fun p -> [ p - 1; p; p + 1 ]) powers
+  in
+  List.iter
+    (fun ns ->
+      let m = Metrics.create () in
+      Metrics.observe m ~latency_ns:ns ~comm:0 ~moved:0 ~max_load:0;
+      let b = bucket_by_loop ns in
+      Alcotest.(check int)
+        (Printf.sprintf "bucket of %d" ns)
+        (if b = 0 then 0 else 1 lsl b)
+        (Metrics.quantile m 0.5))
+    probes
+
+(* A float-summing reference of the metrics record: the latency sum as
+   the float it was before it became an int, buckets by the loop.  Its
+   JSONL record and its Prometheus histogram must match Metrics byte for
+   byte, wall-clock fields (rps, elapsed_s) masked.  Latencies are kept
+   small enough that every float partial sum is exact (below 2^53), the
+   range where the two sums are the same number. *)
+type metrics_op =
+  | Obs of int * int * int * int  (* latency, comm, moved, max_load *)
+  | Batch of int * int * int * int * int  (* count, latency, comm, mig, max_load *)
+
+type ref_metrics = {
+  rb : int array;
+  mutable rn : int;
+  mutable rcomm : int;
+  mutable rmig : int;
+  mutable rmax : int;
+  mutable rsum : float;
+}
+
+let ref_apply r op =
+  let file count ns lat comm mig max_load =
+    let b = bucket_by_loop ns in
+    r.rb.(b) <- r.rb.(b) + count;
+    r.rn <- r.rn + count;
+    r.rcomm <- r.rcomm + comm;
+    r.rmig <- r.rmig + mig;
+    if max_load > r.rmax then r.rmax <- max_load;
+    r.rsum <- r.rsum +. float_of_int lat
+  in
+  match op with
+  | Obs (lat, comm, moved, max_load) ->
+      let lat = Stdlib.max 0 lat in
+      file 1 lat lat comm moved max_load
+  | Batch (count, lat, comm, mig, max_load) ->
+      if count > 0 then begin
+        let lat = Stdlib.max 0 lat in
+        file count (lat / count) lat comm mig max_load
+      end
+
+let ref_quantile r q =
+  if r.rn = 0 then 0
+  else begin
+    let rank =
+      Stdlib.max 1 (Stdlib.min r.rn (int_of_float (ceil (q *. float_of_int r.rn))))
+    in
+    let rec find i acc =
+      let acc = acc + r.rb.(i) in
+      if acc >= rank then (if i = 0 then 0 else 1 lsl i) else find (i + 1) acc
+    in
+    find 0 0
+  end
+
+let ref_json r =
+  Printf.sprintf
+    "{\"type\":\"metrics\",\"requests\":%d,\"rps\":_,\"p50_ns\":%d,\
+     \"p90_ns\":%d,\"p99_ns\":%d,\"mean_ns\":%.0f,\"comm\":%d,\"mig\":%d,\
+     \"max_load\":%d,\"degraded\":0,\"recovered\":0,\"elapsed_s\":_}"
+    r.rn (ref_quantile r 0.5) (ref_quantile r 0.9) (ref_quantile r 0.99)
+    (if r.rn = 0 then 0.0 else r.rsum /. float_of_int r.rn)
+    r.rcomm r.rmig r.rmax
+
+let ref_histogram r =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    "# HELP rbgp_ingest_latency_seconds Ingest latency histogram.\n\
+     # TYPE rbgp_ingest_latency_seconds histogram\n";
+  let cum = ref 0 in
+  Array.iteri
+    (fun i c ->
+      cum := !cum + c;
+      if c > 0 then
+        Buffer.add_string buf
+          (Printf.sprintf
+             "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"%g\"} %d\n"
+             ((2.0 ** float_of_int (i + 1)) *. 1e-9)
+             !cum))
+    r.rb;
+  Buffer.add_string buf
+    (Printf.sprintf
+       "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"+Inf\"} %d\n\
+        rbgp_ingest_latency_seconds_sum{tenant=\"t\"} %.9g\n\
+        rbgp_ingest_latency_seconds_count{tenant=\"t\"} %d\n"
+       r.rn (r.rsum *. 1e-9) r.rn);
+  Buffer.contents buf
+
+(* [s] with the value after [key] (up to the next ',' or '}') replaced
+   by "_" *)
+let mask_value key s =
+  match Astring.String.cut ~sep:key s with
+  | None -> s
+  | Some (before, after) ->
+      let stop =
+        match Astring.String.find (fun c -> c = ',' || c = '}') after with
+        | Some i -> i
+        | None -> String.length after
+      in
+      before ^ key ^ "_" ^ Astring.String.with_index_range ~first:stop after
+
+let histogram_section s =
+  match Astring.String.cut ~sep:"# HELP rbgp_ingest_latency_seconds" s with
+  | Some (_, rest) -> "# HELP rbgp_ingest_latency_seconds" ^ rest
+  | None -> ""
+
+let qcheck_metrics_match_float_reference =
+  let latency =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range (-5) 5;
+          int_range 0 5_000;
+          int_range 0 (1 lsl 40);
+          map (fun k -> 1 lsl k) (int_range 0 40);
+          map (fun k -> (1 lsl k) - 1) (int_range 1 40);
+        ])
+  in
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [
+          map
+            (fun (lat, comm, moved, max_load) -> Obs (lat, comm, moved, max_load))
+            (tup4 latency (int_range 0 1) (int_range 0 3) (int_range 0 50));
+          map
+            (fun ((count, lat), (comm, mig, max_load)) ->
+              Batch (count, lat, comm, mig, max_load))
+            (pair
+               (pair (int_range 0 64) latency)
+               (triple (int_range 0 64) (int_range 0 64) (int_range 0 50)));
+        ])
+  in
+  qtest ~count:300 "metrics JSONL and histogram == float-sum reference"
+    QCheck2.Gen.(list_size (int_range 0 200) op)
+    (fun ops ->
+      let m = Metrics.create () in
+      let r =
+        { rb = Array.make 63 0; rn = 0; rcomm = 0; rmig = 0; rmax = 0; rsum = 0.0 }
+      in
+      List.iter
+        (fun op ->
+          ref_apply r op;
+          match op with
+          | Obs (lat, comm, moved, max_load) ->
+              Metrics.observe m ~latency_ns:lat ~comm ~moved ~max_load
+          | Batch (count, lat, comm, mig, max_load) ->
+              Metrics.observe_batch m ~count ~latency_ns:lat ~comm ~mig ~max_load)
+        ops;
+      let s = Metrics.snapshot m in
+      let json =
+        mask_value "\"elapsed_s\":" (mask_value "\"rps\":" (Metrics.json_of_snapshot s))
+      in
+      let prom = Metrics.prometheus_exposition [ ([ ("tenant", "t") ], s) ] in
+      let mean = if r.rn = 0 then 0.0 else r.rsum /. float_of_int r.rn in
+      String.equal json (ref_json r)
+      && String.equal (histogram_section prom) (ref_histogram r)
+      && Float.equal (Metrics.mean_latency_ns m) mean)
+
 (* --- runtime sanitizer ------------------------------------------------- *)
 
 (* Positive: a sanitized run over a healthy algorithm is silent and bills
@@ -1064,6 +1362,10 @@ let () =
           Alcotest.test_case "pinned decision + checkpoint digests (4 solvers)"
             `Quick test_pinned_digests;
           qcheck_decision_to_json;
+          Alcotest.test_case "advance == step (scalar stepper API)" `Quick
+            test_advance_matches_step;
+          Alcotest.test_case "serve-path allocation budget" `Quick
+            test_serve_path_allocation;
         ] );
       ( "checkpoint",
         [
@@ -1120,7 +1422,12 @@ let () =
             test_consume_prefix_digest;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "log-bucketed histogram" `Quick test_metrics_histogram ] );
+        [
+          Alcotest.test_case "log-bucketed histogram" `Quick test_metrics_histogram;
+          Alcotest.test_case "O(1) bucket index == shift loop" `Quick
+            test_metrics_bucket_index;
+          qcheck_metrics_match_float_reference;
+        ] );
       ( "sanitizer",
         [
           Alcotest.test_case "clean run is silent and cost-identical" `Quick

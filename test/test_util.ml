@@ -142,8 +142,17 @@ let test_rng_int_uniform () =
 let test_rng_float_range () =
   let rng = Rng.create 3 in
   for _ = 1 to 10_000 do
+    let twin = Rng.copy rng in
     let v = Rng.float rng in
-    Alcotest.(check bool) "in [0,1)" true (v >= 0.0 && v < 1.0)
+    Alcotest.(check bool) "in [0,1)" true (v >= 0.0 && v < 1.0);
+    (* bits53 is the same draw as an int *)
+    let bits = Rng.bits53 twin in
+    Alcotest.(check bool) "bits53 in [0, 2^53)" true
+      (bits >= 0 && bits < 1 lsl 53);
+    Alcotest.(check bool) "float = bits53 * 2^-53" true
+      (Float.equal v (float_of_int bits *. 0x1p-53));
+    Alcotest.(check bool) "same state after" true
+      (Int64.equal (Rng.bits64 twin) (Rng.bits64 (Rng.copy rng)))
   done
 
 let test_rng_shuffle_permutation () =
