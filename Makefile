@@ -20,8 +20,7 @@ bench:
 # the bench run also writes the machine-readable trajectory file
 # (BENCH_7.json: component ns/run + r^2, per-experiment wall clock,
 # parallel-vs-sequential speedup, serve-loop throughput + resume identity,
-# the domains sweep for the interval-sharded batched request path, the
-# zero-copy ingest section: mmap-vs-channel decode throughput and the
+# the zero-copy ingest section: mmap-vs-channel decode throughput and the
 # pull-to-solve pipeline with identity bits, the fault-layer section:
 # hook-free vs disabled vs armed-idle pipeline throughput, and the net
 # section: socket transport vs in-process pipe, 1 and 4 tenants over one

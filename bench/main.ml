@@ -17,16 +17,7 @@
       single `dune exec bench/main.exe` reproduces every reported table.
       Run `rbgp exp <id>` (without --quick) for the full-size versions.
 
-   3. the domains sweep for the interval-sharded request path: for each
-      serve config (large: parallel-worthy batches; quick: batches small
-      enough that the pool's auto-grain must keep them sequential) and
-      each domain count, per-request vs batched ingest throughput, the
-      speedup, and a byte-identity bit (decisions sans latency, final
-      result, final assignment).  CI gates on speedup > 1 at 4 domains
-      for the large config; on a single-core box the honest local number
-      hovers around 1.0 and only the identity bits are load-bearing.
-
-   4. the zero-copy ingest bench: block-decode throughput of the mmap'ed
+   3. the zero-copy ingest bench: block-decode throughput of the mmap'ed
       region reader vs the buffered channel reader over the same framed
       binary trace, the pull-to-solve pipeline (Source.next_batch feeding
       Engine.ingest_batch_quiet) for a free solver (never-move, the
@@ -35,7 +26,7 @@
       checkpoints.  CI gates on decode_speedup >= 5, the never-move
       pipeline >= 1M req/s, and both identity bits.
 
-   5. the fault-layer overhead bench: the quiet mmap pipeline timed three
+   4. the fault-layer overhead bench: the quiet mmap pipeline timed three
       ways — a hook-free hot loop (block decode feeding the engine
       directly, no Source, no fault checks), the Source pipeline with the
       fault layer disabled, and the same pipeline with an armed plan that
@@ -47,11 +38,11 @@
    wall-clock seconds per quick-mode experiment, parallel-vs-sequential
    comparisons for E8 and E10 with cold/warm speedups and byte-identity
    checks, streaming-engine throughput with checkpoint/resume identity,
-   the "domains_sweep", "ingest" and "faults" sections) plus the new
-   "net" section: the socket transport versus the in-process pipe on
-   the same quiet batches, 1 and 4 tenants multiplexed over one
-   connection, with client-observed RPC latency quantiles and
-   per-tenant checkpoint identity.  CI gates the socket throughput
+   the "ingest" and "faults" sections) plus the "net" section: the
+   socket transport versus the in-process pipe on the same quiet
+   batches, 1 and 4 tenants multiplexed over one connection, with
+   client-observed RPC latency quantiles and per-tenant checkpoint
+   identity.  CI gates the socket throughput
    overhead below 30% of pipe throughput.  The numeric suffix is the
    bench-trajectory slot for this change set; BENCH_1..6.json are
    earlier snapshots and later change sets append BENCH_8.json, ... so
@@ -427,157 +418,6 @@ let serve_bench () =
     sr.requests sr.rps sr.p50_ns sr.p99_ns
     (if resume_identical then "identical" else "DIVERGED");
   sr
-
-(* --- domains sweep: interval-sharded batched ingest ------------------ *)
-
-type sweep_config = {
-  cfg_name : string;
-  cfg_n : int;
-  cfg_ell : int;
-  cfg_steps : int;
-  cfg_batch : int;
-  (* small enough that the pool's measured auto-grain must refuse to
-     dispatch: the sweep records the observed path for these configs *)
-  cfg_expect_sequential : bool;
-}
-
-type sweep_point = {
-  sp_config : string;
-  sp_n : int;
-  sp_ell : int;
-  sp_requests : int;
-  sp_batch : int;
-  sp_domains : int;
-  sp_seq_rps : float;
-  sp_batched_rps : float;
-  sp_speedup : float;
-  sp_identical : bool;
-  sp_sequential_path : bool option;
-}
-
-(* everything a decision carries except the wall-clock latency — the
-   fields the byte-identity contract covers *)
-let decision_sig (d : Rbgp_serve.Engine.decision) =
-  Printf.sprintf "%d|%d|%d|%d|%d|%d|%d\n" d.Rbgp_serve.Engine.step
-    d.Rbgp_serve.Engine.edge d.Rbgp_serve.Engine.comm
-    d.Rbgp_serve.Engine.moved d.Rbgp_serve.Engine.cum_comm
-    d.Rbgp_serve.Engine.cum_mig d.Rbgp_serve.Engine.max_load
-
-let decisions_sig ds =
-  let buf = Buffer.create (Array.length ds * 16) in
-  Array.iter (fun d -> Buffer.add_string buf (decision_sig d)) ds;
-  Buffer.contents buf
-
-(* Per-request vs batched ingest for one config across domain counts.
-   The per-request baseline is measured once per config — that path never
-   dispatches to the pool, so its throughput is domain-independent — and
-   every batched run must reproduce its decision stream (sans latency),
-   final result and final assignment exactly, at every domain count and
-   batch decomposition.  Cost estimates are reset before each point so
-   the auto-grain heuristic relearns from scratch (what a fresh process
-   would see). *)
-let domains_sweep () =
-  let cores = Domain.recommended_domain_count () in
-  let sweep_domains =
-    List.sort_uniq Int.compare [ 1; 2; 4; min cores 8 ]
-  in
-  let configs =
-    [
-      {
-        cfg_name = "serve-large";
-        cfg_n = 4096;
-        cfg_ell = 32;
-        cfg_steps = 120_000;
-        cfg_batch = 1024;
-        cfg_expect_sequential = false;
-      };
-      {
-        cfg_name = "serve-quick";
-        cfg_n = 256;
-        cfg_ell = 8;
-        cfg_steps = 30_000;
-        cfg_batch = 64;
-        cfg_expect_sequential = true;
-      };
-    ]
-  in
-  let sweep_config c =
-    let inst = Rbgp_ring.Instance.blocks ~n:c.cfg_n ~ell:c.cfg_ell in
-    let trace =
-      match
-        Rbgp_workloads.Workloads.rotating ~n:c.cfg_n ~steps:c.cfg_steps
-          (Rbgp_util.Rng.create 7)
-      with
-      | Rbgp_ring.Trace.Fixed a -> a
-      | Rbgp_ring.Trace.Adaptive _ -> assert false
-    in
-    let seq_eng = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed:42 inst in
-    let seq_ds, seq_dt =
-      timed (fun () ->
-          Array.map (fun e -> Rbgp_serve.Engine.ingest seq_eng e) trace)
-    in
-    let seq_sig = decisions_sig seq_ds in
-    let seq_res = Rbgp_serve.Engine.result seq_eng in
-    let seq_asn = Rbgp_serve.Engine.assignment seq_eng in
-    let seq_rps = float_of_int c.cfg_steps /. seq_dt in
-    List.map
-      (fun d ->
-        Rbgp_util.Pool.reset_estimates ();
-        Rbgp_util.Pool.set_domains (Some d);
-        Rbgp_util.Pool.warmup ~domains:d ();
-        let eng = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed:42 inst in
-        let nbatches = (c.cfg_steps + c.cfg_batch - 1) / c.cfg_batch in
-        let out = Array.make nbatches [||] in
-        let (), dt =
-          timed (fun () ->
-              for b = 0 to nbatches - 1 do
-                let off = b * c.cfg_batch in
-                let len = min c.cfg_batch (c.cfg_steps - off) in
-                out.(b) <-
-                  Rbgp_serve.Engine.ingest_batch eng (Array.sub trace off len)
-              done)
-        in
-        let went_parallel = Rbgp_util.Pool.last_map_parallel () in
-        Rbgp_util.Pool.set_domains None;
-        let ds = Array.concat (Array.to_list out) in
-        let res = Rbgp_serve.Engine.result eng in
-        let identical =
-          String.equal (decisions_sig ds) seq_sig
-          && res.Rbgp_ring.Simulator.cost = seq_res.Rbgp_ring.Simulator.cost
-          && res.Rbgp_ring.Simulator.max_load
-             = seq_res.Rbgp_ring.Simulator.max_load
-          && Rbgp_serve.Engine.assignment eng = seq_asn
-        in
-        let batched_rps = float_of_int c.cfg_steps /. dt in
-        let sequential_path =
-          if c.cfg_expect_sequential then Some (not went_parallel) else None
-        in
-        Printf.printf
-          "domains sweep (%s, n=%d ell=%d batch=%d, %d reqs): d=%d \
-           per-request %.0f req/s, batched %.0f req/s (%.2fx), %s%s\n"
-          c.cfg_name c.cfg_n c.cfg_ell c.cfg_batch c.cfg_steps d seq_rps
-          batched_rps (batched_rps /. seq_rps)
-          (if identical then "identical" else "DIVERGED")
-          (match sequential_path with
-          | Some true -> ", auto-grain kept it sequential"
-          | Some false -> ", auto-grain WENT PARALLEL on a small config"
-          | None -> "");
-        {
-          sp_config = c.cfg_name;
-          sp_n = c.cfg_n;
-          sp_ell = c.cfg_ell;
-          sp_requests = c.cfg_steps;
-          sp_batch = c.cfg_batch;
-          sp_domains = d;
-          sp_seq_rps = seq_rps;
-          sp_batched_rps = batched_rps;
-          sp_speedup = batched_rps /. seq_rps;
-          sp_identical = identical;
-          sp_sequential_path = sequential_path;
-        })
-      sweep_domains
-  in
-  List.concat_map sweep_config configs
 
 (* --- ingest: the zero-copy mmap pipeline ----------------------------- *)
 
@@ -1097,8 +937,8 @@ let net_bench () =
   let p4 = point 4 in
   [ p1; p4 ]
 
-let write_bench_json ~components ~experiments ~parallel ~serve ~sweep ~ingest
-    ~faults ~net =
+let write_bench_json ~components ~experiments ~parallel ~serve ~ingest ~faults
+    ~net =
   let oc = open_out "BENCH_7.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n  \"schema\": \"rbgp-bench/7\",\n";
@@ -1138,22 +978,6 @@ let write_bench_json ~components ~experiments ~parallel ~serve ~sweep ~ingest
      \"resume_identical\": %b}\n"
     serve.requests (json_num serve.rps) serve.p50_ns serve.p99_ns
     serve.serve_comm serve.serve_mig serve.resume_identical;
-  out "  ],\n  \"domains_sweep\": [\n";
-  List.iteri
-    (fun i p ->
-      out
-        "    {\"config\": \"%s\", \"n\": %d, \"ell\": %d, \"requests\": %d, \
-         \"batch\": %d, \"domains\": %d, \"seq_rps\": %s, \
-         \"batched_rps\": %s, \"speedup\": %s, \"identical\": %b, \
-         \"sequential_path\": %s}%s\n"
-        (json_escape p.sp_config) p.sp_n p.sp_ell p.sp_requests p.sp_batch
-        p.sp_domains (json_num p.sp_seq_rps) (json_num p.sp_batched_rps)
-        (json_num p.sp_speedup) p.sp_identical
-        (match p.sp_sequential_path with
-        | Some b -> string_of_bool b
-        | None -> "null")
-        (if i < List.length sweep - 1 then "," else ""))
-    sweep;
   out "  ],\n  \"ingest\": {\n";
   out "    \"requests\": %d,\n    \"bytes\": %d,\n" ingest.ing_requests
     ingest.ing_bytes;
@@ -1219,15 +1043,13 @@ let () =
   print_newline ();
   let serve = serve_bench () in
   print_newline ();
-  let sweep = domains_sweep () in
-  print_newline ();
   let ingest = ingest_bench () in
   print_newline ();
   let faults = faults_bench () in
   print_newline ();
   let net = net_bench () in
-  write_bench_json ~components ~experiments ~parallel ~serve ~sweep ~ingest
-    ~faults ~net;
+  write_bench_json ~components ~experiments ~parallel ~serve ~ingest ~faults
+    ~net;
   (* the fidelity gate: a component whose fit explains less than half the
      variance is a measurement failure, not a data point *)
   let low =

@@ -42,10 +42,9 @@ let domains_arg =
     & opt (some positive_int) None
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Number of domains (cores) used to fan experiment cells out and \
-           to pre-solve batched serve requests (see --batch). Defaults to \
-           \\$(b,RBGP_DOMAINS) or the machine's recommended domain count; \
-           results are byte-identical for any value.")
+          "Number of domains (cores) used to fan experiment cells out. \
+           Defaults to \\$(b,RBGP_DOMAINS) or the machine's recommended \
+           domain count; results are byte-identical for any value.")
 
 let grain_arg =
   let positive_int =
@@ -468,12 +467,12 @@ let batch_arg =
     value & opt int 1
     & info [ "batch" ] ~docv:"N"
         ~doc:
-          "Ingest up to N requests per engine call (default 1).  Batching \
-           lets interval-sharded algorithms pre-solve requests in parallel \
-           across domains (see --domains); decisions, costs and \
-           checkpoints are byte-identical to --batch 1.  Metrics and \
-           checkpoint cadences are evaluated, and decisions flushed to \
-           stdout, at batch boundaries.")
+          "Read up to N requests per block from the source and hand each \
+           block to the engine in one call (default 1); with \
+           --no-decisions a block is billed in one accounting loop. \
+           Decisions, costs and checkpoints are byte-identical to \
+           --batch 1.  Metrics and checkpoint cadences are evaluated, and \
+           decisions flushed to stdout, at block boundaries.")
 
 let checkpoint_keep_arg =
   Arg.(
@@ -944,10 +943,9 @@ let serve_cmd =
   in
   let run alg n ell epsilon seed trace format mmap no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
-      stop_after batch domains faults solver_budget budget_cooloff supervise
+      stop_after batch faults solver_budget budget_cooloff supervise
       listen http checkpoint_dir verbose =
     setup_logs verbose;
-    Rbgp_util.Pool.set_domains domains;
     configure_faults faults;
     match listen with
     | Some listen ->
@@ -983,7 +981,7 @@ let serve_cmd =
       const run $ alg_arg $ n $ ell $ epsilon $ seed_arg $ trace_arg
       $ format_arg $ mmap_arg $ decisions_arg
       $ metrics_every_arg $ checkpoint_path_arg $ checkpoint_every_arg
-      $ checkpoint_keep_arg $ stop_after_arg $ batch_arg $ domains_arg
+      $ checkpoint_keep_arg $ stop_after_arg $ batch_arg
       $ faults_arg $ solver_budget_arg $ budget_cooloff_arg $ supervise_arg
       $ listen_arg $ http_arg $ checkpoint_dir_arg $ verbose_arg)
 
@@ -1005,9 +1003,8 @@ let resume_cmd =
   in
   let run from trace format mmap skip_prefix no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
-      stop_after batch domains faults solver_budget budget_cooloff verbose =
+      stop_after batch faults solver_budget budget_cooloff verbose =
     setup_logs verbose;
-    Rbgp_util.Pool.set_domains domains;
     configure_faults faults;
     let ckpt = Ckpt.read ~path:from in
     let engine = Engine.resume ckpt in
@@ -1031,7 +1028,7 @@ let resume_cmd =
       const run $ from_arg $ trace_arg $ format_arg $ mmap_arg
       $ skip_prefix_arg $ decisions_arg $ metrics_every_arg
       $ checkpoint_path_arg $ checkpoint_every_arg $ checkpoint_keep_arg
-      $ stop_after_arg $ batch_arg $ domains_arg $ faults_arg
+      $ stop_after_arg $ batch_arg $ faults_arg
       $ solver_budget_arg $ budget_cooloff_arg $ verbose_arg)
 
 let checkpoint_cmd =

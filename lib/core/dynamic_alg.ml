@@ -5,7 +5,6 @@ module Intervals = Rbgp_ring.Intervals
 module Mts = Rbgp_mts.Mts
 module Metric = Rbgp_mts.Metric
 module Rng = Rbgp_util.Rng
-module Pool = Rbgp_util.Pool
 module Binc = Rbgp_util.Binc
 
 (* Packed edge routing: one int per edge holding both the owning interval
@@ -25,13 +24,6 @@ type t = {
   route_of_edge : int array;  (* global edge -> (interval lsl route_bits) lor local *)
   assignment : Assignment.t;
   scratch_servers : int array;
-  (* batch scratch, grown on demand; see [serve_batch] *)
-  mutable batch_order : int array;
-  mutable batch_locals : int array;
-  shard_counts : int array;
-  shard_offsets : int array;
-  shard_fill : int array;
-  shard_work : int array;
 }
 
 (* The first initial cut edge inside interval i: the MTS start state.
@@ -78,7 +70,7 @@ let create ?shift ?(mts = Rbgp_mts.Smin_mw.solver) ~epsilon (inst : Instance.t)
   let ell' = dec.Intervals.ell' in
   (* per-interval seed split happens here, sequentially in interval order:
      solver i owns an independent rng stream whose identity is fixed before
-     any request arrives, so sharded execution cannot perturb it *)
+     any request arrives *)
   let solvers =
     Array.init ell' (fun i ->
         let metric = Metric.Line (Intervals.width dec i) in
@@ -109,12 +101,6 @@ let create ?shift ?(mts = Rbgp_mts.Smin_mw.solver) ~epsilon (inst : Instance.t)
       route_of_edge;
       assignment = Assignment.create inst;
       scratch_servers = Array.make n 0;
-      batch_order = [||];
-      batch_locals = [||];
-      shard_counts = Array.make ell' 0;
-      shard_offsets = Array.make ell' 0;
-      shard_fill = Array.make ell' 0;
-      shard_work = Array.make ell' 0;
     }
   in
   apply_cuts t;
@@ -154,75 +140,6 @@ let serve t e =
   let r = t.route_of_edge.(e) in
   let i = r lsr route_bits in
   move_cut t i (Mts.serve t.solvers.(i) (r land route_mask))
-
-let ensure_batch_scratch t b =
-  if Array.length t.batch_order < b then begin
-    let cap = Stdlib.max b (2 * Array.length t.batch_order) in
-    t.batch_order <- Array.make cap 0;
-    t.batch_locals <- Array.make cap 0
-  end
-
-(* Interval-sharded batch path (the Section-3 decomposition as the
-   parallelism axis): each interval's solver sees exactly its own
-   requests, in arrival order, regardless of how intervals are scheduled
-   across domains — so the solver states, rng streams and decisions are
-   identical to the sequential path, and the in-order merge below replays
-   the assignment mutations request by request. *)
-let serve_batch t edges =
-  let b = Array.length edges in
-  let n = t.inst.Instance.n in
-  Array.iter
-    (fun e ->
-      if e < 0 || e >= n then
-        invalid_arg "Dynamic_alg.serve_batch: edge out of range")
-    edges;
-  if b <= 1 then fun j -> serve t edges.(j)
-  else begin
-    let ell' = t.dec.Intervals.ell' in
-    ensure_batch_scratch t b;
-    let order = t.batch_order and locals = t.batch_locals in
-    let counts = t.shard_counts and offsets = t.shard_offsets in
-    Array.fill counts 0 ell' 0;
-    for j = 0 to b - 1 do
-      let i = t.route_of_edge.(edges.(j)) lsr route_bits in
-      counts.(i) <- counts.(i) + 1
-    done;
-    let nwork = ref 0 in
-    let acc = ref 0 in
-    for i = 0 to ell' - 1 do
-      offsets.(i) <- !acc;
-      acc := !acc + counts.(i);
-      if counts.(i) > 0 then begin
-        t.shard_work.(!nwork) <- i;
-        incr nwork
-      end
-    done;
-    (* stable bucket sort: order.(offsets.(i) ..) lists the batch indices
-       of interval i's requests in arrival order *)
-    let fill = t.shard_fill in
-    Array.blit offsets 0 fill 0 ell';
-    for j = 0 to b - 1 do
-      let i = t.route_of_edge.(edges.(j)) lsr route_bits in
-      order.(fill.(i)) <- j;
-      fill.(i) <- fill.(i) + 1
-    done;
-    let work = Array.sub t.shard_work 0 !nwork in
-    let run i =
-      let stop = offsets.(i) + counts.(i) in
-      for idx = offsets.(i) to stop - 1 do
-        let j = order.(idx) in
-        locals.(j) <-
-          Mts.serve t.solvers.(i) (t.route_of_edge.(edges.(j)) land route_mask)
-      done
-    in
-    (* each worker touches only its claimed intervals' solvers and
-       [locals] slots; the pool's join publishes all writes
-       before the merge reads them.  The family estimate keeps small
-       batches sequential automatically. *)
-    ignore (Pool.map ~family:"dynalg.shard" run work);
-    fun j ->
-      move_cut t (t.route_of_edge.(edges.(j)) lsr route_bits) locals.(j)
-  end
 
 (* --- O(state) snapshot ------------------------------------------------ *)
 
@@ -271,7 +188,6 @@ let online t =
   Rbgp_ring.Online.with_state
     ~snapshot:(fun () -> snapshot t)
     ~restore:(fun s -> restore t s)
-  @@ Rbgp_ring.Online.with_batch (serve_batch t)
   @@ Rbgp_ring.Online.make ~name:"onl-dynamic"
        ~augmentation:
          (float_of_int (Intervals.max_slice_len t.dec)

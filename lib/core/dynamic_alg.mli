@@ -39,8 +39,8 @@ val create :
 
 val online : t -> Rbgp_ring.Online.t
 (** The {!Rbgp_ring.Online.t} view driven by the simulator; exposes the
-    per-request [serve], the interval-sharded [batch] path and the
-    O(state) snapshot hooks ({!snapshot}/{!restore}). *)
+    per-request [serve] and the O(state) snapshot hooks
+    ({!snapshot}/{!restore}). *)
 
 val snapshot : t -> string
 (** The algorithm's whole online state, independent of the number of
@@ -60,19 +60,6 @@ val serve : t -> int -> unit
     MTS solver (O(1) table lookup) and, if the cut moved, update the
     assignment incrementally along the moved range.  Raises
     [Invalid_argument] on an out-of-range edge. *)
-
-val serve_batch : t -> int array -> int -> unit
-(** [serve_batch t edges] is the interval-sharded batch path behind
-    {!Rbgp_ring.Online.t.batch}.  Requests are grouped by owning interval
-    (stably, preserving arrival order within each interval) and each
-    interval's solver consumes its own sub-sequence — independent
-    sub-instances, so this fans out across pool domains
-    ({!Rbgp_util.Pool.map}, family ["dynalg.shard"]) without changing any
-    solver state, rng stream or decision.  The returned [apply] replays
-    the per-request cut moves in arrival order; it must be consumed as
-    [apply 0, apply 1, ...] and fully consumed before the next batch is
-    prepared (it reads shared scratch).  Byte-identical to serving the
-    edges one by one, for every domain count and shard schedule. *)
 
 val shift : t -> int
 

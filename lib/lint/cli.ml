@@ -106,8 +106,8 @@ let hot_root_arg =
     & info [ "hot-root" ] ~docv:"MOD.NAME"
         ~doc:
           "Add a hot root for r11 by display name (repeatable), on top of \
-           the built-in set (Engine.ingest*, Dynamic_alg.serve_batch, \
-           Binc.decode_varints*, Pool.map ~family submitters).")
+           the built-in set (Engine.ingest*, Dynamic_alg.serve, \
+           Binc.decode_varints*).")
 
 let today_arg =
   let date =

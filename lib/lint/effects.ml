@@ -29,8 +29,8 @@
 
    Two root sets anchor the rules:
      - hot roots (r11): the bench-audited allocation-free entry points —
-       [Engine.ingest*], [Dynamic_alg.serve_batch], the [Binc] block
-       decoders, and every node that submits [Pool.map ~family] jobs;
+       [Engine.ingest*], the solver step [Dynamic_alg.serve] and the
+       [Binc] block decoders;
      - serve roots (r12): the request path — [Engine.ingest*], the net
        tier's frame handlers and the tenant router's serve entries.
 
@@ -193,7 +193,7 @@ type t = {
 let hot_root_specs =
   [
     ("Engine", "ingest");  (* ingest / ingest_batch / ingest_batch_quiet *)
-    ("Dynamic_alg", "serve_batch");  (* the interval-sharded solver path *)
+    ("Dynamic_alg", "serve");  (* the solver step behind Online.serve *)
     ("Binc", "decode_varints");  (* the block decoder *)
   ]
 
@@ -336,8 +336,7 @@ let infer ?(extra_hot_roots = []) index =
       (fun id ->
         let i = Hashtbl.find infos id in
         let n = i.node in
-        matches_spec specs n || n.Index.pool_family
-        || List.mem n.Index.display extra)
+        matches_spec specs n || List.mem n.Index.display extra)
       order
   in
   let hot_roots = roots_of hot_root_specs extra_hot_roots in

@@ -48,8 +48,8 @@ type t
 val infer : ?extra_hot_roots:string list -> Index.t -> t
 (** Build call edges, run the fixpoint, compute root reachability.
     [extra_hot_roots] adds display names ("Mod.name") to the built-in
-    hot-root specs ([Engine.ingest*], [Dynamic_alg.serve_batch],
-    [Binc.decode_varints*], every [Pool.map ~family] submitter). *)
+    hot-root specs ([Engine.ingest*], [Dynamic_alg.serve],
+    [Binc.decode_varints*]). *)
 
 val effect_of : t -> string -> eff
 (** By node id; [eff_bot] for unknown ids. *)

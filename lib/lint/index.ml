@@ -12,10 +12,7 @@
        once, like the literal it spells);
      - whether a reference sits under an exception handler ([try]/
        [match ... with exception]), so partiality can be masked by an
-       intervening named handler;
-     - whether the body submits pool jobs with a [~family] label (those
-       call sites are hot roots by definition — the pool only measures
-       families on the bench-audited paths).
+       intervening named handler.
 
    Alongside the nodes the index keeps each file's module aliases
    ([module P = Rbgp_util.Pool]) and [open]s, the values each interface
@@ -28,7 +25,7 @@
    through record fields (the [Online] algorithm interface) is invisible
    here — the analysis is honest about that boundary, which is why the
    hot roots name both the engine entry points and the solver-side
-   [serve_batch] explicitly.
+   [Dynamic_alg.serve] explicitly.
 
    Everything is deterministic: nodes sort by id, tables are folded into
    sorted lists before anything escapes, and no wall clock is read. *)
@@ -60,7 +57,6 @@ type node = {
   n_line : int;
   is_function : bool;  (* binding peels at least one fun/function *)
   is_alias : bool;  (* non-function whose body is a bare ident *)
-  pool_family : bool;  (* body contains a Pool.map/map_list ~family:... *)
   sites : site list;  (* in source order *)
   refs : reference list;  (* in source order *)
 }
@@ -126,25 +122,13 @@ let expand_aliases ctx p =
 let normalize_path_ident ctx lid =
   strip_wrappers (strip_stdlib (expand_aliases ctx (flatten [] lid)))
 
-let is_pool_map = function
-  | [ "Pool"; ("map" | "map_list") ] -> true
-  | _ -> false
-
-let has_family_label args =
-  List.exists
-    (fun (l, _) ->
-      match l with
-      | Asttypes.Labelled "family" | Asttypes.Optional "family" -> true
-      | _ -> false)
-    args
-
 (* Collect the sites and references of one binding body.  [handled] is a
    depth counter: positive inside a [try] body or a [match] scrutinee
    whose cases include [exception] patterns.  Closures count one site
    each (the curried spine collapses, mirroring r8), and the leading
    parameters of the binding itself are not allocations. *)
 let collect_body ctx expr0 =
-  let sites = ref [] and refs = ref [] and pool_family = ref false in
+  let sites = ref [] and refs = ref [] in
   let handled = ref 0 in
   let loc_of (loc : Location.t) =
     let p = loc.Location.loc_start in
@@ -193,10 +177,7 @@ let collect_body ctx expr0 =
     | Parsetree.Pexp_ident { txt; loc } -> add_ref txt loc
     | Parsetree.Pexp_apply (fn, args) ->
         (match fn.Parsetree.pexp_desc with
-        | Parsetree.Pexp_ident { txt; loc } ->
-            add_ref txt loc;
-            if is_pool_map (normalize_path_ident ctx txt) && has_family_label args
-            then pool_family := true
+        | Parsetree.Pexp_ident { txt; loc } -> add_ref txt loc
         | _ -> expr_of self fn);
         List.iter (fun (_, a) -> expr_of self a) args
     | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ ->
@@ -250,7 +231,7 @@ let collect_body ctx expr0 =
     | _ -> (false, false)
   in
   peel_top it expr0;
-  (List.rev !sites, List.rev !refs, !pool_family, is_function, is_alias)
+  (List.rev !sites, List.rev !refs, is_function, is_alias)
 
 let binding_name (vb : Parsetree.value_binding) =
   let rec of_pat (p : Parsetree.pattern) =
@@ -275,7 +256,7 @@ let walk_structure ctx str =
           Printf.sprintf "_anon:%d"
             vb.Parsetree.pvb_loc.Location.loc_start.Lexing.pos_lnum
     in
-    let sites, refs, pool_family, is_function, is_alias =
+    let sites, refs, is_function, is_alias =
       collect_body ctx vb.Parsetree.pvb_expr
     in
     let qual = String.concat "." (modpath @ [ name ]) in
@@ -290,7 +271,6 @@ let walk_structure ctx str =
         n_line = line;
         is_function;
         is_alias;
-        pool_family;
         sites;
         refs;
       }

@@ -41,8 +41,6 @@ type node = {
   n_line : int;
   is_function : bool;
   is_alias : bool;  (** non-function whose body is a bare ident *)
-  pool_family : bool;
-      (** body submits pool jobs with a [~family] label — a hot root *)
   sites : site list;  (** in source order *)
   refs : reference list;  (** in source order *)
 }

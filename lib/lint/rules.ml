@@ -791,9 +791,9 @@ let descriptions =
     ( "r11-hot-alloc",
       "no heap allocation (closures, tuples, records, list conses, \
        Array.append / @ / ^ / sprintf ...) in functions transitively \
-       reachable from the audited hot roots — Engine.ingest*, \
-       Dynamic_alg.serve_batch, the Binc block decoders and every \
-       Pool.map ~family submitter — outside justified allowlist entries" );
+       reachable from the audited hot roots — Engine.ingest*, the \
+       solver step Dynamic_alg.serve and the Binc block decoders — \
+       outside justified allowlist entries" );
     ( "r12-transitive-partial",
       "no unnamed partiality (List.hd / Option.get / Hashtbl.find / \
        int_of_string ...) reachable from the serve/net request path \
@@ -822,11 +822,10 @@ let explain rule =
            allocating stdlib such as @, ^, Array.append, List.map and \
            Printf.sprintf.  Findings are the direct allocation sites \
            inside any function transitively reachable from a hot root: \
-           Engine.ingest*, Dynamic_alg.serve_batch, Binc.decode_varints*, \
-           every body that submits Pool.map ~family jobs, plus any \
-           --hot-root extras.  First-class dispatch through record fields \
-           (the Online interface) is invisible to the index, which is why \
-           the solver-side serve_batch is a root in its own right.  \
+           Engine.ingest*, Dynamic_alg.serve, Binc.decode_varints*, plus \
+           any --hot-root extras.  First-class dispatch through record \
+           fields (the Online interface) is invisible to the index, which \
+           is why the solver-side serve is a root in its own right.  \
            Amortized allocations (per-batch scratch, startup-only paths) \
            belong in lint/allowlist.txt with a written justification; \
            per-element allocations in steady state are bugs."

@@ -35,8 +35,8 @@
       networked serving modules.
     - [r11-hot-alloc] — interprocedural: allocation sites transitively
       reachable from the audited hot roots (Engine.ingest*,
-      Dynamic_alg.serve_batch, Binc.decode_varints, and every
-      [Pool.map ~family] submitter), via the [Effects] fixpoint.
+      Dynamic_alg.serve and Binc.decode_varints), via the [Effects]
+      fixpoint.
     - [r12-transitive-partial] — interprocedural: partiality reachable
       from the serve/net request path with no intervening handler.
     - [r13-comparator-coverage] — comparator-shaped values exposed from

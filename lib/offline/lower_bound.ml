@@ -1,32 +1,20 @@
 module Instance = Rbgp_ring.Instance
 
-(* Uniform-metric tracking DP with free start, specialized to one window:
-   opt.(s) = cheapest (hits + switches) for a tracking sequence currently at
-   edge s of the window.  Per request inside the window:
-   opt'(s) = min(opt(s), min_all + 1) + [s = requested].
+(* A window's bound is the uniform-metric tracking optimum over its k
+   edges with free start (hits plus unit switches), and that optimum is
+   phase counting.  Every state's tracking cost is always the running
+   minimum or one above it: a request on a state at the minimum lifts it
+   one above, and once every state is above the minimum all of them sit
+   at minimum + 1, so the minimum grows by one exactly when every edge of
+   the window has been requested since the last such moment.  The bound
+   is therefore the number of completed phases, where a phase ends once
+   each window edge has been requested at least once since it began.
 
-   Hits and switches are integer counts, so the DP runs on an int array
-   end-to-end (the float version forced the caller to truncate with
-   [int_of_float]).  The running minimum is carried across requests and
-   refreshed in the same pass that applies the relaxation, so each request
-   costs exactly one sweep and the final answer needs no extra fold (the
-   old fold also seeded with [opt.(0)] and visited it twice). *)
-let window_dp ~edges requests_iter =
-  let m = edges in
-  let opt = Array.make m 0 in
-  let mn = ref 0 (* min over opt, maintained across requests *) in
-  requests_iter (fun local_e ->
-      let cap = !mn + 1 in
-      let new_mn = ref max_int in
-      for s = 0 to m - 1 do
-        let v = if opt.(s) > cap then cap else opt.(s) in
-        let v = if s = local_e then v + 1 else v in
-        opt.(s) <- v;
-        if v < !new_mn then new_mn := v
-      done;
-      mn := !new_mn);
-  !mn
-
+   One pass over the trace counts them for every window at once:
+   [stamp.(e)] is the phase (per window) in which edge [e] was last
+   requested, and [left.(w)] the edges of window [w] not yet requested in
+   its current phase [phase.(w)].  O(1) per request, O(n) space.
+   test_offline checks the count against the DP itself. *)
 let lb_for_offset (inst : Instance.t) trace offset =
   let n = inst.Instance.n and k = inst.Instance.k in
   let stride = k + 2 in
@@ -36,25 +24,28 @@ let lb_for_offset (inst : Instance.t) trace offset =
     (* window w covers vertices offset + w*stride .. offset + w*stride + k;
        its edges are the first k of those (both endpoints inside). *)
     let window_of_edge = Array.make n (-1) in
-    let local_of_edge = Array.make n 0 in
     for w = 0 to window_count - 1 do
       let base = (offset + (w * stride)) mod n in
       for j = 0 to k - 1 do
-        let e = (base + j) mod n in
-        window_of_edge.(e) <- w;
-        local_of_edge.(e) <- j
+        window_of_edge.((base + j) mod n) <- w
       done
     done;
-    let total = ref 0 in
-    for w = 0 to window_count - 1 do
-      let iter f =
-        Array.iter
-          (fun e -> if window_of_edge.(e) = w then f local_of_edge.(e))
-          trace
-      in
-      total := !total + window_dp ~edges:k iter
-    done;
-    !total
+    let stamp = Array.make n (-1) in
+    let phase = Array.make window_count 0 in
+    let left = Array.make window_count k in
+    Array.iter
+      (fun e ->
+        let w = window_of_edge.(e) in
+        if w >= 0 && stamp.(e) <> phase.(w) then begin
+          stamp.(e) <- phase.(w);
+          left.(w) <- left.(w) - 1;
+          if left.(w) = 0 then begin
+            phase.(w) <- phase.(w) + 1;
+            left.(w) <- k
+          end
+        end)
+      trace;
+    Array.fold_left ( + ) 0 phase
   end
 
 let dynamic_lb (inst : Instance.t) trace ?offsets () =

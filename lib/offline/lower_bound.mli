@@ -17,8 +17,11 @@
     [OPT >= sum_w min over tracking sequences (hits + switches)]
 
     where the inner minimum is a uniform-metric MTS optimum over the
-    window's edges with unit switch cost — computed exactly in O(T) per
-    window.  Requests whose edges fall outside every window contribute
+    window's edges with unit switch cost.  That optimum is the window's
+    number of completed {e phases}, a phase ending once every edge of the
+    window has been requested since it began, so one O(T) pass over the
+    trace counts it for all windows at once.  Requests whose edges fall
+    outside every window contribute
     nothing; shifting the window offset changes which do, so the maximum of
     the bound over several offsets (each individually valid) is reported.
 

@@ -79,12 +79,6 @@ let journal_push j p =
   j.buf.(j.len) <- p;
   j.len <- j.len + 1
 
-let journal_drain j f =
-  for i = 0 to j.len - 1 do
-    f j.buf.(i)
-  done;
-  j.len <- 0
-
 let n t = t.inst.Instance.n
 let server_of t p = t.map.(p)
 

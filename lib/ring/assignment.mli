@@ -11,13 +11,18 @@
 
 type t
 
-type journal
+type journal = private {
+  mutable buf : int array;  (** recorded process ids, in [\[0, len)] *)
+  mutable len : int;  (** moves recorded since the last clear *)
+}
 (** A move journal: the ids of processes whose server changed since the
-    journal was last drained.  Once attached (see {!journal}), every
+    journal was last cleared.  Once attached (see {!journal}), every
     effective {!set} appends the process id; redundant sets (same server)
     are not recorded.  A process that moved twice appears twice — consumers
     that need exact Hamming semantics should diff against a snapshot per
-    touched id (see {!Simulator}). *)
+    touched id (see {!Simulator}).  The fields are readable so that a
+    consumer tests for an empty journal, and walks a full one, without a
+    call per request; only this module writes them. *)
 
 val create : Instance.t -> t
 (** Initialized to the instance's initial assignment. *)
@@ -28,12 +33,8 @@ val journal : t -> journal
     [n] processes per request. *)
 
 val journal_clear : journal -> unit
-(** Forget any recorded moves (e.g. moves made during algorithm setup,
-    before simulation starts). *)
-
-val journal_drain : journal -> (int -> unit) -> unit
-(** [journal_drain j f] calls [f] on every recorded process id, in record
-    order, then clears the journal. *)
+(** Forget any recorded moves: moves made during algorithm setup, before
+    simulation starts, or moves a consumer has just billed. *)
 
 val of_array : Instance.t -> int array -> t
 (** Copies the given map; validates server ids are in range (loads are not

@@ -6,7 +6,10 @@
     the model of Section 2 (serve-then-optionally-migrate).  Algorithms
     must therefore perform all reactions to a request inside [serve], move
     processes only through {!Assignment.set} (or functions built on it),
-    and never hand out their assignment for mutation.
+    and never hand out their assignment for mutation: the simulator reads
+    the assignment before a request from a shadow it syncs from the
+    journal after each [serve], so a move made anywhere else goes unseen
+    until the next step that moves something.
 
     [augmentation] is the capacity factor the algorithm claims
     (e.g. [2 + eps] for the dynamic-model algorithm, [3 + eps] for the
@@ -31,8 +34,8 @@ type t = {
   journal : Assignment.journal option;
       (** The move journal of the algorithm's assignment
           ({!Assignment.journal}), attached by {!make} and therefore always
-          [Some].  The simulator drains it after every request to charge
-          migration in [O(moves + 1)]. *)
+          [Some].  The simulator drains it after every request that
+          moved something, to charge migration in [O(moves + 1)]. *)
   snapshot : (unit -> string) option;
       (** Serialize the algorithm's complete mutable state (including its
           assignment, rng words and solver state) to an opaque, versioned
@@ -48,20 +51,6 @@ type t = {
       (** Inverse of [snapshot]; raises [Invalid_argument] on a byte
           string this algorithm version cannot decode, including one with
           trailing bytes. *)
-  batch : (int array -> int -> unit) option;
-      (** Optional batched request path, the hook behind interval-sharded
-          parallel serving.  [batch edges] pre-computes the algorithm's
-          decisions for the whole batch — possibly in parallel across
-          independent sub-instances — and returns an [apply] function;
-          [apply j] then performs {e exactly} the observable mutations
-          (assignment updates, journal entries) that [serve edges.(j)]
-          would have performed, and must be called in order
-          [j = 0, 1, ...].  Contract: for every batch decomposition of a
-          request sequence, interleaving [apply j] with arbitrary reads of
-          the assignment is indistinguishable from calling [serve] request
-          by request.  Algorithms whose per-request decisions depend on
-          global state that [apply] cannot reproduce must leave this
-          [None]. *)
 }
 
 val make :
@@ -70,14 +59,10 @@ val make :
   assignment:(unit -> Assignment.t) ->
   serve:(int -> unit) ->
   t
-(** Builds an algorithm without snapshot hooks or a batched path.  It
-    calls [assignment ()] once to attach the assignment's move journal, so
-    every later {!Assignment.set} on it is journaled. *)
+(** Builds an algorithm without snapshot hooks.  It calls
+    [assignment ()] once to attach the assignment's move journal, so every
+    later {!Assignment.set} on it is journaled. *)
 
 val with_state : snapshot:(unit -> string) -> restore:(string -> unit) -> t -> t
 (** [with_state ~snapshot ~restore t] declares that [t] supports explicit
     state checkpointing (see the field contracts above). *)
-
-val with_batch : (int array -> int -> unit) -> t -> t
-(** [with_batch b t] declares that [t] supports the batched request path
-    (see the [batch] field contract above). *)

@@ -17,14 +17,20 @@ type stepper = {
   alg : Online.t;
   strict : bool;
   cap : int;
+  n : int;
   current : Assignment.t;
   journal : Assignment.journal;
-  drain : int -> unit;
-  moved : int ref;
+  (* The assignment as of the last step boundary.  Every step that moved
+     something syncs it from the journal, so between steps it equals the
+     live assignment and the pre-serve cut check reads it directly. *)
+  shadow : int array;
   s_cost : Cost.t;
   mutable s_steps : int;
   mutable s_max_load : int;
   mutable s_violations : int;
+  (* the assignment's maximum load, read at the last step that moved
+     something: loads change only through journaled [Assignment.set] *)
+  mutable load : int;
 }
 
 let stepper ?(strict = true) ?cost ?max_load ?violations ?(steps_done = 0)
@@ -34,82 +40,76 @@ let stepper ?(strict = true) ?cost ?max_load ?violations ?(steps_done = 0)
   (* setup-time moves (algorithm construction, or a checkpoint restore)
      predate the simulation and are already in the shadow snapshot *)
   Assignment.journal_clear journal;
-  let shadow = Assignment.to_array current in
-  let moved = ref 0 in
-  (* Bills one journaled process against the shadow, which is advanced per
-     touched process: a process that moved away and back within one step
-     costs nothing, and one that moved twice costs 1 — the Hamming
-     distance between the assignments before and after the step. *)
-  let drain p =
-    let s = Assignment.server_of current p in
-    if shadow.(p) <> s then begin
-      incr moved;
-      shadow.(p) <- s
-    end
-  in
   let load = Assignment.max_load current in
   {
     inst;
     alg;
     strict;
     cap = capacity_cap inst ~augmentation:alg.Online.augmentation;
+    n = inst.Instance.n;
     current;
     journal;
-    drain;
-    moved;
+    shadow = Assignment.to_array current;
     s_cost = (match cost with Some c -> c | None -> Cost.zero ());
     s_steps = steps_done;
     s_max_load = (match max_load with Some m -> max m load | None -> load);
     s_violations = (match violations with Some v -> v | None -> 0);
+    load;
   }
 
-(* [serve_now st x] performs the algorithm action for this step; [x] is
-   caller-chosen (the edge for the per-request paths, the batch index for
-   the prepared path) so the actions can be top-level or per-batch values
-   and no per-request closure is allocated (r11 patrols this path).  It
-   returns nothing: a caller that needs the step's charges reads them as
-   the growth of the cumulative costs, so billing allocates nothing. *)
-let advance_with st e serve_now x =
-  if e < 0 || e >= st.inst.Instance.n then
-    invalid_arg "Simulator.step: edge out of range";
-  (* Online.assignment is contractually a live view, so the handle taken
-     once per stepper sees the post-serve state *)
-  let current = st.current in
-  if Assignment.cuts_edge current e then
+let check_edge st e =
+  if e < 0 || e >= st.n then invalid_arg "Simulator.step: edge out of range"
+
+(* Bills the step's journaled moves against the shadow, advancing it per
+   touched process: a process that moved away and back within one step
+   costs nothing, and one that moved twice costs 1 — the Hamming distance
+   between the assignments before and after the step.  Loads are read
+   only here, after the whole step: mid-step transients (a process
+   arriving before another departs) are not states of the model. *)
+let sync st =
+  let j = st.journal and shadow = st.shadow in
+  for i = 0 to j.Assignment.len - 1 do
+    let p = j.Assignment.buf.(i) in
+    let s = Assignment.server_of st.current p in
+    if shadow.(p) <> s then begin
+      st.s_cost.Cost.mig <- st.s_cost.Cost.mig + 1;
+      shadow.(p) <- s
+    end
+  done;
+  Assignment.journal_clear j;
+  let load = Assignment.max_load st.current in
+  st.load <- load;
+  if load > st.s_max_load then st.s_max_load <- load
+
+let violation st =
+  st.s_violations <- st.s_violations + 1;
+  if st.strict then
+    failwith
+      (Printf.sprintf
+         "Simulator.run: %s violated capacity at step %d (max load %d, \
+          claimed augmentation %.3f, k=%d)"
+         st.alg.Online.name st.s_steps st.load st.alg.Online.augmentation
+         st.inst.Instance.k)
+
+(* The billing rule, for an edge already checked to be in range: 1 of
+   communication iff the edge is cut before the algorithm reacts, then
+   ([served]) the algorithm's reaction, its moves and the capacity check.
+   The cut is read from the shadow, which equals the assignment at a step
+   boundary; a step that journaled nothing skips the sync, and its
+   capacity check reuses the cached load.  Every path bills through
+   here, and none allocates. *)
+let[@inline] bill st e ~served =
+  let shadow = st.shadow in
+  if shadow.(e) <> shadow.(if e + 1 = st.n then 0 else e + 1) then
     st.s_cost.Cost.comm <- st.s_cost.Cost.comm + 1;
-  serve_now st x;
-  st.moved := 0;
-  Assignment.journal_drain st.journal st.drain;
-  st.s_cost.Cost.mig <- st.s_cost.Cost.mig + !(st.moved);
-  (* loads are read only after the whole step: mid-step transients (a
-     process arriving before another departs) are not states of the
-     model *)
-  let load = Assignment.max_load current in
-  if load > st.s_max_load then st.s_max_load <- load;
-  if load > st.cap then begin
-    st.s_violations <- st.s_violations + 1;
-    if st.strict then
-      failwith
-        (Printf.sprintf
-           "Simulator.run: %s violated capacity at step %d (max load %d, \
-            claimed augmentation %.3f, k=%d)"
-           st.alg.Online.name st.s_steps load st.alg.Online.augmentation
-           st.inst.Instance.k)
-  end;
+  if served then st.alg.Online.serve e;
+  if st.journal.Assignment.len > 0 then sync st;
+  if st.load > st.cap then violation st;
   st.s_steps <- st.s_steps + 1
 
-let serve_action st e = st.alg.Online.serve e
-let frozen_action (_ : stepper) (_ : int) = ()
-let advance st e = advance_with st e serve_action e
-
-(* A step and its (comm, migrations): the growth of the cumulative costs
-   across it. *)
-let charged st e serve_now x =
-  let comm = st.s_cost.Cost.comm and mig = st.s_cost.Cost.mig in
-  advance_with st e serve_now x;
-  (st.s_cost.Cost.comm - comm, st.s_cost.Cost.mig - mig)
-
-let step st e = charged st e serve_action e
+let advance st e =
+  check_edge st e;
+  bill st e ~served:true
 
 (* A degraded "never-move" accounting step: the request is billed exactly
    as if a never-move algorithm had served it (communication charged when
@@ -117,32 +117,35 @@ let step st e = charged st e serve_action e
    algorithm is not consulted, so an over-budget or stalled solver is
    bypassed without losing cost accounting.  The algorithm's state is
    untouched, so a checkpoint of it stays exact across frozen requests. *)
-let advance_frozen st e = advance_with st e frozen_action e
+let advance_frozen st e =
+  check_edge st e;
+  bill st e ~served:false
 
-(* Batched stepping: pre-solve the algorithm's decisions for the whole
-   batch (in parallel, when the algorithm provides [Online.batch]), then
-   play them through the exact per-request accounting above.  All edges are
-   validated up front — the algorithm's batch hook may inspect them before
-   any step is played. *)
+let advance_block st edges len =
+  if len < 0 || len > Array.length edges then
+    invalid_arg "Simulator.advance_block: length out of range";
+  for j = 0 to len - 1 do
+    check_edge st edges.(j)
+  done;
+  for j = 0 to len - 1 do
+    bill st edges.(j) ~served:true
+  done
+
+(* A step and its (comm, migrations): the growth of the cumulative costs
+   across it. *)
+let step st e =
+  let comm = st.s_cost.Cost.comm and mig = st.s_cost.Cost.mig in
+  advance st e;
+  (st.s_cost.Cost.comm - comm, st.s_cost.Cost.mig - mig)
+
 let prepare st edges =
-  let n = st.inst.Instance.n in
-  Array.iter
-    (fun e ->
-      if e < 0 || e >= n then invalid_arg "Simulator.step: edge out of range")
-    edges;
-  let apply =
-    match st.alg.Online.batch with
-    | Some b when Array.length edges > 1 -> b edges
-    | _ -> fun j -> st.alg.Online.serve edges.(j)
-  in
-  (* one action per batch, indexed by j — not one closure per request *)
-  let apply_action _st j = apply j in
+  Array.iter (check_edge st) edges;
   let next = ref 0 in
   fun j ->
     if j <> !next then
       invalid_arg "Simulator.prepare: requests must be played in order";
     incr next;
-    charged st edges.(j) apply_action j
+    step st edges.(j)
 
 let max_load st = st.s_max_load
 
@@ -165,7 +168,7 @@ let run ?(strict = true) ?(record_steps = false) ?on_step (inst : Instance.t)
     let e = Trace.next trace t st.current in
     if e < 0 || e >= inst.Instance.n then
       invalid_arg "Simulator.run: trace produced edge out of range";
-    advance st e;
+    bill st e ~served:true;
     if record_steps then series.(t) <- (st.s_cost.Cost.comm, st.s_cost.Cost.mig);
     match on_step with None -> () | Some f -> f t st.s_cost
   done;

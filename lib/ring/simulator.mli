@@ -25,7 +25,15 @@
     running maximum load and the capacity check read the assignment's
     [O(1)] cached maximum ({!Assignment.max_load}) once the step is
     complete, so mid-step transients are never observed.  The test suite
-    checks every step against an [O(n)] {!Assignment.diff_into} oracle. *)
+    checks every step against an [O(n)] {!Assignment.diff_into} oracle.
+
+    Every step that moved something syncs the shadow, so at a step
+    boundary it equals the assignment: the communication check reads the
+    requested edge's two shadow cells.  A step whose [serve] journaled
+    nothing changed no load, so it skips the sync and checks capacity
+    against the load cached at the last step that moved.  This relies on
+    the {!Online} contract that an algorithm moves processes only inside
+    [serve]. *)
 
 type result = {
   cost : Cost.t;
@@ -83,25 +91,27 @@ val advance_frozen : stepper -> int -> unit
     Like {!advance}, it returns nothing.  Raises [Invalid_argument] if
     [e] is out of [\[0, n)]. *)
 
+val advance_block : stepper -> int array -> int -> unit
+(** [advance_block st edges len] is {!advance} on [edges.(0)] ..
+    [edges.(len - 1)] in order, in one loop that calls the algorithm's
+    [serve] directly and allocates nothing.  All [len] edges are validated
+    {e first}: an out-of-range edge anywhere in the block raises
+    [Invalid_argument] before any request is billed.  On a strict-mode
+    capacity failure at request [j], requests [0 .. j] have been served
+    and billed and the rest have not.  Raises [Invalid_argument] unless
+    [0 <= len <= Array.length edges]. *)
+
 val max_load : stepper -> int
 (** The running maximum load, as {!stepper_result} reports it. *)
 
 val prepare : stepper -> int array -> int -> int * int
-(** [prepare st edges] pre-solves a whole batch of requests and returns a
-    [play] function; [play j] performs the accounting of
-    [step st edges.(j)] and returns the same [(comm, migrations)] pair.
-    When the algorithm provides a batched path ({!Online.t.batch}) the
-    decisions for all requests are computed before the first [play] —
-    potentially sharded across domains — while costs, journal accounting,
-    load tracking and capacity checks still happen request by request in
-    arrival order, so results are identical to [step]ping each edge.
-
-    [play] must be called exactly in order [j = 0, 1, ...] (raises
-    [Invalid_argument] otherwise).  Unlike [step], all edges are validated
-    {e up front}, so an out-of-range edge anywhere in the batch raises
-    before any request is served.  On a strict-mode capacity failure at
-    request [j], requests after [j] have already been pre-solved inside
-    the algorithm; the stepper must not be reused past the failure. *)
+(** [prepare st edges] validates every edge of the batch up front, then
+    returns [play]; [play j] is [step st edges.(j)].  [play] must be
+    called exactly in order [j = 0, 1, ...] (raises [Invalid_argument]
+    otherwise).  A thin per-request wrapper over the same billing rule as
+    {!step}: {!advance_block} is the block path.  It stays because the
+    repository benchmark's traced recomposition drives the stepper
+    through it. *)
 
 val stepper_result : stepper -> result
 (** Cumulative totals so far ([per_step] is always [None]; the returned

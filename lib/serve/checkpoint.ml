@@ -36,6 +36,15 @@ let[@inline] digest_add d ~pos e =
   let x = (e lxor (pos * 0x1E3779B97F4A7C15)) * 0x3F58476D1CE4E5B9 in
   d + (x lxor (x lsr 31))
 
+(* A self tail call is a jump, so this is a call-free loop that keeps
+   the digest in a register and allocates nothing. *)
+let rec digest_from d ~pos edges j len =
+  if j >= len then d
+  else
+    digest_from (digest_add d ~pos:(pos + j) edges.(j)) ~pos edges (j + 1) len
+
+let digest_block d ~pos edges len = digest_from d ~pos edges 0 len
+
 let fail ?(path = "<string>") fmt =
   Printf.ksprintf
     (fun msg -> invalid_arg (Printf.sprintf "Checkpoint: %s: %s" path msg))

@@ -70,6 +70,11 @@ val digest_add : int -> pos:int -> int -> int
     [pos] (0-based): O(1), no allocation.  Changing any single request of
     a sequence always changes its digest. *)
 
+val digest_block : int -> pos:int -> int array -> int -> int
+(** [digest_block d ~pos edges len] folds {!digest_add} over
+    [edges.(0)] .. [edges.(len - 1)] served as requests [pos] ..
+    [pos + len - 1], in one call and no allocation. *)
+
 val write : path:string -> t -> unit
 (** Atomic durable write via {!Rbgp_util.Durable.atomic_write}.  Honours
     the active {!Fault} plan: a planned tear writes truncated bytes

@@ -137,20 +137,18 @@ let create ?strict ?sanitize ?(epsilon = 0.5) ~alg ~seed inst =
   make_engine ?strict ?sanitize ~epsilon ~alg ~seed inst online
 
 (* One request's bookkeeping around [play] (the accounting step):
-   identical for the per-request and batched paths, so every decision
-   field except the wall-clock [latency_ns] is byte-identical between
-   them.  [play] takes the stepper and a caller-chosen argument ([e] for
-   the per-request paths, the batch index for the prepared path) so the
-   per-request callers pass [Simulator.advance]/[advance_frozen] directly
-   and allocate no thunk (r11 patrols this path).  The step's charges are
-   the growth of the stepper's cumulative costs, read as ints, so the
-   decision record is the request's only allocation. *)
-let ingest_step t e play x =
+   identical for the served and the frozen path, so every decision field
+   except the wall-clock [latency_ns] is byte-identical between them.
+   [play] is [Simulator.advance] or [Simulator.advance_frozen], passed
+   directly so no thunk is allocated (r11 patrols this path).  The step's
+   charges are the growth of the stepper's cumulative costs, read as
+   ints, so the decision record is the request's only allocation. *)
+let ingest_step t e play =
   let t0 = now_ns () in
   (* scalars: the stepper's cost record is mutated in place *)
   let prev_comm = t.cost.Cost.comm and prev_mig = t.cost.Cost.mig in
   let prev_max = if t.sanitize then Simulator.max_load t.stepper else 0 in
-  play t.stepper x;
+  play t.stepper e;
   let step = t.pos in
   t.digest <- Checkpoint.digest_add t.digest ~pos:step e;
   t.pos <- step + 1;
@@ -205,53 +203,25 @@ let check_budget t ~latency_ns ~step =
 let ingest t e =
   if Fault.armed () then Fault.crash_check ~step:t.pos;
   if t.degraded_left > 0 then begin
-    let d = ingest_step t e Simulator.advance_frozen e in
+    let d = ingest_step t e Simulator.advance_frozen in
     note_frozen t;
     d
   end
   else begin
-    let d = ingest_step t e Simulator.advance e in
+    let d = ingest_step t e Simulator.advance in
     check_budget t ~latency_ns:d.latency_ns ~step:d.step;
     d
   end
 
-let ingest_batch t edges =
-  let b = Array.length edges in
-  if b = 0 then [||]
-  else if b = 1 then
-    (* a one-edge batch is one request: [ingest] serves it exactly as a
-       prepared batch would (the algorithm's batch hook only runs on
-       longer batches, and the budget check of a batch of one is that
-       request's), without building the prepared batch's closures *)
-    [| ingest t edges.(0) |]
-  else if t.degraded_left > 0 || Fault.armed () then
-    (* per-request path: frozen spans, crash points and injected stalls
-       land on exact request indices (the batched pre-solve would consult
-       the solver for requests that must be served frozen) *)
-    Array.map (ingest t) edges
-  else begin
-    let play = Simulator.prepare t.stepper edges in
-    (* one play wrapper per batch, indexed by j — not one thunk per request *)
-    let play_step _stepper j = ignore (play j) in
-    let ds = Array.mapi (fun j e -> ingest_step t e play_step j) edges in
-    (* degradation triggers are evaluated at batch boundaries — a prepared
-       batch's [play j] must run for every j in order, so the switch to the
-       frozen path applies from the next batch on *)
-    if t.budget_ns > 0 then begin
-      let worst = ref 0 in
-      Array.iter (fun d -> if d.latency_ns > !worst then worst := d.latency_ns) ds;
-      if !worst > t.budget_ns then t.degraded_left <- t.cooloff
-    end;
-    ds
-  end
+let ingest_batch t edges = Array.map (ingest t) edges
 
-(* The no-decision fast path: same accounting, digest and
-   checkpoint-observable state as [ingest_batch], but two clock reads and
-   one aggregate metrics record per *batch* instead of per request, and no
-   decision records allocated — the dominant per-request overheads once
-   the solver itself is cheap (see the bench ingest section).  The
-   sanitizer needs per-request before/after scalars, so sanitizing
-   engines keep the checked path. *)
+(* The no-decision block path: same accounting, digest and
+   checkpoint-observable state as [ingest] on each edge, but the whole
+   block is billed by one Simulator loop and folded into the digest by
+   one call, with two clock reads and one aggregate metrics record per
+   block and no decision records — the dominant per-request overheads
+   once the solver itself is cheap.  The sanitizer needs per-request
+   before/after scalars, so sanitizing engines keep the checked path. *)
 let ingest_batch_quiet t edges =
   let b = Array.length edges in
   if b = 0 then ()
@@ -268,16 +238,8 @@ let ingest_batch_quiet t edges =
     (* capture scalars: the stepper's cost record is mutated in place *)
     let prev_comm = t.cost.Cost.comm and prev_mig = t.cost.Cost.mig in
     let t0 = now_ns () in
-    let play = Simulator.prepare t.stepper edges in
-    for j = 0 to b - 1 do
-      ignore (play j)
-    done;
-    (* a call-free loop, so the digest stays in a register *)
-    let d = ref t.digest in
-    for j = 0 to b - 1 do
-      d := Checkpoint.digest_add !d ~pos:(t.pos + j) edges.(j)
-    done;
-    t.digest <- !d;
+    Simulator.advance_block t.stepper edges b;
+    t.digest <- Checkpoint.digest_block t.digest ~pos:t.pos edges b;
     t.pos <- t.pos + b;
     let latency_ns = now_ns () - t0 in
     Metrics.observe_batch t.metrics ~count:b ~latency_ns

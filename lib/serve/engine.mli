@@ -44,17 +44,17 @@
     which {!resume} honours.  Latencies and the budget use the monotonic
     clock ({!Rbgp_util.Clock}), so a wall-clock step cannot fire a
     spurious degradation.  Degradation triggers are evaluated at request
-    boundaries (batch boundaries on the batched paths — a prepared batch
-    is never split).
+    boundaries (block boundaries on the quiet path, which bills a block
+    in one loop and checks the block's mean latency).
 
     {2 Fault hooks}
 
     When a {!Fault} plan is armed, ingest checks for planned crashes
     ([Injected_crash] before the designated request) and consults the
-    plan for injected solver stalls; the batched paths fall back to
-    per-request serving (identical decisions by the batch contract) so
-    counted faults land on exact request indices.  Disarmed, the hooks
-    cost one reference read per request or block. *)
+    plan for injected solver stalls; a quiet block with a counted fault
+    inside it falls back to per-request serving so the fault lands on its
+    exact request index.  Disarmed, the hooks cost one reference read per
+    request or block. *)
 
 type decision = {
   step : int;  (** 0-based index of the request just served *)
@@ -91,31 +91,28 @@ val ingest : t -> int -> decision
     request's charges and totals are read from the stepper as ints. *)
 
 val ingest_batch : t -> int array -> decision array
-(** Serve a batch of requests through {!Rbgp_ring.Simulator.prepare}: the
-    algorithm may pre-solve the whole batch sharded across pool domains
-    (see {!Rbgp_ring.Online.t.batch}), while accounting, sanitizer checks,
-    the stream digest and metrics are still advanced request by request in
-    arrival order.  Every decision field except the wall-clock
-    [latency_ns] is byte-identical to calling {!ingest} on each edge in
-    turn, for any batch decomposition and any domain count; checkpoints
-    taken between batches resume identically.  All edges are validated up
-    front; on a strict-mode capacity failure mid-batch the engine must
-    not be used further (later requests were already pre-solved inside
-    the algorithm).  A one-edge batch is {!ingest} on that edge: the
-    batch hook never runs on a single request, and a batch of one's
-    budget check is its request's, so the two paths agree there, without
-    the prepared batch's closures. *)
+(** {!ingest} on each edge in turn, with the decisions in order: the
+    budget check and fault hooks run per request, exactly as for one
+    request at a time.  Checkpoints taken between batches resume
+    identically. *)
 
 val ingest_batch_quiet : t -> int array -> unit
 (** {!ingest_batch} without the per-request instrumentation: identical
     accounting, stream digest, sanitizer behaviour and checkpoints (a
-    checkpoint taken after a quiet batch is byte-identical to one taken
-    after the same requests through {!ingest}), but no decision records
-    are built and the clock is read twice per batch instead of twice per
-    request — metrics advance through one aggregate record (see
-    {!Metrics.observe_batch}).  This is the [--no-decisions] serving
-    path.  Sanitizing engines transparently fall back to the checked
-    per-request path. *)
+    checkpoint taken after a quiet block is byte-identical to one taken
+    after the same requests through {!ingest}), but the block is billed
+    by one {!Rbgp_ring.Simulator.advance_block} loop and digested by one
+    {!Checkpoint.digest_block} call, no decision records are built, the
+    clock is read twice per block instead of twice per request, and
+    metrics advance through one aggregate record (see
+    {!Metrics.observe_batch}).  The solver budget compares the block's
+    mean latency.  This is the [--no-decisions] serving path.
+
+    Sanitizing engines, an active cooloff and a block holding a counted
+    fault take the checked per-request path instead.  Otherwise all edges
+    are validated first: an out-of-range edge anywhere in the block raises
+    [Invalid_argument] before any request is billed, leaving position,
+    digest, costs and metrics as they were. *)
 
 val set_solver_budget : t -> budget_ns:int -> cooloff:int -> unit
 (** Arm ([budget_ns > 0]) or disarm ([budget_ns = 0]) the per-request

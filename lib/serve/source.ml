@@ -201,9 +201,7 @@ let consume_prefix t (ckpt : Checkpoint.t) =
            "resume: trace ends at request %d but the checkpoint already \
             served %d requests"
            !at total);
-    for j = 0 to got - 1 do
-      digest := Checkpoint.digest_add !digest ~pos:(!at + j) chunk.(j)
-    done;
+    digest := Checkpoint.digest_block !digest ~pos:!at chunk got;
     at := !at + got
   done;
   if !digest <> ckpt.Checkpoint.digest then

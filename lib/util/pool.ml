@@ -11,14 +11,8 @@
    and the first-error cell.
 
    Chunk size ("grain") is tunable: [set_grain] / [RBGP_GRAIN] force a fixed
-   grain.  Without a forced grain the pool is cost-aware: callers may tag a
-   [map] with a [~family] label, the pool keeps an EWMA of the measured
-   ns/item per family, and uses it to (a) route jobs whose estimated total
-   work is below a cutoff straight to the sequential path (parallel dispatch
-   would cost more than it saves) and (b) size chunks so each trip to the
-   cursor carries roughly [target_chunk_ns] of work.  With no estimate the
-   old default [max 1 (n / (8 d))] keeps ~8 chunks per participant.  The
-   clock only steers scheduling, never results. *)
+   grain; otherwise [max 1 (n / (8 d))] keeps ~8 chunks per participant.
+   The grain only steers scheduling, never results. *)
 
 let override = Atomic.make None
 
@@ -28,9 +22,8 @@ let set_domains d =
   | _ -> ());
   Atomic.set override d
 
-(* The environment knobs are read once, at program start: [map] consults
-   them per call, and a per-call getenv would allocate on the serving hot
-   path.  The [set_*] overrides still win over them. *)
+(* The environment knobs are read once, at program start; the [set_*]
+   overrides still win over them. *)
 let env_value name parse =
   match Sys.getenv_opt name with
   | None | Some "" -> None
@@ -61,79 +54,9 @@ let env_grain = positive_env "RBGP_GRAIN"
 let grain () =
   match Atomic.get grain_override with Some g -> Some g | None -> env_grain
 
-(* --- measured per-item cost, by job family --------------------------- *)
+let chunk_size ~n ~d =
+  match grain () with Some g -> g | None -> Stdlib.max 1 (n / (d * 8))
 
-(* EWMA of observed ns/item keyed by the caller-supplied family label.
-   Sequential runs measure exactly; parallel runs scale wall time by
-   [min (participants, cores)] — the effective parallelism — so the
-   estimate approximates sequential CPU cost per item.  Scaling by raw
-   participant count would over-estimate by the oversubscription factor
-   on a machine with fewer cores than domains, and the resulting
-   feedback loop (parallel run -> inflated estimate -> stays parallel)
-   could pin a genuinely tiny job to the parallel path forever. *)
-let ewma_alpha = 0.3
-let cost_mutex = Mutex.create ()
-let cost_table : (string, float) Hashtbl.t = Hashtbl.create 16
-
-let estimated_cost_ns family =
-  Mutex.lock cost_mutex;
-  let r = Hashtbl.find_opt cost_table family in
-  Mutex.unlock cost_mutex;
-  r
-
-let reset_estimates () =
-  Mutex.lock cost_mutex;
-  Hashtbl.reset cost_table;
-  Mutex.unlock cost_mutex
-
-let record_cost family ns_per_item =
-  Mutex.lock cost_mutex;
-  let v =
-    match Hashtbl.find_opt cost_table family with
-    | None -> ns_per_item
-    | Some prev -> prev +. (ewma_alpha *. (ns_per_item -. prev))
-  in
-  Hashtbl.replace cost_table family v;
-  Mutex.unlock cost_mutex
-
-(* Jobs whose estimated total work is below this go sequential: waking
-   parked workers, cursor traffic and the join handshake cost tens of
-   microseconds, so a sub-cutoff job loses by going parallel. *)
-let default_cutoff_ns = 200_000.
-let cutoff_override = Atomic.make None
-
-let set_sequential_cutoff c =
-  (match c with
-  | Some c when not (c > 0.) ->
-      invalid_arg "Pool.set_sequential_cutoff: need a positive cutoff"
-  | _ -> ());
-  Atomic.set cutoff_override c
-
-let env_cutoff_ns =
-  let positive s =
-    match float_of_string_opt s with Some c when c > 0. -> Some c | _ -> None
-  in
-  Option.value ~default:default_cutoff_ns
-    (env_value "RBGP_SEQ_CUTOFF_NS" positive)
-
-let sequential_cutoff_ns () =
-  match Atomic.get cutoff_override with Some c -> c | None -> env_cutoff_ns
-
-(* Aim for chunks carrying about this much work, so cursor round-trips are
-   amortized on cheap items while expensive items still load-balance. *)
-let target_chunk_ns = 100_000.
-
-let chunk_size ?est ~n ~d () =
-  match grain () with
-  | Some g -> g
-  | None -> (
-      match est with
-      | Some c when c > 0. ->
-          let by_cost = int_of_float (Float.ceil (target_chunk_ns /. c)) in
-          Stdlib.max 1 (Stdlib.min (Stdlib.max 1 (n / (d * 2))) by_cost)
-      | _ -> Stdlib.max 1 (n / (d * 8)))
-
-let now_ns () = Unix.gettimeofday () *. 1e9
 let last_parallel = Atomic.make false
 let last_map_parallel () = Atomic.get last_parallel
 
@@ -256,32 +179,14 @@ let record_error cell i exn bt =
    degrades to the sequential path, which is always correct. *)
 let slot_busy = Atomic.make false
 
-let map ?domains:d ?family f items =
+let map ?domains:d f items =
   let n = Array.length items in
   let d = match d with Some d -> Stdlib.max 1 d | None -> domains () in
-  let est =
-    match family with None -> None | Some fam -> estimated_cost_ns fam
-  in
-  (* a forced grain disables the cost heuristic entirely *)
-  let small_job =
-    match (grain (), est) with
-    | None, Some c -> c *. float_of_int n < sequential_cutoff_ns ()
-    | _ -> false
-  in
-  let run_sequential () =
+  if d = 1 || n <= 1 || not (Atomic.compare_and_set slot_busy false true)
+  then begin
     Atomic.set last_parallel false;
-    match family with
-    | None -> Array.map f items
-    | Some fam ->
-        let t0 = now_ns () in
-        let r = Array.map f items in
-        if n > 0 then record_cost fam ((now_ns () -. t0) /. float_of_int n);
-        r
-  in
-  if
-    d = 1 || n <= 1 || small_job
-    || not (Atomic.compare_and_set slot_busy false true)
-  then run_sequential ()
+    Array.map f items
+  end
   else
     Fun.protect
       ~finally:(fun () -> Atomic.set slot_busy false)
@@ -297,7 +202,6 @@ let map ?domains:d ?family f items =
           done
         in
         ensure_workers (d - 1);
-        let t0 = now_ns () in
         Mutex.lock mutex;
         let job =
           {
@@ -307,7 +211,7 @@ let map ?domains:d ?family f items =
             run;
             cursor = Atomic.make 0;
             total = n;
-            chunk = chunk_size ?est ~n ~d ();
+            chunk = chunk_size ~n ~d;
             max_workers = d - 1;
             joined = 0;
             participants = 1 (* the submitter *);
@@ -326,14 +230,7 @@ let map ?domains:d ?family f items =
         Mutex.unlock mutex;
         (match Atomic.get error with
         | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-        | None ->
-            (match family with
-            | Some fam ->
-                let wall = now_ns () -. t0 in
-                let cores = Domain.recommended_domain_count () in
-                let cpus = float_of_int (min (job.joined + 1) cores) in
-                record_cost fam (wall *. cpus /. float_of_int n)
-            | None -> ()));
+        | None -> ());
         Array.map
           (function
             | Some v -> v
@@ -342,9 +239,9 @@ let map ?domains:d ?family f items =
                 assert false)
           results)
 
-let map_list ?domains ?family f items =
-  Array.to_list (map ?domains ?family f (Array.of_list items))
+let map_list ?domains f items =
+  Array.to_list (map ?domains f (Array.of_list items))
 
-let map_seeded ?domains ?family ~rng f items =
+let map_seeded ?domains ~rng f items =
   let tasks = Array.map (fun x -> (Rng.split rng, x)) items in
-  map ?domains ?family (fun (child, x) -> f child x) tasks
+  map ?domains (fun (child, x) -> f child x) tasks

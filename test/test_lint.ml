@@ -425,19 +425,27 @@ let test_r11 () =
          ])
   in
   Alcotest.(check int) "non-allocating callee is clean" 0 (List.length clean);
-  (* a Pool.map ~family submitter is a hot root in its own right *)
-  let pool =
+  (* the solver step is a hot root in its own right: the engine reaches
+     it only through the Online record, which the index cannot see *)
+  let solver =
     Rules.hot_alloc
       (effects_of
-         [
-           ( "lib/core/solver.ml",
-             "let shard work arr = ignore (Pool.map ~family:\"s\" work arr); [ arr ]\n"
-           );
-         ])
+         [ ("lib/core/dynamic_alg.ml", "let serve t e = ignore [ t ]; e\n") ])
   in
   Alcotest.(check bool)
-    "Pool.map ~family submitter is a hot root" true
-    (has_rule "r11-hot-alloc" pool);
+    "Dynamic_alg.serve is a hot root" true
+    (has_rule "r11-hot-alloc" solver);
+  (* --hot-root adds a root by display name; unnamed, the same body is
+     cold *)
+  let shard = [ ("lib/core/solver.ml", "let shard arr = [ arr ]\n") ] in
+  Alcotest.(check bool)
+    "--hot-root extra is a root" true
+    (has_rule "r11-hot-alloc"
+       (Rules.hot_alloc
+          (Effects.infer ~extra_hot_roots:[ "Solver.shard" ]
+             (Index.of_sources shard))));
+  Alcotest.(check int) "without --hot-root it is cold" 0
+    (List.length (Rules.hot_alloc (effects_of shard)));
   (* top-level constants run at module init, not per call *)
   let const =
     Rules.hot_alloc

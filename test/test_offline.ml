@@ -275,6 +275,97 @@ let test_dynamic_lb_certified =
       let dp = Dopt.enumerate_states inst () in
       Lb.dynamic_lb inst trace () <= Cost.total (Dopt.solve dp trace))
 
+(* The oracle of dynamic_lb's phase count: a window's uniform tracking
+   DP (free start, unit hits and switches).  opt.(s) is the cheapest
+   tracking sequence currently at window edge s, and a request on local
+   edge r maps opt(s) to min(opt(s), min_all + 1) + [s = r]. *)
+let window_dp ~edges requests =
+  let opt = Array.make edges 0 in
+  let mn = ref 0 in
+  List.iter
+    (fun r ->
+      let cap = !mn + 1 in
+      let new_mn = ref max_int in
+      for s = 0 to edges - 1 do
+        let v = Stdlib.min opt.(s) cap + if s = r then 1 else 0 in
+        opt.(s) <- v;
+        if v < !new_mn then new_mn := v
+      done;
+      mn := !new_mn)
+    requests;
+  !mn
+
+(* dynamic_lb at one offset, one window_dp per window over the window's
+   requests in local coordinates *)
+let oracle_lb_for_offset (inst : Instance.t) trace offset =
+  let n = inst.Instance.n and k = inst.Instance.k in
+  let stride = k + 2 in
+  let windows =
+    if n >= stride then n / stride else if n >= k + 1 then 1 else 0
+  in
+  let total = ref 0 in
+  for w = 0 to windows - 1 do
+    let base = (offset + (w * stride)) mod n in
+    let local e = (e - base + n) mod n in
+    let requests =
+      List.filter_map
+        (fun e -> if local e < k then Some (local e) else None)
+        (Array.to_list trace)
+    in
+    total := !total + window_dp ~edges:k requests
+  done;
+  !total
+
+let default_offsets k = [ 0; (k + 2) / 3; 2 * (k + 2) / 3 ]
+
+(* one window (ell = 2 leaves room for exactly one), its edges requested
+   about half the time so phases complete *)
+let lb_window_gen =
+  QCheck2.Gen.(
+    let* k = int_range 1 12 in
+    let n = 2 * k in
+    let* offset = int_bound (n - 1) in
+    let edge =
+      oneof
+        [
+          int_bound (n - 1);
+          map (fun j -> (offset + j) mod n) (int_bound (k - 1));
+        ]
+    in
+    let* trace = array_size (int_bound 400) edge in
+    return (k, offset, trace))
+
+let test_phase_count_matches_window_dp =
+  qtest ~count:500 "phase counting = window_dp (random windows)" lb_window_gen
+    (fun (k, offset, trace) ->
+      let inst = Instance.blocks ~n:(2 * k) ~ell:2 in
+      Lb.dynamic_lb inst trace ~offsets:[ offset ] ()
+      = oracle_lb_for_offset inst trace offset)
+
+let test_dynamic_lb_matches_oracle =
+  qtest ~count:200 "dynamic_lb = window_dp oracle (whole instances)"
+    QCheck2.Gen.(
+      let* ell = int_range 1 8 in
+      let* k = int_range 1 10 in
+      let n = ell * k in
+      let* trace = array_size (int_bound 600) (int_bound (n - 1)) in
+      return (ell, k, trace))
+    (fun (ell, k, trace) ->
+      let inst = Instance.blocks ~n:(ell * k) ~ell in
+      let per_offset =
+        List.map
+          (fun off ->
+            Lb.dynamic_lb inst trace ~offsets:[ off ] ()
+            = oracle_lb_for_offset inst trace off)
+          (default_offsets k)
+      in
+      List.for_all Fun.id per_offset
+      && Lb.dynamic_lb inst trace ()
+         = List.fold_left
+             (fun acc off ->
+               Stdlib.max acc (oracle_lb_for_offset inst trace off))
+             0 (default_offsets k))
+
 let test_static_lb_reexport =
   qtest ~count:50 "static_lb = crossing_lower_bound" tiny_ring_gen
     (fun (n, ell, trace) ->
@@ -351,6 +442,8 @@ let () =
       ( "lower-bounds",
         [
           test_dynamic_lb_certified;
+          test_phase_count_matches_window_dp;
+          test_dynamic_lb_matches_oracle;
           test_static_lb_reexport;
           test_dynamic_heuristic_bracket;
           Alcotest.test_case "interval opt sanity" `Quick test_interval_opt_sane;

@@ -36,7 +36,10 @@ let test_map_matches_sequential () =
 
 let test_map_empty_and_single () =
   Alcotest.(check (array int)) "empty" [||] (Pool.map ~domains:4 succ [||]);
-  Alcotest.(check (array int)) "single" [| 3 |] (Pool.map ~domains:4 succ [| 2 |])
+  Alcotest.(check (array int)) "single" [| 3 |] (Pool.map ~domains:4 succ [| 2 |]);
+  Alcotest.(check bool)
+    "a single item stays sequential" false
+    (Pool.last_map_parallel ())
 
 let test_map_list_order () =
   let l = List.init 100 (fun i -> i) in
@@ -109,98 +112,13 @@ let test_map_under_grain () =
           Alcotest.(check (array int))
             (Printf.sprintf "grain=%d" g)
             expected
-            (Pool.map ~domains:4 f items))
+            (Pool.map ~domains:4 f items);
+          Alcotest.(check bool)
+            (Printf.sprintf "grain=%d dispatched in parallel" g)
+            true
+            (Pool.last_map_parallel ()))
         [ 1; 3; 1000 ])
     ~finally:(fun () -> Pool.set_grain None)
-
-(* Run [f] under a sequential cutoff of 10 s.  The first tagged map of a
-   family runs in parallel, and on a loaded host its wall time is noisy
-   enough to push est * n past the 200 us default; no scheduler noise
-   carries a job of a few hundred [succ] calls past 10 s.  The default
-   itself is checked in "sequential cutoff override". *)
-let with_pinned_cutoff f =
-  Fun.protect
-    ~finally:(fun () -> Pool.set_sequential_cutoff None)
-    (fun () ->
-      Pool.set_sequential_cutoff (Some 1e10);
-      f ())
-
-let test_auto_grain_estimates () =
-  with_pinned_cutoff @@ fun () ->
-  Pool.reset_estimates ();
-  Alcotest.(check bool)
-    "no estimate before any tagged map" true
-    (Pool.estimated_cost_ns "test.family" = None);
-  let items = Array.init 300 (fun i -> i) in
-  let expected = Array.map succ items in
-  (* first tagged map: no estimate yet, optimistic parallel dispatch *)
-  Alcotest.(check (array int))
-    "first tagged map" expected
-    (Pool.map ~domains:4 ~family:"test.family" succ items);
-  (match Pool.estimated_cost_ns "test.family" with
-  | Some c -> Alcotest.(check bool) "estimate recorded" true (c >= 0.0)
-  | None -> Alcotest.fail "tagged map left no cost estimate");
-  (* with an estimate this cheap, est * n is far under the cutoff: the
-     job must now take the sequential path — with identical results *)
-  Alcotest.(check (array int))
-    "tiny tagged job identical" expected
-    (Pool.map ~domains:4 ~family:"test.family" succ items);
-  Alcotest.(check bool)
-    "tiny tagged job stayed sequential" false
-    (Pool.last_map_parallel ());
-  Pool.reset_estimates ();
-  Alcotest.(check bool)
-    "reset drops estimates" true
-    (Pool.estimated_cost_ns "test.family" = None)
-
-let test_auto_grain_forced_grain_wins () =
-  (* an explicit grain disables the cost heuristic: the job goes parallel
-     with the forced chunk size even though its estimate says "tiny" *)
-  with_pinned_cutoff @@ fun () ->
-  Pool.reset_estimates ();
-  let items = Array.init 128 (fun i -> i) in
-  ignore (Pool.map ~domains:4 ~family:"test.grain" succ items);
-  ignore (Pool.map ~domains:4 ~family:"test.grain" succ items);
-  Alcotest.(check bool)
-    "heuristic keeps it sequential" false
-    (Pool.last_map_parallel ());
-  Fun.protect
-    ~finally:(fun () -> Pool.set_grain None)
-    (fun () ->
-      Pool.set_grain (Some 8);
-      Alcotest.(check (array int))
-        "forced grain, same results"
-        (Array.map succ items)
-        (Pool.map ~domains:4 ~family:"test.grain" succ items);
-      Alcotest.(check bool)
-        "forced grain dispatches in parallel" true
-        (Pool.last_map_parallel ()));
-  Pool.reset_estimates ()
-
-let test_sequential_cutoff_override () =
-  Alcotest.(check bool)
-    "default cutoff" true
-    (Pool.sequential_cutoff_ns () = 200_000.0);
-  Pool.reset_estimates ();
-  let items = Array.init 64 (fun i -> i) in
-  ignore (Pool.map ~domains:4 ~family:"test.cutoff" succ items);
-  Fun.protect
-    ~finally:(fun () -> Pool.set_sequential_cutoff None)
-    (fun () ->
-      (* a near-zero cutoff means nothing is "small": even this tiny job
-         dispatches in parallel *)
-      Pool.set_sequential_cutoff (Some 1e-6);
-      Alcotest.(check (array int))
-        "tiny cutoff, same results"
-        (Array.map succ items)
-        (Pool.map ~domains:4 ~family:"test.cutoff" succ items);
-      Alcotest.(check bool)
-        "tiny cutoff dispatches in parallel" true
-        (Pool.last_map_parallel ()));
-  Alcotest.check_raises "non-positive cutoff rejected"
-    (Invalid_argument "Pool.set_sequential_cutoff: need a positive cutoff")
-    (fun () -> Pool.set_sequential_cutoff (Some 0.0));
-  Pool.reset_estimates ()
 
 let test_warmup_shutdown_idempotent () =
   (* warmup twice, shutdown twice, then map must still work (workers are
@@ -280,10 +198,12 @@ let gen_case =
     return (n, ell, seed, trace))
 
 (* Runs [spec] through the simulator while a test-held copy of the
-   assignment re-derives every step's bill the O(n + ell) way: migrations
-   are the diff_into distance to the previous step, the running maximum is
-   the max of Assignment.max_load, and a violation is a step that fails
-   check_capacity.  The journal-billed result must agree on all three. *)
+   assignment re-derives every step's bill the O(n + ell) way:
+   communication is whether the copy, still at the previous step, cuts
+   the requested edge, migrations are the diff_into distance to the
+   previous step, the running maximum is the max of Assignment.max_load,
+   and a violation is a step that fails check_capacity.  The
+   shadow-and-journal-billed result must agree on all four. *)
 let matches_oracle (n, ell, seed, trace) (spec : Runner.alg_spec) =
   let inst = Runner.instance ~n ~ell in
   let alg = spec.Runner.build inst ~trace ~seed in
@@ -291,9 +211,13 @@ let matches_oracle (n, ell, seed, trace) (spec : Runner.alg_spec) =
   let oracle = Assignment.copy current in
   let max_load = ref (Assignment.max_load oracle) in
   let violations = ref 0 in
+  let comm = ref 0 in
   let mig = ref 0 in
   let per_step_ok = ref true in
-  let on_step _ (c : Cost.t) =
+  let on_step t (c : Cost.t) =
+    let cut = if Assignment.cuts_edge oracle trace.(t) then 1 else 0 in
+    if c.Cost.comm - !comm <> cut then per_step_ok := false;
+    comm := c.Cost.comm;
     let d = Assignment.diff_into current oracle in
     if c.Cost.mig - !mig <> d then per_step_ok := false;
     mig := c.Cost.mig;
@@ -308,6 +232,7 @@ let matches_oracle (n, ell, seed, trace) (spec : Runner.alg_spec) =
       ~steps:(Array.length trace)
   in
   !per_step_ok
+  && r.Simulator.cost.Cost.comm = !comm
   && r.Simulator.cost.Cost.mig = !mig
   && r.Simulator.max_load = !max_load
   && r.Simulator.capacity_violations = !violations
@@ -328,12 +253,6 @@ let () =
             test_map_seeded_deterministic;
           Alcotest.test_case "set_domains" `Quick test_set_domains;
           Alcotest.test_case "set_grain" `Quick test_set_grain;
-          Alcotest.test_case "auto-grain cost estimates" `Quick
-            test_auto_grain_estimates;
-          Alcotest.test_case "auto-grain vs forced grain" `Quick
-            test_auto_grain_forced_grain_wins;
-          Alcotest.test_case "sequential cutoff override" `Quick
-            test_sequential_cutoff_override;
           Alcotest.test_case "map under grain overrides" `Quick
             test_map_under_grain;
           Alcotest.test_case "warmup/shutdown idempotent" `Quick

@@ -17,6 +17,8 @@
 module Rng = Rbgp_util.Rng
 module Instance = Rbgp_ring.Instance
 module Simulator = Rbgp_ring.Simulator
+module Assignment = Rbgp_ring.Assignment
+module Online = Rbgp_ring.Online
 module Trace = Rbgp_ring.Trace
 module Cost = Rbgp_ring.Cost
 module Workloads = Rbgp_workloads.Workloads
@@ -286,12 +288,13 @@ let test_advance_matches_step () =
 
 (* Minor words per request on the serve path, over 20k requests at the
    shape of the last pinned row (onl-dynamic, n = 4096, ell = 32, seed
-   7919).  A request through [Engine.ingest] and [decision_to_json]
-   allocates its decision record (9 words) and its string (about 16);
-   the algorithm's own serve allocates only on its rare dense solver
-   steps.  A closure, tuple or boxed float back on the path breaks the
-   budget — the r11 lint rule allowlists engine.ml and simulator.ml per
-   file, so it would not. *)
+   7919), and on the quiet block path at the same shape.  A request
+   through [Engine.ingest] and [decision_to_json] allocates its
+   decision record (9 words) and its string (about 16); the algorithm's
+   own serve allocates only on its rare dense solver steps.  A closure,
+   tuple or boxed float back on the path breaks the budget — the r11
+   lint rule allowlists engine.ml and simulator.ml per file, so it
+   would not. *)
 let words_per_request f trace =
   let w0 = Gc.minor_words () in
   Array.iter f trace;
@@ -328,7 +331,25 @@ let test_serve_path_allocation () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "Online.serve: %.2f words/request <= 1" serve_words)
-    true (serve_words <= 1.0)
+    true (serve_words <= 1.0);
+  (* The quiet path: a 4096-request block is one Simulator.advance_block
+     loop and one Checkpoint.digest_block call, so with an idle solver
+     (never-move) nothing is allocated per request.  A closure or a
+     per-request pair back on the path breaks this budget; r11 would not
+     catch it, since simulator.ml's allowlist entry covers the file. *)
+  let quiet = Engine.create ~sanitize:false ~alg:"never-move" ~seed inst in
+  let blocks =
+    Array.init 20 (fun b ->
+        Array.init 4096 (fun j -> trace.(((b * 4096) + j) mod 20_000)))
+  in
+  Engine.ingest_batch_quiet quiet blocks.(0);
+  let quiet_words =
+    words_per_request (Engine.ingest_batch_quiet quiet) blocks /. 4096.
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "ingest_batch_quiet: %.4f words/request <= 0.05"
+       quiet_words)
+    true (quiet_words <= 0.05)
 
 (* --- checkpoint / resume -------------------------------------------- *)
 
@@ -624,20 +645,15 @@ let test_checkpoint_size_flat () =
         (abs (at_20k - at_2k) <= n + 16))
     Registry.all
 
-(* --- batched / interval-sharded ingest ------------------------------- *)
+(* --- batched ingest ---------------------------------------------------- *)
 
 let per_request_run ~alg ~seed inst trace =
   let e = Engine.create ~alg ~seed inst in
   let ds = Array.map (fun q -> decision_key (Engine.ingest e q)) trace in
   (ds, outcome_of e)
 
-let with_domains d f =
-  Rbgp_util.Pool.set_domains (Some d);
-  Fun.protect f ~finally:(fun () -> Rbgp_util.Pool.set_domains None)
-
 (* batched == per-request, decision for decision, for every registry
-   algorithm (only onl-dynamic actually shards; the others take the
-   sequential fallback inside Simulator.prepare — same contract) *)
+   algorithm, under the sanitizer *)
 let test_batched_matches_per_request () =
   let n = 48 and ell = 4 and steps = 600 and seed = 31 in
   let inst = Instance.blocks ~n ~ell in
@@ -646,24 +662,18 @@ let test_batched_matches_per_request () =
     (fun (spec : Registry.spec) ->
       let alg = spec.Registry.name in
       let expected_ds, expected = per_request_run ~alg ~seed inst trace in
-      List.iter
-        (fun domains ->
-          with_domains domains (fun () ->
-              let e = Engine.create ~sanitize:true ~alg ~seed inst in
-              let got_ds =
-                List.concat_map
-                  (fun batch ->
-                    Array.to_list
-                      (Array.map decision_key (Engine.ingest_batch e batch)))
-                  (partition_trace (Rng.create 7) ~max_batch:64 trace)
-              in
-              Alcotest.(check (list string))
-                (Printf.sprintf "%s decisions, %d domains" alg domains)
-                (Array.to_list expected_ds) got_ds;
-              check_outcome
-                (Printf.sprintf "%s outcome, %d domains" alg domains)
-                expected (outcome_of e)))
-        [ 1; 4 ])
+      let e = Engine.create ~sanitize:true ~alg ~seed inst in
+      let got_ds =
+        List.concat_map
+          (fun batch ->
+            Array.to_list
+              (Array.map decision_key (Engine.ingest_batch e batch)))
+          (partition_trace (Rng.create 7) ~max_batch:64 trace)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s decisions" alg)
+        (Array.to_list expected_ds) got_ds;
+      check_outcome (Printf.sprintf "%s outcome" alg) expected (outcome_of e))
     Registry.all
 
 (* the prepared batch must be consumed strictly in order *)
@@ -677,27 +687,25 @@ let test_prepare_rejects_out_of_order () =
     (Invalid_argument "Simulator.prepare: requests must be played in order")
     (fun () -> ignore (play 1))
 
-(* the satellite sweep: sharded vs sequential byte-identity of serve
-   records and final tables across every registry algorithm, random
-   domain counts, random batch partitions, and a mid-stream
-   checkpoint/resume cut at a random batch boundary *)
-let qcheck_sharded_identity =
+(* batched == per-request byte-identity of serve records and final
+   tables across every registry algorithm, random batch partitions, and
+   a mid-stream checkpoint/resume cut at a random batch boundary *)
+let qcheck_batches_identity =
   let gen =
     QCheck2.Gen.(
       let* alg_idx = int_bound (List.length Registry.all - 1) in
       let* seed = int_bound 10_000 in
       let* wseed = int_bound 10_000 in
       let* steps = int_range 20 250 in
-      let* domains = oneofl [ 1; 2; 3; 5 ] in
       let* max_batch = oneofl [ 1; 3; 17; 64 ] in
       let* pseed = int_bound 10_000 in
       let* cut_frac = float_range 0.0 1.0 in
-      return (alg_idx, seed, wseed, steps, domains, max_batch, pseed, cut_frac))
+      return (alg_idx, seed, wseed, steps, max_batch, pseed, cut_frac))
   in
   qtest ~count:50
-    "qcheck: sharded batches + checkpoint cut == sequential, all algorithms"
+    "qcheck: batches + checkpoint cut == sequential, all algorithms"
     gen
-    (fun (alg_idx, seed, wseed, steps, domains, max_batch, pseed, cut_frac) ->
+    (fun (alg_idx, seed, wseed, steps, max_batch, pseed, cut_frac) ->
       let spec = List.nth Registry.all alg_idx in
       let alg = spec.Registry.name in
       let n = 40 and ell = 4 in
@@ -709,30 +717,238 @@ let qcheck_sharded_identity =
       in
       let cut = int_of_float (cut_frac *. float_of_int (Array.length batches)) in
       let cut = Stdlib.min cut (Array.length batches) in
-      with_domains domains (fun () ->
-          let first = Engine.create ~alg ~seed inst in
-          let ds = ref [] in
-          let feed e batch =
-            Array.iter
-              (fun d -> ds := decision_key d :: !ds)
-              (Engine.ingest_batch e batch)
-          in
-          for b = 0 to cut - 1 do
-            feed first batches.(b)
-          done;
-          (* resume restores the algorithm's O(state) snapshot *)
-          let ckpt = Ckpt.of_string (Ckpt.to_string (Engine.checkpoint first)) in
-          let resumed = Engine.resume ckpt in
-          for b = cut to Array.length batches - 1 do
-            feed resumed batches.(b)
-          done;
-          let got = outcome_of resumed in
-          List.rev !ds = Array.to_list expected_ds
-          && got.comm = expected.comm && got.mig = expected.mig
-          && got.steps = expected.steps
-          && got.max_load = expected.max_load
-          && got.violations = expected.violations
-          && got.assignment = expected.assignment))
+      let first = Engine.create ~alg ~seed inst in
+      let ds = ref [] in
+      let feed e batch =
+        Array.iter
+          (fun d -> ds := decision_key d :: !ds)
+          (Engine.ingest_batch e batch)
+      in
+      for b = 0 to cut - 1 do
+        feed first batches.(b)
+      done;
+      (* resume restores the algorithm's O(state) snapshot *)
+      let ckpt = Ckpt.of_string (Ckpt.to_string (Engine.checkpoint first)) in
+      let resumed = Engine.resume ckpt in
+      for b = cut to Array.length batches - 1 do
+        feed resumed batches.(b)
+      done;
+      let got = outcome_of resumed in
+      List.rev !ds = Array.to_list expected_ds
+      && got.comm = expected.comm && got.mig = expected.mig
+      && got.steps = expected.steps
+      && got.max_load = expected.max_load
+      && got.violations = expected.violations
+      && got.assignment = expected.assignment)
+
+(* --- block accounting ------------------------------------------------- *)
+
+(* cumulative comm, mig, steps, max load and violations of a stepper *)
+let totals st =
+  let r = Simulator.stepper_result st in
+  [
+    r.Simulator.cost.Cost.comm;
+    r.Simulator.cost.Cost.mig;
+    r.Simulator.steps;
+    r.Simulator.max_load;
+    r.Simulator.capacity_violations;
+  ]
+
+(* Simulator.advance_block over [blocks] against Simulator.step per
+   request on a twin algorithm: equal totals at every block boundary and
+   the same final assignment.  Each block sits in a longer buffer whose
+   tail is an out-of-range edge, so [len] alone must bound it. *)
+let blocks_match_steps ?(strict = true) inst (build : unit -> Online.t)
+    blocks =
+  let a = build () and b = build () in
+  let sa = Simulator.stepper ~strict inst a
+  and sb = Simulator.stepper ~strict inst b in
+  let same_totals =
+    List.for_all
+      (fun block ->
+        let len = Array.length block in
+        Simulator.advance_block sa (Array.append block [| -1 |]) len;
+        Array.iter (fun e -> ignore (Simulator.step sb e)) block;
+        totals sa = totals sb)
+      blocks
+  in
+  same_totals
+  && Assignment.to_array (a.Online.assignment ())
+     = Assignment.to_array (b.Online.assignment ())
+
+let qcheck_advance_block_matches_step =
+  let gen =
+    QCheck2.Gen.(
+      let* seed = int_bound 10_000 in
+      let* wseed = int_bound 10_000 in
+      let* steps = int_range 1 400 in
+      let* max_batch = oneofl [ 1; 7; 64; 400 ] in
+      let* pseed = int_bound 10_000 in
+      return (seed, wseed, steps, max_batch, pseed))
+  in
+  qtest ~count:25 "qcheck: advance_block == per-request step, all algorithms"
+    gen (fun (seed, wseed, steps, max_batch, pseed) ->
+      let n = 40 and ell = 4 in
+      let inst = Instance.blocks ~n ~ell in
+      let trace = gen_trace ~n ~steps ~seed:wseed in
+      let blocks = partition_trace (Rng.create pseed) ~max_batch trace in
+      List.for_all
+        (fun (spec : Registry.spec) ->
+          blocks_match_steps inst
+            (fun () -> spec.Registry.build ~epsilon:0.5 ~seed inst)
+            blocks)
+        Registry.all)
+
+(* Billed independently of the simulator: the fixture itself counts, from
+   the live assignment, what each request should cost — the cut before
+   it reacts, the Hamming distance its reaction moved, the loads after. *)
+type oracle = {
+  mutable o_comm : int;
+  mutable o_mig : int;
+  mutable o_steps : int;
+  mutable o_max_load : int;
+  mutable o_violations : int;
+}
+
+let oracle_totals o =
+  [ o.o_comm; o.o_mig; o.o_steps; o.o_max_load; o.o_violations ]
+
+(* [react a e calls] moves processes for the [calls]-th request, on edge
+   [e]; the fixture claims augmentation [augmentation] *)
+let fixture ~augmentation ~react inst =
+  let a = Assignment.create inst in
+  let before = Assignment.copy a in
+  let o =
+    {
+      o_comm = 0;
+      o_mig = 0;
+      o_steps = 0;
+      o_max_load = Assignment.max_load a;
+      o_violations = 0;
+    }
+  in
+  let cap =
+    int_of_float ((augmentation *. float_of_int inst.Instance.k) +. 1e-9)
+  in
+  let serve e =
+    if Assignment.cuts_edge a e then o.o_comm <- o.o_comm + 1;
+    react a e o.o_steps;
+    o.o_mig <- o.o_mig + Assignment.diff_into a before;
+    let load = Assignment.max_load a in
+    if load > o.o_max_load then o.o_max_load <- load;
+    if load > cap then o.o_violations <- o.o_violations + 1;
+    o.o_steps <- o.o_steps + 1
+  in
+  ( Online.make ~name:"fixture" ~augmentation ~assignment:(fun () -> a)
+      ~serve,
+    o )
+
+(* Two non-strict fixtures that drive the paths the block loop adds: an
+   algorithm over its claimed capacity from the start, which never moves
+   (every step reuses the cached load, and every step is a violation);
+   and one that moves a process away and back within every request (a
+   non-empty journal that bills nothing) and, every third request, moves
+   the edge's far endpoint onto its near endpoint's server for good (the
+   shadow must follow, or the next cut check on that edge is wrong). *)
+let test_block_fixtures () =
+  let n = 24 and ell = 4 in
+  let inst = Instance.blocks ~n ~ell in
+  let trace = gen_trace ~n ~steps:600 ~seed:17 in
+  let blocks = partition_trace (Rng.create 5) ~max_batch:50 trace in
+  let never _ _ _ = () in
+  let bounce a e i =
+    let s = Assignment.server_of a e in
+    Assignment.set a e ((s + 1) mod ell);
+    Assignment.set a e s;
+    if i mod 3 = 0 then
+      Assignment.set a ((e + 1) mod n) (Assignment.server_of a e)
+  in
+  List.iter
+    (fun (name, augmentation, react) ->
+      let build () = fst (fixture ~augmentation ~react inst) in
+      Alcotest.(check bool)
+        (name ^ ": advance_block == step") true
+        (blocks_match_steps ~strict:false inst build blocks);
+      let alg, o = fixture ~augmentation ~react inst in
+      let st = Simulator.stepper ~strict:false inst alg in
+      List.iter
+        (fun b -> Simulator.advance_block st b (Array.length b))
+        blocks;
+      Alcotest.(check (list int))
+        (name ^ ": comm, mig, steps, max load, violations vs the live oracle")
+        (oracle_totals o) (totals st))
+    [
+      ("over capacity from the start", 0.5, never);
+      ("away and back", 1.0, bounce);
+    ];
+  (* the fixtures really exercise what they are for *)
+  let alg, o = fixture ~augmentation:0.5 ~react:never inst in
+  let r =
+    Simulator.run ~strict:false inst alg (Trace.fixed trace) ~steps:600
+  in
+  Alcotest.(check int) "over capacity: every step a violation" 600
+    r.Simulator.capacity_violations;
+  Alcotest.(check int) "over capacity: oracle agrees" 600 o.o_violations;
+  let alg, o = fixture ~augmentation:1.0 ~react:bounce inst in
+  ignore (Simulator.run ~strict:false inst alg (Trace.fixed trace) ~steps:600);
+  Alcotest.(check bool)
+    (Printf.sprintf "away and back: moves billed (%d) and cut checks \
+                     changed by them (%d comm)" o.o_mig o.o_comm)
+    true
+    (o.o_mig > 0 && o.o_comm > 0 && o.o_violations > 0)
+
+(* An out-of-range edge anywhere in a quiet block raises before any
+   request is billed: position, digest, costs, assignment, algorithm
+   state and metrics are as they were, and serving carries on as if the
+   block had never come. *)
+let test_quiet_block_validates_first () =
+  let n = 32 and ell = 4 in
+  let inst = Instance.blocks ~n ~ell in
+  let trace = gen_trace ~n ~steps:500 ~seed:3 in
+  let whole = Engine.create ~sanitize:false ~alg:"onl-dynamic" ~seed:9 inst in
+  Engine.ingest_batch_quiet whole trace;
+  List.iter
+    (fun (bad_at, bad) ->
+      let e = Engine.create ~sanitize:false ~alg:"onl-dynamic" ~seed:9 inst in
+      Engine.ingest_batch_quiet e (Array.sub trace 0 200);
+      let ckpt = Ckpt.to_string (Engine.checkpoint e) in
+      let m = Engine.metrics e in
+      let counters () =
+        [ Metrics.requests m; Metrics.comm m; Metrics.mig m; Metrics.max_load m ]
+      in
+      let metrics = counters () in
+      let block = Array.sub trace 200 100 in
+      block.(bad_at) <- bad;
+      let label = Printf.sprintf "edge %d at %d" bad bad_at in
+      Alcotest.check_raises (label ^ " raises")
+        (Invalid_argument "Simulator.step: edge out of range") (fun () ->
+          Engine.ingest_batch_quiet e block);
+      Alcotest.(check int) (label ^ ": position") 200 (Engine.pos e);
+      Alcotest.(check string) (label ^ ": checkpoint bytes") ckpt
+        (Ckpt.to_string (Engine.checkpoint e));
+      Alcotest.(check (list int)) (label ^ ": metrics") metrics (counters ());
+      Engine.ingest_batch_quiet e (Array.sub trace 200 300);
+      Alcotest.(check string) (label ^ ": then serves on unchanged")
+        (Ckpt.to_string (Engine.checkpoint whole))
+        (Ckpt.to_string (Engine.checkpoint e)))
+    [ (0, -1); (57, n); (99, max_int) ]
+
+let qcheck_digest_block =
+  let gen =
+    QCheck2.Gen.(
+      let* d = int in
+      let* pos = int_bound 1_000_000_000 in
+      let* edges = array_size (int_bound 300) (int_bound 100_000) in
+      let* len = int_bound (Array.length edges) in
+      return (d, pos, edges, len))
+  in
+  qtest ~count:200 "qcheck: digest_block == digest_add folded" gen
+    (fun (d, pos, edges, len) ->
+      let folded = ref d in
+      for j = 0 to len - 1 do
+        folded := Ckpt.digest_add !folded ~pos:(pos + j) edges.(j)
+      done;
+      Ckpt.digest_block d ~pos edges len = !folded)
 
 (* --- trace codecs --------------------------------------------------- *)
 
@@ -1388,7 +1604,16 @@ let () =
             test_batched_matches_per_request;
           Alcotest.test_case "prepared batch is order-enforced" `Quick
             test_prepare_rejects_out_of_order;
-          qcheck_sharded_identity;
+          qcheck_batches_identity;
+        ] );
+      ( "block",
+        [
+          qcheck_advance_block_matches_step;
+          Alcotest.test_case "non-strict fixtures: cached load, shadow" `Quick
+            test_block_fixtures;
+          Alcotest.test_case "quiet block validates before billing" `Quick
+            test_quiet_block_validates_first;
+          qcheck_digest_block;
         ] );
       ( "codec",
         [
