@@ -1,66 +1,50 @@
-(* The benchmark harness has four layers:
+(* The bench keeps what only it measures.  The serve and ingest paths are
+   timed end to end, host-normalised and identity-checked by the
+   repository benchmark (perfbench/), and their identity bits are tier-1
+   tests (test_serve, test_net).  Five sections:
 
    1. component micro-benchmarks: one closure per component that the
       experiments exercise (smin gradients, couplings, MTS solver steps,
-      offline DPs, slicing/clustering/scheduling steps, whole-algorithm
-      request handling).  Measurement is a small in-repo harness (warmup,
-      linearly growing iteration counts, least-squares through the origin,
-      residual-based outlier trimming) — see [measure] below; the earlier
-      bechamel-based harness pinned slow functions to a near-constant
-      iteration count, which degenerated the regression and produced the
-      r^2 collapse recorded in BENCH_3.json.  A component whose fit still
-      comes out with r^2 < 0.5 fails the run (exit 1, after the JSON is
-      written).
+      offline DPs, whole-algorithm request handling), each fitted by a
+      small in-repo harness (warmup, linearly growing iteration counts,
+      least squares through the origin, residual-based outlier trimming)
+      — see [measure] below.  The earlier bechamel-based harness pinned
+      slow functions to a near-constant iteration count, which
+      degenerated the regression and produced the r² collapse recorded
+      in BENCH_3.json.
 
-   2. the experiment tables E1-E10 (the reproduction's stand-in for the
-      paper's evaluation section), regenerated in quick mode so that a
-      single `dune exec bench/main.exe` reproduces every reported table.
-      Run `rbgp exp <id>` (without --quick) for the full-size versions.
+   2. the experiment tables E1-E14 (the reproduction's stand-in for the
+      paper's evaluation section) in quick mode, each timed, so that one
+      `dune exec bench/main.exe` reproduces every reported table; then E8
+      and E10 sequentially and on 4 domains, cold and warm pool, whose
+      outputs must be byte-identical.  Run `rbgp exp <id>` (without
+      --quick) for the full-size versions.
 
-   3. the zero-copy ingest bench: block-decode throughput of the mmap'ed
-      region reader vs the buffered channel reader over the same framed
-      binary trace, the pull-to-solve pipeline (Source.next_batch feeding
-      Engine.ingest_batch_quiet) for a free solver (never-move, the
-      pipeline ceiling) and the real one (onl-dynamic, where the solve
-      dominates), and mmap-vs-channel identity bits down to byte-equal
-      checkpoints.  CI gates on decode_speedup >= 5, the never-move
-      pipeline >= 1M req/s, and both identity bits.
+   3. decode: the block decoder over an mmap'ed region against the
+      buffered channel reader, over one framed binary trace.
 
-   4. the fault-layer overhead bench: the quiet mmap pipeline timed three
-      ways — a hook-free hot loop (block decode feeding the engine
-      directly, no Source, no fault checks), the Source pipeline with the
-      fault layer disabled, and the same pipeline with an armed plan that
-      never fires (crash@2e9).  CI gates the disabled-vs-baseline
-      overhead below 2%: the crash-safety hooks must be free when off.
+   4. faults: the crash-safety hooks must be free when off.
 
-   Besides the human-readable tables the run writes BENCH_7.json next to
-   the current directory: the BENCH_6 sections (component ns/run + r^2,
-   wall-clock seconds per quick-mode experiment, parallel-vs-sequential
-   comparisons for E8 and E10 with cold/warm speedups and byte-identity
-   checks, streaming-engine throughput with checkpoint/resume identity,
-   the "ingest" and "faults" sections) plus the "net" section: the
-   socket transport versus the in-process pipe on the same quiet
-   batches, 1 and 4 tenants multiplexed over one connection, with
-   client-observed RPC latency quantiles and per-tenant checkpoint
-   identity.  CI gates the socket throughput
-   overhead below 30% of pipe throughput.  The numeric suffix is the
-   bench-trajectory slot for this change set; BENCH_1..6.json are
-   earlier snapshots and later change sets append BENCH_8.json, ... so
-   the files form a machine-readable performance history of the
-   repository. *)
+   5. net: what the socket transport costs over the in-process pipe.
+
+   Sections 3-5 are A/B comparisons run as interleaved pairs ([rounds]).
+   Every threshold lives in gates.ml; the gate table prints last, and the
+   run exits 1 naming every failed gate.  The run writes BENCH_8.json to
+   the current directory, stamped with the host it ran on; BENCH_1..7.json
+   are earlier slots of the same trajectory. *)
 
 let rng = Rbgp_util.Rng.create 20230717
 
 (* --- measurement harness ------------------------------------------- *)
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+let now_ns = Rbgp_util.Clock.now_ns
 
 let time_iters f iters =
   let t0 = now_ns () in
   for _ = 1 to iters do
     f ()
   done;
-  now_ns () -. t0
+  float_of_int (now_ns () - t0)
 
 (* least squares through the origin on (iterations, elapsed ns) points;
    r^2 against the mean-of-y null model, so it is only meaningful when
@@ -233,6 +217,28 @@ let components_spec : (string * (unit -> unit)) list =
         ignore (Rbgp_hitting.Interval_growing.serve ig (!i * 97 mod k)) );
   ]
 
+(* --- results ----------------------------------------------------------- *)
+
+module J = Rbgp_lint.Ljson
+
+let num v = if Float.is_finite v then J.Num v else J.Null
+let int i = J.Num (float_of_int i)
+
+let interval_json (i : Gates.interval) =
+  J.Obj
+    [
+      ("lo", num i.lo);
+      ("median", num i.median);
+      ("hi", num i.hi);
+      ("pairs", int i.pairs);
+    ]
+
+(* One gate evaluated on one reading; [subject] says which fit, tenant
+   count or experiment the reading belongs to. *)
+type check = { gate : Gates.gate; subject : string; reading : Gates.reading }
+
+let check gate subject reading = { gate; subject; reading }
+
 let run_benchmarks () =
   let tbl = Rbgp_util.Tbl.create ~headers:[ "benchmark"; "time/run"; "r2" ] in
   let components =
@@ -252,33 +258,58 @@ let run_benchmarks () =
   print_endline
     "component micro-benchmarks (growing-iteration OLS through origin):";
   Rbgp_util.Tbl.print tbl;
-  components
+  ( J.Arr
+      (List.map
+         (fun (name, est, r2) ->
+           J.Obj
+             [ ("name", J.Str name); ("ns_per_run", num est); ("r2", num r2) ])
+         components),
+    List.map
+      (fun (name, _, r2) ->
+        check Gates.r2 name (Gates.Interval (Gates.point r2)))
+      components )
 
-(* --- machine-readable trajectory ----------------------------------- *)
+(* --- experiment tables ------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let timed f =
+  let t0 = now_ns () in
+  let r = f () in
+  (r, float_of_int (now_ns () - t0) *. 1e-9)
 
-let json_num v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
+let run_experiments () =
+  print_endline
+    "\nexperiment tables (quick mode; run `rbgp exp <id>` for full size):";
+  (* warm the pool first so the per-experiment wall clocks measure steady
+     state rather than charging domain spawn to whichever table runs first *)
+  Rbgp_util.Pool.warmup ();
+  let times =
+    List.map
+      (fun (id, _, _) ->
+        let (), dt =
+          timed (fun () -> Rbgp_harness.Report.run ~quick:true ~seed:42 id)
+        in
+        (id, dt))
+      Rbgp_harness.Report.all
+  in
+  ( J.Arr
+      (List.map
+         (fun (id, dt) ->
+           J.Obj [ ("id", J.Str id); ("quick_seconds", num dt) ])
+         times),
+    [
+      check Gates.e10_quick_s "e10"
+        (Gates.Interval (Gates.point (List.assoc "e10" times)));
+    ] )
 
 (* redirect stdout to [path] while [f] runs (the experiment tables print
-   directly); used both to time table generation quietly and to compare
-   sequential vs parallel output byte for byte *)
+   directly), so that sequential and parallel output compare byte for
+   byte *)
 let with_stdout_to path f =
   flush stdout;
   let saved = Unix.dup Unix.stdout in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let fd =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
   Unix.dup2 fd Unix.stdout;
   Unix.close fd;
   Fun.protect f ~finally:(fun () ->
@@ -292,31 +323,20 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
     ~finally:(fun () -> close_in ic)
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+let with_temp suffix f =
+  let path = Filename.temp_file "rbgp_bench" suffix in
+  Fun.protect (fun () -> f path) ~finally:(fun () -> Sys.remove path)
 
-type parallel_result = {
-  experiment : string;
-  domains : int;
-  seq_seconds : float;
-  cold_seconds : float;  (* pool shut down first: domain spawn in the timing *)
-  warm_seconds : float;  (* pool pre-warmed before the timing *)
-  identical : bool;  (* seq, cold and warm outputs byte-identical *)
-}
-
-(* Sequential vs RBGP_DOMAINS-style fan-out for one experiment.  The cold
-   measurement shuts the persistent pool down first, so it pays domain
-   spawn inside the timed region (what PR-1 measured, and the number that
-   made the old pool look like an algorithmic regression); the warm
-   measurement pre-warms the pool, isolating the steady-state speedup the
-   harness actually sees after the first table.  All three outputs must be
-   byte-identical — the pool's key guarantee.  On a single-core box both
-   speedups hover around 1.0. *)
+(* Sequential vs 4-domain fan-out for one experiment.  The cold run shuts
+   the persistent pool down first, so it pays domain spawn inside the
+   timed region; the warm run pre-warms the pool, isolating the
+   steady-state speedup.  All three outputs must be byte-identical — the
+   pool's key guarantee.  On a single-core box both speedups hover around
+   1.0. *)
 let parallel_check id =
   let domains = 4 in
-  let run_with d path =
+  with_temp ".txt" @@ fun path ->
+  let run_with d =
     Rbgp_util.Pool.set_domains (Some d);
     let (), dt =
       timed (fun () ->
@@ -326,12 +346,11 @@ let parallel_check id =
     Rbgp_util.Pool.set_domains None;
     (read_file path, dt)
   in
-  let tmp tag = Filename.temp_file (Printf.sprintf "rbgp_%s_%s" id tag) ".txt" in
-  let seq_out, seq_dt = run_with 1 (tmp "seq") in
+  let seq_out, seq_dt = run_with 1 in
   Rbgp_util.Pool.shutdown ();
-  let cold_out, cold_dt = run_with domains (tmp "cold") in
+  let cold_out, cold_dt = run_with domains in
   Rbgp_util.Pool.warmup ~domains ();
-  let warm_out, warm_dt = run_with domains (tmp "warm") in
+  let warm_out, warm_dt = run_with domains in
   let identical =
     String.equal seq_out cold_out && String.equal seq_out warm_out
   in
@@ -341,174 +360,99 @@ let parallel_check id =
     (String.uppercase_ascii id)
     seq_dt domains cold_dt (seq_dt /. cold_dt) warm_dt (seq_dt /. warm_dt)
     (if identical then "identical" else "DIFFERENT");
-  {
-    experiment = id;
-    domains;
-    seq_seconds = seq_dt;
-    cold_seconds = cold_dt;
-    warm_seconds = warm_dt;
-    identical;
-  }
+  ( J.Obj
+      [
+        ("experiment", J.Str id);
+        ("domains", int domains);
+        ("seq_seconds", num seq_dt);
+        ("cold_par_seconds", num cold_dt);
+        ("warm_par_seconds", num warm_dt);
+        ("identical", J.Bool identical);
+      ],
+    [ check Gates.parallel_identical id (Gates.Bits [| identical |]) ] )
 
-(* --- serving engine throughput -------------------------------------- *)
+(* --- A/B comparisons --------------------------------------------------- *)
 
-type serve_result = {
-  requests : int;
-  rps : float;
-  p50_ns : int;
-  p99_ns : int;
-  serve_comm : int;
-  serve_mig : int;
-  resume_identical : bool;
-}
+module Codec = Rbgp_workloads.Trace_codec
+module Engine = Rbgp_serve.Engine
+module Net = Rbgp_serve.Net
 
-(* End-to-end ingest throughput through the streaming engine — the number
-   `rbgp serve` reports as req/s — plus a mid-stream checkpoint/resume
-   identity check: the resumed engine must finish with exactly the costs
-   and assignment of the uninterrupted run.  The checkpoint round-trips
-   through its binary encoding so the measurement covers the real
-   serialization path. *)
-let serve_bench () =
-  let n = 512 and ell = 8 and steps = 100_000 and seed = 42 in
-  let sinst = Rbgp_ring.Instance.blocks ~n ~ell in
-  let trace =
-    match Rbgp_workloads.Workloads.rotating ~n ~steps (Rbgp_util.Rng.create 7) with
-    | Rbgp_ring.Trace.Fixed a -> a
-    | Rbgp_ring.Trace.Adaptive _ -> assert false
+(* Run every arm once per round, [rounds] times, each round starting one
+   arm later than the last (pairs alternate A B / B A; triples rotate
+   A B C / B C A / C A B).  Every arm runs first equally often and a
+   transient stall lands on one round rather than on one arm, so each
+   round's arms are compared under the same conditions.  An arm returns
+   its elapsed seconds and what its identity check compares; round i's
+   results come back in the arms' order. *)
+let rounds ~rounds arms =
+  let m = Array.length arms in
+  Array.init rounds (fun i ->
+      let ran =
+        List.init m (fun j ->
+            let a = (i + j) mod m in
+            (a, arms.(a) ()))
+      in
+      Array.init m (fun a -> List.assoc a ran))
+
+(* the median and interval of one value per round *)
+let across rs f = Gates.interval (Array.map f rs)
+let held bits = Array.fold_left (fun k b -> if b then k + 1 else k) 0 bits
+
+let identity_text bits =
+  if held bits = Array.length bits then "identical" else "DIVERGED"
+
+let percent (i : Gates.interval) =
+  Printf.sprintf "%.2f%% [%.2f%%, %.2f%%]" (100. *. i.median) (100. *. i.lo)
+    (100. *. i.hi)
+
+let rotating ~n ~steps seed =
+  match
+    Rbgp_workloads.Workloads.rotating ~n ~steps (Rbgp_util.Rng.create seed)
+  with
+  | Rbgp_ring.Trace.Fixed a -> a
+  | Rbgp_ring.Trace.Adaptive _ -> assert false
+
+(* Decode-only throughput of the two trace readers over one framed binary
+   file: the block decoder over an mmap'ed region
+   ([Trace_codec.decode_requests_into]: no syscalls, no per-byte
+   closures) against the buffered channel reader ([input_request_opt]:
+   one [input_byte] per varint byte).  Both fold the decoded edges into a
+   count/xor/sum digest, so neither loop allocates, and every pass must
+   reproduce the digest of the trace that was written.  A pair's value is
+   channel time / mmap time. *)
+let decode_bench () =
+  let n = 4096 and ell = 32 and steps = 500_000 and pairs = 21 in
+  let trace = rotating ~n ~steps 7 in
+  let expect =
+    Array.fold_left
+      (fun (c, x, s) e -> (c + 1, x lxor e, s + e))
+      (0, 0, 0) trace
   in
-  let engine = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed sinst in
-  Array.iter (fun e -> ignore (Rbgp_serve.Engine.ingest engine e)) trace;
-  let m = Rbgp_serve.Engine.metrics engine in
-  let r = Rbgp_serve.Engine.result engine in
-  let resume_identical =
-    let cut = steps / 2 in
-    let first = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed sinst in
-    Array.iter
-      (fun e -> ignore (Rbgp_serve.Engine.ingest first e))
-      (Array.sub trace 0 cut);
-    let ckpt =
-      Rbgp_serve.Checkpoint.of_string
-        (Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint first))
-    in
-    match Rbgp_serve.Engine.resume ckpt with
-    | resumed ->
-        Array.iter
-          (fun e -> ignore (Rbgp_serve.Engine.ingest resumed e))
-          (Array.sub trace cut (steps - cut));
-        let rr = Rbgp_serve.Engine.result resumed in
-        rr.Rbgp_ring.Simulator.cost = r.Rbgp_ring.Simulator.cost
-        && rr.Rbgp_ring.Simulator.max_load = r.Rbgp_ring.Simulator.max_load
-        && Rbgp_serve.Engine.assignment resumed
-           = Rbgp_serve.Engine.assignment engine
-    | exception Failure _ -> false
-  in
-  let sr =
-    {
-      requests = Rbgp_serve.Metrics.requests m;
-      rps = Rbgp_serve.Metrics.rps m;
-      p50_ns = Rbgp_serve.Metrics.quantile m 0.5;
-      p99_ns = Rbgp_serve.Metrics.quantile m 0.99;
-      serve_comm = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.comm;
-      serve_mig = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.mig;
-      resume_identical;
-    }
-  in
-  Printf.printf
-    "serve: %d reqs, %.0f req/s, p50 %d ns, p99 %d ns, resume %s\n"
-    sr.requests sr.rps sr.p50_ns sr.p99_ns
-    (if resume_identical then "identical" else "DIVERGED");
-  sr
-
-(* --- ingest: the zero-copy mmap pipeline ----------------------------- *)
-
-type pipeline_point = {
-  pp_alg : string;
-  pp_batch : int;
-  pp_requests : int;
-  pp_rps : float;
-}
-
-type ingest_result = {
-  ing_requests : int;
-  ing_bytes : int;
-  ing_mmap_decode_rps : float;
-  ing_channel_decode_rps : float;
-  ing_decode_speedup : float;
-  ing_decode_identical : bool;
-  ing_pipeline : pipeline_point list;
-  ing_serve_identical : bool;
-}
-
-(* The zero-copy ingest headline (introduced in the BENCH_5 slot).
-
-   (a) decode-only throughput of the two trace readers over the same
-       framed binary file — the block decoder over an mmap'ed region
-       ([Trace_codec.decode_requests_into], no syscalls, no per-byte
-       closures) vs the buffered channel reader ([input_request_opt],
-       one [input_byte] per varint byte).  Both sides fold the decoded
-       edges into count/xor/sum accumulators so the loops stay
-       allocation-free and the streams are checked equal.
-   (b) pull-to-solve pipeline throughput: [Source.next_batch] from the
-       mapped file feeding [Engine.ingest_batch_quiet] — the
-       `serve --no-decisions --mmap on` path.  never-move isolates the
-       pipeline itself (the solver does no work, like a router that only
-       accounts); onl-dynamic is the honest full-solver number, where
-       the ~us-per-request solve dominates and the source choice stops
-       mattering (EXPERIMENTS.md, ingest sweep).
-   (c) an identity bit: serving the same trace quietly from the mmap
-       and channel backends must yield byte-identical checkpoints and
-       equal final costs.
-
-   CI gates on decode_speedup >= 5, never-move pipeline >= 1M req/s and
-   both identity bits. *)
-let ingest_bench () =
-  let n = 4096 and ell = 32 in
-  let steps = 2_000_000 and id_steps = 120_000 in
-  let gen s =
-    match Rbgp_workloads.Workloads.rotating ~n ~steps:s (Rbgp_util.Rng.create 7) with
-    | Rbgp_ring.Trace.Fixed a -> a
-    | Rbgp_ring.Trace.Adaptive _ -> assert false
-  in
-  let path = Filename.temp_file "rbgp_bench_ingest" ".rbt" in
-  let id_path = Filename.temp_file "rbgp_bench_ingest_id" ".rbt" in
-  Fun.protect ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove id_path)
-  @@ fun () ->
-  Rbgp_workloads.Trace_codec.write ~path ~n ~ell ~seed:7 (gen steps);
-  Rbgp_workloads.Trace_codec.write ~path:id_path ~n ~ell ~seed:7 (gen id_steps);
-  let bytes = (Unix.stat path).Unix.st_size in
-  (* (a) decode-only: same stream digest on both sides *)
+  with_temp ".rbt" @@ fun path ->
+  Codec.write ~path ~n ~ell ~seed:7 trace;
   let block = Array.make 65536 0 in
   let decode_mmap () =
-    let r = Rbgp_workloads.Trace_codec.map ~path path in
-    ignore (Rbgp_workloads.Trace_codec.header_of_region ~path r);
-    let count = ref 0 and acc = ref 0 and sum = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let got =
-        Rbgp_workloads.Trace_codec.decode_requests_into ~path r ~n block
-          ~limit:(Array.length block)
-      in
-      if got = 0 then continue := false
-      else begin
-        for j = 0 to got - 1 do
-          acc := !acc lxor block.(j);
-          sum := !sum + block.(j)
-        done;
-        count := !count + got
-      end
+    let r = Codec.map ~path path in
+    ignore (Codec.header_of_region ~path r);
+    let count = ref 0 and acc = ref 0 and sum = ref 0 and got = ref 1 in
+    while !got > 0 do
+      got := Codec.decode_requests_into ~path r ~n block ~limit:65536;
+      for j = 0 to !got - 1 do
+        acc := !acc lxor block.(j);
+        sum := !sum + block.(j)
+      done;
+      count := !count + !got
     done;
     (!count, !acc, !sum)
   in
   let decode_channel () =
     let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    ignore (Rbgp_workloads.Trace_codec.input_header ~path ic);
+    ignore (Codec.input_header ~path ic);
     let count = ref 0 and acc = ref 0 and sum = ref 0 in
     let continue = ref true in
     while !continue do
-      match Rbgp_workloads.Trace_codec.input_request_opt ~path ic ~n with
+      match Codec.input_request_opt ~path ic ~n with
       | Some e ->
           acc := !acc lxor e;
           sum := !sum + e;
@@ -517,548 +461,381 @@ let ingest_bench () =
     done;
     (!count, !acc, !sum)
   in
-  (* page the file in once so both timed passes run against warm cache *)
+  let arm decode () =
+    let digest, dt = timed decode in
+    (dt, digest = expect)
+  in
+  (* page the file in once so that every timed pass reads warm cache *)
   ignore (decode_channel ());
-  let (mc, macc, msum), mdt = timed decode_mmap in
-  let (cc, cacc, csum), cdt = timed decode_channel in
-  (* cross-check the single-pull readers against the same digest too:
-     region_request_opt (mmap) and fold (channel) must agree with the
-     block decoder frame for frame *)
-  let decode_identical =
-    let r = Rbgp_workloads.Trace_codec.map ~path path in
-    ignore (Rbgp_workloads.Trace_codec.header_of_region ~path r);
-    let acc = ref 0 and sum = ref 0 and count = ref 0 in
-    let continue = ref true in
-    while !continue do
-      match Rbgp_workloads.Trace_codec.region_request_opt ~path r ~n with
-      | Some e ->
-          acc := !acc lxor e;
-          sum := !sum + e;
-          incr count
-      | None -> continue := false
-    done;
-    let _, (ca, cs, cn) =
-      Rbgp_workloads.Trace_codec.fold ~path ~n ~init:(0, 0, 0)
-        ~f:(fun (a, s, k) e -> (a lxor e, s + e, k + 1))
-    in
-    mc = steps && cc = steps && macc = cacc && msum = csum
-    && !count = steps && !acc = ca && !sum = cs && !count = cn
-    && !acc = macc && !sum = msum
-  in
-  let mmap_rps = float_of_int mc /. mdt
-  and chan_rps = float_of_int cc /. cdt in
+  let rs = rounds ~rounds:pairs [| arm decode_mmap; arm decode_channel |] in
+  let rps a = across rs (fun r -> float_of_int steps /. fst r.(a)) in
+  let mmap_rps = rps 0 and channel_rps = rps 1 in
+  let speedup = across rs (fun r -> fst r.(1) /. fst r.(0)) in
+  let identical = Array.map (fun r -> snd r.(0) && snd r.(1)) rs in
   Printf.printf
-    "ingest decode (%d reqs, %d bytes): mmap block %.0f req/s, channel \
-     %.0f req/s (%.1fx), streams %s\n"
-    steps bytes mmap_rps chan_rps (mmap_rps /. chan_rps)
-    (if decode_identical then "identical" else "DIVERGED");
-  (* (b) pull-to-solve pipeline: Source.next_batch -> ingest_batch_quiet *)
-  let sinst = Rbgp_ring.Instance.blocks ~n ~ell in
-  let pipeline ~alg ~batch ~requests tpath =
-    let engine = Rbgp_serve.Engine.create ~alg ~seed:42 sinst in
-    let src = Rbgp_serve.Source.open_file ~mmap:`On ~n tpath in
-    let buf = Array.make batch 0 in
-    let (), dt =
-      timed (fun () ->
-          let continue = ref true in
-          while !continue do
-            let got = Rbgp_serve.Source.next_batch src buf ~limit:batch in
-            if got = 0 then continue := false
-            else
-              Rbgp_serve.Engine.ingest_batch_quiet engine
-                (if got = batch then buf else Array.sub buf 0 got)
-          done)
-    in
-    Rbgp_serve.Source.close src;
-    assert (Rbgp_serve.Engine.pos engine = requests);
-    let rps = float_of_int requests /. dt in
-    Printf.printf
-      "ingest pipeline (mmap, quiet, n=%d ell=%d): %s batch=%d, %d reqs, \
-       %.0f req/s\n"
-      n ell alg batch requests rps;
-    { pp_alg = alg; pp_batch = batch; pp_requests = requests; pp_rps = rps }
-  in
-  let pipeline_points =
-    List.map
-      (fun batch -> pipeline ~alg:"never-move" ~batch ~requests:steps path)
-      [ 256; 1024; 4096 ]
-    @ [ pipeline ~alg:"onl-dynamic" ~batch:1024 ~requests:id_steps id_path ]
-  in
-  (* (c) mmap-vs-channel serve identity, checkpoints included *)
-  let quiet_ckpt mmap =
-    let engine = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed:42 sinst in
-    let src = Rbgp_serve.Source.open_file ~mmap ~n id_path in
-    let buf = Array.make 1024 0 in
-    let continue = ref true in
-    while !continue do
-      let got = Rbgp_serve.Source.next_batch src buf ~limit:1024 in
-      if got = 0 then continue := false
-      else
-        Rbgp_serve.Engine.ingest_batch_quiet engine
-          (if got = 1024 then buf else Array.sub buf 0 got)
-    done;
-    Rbgp_serve.Source.close src;
-    ( Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint engine),
-      Rbgp_serve.Engine.result engine )
-  in
-  let mck, mres = quiet_ckpt `On and cck, cres = quiet_ckpt `Off in
-  let serve_identical =
-    String.equal mck cck
-    && mres.Rbgp_ring.Simulator.cost = cres.Rbgp_ring.Simulator.cost
-    && mres.Rbgp_ring.Simulator.max_load = cres.Rbgp_ring.Simulator.max_load
-  in
-  Printf.printf
-    "ingest serve identity (onl-dynamic, %d reqs): mmap vs channel \
-     checkpoints %s\n"
-    id_steps
-    (if serve_identical then "byte-identical" else "DIVERGED");
-  {
-    ing_requests = steps;
-    ing_bytes = bytes;
-    ing_mmap_decode_rps = mmap_rps;
-    ing_channel_decode_rps = chan_rps;
-    ing_decode_speedup = mmap_rps /. chan_rps;
-    ing_decode_identical = decode_identical;
-    ing_pipeline = pipeline_points;
-    ing_serve_identical = serve_identical;
-  }
+    "decode (%d pairs of %d reqs): mmap block %.0f req/s, channel %.0f \
+     req/s, speedup %.2fx [%.2fx, %.2fx], digests %s\n"
+    pairs steps mmap_rps.median channel_rps.median speedup.median speedup.lo
+    speedup.hi (identity_text identical);
+  ( J.Obj
+      [
+        ("requests", int steps);
+        ("bytes", int (Unix.stat path).Unix.st_size);
+        ("mmap_rps", interval_json mmap_rps);
+        ("channel_rps", interval_json channel_rps);
+        ("speedup", interval_json speedup);
+      ],
+    [
+      check Gates.decode_speedup "channel/mmap time" (Gates.Interval speedup);
+      check Gates.decode_identical "mmap, channel" (Gates.Bits identical);
+    ] )
 
-type faults_point = {
-  fp_requests : int;
-  fp_baseline_rps : float;
-  fp_disabled_rps : float;
-  fp_armed_rps : float;
-  fp_overhead_frac : float;
-  fp_identical : bool;
-}
+(* The crash-safety promise: the fault layer costs nothing when it is
+   off.  Three arms of the same quiet never-move pipeline over one mmap'ed
+   trace (never-move, so that the solver does no work and the hooks are
+   as large a share of a request as they can be):
 
-(* The crash-safety promise is that the fault layer costs nothing when it
-   is off.  Three timings of the same quiet never-move pipeline over one
-   mmap'ed trace:
+   - hook-free: [Trace_codec.decode_requests_into] feeding
+     [Engine.ingest_batch_quiet] directly, no [Source] and no
+     [Fault.armed] check anywhere;
+   - disabled: the `serve --mmap on` path through [Source.next_batch]
+     with the fault layer off, the shipped default;
+   - armed-idle: the same path under `crash@2000000000`, a plan that
+     never fires, so the cost is the per-block [request_fault_pending]
+     range check plus the per-pull read hooks.
 
-   - baseline: the hook-free hot loop — [Trace_codec.decode_requests_into]
-     feeding [Engine.ingest_batch_quiet] directly, no [Source], no
-     [Fault.armed] checks anywhere;
-   - disabled: the real `serve --mmap on` path through [Source.next_batch]
-     with the fault layer disabled (the shipped default);
-   - armed: the same path under `crash@2000000000` — a plan that never
-     fires, so the cost is the per-block [request_fault_pending] range
-     check plus the per-pull read hooks.
-
-   overhead_frac = (baseline - disabled) / baseline is the number CI
-   gates below 0.02; the armed figure is reported alongside so a
-   regression in the armed-but-idle path is visible in the history.
-   Each timing is best-of-3 to shed scheduler noise, and all three runs
-   must end in byte-identical checkpoints. *)
+   A triple's overhead is (hook-free rps - disabled rps) / hook-free rps,
+   and the disabled arm's req/s is the quiet pipeline's floor.  Each arm
+   times its serving loop only, on a fresh engine, and all three arms of
+   every triple must end in byte-identical checkpoints. *)
 let faults_bench () =
-  let n = 4096 and ell = 32 and steps = 1_000_000 in
-  let trace =
-    match
-      Rbgp_workloads.Workloads.rotating ~n ~steps (Rbgp_util.Rng.create 7)
-    with
-    | Rbgp_ring.Trace.Fixed a -> a
-    | Rbgp_ring.Trace.Adaptive _ -> assert false
-  in
-  let path = Filename.temp_file "rbgp_bench_faults" ".rbt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Rbgp_workloads.Trace_codec.write ~path ~n ~ell ~seed:7 trace;
+  let n = 4096 and ell = 32 and steps = 250_000 and batch = 4096 in
+  let triples = 641 in
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
-  let batch = 4096 in
+  with_temp ".rbt" @@ fun path ->
+  Codec.write ~path ~n ~ell ~seed:7 (rotating ~n ~steps 7);
   let block = Array.make batch 0 in
-  let finish engine =
-    assert (Rbgp_serve.Engine.pos engine = steps);
-    Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint engine)
+  let ingest engine got =
+    Engine.ingest_batch_quiet engine
+      (if got = batch then block else Array.sub block 0 got)
   in
-  let baseline () =
-    let engine = Rbgp_serve.Engine.create ~alg:"never-move" ~seed:42 inst in
-    let r = Rbgp_workloads.Trace_codec.map ~path path in
-    ignore (Rbgp_workloads.Trace_codec.header_of_region ~path r);
-    let continue = ref true in
-    while !continue do
-      let got =
-        Rbgp_workloads.Trace_codec.decode_requests_into ~path r ~n block
-          ~limit:batch
-      in
-      if got = 0 then continue := false
-      else
-        Rbgp_serve.Engine.ingest_batch_quiet engine
-          (if got = batch then block else Array.sub block 0 got)
-    done;
-    finish engine
+  let hook_free engine =
+    let r = Codec.map ~path path in
+    ignore (Codec.header_of_region ~path r);
+    let got = ref 1 in
+    while !got > 0 do
+      got := Codec.decode_requests_into ~path r ~n block ~limit:batch;
+      if !got > 0 then ingest engine !got
+    done
   in
-  let pipeline () =
-    let engine = Rbgp_serve.Engine.create ~alg:"never-move" ~seed:42 inst in
+  let pipeline engine =
     let src = Rbgp_serve.Source.open_file ~mmap:`On ~n path in
-    let continue = ref true in
-    while !continue do
-      let got = Rbgp_serve.Source.next_batch src block ~limit:batch in
-      if got = 0 then continue := false
-      else
-        Rbgp_serve.Engine.ingest_batch_quiet engine
-          (if got = batch then block else Array.sub block 0 got)
+    let got = ref 1 in
+    while !got > 0 do
+      got := Rbgp_serve.Source.next_batch src block ~limit:batch;
+      if !got > 0 then ingest engine !got
     done;
-    Rbgp_serve.Source.close src;
-    finish engine
+    Rbgp_serve.Source.close src
   in
-  (* warm the page cache before any timed pass *)
-  ignore (baseline ());
-  (* Interleave the three configs round-robin and keep each config's
-     fastest pass: timing each config in consecutive passes lets one
-     transient machine stall land entirely on one config and fake a
-     large overhead (or a negative one), while under interleaving every
-     config samples the same conditions and the minima are comparable. *)
-  let rounds = 5 in
-  let armed f =
+  let pass serve () =
+    let engine = Engine.create ~alg:"never-move" ~seed:42 inst in
+    let (), dt = timed (fun () -> serve engine) in
+    assert (Engine.pos engine = steps);
+    (dt, Rbgp_serve.Checkpoint.to_string (Engine.checkpoint engine))
+  in
+  let armed () =
     Fun.protect ~finally:Rbgp_serve.Fault.disable (fun () ->
         Rbgp_serve.Fault.configure "crash@2000000000";
-        timed f)
+        pass pipeline ())
   in
-  let base_ck = ref "" and dis_ck = ref "" and armed_ck = ref "" in
-  let base_dt = ref infinity
-  and dis_dt = ref infinity
-  and armed_dt = ref infinity in
-  for _ = 1 to rounds do
-    let take ck dt (c, d) =
-      ck := c;
-      if d < !dt then dt := d
-    in
-    take base_ck base_dt (timed baseline);
-    take dis_ck dis_dt (timed pipeline);
-    take armed_ck armed_dt (armed pipeline)
-  done;
-  let rps dt = float_of_int steps /. !dt in
-  let base_ck, baseline_rps = (!base_ck, rps base_dt) in
-  let dis_ck, disabled_rps = (!dis_ck, rps dis_dt) in
-  let armed_ck, armed_rps = (!armed_ck, rps armed_dt) in
-  let identical = String.equal base_ck dis_ck && String.equal dis_ck armed_ck in
-  let overhead = (baseline_rps -. disabled_rps) /. baseline_rps in
+  ignore (pass hook_free ());
+  let rs = rounds ~rounds:triples [| pass hook_free; pass pipeline; armed |] in
+  let rps a = across rs (fun r -> float_of_int steps /. fst r.(a)) in
+  let hook_free_rps = rps 0 and disabled_rps = rps 1 and armed_rps = rps 2 in
+  let overhead = across rs (fun r -> 1.0 -. (fst r.(0) /. fst r.(1))) in
+  let identical =
+    Array.map
+      (fun r ->
+        String.equal (snd r.(0)) (snd r.(1))
+        && String.equal (snd r.(1)) (snd r.(2)))
+      rs
+  in
   Printf.printf
-    "faults overhead (never-move, quiet, %d reqs): hook-free %.0f req/s, \
-     disabled %.0f req/s (%.2f%% overhead), armed-idle %.0f req/s, \
-     checkpoints %s\n"
-    steps baseline_rps disabled_rps (100. *. overhead) armed_rps
-    (if identical then "identical" else "DIVERGED");
-  {
-    fp_requests = steps;
-    fp_baseline_rps = baseline_rps;
-    fp_disabled_rps = disabled_rps;
-    fp_armed_rps = armed_rps;
-    fp_overhead_frac = overhead;
-    fp_identical = identical;
-  }
+    "faults (never-move, quiet, %d triples of %d reqs): hook-free %.0f \
+     req/s, disabled %.0f req/s [%.0f, %.0f], armed-idle %.0f req/s, \
+     overhead %s, checkpoints %s\n"
+    triples steps hook_free_rps.median disabled_rps.median disabled_rps.lo
+    disabled_rps.hi armed_rps.median (percent overhead)
+    (identity_text identical);
+  ( J.Obj
+      [
+        ("requests", int steps);
+        ("hook_free_rps", interval_json hook_free_rps);
+        ("disabled_rps", interval_json disabled_rps);
+        ("armed_idle_rps", interval_json armed_rps);
+        ("overhead_frac", interval_json overhead);
+      ],
+    [
+      check Gates.faults_off_overhead "disabled vs hook-free"
+        (Gates.Interval overhead);
+      check Gates.never_move_rps "faults disabled arm"
+        (Gates.Interval disabled_rps);
+      check Gates.faults_identical "3 arms" (Gates.Bits identical);
+    ] )
 
-type net_point = {
-  np_tenants : int;
-  np_requests : int;  (* total across all tenants *)
-  np_batch : int;
-  np_pipe_rps : float;
-  np_socket_rps : float;
-  np_overhead_frac : float;
-  np_p50_ns : int;  (* per-RPC round trip, client-observed *)
-  np_p99_ns : int;
-  np_identical : bool;
-}
-
-(* What the socket costs: the same quiet batches served two ways — the
-   in-process pipe (Engine.ingest_batch_quiet driven directly, the PR-6
-   pipeline) versus the full networked path (RBGN framing, dechunker,
-   select loop, tenant router) over a Unix socket, 1 tenant and then 4
-   tenants multiplexed on one connection.  Client and server run in one
-   process: the client's [pump] callback single-steps the server
+(* What the socket costs: the same quiet onl-dynamic batches served
+   through the in-process pipe ([Engine.ingest_batch_quiet] driven
+   directly) and over the full networked path (RBGN framing, dechunker,
+   select loop, tenant router) on a Unix socket, [tenants] of them
+   multiplexed on one connection, one batch per tenant per turn.  Client
+   and server share the process: the client's [pump] steps the server
    whenever the client would block, so the timing charges every byte of
-   framing, buffering and dispatch but no scheduler handoffs.  Latency
-   quantiles are client-observed per-RPC round trips; every tenant's
-   final engine checkpoint must be byte-identical to its pipe twin (the
-   isolation contract), and CI gates the socket throughput overhead
-   below 30% of pipe throughput. *)
-let net_bench () =
+   framing, buffering and dispatch but no scheduler handoffs.  As in
+   BENCH_7, the pipe arm times each tenant's whole run (engine creation,
+   batching, serving, final checkpoint) and the socket arm its request
+   loop only.  A pair's overhead is (pipe rps - socket rps) / pipe rps,
+   and on every pair each tenant's final checkpoint must be
+   byte-identical to its pipe twin (the isolation contract). *)
+let net_bench tenants =
   let n = 1024 and ell = 16 and steps = 100_000 and batch = 4096 in
+  let pairs = 61 in
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
-  let trace_for seed =
-    match Rbgp_workloads.Workloads.rotating ~n ~steps (Rbgp_util.Rng.create seed) with
-    | Rbgp_ring.Trace.Fixed a -> a
-    | Rbgp_ring.Trace.Adaptive _ -> assert false
-  in
+  let traces = Array.init tenants (fun i -> rotating ~n ~steps (100 + i)) in
   let batches_of trace =
-    let rec go pos acc =
-      if pos >= Array.length trace then List.rev acc
-      else
-        let len = min batch (Array.length trace - pos) in
-        go (pos + len) (Array.sub trace pos len :: acc)
-    in
-    go 0 []
+    Array.init ((steps + batch - 1) / batch) (fun b ->
+        Array.sub trace (b * batch) (min batch (steps - (b * batch))))
   in
-  let pipe_run trace =
-    let engine = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed:42 inst in
-    List.iter (Rbgp_serve.Engine.ingest_batch_quiet engine) (batches_of trace);
-    assert (Rbgp_serve.Engine.pos engine = steps);
-    Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint engine)
+  let batches = Array.map batches_of traces in
+  let checkpoint engine =
+    assert (Engine.pos engine = steps);
+    Rbgp_serve.Checkpoint.to_string (Engine.checkpoint engine)
   in
-  let point tenants =
-    let traces = List.init tenants (fun i -> (i, trace_for (100 + i))) in
-    let rounds =
-      (* round-robin: one batch per tenant per turn, like the client CLI *)
-      let per_tenant = List.map (fun (i, t) -> (i, batches_of t)) traces in
-      let rec turn acc lists =
-        if List.for_all (fun (_, bs) -> bs = []) lists then List.rev acc
-        else
-          let heads =
-            List.filter_map
-              (fun (i, bs) ->
-                match bs with [] -> None | b :: _ -> Some (i, b))
-              lists
-          in
-          let rest = List.map (fun (i, bs) ->
-              (i, match bs with [] -> [] | _ :: tl -> tl)) lists
-          in
-          turn (heads :: acc) rest
-      in
-      turn [] per_tenant
+  let pipe () =
+    let cks, dt =
+      timed (fun () ->
+          Array.map
+            (fun trace ->
+              let engine = Engine.create ~alg:"onl-dynamic" ~seed:42 inst in
+              Array.iter (Engine.ingest_batch_quiet engine) (batches_of trace);
+              checkpoint engine)
+            traces)
     in
-    let pipe_pass () = List.map (fun (_, t) -> pipe_run t) traces in
-    (* One full socket-served pass over fresh engines: a new router,
-       server and connection each time, so repeated passes are
-       independent and deterministic (same trace, same seed → same
-       checkpoint bytes every pass). *)
-    let sock_pass () =
-      let sock_path = Filename.temp_file "rbgp_bench_net" ".sock" in
-      Sys.remove sock_path;
-      let router = Rbgp_serve.Tenant.create () in
-      let addr = Rbgp_serve.Net.Unix_sock sock_path in
-      let server = Rbgp_serve.Net.server ~router addr in
-      Fun.protect ~finally:(fun () -> Rbgp_serve.Net.shutdown server)
-      @@ fun () ->
-      let cl =
-        Rbgp_serve.Net.connect
-          ~pump:(fun () -> ignore (Rbgp_serve.Net.step server))
-          addr
-      in
-      List.iter
-        (fun (i, _) ->
-          ignore
-            (Rbgp_serve.Net.open_stream cl ~stream:(i + 1)
-               {
-                 Rbgp_serve.Proto.tenant = Printf.sprintf "t%d" i;
-                 alg = "onl-dynamic";
-                 n;
-                 ell;
-                 epsilon = 0.5;
-                 seed = 42;
-               }))
-        traces;
-      let rpc_ns = ref [] in
-      let (), dt =
-        timed (fun () ->
-            List.iter
-              (List.iter (fun (i, b) ->
-                   let t0 = Unix.gettimeofday () in
-                   ignore
-                     (Rbgp_serve.Net.request_quiet cl ~stream:(i + 1) b ~pos:0
-                        ~len:(Array.length b));
-                   let ns =
-                     int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-                   in
-                   rpc_ns := ns :: !rpc_ns))
-              rounds)
-      in
-      let cks =
-        List.map
-          (fun (i, _) ->
-            match Rbgp_serve.Tenant.find router (Printf.sprintf "t%d" i) with
-            | Some tn -> (
-                match Rbgp_serve.Tenant.engine tn with
-                | Some engine ->
-                    Rbgp_serve.Checkpoint.to_string
-                      (Rbgp_serve.Engine.checkpoint engine)
-                | None -> "released")
-            | None -> "missing")
-          traces
-      in
-      Rbgp_serve.Net.close cl;
-      (cks, !rpc_ns, dt)
-    in
-    (* Alternate the two sides and keep each side's fastest pass — the
-       same anti-stall discipline as the faults bench: timing pipe and
-       socket in separate single passes lets one transient machine stall
-       land entirely on one side and fake (or hide) the overhead. *)
-    ignore (pipe_pass ());
-    let net_rounds = 3 in
-    let pipe_cks = ref [] and pipe_dt = ref infinity in
-    let sock_cks = ref [] and sock_dt = ref infinity and rpc_ns = ref [] in
-    for _ = 1 to net_rounds do
-      let cks, dt = timed pipe_pass in
-      pipe_cks := cks;
-      if dt < !pipe_dt then pipe_dt := dt;
-      let cks, rpcs, dt = sock_pass () in
-      sock_cks := cks;
-      if dt < !sock_dt then begin
-        sock_dt := dt;
-        rpc_ns := rpcs
-      end
+    (dt, cks)
+  in
+  let id i = Printf.sprintf "t%d" i in
+  (* a new router, server and connection per pass, so passes are
+     independent and each ends in the same checkpoint bytes *)
+  let socket () =
+    let sock_path = Filename.temp_file "rbgp_bench_net" ".sock" in
+    Sys.remove sock_path;
+    let router = Rbgp_serve.Tenant.create () in
+    let addr = Net.Unix_sock sock_path in
+    let server = Net.server ~router addr in
+    Fun.protect ~finally:(fun () -> Net.shutdown server) @@ fun () ->
+    let cl = Net.connect ~pump:(fun () -> ignore (Net.step server)) addr in
+    for i = 0 to tenants - 1 do
+      ignore
+        (Net.open_stream cl ~stream:(i + 1)
+           {
+             Rbgp_serve.Proto.tenant = id i;
+             alg = "onl-dynamic";
+             n;
+             ell;
+             epsilon = 0.5;
+             seed = 42;
+           })
     done;
-    let pipe_cks = !pipe_cks and pipe_dt = !pipe_dt in
-    let sock_cks = !sock_cks and sock_dt = !sock_dt in
-    let identical = List.equal String.equal pipe_cks sock_cks in
-    let total = tenants * steps in
-    let pipe_rps = float_of_int total /. pipe_dt
-    and sock_rps = float_of_int total /. sock_dt in
-    let lats = Array.of_list !rpc_ns in
-    Array.sort Int.compare lats;
-    let quantile q =
-      if Array.length lats = 0 then 0
-      else
-        lats.(min (Array.length lats - 1)
-                (int_of_float (q *. float_of_int (Array.length lats))))
+    let (), dt =
+      timed (fun () ->
+          for b = 0 to Array.length batches.(0) - 1 do
+            for i = 0 to tenants - 1 do
+              let chunk = batches.(i).(b) in
+              ignore
+                (Net.request_quiet cl ~stream:(i + 1) chunk ~pos:0
+                   ~len:(Array.length chunk))
+            done
+          done)
     in
-    let overhead = (pipe_rps -. sock_rps) /. pipe_rps in
-    Printf.printf
-      "net serve (onl-dynamic quiet, n=%d ell=%d, %d tenant%s, %d reqs): \
-       pipe %.0f req/s, socket %.0f req/s (%.1f%% overhead), rpc p50 %.1f \
-       us p99 %.1f us, checkpoints %s\n"
-      n ell tenants
-      (if tenants = 1 then "" else "s")
-      total pipe_rps sock_rps (100. *. overhead)
-      (float_of_int (quantile 0.5) /. 1e3)
-      (float_of_int (quantile 0.99) /. 1e3)
-      (if identical then "identical" else "DIVERGED");
-    {
-      np_tenants = tenants;
-      np_requests = total;
-      np_batch = batch;
-      np_pipe_rps = pipe_rps;
-      np_socket_rps = sock_rps;
-      np_overhead_frac = overhead;
-      np_p50_ns = quantile 0.5;
-      np_p99_ns = quantile 0.99;
-      np_identical = identical;
-    }
+    let cks =
+      Array.init tenants (fun i ->
+          match Rbgp_serve.Tenant.find router (id i) with
+          | Some tn -> (
+              match Rbgp_serve.Tenant.engine tn with
+              | Some engine -> checkpoint engine
+              | None -> "released")
+          | None -> "missing")
+    in
+    Net.close cl;
+    (dt, cks)
   in
-  let p1 = point 1 in
-  let p4 = point 4 in
-  [ p1; p4 ]
+  ignore (pipe ());
+  let rs = rounds ~rounds:pairs [| pipe; socket |] in
+  let total = tenants * steps in
+  let rps a = across rs (fun r -> float_of_int total /. fst r.(a)) in
+  let pipe_rps = rps 0 and socket_rps = rps 1 in
+  let overhead = across rs (fun r -> 1.0 -. (fst r.(0) /. fst r.(1))) in
+  let identical =
+    Array.map (fun r -> Array.for_all2 String.equal (snd r.(0)) (snd r.(1))) rs
+  in
+  let subject =
+    if tenants = 1 then "1 tenant" else Printf.sprintf "%d tenants" tenants
+  in
+  Printf.printf
+    "net (onl-dynamic quiet, n=%d ell=%d, %s, %d pairs of %d reqs): pipe \
+     %.0f req/s, socket %.0f req/s, overhead %s, checkpoints %s\n"
+    n ell subject pairs total pipe_rps.median socket_rps.median
+    (percent overhead) (identity_text identical);
+  ( J.Obj
+      [
+        ("tenants", int tenants);
+        ("requests", int total);
+        ("batch", int batch);
+        ("pipe_rps", interval_json pipe_rps);
+        ("socket_rps", interval_json socket_rps);
+        ("overhead_frac", interval_json overhead);
+      ],
+    [
+      check Gates.socket_overhead subject (Gates.Interval overhead);
+      check Gates.socket_identical subject (Gates.Bits identical);
+    ] )
 
-let write_bench_json ~components ~experiments ~parallel ~serve ~ingest ~faults
-    ~net =
-  let oc = open_out "BENCH_7.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema\": \"rbgp-bench/7\",\n";
-  out "  \"components\": [\n";
+(* --- host stamp, trajectory file, verdicts ----------------------------- *)
+
+let commit () =
+  let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+  let line = try input_line ic with End_of_file -> "" in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 when line <> "" -> line
+  | _ -> "unknown"
+
+(* one top-level field per line and one array element per line, so that
+   trajectory files diff line by line *)
+let write_json path fields =
+  let oc = open_out path in
+  let last = List.length fields - 1 in
+  output_string oc "{\n";
   List.iteri
-    (fun i (name, ns, r2) ->
-      out "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r2\": %s}%s\n"
-        (json_escape name) (json_num ns) (json_num r2)
-        (if i < List.length components - 1 then "," else ""))
-    components;
-  out "  ],\n  \"experiments\": [\n";
-  List.iteri
-    (fun i (id, dt) ->
-      out "    {\"id\": \"%s\", \"quick_seconds\": %s}%s\n" (json_escape id)
-        (json_num dt)
-        (if i < List.length experiments - 1 then "," else ""))
-    experiments;
-  out "  ],\n  \"parallel\": [\n";
-  List.iteri
-    (fun i p ->
-      out
-        "    {\"experiment\": \"%s\", \"domains\": %d, \"seq_seconds\": %s, \
-         \"cold_par_seconds\": %s, \"warm_par_seconds\": %s, \
-         \"cold_speedup\": %s, \"warm_speedup\": %s, \"identical\": %b}%s\n"
-        (json_escape p.experiment) p.domains
-        (json_num p.seq_seconds) (json_num p.cold_seconds)
-        (json_num p.warm_seconds)
-        (json_num (p.seq_seconds /. p.cold_seconds))
-        (json_num (p.seq_seconds /. p.warm_seconds))
-        p.identical
-        (if i < List.length parallel - 1 then "," else ""))
-    parallel;
-  out "  ],\n  \"serve\": [\n";
-  out
-    "    {\"alg\": \"onl-dynamic\", \"requests\": %d, \"rps\": %s, \
-     \"p50_ns\": %d, \"p99_ns\": %d, \"comm\": %d, \"mig\": %d, \
-     \"resume_identical\": %b}\n"
-    serve.requests (json_num serve.rps) serve.p50_ns serve.p99_ns
-    serve.serve_comm serve.serve_mig serve.resume_identical;
-  out "  ],\n  \"ingest\": {\n";
-  out "    \"requests\": %d,\n    \"bytes\": %d,\n" ingest.ing_requests
-    ingest.ing_bytes;
-  out "    \"mmap_decode_rps\": %s,\n    \"channel_decode_rps\": %s,\n"
-    (json_num ingest.ing_mmap_decode_rps)
-    (json_num ingest.ing_channel_decode_rps);
-  out "    \"decode_speedup\": %s,\n    \"decode_identical\": %b,\n"
-    (json_num ingest.ing_decode_speedup)
-    ingest.ing_decode_identical;
-  out "    \"pipeline\": [\n";
-  List.iteri
-    (fun i p ->
-      out
-        "      {\"alg\": \"%s\", \"batch\": %d, \"requests\": %d, \
-         \"rps\": %s}%s\n"
-        (json_escape p.pp_alg) p.pp_batch p.pp_requests (json_num p.pp_rps)
-        (if i < List.length ingest.ing_pipeline - 1 then "," else ""))
-    ingest.ing_pipeline;
-  out "    ],\n    \"serve_identical\": %b\n  },\n" ingest.ing_serve_identical;
-  out "  \"faults\": {\n";
-  out "    \"requests\": %d,\n" faults.fp_requests;
-  out "    \"baseline_rps\": %s,\n    \"disabled_rps\": %s,\n"
-    (json_num faults.fp_baseline_rps)
-    (json_num faults.fp_disabled_rps);
-  out "    \"armed_idle_rps\": %s,\n    \"overhead_frac\": %s,\n"
-    (json_num faults.fp_armed_rps)
-    (json_num faults.fp_overhead_frac);
-  out "    \"identical\": %b\n  },\n" faults.fp_identical;
-  out "  \"net\": [\n";
-  List.iteri
-    (fun i p ->
-      out
-        "    {\"tenants\": %d, \"requests\": %d, \"batch\": %d, \
-         \"pipe_rps\": %s, \"socket_rps\": %s, \"overhead_frac\": %s, \
-         \"rpc_p50_ns\": %d, \"rpc_p99_ns\": %d, \"identical\": %b}%s\n"
-        p.np_tenants p.np_requests p.np_batch
-        (json_num p.np_pipe_rps) (json_num p.np_socket_rps)
-        (json_num p.np_overhead_frac) p.np_p50_ns p.np_p99_ns p.np_identical
-        (if i < List.length net - 1 then "," else ""))
-    net;
-  out "  ]\n}\n";
-  close_out oc;
-  print_endline "wrote BENCH_7.json"
+    (fun i (key, v) ->
+      let body =
+        match v with
+        | J.Arr rows ->
+            let rows = List.map J.to_string rows in
+            "[\n    " ^ String.concat ",\n    " rows ^ "\n  ]"
+        | v -> J.to_string v
+      in
+      Printf.fprintf oc "  %s: %s%s\n" (J.to_string (J.Str key)) body
+        (if i < last then "," else ""))
+    fields;
+  output_string oc "}\n";
+  close_out oc
+
+let rule_text = function
+  | Gates.Floor b -> Printf.sprintf ">= %g" b
+  | Gates.Ceiling b -> Printf.sprintf "< %g" b
+  | Gates.Every_pair -> "every pair"
+
+let reading_text = function
+  | Gates.Interval i when i.lo = i.hi -> Printf.sprintf "%.4g" i.median
+  | Gates.Interval i -> Printf.sprintf "%.4g [%.4g, %.4g]" i.median i.lo i.hi
+  | Gates.Bits bits ->
+      Printf.sprintf "%d/%d pairs" (held bits) (Array.length bits)
+
+let verdict_json c pass =
+  let rule, bound =
+    match c.gate.rule with
+    | Gates.Floor b -> ("floor", num b)
+    | Gates.Ceiling b -> ("ceiling", num b)
+    | Gates.Every_pair -> ("every_pair", J.Null)
+  in
+  let value =
+    match c.reading with
+    | Gates.Interval i -> interval_json i
+    | Gates.Bits bits ->
+        J.Obj [ ("held", int (held bits)); ("pairs", int (Array.length bits)) ]
+  in
+  J.Obj
+    [
+      ("gate", J.Str c.gate.name);
+      ("subject", J.Str c.subject);
+      ("rule", J.Str rule);
+      ("bound", bound);
+      ("value", value);
+      ("pass", J.Bool pass);
+    ]
 
 let () =
-  let components = run_benchmarks () in
-  print_endline "\nexperiment tables (quick mode; run `rbgp exp <id>` for full size):";
-  (* warm the pool first so the per-experiment wall clocks measure steady
-     state rather than charging domain spawn to whichever table runs first *)
-  Rbgp_util.Pool.warmup ();
-  let experiments =
+  let host =
+    J.Obj
+      [
+        ("cores", int (Domain.recommended_domain_count ()));
+        ("ocaml", J.Str Sys.ocaml_version);
+        ("commit", J.Str (commit ()));
+      ]
+  in
+  print_endline ("host: " ^ J.to_string host);
+  let components, component_checks = run_benchmarks () in
+  let experiments, experiment_checks = run_experiments () in
+  print_newline ();
+  let parallel = List.map parallel_check [ "e8"; "e10" ] in
+  print_newline ();
+  let decode, decode_checks = decode_bench () in
+  let faults, faults_checks = faults_bench () in
+  let net = List.map net_bench [ 1; 4 ] in
+  let verdicts =
     List.map
-      (fun ((id, _desc, _f) :
-             string * string * (?quick:bool -> ?seed:int -> unit -> unit)) ->
-        let (), dt =
-          timed (fun () -> Rbgp_harness.Report.run ~quick:true ~seed:42 id)
-        in
-        (id, dt))
-      Rbgp_harness.Report.all
+      (fun c -> (c, Gates.passes c.gate c.reading))
+      (component_checks @ experiment_checks
+      @ List.concat_map snd parallel
+      @ decode_checks @ faults_checks
+      @ List.concat_map snd net)
   in
-  print_newline ();
-  let parallel = [ parallel_check "e8"; parallel_check "e10" ] in
-  print_newline ();
-  let serve = serve_bench () in
-  print_newline ();
-  let ingest = ingest_bench () in
-  print_newline ();
-  let faults = faults_bench () in
-  print_newline ();
-  let net = net_bench () in
-  write_bench_json ~components ~experiments ~parallel ~serve ~ingest ~faults
-    ~net;
-  (* the fidelity gate: a component whose fit explains less than half the
-     variance is a measurement failure, not a data point *)
-  let low =
-    List.filter (fun (_, _, r2) -> not (r2 >= 0.5)) components
+  write_json "BENCH_8.json"
+    [
+      ("schema", J.Str "rbgp-bench/8");
+      ("host", host);
+      ("components", components);
+      ("experiments", experiments);
+      ("parallel", J.Arr (List.map fst parallel));
+      ("decode", decode);
+      ("faults", faults);
+      ("net", J.Arr (List.map fst net));
+      ("gates", J.Arr (List.map (fun (c, p) -> verdict_json c p) verdicts));
+    ];
+  print_endline "\nwrote BENCH_8.json\n\ngate table (bench/gates.ml):";
+  let tbl =
+    Rbgp_util.Tbl.create
+      ~headers:[ "gate"; "subject"; "reading"; "rule"; "verdict" ]
   in
-  if low <> [] then begin
-    List.iter
-      (fun (name, _, r2) ->
-        Printf.eprintf "component %s: r^2 %.3f below the 0.5 floor\n" name r2)
-      low;
-    exit 1
-  end
+  List.iter
+    (fun (c, pass) ->
+      Rbgp_util.Tbl.add_row tbl
+        [
+          c.gate.name;
+          c.subject;
+          reading_text c.reading;
+          rule_text c.gate.rule;
+          (if pass then "pass" else "FAIL");
+        ])
+    verdicts;
+  Rbgp_util.Tbl.print tbl;
+  flush stdout;
+  let failed = List.filter (fun (_, pass) -> not pass) verdicts in
+  List.iter
+    (fun (c, _) ->
+      Printf.eprintf "gate %s failed for %s: %s, needs %s\n" c.gate.name
+        c.subject (reading_text c.reading) (rule_text c.gate.rule))
+    failed;
+  (* a gate that no section read fails too, so none can drop out unseen *)
+  let unread =
+    List.filter
+      (fun (g : Gates.gate) ->
+        not
+          (List.exists
+             (fun (c, _) -> String.equal c.gate.name g.name)
+             verdicts))
+      Gates.table
+  in
+  List.iter
+    (fun (g : Gates.gate) -> Printf.eprintf "gate %s has no reading\n" g.name)
+    unread;
+  if failed <> [] || unread <> [] then exit 1

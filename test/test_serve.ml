@@ -1178,7 +1178,8 @@ let test_quiet_batch_identity () =
     [ "onl-dynamic"; "never-move" ]
 
 (* End-to-end: the same binary trace served from the mmap source and the
-   channel source produces identical outcomes — the CLI identity behind
+   channel source produces identical outcomes and byte-identical final
+   checkpoints, quiet or instrumented — the CLI identity behind
    --mmap auto/on/off. *)
 let test_source_mmap_vs_channel_serve_identity () =
   let n = 128 and ell = 8 in
@@ -1201,12 +1202,18 @@ let test_source_mmap_vs_channel_serve_identity () =
           end
         done;
         Source.close src;
-        outcome_of engine
+        (outcome_of engine, Ckpt.to_string (Engine.checkpoint engine))
       in
-      let reference = serve ~mmap:`Off ~quiet:false in
-      check_outcome "mmap == channel" reference (serve ~mmap:`On ~quiet:false);
-      check_outcome "mmap quiet == channel instrumented" reference
-        (serve ~mmap:`On ~quiet:true))
+      let reference, ref_ckpt = serve ~mmap:`Off ~quiet:false in
+      List.iter
+        (fun (msg, (outcome, ckpt)) ->
+          check_outcome msg reference outcome;
+          Alcotest.(check string) (msg ^ ": checkpoint bytes") ref_ckpt ckpt)
+        [
+          ("mmap == channel", serve ~mmap:`On ~quiet:false);
+          ("mmap quiet == channel instrumented", serve ~mmap:`On ~quiet:true);
+          ("mmap quiet == channel quiet", serve ~mmap:`Off ~quiet:true);
+        ])
 
 (* --skip-prefix: re-reading the served prefix from a trace file checks
    its digest against the checkpoint's.  The identical trace passes and
