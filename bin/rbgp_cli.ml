@@ -46,25 +46,6 @@ let domains_arg =
            Defaults to \\$(b,RBGP_DOMAINS) or the machine's recommended \
            domain count; results are byte-identical for any value.")
 
-let grain_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some g when g >= 1 -> Ok g
-      | _ -> Error (`Msg "expected a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(
-    value
-    & opt (some positive_int) None
-    & info [ "grain" ] ~docv:"G"
-        ~doc:
-          "Work-pool scheduling grain: how many grid cells a domain claims \
-           per trip to the shared cursor.  Defaults to \\$(b,RBGP_GRAIN) or \
-           an automatic per-job value (about eight chunks per domain); the \
-           grain changes the schedule, never the results.")
-
 (* --- exp ------------------------------------------------------------ *)
 
 let exp_ids = "all" :: List.map (fun (id, _, _) -> id) Rbgp_harness.Report.all
@@ -79,17 +60,15 @@ let exp_id_arg =
     & info [] ~docv:"EXPERIMENT" ~doc)
 
 let exp_cmd =
-  let run id quick seed domains grain verbose =
+  let run id quick seed domains verbose =
     setup_logs verbose;
     Rbgp_util.Pool.set_domains domains;
-    Rbgp_util.Pool.set_grain grain;
     Rbgp_harness.Report.run ~quick ~seed id
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Run one of the E1-E13 experiments (see DESIGN.md).")
     Term.(
-      const run $ exp_id_arg $ quick_arg $ seed_arg $ domains_arg $ grain_arg
-      $ verbose_arg)
+      const run $ exp_id_arg $ quick_arg $ seed_arg $ domains_arg $ verbose_arg)
 
 (* --- sim ------------------------------------------------------------ *)
 
@@ -300,7 +279,7 @@ let serve_loop engine source ~decisions ~metrics_every ~checkpoint_path
             (fun d ->
               output_string stdout (Engine.decision_to_json d);
               output_char stdout '\n')
-            (Engine.ingest_batch engine edges);
+            (Array.map (Engine.ingest engine) edges);
           flush stdout
         end
         else Engine.ingest_batch_quiet engine edges;
@@ -319,7 +298,7 @@ let serve_loop engine source ~decisions ~metrics_every ~checkpoint_path
   prerr_endline (Metrics.summary m)
 
 (* Supervised serving: run the loop, and on an engine / decode /
-   sanitizer / injected failure restore the newest checkpoint generation
+   capacity / injected failure restore the newest checkpoint generation
    that verifies, skip its digest-verified prefix in the reopened trace, and
    continue — with bounded exponential backoff between restarts so a
    persistently failing source cannot spin.  Only failures the recovery
@@ -935,7 +914,7 @@ let serve_cmd =
       value & flag
       & info [ "supervise" ]
           ~doc:
-            "Supervised serving: catch engine, decode and sanitizer \
+            "Supervised serving: catch engine, decode, capacity and injected \
              failures, restore the newest checkpoint generation that \
              verifies, skip the digest-verified prefix and continue, with \
              bounded exponential backoff between restarts.  Requires \

@@ -3,34 +3,20 @@ module Assignment = Rbgp_ring.Assignment
 module Online = Rbgp_ring.Online
 module Binc = Rbgp_util.Binc
 
-(* Every baseline is deterministic with small, flat state, so each one
-   implements the Online snapshot/restore hooks: a versioned Binc-framed
-   byte string holding the assignment plus whatever counters the
-   algorithm keeps.  The serving layer's O(state) checkpoints carry it. *)
-let snap_version = 1
-
-let snapshot_of name fill =
-  let buf = Buffer.create 128 in
-  Binc.add_varint buf snap_version;
+(* Every baseline is deterministic with small, flat state: its snapshot
+   holds its name (checked on restore), the assignment and whatever
+   counters the algorithm keeps.  The serving layer's O(state)
+   checkpoints carry it. *)
+let save_state name fill buf =
   Binc.add_string buf name;
-  fill buf;
-  Buffer.contents buf
+  fill buf
 
-(* Check the header, [read] the fields, and refuse trailing bytes: a
-   restored snapshot re-serializes to exactly the bytes it came from. *)
-let restore_snapshot name read s =
-  let r = Binc.reader s in
-  let v = Binc.read_varint r in
-  if v <> snap_version then
-    invalid_arg
-      (Printf.sprintf "%s: unsupported snapshot version %d" name v);
+let load_state name read r =
   let stored = Binc.read_string r in
   if not (String.equal stored name) then
     invalid_arg
       (Printf.sprintf "%s: snapshot belongs to algorithm %s" name stored);
-  read r;
-  if not (Binc.at_end r) then
-    invalid_arg (name ^ ": trailing bytes after the snapshot")
+  read r
 
 let restore_int_array name dst r =
   let src = Binc.read_int_array r in
@@ -41,15 +27,15 @@ let restore_int_array name dst r =
 let never_move (inst : Instance.t) =
   let a = Assignment.create inst in
   let name = "never-move" in
-  Online.with_state
-    ~snapshot:(fun () ->
-      snapshot_of name (fun buf -> Binc.add_int_array buf (Assignment.to_array a)))
-    ~restore:
-      (restore_snapshot name (fun r ->
-          Assignment.restore_array a (Binc.read_int_array r)))
-  @@ Online.make ~name ~augmentation:1.0
+  Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve:(fun _ -> ())
+    ~save:
+      (save_state name (fun buf ->
+           Binc.add_int_array buf (Assignment.to_array a)))
+    ~load:
+      (load_state name (fun r ->
+           Assignment.restore_array a (Binc.read_int_array r)))
 
 let greedy_colocate ?(threshold = 1) (inst : Instance.t) =
   if threshold < 1 then invalid_arg "greedy_colocate: threshold >= 1";
@@ -83,18 +69,17 @@ let greedy_colocate ?(threshold = 1) (inst : Instance.t) =
     end
   in
   let name = "greedy-colocate" in
-  Online.with_state
-    ~snapshot:(fun () ->
-      snapshot_of name (fun buf ->
-          Binc.add_int_array buf (Assignment.to_array a);
-          Binc.add_int_array buf counts))
-    ~restore:
-      (restore_snapshot name (fun r ->
-          Assignment.restore_array a (Binc.read_int_array r);
-          restore_int_array name counts r))
-  @@ Online.make ~name ~augmentation:1.0
+  Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve
+    ~save:
+      (save_state name (fun buf ->
+           Binc.add_int_array buf (Assignment.to_array a);
+           Binc.add_int_array buf counts))
+    ~load:
+      (load_state name (fun r ->
+           Assignment.restore_array a (Binc.read_int_array r);
+           restore_int_array name counts r))
 
 let counter_threshold ?theta ~epsilon (inst : Instance.t) =
   let n = inst.Instance.n and k = inst.Instance.k in
@@ -148,22 +133,21 @@ let counter_threshold ?theta ~epsilon (inst : Instance.t) =
     end
   in
   let name = "counter-threshold" in
-  Online.with_state
-    ~snapshot:(fun () ->
-      snapshot_of name (fun buf ->
-          Binc.add_int_array buf (Assignment.to_array a);
-          Binc.add_int_array buf counts;
-          Binc.add_int_array buf cuts))
-    ~restore:
-      (restore_snapshot name (fun r ->
-          Assignment.restore_array a (Binc.read_int_array r);
-          restore_int_array name counts r;
-          restore_int_array name cuts r))
-  @@ Online.make ~name
+  Online.make ~name
     ~augmentation:
       (float_of_int (Intervals.max_slice_len dec) /. float_of_int k)
     ~assignment:(fun () -> a)
     ~serve
+    ~save:
+      (save_state name (fun buf ->
+           Binc.add_int_array buf (Assignment.to_array a);
+           Binc.add_int_array buf counts;
+           Binc.add_int_array buf cuts))
+    ~load:
+      (load_state name (fun r ->
+           Assignment.restore_array a (Binc.read_int_array r);
+           restore_int_array name counts r;
+           restore_int_array name cuts r))
 
 let component_learning (inst : Instance.t) =
   let n = inst.Instance.n and k = inst.Instance.k in
@@ -238,35 +222,36 @@ let component_learning (inst : Instance.t) =
        variant's guarantee does not cover them, so the request is paid *)
   in
   let name = "component-learning" in
-  Online.with_state
-    ~snapshot:(fun () ->
-      snapshot_of name (fun buf ->
-          Binc.add_int_array buf (Assignment.to_array a);
-          (* future behaviour depends only on the partition (membership
-             and sizes), not on which element the forest happens to use
-             as a root, so canonicalise each component to its minimum
-             member: a run that restored from this snapshot then
-             re-snapshots must produce identical bytes *)
-          let roots = Array.init n (fun p -> Rbgp_util.Union_find.find !uf_ref p) in
-          let canon = Array.make n max_int in
-          Array.iteri
-            (fun p r -> if p < canon.(r) then canon.(r) <- p)
-            roots;
-          Binc.add_int_array buf (Array.map (fun r -> canon.(r)) roots)))
-    ~restore:
-      (restore_snapshot name (fun r ->
-          Assignment.restore_array a (Binc.read_int_array r);
-          let reps = Binc.read_int_array r in
-          if Array.length reps <> n then
-            invalid_arg (name ^ ": snapshot partition length mismatch");
-          let uf = Rbgp_util.Union_find.create n in
-          Array.iteri
-            (fun p rep -> ignore (Rbgp_util.Union_find.union uf p rep))
-            reps;
-          uf_ref := uf))
-  @@ Online.make ~name ~augmentation:1.0
+  Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve
+    ~save:
+      (save_state name (fun buf ->
+           Binc.add_int_array buf (Assignment.to_array a);
+           (* future behaviour depends only on the partition (membership
+              and sizes), not on which element the forest happens to use
+              as a root, so canonicalise each component to its minimum
+              member: a run that restored from this snapshot then
+              re-snapshots must produce identical bytes *)
+           let roots =
+             Array.init n (fun p -> Rbgp_util.Union_find.find !uf_ref p)
+           in
+           let canon = Array.make n max_int in
+           Array.iteri
+             (fun p r -> if p < canon.(r) then canon.(r) <- p)
+             roots;
+           Binc.add_int_array buf (Array.map (fun r -> canon.(r)) roots)))
+    ~load:
+      (load_state name (fun r ->
+           Assignment.restore_array a (Binc.read_int_array r);
+           let reps = Binc.read_int_array r in
+           if Array.length reps <> n then
+             invalid_arg (name ^ ": snapshot partition length mismatch");
+           let uf = Rbgp_util.Union_find.create n in
+           Array.iteri
+             (fun p rep -> ignore (Rbgp_util.Union_find.union uf p rep))
+             reps;
+           uf_ref := uf))
 
 let static_oracle (inst : Instance.t) ~trace =
   let sol = Rbgp_offline.Static_opt.segmented inst trace in
@@ -281,15 +266,14 @@ let static_oracle (inst : Instance.t) ~trace =
     end
   in
   let name = "static-oracle" in
-  Online.with_state
-    ~snapshot:(fun () ->
-      snapshot_of name (fun buf ->
-          Binc.add_int_array buf (Assignment.to_array a);
-          Binc.add_varint buf (if !moved then 1 else 0)))
-    ~restore:
-      (restore_snapshot name (fun r ->
-          Assignment.restore_array a (Binc.read_int_array r);
-          moved := Binc.read_varint r = 1))
-  @@ Online.make ~name ~augmentation:1.0
+  Online.make ~name ~augmentation:1.0
     ~assignment:(fun () -> a)
     ~serve
+    ~save:
+      (save_state name (fun buf ->
+           Binc.add_int_array buf (Assignment.to_array a);
+           Binc.add_varint buf (if !moved then 1 else 0)))
+    ~load:
+      (load_state name (fun r ->
+           Assignment.restore_array a (Binc.read_int_array r);
+           moved := Binc.read_varint r = 1))

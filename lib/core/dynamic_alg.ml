@@ -143,25 +143,15 @@ let serve t e =
 
 (* --- O(state) snapshot ------------------------------------------------ *)
 
-let snap_version = 1
-
 (* The whole online state is the per-interval solvers: the shift is a
    function of the seed (checked, not restored), and the cuts and the
    assignment are functions of the solver states. *)
-let snapshot t =
-  let buf = Buffer.create 256 in
-  Binc.add_varint buf snap_version;
+let save t buf =
   Binc.add_varint buf t.dec.Intervals.shift;
   Binc.add_varint buf (Array.length t.solvers);
-  Array.iter (Mts.snapshot buf) t.solvers;
-  Buffer.contents buf
+  Array.iter (Mts.snapshot buf) t.solvers
 
-let restore t s =
-  let r = Binc.reader s in
-  let v = Binc.read_varint r in
-  if v <> snap_version then
-    invalid_arg
-      (Printf.sprintf "Dynamic_alg.restore: unsupported snapshot version %d" v);
+let load t r =
   let shift = Binc.read_varint r in
   if shift <> t.dec.Intervals.shift then
     invalid_arg
@@ -174,8 +164,6 @@ let restore t s =
       (Printf.sprintf "Dynamic_alg.restore: snapshot has %d intervals, need %d"
          m (Array.length t.solvers));
   Array.iter (Mts.restore r) t.solvers;
-  if not (Binc.at_end r) then
-    invalid_arg "Dynamic_alg.restore: trailing bytes after the snapshot";
   let n = t.inst.Instance.n in
   Array.iteri
     (fun i solver ->
@@ -185,15 +173,13 @@ let restore t s =
   apply_cuts t
 
 let online t =
-  Rbgp_ring.Online.with_state
-    ~snapshot:(fun () -> snapshot t)
-    ~restore:(fun s -> restore t s)
-  @@ Rbgp_ring.Online.make ~name:"onl-dynamic"
-       ~augmentation:
-         (float_of_int (Intervals.max_slice_len t.dec)
-         /. float_of_int t.inst.Instance.k)
-       ~assignment:(fun () -> t.assignment)
-       ~serve:(fun e -> serve t e)
+  Rbgp_ring.Online.make ~name:"onl-dynamic"
+    ~augmentation:
+      (float_of_int (Intervals.max_slice_len t.dec)
+      /. float_of_int t.inst.Instance.k)
+    ~assignment:(fun () -> t.assignment)
+    ~serve:(fun e -> serve t e)
+    ~save:(save t) ~load:(load t)
 
 let shift t = t.dec.Intervals.shift
 let cut_edges t = Array.copy t.cuts

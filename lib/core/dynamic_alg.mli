@@ -38,22 +38,13 @@ val create :
     [epsilon > 0] on valid instances). *)
 
 val online : t -> Rbgp_ring.Online.t
-(** The {!Rbgp_ring.Online.t} view driven by the simulator; exposes the
-    per-request [serve] and the O(state) snapshot hooks
-    ({!snapshot}/{!restore}). *)
-
-val snapshot : t -> string
-(** The algorithm's whole online state, independent of the number of
-    requests served: a version, the shift (for checking) and each
-    interval solver's {!Rbgp_mts.Mts.snapshot}.  Raises
-    [Invalid_argument] when the solver factory has no state hooks. *)
-
-val restore : t -> string -> unit
-(** Load a {!snapshot} into a freshly built instance with the same seed,
-    epsilon and problem instance: restore every solver, then rebuild the
-    cuts and the assignment from the solver states.  Raises
-    [Invalid_argument] on a version, shift or interval-count mismatch,
-    truncated or trailing bytes, or a solver state out of range. *)
+(** The {!Rbgp_ring.Online.t} view driven by the simulator: the
+    per-request [serve], and O(state) snapshots holding the shift (for
+    checking) and each interval solver's {!Rbgp_mts.Mts.snapshot}.
+    Restoring one loads every solver, then rebuilds the cuts and the
+    assignment from the solver states; it raises [Invalid_argument] on a
+    shift or interval-count mismatch, truncated input or a solver state
+    out of range. *)
 
 val serve : t -> int -> unit
 (** React to a request on ring edge [e]: route it to the owning interval's

@@ -1,6 +1,5 @@
 module Instance = Rbgp_ring.Instance
 module Assignment = Rbgp_ring.Assignment
-module Binc = Rbgp_util.Binc
 
 type t = {
   inst : Instance.t;
@@ -50,28 +49,16 @@ let augmentation t =
 
 (* --- O(state) snapshot ------------------------------------------------ *)
 
-let snap_version = 1
-
-let snapshot t =
-  let buf = Buffer.create 1024 in
-  Binc.add_varint buf snap_version;
+let save t buf =
   Slicing.save buf t.slicing;
   Clustering.save buf t.clustering;
-  Scheduling.save buf t.scheduling;
-  Buffer.contents buf
+  Scheduling.save buf t.scheduling
 
 (* The assignment is slice -> cluster -> server: rebuilt, not stored. *)
-let restore t s =
-  let r = Binc.reader s in
-  let v = Binc.read_varint r in
-  if v <> snap_version then
-    invalid_arg
-      (Printf.sprintf "Static_alg.restore: unsupported snapshot version %d" v);
+let load t r =
   Slicing.load r t.slicing;
   Clustering.load r t.clustering;
   Scheduling.load r t.scheduling;
-  if not (Binc.at_end r) then
-    invalid_arg "Static_alg.restore: trailing bytes after the snapshot";
   (match Clustering.check_consistency t.clustering with
   | Ok () -> ()
   | Error msg ->
@@ -79,12 +66,10 @@ let restore t s =
   sync_assignment t
 
 let online t =
-  Rbgp_ring.Online.with_state
-    ~snapshot:(fun () -> snapshot t)
-    ~restore:(fun s -> restore t s)
-  @@ Rbgp_ring.Online.make ~name:"onl-static" ~augmentation:(augmentation t)
-       ~assignment:(fun () -> t.assignment)
-       ~serve:(fun e -> serve t e)
+  Rbgp_ring.Online.make ~name:"onl-static" ~augmentation:(augmentation t)
+    ~assignment:(fun () -> t.assignment)
+    ~serve:(fun e -> serve t e)
+    ~save:(save t) ~load:(load t)
 
 let slicing t = t.slicing
 let clustering t = t.clustering

@@ -192,7 +192,7 @@ type t = {
    transitive callees must stay allocation-free (r11). *)
 let hot_root_specs =
   [
-    ("Engine", "ingest");  (* ingest / ingest_batch / ingest_batch_quiet *)
+    ("Engine", "ingest");  (* ingest / ingest_batch_quiet *)
     ("Dynamic_alg", "serve");  (* the solver step behind Online.serve *)
     ("Binc", "decode_varints");  (* the block decoder *)
   ]

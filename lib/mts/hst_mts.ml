@@ -63,7 +63,7 @@ let solver : Mts.factory =
     current_dist := new_dist;
     state
   in
-  Mts.with_state
+  Mts.make ~name:"hst-mw" ~metric ~start ~next
     ~save:(fun buf ->
       Rbgp_util.Binc.add_counts buf x;
       Rbgp_util.Rng.save buf rng)
@@ -72,7 +72,6 @@ let solver : Mts.factory =
       leaf_mass_into x mass;
       Dist.of_grad_into mass !current_dist;
       Rbgp_util.Rng.load r rng)
-  @@ Mts.make ~name:"hst-mw" ~metric ~start ~next
 
 let leaf_distribution metric x =
   if Array.length x <> Metric.size metric then

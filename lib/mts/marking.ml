@@ -25,11 +25,10 @@ let solver : Mts.factory =
           arr.(Rbgp_util.Rng.int rng (Array.length arr))
     end
   in
-  Mts.with_state
+  Mts.make ~name:"marking" ~metric ~start ~next
     ~save:(fun buf ->
       Rbgp_util.Binc.add_counts buf phase_cost;
       Rbgp_util.Rng.save buf rng)
     ~load:(fun r ->
       Rbgp_util.Binc.read_counts r phase_cost;
       Rbgp_util.Rng.load r rng)
-  @@ Mts.make ~name:"marking" ~metric ~start ~next

@@ -10,20 +10,18 @@ type t = {
   mutable move : int;
   mutable steps : int;
   next : int -> int -> int;
-  save : (Buffer.t -> unit) option;
-  load : (Binc.reader -> unit) option;
+  save : Buffer.t -> unit;
+  load : Binc.reader -> unit;
 }
 
 type factory = Metric.t -> start:int -> rng:Rbgp_util.Rng.t -> t
 
-let make ~name ~metric ~start ~next =
+let make ~name ~metric ~start ~next ~save ~load =
   Metric.check_state metric start;
   {
-    name; metric; state = start; hit = 0; move = 0; steps = 0; next;
-    save = None; load = None;
+    name; metric; state = start; hit = 0; move = 0; steps = 0; next; save;
+    load;
   }
-
-let with_state ~save ~load t = { t with save = Some save; load = Some load }
 
 let name t = t.name
 let metric t = t.metric
@@ -45,18 +43,12 @@ let move_cost t = float_of_int t.move
 let total_cost t = float_of_int (t.hit + t.move)
 let steps t = t.steps
 
-let no_hook who t =
-  invalid_arg (Printf.sprintf "Mts.%s: solver %s has no state hook" who t.name)
-
 let snapshot buf t =
-  match t.save with
-  | None -> no_hook "snapshot" t
-  | Some save ->
-      Binc.add_varint buf t.state;
-      Binc.add_varint buf t.hit;
-      Binc.add_varint buf t.move;
-      Binc.add_varint buf t.steps;
-      save buf
+  Binc.add_varint buf t.state;
+  Binc.add_varint buf t.hit;
+  Binc.add_varint buf t.move;
+  Binc.add_varint buf t.steps;
+  t.save buf
 
 let read_count r =
   let v = Binc.read_varint r in
@@ -64,16 +56,13 @@ let read_count r =
   v
 
 let restore r t =
-  match t.load with
-  | None -> no_hook "restore" t
-  | Some load ->
-      let state = Binc.read_varint r in
-      Metric.check_state t.metric state;
-      let hit = read_count r in
-      let move = read_count r in
-      let steps = read_count r in
-      t.state <- state;
-      t.hit <- hit;
-      t.move <- move;
-      t.steps <- steps;
-      load r
+  let state = Binc.read_varint r in
+  Metric.check_state t.metric state;
+  let hit = read_count r in
+  let move = read_count r in
+  let steps = read_count r in
+  t.state <- state;
+  t.hit <- hit;
+  t.move <- move;
+  t.steps <- steps;
+  t.load r

@@ -25,32 +25,30 @@ val make :
   metric:Metric.t ->
   start:int ->
   next:(int -> int -> int) ->
+  save:(Buffer.t -> unit) ->
+  load:(Rbgp_util.Binc.reader -> unit) ->
   t
-(** [make ~name ~metric ~start ~next] wraps a transition function
-    [next task_state current_state -> new_state] with state tracking and
-    cost accounting.  [next] sees only tasks already checked to be in
-    range.  Used by the solver modules; exposed for tests that need
-    scripted solvers. *)
-
-val with_state :
-  save:(Buffer.t -> unit) -> load:(Rbgp_util.Binc.reader -> unit) -> t -> t
-(** [with_state ~save ~load t] attaches the solver's own state codec:
-    [save] appends everything the solver's [next] reads besides the
-    current state (counts, work vectors, rng words), and [load] reads it
-    back into the live solver, recomputing every cache derived from it.
-    Contract: after {!restore} of a {!snapshot}, a freshly built solver
-    on the same metric and start state makes exactly the moves and rng
-    draws the original would have made, and snapshots to the same bytes. *)
+(** [make ~name ~metric ~start ~next ~save ~load] wraps a transition
+    function [next task_state current_state -> new_state] with state
+    tracking and cost accounting.  [next] sees only tasks already checked
+    to be in range.  [save] and [load] are the solver's own state codec:
+    [save] appends everything [next] reads besides the current state
+    (counts, work vectors, rng words), and [load] reads it back into the
+    live solver, recomputing every cache derived from it.  Contract:
+    after {!restore} of a {!snapshot}, a freshly built solver on the same
+    metric and start state makes exactly the moves and rng draws the
+    original would have made, and snapshots to the same bytes.  Used by
+    the solver modules; exposed for tests that need scripted solvers,
+    whose [next] reads no state of its own ([~save:ignore ~load:ignore]). *)
 
 val snapshot : Buffer.t -> t -> unit
 (** Append the state, the hit/move/steps counters (as varint counts) and
-    the solver's own [save].  Raises [Invalid_argument] for a solver built
-    without {!with_state}. *)
+    the solver's own [save]. *)
 
 val restore : Rbgp_util.Binc.reader -> t -> unit
 (** Inverse of {!snapshot} on a freshly built solver.  Raises
-    [Invalid_argument] on truncated input, an out-of-range state, a
-    count vector of the wrong length or a solver without {!with_state}. *)
+    [Invalid_argument] on truncated input, an out-of-range state or a
+    count vector of the wrong length. *)
 
 val name : t -> string
 val metric : t -> Metric.t

@@ -131,12 +131,11 @@ let make_solver ~c metric ~start ~rng =
     fresh := false;
     Rng.load r rng
   in
-  Mts.with_state
+  Mts.make ~name:(Printf.sprintf "smin-mw(c=%g)" c) ~metric ~start ~next
     ~save:(fun buf ->
       Rbgp_util.Binc.add_counts buf x;
       Rng.save buf rng)
     ~load
-  @@ Mts.make ~name:(Printf.sprintf "smin-mw(c=%g)" c) ~metric ~start ~next
 
 let solver_with_scale ~c : Mts.factory =
  fun metric ~start ~rng ->

@@ -75,9 +75,7 @@ let solver_introspect metric ~start =
       w.(i) <- Rbgp_util.Binc.read_float r
     done
   in
-  let t =
-    Mts.with_state ~save ~load (Mts.make ~name:"wfa" ~metric ~start ~next)
-  in
+  let t = Mts.make ~name:"wfa" ~metric ~start ~next ~save ~load in
   (t, fun () -> Array.copy w)
 
 let solver : Mts.factory =

@@ -36,21 +36,21 @@ type t = {
           ({!Assignment.journal}), attached by {!make} and therefore always
           [Some].  The simulator drains it after every request that
           moved something, to charge migration in [O(moves + 1)]. *)
-  snapshot : (unit -> string) option;
+  snapshot : unit -> string;
       (** Serialize the algorithm's complete mutable state (including its
           assignment, rng words and solver state) to an opaque, versioned
           byte string whose size does not grow with the number of requests
-          served.  Contract: after [restore s] on a {e freshly built}
-          instance of the same algorithm on the same problem instance (and
-          seed), all future [serve] behaviour is identical to the instance
-          [s] was taken from, and [snapshot ()] returns [s] byte for byte.
-          Every algorithm in this library implements it (see
-          {!Rbgp_serve.Checkpoint}); one built with {!make} alone has
-          none, and the serving engine refuses it. *)
-  restore : (string -> unit) option;
-      (** Inverse of [snapshot]; raises [Invalid_argument] on a byte
-          string this algorithm version cannot decode, including one with
-          trailing bytes. *)
+          served: the format version [1] as a varint, then what the
+          algorithm's [save] appends.  Contract: after [restore s] on a
+          {e freshly built} instance of the same algorithm on the same
+          problem instance (and seed), all future [serve] behaviour is
+          identical to the instance [s] was taken from, and
+          [snapshot ()] returns [s] byte for byte. *)
+  restore : string -> unit;
+      (** Inverse of [snapshot]: check the version, hand the rest to the
+          algorithm's [load] and refuse trailing bytes.  Raises
+          [Invalid_argument] on a byte string this algorithm version
+          cannot decode. *)
 }
 
 val make :
@@ -58,11 +58,12 @@ val make :
   augmentation:float ->
   assignment:(unit -> Assignment.t) ->
   serve:(int -> unit) ->
+  save:(Buffer.t -> unit) ->
+  load:(Rbgp_util.Binc.reader -> unit) ->
   t
-(** Builds an algorithm without snapshot hooks.  It calls
+(** Builds an algorithm.  [save] appends the algorithm's whole online
+    state to a snapshot, and [load] reads it back into a freshly built
+    instance, raising [Invalid_argument] on malformed input; [make] wraps
+    them in the shared envelope of [snapshot] and [restore].  It calls
     [assignment ()] once to attach the assignment's move journal, so every
     later {!Assignment.set} on it is journaled. *)
-
-val with_state : snapshot:(unit -> string) -> restore:(string -> unit) -> t -> t
-(** [with_state ~snapshot ~restore t] declares that [t] supports explicit
-    state checkpointing (see the field contracts above). *)

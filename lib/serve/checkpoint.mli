@@ -10,7 +10,8 @@
     {!Rbgp_ring.Online.t.snapshot} blob) and the remaining length of an
     in-flight solver-budget cooloff.  Nothing in it grows with the number
     of requests served: the size is O(n + algorithm state), and every
-    registered algorithm implements the snapshot hooks.
+    algorithm has the snapshot hooks ({!Rbgp_ring.Online.make} requires
+    them).
 
     {!Engine.resume} rebuilds the algorithm from
     [(name, epsilon, seed, instance)], hands the state blob to its

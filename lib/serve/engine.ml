@@ -21,13 +21,11 @@ type t = {
   epsilon : float;
   seed : int;
   online : Online.t;
-  snapshot : unit -> string;  (* the algorithm's O(state) snapshot hook *)
   stepper : Simulator.stepper;
   cost : Cost.t;  (* the stepper's live cumulative costs *)
   metrics : Metrics.t;
   mutable pos : int;
   mutable digest : int;  (* Checkpoint.digest_add over the served edges *)
-  sanitize : bool;
   (* solver-budget degradation: when a request's effective solve time
      exceeds [budget_ns] (> 0 enables), the next [cooloff] requests are
      served on the frozen never-move path, then the solver is re-promoted.
@@ -40,78 +38,11 @@ type t = {
 
 let now_ns () = Rbgp_util.Clock.now_ns ()
 
-let sanitize_default () =
-  match Sys.getenv_opt "RBGP_SANITIZE" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
-(* --- runtime sanitizer ------------------------------------------------ *)
-
-(* Per-request invariant checks, run after every accounting step when the
-   engine was created with [~sanitize:true] (or RBGP_SANITIZE=1).  Each
-   check is an invariant the rest of the system silently relies on; the
-   sanitizer turns a silent corruption into a [Failure] naming the request
-   index at which it first became observable. *)
-let check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max =
-  let max_load = Simulator.max_load t.stepper in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        failwith (Printf.sprintf "RBGP_SANITIZE: request %d: %s" step s))
-      fmt
-  in
-  let a = t.online.Online.assignment () in
-  let n = t.inst.Instance.n and ell = t.inst.Instance.ell in
-  if Assignment.n a <> n then
-    fail "assignment covers %d processes, instance has %d" (Assignment.n a) n;
-  (* partition validity: every process on a real server, cached loads in
-     sync with the map (their sum over all servers is then n by counting) *)
-  let counts = Array.make ell 0 in
-  for p = 0 to n - 1 do
-    let s = Assignment.server_of a p in
-    if s < 0 || s >= ell then
-      fail "process %d assigned to invalid server %d (ell = %d)" p s ell;
-    counts.(s) <- counts.(s) + 1
-  done;
-  let loads = Assignment.loads a in
-  for s = 0 to ell - 1 do
-    if counts.(s) <> loads.(s) then
-      fail "server %d: cached load %d, but %d processes actually assigned" s
-        loads.(s) counts.(s)
-  done;
-  (* augmented capacity bound claimed by the algorithm *)
-  let augmentation = t.online.Online.augmentation in
-  if not (Assignment.check_capacity a ~augmentation) then
-    fail "max load %d exceeds augmentation bound %.3f * k = %.3f"
-      (Assignment.max_load a) augmentation
-      (augmentation *. float_of_int t.inst.Instance.k);
-  (* accounting sanity: unit communication charges, monotone cumulatives *)
-  if comm <> 0 && comm <> 1 then fail "communication charge %d not in {0,1}" comm;
-  if t.cost.Cost.comm < prev_comm then
-    fail "cumulative comm decreased: %d -> %d" prev_comm t.cost.Cost.comm;
-  if t.cost.Cost.mig < prev_mig then
-    fail "cumulative mig decreased: %d -> %d" prev_mig t.cost.Cost.mig;
-  if max_load < prev_max then
-    fail "running max load decreased: %d -> %d" prev_max max_load
-
-let snapshot_hook ~alg (online : Online.t) =
-  match online.Online.snapshot with
-  | Some snap -> snap
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Engine: algorithm %s has no snapshot hook" alg)
-
-let make_engine ?(strict = true) ?sanitize ~epsilon ~alg ~seed
-    ?(cost = Cost.zero ()) ?max_load ?violations ?(steps_done = 0)
-    ?(digest = Checkpoint.digest_empty) (inst : Instance.t)
-    (online : Online.t) =
-  let snapshot = snapshot_hook ~alg online in
+let make_engine ~epsilon ~alg ~seed ?(cost = Cost.zero ()) ?max_load
+    ?violations ?(steps_done = 0) ?(digest = Checkpoint.digest_empty)
+    (inst : Instance.t) (online : Online.t) =
   let stepper =
-    Simulator.stepper ~strict ~cost ?max_load ?violations ~steps_done inst
-      online
-  in
-  let sanitize =
-    match sanitize with Some b -> b | None -> sanitize_default ()
+    Simulator.stepper ~cost ?max_load ?violations ~steps_done inst online
   in
   {
     inst;
@@ -119,22 +50,20 @@ let make_engine ?(strict = true) ?sanitize ~epsilon ~alg ~seed
     epsilon;
     seed;
     online;
-    snapshot;
     stepper;
     cost;
     metrics = Metrics.create ();
     pos = steps_done;
     digest;
-    sanitize;
     budget_ns = 0;
     cooloff = 64;
     degraded_left = 0;
   }
 
-let create ?strict ?sanitize ?(epsilon = 0.5) ~alg ~seed inst =
+let create ?(epsilon = 0.5) ~alg ~seed inst =
   let spec = Registry.find alg in
   let online = spec.Registry.build ~epsilon ~seed inst in
-  make_engine ?strict ?sanitize ~epsilon ~alg ~seed inst online
+  make_engine ~epsilon ~alg ~seed inst online
 
 (* One request's bookkeeping around [play] (the accounting step):
    identical for the served and the frozen path, so every decision field
@@ -147,14 +76,11 @@ let ingest_step t e play =
   let t0 = now_ns () in
   (* scalars: the stepper's cost record is mutated in place *)
   let prev_comm = t.cost.Cost.comm and prev_mig = t.cost.Cost.mig in
-  let prev_max = if t.sanitize then Simulator.max_load t.stepper else 0 in
   play t.stepper e;
   let step = t.pos in
   t.digest <- Checkpoint.digest_add t.digest ~pos:step e;
   t.pos <- step + 1;
   let comm = t.cost.Cost.comm - prev_comm in
-  if t.sanitize then
-    check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max;
   let latency_ns = now_ns () - t0 in
   let moved = t.cost.Cost.mig - prev_mig in
   let max_load = Simulator.max_load t.stepper in
@@ -213,27 +139,26 @@ let ingest t e =
     d
   end
 
-let ingest_batch t edges = Array.map (ingest t) edges
-
 (* The no-decision block path: same accounting, digest and
    checkpoint-observable state as [ingest] on each edge, but the whole
    block is billed by one Simulator loop and folded into the digest by
    one call, with two clock reads and one aggregate metrics record per
    block and no decision records — the dominant per-request overheads
-   once the solver itself is cheap.  The sanitizer needs per-request
-   before/after scalars, so sanitizing engines keep the checked path. *)
+   once the solver itself is cheap. *)
 let ingest_batch_quiet t edges =
   let b = Array.length edges in
   if b = 0 then ()
   else if
-    t.sanitize || t.degraded_left > 0
+    t.degraded_left > 0
     || (Fault.armed () && Fault.request_fault_pending ~lo:t.pos ~hi:(t.pos + b))
   then
-    (* blocks that need per-request treatment — sanitizing engines, an
-       active degradation cooloff, or a counted fault landing inside this
-       block — take the checked path; an armed-but-quiet fault plan costs
-       this one range check per block (gated <2% in the bench) *)
-    ignore (ingest_batch t edges)
+    (* blocks that need per-request treatment — an active degradation
+       cooloff, or a counted fault landing inside this block — go through
+       [ingest] per request; an armed-but-quiet fault plan costs this one
+       range check per block (gated <2% in the bench) *)
+    for j = 0 to b - 1 do
+      ignore (ingest t edges.(j))
+    done
   else begin
     (* capture scalars: the stepper's cost record is mutated in place *)
     let prev_comm = t.cost.Cost.comm and prev_mig = t.cost.Cost.mig in
@@ -277,7 +202,7 @@ let checkpoint t =
     max_load = r.Simulator.max_load;
     violations = r.Simulator.capacity_violations;
     assignment = assignment t;
-    alg_state = Some (t.snapshot ());
+    alg_state = Some (t.online.Online.snapshot ());
     degraded_left = t.degraded_left;
   }
 
@@ -302,7 +227,7 @@ let verify_against (ckpt : Checkpoint.t) t =
           state restore"
          ckpt.Checkpoint.alg)
 
-let resume ?(strict = true) ?sanitize (ckpt : Checkpoint.t) =
+let resume (ckpt : Checkpoint.t) =
   let alg = ckpt.Checkpoint.alg in
   let inst =
     Instance.make ~n:ckpt.Checkpoint.n ~ell:ckpt.Checkpoint.ell
@@ -313,22 +238,19 @@ let resume ?(strict = true) ?sanitize (ckpt : Checkpoint.t) =
     spec.Registry.build ~epsilon:ckpt.Checkpoint.epsilon
       ~seed:ckpt.Checkpoint.seed inst
   in
-  (match (ckpt.Checkpoint.alg_state, online.Online.restore) with
-  | Some state, Some restore -> (
-      match restore state with
+  (match ckpt.Checkpoint.alg_state with
+  | Some state -> (
+      match online.Online.restore state with
       | () -> ()
       | exception Invalid_argument msg ->
           failwith
             (Printf.sprintf "Engine.resume: state of %s rejected: %s" alg msg))
-  | None, _ -> failwith "Engine.resume: checkpoint carries no algorithm state"
-  | Some _, None ->
-      invalid_arg
-        (Printf.sprintf "Engine.resume: algorithm %s has no restore hook" alg));
+  | None -> failwith "Engine.resume: checkpoint carries no algorithm state");
   (* O(state), no replay.  The stepper created below snapshots the
      restored assignment as its baseline, so restore-time moves are not
      billed, exactly like construction-time moves. *)
   let t =
-    make_engine ~strict ?sanitize ~epsilon:ckpt.Checkpoint.epsilon ~alg
+    make_engine ~epsilon:ckpt.Checkpoint.epsilon ~alg
       ~seed:ckpt.Checkpoint.seed
       ~cost:{ Cost.comm = ckpt.Checkpoint.comm; Cost.mig = ckpt.Checkpoint.mig }
       ~max_load:ckpt.Checkpoint.max_load

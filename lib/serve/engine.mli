@@ -11,24 +11,11 @@
     An engine is a deterministic function of
     [(alg, epsilon, seed, instance)] and the request sequence: serving the
     same requests always yields the same decisions, costs and assignments
-    (latencies excepted).  Every registered algorithm also exposes its
-    whole online state through the {!Rbgp_ring.Online.t} snapshot hooks,
-    so a {!checkpoint} is O(state) and {!resume} restores it without
-    re-serving anything — and the resumed engine continues exactly as the
-    uninterrupted one would.
-
-    {2 Runtime sanitizer}
-
-    With [~sanitize:true] (or the environment variable [RBGP_SANITIZE] set
-    to [1]/[true]/[yes]/[on]), every {!ingest} additionally asserts the
-    engine's per-step invariants after the algorithm has served the
-    request: the assignment is a valid partition (every process on a server
-    in range, cached loads consistent with the map), the maximum load
-    respects the algorithm's claimed augmentation bound, communication
-    charges are unit-sized, and cumulative costs and the running max load
-    are monotone.  The first violated invariant raises [Failure] with the
-    offending request index.  Off by default — the checks are [O(n)] per
-    request.
+    (latencies excepted).  Every algorithm exposes its whole online state
+    through the {!Rbgp_ring.Online.t} snapshot hooks, so a {!checkpoint}
+    is O(state) and {!resume} restores it without re-serving anything —
+    and the resumed engine continues exactly as the uninterrupted one
+    would.
 
     {2 Solver budget and degraded serving}
 
@@ -70,37 +57,30 @@ type decision = {
 type t
 
 val create :
-  ?strict:bool ->
-  ?sanitize:bool ->
   ?epsilon:float ->
   alg:string ->
   seed:int ->
   Rbgp_ring.Instance.t ->
   t
 (** Builds the named algorithm through {!Registry.find} (raising
-    [Invalid_argument] for unknown names, or for an algorithm without the
-    snapshot hook) and starts a fresh accounting stepper.  [epsilon]
-    defaults to [0.5]; [sanitize] defaults to the [RBGP_SANITIZE]
-    environment variable (see the sanitizer section above). *)
+    [Invalid_argument] for unknown names) and starts a fresh accounting
+    stepper.  [epsilon] defaults to [0.5]. *)
 
 val ingest : t -> int -> decision
 (** Serve one request: charge communication, run the algorithm, charge
-    migrations, check capacity ([Failure] in strict mode on violation),
-    fold the request into the stream digest and update metrics.  Outside
-    the algorithm, the returned record is the only allocation: the
-    request's charges and totals are read from the stepper as ints. *)
-
-val ingest_batch : t -> int array -> decision array
-(** {!ingest} on each edge in turn, with the decisions in order: the
-    budget check and fault hooks run per request, exactly as for one
-    request at a time.  Checkpoints taken between batches resume
+    migrations, check capacity (raising [Failure] that names the step
+    when the load exceeds the algorithm's claimed augmentation), fold
+    the request into the stream digest and update metrics.  Outside the
+    algorithm, the returned record is the only allocation: the request's
+    charges and totals are read from the stepper as ints.  A batch is
+    [Array.map (ingest t)]: checkpoints taken between batches resume
     identically. *)
 
 val ingest_batch_quiet : t -> int array -> unit
-(** {!ingest_batch} without the per-request instrumentation: identical
-    accounting, stream digest, sanitizer behaviour and checkpoints (a
-    checkpoint taken after a quiet block is byte-identical to one taken
-    after the same requests through {!ingest}), but the block is billed
+(** {!ingest} on each edge without the per-request instrumentation:
+    identical accounting, stream digest and checkpoints (a checkpoint
+    taken after a quiet block is byte-identical to one taken after the
+    same requests through {!ingest}), but the block is billed
     by one {!Rbgp_ring.Simulator.advance_block} loop and digested by one
     {!Checkpoint.digest_block} call, no decision records are built, the
     clock is read twice per block instead of twice per request, and
@@ -108,8 +88,8 @@ val ingest_batch_quiet : t -> int array -> unit
     {!Metrics.observe_batch}).  The solver budget compares the block's
     mean latency.  This is the [--no-decisions] serving path.
 
-    Sanitizing engines, an active cooloff and a block holding a counted
-    fault take the checked per-request path instead.  Otherwise all edges
+    An active cooloff and a block holding a counted fault take the
+    per-request path instead.  Otherwise all edges
     are validated first: an out-of-range edge anywhere in the block raises
     [Invalid_argument] before any request is billed, leaving position,
     digest, costs and metrics as they were. *)
@@ -148,11 +128,7 @@ val checkpoint : t -> Checkpoint.t
     stream digest, cumulative costs, current assignment, the algorithm's
     snapshot blob and the remaining solver-budget cooloff. *)
 
-val resume :
-  ?strict:bool ->
-  ?sanitize:bool ->
-  Checkpoint.t ->
-  t
+val resume : Checkpoint.t -> t
 (** Reconstruct an engine mid-stream in O(state): rebuild the algorithm
     from [(alg, epsilon, seed, instance)], hand the checkpoint's state
     blob to its [restore] hook, carry over position, digest, costs and

@@ -68,7 +68,7 @@ let observe_batch t ~count ~latency_ns ~comm ~mig ~max_load =
 (* Solver-budget degradation accounting: [note_degraded] counts requests
    served on the frozen never-move path, [note_recovered] counts
    re-promotions back to the real solver after a quiet interval. *)
-let note_degraded ?(count = 1) t = t.degraded <- t.degraded + count
+let note_degraded t = t.degraded <- t.degraded + 1
 let note_recovered t = t.recovered <- t.recovered + 1
 
 let requests t = t.requests

@@ -35,9 +35,9 @@ val observe_batch :
     records the batch {e mean} for each request, so quantiles reflect
     batch-level, not per-request, variation.  No-op when [count = 0]. *)
 
-val note_degraded : ?count:int -> t -> unit
-(** Count [count] (default 1) requests served on the degraded never-move
-    path because the per-request solver budget was exceeded. *)
+val note_degraded : t -> unit
+(** Count one request served on the degraded never-move path because the
+    per-request solver budget was exceeded. *)
 
 val note_recovered : t -> unit
 (** Count one re-promotion from the degraded path back to the real

@@ -16,19 +16,16 @@ type t = {
   dir : string option;
   every : int;
   keep : int;
-  sanitize : bool option;
   slots : (string, tenant) Hashtbl.t;
 }
 
-let create ?checkpoint_dir ?(checkpoint_every = 0) ?(checkpoint_keep = 3)
-    ?sanitize () =
+let create ?checkpoint_dir ?(checkpoint_every = 0) ?(checkpoint_keep = 3) () =
   if checkpoint_every < 0 then invalid_arg "Tenant.create: checkpoint_every";
   if checkpoint_keep < 1 then invalid_arg "Tenant.create: checkpoint_keep";
   {
     dir = checkpoint_dir;
     every = checkpoint_every;
     keep = checkpoint_keep;
-    sanitize;
     slots = Hashtbl.create 16;
   }
 
@@ -111,7 +108,7 @@ let serve t tn edges =
   match (tn.st, tn.engine) with
   | Serving, Some e ->
       let before = Engine.pos e in
-      let ds = Engine.ingest_batch e edges in
+      let ds = Array.map (Engine.ingest e) edges in
       maybe_roll t tn ~before ~after:(Engine.pos e);
       ds
   | _ -> failwith (Printf.sprintf "tenant %s is not serving" tn.tid)
@@ -182,10 +179,9 @@ let drain t =
     (fun tn -> match tn.st with Serving -> ignore (close t tn) | _ -> ())
     (tenants t)
 
-let make_engine t (o : Proto.open_payload) =
+let make_engine (o : Proto.open_payload) =
   let inst = Rbgp_ring.Instance.blocks ~n:o.n ~ell:o.ell in
-  Engine.create ?sanitize:t.sanitize ~epsilon:o.epsilon ~alg:o.alg ~seed:o.seed
-    inst
+  Engine.create ~epsilon:o.epsilon ~alg:o.alg ~seed:o.seed inst
 
 (* A durable generation to resume from, if any survives verification.
    [read_latest] already falls back past torn/corrupt generations;
@@ -220,7 +216,7 @@ let revive t tn (o : Proto.open_payload) =
             tn.tid ck.Checkpoint.alg ck.Checkpoint.n ck.Checkpoint.ell
             ck.Checkpoint.seed )
     else begin
-      match Engine.resume ?sanitize:t.sanitize ck with
+      match Engine.resume ck with
       | e ->
           install_engine tn e;
           tn.last_ckpt_pos <- ck.Checkpoint.pos;
@@ -236,7 +232,7 @@ let revive t tn (o : Proto.open_payload) =
       match tn.mem_ckpt with
       | Some ck -> from_ckpt ck
       | None -> (
-          match make_engine t o with
+          match make_engine o with
           | e ->
               install_engine tn e;
               Ok (tn, 0)

@@ -47,7 +47,6 @@ val create :
   ?checkpoint_dir:string ->
   ?checkpoint_every:int ->
   ?checkpoint_keep:int ->
-  ?sanitize:bool ->
   unit ->
   t
 (** [checkpoint_every] (default 0 = only explicit/close/drain
@@ -68,7 +67,7 @@ val open_tenant :
     algorithm, [err_tenant_failed] when a resume attempt itself fails). *)
 
 val serve : t -> tenant -> int array -> Engine.decision array
-(** {!Engine.ingest_batch} plus the rolling-checkpoint cadence.  Raises
+(** {!Engine.ingest} on each edge plus the rolling-checkpoint cadence.  Raises
     [Failure] if the tenant is not [Serving]; engine exceptions (including
     {!Fault.Injected_crash}) propagate to the caller, which decides
     between {!kill} (supervised) and dying (unsupervised). *)

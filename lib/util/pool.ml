@@ -10,9 +10,8 @@
    deterministic; the only cross-domain traffic inside a job is the cursor
    and the first-error cell.
 
-   Chunk size ("grain") is tunable: [set_grain] / [RBGP_GRAIN] force a fixed
-   grain; otherwise [max 1 (n / (8 d))] keeps ~8 chunks per participant.
-   The grain only steers scheduling, never results. *)
+   The chunk size [max 1 (n / (8 d))] keeps ~8 chunks per participant;
+   it only steers scheduling, never results. *)
 
 let override = Atomic.make None
 
@@ -22,40 +21,18 @@ let set_domains d =
   | _ -> ());
   Atomic.set override d
 
-(* The environment knobs are read once, at program start; the [set_*]
-   overrides still win over them. *)
-let env_value name parse =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s -> parse (String.trim s)
-
-let positive_env name =
-  env_value name (fun s ->
-      match int_of_string_opt s with Some d when d >= 1 -> Some d | _ -> None)
-
+(* RBGP_DOMAINS is read once, at program start; [set_domains] still
+   wins over it. *)
 let default_domains =
-  match positive_env "RBGP_DOMAINS" with
-  | Some d -> d
-  | None -> Stdlib.max 1 (Domain.recommended_domain_count ())
+  match
+    Option.bind (Sys.getenv_opt "RBGP_DOMAINS") (fun s ->
+        int_of_string_opt (String.trim s))
+  with
+  | Some d when d >= 1 -> d
+  | _ -> Stdlib.max 1 (Domain.recommended_domain_count ())
 
 let domains () =
   match Atomic.get override with Some d -> d | None -> default_domains
-
-let grain_override = Atomic.make None
-
-let set_grain g =
-  (match g with
-  | Some g when g < 1 -> invalid_arg "Pool.set_grain: need a grain of at least 1"
-  | _ -> ());
-  Atomic.set grain_override g
-
-let env_grain = positive_env "RBGP_GRAIN"
-
-let grain () =
-  match Atomic.get grain_override with Some g -> Some g | None -> env_grain
-
-let chunk_size ~n ~d =
-  match grain () with Some g -> g | None -> Stdlib.max 1 (n / (d * 8))
 
 let last_parallel = Atomic.make false
 let last_map_parallel () = Atomic.get last_parallel
@@ -211,7 +188,7 @@ let map ?domains:d f items =
             run;
             cursor = Atomic.make 0;
             total = n;
-            chunk = chunk_size ~n ~d;
+            chunk = Stdlib.max 1 (n / (d * 8));
             max_workers = d - 1;
             joined = 0;
             participants = 1 (* the submitter *);
@@ -241,7 +218,3 @@ let map ?domains:d f items =
 
 let map_list ?domains f items =
   Array.to_list (map ?domains f (Array.of_list items))
-
-let map_seeded ?domains ~rng f items =
-  let tasks = Array.map (fun x -> (Rng.split rng, x)) items in
-  map ?domains (fun (child, x) -> f child x) tasks

@@ -4,7 +4,7 @@
     x seed x k) across cores with {!map}.  Worker domains are spawned once
     (on first use, or explicitly via {!warmup}) and then parked on a
     condition variable between jobs, so fan-out cost is amortized across an
-    entire experiment run instead of being paid per table.  Three properties
+    entire experiment run instead of being paid per table.  Two properties
     make the parallel runs indistinguishable from sequential ones:
 
     - {b deterministic ordering}: [map f items] always returns results in
@@ -12,33 +12,26 @@
       which order chunks were claimed;
     - {b deterministic errors}: if several items raise, the exception of the
       {e smallest} input index is re-raised, exactly as a sequential loop
-      would have surfaced it first;
-    - {b seed isolation}: {!map_seeded} pre-splits one child {!Rng.t} per
-      item from a parent generator {e sequentially} (in input order) before
-      any parallelism starts, so each task owns an independent stream whose
-      identity does not depend on the schedule.
+      would have surfaced it first.
 
     Tasks must not share mutable state with each other; the harness
     guarantees this by constructing all shared inputs (instances, traces,
-    offline DP tables) before the fan-out and treating them as read-only.
+    offline DP tables, each cell's {!Rng.t}) before the fan-out and
+    treating them as read-only.
 
     The default domain count is resolved, in order, from: an explicit
     {!set_domains} override (the [--domains] CLI flag), the [RBGP_DOMAINS]
-    environment variable, and [Domain.recommended_domain_count ()].  Like
-    [RBGP_GRAIN] below, the variable is read once at program start;
-    changing it later has no effect.  With a single domain (or a single
+    environment variable, and [Domain.recommended_domain_count ()].  The
+    variable is read once at program start; changing it later has no
+    effect.  With a single domain (or a single
     item) [map] degrades to a plain sequential [Array.map] in the calling
     domain — no workers are woken.  Nested
     [map]s (from a worker, or from [f] itself) also run sequentially rather
     than deadlocking on the single job slot.
 
-    The scheduling {e grain} — how many items a worker claims per trip to
-    the shared cursor — is resolved from {!set_grain} (the [--grain] CLI
-    flag), the [RBGP_GRAIN] environment variable, or defaults to
-    [max 1 (n / (8 d))], about eight chunks per participant.  Larger
-    grains reduce cursor traffic for many tiny cells; grain 1 maximizes
-    load balance for few expensive cells.  The grain never affects
-    results, only the schedule. *)
+    A worker claims [max 1 (n / (8 d))] items per trip to the shared
+    cursor, about eight chunks per participant.  The chunk size never
+    affects results, only the schedule. *)
 
 val set_domains : int option -> unit
 (** Process-wide override of the default domain count ([Some d] with
@@ -48,15 +41,6 @@ val set_domains : int option -> unit
 val domains : unit -> int
 (** The effective default domain count (override, else [RBGP_DOMAINS],
     else [Domain.recommended_domain_count ()]); always at least 1. *)
-
-val set_grain : int option -> unit
-(** Process-wide override of the scheduling grain ([Some g] with [g >= 1]);
-    [None] restores env/auto detection.  Raises [Invalid_argument] on
-    [Some g] with [g < 1]. *)
-
-val grain : unit -> int option
-(** The forced grain, if any (override, else [RBGP_GRAIN]); [None] means
-    the automatic per-job default. *)
 
 val warmup : ?domains:int -> unit -> unit
 (** Pre-spawn the worker domains a subsequent [map ~domains] would use, so
@@ -84,13 +68,3 @@ val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over lists, preserving order. *)
 
-val map_seeded :
-  ?domains:int ->
-  rng:Rng.t ->
-  (Rng.t -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** [map_seeded ~rng f items] splits one child generator per item off [rng]
-    sequentially (advancing [rng] exactly [Array.length items] times), then
-    runs [f child_rng item] in parallel.  Bit-identical to the sequential
-    loop [Array.map (fun x -> f (Rng.split rng) x) items]. *)

@@ -293,7 +293,7 @@ let test_batched_matches_per_request_under_faults () =
         let at = ref 0 in
         while !at < steps do
           let len = Stdlib.min (steps - !at) (1 + Rng.int rng 16) in
-          let ds = Engine.ingest_batch e (Array.sub trace !at len) in
+          let ds = Array.map (Engine.ingest e) (Array.sub trace !at len) in
           Array.iter (fun d -> keys := decision_key d :: !keys) ds;
           at := !at + len
         done;

@@ -41,7 +41,9 @@ let test_metric () =
 let test_mts_accounting () =
   (* scripted solver: always moves to the requested state *)
   let metric = Metric.Line 4 in
-  let t = Mts.make ~name:"follow" ~metric ~start:0 ~next:(fun e _ -> e) in
+  let t = Mts.make ~name:"follow" ~metric ~start:0 ~next:(fun e _ -> e)
+      ~save:ignore ~load:ignore
+  in
   ignore (Mts.serve t 3);
   (* moved 0 -> 3 (distance 3) and pays the task at the new state (1) *)
   Alcotest.(check (float 1e-9)) "move" 3.0 (Mts.move_cost t);
@@ -52,6 +54,7 @@ let test_mts_accounting () =
   (* a solver that dodges the task pays no hit *)
   let dodge =
     Mts.make ~name:"dodge" ~metric ~start:0 ~next:(fun e _ -> (e + 1) mod 4)
+      ~save:ignore ~load:ignore
   in
   ignore (Mts.serve dodge 2);
   Alcotest.(check (float 1e-9)) "dodged hit" 0.0 (Mts.hit_cost dodge);
@@ -59,7 +62,10 @@ let test_mts_accounting () =
 
 let test_mts_validation () =
   let metric = Metric.Line 3 in
-  let t = Mts.make ~name:"id" ~metric ~start:1 ~next:(fun _ s -> s) in
+  let t =
+    Mts.make ~name:"id" ~metric ~start:1 ~next:(fun _ s -> s) ~save:ignore
+      ~load:ignore
+  in
   List.iter
     (fun e ->
       Alcotest.check_raises
@@ -68,7 +74,10 @@ let test_mts_validation () =
           ignore (Mts.serve t e)))
     [ -1; 3; max_int; min_int ];
   Alcotest.(check int) "rejected tasks are not served" 0 (Mts.steps t);
-  let rogue = Mts.make ~name:"rogue" ~metric ~start:0 ~next:(fun _ _ -> 3) in
+  let rogue =
+    Mts.make ~name:"rogue" ~metric ~start:0 ~next:(fun _ _ -> 3)
+      ~save:ignore ~load:ignore
+  in
   Alcotest.check_raises "solver leaving the metric"
     (Invalid_argument "Metric: state out of range") (fun () ->
       ignore (Mts.serve rogue 0))
@@ -468,7 +477,8 @@ let test_smin_mw_late_miss () =
     in
     seens := seen :: !seens;
     let t = Rbgp_mts.Smin_mw.solver metric ~start ~rng in
-    Mts.make ~name:"checked" ~metric ~start ~next:(fun e _ ->
+    Mts.make ~name:"checked" ~metric ~start ~save:ignore ~load:ignore
+      ~next:(fun e _ ->
         let got = Mts.serve t e in
         if serve e <> got then incr parted;
         got)

@@ -251,7 +251,7 @@ let reference_run ~alg ~seed ~n ~ell trace =
   let engine =
     Engine.create ~epsilon:0.5 ~alg ~seed (Instance.blocks ~n ~ell)
   in
-  let decisions = Engine.ingest_batch engine trace in
+  let decisions = Array.map (Engine.ingest engine) trace in
   (Array.to_list decisions, Engine.result engine, Engine.checkpoint engine)
 
 let batches_of trace ~batch =

@@ -7,7 +7,6 @@
    contract is that O(moves+1) accounting bills exactly what an O(n+ell)
    diff_into/scan oracle bills, on every algorithm and any trace. *)
 
-module Rng = Rbgp_util.Rng
 module Pool = Rbgp_util.Pool
 module Simulator = Rbgp_ring.Simulator
 module Assignment = Rbgp_ring.Assignment
@@ -63,23 +62,6 @@ let test_map_first_error () =
         (fun () -> ignore (Pool.map ~domains:d f items)))
     [ 1; 4 ]
 
-let test_map_seeded_deterministic () =
-  let run d =
-    Pool.map_seeded ~domains:d ~rng:(Rng.create 99)
-      (fun rng x -> (x, Rng.int rng 1_000_000, Rng.int rng 1_000_000))
-      (Array.init 50 (fun i -> i))
-  in
-  let seq =
-    let rng = Rng.create 99 in
-    Array.map
-      (fun x ->
-        let child = Rng.split rng in
-        (x, Rng.int child 1_000_000, Rng.int child 1_000_000))
-      (Array.init 50 (fun i -> i))
-  in
-  Alcotest.(check bool) "matches sequential" true (run 1 = seq);
-  Alcotest.(check bool) "matches with 4 domains" true (run 4 = seq)
-
 let test_set_domains () =
   Pool.set_domains (Some 3);
   Alcotest.(check int) "override" 3 (Pool.domains ());
@@ -89,36 +71,23 @@ let test_set_domains () =
     (Invalid_argument "Pool.set_domains: need at least 1 domain") (fun () ->
       Pool.set_domains (Some 0))
 
-let test_set_grain () =
-  Pool.set_grain (Some 7);
-  Alcotest.(check (option int)) "override" (Some 7) (Pool.grain ());
-  Pool.set_grain None;
-  Alcotest.(check (option int)) "auto" None (Pool.grain ());
-  Alcotest.check_raises "zero rejected"
-    (Invalid_argument "Pool.set_grain: need a grain of at least 1") (fun () ->
-      Pool.set_grain (Some 0))
-
-let test_map_under_grain () =
-  (* correctness must not depend on the scheduling grain: chunk-of-1
-     maximizes hand-offs, a huge grain collapses to one chunk per worker *)
-  let items = Array.init 311 (fun i -> i) in
+let test_map_over_chunk_sizes () =
+  (* correctness must not depend on the chunk size [max 1 (n / (8 d))]:
+     with 4 domains, up to 63 items are claimed one by one (the most
+     hand-offs), more in chunks of 2 and above *)
   let f x = (x * 7) - 2 in
-  let expected = Array.map f items in
-  Fun.protect
-    (fun () ->
-      List.iter
-        (fun g ->
-          Pool.set_grain (Some g);
-          Alcotest.(check (array int))
-            (Printf.sprintf "grain=%d" g)
-            expected
-            (Pool.map ~domains:4 f items);
-          Alcotest.(check bool)
-            (Printf.sprintf "grain=%d dispatched in parallel" g)
-            true
-            (Pool.last_map_parallel ()))
-        [ 1; 3; 1000 ])
-    ~finally:(fun () -> Pool.set_grain None)
+  List.iter
+    (fun n ->
+      let items = Array.init n (fun i -> i) in
+      Alcotest.(check (array int))
+        (Printf.sprintf "n=%d" n)
+        (Array.map f items)
+        (Pool.map ~domains:4 f items);
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d dispatched in parallel" n)
+        true
+        (Pool.last_map_parallel ()))
+    [ 2; 31; 63; 64; 311; 5000 ]
 
 let test_warmup_shutdown_idempotent () =
   (* warmup twice, shutdown twice, then map must still work (workers are
@@ -249,12 +218,9 @@ let () =
           Alcotest.test_case "empty and single" `Quick test_map_empty_and_single;
           Alcotest.test_case "map_list order" `Quick test_map_list_order;
           Alcotest.test_case "first error wins" `Quick test_map_first_error;
-          Alcotest.test_case "map_seeded deterministic" `Quick
-            test_map_seeded_deterministic;
           Alcotest.test_case "set_domains" `Quick test_set_domains;
-          Alcotest.test_case "set_grain" `Quick test_set_grain;
-          Alcotest.test_case "map under grain overrides" `Quick
-            test_map_under_grain;
+          Alcotest.test_case "map over chunk sizes" `Quick
+            test_map_over_chunk_sizes;
           Alcotest.test_case "warmup/shutdown idempotent" `Quick
             test_warmup_shutdown_idempotent;
           Alcotest.test_case "nested map falls back" `Quick

@@ -204,6 +204,7 @@ let scripted ?(augmentation = 2.0) inst moves =
     ~serve:(fun _ ->
       List.iter (fun (t, p, s) -> if t = !step then Assignment.set a p s) moves;
       incr step)
+    ~save:ignore ~load:ignore
 
 let test_simulator_accounting () =
   let inst = Instance.blocks ~n:8 ~ell:2 in

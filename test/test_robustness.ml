@@ -142,6 +142,7 @@ let test_cheating_algorithm_caught () =
         for p = 0 to 7 do
           Rbgp_ring.Assignment.set a p 0
         done)
+      ~save:ignore ~load:ignore
   in
   Alcotest.(check bool) "overload caught" true
     (try

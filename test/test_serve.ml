@@ -175,6 +175,43 @@ let test_pinned_digests () =
         (Printf.sprintf "%08x" got_ckpt))
     pinned_digests
 
+(* CRC-32 of every registry algorithm's snapshot blob
+   ([Checkpoint.alg_state]) after one seeded rotating trace: n = 128,
+   ell = 8, 5,000 requests, engine seed 42, trace seed 7919.  The values
+   were taken when each algorithm still wrote its own snapshot
+   envelope.  Checkpoint files store these bytes, so a change to any of
+   them would stop existing checkpoints from restoring. *)
+let pinned_alg_states =
+  [
+    ("onl-dynamic", 0xce0306e8);
+    ("onl-static", 0xab39c090);
+    ("dyn/wfa", 0xf621e6d7);
+    ("dyn/hst-mw", 0xad0b8853);
+    ("dyn/marking", 0x7217a992);
+    ("never-move", 0x309eac90);
+    ("greedy-colocate", 0xc18b11e8);
+    ("counter-threshold", 0xf9d211ab);
+    ("component-learning", 0x28e086c3);
+  ]
+
+let test_pinned_alg_states () =
+  let n = 128 and ell = 8 in
+  let inst = Instance.blocks ~n ~ell in
+  let trace = gen_trace ~n ~steps:5_000 ~seed:7919 in
+  Alcotest.(check (list string))
+    "every registry algorithm is pinned" Registry.names
+    (List.map fst pinned_alg_states);
+  List.iter
+    (fun (alg, want) ->
+      let e = Engine.create ~alg ~seed:42 inst in
+      Array.iter (fun q -> ignore (Engine.ingest e q)) trace;
+      let state = Option.get (Engine.checkpoint e).Ckpt.alg_state in
+      Alcotest.(check string)
+        (alg ^ ": alg_state CRC-32")
+        (Printf.sprintf "%08x" want)
+        (Printf.sprintf "%08x" (Rbgp_util.Crc32.string state)))
+    pinned_alg_states
+
 (* The JSONL record format the serve stream has always had, as a Printf
    format: the reference for Engine.decision_to_json's byte writer. *)
 let decision_to_json_printf (d : Engine.decision) =
@@ -304,9 +341,7 @@ let test_serve_path_allocation () =
   let n = 4096 and ell = 32 and seed = 7919 in
   let inst = Instance.blocks ~n ~ell in
   let trace = gen_trace ~n ~steps:20_000 ~seed in
-  (* the sanitizer's per-request checks allocate; pin it off whatever
-     RBGP_SANITIZE says *)
-  let engine = Engine.create ~sanitize:false ~alg:"onl-dynamic" ~seed inst in
+  let engine = Engine.create ~alg:"onl-dynamic" ~seed inst in
   let engine_words =
     words_per_request
       (fun e -> ignore (Engine.decision_to_json (Engine.ingest engine e)))
@@ -337,7 +372,7 @@ let test_serve_path_allocation () =
      (never-move) nothing is allocated per request.  A closure or a
      per-request pair back on the path breaks this budget; r11 would not
      catch it, since simulator.ml's allowlist entry covers the file. *)
-  let quiet = Engine.create ~sanitize:false ~alg:"never-move" ~seed inst in
+  let quiet = Engine.create ~alg:"never-move" ~seed inst in
   let blocks =
     Array.init 20 (fun b ->
         Array.init 4096 (fun j -> trace.(((b * 4096) + j) mod 20_000)))
@@ -414,20 +449,29 @@ let test_checkpoint_resume_all_algorithms () =
           ("replay resume", replay_resume ckpt trace) ])
     Registry.all
 
+(* Every registry algorithm's hooks carry its whole state: a fresh
+   instance restored from a snapshot taken mid-run has the same
+   assignment and snapshots to the same bytes. *)
 let test_every_algorithm_has_state_hooks () =
   let inst = Instance.blocks ~n:32 ~ell:4 in
+  let trace = gen_trace ~n:32 ~steps:300 ~seed:8 in
   List.iter
     (fun (spec : Registry.spec) ->
       let alg = spec.Registry.name in
-      let o = spec.Registry.build ~epsilon:0.5 ~seed:1 inst in
-      Alcotest.(check bool) (alg ^ " has a snapshot hook") true
-        (Option.is_some o.Rbgp_ring.Online.snapshot);
-      Alcotest.(check bool) (alg ^ " has a restore hook") true
-        (Option.is_some o.Rbgp_ring.Online.restore);
-      let e = Engine.create ~alg ~seed:1 inst in
-      ignore (Engine.ingest e 0);
-      Alcotest.(check bool) (alg ^ " checkpoints its state") true
-        (Option.is_some (Engine.checkpoint e).Ckpt.alg_state))
+      let build () = spec.Registry.build ~epsilon:0.5 ~seed:1 inst in
+      let served = build () in
+      Array.iter served.Online.serve trace;
+      let state = served.Online.snapshot () in
+      let restored = build () in
+      restored.Online.restore state;
+      Alcotest.(check string)
+        (alg ^ ": restored instance snapshots the same bytes")
+        state
+        (restored.Online.snapshot ());
+      Alcotest.(check (array int))
+        (alg ^ ": restored assignment")
+        (Assignment.to_array (served.Online.assignment ()))
+        (Assignment.to_array (restored.Online.assignment ())))
     Registry.all
 
 let expect_failure name f =
@@ -445,21 +489,26 @@ let test_resume_detects_tampering () =
   in
   (* the cost is carried by the checkpoint, so what resume can (and does)
      verify is the restored state: against the stored assignment, and by
-     the algorithm's own decoder *)
+     the snapshot envelope and the algorithm's own decoder *)
   List.iter
-    (fun alg ->
+    (fun (spec : Registry.spec) ->
+      let alg = spec.Registry.name in
       let ckpt = Engine.checkpoint (engine_after alg 200) in
       let state = Option.get ckpt.Ckpt.alg_state in
+      let resume_with s () = Engine.resume { ckpt with Ckpt.alg_state = Some s } in
       let assignment = Array.copy ckpt.Ckpt.assignment in
       assignment.(0) <- (assignment.(0) + 1) mod inst.Instance.ell;
       expect_failure (alg ^ ": tampered assignment") (fun () ->
           Engine.resume { ckpt with Ckpt.assignment });
-      let truncated = String.sub state 0 (String.length state - 1) in
-      expect_failure (alg ^ ": truncated state") (fun () ->
-          Engine.resume { ckpt with Ckpt.alg_state = Some truncated });
-      expect_failure (alg ^ ": trailing state bytes") (fun () ->
-          Engine.resume { ckpt with Ckpt.alg_state = Some (state ^ "\000") }))
-    [ "counter-threshold"; "onl-dynamic"; "onl-static"; "dyn/wfa" ];
+      expect_failure (alg ^ ": truncated state")
+        (resume_with (String.sub state 0 (String.length state - 1)));
+      expect_failure (alg ^ ": trailing state bytes")
+        (resume_with (state ^ "\000"));
+      (* the envelope opens with version 1 as a one-byte varint *)
+      Alcotest.(check char) (alg ^ ": snapshot version") '\001' state.[0];
+      expect_failure (alg ^ ": wrong snapshot version")
+        (resume_with ("\002" ^ String.sub state 1 (String.length state - 1))))
+    Registry.all;
   (* a stale solver state — the blob of an earlier position, paired with
      the current assignment — restores a different assignment *)
   List.iter
@@ -576,7 +625,8 @@ let qcheck_checkpoint_resume =
       let feed e batches =
         List.concat_map
           (fun b ->
-            Array.to_list (Array.map decision_key (Engine.ingest_batch e b)))
+            Array.to_list
+              (Array.map (fun q -> decision_key (Engine.ingest e q)) b))
           batches
       in
       let final e = Ckpt.to_string (Engine.checkpoint e) in
@@ -652,8 +702,52 @@ let per_request_run ~alg ~seed inst trace =
   let ds = Array.map (fun q -> decision_key (Engine.ingest e q)) trace in
   (ds, outcome_of e)
 
+(* The per-request invariants the rest of the system relies on, read
+   from outside the engine after request [d]: the assignment is a
+   partition of the n processes over the ell servers whose cached loads
+   match the map, the load respects the algorithm's claimed
+   augmentation, a request costs 0 or 1 in communication, and the
+   cumulative costs and the running max load grow by exactly what the
+   decision reports (from [prev], the decision before it). *)
+let check_step_invariants e ~(prev : Engine.decision option)
+    (d : Engine.decision) =
+  let inst = Engine.instance e and online = Engine.online e in
+  let a = online.Online.assignment () in
+  let n = inst.Instance.n and ell = inst.Instance.ell in
+  let fail what =
+    Alcotest.failf "%s, request %d: %s" (Engine.alg_name e) d.Engine.step what
+  in
+  if Assignment.n a <> n then fail "assignment does not cover the instance";
+  let counts = Array.make ell 0 in
+  for p = 0 to n - 1 do
+    let s = Assignment.server_of a p in
+    if s < 0 || s >= ell then
+      fail (Printf.sprintf "process %d on invalid server %d" p s);
+    counts.(s) <- counts.(s) + 1
+  done;
+  if counts <> Assignment.loads a then fail "cached loads differ from the map";
+  if
+    not
+      (Assignment.check_capacity a ~augmentation:online.Online.augmentation)
+  then fail "load exceeds the claimed augmentation";
+  if d.Engine.comm <> 0 && d.Engine.comm <> 1 then
+    fail "communication charge not in {0, 1}";
+  let comm0, mig0, max0 =
+    match prev with
+    | Some p -> (p.Engine.cum_comm, p.Engine.cum_mig, p.Engine.max_load)
+    | None -> (0, 0, 0)
+  in
+  if d.Engine.cum_comm <> comm0 + d.Engine.comm then
+    fail "cumulative comm is not the sum of the charges";
+  if d.Engine.moved < 0 || d.Engine.cum_mig <> mig0 + d.Engine.moved then
+    fail "cumulative mig is not the sum of the charges";
+  if
+    d.Engine.max_load < max0
+    || d.Engine.max_load < Assignment.max_load a
+  then fail "running max load fell below a load seen"
+
 (* batched == per-request, decision for decision, for every registry
-   algorithm, under the sanitizer *)
+   algorithm, with the invariant oracle run after every request *)
 let test_batched_matches_per_request () =
   let n = 48 and ell = 4 and steps = 600 and seed = 31 in
   let inst = Instance.blocks ~n ~ell in
@@ -662,12 +756,18 @@ let test_batched_matches_per_request () =
     (fun (spec : Registry.spec) ->
       let alg = spec.Registry.name in
       let expected_ds, expected = per_request_run ~alg ~seed inst trace in
-      let e = Engine.create ~sanitize:true ~alg ~seed inst in
+      let e = Engine.create ~alg ~seed inst in
+      let prev = ref None in
+      let checked q =
+        let d = Engine.ingest e q in
+        check_step_invariants e ~prev:!prev d;
+        prev := Some d;
+        d
+      in
       let got_ds =
         List.concat_map
           (fun batch ->
-            Array.to_list
-              (Array.map decision_key (Engine.ingest_batch e batch)))
+            Array.to_list (Array.map (fun q -> decision_key (checked q)) batch))
           (partition_trace (Rng.create 7) ~max_batch:64 trace)
       in
       Alcotest.(check (list string))
@@ -722,7 +822,7 @@ let qcheck_batches_identity =
       let feed e batch =
         Array.iter
           (fun d -> ds := decision_key d :: !ds)
-          (Engine.ingest_batch e batch)
+          (Array.map (Engine.ingest e) batch)
       in
       for b = 0 to cut - 1 do
         feed first batches.(b)
@@ -840,7 +940,7 @@ let fixture ~augmentation ~react inst =
     o.o_steps <- o.o_steps + 1
   in
   ( Online.make ~name:"fixture" ~augmentation ~assignment:(fun () -> a)
-      ~serve,
+      ~serve ~save:ignore ~load:ignore,
     o )
 
 (* Two non-strict fixtures that drive the paths the block loop adds: an
@@ -905,11 +1005,11 @@ let test_quiet_block_validates_first () =
   let n = 32 and ell = 4 in
   let inst = Instance.blocks ~n ~ell in
   let trace = gen_trace ~n ~steps:500 ~seed:3 in
-  let whole = Engine.create ~sanitize:false ~alg:"onl-dynamic" ~seed:9 inst in
+  let whole = Engine.create ~alg:"onl-dynamic" ~seed:9 inst in
   Engine.ingest_batch_quiet whole trace;
   List.iter
     (fun (bad_at, bad) ->
-      let e = Engine.create ~sanitize:false ~alg:"onl-dynamic" ~seed:9 inst in
+      let e = Engine.create ~alg:"onl-dynamic" ~seed:9 inst in
       Engine.ingest_batch_quiet e (Array.sub trace 0 200);
       let ckpt = Ckpt.to_string (Engine.checkpoint e) in
       let m = Engine.metrics e in
@@ -1153,7 +1253,7 @@ let test_quiet_batch_identity () =
       while !at < Array.length trace do
         let len = Stdlib.min block (Array.length trace - !at) in
         let chunk = Array.sub trace !at len in
-        ignore (Engine.ingest_batch loud chunk);
+        ignore (Array.map (Engine.ingest loud) chunk);
         Engine.ingest_batch_quiet quiet chunk;
         at := !at + len
       done;
@@ -1198,7 +1298,7 @@ let test_source_mmap_vs_channel_serve_identity () =
           else begin
             let chunk = Array.sub buf 0 got in
             if quiet then Engine.ingest_batch_quiet engine chunk
-            else ignore (Engine.ingest_batch engine chunk)
+            else ignore (Array.map (Engine.ingest engine) chunk)
           end
         done;
         Source.close src;
@@ -1527,51 +1627,28 @@ let qcheck_metrics_match_float_reference =
       && String.equal (histogram_section prom) (ref_histogram r)
       && Float.equal (Metrics.mean_latency_ns m) mean)
 
-(* --- runtime sanitizer ------------------------------------------------- *)
+(* --- capacity check --------------------------------------------------- *)
 
-(* Positive: a sanitized run over a healthy algorithm is silent and bills
-   exactly what an unsanitized run bills. *)
-let test_sanitizer_clean_run () =
-  let inst = Instance.blocks ~n:32 ~ell:4 in
-  let trace = gen_trace ~n:32 ~steps:400 ~seed:9 in
-  let run sanitize =
-    let e = Engine.create ~sanitize ~alg:"onl-dynamic" ~seed:3 inst in
-    Array.iter (fun q -> ignore (Engine.ingest e q)) trace;
-    let r = Engine.result e in
-    (r.Simulator.cost.Cost.comm, r.Simulator.cost.Cost.mig, r.Simulator.max_load)
-  in
-  let plain = run false and checked = run true in
-  Alcotest.(check (triple int int int))
-    "sanitized run matches unsanitized" plain checked
-
-(* Negative: corrupting the live assignment between requests (overloading
-   one server past the claimed augmentation bound) must be caught by the
-   very next sanitized ingest, with the request index in the message.
-   [never-move] keeps its hands off the assignment, so the corruption
-   survives until the check; [strict:false] keeps the stepper itself from
-   raising first. *)
-let test_sanitizer_catches_corruption () =
+(* Overloading a server between requests, past never-move's claimed
+   augmentation of 1, is caught by the very next ingest: the stepper
+   checks capacity on every request and raises [Failure] naming the
+   step.  never-move keeps its hands off the assignment, so the overload
+   survives until the check. *)
+let test_capacity_check_catches_corruption () =
   let inst = Instance.blocks ~n:8 ~ell:2 in
-  let e =
-    Engine.create ~strict:false ~sanitize:true ~alg:"never-move" ~seed:1 inst
-  in
+  let e = Engine.create ~alg:"never-move" ~seed:1 inst in
   ignore (Engine.ingest e 0);
-  let a = (Engine.online e).Rbgp_ring.Online.assignment () in
+  let a = (Engine.online e).Online.assignment () in
   for p = 0 to 7 do
-    Rbgp_ring.Assignment.set a p 0
+    Assignment.set a p 0
   done;
-  let raised =
-    try
-      ignore (Engine.ingest e 1);
-      None
-    with Failure msg -> Some msg
-  in
-  match raised with
-  | None -> Alcotest.fail "sanitizer did not flag an overloaded server"
-  | Some msg ->
+  match Engine.ingest e 1 with
+  | _ -> Alcotest.fail "an overloaded server was not flagged"
+  | exception Failure msg ->
       Alcotest.(check bool)
-        "message names the sanitizer" true
-        (Astring.String.is_prefix ~affix:"RBGP_SANITIZE: request 1:" msg)
+        (Printf.sprintf "message names step 1: %s" msg)
+        true
+        (Astring.String.is_infix ~affix:"at step 1 (" msg)
 
 let () =
   Alcotest.run "serve"
@@ -1589,6 +1666,8 @@ let () =
             test_advance_matches_step;
           Alcotest.test_case "serve-path allocation budget" `Quick
             test_serve_path_allocation;
+          Alcotest.test_case "overloaded server caught at next ingest"
+            `Quick test_capacity_check_catches_corruption;
         ] );
       ( "checkpoint",
         [
@@ -1599,6 +1678,8 @@ let () =
             test_every_algorithm_has_state_hooks;
           Alcotest.test_case "tampered snapshots rejected" `Quick
             test_resume_detects_tampering;
+          Alcotest.test_case "pinned alg_state digests (9 algorithms)" `Quick
+            test_pinned_alg_states;
           Alcotest.test_case "file roundtrip + truncation" `Quick
             test_checkpoint_file_roundtrip;
           qcheck_checkpoint_resume;
@@ -1659,12 +1740,5 @@ let () =
           Alcotest.test_case "O(1) bucket index == shift loop" `Quick
             test_metrics_bucket_index;
           qcheck_metrics_match_float_reference;
-        ] );
-      ( "sanitizer",
-        [
-          Alcotest.test_case "clean run is silent and cost-identical" `Quick
-            test_sanitizer_clean_run;
-          Alcotest.test_case "corrupted assignment caught with request index"
-            `Quick test_sanitizer_catches_corruption;
         ] );
     ]
