@@ -3,8 +3,8 @@
      rbgp-lint                       # scan lib bin bench with the
                                      # checked-in allowlist
      rbgp-lint --json-out report.json
-     rbgp-lint --rules               # describe the rule set
-     rbgp-lint --write-baseline b.json && rbgp-lint --baseline b.json
+     rbgp-lint --list-rules          # describe the rule set
+     rbgp-lint --explain r11-hot-alloc   # one rule's rationale
 
    Exit codes: 0 clean, 1 findings, 2 configuration error. *)
 

@@ -18,8 +18,9 @@
     [E move <= 4 min(I) + O(ln|I|) |I|] (Lemma 4.3).
 
     The standalone game has no colors; the deactivation rules
-    (monochromatic / dominated) live in the slicing procedure, which reuses
-    this module's growth schedule through {!grow_rule}. *)
+    (monochromatic / dominated) live in the slicing procedure, whose
+    [Slicing.grow_seg] applies the same doubling to segments of the ring
+    (capped at [min (k+1) n] vertices, no clamping on a cycle). *)
 
 type t
 
@@ -44,5 +45,5 @@ val serve : t -> int -> unit
 
 val grow_rule : k:int -> vl:int -> vr:int -> int * int
 (** The growth schedule: double the vertex interval [(vl, vr)] around its
-    center, clamp into [\[0, k\]], cap the length at [k+1].  Exposed so the
-    slicing procedure and the tests use the exact same rule. *)
+    center, clamp into [\[0, k\]], cap the length at [k+1].  Exposed for
+    the tests. *)

@@ -43,22 +43,6 @@ let json_out_arg =
     & info [ "json-out" ] ~docv:"FILE"
         ~doc:"Also write the JSON report to FILE (the CI artifact).")
 
-let baseline_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:
-          "Fail only on findings beyond the per-(rule, file) counts \
-           recorded in FILE — a ratchet for adopting new rules.")
-
-let write_baseline_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "write-baseline" ] ~docv:"FILE"
-        ~doc:"Record the current findings as a baseline and exit 0.")
-
 let rules_arg =
   Arg.(
     value
@@ -87,8 +71,8 @@ let graph_out_arg =
     & opt (some string) None
     & info [ "graph-out" ] ~docv:"FILE"
         ~doc:
-          "Write the call-graph/effect dump (schema rbgp-lint-graph/1) to \
-           FILE — the debugging view behind r11/r12.")
+          "Write the call-graph dump (schema rbgp-lint-graph/2) to FILE — \
+           the debugging view behind r11/r12.")
 
 let sarif_out_arg =
   Arg.(
@@ -184,61 +168,28 @@ let load_allowlist ~no_allowlist ~allowlist_path =
           Allowlist.load ~path:default_allowlist
         else Ok []
 
-let load_baseline = function
-  | None -> Ok None
-  | Some path -> (
-      match In_channel.with_open_bin path In_channel.input_all with
-      | source ->
-          let* json =
-            Result.map_error (fun m -> path ^ ": " ^ m) (Ljson.parse source)
-          in
-          let* b =
-            Result.map_error
-              (fun m -> path ^ ": " ^ m)
-              (Engine.baseline_of_json json)
-          in
-          Ok (Some b)
-      | exception Sys_error msg -> Error msg)
-
 let write_file path contents =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc contents;
       Out_channel.output_char oc '\n')
 
-let lint ~today ~dirs ~allowlist ~baseline ~rules ~hot_roots ~json ~json_out
-    ~sarif_out ~graph_out ~write_baseline =
-  let extra_hot_roots = hot_roots in
-  match write_baseline with
-  | Some path ->
-      let outcome = Engine.run ~today ~allowlist ?rules ~extra_hot_roots ~dirs () in
-      write_file path
-        (Ljson.to_string (Engine.baseline_to_json outcome.Engine.live));
-      Printf.printf "wrote baseline of %d findings to %s\n"
-        (List.length outcome.Engine.live)
-        path;
-      0
-  | None ->
-      let outcome =
-        Engine.run ~today ~allowlist ?baseline ?rules ~extra_hot_roots ~dirs ()
-      in
-      Option.iter
-        (fun path -> write_file path (Reporter.to_json_string outcome))
-        json_out;
-      Option.iter
-        (fun path -> write_file path (Sarif.to_string outcome))
-        sarif_out;
-      Option.iter
-        (fun path ->
-          write_file path
-            (Ljson.to_string (Engine.graph ~extra_hot_roots ~dirs ())))
-        graph_out;
-      if json then print_endline (Reporter.to_json_string outcome)
-      else print_string (Reporter.to_text outcome);
-      if Engine.errors outcome > 0 then 1 else 0
+let lint ~today ~dirs ~allowlist ~rules ~extra_hot_roots ~json ~json_out
+    ~sarif_out ~graph_out =
+  let outcome = Engine.run ~today ~allowlist ?rules ~extra_hot_roots ~dirs () in
+  Option.iter
+    (fun path -> write_file path (Reporter.to_json_string outcome))
+    json_out;
+  Option.iter (fun path -> write_file path (Sarif.to_string outcome)) sarif_out;
+  Option.iter
+    (fun path ->
+      write_file path (Ljson.to_string (Engine.graph ~extra_hot_roots ~dirs ())))
+    graph_out;
+  if json then print_endline (Reporter.to_json_string outcome)
+  else print_string (Reporter.to_text outcome);
+  if outcome.Engine.live = [] then 0 else 1
 
 let run ~today dirs allowlist_path no_allowlist json json_out sarif_out
-    graph_out baseline_path write_baseline rules_spec list_rules explain
-    hot_roots today_override =
+    graph_out rules_spec list_rules explain hot_roots today_override =
   if list_rules then begin
     print_rules ();
     0
@@ -258,24 +209,23 @@ let run ~today dirs allowlist_path no_allowlist json json_out sarif_out
         let today = match today_override with Some d -> d | None -> today in
         let config =
           let* allowlist = load_allowlist ~no_allowlist ~allowlist_path in
-          let* baseline = load_baseline baseline_path in
           let* rules = parse_rules_filter rules_spec in
-          Ok (allowlist, baseline, rules)
+          Ok (allowlist, rules)
         in
         match config with
         | Error msg ->
             prerr_endline ("rbgp-lint: " ^ msg);
             2
-        | Ok (allowlist, baseline, rules) ->
-            lint ~today ~dirs ~allowlist ~baseline ~rules ~hot_roots ~json
-              ~json_out ~sarif_out ~graph_out ~write_baseline)
+        | Ok (allowlist, rules) ->
+            lint ~today ~dirs ~allowlist ~rules ~extra_hot_roots:hot_roots
+              ~json ~json_out ~sarif_out ~graph_out)
 
 let term ~today =
   Term.(
     const (run ~today)
     $ dirs_arg $ allowlist_arg $ no_allowlist_arg $ json_arg $ json_out_arg
-    $ sarif_out_arg $ graph_out_arg $ baseline_arg $ write_baseline_arg
-    $ rules_arg $ list_rules_arg $ explain_arg $ hot_root_arg $ today_arg)
+    $ sarif_out_arg $ graph_out_arg $ rules_arg $ list_rules_arg
+    $ explain_arg $ hot_root_arg $ today_arg)
 
 let doc =
   "Repo-specific static analysis: determinism, domain-safety and hot-path \

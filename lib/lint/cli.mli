@@ -2,10 +2,10 @@
     [rbgp-lint] executable and the [rbgp lint] subcommand.
 
     The term evaluates to the process exit code: 0 clean, 1 live
-    error-severity findings, 2 configuration error (bad allowlist or
-    baseline).  [today] feeds allowlist expiry and is supplied by the
-    executable (this library never reads the clock — rule R2 patrols all
-    of lib/, this directory included); the [--today] flag overrides it. *)
+    findings, 2 configuration error (bad allowlist or rule filter).
+    [today] feeds allowlist expiry and is supplied by the executable
+    (this library never reads the clock — rule R2 patrols all of lib/,
+    this directory included); the [--today] flag overrides it. *)
 
 val default_allowlist : string
 (** ["lint/allowlist.txt"], used when it exists and no [--allowlist] was

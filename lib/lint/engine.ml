@@ -1,6 +1,6 @@
 (* Drives the rule set over sources: parse with the compiler's own parser
    (compiler-libs — no new dependency, no grammar drift), apply the rules,
-   then fold in the allowlist and an optional baseline.
+   then fold in the allowlist.
 
    Everything is deterministic: directory walks sort entries, findings
    sort by location, and no wall clock is read here — expiry "today" is an
@@ -23,15 +23,13 @@ let lint_source ~path source =
           (err.Location.main.Location.loc, msg)
       | _ -> (Location.curr lexbuf, Printexc.to_string e)
     in
-    [
-      Finding.of_location ~rule:"parse-error" ~severity:Finding.Error
-        ~file:path loc msg;
-    ]
+    [ Finding.of_location ~rule:"parse-error" ~file:path loc msg ]
   in
   let findings =
+    (* interfaces carry no expressions: only their parse errors apply *)
     if Filename.check_suffix path ".mli" then
       match Parse.interface lexbuf with
-      | signature -> Rules.check_signature ~path signature
+      | _ -> []
       | exception e -> parse_error e
     else
       match Parse.implementation lexbuf with
@@ -66,7 +64,7 @@ let scan_dirs dirs =
     (fun dir -> if Sys.file_exists dir then walk dir)
     dirs;
   (* sort_uniq: overlapping dirs ("lib lib/serve") must not double-count
-     files — duplicates would double findings and corrupt the baseline *)
+     files — duplicates would double findings *)
   List.sort_uniq String.compare !acc
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -94,9 +92,6 @@ let test_dirs_of dirs =
 let index_of_paths paths =
   Index.of_sources (List.map (fun p -> (p, read_file p)) paths)
 
-let effects_of_paths ?extra_hot_roots paths =
-  Effects.infer ?extra_hot_roots (index_of_paths paths)
-
 let interprocedural_findings ?extra_hot_roots ~dirs paths =
   let index = index_of_paths paths in
   let effects = Effects.infer ?extra_hot_roots index in
@@ -112,87 +107,8 @@ let interprocedural_findings ?extra_hot_roots ~dirs paths =
   List.sort Finding.compare (r11 @ r12 @ r13)
 
 let graph ?extra_hot_roots ~dirs () =
-  Effects.to_json (effects_of_paths ?extra_hot_roots (scan_dirs dirs))
-
-(* --- baseline ---------------------------------------------------------- *)
-
-(* A baseline is a (rule, file) -> count ratchet, not a line-pinned list:
-   robust to unrelated edits shifting line numbers, and monotone — new
-   findings in a (rule, file) cell beyond the recorded count fail. *)
-
-type baseline = (string * string, int) Hashtbl.t
-
-let counts findings =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Finding.t) ->
-      let key = (f.Finding.rule, f.Finding.file) in
-      Hashtbl.replace tbl key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
-    findings;
-  tbl
-
-let baseline_to_json findings =
-  let tbl = counts findings in
-  let cells =
-    Hashtbl.fold (fun (rule, file) count acc -> (rule, file, count) :: acc) tbl []
-    |> List.sort (fun (r1, f1, _) (r2, f2, _) ->
-           let c = String.compare f1 f2 in
-           if c <> 0 then c else String.compare r1 r2)
-  in
-  Ljson.Obj
-    [
-      ("schema", Ljson.Str "rbgp-lint-baseline/1");
-      ( "cells",
-        Ljson.Arr
-          (List.map
-             (fun (rule, file, count) ->
-               Ljson.Obj
-                 [
-                   ("rule", Ljson.Str rule);
-                   ("file", Ljson.Str file);
-                   ("count", Ljson.Num (float_of_int count));
-                 ])
-             cells) );
-    ]
-
-let baseline_of_json json : (baseline, string) result =
-  match Option.bind (Ljson.member "cells" json) Ljson.to_list with
-  | None -> Error "baseline: missing \"cells\" array"
-  | Some cells ->
-      let tbl = Hashtbl.create 64 in
-      let bad = ref None in
-      List.iter
-        (fun cell ->
-          match
-            ( Option.bind (Ljson.member "rule" cell) Ljson.to_str,
-              Option.bind (Ljson.member "file" cell) Ljson.to_str,
-              Option.bind (Ljson.member "count" cell) Ljson.to_int )
-          with
-          | Some rule, Some file, Some count ->
-              Hashtbl.replace tbl (rule, Finding.normalize_path file) count
-          | _ ->
-              if Option.is_none !bad then
-                bad := Some ("baseline: malformed cell " ^ Ljson.to_string cell))
-        cells;
-      (match !bad with Some msg -> Error msg | None -> Ok tbl)
-
-let apply_baseline (baseline : baseline) findings =
-  let budget = Hashtbl.copy baseline in
-  let skipped = ref 0 in
-  let live =
-    List.filter
-      (fun (f : Finding.t) ->
-        let key = (f.Finding.rule, f.Finding.file) in
-        match Hashtbl.find_opt budget key with
-        | Some n when n > 0 ->
-            Hashtbl.replace budget key (n - 1);
-            incr skipped;
-            false
-        | _ -> true)
-      findings
-  in
-  (live, !skipped)
+  Effects.to_json
+    (Effects.infer ?extra_hot_roots (index_of_paths (scan_dirs dirs)))
 
 (* --- top-level run ----------------------------------------------------- *)
 
@@ -202,19 +118,9 @@ type outcome = {
   suppressed : (Finding.t * Allowlist.entry) list;
   expired : (Finding.t * Allowlist.entry) list;
   stale : Allowlist.entry list;
-  baseline_skipped : int;
 }
 
-let errors outcome =
-  List.length
-    (List.filter
-       (fun (f : Finding.t) ->
-         match f.Finding.severity with
-         | Finding.Error -> true
-         | Finding.Warning -> false)
-       outcome.live)
-
-let run ?today ?(allowlist = []) ?baseline ?rules ?extra_hot_roots ~dirs () =
+let run ?today ?(allowlist = []) ?rules ?extra_hot_roots ~dirs () =
   let paths = scan_dirs dirs in
   let findings =
     List.sort Finding.compare
@@ -239,16 +145,10 @@ let run ?today ?(allowlist = []) ?baseline ?rules ?extra_hot_roots ~dirs () =
             allowlist )
   in
   let applied = Allowlist.apply ?today allowlist findings in
-  let live, baseline_skipped =
-    match baseline with
-    | Some b -> apply_baseline b applied.Allowlist.live
-    | None -> (applied.Allowlist.live, 0)
-  in
   {
     files = List.length paths;
-    live;
+    live = applied.Allowlist.live;
     suppressed = applied.Allowlist.suppressed;
     expired = applied.Allowlist.expired;
     stale = applied.Allowlist.stale;
-    baseline_skipped;
   }

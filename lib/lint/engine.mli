@@ -1,6 +1,5 @@
 (** The linter driver: parse sources with the compiler's own parser
-    (compiler-libs), run the rules, fold in the allowlist and an optional
-    baseline.
+    (compiler-libs), run the rules, fold in the allowlist.
 
     Deterministic by construction: directory walks sort entries, findings
     sort by location, and no wall clock is read in this library — the
@@ -8,8 +7,8 @@
 
 val lint_source : path:string -> string -> Finding.t list
 (** Parse one [.ml]/[.mli] (selected by the [path] suffix) from a string
-    and run every expression/structure rule.  Unparseable input yields a
-    single [parse-error] finding.  Sorted by location. *)
+    and run every per-file rule (interfaces only parse).  Unparseable
+    input yields a single [parse-error] finding.  Sorted by location. *)
 
 val scan_dirs : string list -> string list
 (** All [.ml]/[.mli] files under the given directories, sorted and
@@ -30,26 +29,14 @@ val interprocedural_findings :
   dirs:string list ->
   string list ->
   Finding.t list
-(** The r11/r12/r13 pass: index the given files, infer effects, and
-    cross-check comparator coverage against {!test_dirs_of}[ dirs].
+(** The r11/r12/r13 pass: index the given files, build the call graph,
+    and cross-check comparator coverage against {!test_dirs_of}[ dirs].
     Sorted. *)
 
 val graph :
   ?extra_hot_roots:string list -> dirs:string list -> unit -> Ljson.t
-(** The call-graph/effect dump ([--graph-out]): schema
-    ["rbgp-lint-graph/1"], a pure function of the sources on disk. *)
-
-type baseline
-(** A (rule, file) -> count ratchet: robust to line churn, monotone —
-    only findings beyond the recorded count fail. *)
-
-val baseline_to_json : Finding.t list -> Ljson.t
-(** Schema ["rbgp-lint-baseline/1"]. *)
-
-val baseline_of_json : Ljson.t -> (baseline, string) result
-
-val apply_baseline : baseline -> Finding.t list -> Finding.t list * int
-(** Remaining findings and the number suppressed by the ratchet. *)
+(** The call-graph dump ([--graph-out]): schema ["rbgp-lint-graph/2"], a
+    pure function of the sources on disk. *)
 
 type outcome = {
   files : int;
@@ -57,16 +44,11 @@ type outcome = {
   suppressed : (Finding.t * Allowlist.entry) list;
   expired : (Finding.t * Allowlist.entry) list;
   stale : Allowlist.entry list;
-  baseline_skipped : int;
 }
-
-val errors : outcome -> int
-(** Count of error-severity live findings; nonzero means exit 1. *)
 
 val run :
   ?today:(int * int * int) ->
   ?allowlist:Allowlist.t ->
-  ?baseline:baseline ->
   ?rules:string list ->
   ?extra_hot_roots:string list ->
   dirs:string list ->

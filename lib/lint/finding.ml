@@ -1,27 +1,19 @@
-(* A structured lint finding: which rule fired, where, and why.
+(* A structured lint finding: which rule fired, where, and why.  Every
+   finding is an error: it fails the run unless the allowlist justifies
+   it.
 
    Paths are normalized at construction (leading "./" and "../" segments
    stripped, backslashes rewritten) so that findings produced from the
-   repository root and from a test sandbox compare, sort, suppress and
-   baseline identically. *)
-
-type severity = Error | Warning
+   repository root and from a test sandbox compare, sort and suppress
+   identically. *)
 
 type t = {
   rule : string;
-  severity : severity;
   file : string;
   line : int;  (* 1-based; 0 means the finding is about the whole file *)
   col : int;  (* 0-based, matching compiler convention; 0 for whole-file *)
   message : string;
 }
-
-let severity_to_string = function Error -> "error" | Warning -> "warning"
-
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | _ -> None
 
 let normalize_path path =
   let parts =
@@ -34,20 +26,14 @@ let normalize_path path =
   in
   String.concat "/" (strip parts)
 
-let make ~rule ~severity ~file ~line ~col message =
-  { rule; severity; file = normalize_path file; line; col; message }
+let make ~rule ~file ~line ~col message =
+  { rule; file = normalize_path file; line; col; message }
 
-let of_location ~rule ~severity ~file (loc : Location.t) message =
+let of_location ~rule ~file (loc : Location.t) message =
   let p = loc.Location.loc_start in
-  make ~rule ~severity ~file ~line:p.Lexing.pos_lnum
+  make ~rule ~file ~line:p.Lexing.pos_lnum
     ~col:(p.Lexing.pos_cnum - p.Lexing.pos_bol)
     message
-
-let compare_severity a b =
-  match (a, b) with
-  | Error, Error | Warning, Warning -> 0
-  | Error, Warning -> -1
-  | Warning, Error -> 1
 
 (* Named [compare_finding] internally so the syntactic r1 rule (which flags
    any bare [compare] identifier) does not fire on the linter itself. *)
@@ -68,15 +54,13 @@ let compare = compare_finding
 let equal a b = compare_finding a b = 0
 
 let to_text f =
-  Printf.sprintf "%s:%d:%d: [%s] %s: %s" f.file f.line f.col f.rule
-    (severity_to_string f.severity)
+  Printf.sprintf "%s:%d:%d: [%s] error: %s" f.file f.line f.col f.rule
     f.message
 
 let to_json f =
   Ljson.Obj
     [
       ("rule", Ljson.Str f.rule);
-      ("severity", Ljson.Str (severity_to_string f.severity));
       ("file", Ljson.Str f.file);
       ("line", Ljson.Num (float_of_int f.line));
       ("col", Ljson.Num (float_of_int f.col));
@@ -86,10 +70,8 @@ let to_json f =
 let of_json j =
   let ( let* ) o f = match o with Some v -> f v | None -> None in
   let* rule = Option.bind (Ljson.member "rule" j) Ljson.to_str in
-  let* sev = Option.bind (Ljson.member "severity" j) Ljson.to_str in
-  let* severity = severity_of_string sev in
   let* file = Option.bind (Ljson.member "file" j) Ljson.to_str in
   let* line = Option.bind (Ljson.member "line" j) Ljson.to_int in
   let* col = Option.bind (Ljson.member "col" j) Ljson.to_int in
   let* message = Option.bind (Ljson.member "message" j) Ljson.to_str in
-  Some { rule; severity; file; line; col; message }
+  Some { rule; file; line; col; message }

@@ -1,42 +1,27 @@
-(** A structured lint finding: rule id, severity, location, message.
+(** A structured lint finding: rule id, location, message.  Every
+    finding is an error: it fails the run unless the allowlist justifies
+    it.
 
     File paths are normalized at construction (leading ["./"]/["../"]
     segments stripped) so findings produced from the repository root and
-    from a test sandbox compare, suppress and baseline identically. *)
-
-type severity = Error | Warning
+    from a test sandbox compare and suppress identically. *)
 
 type t = {
   rule : string;
-  severity : severity;
   file : string;  (** normalized, '/'-separated *)
   line : int;  (** 1-based; [0] = whole-file finding *)
   col : int;  (** 0-based (compiler convention); [0] for whole-file *)
   message : string;
 }
 
-val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
-
 val normalize_path : string -> string
 (** Rewrites ['\\'] to ['/'] and strips leading ["."], [".."] and empty
     segments. *)
 
-val make :
-  rule:string ->
-  severity:severity ->
-  file:string ->
-  line:int ->
-  col:int ->
-  string ->
-  t
+val make : rule:string -> file:string -> line:int -> col:int -> string -> t
 
-val of_location :
-  rule:string -> severity:severity -> file:string -> Location.t -> string -> t
+val of_location : rule:string -> file:string -> Location.t -> string -> t
 (** Anchors the finding at the location's start position. *)
-
-val compare_severity : severity -> severity -> int
-(** Errors sort before warnings. *)
 
 val compare : t -> t -> int
 (** Orders by (file, line, col, rule, message) — the report order. *)
@@ -44,7 +29,7 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val to_text : t -> string
-(** [file:line:col: [rule] severity: message] — clickable in editors. *)
+(** [file:line:col: [rule] error: message] — clickable in editors. *)
 
 val to_json : t -> Ljson.t
 val of_json : Ljson.t -> t option

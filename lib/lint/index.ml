@@ -1,6 +1,6 @@
-(* The cross-module value index: the syntactic substrate for the
-   interprocedural effect analysis (effects.ml) and the index-level rules
-   (r11-hot-alloc, r12-transitive-partial, r13-comparator-coverage).
+(* The cross-module value index: the syntactic substrate of the call
+   graph (effects.ml) and the index-level rules (r11-hot-alloc,
+   r12-transitive-partial, r13-comparator-coverage).
 
    One pass over every parsed implementation collects, per top-level (or
    nested-module) value binding:
@@ -15,16 +15,15 @@
        intervening named handler.
 
    Alongside the nodes the index keeps each file's module aliases
-   ([module P = Rbgp_util.Pool]) and [open]s, the values each interface
-   exposes (for the comparator-coverage rule), and resolution tables
-   from (module, value) names to node ids.
+   ([module P = Rbgp_util.Pool]), the values each interface exposes (for
+   the comparator-coverage rule), and resolution tables from (module,
+   value) names to node ids.
 
    Resolution is deliberately syntactic and over-approximate: a name
    defined by two modules (the tree has two [Engine]s) resolves to every
-   candidate, so effects union rather than drop.  First-class dispatch
-   through record fields (the [Online] algorithm interface) is invisible
-   here — the analysis is honest about that boundary, which is why the
-   hot roots name both the engine entry points and the solver-side
+   candidate.  First-class dispatch through record fields (the [Online]
+   algorithm interface) is invisible here, which is why the hot roots
+   name both the engine entry points and the solver step
    [Dynamic_alg.serve] explicitly.
 
    Everything is deterministic: nodes sort by id, tables are folded into
@@ -32,7 +31,7 @@
 
 type site_kind =
   | Alloc of string  (* what is allocated, for the finding message *)
-  | Partial of string  (* which partial idiom *)
+  | Partial of string  (* which partial stdlib idiom is called *)
 
 type site = {
   s_kind : site_kind;
@@ -49,7 +48,7 @@ type reference = {
 }
 
 type node = {
-  id : string;  (* "<file>#<Mod[.Sub]>.<name>" — unique and sortable *)
+  id : string;  (* "<file>#[Sub.]<name>[@line]" — unique and sortable *)
   display : string;  (* "Mod.name" or "Mod.Sub.name" *)
   file : string;
   modname : string;  (* top-level module (capitalized basename) *)
@@ -122,11 +121,49 @@ let expand_aliases ctx p =
 let normalize_path_ident ctx lid =
   strip_wrappers (strip_stdlib (expand_aliases ctx (flatten [] lid)))
 
+(* Does [body] use the variable [x] only as the operand of [!], [:=],
+   [incr] and [decr], outside every closure?  Then the compiler keeps a
+   [let x = ref e in body] ref in a mutable local and allocates no cell
+   (Simplif's ref elimination).  A shadowing rebinding of [x] counts as
+   a use, which errs towards reporting the allocation. *)
+let stays_local x body =
+  let ok = ref true and closures = ref 0 in
+  let is_x (e : Parsetree.expression) =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { txt = Longident.Lident y; _ } -> String.equal x y
+    | _ -> false
+  in
+  let default = Ast_iterator.default_iterator.Ast_iterator.expr in
+  let expr (self : Ast_iterator.iterator) (e : Parsetree.expression) =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_apply
+        ( {
+            pexp_desc =
+              Parsetree.Pexp_ident
+                { txt = Longident.Lident ("!" | ":=" | "incr" | "decr"); _ };
+            _;
+          },
+          (Asttypes.Nolabel, r) :: rest )
+      when is_x r && !closures = 0 ->
+        List.iter (fun (_, a) -> self.Ast_iterator.expr self a) rest
+    | _ when is_x e -> ok := false
+    | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ | Parsetree.Pexp_lazy _
+      ->
+        incr closures;
+        default self e;
+        decr closures
+    | _ -> default self e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.Ast_iterator.expr it body;
+  !ok
+
 (* Collect the sites and references of one binding body.  [handled] is a
    depth counter: positive inside a [try] body or a [match] scrutinee
    whose cases include [exception] patterns.  Closures count one site
-   each (the curried spine collapses, mirroring r8), and the leading
-   parameters of the binding itself are not allocations. *)
+   each (the curried spine collapses), the leading parameters of the
+   binding itself are not allocations, and neither is a ref that
+   {!stays_local}. *)
 let collect_body ctx expr0 =
   let sites = ref [] and refs = ref [] in
   let handled = ref 0 in
@@ -198,6 +235,20 @@ let collect_body ctx expr0 =
     | Parsetree.Pexp_construct ({ txt = Longident.Lident "::"; _ }, Some _) ->
         add_site (Alloc "list cons") e.Parsetree.pexp_loc;
         cons_chain self e
+    | Parsetree.Pexp_let (Asttypes.Nonrecursive, vbs, body) ->
+        List.iter
+          (fun (vb : Parsetree.value_binding) ->
+            match (vb.pvb_pat.ppat_desc, vb.pvb_expr.pexp_desc) with
+            | ( Parsetree.Ppat_var { txt = x; _ },
+                Parsetree.Pexp_apply
+                  ( { pexp_desc = Parsetree.Pexp_ident { txt = fn; _ }; _ },
+                    [ (Asttypes.Nolabel, init) ] ) )
+              when normalize_path_ident ctx fn = [ "ref" ] && stays_local x body
+              ->
+                expr_of self init
+            | _ -> self.Ast_iterator.value_binding self vb)
+          vbs;
+        expr_of self body
     | Parsetree.Pexp_try (body, cases) ->
         incr handled;
         expr_of self body;
@@ -283,16 +334,9 @@ let walk_structure ctx str =
     | Parsetree.Pstr_module mb -> module_binding ~modpath mb
     | Parsetree.Pstr_recmodule mbs ->
         List.iter (module_binding ~modpath) mbs
-    | Parsetree.Pstr_open
-        {
-          popen_expr = { pmod_desc = Parsetree.Pmod_ident _; _ };
-          _;
-        } ->
-        (* opens are not resolved (no scope model for foreign module
-           contents); unqualified names fall back to the intrinsic
-           table, which is the conservative direction for effects *)
-        ()
     | Parsetree.Pstr_include incl -> module_expr ~modpath incl.Parsetree.pincl_mod
+    (* opens are not resolved (no scope model for foreign module
+       contents): unqualified names fall back to the intrinsic table *)
     | _ -> ()
   and module_binding ~modpath (mb : Parsetree.module_binding) =
     match mb.Parsetree.pmb_name.Location.txt with
@@ -350,7 +394,20 @@ let of_sources sources =
               { path; modname; aliases = Hashtbl.create 8; collected = [] }
             in
             walk_structure ctx str;
-            nodes := List.rev ctx.collected @ !nodes
+            (* a name bound twice in one file: the last binding, the one
+               the rest of the tree sees, keeps the plain id and each
+               earlier one gets an [@line] suffix *)
+            let seen = Hashtbl.create 64 in
+            List.iter
+              (fun n ->
+                let n =
+                  if Hashtbl.mem seen n.id then
+                    { n with id = Printf.sprintf "%s@%d" n.id n.n_line }
+                  else n
+                in
+                Hashtbl.replace seen n.id ();
+                nodes := n :: !nodes)
+              ctx.collected
         | exception _ -> ())
     sources;
   let nodes =
@@ -388,7 +445,7 @@ let find t id = Hashtbl.find_opt t.by_id id
 (* Resolve an alias-expanded path from [file] to node ids, or report it
    external.  [Lident v] prefers same-file definitions; [M.v] matches
    every module named [M] (over-approximating on the tree's duplicate
-   module names, so effects union rather than drop). *)
+   module names, so every candidate is reached). *)
 let resolve t ~file path =
   match path with
   | [] -> `Extern []

@@ -1,20 +1,20 @@
 (** The cross-module value index: per-module value definitions, their
-    direct allocation/partiality sites, and the raw references their
-    bodies make — the syntactic substrate the effect-inference fixpoint
-    (effects.ml) and the interprocedural rules (r11–r13) resolve over.
+    direct allocation sites, and the raw references their bodies make —
+    the syntactic substrate the call graph (effects.ml) and the
+    interprocedural rules (r11–r13) resolve over.
 
     Deliberately syntactic and over-approximate: a value name defined by
-    two modules resolves to every candidate (effects union rather than
-    drop), and first-class dispatch through record fields (the [Online]
-    algorithm interface) is invisible — which is why the hot-root list
-    names both the engine entry points and the solver-side batch path
-    explicitly.  Deterministic: nodes and tables sort, no clock. *)
+    two modules resolves to every candidate, and first-class dispatch
+    through record fields (the [Online] algorithm interface) is
+    invisible — which is why the hot-root list names both the engine
+    entry points and the solver step [Dynamic_alg.serve] explicitly.
+    Deterministic: nodes and tables sort, no clock. *)
 
 type site_kind =
   | Alloc of string  (** what is allocated, for the finding message *)
-  | Partial of string  (** which partial idiom — reserved for future
-                           syntactic partiality; stdlib partiality comes
-                           from the intrinsic table in effects.ml *)
+  | Partial of string
+      (** which partial stdlib idiom is called (from the intrinsic table
+          in effects.ml) *)
 
 type site = {
   s_kind : site_kind;
@@ -33,7 +33,9 @@ type reference = {
 }
 
 type node = {
-  id : string;  (** ["<file>#<Mod[.Sub]>.<name>"] — unique, sortable *)
+  id : string;
+      (** ["<file>#[Sub.]<name>"], unique and sortable; a name bound
+          again later in the same file carries an ["@<line>"] suffix *)
   display : string;  (** ["Mod.name"] or ["Mod.Sub.name"] *)
   file : string;
   modname : string;

@@ -1,7 +1,7 @@
 (* Minimal JSON tree, printer and parser.
 
-   The linter must emit and re-read machine-readable reports (CI artifacts,
-   baselines) without adding an opam dependency, so this implements just
+   The linter must emit and re-read machine-readable reports (CI
+   artifacts) without adding an opam dependency, so this implements just
    the JSON subset the reporter produces: objects, arrays, strings with
    standard escapes, numbers, booleans and null.  \uXXXX escapes decode
    for ASCII code points only — the reporter never emits anything else. *)

@@ -1,7 +1,7 @@
 (** Minimal JSON tree with printer and parser.
 
-    Just enough JSON for the linter's machine-readable reports and
-    baselines — no opam dependency.  The parser accepts everything the
+    Just enough JSON for the linter's machine-readable reports — no opam
+    dependency.  The parser accepts everything the
     printer emits (standard escapes; [\uXXXX] for ASCII only) and rejects
     trailing garbage. *)
 

@@ -1,27 +1,18 @@
 (* Text and JSON rendering of a lint outcome.
 
    The text form is the human default: one compiler-style line per
-   finding plus a summary.  The JSON form (schema rbgp-lint/1) is the CI
+   finding plus a summary.  The JSON form (schema rbgp-lint/2) is the CI
    artifact and the round-trippable source of truth — Finding.of_json
    reconstructs every finding from it. *)
 
-let finding_lines outcome =
-  List.map Finding.to_text outcome.Engine.live
-
 let summary_line outcome =
-  let errors = Engine.errors outcome in
-  let warnings = List.length outcome.Engine.live - errors in
-  Printf.sprintf
-    "%d file%s scanned: %d error%s, %d warning%s, %d suppressed by \
-     allowlist, %d by baseline%s%s"
+  let errors = List.length outcome.Engine.live in
+  Printf.sprintf "%d file%s scanned: %d error%s, %d suppressed by allowlist%s%s"
     outcome.Engine.files
     (if outcome.Engine.files = 1 then "" else "s")
     errors
     (if errors = 1 then "" else "s")
-    warnings
-    (if warnings = 1 then "" else "s")
     (List.length outcome.Engine.suppressed)
-    outcome.Engine.baseline_skipped
     (match outcome.Engine.expired with
     | [] -> ""
     | l -> Printf.sprintf ", %d under EXPIRED allowlist entries" (List.length l))
@@ -32,10 +23,10 @@ let summary_line outcome =
 let to_text outcome =
   let b = Buffer.create 1024 in
   List.iter
-    (fun line ->
-      Buffer.add_string b line;
+    (fun f ->
+      Buffer.add_string b (Finding.to_text f);
       Buffer.add_char b '\n')
-    (finding_lines outcome);
+    outcome.Engine.live;
   List.iter
     (fun (f, e) ->
       Buffer.add_string b
@@ -72,10 +63,9 @@ let entry_json (e : Allowlist.entry) =
     ]
 
 let to_json outcome =
-  let errors = Engine.errors outcome in
   Ljson.Obj
     [
-      ("schema", Ljson.Str "rbgp-lint/1");
+      ("schema", Ljson.Str "rbgp-lint/2");
       ("files_scanned", Ljson.Num (float_of_int outcome.Engine.files));
       ("findings", Ljson.Arr (List.map Finding.to_json outcome.Engine.live));
       ( "suppressed",
@@ -95,15 +85,10 @@ let to_json outcome =
       ( "summary",
         Ljson.Obj
           [
-            ("errors", Ljson.Num (float_of_int errors));
-            ( "warnings",
-              Ljson.Num
-                (float_of_int (List.length outcome.Engine.live - errors)) );
+            ("errors", Ljson.Num (float_of_int (List.length outcome.Engine.live)));
             ( "suppressed",
               Ljson.Num (float_of_int (List.length outcome.Engine.suppressed))
             );
-            ( "baseline_skipped",
-              Ljson.Num (float_of_int outcome.Engine.baseline_skipped) );
             ("stale", Ljson.Num (float_of_int (List.length outcome.Engine.stale)));
           ] );
     ]

@@ -3,7 +3,7 @@
     Text: one compiler-style [file:line:col] line per live finding,
     expired/stale allowlist notices, then a one-line summary.
 
-    JSON (schema ["rbgp-lint/1"]): the CI artifact.  Round-trippable —
+    JSON (schema ["rbgp-lint/2"]): the CI artifact.  Round-trippable —
     {!findings_of_json} reconstructs the live findings exactly. *)
 
 val summary_line : Engine.outcome -> string

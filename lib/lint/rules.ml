@@ -1,36 +1,12 @@
 (* The repo-specific rule set, implemented over the compiler's Parsetree.
-
-   Each rule protects an invariant no compiler checks:
-
-   R1  poly-compare     hot loops must stay monomorphic: generic compare /
-                        Hashtbl.hash anywhere, and first-class =, <, min,
-                        max (or structural-literal =) in the hot-path
-                        libraries lib/mts, lib/ring, lib/serve, lib/util.
-   R2  nondeterminism   checkpoint/resume identity and pool byte-identity
-                        require lib/ to be a pure function of its inputs:
-                        no wall-clock reads, no Random.self_init, no
-                        Domain.self-derived values.
-   R3  partial          List.hd / List.tl / Option.get / unsafe array ops
-                        turn empty-case bugs into runtime explosions far
-                        from the cause; match explicitly or justify.
-   R4  global-mutable   top-level mutable state (ref, Hashtbl.create,
-                        Array.make, Atomic.make, ... at module level) in
-                        lib/ is shared across Pool worker domains; every
-                        instance needs a written thread-safety note.
-   R5  catchall-exn     [try ... with _ ->] swallows Stack_overflow,
-                        assertion failures and algorithm bugs alike; bind
-                        the exception or match specific constructors.
-   R6  missing-mli      every lib/ module ships an interface, so the
-                        public surface is deliberate.
-   R7  domain-safety    spawning domains or submitting pool jobs from an
-                        arbitrary lib/ module risks nested-parallel
-                        deadlocks and schedule-dependent state; parallel
-                        entry points live behind audited, allowlisted
-                        modules only.
+   Each rule protects an invariant no compiler checks; rules.mli and
+   [descriptions] below list them, and DESIGN.md §9 gives the rationale.
 
    Rules are syntactic (no typing pass), which keeps the linter fast and
    dependency-free; the cost is a small class of heuristic calls, all
-   routed through the allowlist with written justifications. *)
+   routed through the allowlist with written justifications.  Each site
+   gets one rule id: where two rules would see the same call, the one
+   that owns it everywhere reports it. *)
 
 type scope = { area : [ `Lib | `Bin | `Bench | `Other ]; sublib : string option }
 
@@ -95,10 +71,6 @@ let nondet_message = function
         "monotonic clock read in lib/; readings may time, schedule or \
          degrade serving but must not become algorithm state — justify \
          the site"
-  | [ "Domain"; "self" ] ->
-      Some
-        "Domain.self is schedule-dependent; deriving state or hashes from \
-         it breaks pool byte-identity"
   | _ -> None
 
 (* R7: the Domain stdlib module and the pool API are the only ways code in
@@ -148,9 +120,7 @@ let structural_literal (e : Parsetree.expression) =
 let expression_findings ~path ~scope (str : Parsetree.structure) =
   let acc = ref [] in
   let add ~loc ~rule message =
-    acc :=
-      Finding.of_location ~rule ~severity:Finding.Error ~file:path loc message
-      :: !acc
+    acc := Finding.of_location ~rule ~file:path loc message :: !acc
   in
   let check_ident ~applied ~loc lid =
     let p = ident_path lid in
@@ -256,8 +226,7 @@ let toplevel_mutable_findings ~path (str : Parsetree.structure) =
   let acc = ref [] in
   let add ~loc what =
     acc :=
-      Finding.of_location ~rule:"r4-global-mutable" ~severity:Finding.Error
-        ~file:path loc
+      Finding.of_location ~rule:"r4-global-mutable" ~file:path loc
         (Printf.sprintf
            "%s is shared across pool worker domains; confine it, guard it, \
             and record the thread-safety argument in the lint allowlist"
@@ -301,79 +270,14 @@ let toplevel_mutable_findings ~path (str : Parsetree.structure) =
   structure str;
   !acc
 
-(* --- R8: hot-IO hygiene ----------------------------------------------- *)
-
-(* The audited hot-IO modules: every byte of the ingest path flows through
-   these, so a per-byte channel read or a closure allocated inside a
-   serving loop is a real per-request cost (the difference between the
-   channel and mmap decode rates in the bench ingest section), not a style nit.  The
-   channel fallback for pipes and stdin legitimately reads byte-wise —
-   those sites carry founding allowlist entries with the justification
-   written down. *)
-let hot_io_file_suffixes = [ "lib/ring/trace.ml"; "lib/util/binc.ml" ]
-
 let has_suffix p suf =
   let lp = String.length p and ls = String.length suf in
   lp >= ls && String.equal (String.sub p (lp - ls) ls) suf
 
-let is_hot_io path =
-  let p = Finding.normalize_path path in
-  (match scope_of_path p with
+let in_serve p =
+  match scope_of_path p with
   | { area = `Lib; sublib = Some "serve" } -> true
-  | _ -> false)
-  || List.exists (has_suffix p) hot_io_file_suffixes
-
-let hot_io_findings ~path (str : Parsetree.structure) =
-  let acc = ref [] in
-  let add ~loc message =
-    acc :=
-      Finding.of_location ~rule:"r8-hot-io" ~severity:Finding.Error ~file:path
-        loc message
-      :: !acc
-  in
-  (* loop_depth > 0 <=> the iterator is inside a while/for body; a closure
-     allocated there is (re)built on every iteration *)
-  let loop_depth = ref 0 in
-  let expr (self : Ast_iterator.iterator) (e : Parsetree.expression) =
-    match e.Parsetree.pexp_desc with
-    | Parsetree.Pexp_ident { txt; loc } ->
-        (match ident_path txt with
-        | [ ("input_byte" | "input_char") as f ] ->
-            add ~loc
-              (Printf.sprintf
-                 "per-byte channel read (%s) in an audited hot-IO module; \
-                  decode in blocks (Binc.decode_varints over an mmap \
-                  region) or justify the channel fallback in the allowlist"
-                 f)
-        | _ -> ())
-    | Parsetree.Pexp_while (cond, body) ->
-        self.Ast_iterator.expr self cond;
-        incr loop_depth;
-        self.Ast_iterator.expr self body;
-        decr loop_depth
-    | Parsetree.Pexp_for (_, lo, hi, _, body) ->
-        self.Ast_iterator.expr self lo;
-        self.Ast_iterator.expr self hi;
-        incr loop_depth;
-        self.Ast_iterator.expr self body;
-        decr loop_depth
-    | (Parsetree.Pexp_fun _ | Parsetree.Pexp_function _)
-      when !loop_depth > 0 ->
-        add ~loc:e.Parsetree.pexp_loc
-          "closure allocated inside a hot loop body; hoist it out of the \
-           loop (reuse one closure or inline the call) or justify the \
-           allocation in the allowlist";
-        (* one finding per closure, not per curried parameter: scan the
-           body as if at top level (a loop inside it re-arms the check) *)
-        let saved = !loop_depth in
-        loop_depth := 0;
-        Ast_iterator.default_iterator.Ast_iterator.expr self e;
-        loop_depth := saved
-    | _ -> Ast_iterator.default_iterator.Ast_iterator.expr self e
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  it.Ast_iterator.structure it str;
-  !acc
+  | _ -> false
 
 (* --- R9: durability hygiene ------------------------------------------- *)
 
@@ -385,30 +289,26 @@ let hot_io_findings ~path (str : Parsetree.structure) =
    exists to exercise — so every remaining channel-writer site carries an
    allowlist entry saying why a torn file is acceptable there.
 
-   The second half patrols the recovery machinery itself: a catch-all
-   handler wrapped around code that calls into the Fault or Durable layer
-   swallows Injected_crash, turning a simulated kill into a silently
-   absorbed no-op and making the crash matrix vacuous.  Handlers that
-   name their exceptions (as the supervisor does) or visibly re-raise are
-   fine. *)
+   The second half patrols the recovery machinery itself: a handler that
+   binds every exception around code that calls into the Fault or Durable
+   layer swallows Injected_crash, turning a simulated kill into a
+   silently absorbed no-op and making the crash matrix vacuous.  Handlers
+   that name their exceptions (as the supervisor does) or visibly
+   re-raise are fine. *)
 let durable_file_suffixes =
   [ "lib/workloads/trace_codec.ml"; "lib/workloads/trace_io.ml";
     "lib/util/durable.ml" ]
 
 let is_durable_audited path =
   let p = Finding.normalize_path path in
-  (match scope_of_path p with
-  | { area = `Lib; sublib = Some "serve" } -> true
-  | _ -> false)
-  || List.exists (has_suffix p) durable_file_suffixes
+  in_serve p || List.exists (has_suffix p) durable_file_suffixes
 
 let durability_findings ~path ~scope (str : Parsetree.structure) =
   let audited = is_durable_audited path in
   let acc = ref [] in
   let add ~loc message =
     acc :=
-      Finding.of_location ~rule:"r9-durability" ~severity:Finding.Error
-        ~file:path loc message
+      Finding.of_location ~rule:"r9-durability" ~file:path loc message
       :: !acc
   in
   (* does this subtree call into the fault / durable layer? *)
@@ -456,9 +356,10 @@ let durability_findings ~path ~scope (str : Parsetree.structure) =
     it.Ast_iterator.expr it e0;
     !found
   in
+  (* [e] or [_ as e]; a bare [_] is r5's finding everywhere *)
   let catch_all (p : Parsetree.pattern) =
     match p.Parsetree.ppat_desc with
-    | Parsetree.Ppat_any | Parsetree.Ppat_var _ -> true
+    | Parsetree.Ppat_var _ -> true
     | Parsetree.Ppat_alias ({ ppat_desc = Parsetree.Ppat_any; _ }, _) -> true
     | _ -> false
   in
@@ -520,10 +421,14 @@ let durability_findings ~path ~scope (str : Parsetree.structure) =
    peer departure, and route reads through the fault layer so the crash
    matrix reaches the networked path.  A bare [Unix.read] elsewhere in
    lib/serve silently loses all four properties — the kind of drift a
-   review won't catch once the module is large.  The second half flags
-   unbounded channel-read idioms ([input_line], [really_input], ...):
-   net-facing code must bound every read by a caller-supplied buffer or
-   an explicit limit, never by what the peer chooses to send. *)
+   review won't catch once the module is large.  The channel reads are
+   the second half: net-facing code must bound every read by a
+   caller-supplied buffer or an explicit limit, never by what the peer
+   chooses to send ([input_line], [really_input], ...), and the ingest
+   path decodes in blocks, not byte by byte ([input_byte]; the channel
+   fallback for pipes is allowlisted with its justification).  The
+   audited modules are lib/serve plus the two ingest decoders outside
+   it. *)
 let socket_syscall = function
   | [ "Unix";
       (( "read" | "write" | "single_write" | "accept" | "connect" | "select"
@@ -531,7 +436,7 @@ let socket_syscall = function
       Some f
   | _ -> None
 
-let unbounded_read_message = function
+let channel_read_message = function
   | [ (("input_line" | "really_input" | "really_input_string") as f) ]
   | [ "In_channel"; (("input_all" | "input_line") as f) ] ->
       Some
@@ -540,19 +445,25 @@ let unbounded_read_message = function
             every read by a caller-supplied buffer or explicit limit — \
             the peer must not control allocation"
            f)
+  | [ (("input_byte" | "input_char") as f) ] ->
+      Some
+        (Printf.sprintf
+           "per-byte channel read (%s) in a net-audited module; decode in \
+            blocks (Binc.decode_varints over an mmap region) or justify \
+            the channel fallback in the allowlist"
+           f)
   | _ -> None
 
 let is_net_audited path =
-  match scope_of_path (Finding.normalize_path path) with
-  | { area = `Lib; sublib = Some "serve" } -> true
-  | _ -> false
+  let p = Finding.normalize_path path in
+  in_serve p
+  || List.exists (has_suffix p) [ "lib/ring/trace.ml"; "lib/util/binc.ml" ]
 
 let net_findings ~path (str : Parsetree.structure) =
   let acc = ref [] in
   let add ~loc message =
     acc :=
-      Finding.of_location ~rule:"r10-net-safety" ~severity:Finding.Error
-        ~file:path loc message
+      Finding.of_location ~rule:"r10-net-safety" ~file:path loc message
       :: !acc
   in
   (* Exempt code lexically inside [module Sockio = struct ... end] — the
@@ -572,7 +483,7 @@ let net_findings ~path (str : Parsetree.structure) =
                   read hooks — call Sockio.%s or justify via allowlist"
                  f f)
         | _ -> ());
-        match unbounded_read_message p with
+        match channel_read_message p with
         | Some msg -> add ~loc msg
         | None -> ())
     | _ -> ());
@@ -600,18 +511,11 @@ let check_structure ~path (str : Parsetree.structure) =
   let scope = scope_of_path path in
   let exprs = expression_findings ~path ~scope str in
   let globals = if is_lib scope then toplevel_mutable_findings ~path str else [] in
-  let hot_io = if is_hot_io path then hot_io_findings ~path str else [] in
   let durability =
-    if is_durable_audited path || is_lib scope then
-      durability_findings ~path ~scope str
-    else []
+    if is_lib scope then durability_findings ~path ~scope str else []
   in
   let net = if is_net_audited path then net_findings ~path str else [] in
-  exprs @ globals @ hot_io @ durability @ net
-
-(* Interfaces carry no expressions, so only parse errors (reported by the
-   engine) apply today; kept as a hook for future signature rules. *)
-let check_signature ~path:_ (_sig : Parsetree.signature) = []
+  exprs @ globals @ durability @ net
 
 let missing_mli ~files =
   let set = Hashtbl.create (List.length files * 2) in
@@ -625,8 +529,7 @@ let missing_mli ~files =
         && not (Hashtbl.mem set (f ^ "i"))
       then
         Some
-          (Finding.make ~rule:"r6-missing-mli" ~severity:Finding.Error ~file:f
-             ~line:0 ~col:0
+          (Finding.make ~rule:"r6-missing-mli" ~file:f ~line:0 ~col:0
              "library module without an interface; add a .mli so the \
               public surface is deliberate")
       else None)
@@ -634,78 +537,64 @@ let missing_mli ~files =
 
 (* --- interprocedural rules (r11–r13) ---------------------------------- *)
 
-(* r11-hot-alloc: every direct allocation site inside a function
-   transitively reachable from a hot root.  Findings land on the
-   allocation site itself (not the path), so allowlist entries can scope
-   to file:line and the justification reads next to the code. *)
-let hot_alloc (effects : Effects.t) =
+(* The direct sites of every definition reachable from a root, as
+   findings.  They land on the site itself (not the path), so allowlist
+   entries can scope to file:line and the justification reads next to
+   the code. *)
+let reached_sites ~rule ~reach ~select ~message effects =
   List.concat_map
     (fun id ->
-      match Effects.hot_reach effects id with
-      | None -> []
-      | Some root -> (
-          match Effects.info effects id with
-          | None -> []
-          | Some info ->
-              let n = info.Effects.node in
-              List.filter_map
-                (fun (d : Effects.direct) ->
-                  if d.Effects.d_eff.Effects.alloc then
-                    Some
-                      (Finding.make ~rule:"r11-hot-alloc"
-                         ~severity:Finding.Error ~file:n.Index.file
-                         ~line:d.Effects.d_line ~col:d.Effects.d_col
-                         (Printf.sprintf
-                            "%s allocates (%s) and is reachable from hot \
-                             root %s — the audited hot paths must stay \
-                             allocation-free per call; hoist the \
-                             allocation, reuse a scratch buffer, or \
-                             justify the amortization via allowlist"
-                            n.Index.display d.Effects.d_what root))
-                  else None)
-                info.Effects.direct))
+      match (reach effects id, Effects.info effects id) with
+      | Some root, Some info ->
+          let n = info.Effects.node in
+          List.filter_map
+            (fun (s : Index.site) ->
+              Option.map
+                (fun what ->
+                  Finding.make ~rule ~file:n.Index.file ~line:s.Index.s_line
+                    ~col:s.Index.s_col
+                    (message n.Index.display what root))
+                (select s))
+            info.Effects.direct
+      | _ -> [])
     (Effects.node_ids effects)
+
+(* r11-hot-alloc: every allocation site inside a function transitively
+   reachable from a hot root. *)
+let hot_alloc =
+  reached_sites ~rule:"r11-hot-alloc" ~reach:Effects.hot_reach
+    ~select:(fun s ->
+      match s.Index.s_kind with Index.Alloc what -> Some what | _ -> None)
+    ~message:
+      (Printf.sprintf
+         "%s allocates (%s) and is reachable from hot root %s — the \
+          audited hot paths must stay allocation-free per call; hoist the \
+          allocation, reuse a scratch buffer, or justify the amortization \
+          via allowlist")
 
 (* r12-transitive-partial: unhandled partiality idioms reachable from the
    serve/net request path.  The reachability already refuses to cross
    handled call edges, and handled sites are skipped here — a [try] or
    [match ... with exception] on the path is the named handler the rule
    asks for. *)
-let transitive_partial (effects : Effects.t) =
-  List.concat_map
-    (fun id ->
-      match Effects.serve_reach effects id with
-      | None -> []
-      | Some root -> (
-          match Effects.info effects id with
-          | None -> []
-          | Some info ->
-              let n = info.Effects.node in
-              List.filter_map
-                (fun (d : Effects.direct) ->
-                  if d.Effects.d_eff.Effects.partial && not d.Effects.d_handled
-                  then
-                    Some
-                      (Finding.make ~rule:"r12-transitive-partial"
-                         ~severity:Finding.Error ~file:n.Index.file
-                         ~line:d.Effects.d_line ~col:d.Effects.d_col
-                         (Printf.sprintf
-                            "%s can raise from %s and is reachable from \
-                             serve root %s with no intervening handler — \
-                             a request must fail as a mapped error frame, \
-                             not an escaped Not_found/Failure; handle the \
-                             exception, use the total variant, or justify \
-                             via allowlist"
-                            n.Index.display d.Effects.d_what root))
-                  else None)
-                info.Effects.direct))
-    (Effects.node_ids effects)
+let transitive_partial =
+  reached_sites ~rule:"r12-transitive-partial" ~reach:Effects.serve_reach
+    ~select:(fun s ->
+      match s.Index.s_kind with
+      | Index.Partial what when not s.Index.s_handled -> Some what
+      | _ -> None)
+    ~message:
+      (Printf.sprintf
+         "%s can raise from %s and is reachable from serve root %s with no \
+          intervening handler — a request must fail as a mapped error \
+          frame, not an escaped Not_found/Failure; handle the exception, \
+          use the total variant, or justify via allowlist")
 
 (* r13-comparator-coverage: every comparator-shaped value exposed by a
    lib interface must be referenced from the test file set.  Names that
    collide with stdlib ([compare]/[equal]/[hash] bare) only count as
    covered under a qualified reference; distinctive names ([equal_foo],
-   [compare_severity]) also accept a bare reference (local open). *)
+   [compare_pair]) also accept a bare reference (local open). *)
 let is_comparator_name name =
   let seg = function "compare" | "equal" | "hash" -> true | _ -> false in
   seg name || List.exists seg (String.split_on_char '_' name)
@@ -733,8 +622,8 @@ let comparator_coverage ~(index : Index.t) ~(tests : Index.t) =
         && not (referenced e.Index.e_modname e.Index.e_name)
       then
         Some
-          (Finding.make ~rule:"r13-comparator-coverage" ~severity:Finding.Error
-             ~file:e.Index.e_file ~line:e.Index.e_line ~col:e.Index.e_col
+          (Finding.make ~rule:"r13-comparator-coverage" ~file:e.Index.e_file
+             ~line:e.Index.e_line ~col:e.Index.e_col
              (Printf.sprintf
                 "comparator %s.%s is exposed but never referenced from the \
                  test suite — the paper's guarantees ride on exact \
@@ -751,7 +640,7 @@ let descriptions =
        Hashtbl.hash anywhere; first-class =, <, min, max and structural \
        literals under (=) in lib/mts, lib/ring, lib/serve, lib/util" );
     ( "r2-nondeterminism",
-      "no wall-clock, Random.self_init or Domain.self in lib/ — \
+      "no clock reads (wall, CPU, monotonic) or Random.self_init in lib/ — \
        checkpoint/resume identity and pool byte-identity depend on lib/ \
        being a pure function of (seed, instance, requests)" );
     ( "r3-partial",
@@ -766,39 +655,35 @@ let descriptions =
        match specific constructors" );
     ("r6-missing-mli", "every lib/**/*.ml ships a corresponding .mli");
     ( "r7-domain-safety",
-      "no Domain API use or pool job submission in lib/ outside the \
-       audited Domain-safety allowlist — nested parallelism deadlocks \
-       and schedule-dependent state hide behind unaudited call sites" );
-    ( "r8-hot-io",
-      "no per-byte channel reads (input_byte / input_char) and no closure \
-       allocation inside loop bodies in the audited hot-IO modules \
-       (lib/serve, lib/ring/trace.ml, lib/util/binc.ml) — the ingest path \
-       decodes in blocks; the channel fallback is allowlisted with its \
-       justification" );
+      "no Domain API use (Domain.self included) or pool job submission in \
+       lib/ outside the audited Domain-safety allowlist — nested \
+       parallelism deadlocks and schedule-dependent state hide behind \
+       unaudited call sites" );
     ( "r9-durability",
       "no bare open_out / open_out_bin / open_out_gen in the \
        durability-audited modules (lib/serve, lib/workloads/trace_codec.ml, \
        lib/workloads/trace_io.ml, lib/util/durable.ml) — persistent state \
-       goes through Durable.atomic_write; and no catch-all handlers \
-       around Fault/Durable call sites in lib/, which would swallow \
-       Injected_crash and blind the crash matrix" );
+       goes through Durable.atomic_write; and no handler binding every \
+       exception around Fault/Durable call sites in lib/, which would \
+       swallow Injected_crash and blind the crash matrix" );
     ( "r10-net-safety",
       "no raw socket syscalls (Unix.read / write / accept / connect / \
-       select / send / recv ...) in lib/serve outside the audited Sockio \
-       wrappers — which retry EINTR, surface would-block, map peer resets \
-       and route reads through the fault layer — and no unbounded channel \
-       reads (input_line / really_input) in net-audited modules" );
+       select / send / recv ...) outside the audited Sockio wrappers — \
+       which retry EINTR, surface would-block, map peer resets and route \
+       reads through the fault layer — and no unbounded (input_line / \
+       really_input) or per-byte (input_byte / input_char) channel reads, \
+       in lib/serve, lib/ring/trace.ml and lib/util/binc.ml" );
     ( "r11-hot-alloc",
       "no heap allocation (closures, tuples, records, list conses, \
-       Array.append / @ / ^ / sprintf ...) in functions transitively \
-       reachable from the audited hot roots — Engine.ingest*, the \
-       solver step Dynamic_alg.serve and the Binc block decoders — \
-       outside justified allowlist entries" );
+       escaping refs, Array.append / @ / ^ / sprintf ...) in functions \
+       transitively reachable from the audited hot roots — \
+       Engine.ingest*, the solver step Dynamic_alg.serve and the Binc \
+       block decoders — outside justified allowlist entries" );
     ( "r12-transitive-partial",
-      "no unnamed partiality (List.hd / Option.get / Hashtbl.find / \
-       int_of_string ...) reachable from the serve/net request path \
-       without an intervening exception handler — requests fail as \
-       mapped error frames, never as escaped Not_found" );
+      "no unnamed partiality (Hashtbl.find / List.find / int_of_string \
+       ...) reachable from the serve/net request path without an \
+       intervening exception handler — requests fail as mapped error \
+       frames, never as escaped Not_found" );
     ( "r13-comparator-coverage",
       "every comparator/equal/hash value exposed in a lib/**.mli is \
        referenced from test/ — exactness of comparators is what the \
@@ -809,26 +694,28 @@ let descriptions =
 (* --- --explain texts --------------------------------------------------- *)
 
 let explain rule =
-  let find k = List.assoc_opt k descriptions in
   let extended =
     match rule with
     | "r11-hot-alloc" ->
         Some
           "Interprocedural: the linter indexes every value definition in \
            the scanned tree (lib/lint/index.ml), resolves call heads \
-           across modules, and runs a fixpoint (lib/lint/effects.ml) \
-           marking each function that allocates per call — closures, \
-           tuples, records, array/list literals, cons cells, and \
-           allocating stdlib such as @, ^, Array.append, List.map and \
-           Printf.sprintf.  Findings are the direct allocation sites \
-           inside any function transitively reachable from a hot root: \
-           Engine.ingest*, Dynamic_alg.serve, Binc.decode_varints*, plus \
-           any --hot-root extras.  First-class dispatch through record \
-           fields (the Online interface) is invisible to the index, which \
-           is why the solver-side serve is a root in its own right.  \
-           Amortized allocations (per-batch scratch, startup-only paths) \
-           belong in lint/allowlist.txt with a written justification; \
-           per-element allocations in steady state are bugs."
+           across modules into a call graph (lib/lint/effects.ml) and \
+           walks it from the hot roots: Engine.ingest*, \
+           Dynamic_alg.serve, Binc.decode_varints*, plus any --hot-root \
+           extras.  Findings are the direct allocation sites inside every \
+           function reached — closures (one per closure, however many \
+           parameters; a closure in a loop body is rebuilt every \
+           iteration), tuples, records, array/list literals, cons cells, \
+           refs that escape (a ref used only through !, :=, incr and decr \
+           outside any closure is a mutable local and allocates nothing), \
+           and allocating stdlib such as @, ^, Array.append, List.map and \
+           Printf.sprintf.  First-class dispatch through record fields \
+           (the Online interface) is invisible to the index, which is why \
+           the solver-side serve is a root in its own right.  Amortized \
+           allocations (per-batch scratch, error-raise paths) belong in \
+           lint/allowlist.txt with a written justification, scoped to \
+           their line; per-element allocations in steady state are bugs."
     | "r12-transitive-partial" ->
         Some
           "Interprocedural: using the same call graph as r11, the serve \
@@ -836,13 +723,13 @@ let explain rule =
            Tenant.serve* — are traversed without crossing call edges that \
            sit under a try or a match-with-exception case: a handler on \
            the path is exactly the interposition the rule asks for.  Any \
-           reachable unhandled partiality idiom (List.hd, List.tl, \
-           Option.get, Hashtbl.find, Stack.pop, Queue.pop, int_of_string, \
-           String.index, ...) is reported at its site.  Deliberate \
-           failwith/invalid_arg with a written invariant message are not \
-           counted — the rule patrols *unnamed* partiality, the kind that \
-           escapes as Not_found and tears down a connection without a \
-           mapped error frame."
+           reachable unhandled partiality idiom (Hashtbl.find, List.find, \
+           List.nth, Stack.pop, Queue.pop, int_of_string, String.index, \
+           ...) is reported at its site; List.hd, List.tl and Option.get \
+           are r3's everywhere.  Deliberate failwith/invalid_arg with a \
+           written invariant message are not counted — the rule patrols \
+           *unnamed* partiality, the kind that escapes as Not_found and \
+           tears down a connection without a mapped error frame."
     | "r13-comparator-coverage" ->
         Some
           "Cross-checked against the test file set: every value whose \
@@ -851,13 +738,12 @@ let explain rule =
            referenced somewhere under test/.  Bare-stdlib-colliding names \
            (compare, equal, hash exactly) only count as covered under a \
            qualified reference (M.compare); distinctive names also accept \
-           a bare reference under a local open.  The ROADMAP's \
-           million-scale push names this ratchet explicitly: the \
-           competitive-ratio harness trusts comparator exactness, so an \
-           untested comparator is an unverified invariant."
+           a bare reference under a local open.  The competitive-ratio \
+           harness trusts comparator exactness, so an untested comparator \
+           is an unverified invariant."
     | _ -> None
   in
-  match (find rule, extended) with
+  match (List.assoc_opt rule descriptions, extended) with
   | None, _ -> None
   | Some d, None -> Some d
   | Some d, Some e -> Some (d ^ "\n\n" ^ e)

@@ -1,7 +1,7 @@
 (* SARIF 2.1.0 rendering of a lint outcome, for CI code-scanning upload.
 
    One run, one driver ("rbgp-lint"), rules from [Rules.descriptions].
-   Live findings become results at their own level; allowlist-suppressed
+   Live findings become results at level "error"; allowlist-suppressed
    findings are emitted too, carrying a [suppressions] entry whose
    justification is the allowlist's written one — so the PR annotation
    view shows *why* a site is accepted, not just that it is.
@@ -13,15 +13,6 @@
 
 let schema_uri =
   "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
-
-let level_of_severity = function
-  | Finding.Error -> "error"
-  | Finding.Warning -> "warning"
-
-let severity_of_level = function
-  | "error" -> Some Finding.Error
-  | "warning" -> Some Finding.Warning
-  | _ -> None
 
 let rule_descriptor (id, desc) =
   Ljson.Obj
@@ -53,7 +44,7 @@ let result ?suppression (f : Finding.t) =
   let base =
     [
       ("ruleId", Ljson.Str f.Finding.rule);
-      ("level", Ljson.Str (level_of_severity f.Finding.severity));
+      ("level", Ljson.Str "error");
       ("message", Ljson.Obj [ ("text", Ljson.Str f.Finding.message) ]);
       ("locations", Ljson.Arr [ location f ]);
     ]
@@ -123,8 +114,6 @@ let req what = function Some v -> Ok v | None -> Error ("sarif: missing " ^ what
 
 let finding_of_result j =
   let* rule = req "ruleId" Option.(Ljson.member "ruleId" j |> fold ~none:None ~some:Ljson.to_str) in
-  let* level = req "level" Option.(Ljson.member "level" j |> fold ~none:None ~some:Ljson.to_str) in
-  let* severity = req "level value" (severity_of_level level) in
   let* message =
     req "message.text"
       Option.(
@@ -156,7 +145,7 @@ let finding_of_result j =
           Option.value ~default:1 (get "startColumn") - 1 )
     | None -> (0, 0)
   in
-  Ok (Finding.make ~rule ~severity ~file ~line ~col message)
+  Ok (Finding.make ~rule ~file ~line ~col message)
 
 let is_suppressed j =
   match Ljson.member "suppressions" j with

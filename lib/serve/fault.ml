@@ -232,15 +232,3 @@ let mangle_batch dst ~got =
       true
     end
     else false
-
-let mangle_one e =
-  match !state with
-  | None -> e
-  | Some p ->
-    let i = p.reads in
-    p.reads <- i + 1;
-    if p.read_flip = i then begin
-      p.read_flip <- -1;
-      e lxor (1 lsl 30)
-    end
-    else e

@@ -66,6 +66,3 @@ val mangle_batch : int array -> got:int -> bool
 (** Corrupt the planned delivered-request ordinal if it falls in this
     batch of [got] requests; returns [true] if a value was mangled (the
     caller must then re-validate the batch). *)
-
-val mangle_one : int -> int
-(** Single-request variant of [mangle_batch]. *)

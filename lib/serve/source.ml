@@ -109,13 +109,8 @@ let open_file ?(format = `Auto) ?(mmap = `Auto) ~n path =
       of_channel ~path ~owns_channel:true ~format ~n (open_in_bin path)
 
 (* An injected frame corruption must surface exactly like a real decode
-   failure, so mangled values are re-validated here with an offset-bearing
-   message. *)
-let check_injected t e =
-  if e < 0 || e >= t.n then
-    fail ~path:t.path "injected corruption: edge %d out of [0, %d)" e t.n;
-  e
-
+   failure, so mangled values are re-validated here with a message naming
+   the batch index. *)
 let revalidate_batch t dst got =
   for j = 0 to got - 1 do
     if dst.(j) < 0 || dst.(j) >= t.n then
@@ -123,23 +118,6 @@ let revalidate_batch t dst got =
         "injected corruption: edge %d out of [0, %d) at batch index %d"
         dst.(j) t.n j
   done
-
-let next t =
-  match t.backend with
-  | Channel c ->
-      let r = c.next_req () in
-      if Fault.armed () then
-        Option.map (fun e -> check_injected t (Fault.mangle_one e)) r
-      else r
-  | Mapped m ->
-      if Fault.armed () then
-        let r =
-          Durable.retry_transient (fun () ->
-              Fault.before_read ();
-              Trace_codec.region_request_opt ~path:m.path m.region ~n:t.n)
-        in
-        Option.map (fun e -> check_injected t (Fault.mangle_one e)) r
-      else Trace_codec.region_request_opt ~path:m.path m.region ~n:t.n
 
 let next_batch t dst ~limit =
   if limit < 0 || limit > Array.length dst then

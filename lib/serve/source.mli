@@ -2,9 +2,9 @@
     stdin, in either the text ({!Rbgp_workloads.Trace_io}) or framed
     binary ({!Rbgp_workloads.Trace_codec}) format.
 
-    A source yields one validated edge per {!next} call — or a whole
-    block per {!next_batch} call — and reports a clean end-of-stream, so
-    the serving loop never materializes the trace.
+    A source yields a block of validated edges per {!next_batch} call
+    and reports a clean end-of-stream, so the serving loop never
+    materializes the trace.
 
     Regular binary trace files are mmap'ed by default (see {!open_file}):
     requests are block-decoded straight out of the mapped bytes with no
@@ -52,18 +52,15 @@ val open_file : ?format:format -> ?mmap:mmap -> n:int -> string -> t
     served through the block decoder.  Construction failures never leak
     the underlying descriptor.  The caller must {!close}. *)
 
-val next : t -> int option
-(** The next request, validated against [n]; raises [Invalid_argument]
-    (naming the path) on malformed input. *)
-
 val next_batch : t -> int array -> limit:int -> int
 (** [next_batch t dst ~limit] fills [dst.(0 ..)] with up to [limit]
-    requests and returns how many were delivered; [0] only at a clean
-    end-of-stream.  On the mmap backend this is one block decode; on a
-    channel it loops {!next} (and therefore blocks until [limit] requests
-    arrive or the stream ends).  Complete frames before a torn tail are
-    delivered, then the next call raises — identical to calling {!next}
-    repeatedly.  Raises [Invalid_argument] when [limit] is outside
+    requests, each validated against [n], and returns how many were
+    delivered; [0] only at a clean end-of-stream.  On the mmap backend
+    this is one block decode, and complete frames before a torn tail are
+    delivered before the next call raises; on a channel it pulls request
+    by request (and therefore blocks until [limit] requests arrive or the
+    stream ends).  Raises [Invalid_argument] (naming the path) on
+    malformed input, and when [limit] is outside
     [0 .. Array.length dst]. *)
 
 val header : t -> Rbgp_workloads.Trace_codec.header option

@@ -113,18 +113,6 @@ let decode_requests_into ?path r ~n out ~limit =
   done;
   got
 
-let region_request_opt ?path r ~n =
-  if Binc.region_at_end r then None
-  else
-    match Binc.region_read_varint r with
-    | e ->
-        if e < 0 || e >= n then
-          fail ?path "edge %d out of [0, %d) (frame ends at byte %d)" e n
-            (Binc.region_pos r);
-        Some e
-    | exception Invalid_argument _ ->
-        fail ?path "torn frame (truncated varint at byte %d)" (Binc.region_pos r)
-
 let write ~path ~n ?(ell = 0) ?(seed = 0) trace =
   let oc = open_out_bin path in
   Fun.protect

@@ -70,11 +70,6 @@ val decode_requests_into :
     of region.  Complete frames before a torn tail are delivered; the
     next call raises. *)
 
-val region_request_opt :
-  ?path:string -> Rbgp_util.Binc.region -> n:int -> int option
-(** Single-request pull from a region — [input_request_opt] for the mmap
-    path. *)
-
 val write :
   path:string -> n:int -> ?ell:int -> ?seed:int -> int array -> unit
 

@@ -1,8 +1,9 @@
 (* Tests for the repo-specific static-analysis pass (lib/lint).
 
-   Per rule R1..R7: one fixture the rule must flag and one it must not.
-   Then the allowlist contract (justification mandatory, suppression,
-   line scoping, expiry, staleness), the JSON reporter round-trip, and a
+   Per rule: fixtures the rule must flag and fixtures it must not, and a
+   check that a site two rules could claim carries one rule id.  Then the
+   allowlist contract (justification mandatory, suppression, line
+   scoping, expiry, staleness), the JSON and SARIF round-trips, and a
    self-lint check asserting the repository itself is clean under the
    checked-in allowlist. *)
 
@@ -61,7 +62,7 @@ let test_r2 () =
     ~path:"lib/core/fake.ml" "let () = Random.self_init ()";
   check_flags "Sys.time in lib flagged" "r2-nondeterminism"
     ~path:"lib/util/fake.ml" "let t () = Sys.time ()";
-  check_flags "Domain.self in lib flagged" "r2-nondeterminism"
+  check_clean "Domain.self is r7's, not r2's" "r2-nondeterminism"
     ~path:"lib/util/fake.ml" "let d () = Domain.self ()";
   check_flags "monotonic clock in lib flagged" "r2-nondeterminism"
     ~path:"lib/serve/fake.ml" "let t () = Rbgp_util.Clock.now_ns ()";
@@ -155,39 +156,6 @@ let test_r7 () =
   check_clean "unrelated module members are clean" "r7-domain-safety"
     ~path:"lib/ring/fake.ml" "let f x = Array.length x + Int.abs x"
 
-(* --- R8: hot-IO hygiene ------------------------------------------------ *)
-
-let test_r8 () =
-  check_flags "input_byte in lib/serve flagged" "r8-hot-io"
-    ~path:"lib/serve/fake.ml" "let f ic = input_byte ic";
-  check_flags "Stdlib.input_char in binc flagged" "r8-hot-io"
-    ~path:"lib/util/binc.ml" "let f ic = Stdlib.input_char ic";
-  check_flags "input_byte in the trace recorder flagged" "r8-hot-io"
-    ~path:"lib/ring/trace.ml" "let f ic = input_byte ic";
-  check_flags "closure built in a while body flagged" "r8-hot-io"
-    ~path:"lib/serve/fake.ml"
-    "let f xs = while !xs > 0 do ignore (List.map (fun x -> x) []) done";
-  check_flags "closure built in a for body flagged" "r8-hot-io"
-    ~path:"lib/serve/fake.ml"
-    "let f n a = for i = 0 to n do ignore (Array.init i (fun j -> a + j)) \
-     done";
-  (Alcotest.check Alcotest.int)
-    "curried closure in a loop is one finding, not one per parameter" 1
-    (count "r8-hot-io" ~path:"lib/serve/fake.ml"
-       "let f n = for _ = 0 to n do ignore (fun a b c -> a + b + c) done");
-  check_clean "input_byte outside the audited modules is clean" "r8-hot-io"
-    ~path:"lib/workloads/fake.ml" "let f ic = input_byte ic";
-  check_clean "input_byte in bin/ is clean" "r8-hot-io" ~path:"bin/fake.ml"
-    "let f ic = input_byte ic";
-  check_clean "closure outside a loop is clean" "r8-hot-io"
-    ~path:"lib/serve/fake.ml" "let f xs = List.map (fun x -> x + 1) xs";
-  check_clean "loop without closures is clean" "r8-hot-io"
-    ~path:"lib/serve/fake.ml"
-    "let f a = for i = 0 to Array.length a - 1 do a.(i) <- i done";
-  check_clean "closure containing a loop is clean" "r8-hot-io"
-    ~path:"lib/serve/fake.ml"
-    "let f a = Array.iter (fun x -> for _ = 0 to x do ignore x done) a"
-
 (* --- R9: durability hygiene -------------------------------------------- *)
 
 let test_r9 () =
@@ -198,13 +166,23 @@ let test_r9 () =
   check_flags "open_out_gen in the binary trace writer flagged"
     "r9-durability" ~path:"lib/workloads/trace_codec.ml"
     "let f path = open_out_gen [ Open_binary ] 0o644 path";
-  check_flags "catch-all try around a Fault hook flagged" "r9-durability"
+  check_flags "bound handler around a Fault hook flagged" "r9-durability"
     ~path:"lib/serve/fake.ml"
-    "let f step = try Fault.crash_check ~step with _ -> ()";
+    "let f step = try Fault.crash_check ~step with e -> ignore e";
   check_flags "bare-variable handler around Durable flagged" "r9-durability"
     ~path:"lib/util/fake.ml"
     "let f path d = try Durable.atomic_write ~path d with e -> ignore e";
-  check_flags "catch-all [exception _] around a Fault hook flagged"
+  check_flags "[_ as e] handler around a Fault hook flagged" "r9-durability"
+    ~path:"lib/serve/fake.ml"
+    "let f step = try Fault.crash_check ~step with _ as e -> ignore e";
+  check_flags "bound [exception e] around a Fault hook flagged"
+    "r9-durability" ~path:"lib/serve/fake.ml"
+    "let f step = match Fault.crash_check ~step with () -> 0 \
+     | exception e -> ignore e; 1";
+  check_clean "bare [_] around a Fault hook is r5's, not r9's"
+    "r9-durability" ~path:"lib/serve/fake.ml"
+    "let f step = try Fault.crash_check ~step with _ -> ()";
+  check_clean "bare [exception _] around a Fault hook is r5's, not r9's"
     "r9-durability" ~path:"lib/serve/fake.ml"
     "let f step = match Fault.crash_check ~step with () -> 0 \
      | exception _ -> 1";
@@ -220,9 +198,9 @@ let test_r9 () =
     ~path:"lib/util/fake.ml"
     "let f path d = try Durable.atomic_write ~path d with e -> ignore d; \
      raise e";
-  check_clean "catch-all far from the recovery layer is only r5"
+  check_clean "bound handler far from the recovery layer is clean"
     "r9-durability" ~path:"lib/offline/fake.ml"
-    "let f g = try g () with _ -> ()"
+    "let f g = try g () with e -> ignore e"
 
 (* --- R10: net safety --------------------------------------------------- *)
 
@@ -240,6 +218,16 @@ let test_r10 () =
     ~path:"lib/serve/fake.ml" "let f ic = input_line ic";
   check_flags "really_input_string in lib/serve flagged" "r10-net-safety"
     ~path:"lib/serve/fake.ml" "let f ic n = really_input_string ic n";
+  check_flags "input_byte in lib/serve flagged" "r10-net-safety"
+    ~path:"lib/serve/fake.ml" "let f ic = input_byte ic";
+  check_flags "Stdlib.input_char in binc flagged" "r10-net-safety"
+    ~path:"lib/util/binc.ml" "let f ic = Stdlib.input_char ic";
+  check_flags "input_byte in the trace recorder flagged" "r10-net-safety"
+    ~path:"lib/ring/trace.ml" "let f ic = input_byte ic";
+  check_clean "input_byte outside the audited modules is clean"
+    "r10-net-safety" ~path:"lib/workloads/fake.ml" "let f ic = input_byte ic";
+  check_clean "input_byte in bin/ is clean" "r10-net-safety"
+    ~path:"bin/fake.ml" "let f ic = input_byte ic";
   check_clean "Unix.read inside Sockio is clean" "r10-net-safety"
     ~path:"lib/serve/fake.ml"
     "module Sockio = struct let f fd b = Unix.read fd b 0 16 end";
@@ -363,7 +351,6 @@ let test_json_roundtrip () =
       suppressed = [];
       expired = [];
       stale = [];
-      baseline_skipped = 0;
     }
   in
   let json = Reporter.to_json_string outcome in
@@ -395,8 +382,16 @@ let rules_of_findings fs = List.map (fun f -> f.Finding.rule) fs
 
 let has_rule rule fs = List.mem rule (rules_of_findings fs)
 
+(* Allocation sites as the index counts them, behind a hot root. *)
+let hot_sites body =
+  List.map
+    (fun f -> (f.Finding.line, f.Finding.col))
+    (Rules.hot_alloc (effects_of [ ("lib/serve/engine.ml", body) ]))
+
 (* R11: an allocation two calls away from a hot root is visible; the same
-   allocation in an unreachable module is not. *)
+   allocation in an unreachable module is not.  A closure is one site
+   however curried, and one built in a loop body on a hot path is r11's
+   like any other closure there. *)
 let test_r11 () =
   let flagged =
     Rules.hot_alloc
@@ -456,40 +451,116 @@ let test_r11 () =
          ])
   in
   Alcotest.(check int) "constant initializer is not a per-call alloc" 0
-    (List.length const)
+    (List.length const);
+  Alcotest.(check int) "closure built in a for body on a hot path" 1
+    (List.length
+       (hot_sites
+          "let ingest t es =\n\
+          \  for _ = 1 to 2 do Array.iter (fun e -> ignore (t + e)) es done\n"));
+  Alcotest.(check int) "closure built in a while body on a hot path" 1
+    (List.length
+       (hot_sites
+          "let ingest xs = while !xs > 0 do ignore (fun x -> x) done\n"));
+  Alcotest.(check int)
+    "curried closure is one finding, not one per parameter" 1
+    (List.length
+       (hot_sites
+          "let ingest n = for _ = 0 to n do ignore (fun a b c -> a + b + c) done\n"));
+  Alcotest.(check int) "the same loop off the hot path is clean" 0
+    (List.length
+       (Rules.hot_alloc
+          (effects_of
+             [
+               ( "lib/serve/cold.ml",
+                 "let f es = for _ = 1 to 2 do Array.iter (fun e -> ignore e) es done\n"
+               );
+             ])))
+
+(* A ref that only [!], [:=], [incr] and [decr] touch, outside every
+   closure, is a mutable local: no allocation.  One that escapes — is
+   returned, passed on, or captured by a closure — is a heap cell. *)
+let test_r11_local_refs () =
+  Alcotest.(check (list (pair int int)))
+    "loop-local refs are clean" []
+    (hot_sites
+       "let ingest a =\n\
+       \  let i = ref 0 and acc = ref 0 in\n\
+       \  while !i < Array.length a do\n\
+       \    acc := !acc + a.(!i);\n\
+       \    incr i\n\
+       \  done;\n\
+       \  decr acc;\n\
+       \  !acc\n");
+  Alcotest.(check (list (pair int int)))
+    "a returned ref is flagged" [ (1, 23) ]
+    (hot_sites "let ingest x = let r = ref x in incr r; r\n");
+  Alcotest.(check (list (pair int int)))
+    "a ref passed to a call is flagged" [ (1, 23) ]
+    (hot_sites "let ingest x = let r = ref x in ignore r; 0\n");
+  Alcotest.(check (list (pair int int)))
+    "a ref captured by a closure is flagged, with the closure"
+    [ (1, 23); (1, 42) ]
+    (hot_sites
+       "let ingest x = let r = ref x in List.iter (fun y -> r := y) [];\n\
+       \  !r\n");
+  Alcotest.(check (list (pair int int)))
+    "the init expression is still scanned" [ (1, 27) ]
+    (hot_sites "let ingest x = let r = ref (x, x) in !r\n")
+
+(* A name bound twice in one file is two definitions: both are analysed,
+   and each site is reported once. *)
+let test_shadowed_definitions () =
+  let sources =
+    [
+      ("lib/serve/engine.ml", "let ingest t e = Helper.build t e\n");
+      ( "lib/serve/helper.ml",
+        "let build t e = (t, e)\nlet build t e = ignore [ t ]; e\n" );
+    ]
+  in
+  let ids =
+    List.map
+      (fun (n : Index.node) -> n.Index.id)
+      (Index.nodes (Index.of_sources sources))
+  in
+  Alcotest.(check (list string))
+    "the earlier binding gets an @line id"
+    [
+      "lib/serve/engine.ml#ingest";
+      "lib/serve/helper.ml#build";
+      "lib/serve/helper.ml#build@1";
+    ]
+    ids;
+  Alcotest.(check (list (pair string int)))
+    "both definitions' sites, each once"
+    [ ("lib/serve/helper.ml", 1); ("lib/serve/helper.ml", 2) ]
+    (List.map
+       (fun f -> (f.Finding.file, f.Finding.line))
+       (List.sort Finding.compare (Rules.hot_alloc (effects_of sources))))
 
 (* R12: unhandled partiality reachable from the serve path flags; a
    handler on the path masks it. *)
 let test_r12 () =
-  let flagged =
-    Rules.transitive_partial
-      (effects_of
-         [
-           ( "lib/serve/net.ml",
-             "let pick l = List.hd l\nlet handle_req conn = pick conn\n" );
-         ])
+  let partial src =
+    Rules.transitive_partial (effects_of [ ("lib/serve/net.ml", src) ])
   in
   Alcotest.(check bool)
-    "List.hd behind handle_req flags" true
-    (has_rule "r12-transitive-partial" flagged);
-  let handled =
-    Rules.transitive_partial
-      (effects_of
-         [
-           ( "lib/serve/net.ml",
-             "let pick l = List.hd l\n\
-              let handle_req conn = try pick conn with Failure _ -> 0\n" );
-         ])
-  in
+    "Hashtbl.find behind handle_req flags" true
+    (has_rule "r12-transitive-partial"
+       (partial
+          "let pick t = Hashtbl.find t 0\nlet handle_req conn = pick conn\n"));
   Alcotest.(check int) "a try on the path is the named handler" 0
-    (List.length handled);
-  let unreachable =
-    Rules.transitive_partial
-      (effects_of
-         [ ("lib/serve/util2.ml", "let pick l = List.hd l\n") ])
-  in
-  Alcotest.(check int) "partiality off the serve path is r3's business" 0
-    (List.length unreachable)
+    (List.length
+       (partial
+          "let pick t = Hashtbl.find t 0\n\
+           let handle_req conn = try pick conn with Not_found -> 0\n"));
+  Alcotest.(check int) "List.hd on the path is r3's, not r12's" 0
+    (List.length
+       (partial "let pick l = List.hd l\nlet handle_req conn = pick conn\n"));
+  Alcotest.(check int) "partiality off the serve path is clean" 0
+    (List.length
+       (Rules.transitive_partial
+          (effects_of
+             [ ("lib/serve/util2.ml", "let pick t = Hashtbl.find t 0\n") ])))
 
 (* R13: an exposed comparator with no test reference flags; a qualified
    test reference covers it; a bare stdlib-colliding name does not. *)
@@ -525,38 +596,89 @@ let test_r13 () =
     [ "r13-comparator-coverage" ]
     (rules_of_findings bare)
 
-(* The effect lattice itself: fixpoint across modules, handler masking,
-   and the two comparators the coverage rule patrols. *)
-let test_effect_lattice () =
+(* Root reachability across modules: the hot traversal crosses a handled
+   call edge (a caught allocation still allocates), the serve traversal
+   stops at it, and constant bindings are never entered. *)
+let test_reachability () =
   let fx =
     effects_of
       [
+        ( "lib/serve/net.ml",
+          "let handle_req l = try Alpha.mid l with Not_found -> 0\n\
+           let handle_frame l = Alpha.mid l\n" );
         ( "lib/core/alpha.ml",
-          "let base l = List.hd l\n\
+          "let base l = List.find (fun x -> x > 0) l\n\
            let mid l = base l\n\
-           let top l = try mid l with Failure _ -> 0\n\
-           let mk x = (x, x)\n\
-           let wrap x = mk x\n" );
+           let table = Array.make 4 0\n" );
+        ( "lib/core/dynamic_alg.ml",
+          "let serve t l = try Alpha.mid l + Alpha.table.(t) with Not_found -> 0\n"
+        );
       ]
   in
-  let eff name = Effects.effect_of fx ("lib/core/alpha.ml#" ^ name) in
-  Alcotest.(check bool) "base is partial" true (eff "base").Effects.partial;
-  Alcotest.(check bool) "mid inherits partial" true (eff "mid").Effects.partial;
-  Alcotest.(check bool) "top's handler masks partial" false
-    (eff "top").Effects.partial;
-  Alcotest.(check bool) "mk allocates" true (eff "mk").Effects.alloc;
-  Alcotest.(check bool) "wrap inherits alloc" true (eff "wrap").Effects.alloc;
-  Alcotest.(check bool) "eff_union is monotone" true
-    (Effects.eff_union (eff "mid") (eff "mk")).Effects.alloc;
-  (* the exposed comparators r13 patrols, exercised directly *)
-  Alcotest.(check bool) "eff_equal bot=bot" true
-    (Effects.eff_equal Effects.eff_bot Effects.eff_bot);
-  Alcotest.(check bool) "eff_equal distinguishes alloc" false
-    (Effects.eff_equal Effects.eff_bot (eff "mk"));
-  Alcotest.(check bool) "compare_severity: errors sort first" true
-    (Finding.compare_severity Finding.Error Finding.Warning < 0);
-  Alcotest.(check int) "compare_severity: reflexive" 0
-    (Finding.compare_severity Finding.Warning Finding.Warning)
+  let id name = "lib/core/alpha.ml#" ^ name in
+  Alcotest.(check (option string))
+    "hot traversal crosses the handler" (Some "Dynamic_alg.serve")
+    (Effects.hot_reach fx (id "base"));
+  Alcotest.(check (option string))
+    "serve traversal reaches base through the unhandled edge"
+    (Some "Net.handle_frame")
+    (Effects.serve_reach fx (id "base"));
+  Alcotest.(check (option string))
+    "a constant binding is not entered" None
+    (Effects.hot_reach fx (id "table"));
+  let handled_only =
+    effects_of
+      [
+        ( "lib/serve/net.ml",
+          "let handle_req l = try Alpha.mid l with Not_found -> 0\n" );
+        ("lib/core/alpha.ml", "let mid l = List.find (fun x -> x > 0) l\n");
+      ]
+  in
+  Alcotest.(check (option string))
+    "serve traversal stops at the handler" None
+    (Effects.serve_reach handled_only (id "mid"))
+
+(* A site that two rules could claim carries one rule id: Domain.self is
+   r7's (r2 does not repeat it), a catch-all around a Fault hook is r5's
+   (r9 keeps handlers that bind the exception), and List.hd behind a
+   serve root is r3's (r12 keeps the partiality r3 does not see). *)
+let test_one_rule_per_site () =
+  let sources =
+    [
+      ("lib/util/fake.ml", "let d () = Domain.self ()\n");
+      ( "lib/serve/fake.ml",
+        "let f step = try Fault.crash_check ~step with _ -> ()\n" );
+      ( "lib/serve/net.ml",
+        "let pick l = List.hd l\nlet handle_req conn = pick conn\n" );
+    ]
+  in
+  let fx = effects_of sources in
+  let findings =
+    List.concat_map (fun (path, src) -> Engine.lint_source ~path src) sources
+    @ Rules.hot_alloc fx @ Rules.transitive_partial fx
+  in
+  let site f = (f.Finding.file, f.Finding.line, f.Finding.col) in
+  let sites = List.sort_uniq Stdlib.compare (List.map site findings) in
+  Alcotest.(check int) "three sites" 3 (List.length sites);
+  List.iter
+    (fun s ->
+      let rules =
+        List.sort_uniq String.compare
+          (List.filter_map
+             (fun f ->
+               if Stdlib.( = ) (site f) s then Some f.Finding.rule else None)
+             findings)
+      in
+      let file, line, col = s in
+      Alcotest.(check int)
+        (Printf.sprintf "%s:%d:%d has one rule id (%s)" file line col
+           (String.concat ", " rules))
+        1 (List.length rules))
+    sites;
+  Alcotest.(check (list string))
+    "owned by r7, r5 and r3"
+    [ "r3-partial"; "r5-catchall-exn"; "r7-domain-safety" ]
+    (List.sort_uniq String.compare (rules_of_findings findings))
 
 (* --explain has long-form text for the interprocedural rules and rejects
    unknown ids. *)
@@ -620,20 +742,18 @@ let outcome_of_live live =
     suppressed = [];
     expired = [];
     stale = [];
-    baseline_skipped = 0;
   }
 
 let finding_gen =
   let open QCheck2.Gen in
   let rule = oneofl [ "r1-poly-compare"; "r11-hot-alloc"; "r12-transitive-partial"; "r13-comparator-coverage" ] in
   let file = oneofl [ "lib/mts/mts.ml"; "lib/serve/engine.ml"; "lib/util/pool.mli" ] in
-  let sev = oneofl [ Finding.Error; Finding.Warning ] in
   (* line >= 1: whole-file findings (line 0) drop the SARIF region and
      are pinned by a separate deterministic case below *)
-  let* rule = rule and* file = file and* severity = sev in
+  let* rule = rule and* file = file in
   let* line = 1 -- 500 and* col = 0 -- 120 in
   let* message = string_size ~gen:(char_range 'a' 'z') (5 -- 40) in
-  return (Finding.make ~rule ~severity ~file ~line ~col message)
+  return (Finding.make ~rule ~file ~line ~col message)
 
 let sorted fs = List.sort Finding.compare fs
 
@@ -666,11 +786,13 @@ let qcheck_json_roundtrip =
    omit the region; suppressed findings carry the justification and are
    excluded from parse-back. *)
 let test_sarif_shape () =
-  let whole = Finding.make ~rule:"r6-missing-mli" ~severity:Finding.Error
-      ~file:"lib/core/x.ml" ~line:0 ~col:0 "no mli"
+  let whole =
+    Finding.make ~rule:"r6-missing-mli" ~file:"lib/core/x.ml" ~line:0 ~col:0
+      "no mli"
   in
-  let site = Finding.make ~rule:"r11-hot-alloc" ~severity:Finding.Error
-      ~file:"lib/util/pool.ml" ~line:35 ~col:31 "allocates"
+  let site =
+    Finding.make ~rule:"r11-hot-alloc" ~file:"lib/util/pool.ml" ~line:35
+      ~col:31 "allocates"
   in
   let entry =
     {
@@ -820,14 +942,17 @@ let () =
           Alcotest.test_case "r5 catch-all handlers" `Quick test_r5;
           Alcotest.test_case "r6 missing interfaces" `Quick test_r6;
           Alcotest.test_case "r7 domain safety" `Quick test_r7;
-          Alcotest.test_case "r8 hot-IO hygiene" `Quick test_r8;
           Alcotest.test_case "r9 durability hygiene" `Quick test_r9;
           Alcotest.test_case "r10 net safety" `Quick test_r10;
           Alcotest.test_case "r11 hot-path allocation" `Quick test_r11;
+          Alcotest.test_case "r11 local refs" `Quick test_r11_local_refs;
+          Alcotest.test_case "shadowed definitions" `Quick
+            test_shadowed_definitions;
           Alcotest.test_case "r12 transitive partiality" `Quick test_r12;
           Alcotest.test_case "r13 comparator coverage" `Quick test_r13;
-          Alcotest.test_case "effect lattice fixpoint" `Quick
-            test_effect_lattice;
+          Alcotest.test_case "root reachability" `Quick test_reachability;
+          Alcotest.test_case "one rule id per site" `Quick
+            test_one_rule_per_site;
           Alcotest.test_case "--explain texts" `Quick test_explain;
           Alcotest.test_case "parse errors are findings" `Quick
             test_parse_error;

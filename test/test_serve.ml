@@ -1144,13 +1144,18 @@ let test_trace_io_error_names_path () =
 
 (* --- sources -------------------------------------------------------- *)
 
+(* One request through the block API. *)
+let pull src =
+  let one = [| 0 |] in
+  match Source.next_batch src one ~limit:1 with 0 -> None | _ -> Some one.(0)
+
 let test_source_binary_and_text_agree () =
   let n = 96 in
   let trace = gen_trace ~n ~steps:700 ~seed:13 in
   let drain src =
     let acc = ref [] in
     let rec go () =
-      match Source.next src with
+      match pull src with
       | Some e ->
           acc := e :: !acc;
           go ()
@@ -1199,7 +1204,7 @@ let test_source_mmap_kinds () =
           | None -> Alcotest.fail "mapped binary source lost its header");
           Source.close src))
 
-let test_source_next_batch_matches_next () =
+let test_source_next_batch_matches_trace () =
   let n = 96 in
   let trace = gen_trace ~n ~steps:701 ~seed:17 in
   let drain_batched src ~block =
@@ -1332,7 +1337,7 @@ let test_consume_prefix_digest () =
       ~finally:(fun () -> Source.close src)
       (fun () ->
         Source.consume_prefix src ckpt;
-        Source.next src)
+        pull src)
   in
   with_temp ".rbt" (fun path ->
       Trace_codec.write ~path ~n ~ell ~seed:19 trace;
@@ -1411,10 +1416,10 @@ let test_source_pipe_eof_mid_frame () =
   Fun.protect
     ~finally:(fun () -> Source.close src)
     (fun () ->
-      (match Source.next src with
+      (match pull src with
       | Some e -> Alcotest.(check int) "intact frame before the tear" 5 e
       | None -> Alcotest.fail "complete frame reported as end of stream");
-      match Source.next src with
+      match pull src with
       | _ -> Alcotest.fail "torn tail accepted"
       | exception Invalid_argument msg ->
           Alcotest.(check bool)
@@ -1719,8 +1724,8 @@ let () =
         [
           Alcotest.test_case "mmap auto-detection and kinds" `Quick
             test_source_mmap_kinds;
-          Alcotest.test_case "next_batch == next (both backends)" `Quick
-            test_source_next_batch_matches_next;
+          Alcotest.test_case "next_batch == trace (both backends)" `Quick
+            test_source_next_batch_matches_trace;
           Alcotest.test_case "quiet batches == instrumented batches" `Quick
             test_quiet_batch_identity;
           Alcotest.test_case "mmap == channel end to end" `Quick

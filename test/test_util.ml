@@ -510,7 +510,7 @@ let region_decode ~block s =
    with Invalid_argument _ -> torn := true);
   (List.rev !acc, !torn)
 
-(* And through the one-value region reads (the Source.next mmap path). *)
+(* And through the one-value region reads. *)
 let region_decode_singles s =
   let r = Binc.region_of_string s in
   let acc = ref [] and torn = ref false in
