@@ -6,10 +6,11 @@
    1. component micro-benchmarks: one closure per component that the
       experiments exercise (smin gradients, couplings, MTS solver steps,
       offline DPs, whole-algorithm request handling), each fitted by a
-      small in-repo harness (warmup, linearly growing iteration counts,
-      least squares through the origin, residual-based outlier trimming)
-      — see [measure] below.  The earlier bechamel-based harness pinned
-      slow functions to a near-constant iteration count, which
+      small in-repo harness (warmup, linearly spaced iteration counts
+      taken in a fixed shuffled order, least squares through the origin,
+      residual-based outlier trimming) — see [measure] below.  The
+      earlier bechamel-based harness pinned slow functions to a
+      near-constant iteration count, which
       degenerated the regression and produced the r² collapse recorded
       in BENCH_3.json.
 
@@ -84,7 +85,7 @@ let measure f =
     else calibrate (iters * 4)
   in
   let per_call = Float.max 1.0 (calibrate 1) in
-  (* sample points at linearly growing iteration counts [step, 2*step, ...,
+  (* sample points at linearly spaced iteration counts [step, 2*step, ...,
      s*step]: distinct x values keep the through-origin regression
      well-conditioned even for very slow functions (where s bottoms out at
      5 and step at 1, i.e. x = 1..5) *)
@@ -100,10 +101,13 @@ let measure f =
   let step =
     max 1 (int_of_float (sample_budget_ns /. (per_call *. tri s)))
   in
+  (* the counts are taken in a fixed-seed shuffled order: in increasing
+     order, host drift over the 0.4 s would line up with x and bend the
+     fit *)
+  let counts = Array.init s (fun i -> (i + 1) * step) in
+  Rbgp_util.Rng.shuffle (Rbgp_util.Rng.create 0x5eed) counts;
   let pts =
-    Array.init s (fun i ->
-        let iters = (i + 1) * step in
-        (float_of_int iters, time_iters f iters))
+    Array.map (fun iters -> (float_of_int iters, time_iters f iters)) counts
   in
   (* trim the fifth of the points that sit farthest (relative residual)
      from a first fit — scheduler blips land in a handful of samples —
@@ -256,7 +260,7 @@ let run_benchmarks () =
       components_spec
   in
   print_endline
-    "component micro-benchmarks (growing-iteration OLS through origin):";
+    "component micro-benchmarks (shuffled-iteration OLS through origin):";
   Rbgp_util.Tbl.print tbl;
   ( J.Arr
       (List.map

@@ -43,14 +43,19 @@ let find_server_with_load_at_most loads ~bound ~excluding =
     loads;
   !found
 
+let x_max clusters =
+  List.fold_left
+    (fun acc (c : Clustering.cluster) -> Stdlib.max acc c.Clustering.size)
+    0 clusters
+
+let overloaded t clusters =
+  let trigger = threshold t ~x_max:(x_max clusters) in
+  Array.exists (fun load -> float_of_int load > trigger) (loads t clusters)
+
 let rebalance t clusters =
   let k = t.inst.Instance.k in
   let loads = loads t clusters in
-  let x_max =
-    List.fold_left
-      (fun acc (c : Clustering.cluster) -> Stdlib.max acc c.Clustering.size)
-      0 clusters
-  in
+  let x_max = x_max clusters in
   let trigger = threshold t ~x_max in
   let target_load = dk t ~x_max in
   let continue = ref true in

@@ -27,6 +27,10 @@ val rebalance : t -> Clustering.cluster list -> unit
 (** Restore the load bound over the given clusters (all of them, including
     empty color clusters). *)
 
+val overloaded : t -> Clustering.cluster list -> bool
+(** Is some server's load above the trigger {!threshold}?  Never after a
+    rebalance over the same clusters: it moves nothing then. *)
+
 val rebalance_cost : t -> int
 val loads : t -> Clustering.cluster list -> int array
 val threshold : t -> x_max:int -> float

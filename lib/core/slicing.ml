@@ -1,7 +1,7 @@
 module Instance = Rbgp_ring.Instance
 module Segment = Rbgp_ring.Segment
 module Dist = Rbgp_util.Dist
-module Smin = Rbgp_util.Smin
+module Smin_weights = Rbgp_util.Smin_weights
 module Rng = Rbgp_util.Rng
 module Binc = Rbgp_util.Binc
 
@@ -21,7 +21,9 @@ type interval = {
   mutable seg : Segment.t;  (* vertex segment; edges = first..last-1 *)
   mutable status : status;
   mutable cut : int;  (* global edge; meaningful while Active *)
-  mutable dist : Dist.t;  (* over the interval's edges, local order *)
+  mutable weights : Smin_weights.t;
+      (* grad smin over the interval's edge counts, local order; read
+         while Active *)
   mutable rank : int;
 }
 
@@ -31,8 +33,11 @@ type t = {
   rng : Rng.t;
   x : float array;
   intervals : interval array;
-  mutable hit : float;
-  mutable move : float;
+  covering : int list array;
+      (* edge -> the ids of the active intervals holding it, ascending *)
+  mutable events : event list;  (* this request's, newest first *)
+  mutable hit : int;
+  mutable move : int;
 }
 
 let n t = t.inst.Instance.n
@@ -40,66 +45,74 @@ let k t = t.inst.Instance.k
 
 let edge_count_of seg = Segment.length seg - 1
 
-(* local index of edge e within interval segment, or None *)
-let local_edge seg e =
-  let off = Segment.cw_distance ~n:seg.Segment.n (Segment.first seg) e in
-  if off < edge_count_of seg then Some off else None
+(* local index of global edge e in the interval, for e inside it *)
+let local t itv e =
+  let d = (e - itv.seg.Segment.start) mod n t in
+  if d < 0 then d + n t else d
 
-let dist_of t seg =
-  let m = edge_count_of seg in
+(* The interval's player over its edges, with the same scale c as the
+   dense grad smin_c of its edge counts. *)
+let weights_of x seg =
+  let m = edge_count_of seg and first = Segment.first seg in
   let c = Float.max 1.0 (float_of_int m) in
-  let buf = Array.make m 0.0 in
-  (* the interval may wrap, so gather the counts explicitly *)
-  let first = Segment.first seg in
-  let xs = Array.init m (fun j -> t.x.((first + j) mod n t)) in
-  Smin.grad_sub_into ~c xs ~lo:0 ~hi:(m - 1) buf;
-  Dist.of_grad buf
+  Smin_weights.create ~c
+    (Array.init m (fun j -> x.((first + j) mod Array.length x)))
+
+(* --- the edge -> active-interval index ---------------------------------- *)
+
+let rec insert id = function
+  | [] -> [ id ]
+  | x :: rest as ids ->
+      if id < x then id :: ids else if id = x then ids else x :: insert id rest
+
+let update_covering t itv f =
+  let first = Segment.first itv.seg in
+  for j = 0 to edge_count_of itv.seg - 1 do
+    let e = (first + j) mod n t in
+    t.covering.(e) <- f t.covering.(e)
+  done
+
+let cover t itv = update_covering t itv (insert itv.id)
+let uncover t itv = update_covering t itv (List.filter (fun id -> id <> itv.id))
 
 let create ?(delta_bar = 14.0 /. 15.0) (inst : Instance.t) rng =
   if not (delta_bar > 0.5 && delta_bar < 1.0) then
     invalid_arg "Slicing.create: delta_bar out of (1/2, 1)";
   if inst.Instance.n <= inst.Instance.k then
     invalid_arg "Slicing.create: requires n > k";
-  let cuts = Instance.initial_cut_edges inst in
+  let n = inst.Instance.n in
+  let x = Array.make n 0.0 in
+  let intervals =
+    Array.of_list
+      (List.mapi
+         (fun id e ->
+           let seg = Segment.make ~n ~start:e ~len:2 in
+           {
+             id;
+             center = e;
+             seg;
+             status = Active;
+             cut = e;
+             weights = weights_of x seg;
+             rank = 0;
+           })
+         (Instance.initial_cut_edges inst))
+  in
   let t =
     {
       inst;
       delta_bar;
       rng;
-      x = Array.make inst.Instance.n 0.0;
-      intervals = [||];
-      hit = 0.0;
-      move = 0.0;
+      x;
+      intervals;
+      covering = Array.make n [];
+      events = [];
+      hit = 0;
+      move = 0;
     }
   in
-  let intervals =
-    List.mapi
-      (fun id e ->
-        let seg = Segment.make ~n:inst.Instance.n ~start:e ~len:2 in
-        {
-          id;
-          center = e;
-          seg;
-          status = Active;
-          cut = e;
-          dist = Dist.point 0 ~n:1;
-          rank = 0;
-        })
-      cuts
-  in
-  let t = { t with intervals = Array.of_list intervals } in
-  Array.iter (fun itv -> itv.dist <- dist_of t itv.seg) t.intervals;
+  Array.iter (cover t) intervals;
   t
-
-let min_count t seg =
-  let first = Segment.first seg in
-  let m = edge_count_of seg in
-  let mn = ref infinity in
-  for j = 0 to m - 1 do
-    let v = t.x.((first + j) mod n t) in
-    if v < !mn then mn := v
-  done;
-  !mn
 
 let is_mono t seg =
   let counts = Array.make t.inst.Instance.ell 0 in
@@ -118,37 +131,18 @@ let grow_seg t seg =
   let left = extra / 2 in
   Segment.make ~n:(n t) ~start:(Segment.first seg - left) ~len:desired
 
-let resample_cut t itv events =
-  let new_dist = dist_of t itv.seg in
-  let first = Segment.first itv.seg in
-  let old_local = local_edge itv.seg itv.cut in
-  let new_local =
-    match old_local with
-    | Some cur when Dist.size itv.dist = Dist.size new_dist ->
-        Dist.resample_coupled t.rng ~current:cur ~old_dist:itv.dist ~new_dist
-    | _ ->
-        (* interval changed shape (growth): fresh sample *)
-        Dist.sample t.rng new_dist
-  in
-  itv.dist <- new_dist;
-  let new_cut = (first + new_local) mod n t in
-  if new_cut <> itv.cut then begin
-    let d =
-      match old_local with
-      | Some cur -> abs (new_local - cur)
-      | None ->
-          (* distance measured inside the new interval *)
-          Segment.ring_distance ~n:(n t) itv.cut new_cut
-    in
-    t.move <- t.move +. float_of_int d;
-    events :=
-      Cut_moved { id = itv.id; from_edge = itv.cut; to_edge = new_cut; dist = d }
-      :: !events;
-    itv.cut <- new_cut
-  end
+(* the cut moves from local edge [from_local] to [to_local], a distance
+   measured inside the interval *)
+let move_cut t itv ~from_local ~to_local =
+  let to_edge = (Segment.first itv.seg + to_local) mod n t in
+  let d = abs (to_local - from_local) in
+  t.move <- t.move + d;
+  t.events <-
+    Cut_moved { id = itv.id; from_edge = itv.cut; to_edge; dist = d }
+    :: t.events;
+  itv.cut <- to_edge
 
-let deactivate t itv reason events =
-  ignore t;
+let deactivate t itv reason =
   Log.debug (fun m ->
       m "interval %d deactivated (%s), cut %d removed" itv.id
         (match reason with
@@ -157,56 +151,83 @@ let deactivate t itv reason events =
         | Active -> assert false)
         itv.cut);
   itv.status <- reason;
-  events := Cut_removed { id = itv.id; edge = itv.cut; reason } :: !events
+  uncover t itv;
+  t.events <- Cut_removed { id = itv.id; edge = itv.cut; reason } :: t.events
 
-let try_grow t itv events =
+(* The interval doubles around its center.  Unless that makes it
+   monochromatic, it deactivates every active interval it now contains
+   and draws a fresh cut edge from its grown distribution. *)
+let grow t itv =
+  itv.seg <- grow_seg t itv.seg;
+  itv.rank <- itv.rank + 1;
+  Log.debug (fun m ->
+      m "interval %d grew to rank %d (%a)" itv.id itv.rank Segment.pp itv.seg);
+  if is_mono t itv.seg then deactivate t itv Mono
+  else begin
+    cover t itv;
+    Array.iter
+      (fun other ->
+        if
+          other.id <> itv.id && other.status = Active
+          && Segment.subset other.seg itv.seg
+        then deactivate t other Dominated)
+      t.intervals;
+    itv.weights <- weights_of t.x itv.seg;
+    let from_local = local t itv itv.cut in
+    let to_local = Dist.sample t.rng (Smin_weights.dist itv.weights) in
+    if to_local <> from_local then move_cut t itv ~from_local ~to_local
+  end
+
+let try_grow t itv =
+  let cap = Stdlib.min (k t + 1) (n t) in
   let continue = ref true in
   while !continue && itv.status = Active do
     let w = Segment.length itv.seg in
-    if w >= Stdlib.min (k t + 1) (n t) then continue := false
-    else if min_count t itv.seg >= (1.0 -. t.delta_bar) *. float_of_int w
-    then begin
-      itv.seg <- grow_seg t itv.seg;
-      itv.rank <- itv.rank + 1;
-      Log.debug (fun m ->
-          m "interval %d grew to rank %d (%a)" itv.id itv.rank Segment.pp
-            itv.seg);
-      if is_mono t itv.seg then deactivate t itv Mono events
-      else begin
-        Array.iter
-          (fun other ->
-            if
-              other.id <> itv.id && other.status = Active
-              && Segment.subset other.seg itv.seg
-            then deactivate t other Dominated events)
-          t.intervals;
-        (* fresh cut edge inside the grown interval *)
-        itv.dist <- Dist.point 0 ~n:1;
-        resample_cut t itv events
-      end
-    end
+    if
+      w < cap
+      && float_of_int (Smin_weights.min_count itv.weights)
+         >= (1.0 -. t.delta_bar) *. float_of_int w
+    then grow t itv
     else continue := false
   done
 
+let rec charge_hits t e = function
+  | [] -> ()
+  | id :: ids ->
+      if t.intervals.(id).cut = e then t.hit <- t.hit + 1;
+      charge_hits t e ids
+
+let rec step_intervals t e = function
+  | [] -> ()
+  | id :: ids ->
+      let itv = t.intervals.(id) in
+      if itv.status = Active then begin
+        let from_local = local t itv itv.cut in
+        let to_local =
+          Smin_weights.step itv.weights t.rng (local t itv e) from_local
+        in
+        if to_local <> from_local then move_cut t itv ~from_local ~to_local;
+        try_grow t itv
+      end;
+      step_intervals t e ids
+
+(* The intervals holding [e] are found through [covering], in id order.
+   A growth deactivates intervals and so replaces lists, but the walk
+   goes on over the list as it stood, skipping an interval deactivated
+   before its turn; only the interval being visited grows, so no other
+   interval comes to hold [e] meanwhile. *)
 let serve t e =
   if e < 0 || e >= n t then invalid_arg "Slicing.serve: edge out of range";
-  let events = ref [] in
+  let ids = t.covering.(e) in
   (* hitting cost: charged per interval whose current cut is requested *)
-  Array.iter
-    (fun itv ->
-      if itv.status = Active && itv.cut = e then t.hit <- t.hit +. 1.0)
-    t.intervals;
+  charge_hits t e ids;
   t.x.(e) <- t.x.(e) +. 1.0;
-  Array.iter
-    (fun itv ->
-      if itv.status = Active then
-        match local_edge itv.seg e with
-        | Some _ ->
-            resample_cut t itv events;
-            try_grow t itv events
-        | None -> ())
-    t.intervals;
-  List.rev !events
+  step_intervals t e ids;
+  match t.events with
+  | [] -> []
+  | events ->
+      t.events <- [];
+      List.rev events
 
 let initial_cuts t =
   Array.to_list t.intervals |> List.map (fun itv -> itv.center)
@@ -225,8 +246,8 @@ let interval_seg t id = (get t id).seg
 let interval_status t id = (get t id).status
 let interval_rank t id = (get t id).rank
 let interval_count t = Array.length t.intervals
-let hit_cost t = t.hit
-let move_cost t = t.move
+let hit_cost t = float_of_int t.hit
+let move_cost t = float_of_int t.move
 let request_count t e = int_of_float t.x.(e)
 
 (* --- O(state) snapshot ------------------------------------------------- *)
@@ -239,9 +260,9 @@ let read_nat r what =
   v
 
 (* Request counts, hit and move are whole numbers (unit requests, integer
-   distances): varints.  An interval's [dist] is omitted: while the
-   interval is active it is [dist_of] its segment under the current
-   counts, and an inactive interval never reads it again. *)
+   distances): varints.  An interval's weights are omitted: while the
+   interval is active they are [weights_of] its segment under the current
+   counts, and an inactive interval never reads them again. *)
 let save buf t =
   Binc.add_counts buf t.x;
   Rng.save buf t.rng;
@@ -254,8 +275,8 @@ let save buf t =
       Binc.add_varint buf itv.cut;
       Binc.add_varint buf itv.rank)
     t.intervals;
-  Binc.add_varint buf (int_of_float t.hit);
-  Binc.add_varint buf (int_of_float t.move)
+  Binc.add_varint buf t.hit;
+  Binc.add_varint buf t.move
 
 let load r t =
   let n = n t in
@@ -285,7 +306,17 @@ let load r t =
       itv.status <- status;
       itv.cut <- cut;
       itv.rank <- rank;
-      if status = Active then itv.dist <- dist_of t itv.seg)
+      (* every interval Slicing grows holds its cut edge *)
+      if status = Active && local t itv cut >= len - 1 then
+        invalid_arg "Slicing.load: cut outside its interval")
     t.intervals;
-  t.hit <- float_of_int (read_nat r "hit cost");
-  t.move <- float_of_int (read_nat r "move cost")
+  t.hit <- read_nat r "hit cost";
+  t.move <- read_nat r "move cost";
+  Array.fill t.covering 0 n [];
+  Array.iter
+    (fun itv ->
+      if itv.status = Active then begin
+        itv.weights <- weights_of t.x itv.seg;
+        cover t itv
+      end)
+    t.intervals

@@ -42,7 +42,10 @@ val create :
     passes [max (2/(2+eps')) (14/15)]. *)
 
 val serve : t -> int -> event list
-(** Process a request; returns the emitted events in order. *)
+(** Process a request; returns the emitted events in order.  The active
+    intervals holding the edge come from an edge index, and each one's
+    cut moves by {!Rbgp_util.Smin_weights.step}, so a request that emits
+    nothing costs O(1) per such interval and allocates nothing. *)
 
 val initial_cuts : t -> int list
 (** The cut edges at creation (one per initial cut edge of the instance). *)
@@ -73,4 +76,5 @@ val save : Buffer.t -> t -> unit
 val load : Rbgp_util.Binc.reader -> t -> unit
 (** Read a {!save} into a freshly created instance on the same problem
     instance, recomputing each active interval's cut distribution from
-    the counts.  Raises [Invalid_argument] on malformed input. *)
+    the counts.  Raises [Invalid_argument] on malformed input, including
+    an active interval whose cut lies outside it. *)

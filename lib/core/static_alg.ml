@@ -37,11 +37,17 @@ let sync_assignment t =
     Assignment.set t.assignment p t.scratch.(p)
   done
 
+(* Clustering changes only through Slicing's events.  Without one the
+   clusters are those the last rebalance left with no server above its
+   trigger, so rebalancing again would move nothing, and every process
+   already sits on its cluster's server. *)
 let serve t e =
-  let events = Slicing.serve t.slicing e in
-  List.iter (Clustering.apply_event t.clustering) events;
-  Scheduling.rebalance t.scheduling (Clustering.clusters t.clustering);
-  sync_assignment t
+  match Slicing.serve t.slicing e with
+  | [] -> ()
+  | events ->
+      List.iter (Clustering.apply_event t.clustering) events;
+      Scheduling.rebalance t.scheduling (Clustering.clusters t.clustering);
+      sync_assignment t
 
 let augmentation t =
   let d_singleton = 3.0 +. (2.0 *. (1.0 -. t.delta_bar) /. t.delta_bar) in
@@ -63,6 +69,11 @@ let load t r =
   | Ok () -> ()
   | Error msg ->
       invalid_arg ("Static_alg.restore: inconsistent clustering: " ^ msg));
+  (* serve rebalances only on an event, so it relies on what every
+     rebalance leaves behind *)
+  if Scheduling.overloaded t.scheduling (Clustering.clusters t.clustering)
+  then
+    invalid_arg "Static_alg.restore: a server is above the rebalance trigger";
   sync_assignment t
 
 let online t =

@@ -25,11 +25,14 @@ val create :
 
 val online : t -> Rbgp_ring.Online.t
 (** The {!Rbgp_ring.Online.t} view, with O(state) snapshots:
-    {!Slicing.save}, {!Clustering.save} and {!Scheduling.save}.
+    {!Slicing.save}, {!Clustering.save} and {!Scheduling.save}.  A
+    request on which Slicing emits no event changes nothing after it:
+    Clustering and Scheduling run only on events.
     Restoring one into a freshly created instance with the same seed,
-    epsilon and problem instance checks the clustering's consistency and
-    rebuilds the assignment from it; it raises [Invalid_argument] on
-    malformed or inconsistent input. *)
+    epsilon and problem instance checks the clustering's consistency,
+    and that no server is above the rebalance trigger, and rebuilds the
+    assignment from it; it raises [Invalid_argument] on malformed or
+    inconsistent input. *)
 
 val slicing : t -> Slicing.t
 val clustering : t -> Clustering.t

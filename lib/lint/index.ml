@@ -75,7 +75,6 @@ type t = {
       (* (modname, value) -> node ids, sorted *)
   by_file_value : (string * string, string list) Hashtbl.t;
       (* (file, value) -> node ids, sorted *)
-  by_id : (string, node) Hashtbl.t;
 }
 
 (* --- identifier utilities --------------------------------------------- *)
@@ -421,12 +420,10 @@ let of_sources sources =
       !exposed
   in
   let by_value = Hashtbl.create 256
-  and by_file_value = Hashtbl.create 256
-  and by_id = Hashtbl.create 256 in
+  and by_file_value = Hashtbl.create 256 in
   (* nodes are sorted, so appended id lists stay sorted *)
   List.iter
     (fun n ->
-      Hashtbl.replace by_id n.id n;
       let push tbl key =
         Hashtbl.replace tbl key
           ((Option.value ~default:[] (Hashtbl.find_opt tbl key)) @ [ n.id ])
@@ -434,11 +431,10 @@ let of_sources sources =
       push by_value (n.modname, n.name);
       push by_file_value (n.file, n.name))
     nodes;
-  { nodes; exposed; by_value; by_file_value; by_id }
+  { nodes; exposed; by_value; by_file_value }
 
 let nodes t = t.nodes
 let exposed t = t.exposed
-let find t id = Hashtbl.find_opt t.by_id id
 
 (* --- reference resolution --------------------------------------------- *)
 

@@ -68,8 +68,6 @@ val nodes : t -> node list
 val exposed : t -> exposed list
 (** Every value declared in an indexed interface, sorted by (file, line). *)
 
-val find : t -> string -> node option
-
 val resolve :
   t -> file:string -> string list -> [ `Nodes of string list | `Extern of string list ]
 (** Resolve an alias-expanded reference path from [file]: bare names

@@ -17,29 +17,10 @@
     O(log s)-competitive-against-static behaviour; against dynamic optima it
     is the randomized workhorse of experiments E2/E3/E9.
 
-    The step is incremental.  A unit task on state [e] raises [x_e] alone,
-    so the solver caches [x_i / c] and the weights
-    [w_i = exp (m - x_i / c)] for the minimum [m] of the scaled costs,
-    together with the number of states at [m].  A task recomputes one
-    weight; only a task that lifts the last state at the minimum moves [m]
-    and recomputes all [s].
-
-    A miss (a task on [e] other than the current state [j]) that keeps [m]
-    lowers [w_e] alone, so [p_j] can only grow and the coupling's stay
-    probability is 1 up to rounding.
-    Such a step draws the coupling's stay uniform [u] and, when [u] is
-    below [1 - 2^-20], [w_e] did not rise and [w_j] is at least [2^-960]
-    (with at most [2^26] states), returns [j] in O(1): no normalisation,
-    no distribution check, no resample, and no allocation: [u] is drawn
-    as its 53 bits ({!Rbgp_util.Rng.bits53}) and compared with the
-    threshold on that scale.  DESIGN.md derives why the dense step would
-    stay on that [u] too.  Every other step (a hit, a rescale,
-    a failed guard, [u >= 1 - 2^-20]) is dense: the normalisation
-    [z = sum w_i], the distribution check and the coupled resample, with
-    that same [u], run over the same floats in the same order as on the
-    dense cost vector (adding the vector's [+0.0] entries to non-negative
-    sums is exact).  So states, probabilities and rng draws are
-    bit-identical to the dense form. *)
+    The step is {!Rbgp_util.Smin_weights.step}: cached weights, one
+    [exp] per task, and an O(1) step on a miss that keeps the minimum,
+    with states, probabilities and rng draws bit-identical to the dense
+    form. *)
 
 val solver : Mts.factory
 

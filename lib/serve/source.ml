@@ -13,7 +13,12 @@ type mmap = [ `Auto | `On | `Off ]
    next_batch amortizes even the per-request dispatch into one block
    decode per batch. *)
 type backend =
-  | Channel of { next_req : unit -> int option; ic : in_channel; owns : bool }
+  | Channel of {
+      next_req : unit -> int option;
+      ic : in_channel;
+      owns : bool;
+      mutable failed : exn option;  (* the decode error that ended it *)
+    }
   | Mapped of { region : Binc.region; path : string }
 
 type t = {
@@ -61,12 +66,14 @@ let of_channel ?(path = "<channel>") ?(owns_channel = false) ~format ~n ic =
                       Trace_io.input_request_opt ~path ~lineno ic ~n);
                 ic;
                 owns = owns_channel;
+                failed = None;
               };
           hdr = None;
           n;
           path;
         }
     | `Binary ->
+        let base = pos_in ic in
         let hdr = Trace_codec.input_header ~path ic in
         check_header ~path ~n hdr;
         {
@@ -75,9 +82,10 @@ let of_channel ?(path = "<channel>") ?(owns_channel = false) ~format ~n ic =
               {
                 next_req =
                   wrap_reads (fun () ->
-                      Trace_codec.input_request_opt ~path ic ~n);
+                      Trace_codec.input_request_opt ~path ~base ic ~n);
                 ic;
                 owns = owns_channel;
+                failed = None;
               };
           hdr = Some hdr;
           n;
@@ -139,16 +147,24 @@ let next_batch t dst ~limit =
         Trace_codec.decode_requests_into ~path:m.path m.region ~n:t.n dst
           ~limit
   | Channel c ->
+      (* a decode error ends the stream: the requests pulled before it are
+         delivered, and this call (when it pulled none) and every later
+         one raise it, as the mmap backend does at a torn tail *)
+      Option.iter raise c.failed;
       let got = ref 0 in
-      let continue = ref (!got < limit) in
-      while !continue do
-        match c.next_req () with
-        | Some e ->
-            dst.(!got) <- e;
-            incr got;
-            continue := !got < limit
-        | None -> continue := false
-      done;
+      (try
+         let continue = ref (!got < limit) in
+         while !continue do
+           match c.next_req () with
+           | Some e ->
+               dst.(!got) <- e;
+               incr got;
+               continue := !got < limit
+           | None -> continue := false
+         done
+       with Invalid_argument _ as err ->
+         c.failed <- Some err;
+         if !got = 0 then raise err);
       if Fault.armed () && Fault.mangle_batch dst ~got:!got then
         revalidate_batch t dst !got;
       !got

@@ -56,12 +56,14 @@ val next_batch : t -> int array -> limit:int -> int
 (** [next_batch t dst ~limit] fills [dst.(0 ..)] with up to [limit]
     requests, each validated against [n], and returns how many were
     delivered; [0] only at a clean end-of-stream.  On the mmap backend
-    this is one block decode, and complete frames before a torn tail are
-    delivered before the next call raises; on a channel it pulls request
-    by request (and therefore blocks until [limit] requests arrive or the
-    stream ends).  Raises [Invalid_argument] (naming the path) on
-    malformed input, and when [limit] is outside
-    [0 .. Array.length dst]. *)
+    this is one block decode; on a channel it pulls request by request
+    (and therefore blocks until [limit] requests arrive or the stream
+    ends).  On both, the complete frames before a torn tail are
+    delivered first, and the next call and every call after it raise
+    [Invalid_argument] naming the byte where the torn frame began.  A
+    channel treats any decode error that way.  Raises
+    [Invalid_argument] (naming the path) on malformed input, and when
+    [limit] is outside [0 .. Array.length dst]. *)
 
 val header : t -> Rbgp_workloads.Trace_codec.header option
 (** The binary header, when the source is framed. *)

@@ -103,7 +103,6 @@ let region_of_string s =
   { big; rpos = 0; rend = len }
 
 let region_pos r = r.rpos
-let region_length r = r.rend
 let region_at_end r = r.rpos >= r.rend
 
 let region_read_string r len =
@@ -192,37 +191,33 @@ let output_varint oc v =
 
 let output_zigzag oc n = output_varint oc (zigzag n)
 
-(* [first]: a clean EOF before any byte is a normal end-of-stream
-   (End_of_file propagates / None); after the first byte the varint is
-   torn, which is corruption, not end-of-stream *)
-let input_varint_from ~first oc_byte =
-  let v = ref 0 and shift = ref 0 and continue = ref true and first = ref first in
+exception Torn of int
+
+(* The rest of a varint whose first byte [b0] has its continuation bit
+   set, in the order decode_varints checks a region: the stream ending
+   here tears the varint ([Torn k], k of its bytes read), and a byte past
+   the ninth is a varint too long. *)
+let input_varint_tail ic b0 =
+  let v = ref (b0 land 0x7f) and shift = ref 7 and continue = ref true in
   while !continue do
+    let b = try input_byte ic with End_of_file -> raise (Torn (!shift / 7)) in
     if !shift > 62 then invalid_arg "Binc.input_varint: varint too long";
-    let b =
-      if !first then oc_byte ()
-      else
-        try oc_byte ()
-        with End_of_file -> invalid_arg "Binc.input_varint: truncated input"
-    in
-    first := false;
     v := !v lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
     continue := b land 0x80 <> 0
   done;
   !v
 
-let input_varint ic = input_varint_from ~first:true (fun () -> input_byte ic)
+let input_varint ic =
+  let b0 = input_byte ic in
+  if b0 land 0x80 = 0 then b0
+  else
+    try input_varint_tail ic b0
+    with Torn _ -> invalid_arg "Binc.input_varint: truncated input"
 
 let input_varint_opt ic =
   match input_byte ic with
   | exception End_of_file -> None
-  | b0 ->
-      if b0 land 0x80 = 0 then Some b0
-      else
-        let rest =
-          input_varint_from ~first:false (fun () -> input_byte ic)
-        in
-        Some ((b0 land 0x7f) lor (rest lsl 7))
+  | b0 -> if b0 land 0x80 = 0 then Some b0 else Some (input_varint_tail ic b0)
 
 let input_zigzag ic = unzigzag (input_varint ic)

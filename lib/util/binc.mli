@@ -78,7 +78,6 @@ val region_of_string : string -> region
     the mmap path never goes through this. *)
 
 val region_pos : region -> int
-val region_length : region -> int
 val region_at_end : region -> bool
 
 val region_read_string : region -> int -> string
@@ -109,7 +108,13 @@ val input_varint : in_channel -> int
     byte}; a truncation mid-varint raises [Invalid_argument] instead, so a
     clean end-of-stream is distinguishable from a corrupt tail. *)
 
+exception Torn of int
+(** [Torn k]: the channel ended inside a varint after [k] of its bytes. *)
+
 val input_varint_opt : in_channel -> int option
-(** [None] at clean end-of-stream; mid-varint truncation still raises. *)
+(** [None] at clean end-of-stream; mid-varint truncation raises {!Torn},
+    so a caller can name the byte where the torn varint began.  A varint
+    of more than nine bytes raises [Invalid_argument], as
+    {!decode_varints} does. *)
 
 val input_zigzag : in_channel -> int

@@ -34,16 +34,22 @@ let input_header ?path ic =
 
 let output_request oc e = Binc.output_varint oc e
 
-let input_request_opt ?path ic ~n =
+(* [pos_in] counts from [base], the channel's position at the stream's
+   first byte: 0 for a file opened at its start, -1 for a pipe, whose
+   descriptor cannot seek. *)
+let input_request_opt ?path ?(base = 0) ic ~n =
   match Binc.input_varint_opt ic with
   | None -> None
   | Some e ->
       if e < 0 || e >= n then
         fail ?path "edge %d out of [0, %d) (frame ends at byte %d)" e n
-          (pos_in ic);
+          (pos_in ic - base);
       Some e
+  | exception Binc.Torn k ->
+      fail ?path "torn frame (truncated varint at byte %d)"
+        (pos_in ic - base - k)
   | exception Invalid_argument _ ->
-      fail ?path "torn frame (truncated varint at byte %d)" (pos_in ic)
+      fail ?path "torn frame (truncated varint at byte %d)" (pos_in ic - base)
 
 (* --- zero-copy region path (mmap) ------------------------------------- *)
 

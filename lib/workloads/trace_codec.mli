@@ -33,9 +33,13 @@ val input_header : ?path:string -> in_channel -> header
 
 val output_request : out_channel -> int -> unit
 
-val input_request_opt : ?path:string -> in_channel -> n:int -> int option
+val input_request_opt :
+  ?path:string -> ?base:int -> in_channel -> n:int -> int option
 (** Next framed request, validated against [n]; [None] at clean
-    end-of-stream. *)
+    end-of-stream.  A torn frame raises [Invalid_argument] naming the
+    byte where it began, as {!decode_requests_into} does.  [base]
+    (default [0]) is [pos_in ic] at the stream's first byte, so that
+    offsets count stream bytes; on a pipe it is [-1]. *)
 
 (** {2 Zero-copy region path}
 

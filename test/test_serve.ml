@@ -128,7 +128,12 @@ let test_engine_decisions_cumulative () =
    serve-onl-dynamic serves: each interval's smooth-min solver runs on a
    line of 186 or 187 states, and about one request in a hundred lands
    on a solver's current state; its digests were taken from the
-   smooth-min step that built both distributions on every request. *)
+   smooth-min step that built both distributions on every request.  The
+   onl-static rows pin the Section-4 algorithm at the small shape and at
+   a long-interval shape (k = 128: intervals grow to 129 vertices).
+   Their digests were taken when every request rebalanced and rewrote
+   the whole assignment, and every interval recomputed its distribution
+   from the counts. *)
 let pinned_digests =
   let small = (512, 8, 20_000, 42) in
   [
@@ -137,6 +142,8 @@ let pinned_digests =
     ("dyn/hst-mw", small, (0xe4c3719f, 0x3aec856e));
     ("dyn/marking", small, (0xcea04350, 0x81a93dcf));
     ("onl-dynamic", (4096, 32, 100_000, 7919), (0x9f7ab12a, 0x382ef724));
+    ("onl-static", small, (0xcdd2f60e, 0xbbf33d19));
+    ("onl-static", (4096, 32, 20_000, 7919), (0xfc9db79a, 0x089bc83c));
   ]
 
 (* pos, comm, mig, max_load, violations and assignment, Binc-framed *)
@@ -1398,35 +1405,75 @@ let test_source_owned_channel_closed_on_header_error () =
           | exception Sys_error _ ->
               Alcotest.fail "caller-owned channel closed by failed construction"))
 
-(* A pipe that dies mid-frame (producer killed between the bytes of a
+(* A stream that dies mid-frame (producer killed between the bytes of a
    varint) must surface as a torn-frame decode error carrying the byte
-   offset, not as a silent end of stream. *)
+   offset, not as a silent end of stream.  Both backends first deliver
+   the complete frames of the block, then raise on every later call,
+   naming the byte where the torn frame began: header + frames 5 and 6 +
+   a lone 0x80 (continuation bit set, next byte never arrives). *)
 let test_source_pipe_eof_mid_frame () =
   let n = 8 and ell = 4 in
+  let write oc =
+    Trace_codec.output_header oc ~n ~ell ~seed:0;
+    Trace_codec.output_request oc 5;
+    Trace_codec.output_request oc 6;
+    output_byte oc 0x80
+  in
+  let torn_at = ref None in
+  let check label src =
+    Fun.protect
+      ~finally:(fun () -> Source.close src)
+      (fun () ->
+        let dst = Array.make 4 0 in
+        Alcotest.(check int) (label ^ ": intact frames before the tear") 2
+          (Source.next_batch src dst ~limit:4);
+        Alcotest.(check (list int)) (label ^ ": their edges") [ 5; 6 ]
+          [ dst.(0); dst.(1) ];
+        for call = 1 to 2 do
+          match Source.next_batch src dst ~limit:4 with
+          | got ->
+              Alcotest.fail
+                (Printf.sprintf "%s: call %d after the tear returned %d" label
+                   call got)
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: message %S reports a torn frame" label msg)
+                true
+                (Astring.String.is_infix ~affix:"torn frame" msg);
+              let at =
+                Scanf.sscanf
+                  (snd (Option.get (Astring.String.cut ~sep:"at byte " msg)))
+                  "%d" Fun.id
+              in
+              (match !torn_at with
+              | None -> torn_at := Some at
+              | Some want ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: call %d names the torn frame's start"
+                       label call)
+                    want at)
+        done)
+  in
   let rd, wr = Unix.pipe () in
   let oc = Unix.out_channel_of_descr wr in
-  Trace_codec.output_header oc ~n ~ell ~seed:0;
-  Trace_codec.output_request oc 5;
-  output_byte oc 0x80 (* continuation bit set, next byte never arrives *);
+  write oc;
   close_out oc;
-  let ic = Unix.in_channel_of_descr rd in
-  let src =
-    Source.of_channel ~path:"<pipe>" ~owns_channel:true ~format:`Binary ~n ic
-  in
+  check "pipe"
+    (Source.of_channel ~path:"<pipe>" ~owns_channel:true ~format:`Binary ~n
+       (Unix.in_channel_of_descr rd));
+  let path = Filename.temp_file "rbgp_torn" ".rbt" in
   Fun.protect
-    ~finally:(fun () -> Source.close src)
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (match pull src with
-      | Some e -> Alcotest.(check int) "intact frame before the tear" 5 e
-      | None -> Alcotest.fail "complete frame reported as end of stream");
-      match pull src with
-      | _ -> Alcotest.fail "torn tail accepted"
-      | exception Invalid_argument msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "message %S reports a torn frame with offset" msg)
-            true
-            (Astring.String.is_infix ~affix:"torn frame" msg
-            && Astring.String.is_infix ~affix:"byte" msg))
+      let oc = open_out_bin path in
+      write oc;
+      close_out oc;
+      let src = Source.open_file ~mmap:`On ~n path in
+      Alcotest.(check bool) "the file is mapped" true (Source.kind src = `Mmap);
+      check "mmap" src);
+  (* the header is 8 bytes and each frame one *)
+  Alcotest.(check (option int)) "torn frame starts at byte 10" (Some 10)
+    !torn_at
 
 (* --- metrics -------------------------------------------------------- *)
 
@@ -1664,7 +1711,8 @@ let () =
             test_engine_matches_simulator;
           Alcotest.test_case "decision records are cumulative" `Quick
             test_engine_decisions_cumulative;
-          Alcotest.test_case "pinned decision + checkpoint digests (4 solvers)"
+          Alcotest.test_case
+            "pinned decision + checkpoint digests (4 solvers, onl-static)"
             `Quick test_pinned_digests;
           qcheck_decision_to_json;
           Alcotest.test_case "advance == step (scalar stepper API)" `Quick

@@ -6,7 +6,8 @@
 
    Most properties are checked *during* full runs of the composed
    algorithm: the clustering invariants have to hold after every request,
-   not just at the end. *)
+   not just at the end.  The composed algorithm is also checked request by
+   request against its dense reference (see [Dense_slicing] below). *)
 
 module Instance = Rbgp_ring.Instance
 module Cost = Rbgp_ring.Cost
@@ -17,7 +18,13 @@ module Slicing = Rbgp_core.Slicing
 module Clustering = Rbgp_core.Clustering
 module Scheduling = Rbgp_core.Scheduling
 module Static_alg = Rbgp_core.Static_alg
+module Assignment = Rbgp_ring.Assignment
+module Online = Rbgp_ring.Online
+module Workloads = Rbgp_workloads.Workloads
 module Rng = Rbgp_util.Rng
+module Dist = Rbgp_util.Dist
+module Smin = Rbgp_util.Smin
+module Binc = Rbgp_util.Binc
 
 (* --- slicing -------------------------------------------------------- *)
 
@@ -420,6 +427,384 @@ let test_static_augmentation_formula () =
   Alcotest.(check (float 1e-9)) "delta_bar default" (14.0 /. 15.0) db;
   Alcotest.(check bool) "augmentation >= 3" true (Static_alg.augmentation alg >= 3.0)
 
+(* --- the dense reference ----------------------------------------------- *)
+
+(* Slicing as the paper states it, the oracle for Slicing's edge index
+   and cached weights: each request scans every interval twice, and every
+   active interval holding the requested edge recomputes grad smin_c of
+   its edge counts from scratch and follows it through the maximal-stay
+   coupling.  Its snapshot has Slicing.save's layout. *)
+module Dense_slicing = struct
+  type interval = {
+    id : int;
+    center : int;
+    mutable seg : Segment.t;
+    mutable status : Slicing.status;
+    mutable cut : int;
+    mutable dist : Dist.t;
+    mutable rank : int;
+  }
+
+  type t = {
+    inst : Instance.t;
+    delta_bar : float;
+    rng : Rng.t;
+    x : float array;
+    intervals : interval array;
+    mutable hit : float;
+    mutable move : float;
+  }
+
+  let n t = t.inst.Instance.n
+  let k t = t.inst.Instance.k
+  let edge_count_of seg = Segment.length seg - 1
+
+  let local_edge seg e =
+    let off = Segment.cw_distance ~n:seg.Segment.n (Segment.first seg) e in
+    if off < edge_count_of seg then Some off else None
+
+  let dist_of t seg =
+    let m = edge_count_of seg in
+    let c = Float.max 1.0 (float_of_int m) in
+    let buf = Array.make m 0.0 in
+    let first = Segment.first seg in
+    let xs = Array.init m (fun j -> t.x.((first + j) mod n t)) in
+    Smin.grad_sub_into ~c xs ~lo:0 ~hi:(m - 1) buf;
+    Dist.of_grad buf
+
+  let create ~delta_bar (inst : Instance.t) rng =
+    let t =
+      {
+        inst;
+        delta_bar;
+        rng;
+        x = Array.make inst.Instance.n 0.0;
+        intervals = [||];
+        hit = 0.0;
+        move = 0.0;
+      }
+    in
+    let intervals =
+      List.mapi
+        (fun id e ->
+          {
+            id;
+            center = e;
+            seg = Segment.make ~n:inst.Instance.n ~start:e ~len:2;
+            status = Slicing.Active;
+            cut = e;
+            dist = Dist.point 0 ~n:1;
+            rank = 0;
+          })
+        (Instance.initial_cut_edges inst)
+    in
+    let t = { t with intervals = Array.of_list intervals } in
+    Array.iter (fun itv -> itv.dist <- dist_of t itv.seg) t.intervals;
+    t
+
+  let min_count t seg =
+    let first = Segment.first seg in
+    let mn = ref infinity in
+    for j = 0 to edge_count_of seg - 1 do
+      let v = t.x.((first + j) mod n t) in
+      if v < !mn then mn := v
+    done;
+    !mn
+
+  let is_mono t seg =
+    let counts = Array.make t.inst.Instance.ell 0 in
+    Segment.iter
+      (fun p ->
+        let c = t.inst.Instance.initial.(p) in
+        counts.(c) <- counts.(c) + 1)
+      seg;
+    let best = Array.fold_left Stdlib.max 0 counts in
+    float_of_int best > t.delta_bar *. float_of_int (Segment.length seg)
+
+  let grow_seg t seg =
+    let w = Segment.length seg in
+    let desired = Stdlib.min (2 * w) (Stdlib.min (k t + 1) (n t)) in
+    let left = (desired - w) / 2 in
+    Segment.make ~n:(n t) ~start:(Segment.first seg - left) ~len:desired
+
+  let resample_cut t itv events =
+    let new_dist = dist_of t itv.seg in
+    let first = Segment.first itv.seg in
+    let old_local = local_edge itv.seg itv.cut in
+    let new_local =
+      match old_local with
+      | Some cur when Dist.size itv.dist = Dist.size new_dist ->
+          Dist.resample_coupled t.rng ~current:cur ~old_dist:itv.dist
+            ~new_dist
+      | _ -> Dist.sample t.rng new_dist
+    in
+    itv.dist <- new_dist;
+    let new_cut = (first + new_local) mod n t in
+    if new_cut <> itv.cut then begin
+      let d =
+        match old_local with
+        | Some cur -> abs (new_local - cur)
+        | None -> Segment.ring_distance ~n:(n t) itv.cut new_cut
+      in
+      t.move <- t.move +. float_of_int d;
+      events :=
+        Slicing.Cut_moved
+          { id = itv.id; from_edge = itv.cut; to_edge = new_cut; dist = d }
+        :: !events;
+      itv.cut <- new_cut
+    end
+
+  let deactivate itv reason events =
+    itv.status <- reason;
+    events :=
+      Slicing.Cut_removed { id = itv.id; edge = itv.cut; reason } :: !events
+
+  let try_grow t itv events =
+    let continue = ref true in
+    while !continue && itv.status = Slicing.Active do
+      let w = Segment.length itv.seg in
+      if w >= Stdlib.min (k t + 1) (n t) then continue := false
+      else if min_count t itv.seg >= (1.0 -. t.delta_bar) *. float_of_int w
+      then begin
+        itv.seg <- grow_seg t itv.seg;
+        itv.rank <- itv.rank + 1;
+        if is_mono t itv.seg then deactivate itv Slicing.Mono events
+        else begin
+          Array.iter
+            (fun other ->
+              if
+                other.id <> itv.id && other.status = Slicing.Active
+                && Segment.subset other.seg itv.seg
+              then deactivate other Slicing.Dominated events)
+            t.intervals;
+          itv.dist <- Dist.point 0 ~n:1;
+          resample_cut t itv events
+        end
+      end
+      else continue := false
+    done
+
+  let serve t e =
+    let events = ref [] in
+    Array.iter
+      (fun itv ->
+        if itv.status = Slicing.Active && itv.cut = e then
+          t.hit <- t.hit +. 1.0)
+      t.intervals;
+    t.x.(e) <- t.x.(e) +. 1.0;
+    Array.iter
+      (fun itv ->
+        if itv.status = Slicing.Active then
+          match local_edge itv.seg e with
+          | Some _ ->
+              resample_cut t itv events;
+              try_grow t itv events
+          | None -> ())
+      t.intervals;
+    List.rev !events
+
+  let save buf t =
+    Binc.add_counts buf t.x;
+    Rng.save buf t.rng;
+    Binc.add_varint buf (Array.length t.intervals);
+    Array.iter
+      (fun itv ->
+        Binc.add_varint buf (Segment.first itv.seg);
+        Binc.add_varint buf (Segment.length itv.seg);
+        Binc.add_varint buf
+          (match itv.status with
+          | Slicing.Active -> 0
+          | Slicing.Mono -> 1
+          | Slicing.Dominated -> 2);
+        Binc.add_varint buf itv.cut;
+        Binc.add_varint buf itv.rank)
+      t.intervals;
+    Binc.add_varint buf (int_of_float t.hit);
+    Binc.add_varint buf (int_of_float t.move)
+end
+
+(* The composed static algorithm over the dense Slicing, rebalancing and
+   rewriting the whole assignment on every request. *)
+type reference = {
+  slicing : Dense_slicing.t;
+  clustering : Clustering.t;
+  scheduling : Scheduling.t;
+  assignment : Assignment.t;
+  online : Online.t;
+}
+
+let reference ~delta_bar ~eps' inst rng =
+  let slicing = Dense_slicing.create ~delta_bar inst rng in
+  let clustering = Clustering.create inst in
+  let scheduling = Scheduling.create inst ~eps' in
+  let assignment = Assignment.create inst in
+  let scratch = Array.make inst.Instance.n 0 in
+  let serve e =
+    List.iter
+      (Clustering.apply_event clustering)
+      (Dense_slicing.serve slicing e);
+    Scheduling.rebalance scheduling (Clustering.clusters clustering);
+    Clustering.assignment_into clustering scratch;
+    Array.iteri (Assignment.set assignment) scratch
+  in
+  let online =
+    Online.make ~name:"onl-static" ~augmentation:0.0
+      ~assignment:(fun () -> assignment)
+      ~serve
+      ~save:(fun buf ->
+        Dense_slicing.save buf slicing;
+        Clustering.save buf clustering;
+        Scheduling.save buf scheduling)
+      ~load:(fun _ -> invalid_arg "reference: no restore")
+  in
+  { slicing; clustering; scheduling; assignment; online }
+
+(* Everything the request can change, as one comparable value: the
+   assignment, Slicing's hit and move costs, Clustering's move, merge and
+   mono costs, the rebalance cost and the snapshot bytes. *)
+let observed ~assignment ~hit ~move ~clustering ~rebalance ~snapshot =
+  ( Assignment.to_array assignment,
+    (hit, move),
+    ( Clustering.move_cost clustering,
+      Clustering.merge_cost clustering,
+      Clustering.mono_cost clustering,
+      rebalance ),
+    snapshot )
+
+let observe_static alg online =
+  let sl = Static_alg.slicing alg in
+  observed ~assignment:(online.Online.assignment ())
+    ~hit:(Slicing.hit_cost sl) ~move:(Slicing.move_cost sl)
+    ~clustering:(Static_alg.clustering alg)
+    ~rebalance:(Static_alg.rebalance_cost alg)
+    ~snapshot:(online.Online.snapshot ())
+
+let observe_reference r =
+  observed ~assignment:r.assignment ~hit:r.slicing.Dense_slicing.hit
+    ~move:r.slicing.Dense_slicing.move ~clustering:r.clustering
+    ~rebalance:(Scheduling.rebalance_cost r.scheduling)
+    ~snapshot:(r.online.Online.snapshot ())
+
+(* A balanced initial layout: servers in blocks, the blocks with [swaps]
+   random pairs of processes exchanged, or a random permutation.  Off
+   blocks, initial cuts lie closer than k apart, so a growing interval
+   can contain, and so deactivate, another one that holds the requested
+   edge before that one's turn. *)
+let layout ~n ~ell layout seed =
+  let a = Array.init n (fun p -> p / (n / ell)) in
+  let rng = Rng.create seed in
+  (match layout with
+  | `Blocks -> ()
+  | `Swaps swaps ->
+      for _ = 1 to swaps do
+        let i = Rng.int rng n and j = Rng.int rng n in
+        let tmp = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- tmp
+      done
+  | `Shuffled -> Rng.shuffle rng a);
+  Instance.make ~n ~ell ~k:(n / ell) ~initial:a ()
+
+(* Random shapes (k >= 2, so n > k) and layouts, epsilons down to 0.05,
+   where delta_bar leaves 14/15, and the oblivious workloads or the
+   cut-chaser, which requests cut edges and so keeps Slicing's cuts
+   moving. *)
+let qcheck_static_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:120
+       ~name:"onl-static == dense reference, request by request"
+       ~print:(fun ((k, ell, epsilon, seed), (shape, workload, steps)) ->
+         Printf.sprintf
+           "n=%d ell=%d epsilon=%h seed=%d layout=%s workload=%s steps=%d"
+           (k * ell) ell epsilon seed
+           (match shape with
+           | `Blocks -> "blocks"
+           | `Swaps s -> Printf.sprintf "%d swaps" s
+           | `Shuffled -> "shuffled")
+           workload steps)
+       QCheck2.Gen.(
+         int_range 2 24 >>= fun k ->
+         int_range 2 6 >>= fun ell ->
+         oneof [ float_range 0.05 0.3; float_range 0.3 3.0 ] >>= fun epsilon ->
+         int_range 0 1_000_000 >>= fun seed ->
+         oneof
+           [
+             return `Blocks;
+             (int_range 1 4 >|= fun s -> `Swaps s);
+             return `Shuffled;
+           ]
+         >>= fun shape ->
+         oneofl
+           [ "uniform"; "hotspot"; "rotating"; "allreduce"; "zipf";
+             "piecewise"; "cut-chaser" ]
+         >>= fun workload ->
+         int_range 200 1500 >|= fun steps ->
+         ((k, ell, epsilon, seed), (shape, workload, steps)))
+       (fun ((k, ell, epsilon, seed), (shape, workload, steps)) ->
+         let n = k * ell in
+         let inst = layout ~n ~ell shape (seed + 2) in
+         let alg = Static_alg.create ~epsilon inst (Rng.create seed) in
+         let online = Static_alg.online alg in
+         let r =
+           reference ~delta_bar:(Static_alg.delta_bar alg)
+             ~eps':(Static_alg.eps' alg) inst (Rng.create seed)
+         in
+         let trace =
+           if workload = "cut-chaser" then Workloads.adversary_cut_chaser ~n
+           else
+             List.assoc workload
+               (Workloads.all_fixed ~n ~steps (Rng.create (seed + 1)))
+         in
+         let rec go step =
+           step = steps
+           ||
+           let e = Trace.next trace step (online.Online.assignment ()) in
+           online.Online.serve e;
+           r.online.Online.serve e;
+           observe_static alg online = observe_reference r && go (step + 1)
+         in
+         observe_static alg online = observe_reference r && go 0))
+
+(* onl-static's own serve on a 20k-request rotating trace at n = 512,
+   ell = 8: 1.8 minor words per request, almost all of them on the
+   requests that make Slicing emit an event (578 when every request
+   rebalanced and rewrote the assignment). *)
+let test_static_allocation_budget () =
+  let n = 512 and ell = 8 and steps = 20_000 in
+  let inst = Instance.blocks ~n ~ell in
+  let trace =
+    match Workloads.rotating ~n ~steps (Rng.create 7919) with
+    | Trace.Fixed a -> a
+    | Trace.Adaptive _ -> assert false
+  in
+  let online =
+    Static_alg.online (Static_alg.create ~epsilon:0.5 inst (Rng.create 42))
+  in
+  let before = Gc.minor_words () in
+  Array.iter online.Online.serve trace;
+  let per_request = (Gc.minor_words () -. before) /. float_of_int steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per request <= 2" per_request)
+    true (per_request <= 2.0)
+
+(* serve skips the rebalance on a request without events, so a restore
+   must not accept clusters that a rebalance would still move: here all
+   of them are put on server 0 before the snapshot is taken. *)
+let test_static_restore_refuses_overload () =
+  let inst = Instance.blocks ~n:64 ~ell:4 in
+  let alg = Static_alg.create ~epsilon:0.5 inst (Rng.create 21) in
+  List.iter
+    (fun (c : Clustering.cluster) -> c.Clustering.server <- 0)
+    (Clustering.clusters (Static_alg.clustering alg));
+  let snapshot = (Static_alg.online alg).Online.snapshot () in
+  let fresh =
+    Static_alg.online (Static_alg.create ~epsilon:0.5 inst (Rng.create 21))
+  in
+  Alcotest.check_raises "server above the trigger"
+    (Invalid_argument
+       "Static_alg.restore: a server is above the rebalance trigger")
+    (fun () -> fresh.Online.restore snapshot)
+
 (* --- scheduling in isolation ------------------------------------------ *)
 
 let mk_cluster cid size server =
@@ -573,5 +958,10 @@ let () =
           Alcotest.test_case "cost counters" `Quick test_static_cost_counters;
           Alcotest.test_case "augmentation formula" `Quick
             test_static_augmentation_formula;
+          qcheck_static_matches_reference;
+          Alcotest.test_case "serve allocation budget" `Quick
+            test_static_allocation_budget;
+          Alcotest.test_case "restore refuses an overloaded snapshot" `Quick
+            test_static_restore_refuses_overload;
         ] );
     ]

@@ -470,7 +470,7 @@ let encode_varints vals =
   Buffer.contents b
 
 (* Decode everything the channel reader can: (values, torn?) where [torn]
-   records an Invalid_argument mid-varint (vs a clean end-of-stream). *)
+   records a varint the stream ends inside (vs a clean end-of-stream). *)
 let channel_decode s =
   let path = Filename.temp_file "rbgp_binc" ".bin" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -487,7 +487,7 @@ let channel_decode s =
        | Some v -> acc := v :: !acc
        | None -> continue := false
      done
-   with Invalid_argument _ -> torn := true);
+   with Binc.Torn _ -> torn := true);
   (List.rev !acc, !torn)
 
 (* Same contract through the block decoder, pulling [block] values per
