@@ -91,7 +91,7 @@ let hot_root_arg =
         ~doc:
           "Add a hot root for r11 by display name (repeatable), on top of \
            the built-in set (Engine.ingest*, Dynamic_alg.serve, \
-           Binc.decode_varints*).")
+           Binc.decode_varints*, Proto.encode_edges, Proto.decode_edges).")
 
 let today_arg =
   let date =

@@ -14,8 +14,9 @@
 
    Two root sets anchor the rules:
      - hot roots (r11): the bench-audited allocation-free entry points —
-       [Engine.ingest*], the solver step [Dynamic_alg.serve] and the
-       [Binc] block decoders;
+       [Engine.ingest*], the solver step [Dynamic_alg.serve], the
+       [Binc] block decoders and the per-edge loops of the socket path's
+       request codec ([Proto.encode_edges], [Proto.decode_edges]);
      - serve roots (r12): the request path — [Engine.ingest*], the net
        tier's frame handlers and the tenant router's serve entries.
 
@@ -102,6 +103,8 @@ let hot_root_specs =
     ("Engine", "ingest");  (* ingest / ingest_batch_quiet *)
     ("Dynamic_alg", "serve");  (* the solver step behind Online.serve *)
     ("Binc", "decode_varints");  (* the block decoder *)
+    ("Proto", "encode_edges");  (* the socket path's request codec *)
+    ("Proto", "decode_edges");
   ]
 
 (* The serve/net request path whose reachable partiality r12 patrols. *)

@@ -29,7 +29,8 @@ type t
 val infer : ?extra_hot_roots:string list -> Index.t -> t
 (** Build call edges and compute root reachability.  [extra_hot_roots]
     adds display names ("Mod.name") to the built-in hot-root specs
-    ([Engine.ingest*], [Dynamic_alg.serve], [Binc.decode_varints*]). *)
+    ([Engine.ingest*], [Dynamic_alg.serve], [Binc.decode_varints*],
+    [Proto.encode_edges], [Proto.decode_edges]). *)
 
 val info : t -> string -> info option
 

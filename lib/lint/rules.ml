@@ -677,8 +677,9 @@ let descriptions =
       "no heap allocation (closures, tuples, records, list conses, \
        escaping refs, Array.append / @ / ^ / sprintf ...) in functions \
        transitively reachable from the audited hot roots — \
-       Engine.ingest*, the solver step Dynamic_alg.serve and the Binc \
-       block decoders — outside justified allowlist entries" );
+       Engine.ingest*, the solver step Dynamic_alg.serve, the Binc \
+       block decoders and the socket request codec's loops — outside \
+       justified allowlist entries" );
     ( "r12-transitive-partial",
       "no unnamed partiality (Hashtbl.find / List.find / int_of_string \
        ...) reachable from the serve/net request path without an \
@@ -702,10 +703,11 @@ let explain rule =
            the scanned tree (lib/lint/index.ml), resolves call heads \
            across modules into a call graph (lib/lint/effects.ml) and \
            walks it from the hot roots: Engine.ingest*, \
-           Dynamic_alg.serve, Binc.decode_varints*, plus any --hot-root \
-           extras.  Findings are the direct allocation sites inside every \
-           function reached — closures (one per closure, however many \
-           parameters; a closure in a loop body is rebuilt every \
+           Dynamic_alg.serve, Binc.decode_varints*, Proto.encode_edges, \
+           Proto.decode_edges, plus any --hot-root extras.  Findings are \
+           the direct allocation sites inside every function reached — \
+           closures (one per closure, however many parameters; a closure \
+           in a loop body is rebuilt every \
            iteration), tuples, records, array/list literals, cons cells, \
            refs that escape (a ref used only through !, :=, incr and decr \
            outside any closure is a mutable local and allocates nothing), \

@@ -30,7 +30,8 @@
       ingest decoders (lib/ring/trace.ml, lib/util/binc.ml).
     - [r11-hot-alloc] — interprocedural: allocation sites in functions
       transitively reachable from the audited hot roots (Engine.ingest*,
-      Dynamic_alg.serve and Binc.decode_varints).
+      Dynamic_alg.serve, Binc.decode_varints and the request codec's
+      loops Proto.encode_edges and Proto.decode_edges).
     - [r12-transitive-partial] — interprocedural: partiality other than
       r3's reachable from the serve/net request path with no intervening
       handler.

@@ -144,9 +144,12 @@ let ingest t e =
    block is billed by one Simulator loop and folded into the digest by
    one call, with two clock reads and one aggregate metrics record per
    block and no decision records — the dominant per-request overheads
-   once the solver itself is cheap. *)
-let ingest_batch_quiet t edges =
-  let b = Array.length edges in
+   once the solver itself is cheap.  The block is the first [len] edges
+   of the array, so the socket path bills its reused edge buffer in
+   place. *)
+let ingest_prefix_quiet t edges ~len:b =
+  if b < 0 || b > Array.length edges then
+    invalid_arg "Engine.ingest_prefix_quiet: bad length";
   if b = 0 then ()
   else if
     t.degraded_left > 0
@@ -174,6 +177,9 @@ let ingest_batch_quiet t edges =
     if t.budget_ns > 0 && latency_ns / b > t.budget_ns then
       t.degraded_left <- t.cooloff
   end
+
+let ingest_batch_quiet t edges =
+  ingest_prefix_quiet t edges ~len:(Array.length edges)
 
 let pos t = t.pos
 let alg_name t = t.alg_name

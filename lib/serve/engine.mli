@@ -94,6 +94,12 @@ val ingest_batch_quiet : t -> int array -> unit
     [Invalid_argument] before any request is billed, leaving position,
     digest, costs and metrics as they were. *)
 
+val ingest_prefix_quiet : t -> int array -> len:int -> unit
+(** {!ingest_batch_quiet} over the first [len] edges of the array: the
+    socket path bills a batch in place in the connection's reused edge
+    buffer.  Raises [Invalid_argument] when [len] is outside
+    [0 .. Array.length edges]. *)
+
 val set_solver_budget : t -> budget_ns:int -> cooloff:int -> unit
 (** Arm ([budget_ns > 0]) or disarm ([budget_ns = 0]) the per-request
     solver budget; [cooloff] is the length of each frozen stretch.
@@ -140,8 +146,10 @@ val resume : Checkpoint.t -> t
 
 val decision_to_json : decision -> string
 (** One-line JSON record (type tag ["decision"]) for the [rbgp serve]
-    JSONL stream: the bytes of the [%d] format, written straight into the
-    returned string, which is the call's only allocation. *)
+    JSONL stream: the bytes of the [%d] format.  The record's length is
+    computed first and its keys and digits written into one buffer of
+    exactly that size, which becomes the returned string and is the
+    call's only allocation. *)
 
 val result_to_json : t -> string
 (** Final summary record (type tag ["result"]): algorithm, requests

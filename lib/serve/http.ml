@@ -30,7 +30,9 @@ let state_string tn =
   | Tenant.Dead _ -> "dead"
 
 (* Tenant ids are validated to [A-Za-z0-9._-] at open time, so label
-   values and JSON strings below need no escaping. *)
+   values and JSON strings below need no escaping.  The whole body is
+   written into one buffer, and each tenant's [{tenant="id"}] block is
+   rendered once for its three gauges. *)
 let metrics_body router =
   let tns = Tenant.tenants router in
   let series =
@@ -44,40 +46,43 @@ let metrics_body router =
         | None -> None)
       tns
   in
+  let blocks =
+    List.map (fun tn -> (tn, "{tenant=\"" ^ Tenant.id tn ^ "\"} ")) tns
+  in
   let buf = Buffer.create 8192 in
-  Buffer.add_string buf (Metrics.prometheus_exposition series);
+  Metrics.prometheus_exposition buf series;
+  let gauge metric value_of =
+    List.iter
+      (fun (tn, block) ->
+        Buffer.add_string buf metric;
+        Buffer.add_string buf block;
+        Metrics.add_int buf (value_of tn);
+        Buffer.add_char buf '\n')
+      blocks
+  in
   Buffer.add_string buf
     "# HELP rbgp_tenant_up Tenant state: 1 serving, 0 closed or dead.\n\
      # TYPE rbgp_tenant_up gauge\n";
-  List.iter
-    (fun tn ->
-      let up = match Tenant.state tn with Tenant.Serving -> 1 | _ -> 0 in
-      Buffer.add_string buf
-        (Printf.sprintf "rbgp_tenant_up{tenant=\"%s\"} %d\n" (Tenant.id tn) up))
-    tns;
+  gauge "rbgp_tenant_up" (fun tn ->
+      match Tenant.state tn with Tenant.Serving -> 1 | _ -> 0);
   Buffer.add_string buf
     "# HELP rbgp_tenant_position Requests served (including those before \
      a resumed checkpoint).\n\
      # TYPE rbgp_tenant_position gauge\n";
-  List.iter
-    (fun tn ->
-      Buffer.add_string buf
-        (Printf.sprintf "rbgp_tenant_position{tenant=\"%s\"} %d\n"
-           (Tenant.id tn) (Tenant.pos tn)))
-    tns;
+  gauge "rbgp_tenant_position" Tenant.pos;
   Buffer.add_string buf
     "# HELP rbgp_checkpoint_age_seconds Seconds since the tenant's last \
      durable checkpoint.\n\
      # TYPE rbgp_checkpoint_age_seconds gauge\n";
   List.iter
-    (fun tn ->
+    (fun (tn, block) ->
       match Tenant.ckpt_age_s tn with
       | Some age ->
-          Buffer.add_string buf
-            (Printf.sprintf "rbgp_checkpoint_age_seconds{tenant=\"%s\"} %.3f\n"
-               (Tenant.id tn) age)
+          Buffer.add_string buf "rbgp_checkpoint_age_seconds";
+          Buffer.add_string buf block;
+          Printf.bprintf buf "%.3f\n" age
       | None -> ())
-    tns;
+    blocks;
   Buffer.contents buf
 
 let tenant_json tn =

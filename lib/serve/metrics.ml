@@ -173,11 +173,14 @@ let summary_of_snapshot s =
 let to_json t = json_of_snapshot (snapshot t)
 let summary t = summary_of_snapshot (snapshot t)
 
-(* Prometheus text exposition (version 0.0.4).  Labels values may hold
-   arbitrary tenant ids, so escape per the spec: backslash, double quote
-   and newline. *)
-let escape_label_value v =
-  let buf = Buffer.create (String.length v) in
+(* Prometheus text exposition (version 0.0.4), written into the caller's
+   buffer.  A scrape renders each series' label block once, escaping its
+   values per the spec (backslash, double quote, newline); integers are
+   written digit by digit, and the histogram's bucket bounds come from a
+   table built once.  Only the float values (uptime, the latency sum) go
+   through Printf. *)
+
+let add_escaped buf v =
   String.iter
     (fun c ->
       match c with
@@ -185,112 +188,142 @@ let escape_label_value v =
       | '"' -> Buffer.add_string buf "\\\""
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
+    v
 
-let render_labels buf labels =
-  match labels with
-  | [] -> ()
-  | _ ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf k;
-          Buffer.add_string buf "=\"";
-          Buffer.add_string buf (escape_label_value v);
-          Buffer.add_char buf '"')
-        labels;
-      Buffer.add_char buf '}'
-
-let render_labels_with buf labels extra_k extra_v =
-  Buffer.add_char buf '{';
+(* The labels as [k="v",] pairs, each followed by a comma. *)
+let add_label_pairs buf labels =
   List.iter
     (fun (k, v) ->
       Buffer.add_string buf k;
       Buffer.add_string buf "=\"";
-      Buffer.add_string buf (escape_label_value v);
+      add_escaped buf v;
       Buffer.add_string buf "\",")
-    labels;
-  Buffer.add_string buf extra_k;
-  Buffer.add_string buf "=\"";
-  Buffer.add_string buf extra_v;
-  Buffer.add_string buf "\"}"
+    labels
 
-let prometheus_exposition ?(namespace = "rbgp") series =
-  let buf = Buffer.create 4096 in
-  let counter name help value_of =
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s_%s %s\n# TYPE %s_%s counter\n" namespace name
-         help namespace name);
-    List.iter
+(* A series' two label blocks: ["{k=\"v\",...}"] ([""] without labels)
+   and the bucket lines' ["{k=\"v\",...,le=\""], which the bound
+   completes. *)
+let label_blocks labels =
+  let buf = Buffer.create 64 in
+  Buffer.add_char buf '{';
+  add_label_pairs buf labels;
+  let pairs = Buffer.contents buf in
+  let plain =
+    match labels with
+    | [] -> ""
+    | _ :: _ -> String.sub pairs 0 (String.length pairs - 1) ^ "}"
+  in
+  (plain, pairs ^ "le=\"")
+
+(* The decimal digits of [v <= 0]'s magnitude, most significant first:
+   counting on the non-positive side, where min_int has a negation. *)
+let rec add_digits buf v =
+  if v <= -10 then add_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (v mod 10)))
+
+(* [n] as [%d] writes it. *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+(* Bucket [i] of the internal log histogram holds latencies in
+   [2^i, 2^{i+1}) ns, so its Prometheus upper bound is 2^{i+1} ns in
+   seconds, as [%g] renders it. *)
+let bucket_bounds =
+  List.init nbuckets (fun i ->
+      Printf.sprintf "%g" ((2.0 ** float_of_int (i + 1)) *. 1e-9))
+
+let prometheus_exposition ?(namespace = "rbgp") buf series =
+  let rendered =
+    List.map
       (fun (labels, s) ->
-        Buffer.add_string buf (Printf.sprintf "%s_%s" namespace name);
-        render_labels buf labels;
-        Buffer.add_string buf (Printf.sprintf " %d\n" (value_of s)))
+        let plain, bucket = label_blocks labels in
+        (plain, bucket, s))
       series
   in
-  let gauge name help render_value =
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s_%s %s\n# TYPE %s_%s gauge\n" namespace name
-         help namespace name);
+  let family name help kind =
+    let metric = namespace ^ "_" ^ name in
+    Buffer.add_string buf "# HELP ";
+    Buffer.add_string buf metric;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf help;
+    Buffer.add_string buf "\n# TYPE ";
+    Buffer.add_string buf metric;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf kind;
+    Buffer.add_char buf '\n';
+    metric
+  in
+  let line metric block =
+    Buffer.add_string buf metric;
+    Buffer.add_string buf block;
+    Buffer.add_char buf ' '
+  in
+  let ints kind name help value_of =
+    let metric = family name help kind in
     List.iter
-      (fun (labels, s) ->
-        Buffer.add_string buf (Printf.sprintf "%s_%s" namespace name);
-        render_labels buf labels;
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (render_value s);
+      (fun (plain, _, s) ->
+        line metric plain;
+        add_int buf (value_of s);
         Buffer.add_char buf '\n')
-      series
+      rendered
   in
-  counter "requests_total" "Requests served." (fun s -> s.s_requests);
-  counter "comm_cost_total" "Cumulative communication cost." (fun s -> s.s_comm);
-  counter "migration_cost_total" "Cumulative migration cost." (fun s ->
+  ints "counter" "requests_total" "Requests served." (fun s -> s.s_requests);
+  ints "counter" "comm_cost_total" "Cumulative communication cost." (fun s ->
+      s.s_comm);
+  ints "counter" "migration_cost_total" "Cumulative migration cost." (fun s ->
       s.s_mig);
-  counter "degraded_requests_total"
+  ints "counter" "degraded_requests_total"
     "Requests served on the degraded never-move path." (fun s -> s.s_degraded);
-  counter "solver_repromotions_total"
+  ints "counter" "solver_repromotions_total"
     "Re-promotions from the degraded path back to the real solver." (fun s ->
       s.s_recovered);
-  gauge "max_load" "Maximum cluster load observed." (fun s ->
-      string_of_int s.s_max_load);
-  gauge "uptime_seconds" "Seconds since metrics were created."
-    (fun s -> Printf.sprintf "%.3f" s.s_elapsed_s);
-  (* Latency histogram: bucket [i] of the internal log histogram holds
-     latencies in [2^i, 2^{i+1}) ns, so its Prometheus upper bound is
-     2^{i+1} ns rendered in seconds.  Cumulative counts per exposition
-     convention; the sum is the exact accumulated latency. *)
-  Buffer.add_string buf
-    (Printf.sprintf
-       "# HELP %s_ingest_latency_seconds Ingest latency histogram.\n\
-        # TYPE %s_ingest_latency_seconds histogram\n"
-       namespace namespace);
+  ints "gauge" "max_load" "Maximum cluster load observed." (fun s ->
+      s.s_max_load);
+  let uptime =
+    family "uptime_seconds" "Seconds since metrics were created." "gauge"
+  in
   List.iter
-    (fun (labels, s) ->
-      let cum = ref 0 in
-      for i = 0 to nbuckets - 1 do
-        cum := !cum + s.s_buckets.(i);
-        if s.s_buckets.(i) > 0 then begin
-          let le_ns = 2.0 ** float_of_int (i + 1) in
-          Buffer.add_string buf
-            (Printf.sprintf "%s_ingest_latency_seconds_bucket" namespace);
-          render_labels_with buf labels "le"
-            (Printf.sprintf "%g" (le_ns *. 1e-9));
-          Buffer.add_string buf (Printf.sprintf " %d\n" !cum)
-        end
-      done;
-      Buffer.add_string buf
-        (Printf.sprintf "%s_ingest_latency_seconds_bucket" namespace);
-      render_labels_with buf labels "le" "+Inf";
-      Buffer.add_string buf (Printf.sprintf " %d\n" s.s_requests);
-      Buffer.add_string buf
-        (Printf.sprintf "%s_ingest_latency_seconds_sum" namespace);
-      render_labels buf labels;
-      Buffer.add_string buf
-        (Printf.sprintf " %.9g\n" (float_of_int s.s_lat_sum_ns *. 1e-9));
-      Buffer.add_string buf
-        (Printf.sprintf "%s_ingest_latency_seconds_count" namespace);
-      render_labels buf labels;
-      Buffer.add_string buf (Printf.sprintf " %d\n" s.s_requests))
-    series;
-  Buffer.contents buf
+    (fun (plain, _, s) ->
+      line uptime plain;
+      Printf.bprintf buf "%.3f\n" s.s_elapsed_s)
+    rendered;
+  (* Cumulative counts per exposition convention, non-empty buckets
+     only; the sum is the exact accumulated latency. *)
+  let hist =
+    family "ingest_latency_seconds" "Ingest latency histogram." "histogram"
+  in
+  let bucket_metric = hist ^ "_bucket" in
+  let sum_metric = hist ^ "_sum" and count_metric = hist ^ "_count" in
+  List.iter
+    (fun (plain, bucket, s) ->
+      let rec buckets i cum bounds =
+        match bounds with
+        | [] -> ()
+        | le :: rest ->
+            let cum = cum + s.s_buckets.(i) in
+            if s.s_buckets.(i) > 0 then begin
+              Buffer.add_string buf bucket_metric;
+              Buffer.add_string buf bucket;
+              Buffer.add_string buf le;
+              Buffer.add_string buf "\"} ";
+              add_int buf cum;
+              Buffer.add_char buf '\n'
+            end;
+            buckets (i + 1) cum rest
+      in
+      buckets 0 0 bucket_bounds;
+      Buffer.add_string buf bucket_metric;
+      Buffer.add_string buf bucket;
+      Buffer.add_string buf "+Inf\"} ";
+      add_int buf s.s_requests;
+      Buffer.add_char buf '\n';
+      line sum_metric plain;
+      Printf.bprintf buf "%.9g\n" (float_of_int s.s_lat_sum_ns *. 1e-9);
+      line count_metric plain;
+      add_int buf s.s_requests;
+      Buffer.add_char buf '\n')
+    rendered

@@ -90,15 +90,28 @@ val summary_of_snapshot : snapshot -> string
 (** Same human-readable paragraph as {!summary}. *)
 
 val prometheus_exposition :
-  ?namespace:string -> ((string * string) list * snapshot) list -> string
-(** Prometheus text exposition (format 0.0.4) for a set of labeled
-    snapshots — one series per (labels, snapshot) pair, e.g. one per
-    tenant with [["tenant", id]].  Emits counters for requests and
-    comm/mig/degraded/recovered, gauges for max load and uptime, and the
-    ingest-latency histogram with power-of-two bucket bounds rendered in
-    seconds (only non-empty buckets are listed, plus the mandatory
-    [+Inf]).  [namespace] (default ["rbgp"]) prefixes every metric
-    name.  Label values are escaped per the exposition spec. *)
+  ?namespace:string ->
+  Buffer.t ->
+  ((string * string) list * snapshot) list ->
+  unit
+(** Append the Prometheus text exposition (format 0.0.4) of a set of
+    labeled snapshots to the buffer: one series per (labels, snapshot)
+    pair, e.g. one per tenant with [["tenant", id]].  Emits counters for
+    requests and comm/mig/degraded/recovered, gauges for max load and
+    uptime, and the ingest-latency histogram with power-of-two bucket
+    bounds rendered in seconds (only non-empty buckets are listed, plus
+    the mandatory [+Inf]).  [namespace] (default ["rbgp"]) prefixes every
+    metric name.  Label values are escaped per the exposition spec.
+
+    A scrape renders each series' label block once, writes integers
+    digit by digit and takes the bucket bounds from a table built at
+    startup; only uptime ([%.3f]) and the latency sum ([%.9g]) go through
+    Printf.  The bytes are those of the same lines formatted with [%d],
+    [%g] and [%s]. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append [n] as [%d] writes it, digit by digit: the exposition's
+    integer writer, shared with the HTTP surface's tenant gauges. *)
 
 val to_json : t -> string
 (** One-line JSON object (type tag ["metrics"]): requests, rps, p50/p90/p99

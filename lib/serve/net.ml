@@ -157,10 +157,15 @@ module Outbuf = struct
     Bytes.blit_string s 0 t.buf (t.start + t.len) slen;
     t.len <- t.len + slen
 
+  (* An emptied queue that grew past 1 MiB for one large reply goes back
+     to its initial size, so the connection does not keep it. *)
   let consume t n =
     t.start <- t.start + n;
     t.len <- t.len - n;
-    if t.len = 0 then t.start <- 0
+    if t.len = 0 then begin
+      t.start <- 0;
+      if Bytes.length t.buf > 1 lsl 20 then t.buf <- Bytes.create 4096
+    end
 end
 
 type kind = Rpc | Http
@@ -169,6 +174,7 @@ type conn = {
   fd : Unix.file_descr;
   kind : kind;
   dec : Proto.dechunker;
+  reqs : Proto.edge_buf;  (** the current request batch, decoded in place *)
   http_buf : Buffer.t;
   out : Outbuf.t;
   streams : (int, Tenant.tenant) Hashtbl.t;
@@ -243,38 +249,38 @@ let hello_payload () =
 
 (* Engine exceptions a supervised server absorbs by killing the tenant:
    the same named set the CLI supervisor restarts on.  Anything else is
-   a programming error and takes the process down in either mode. *)
+   a programming error and takes the process down in either mode.  The
+   batch is the one [Proto.next_req] decoded into [conn.reqs]. *)
 let handle_req server conn (f : Proto.frame) tn quiet =
   let router = server.router in
-  match
-    if quiet then begin
-      let edges = Proto.read_req f.payload in
-      Tenant.serve_quiet router tn edges;
-      (match Tenant.engine tn with
-      | Some e ->
-          let r = Engine.result e in
-          let b = Buffer.create 24 in
-          Proto.add_ack b
-            {
-              Proto.count = Array.length edges;
-              pos = Engine.pos e;
-              cum_comm = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.comm;
-              cum_mig = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.mig;
-              ack_max_load = r.Rbgp_ring.Simulator.max_load;
-              violations = r.Rbgp_ring.Simulator.capacity_violations;
-            };
-          send_frame conn ~stream:f.stream Proto.Ack (Buffer.contents b)
-      | None -> failwith "tenant engine vanished mid-request")
-    end
-    else begin
-      let edges = Proto.read_req f.payload in
-      let start_pos = Tenant.pos tn in
-      let ds = Tenant.serve router tn edges in
-      let b = Buffer.create ((Array.length ds * 12) + 16) in
-      Proto.add_decisions b ~start_pos ds;
-      send_frame conn ~stream:f.stream Proto.Decisions (Buffer.contents b)
-    end
-  with
+  let edges = conn.reqs.Proto.arr and count = conn.reqs.Proto.count in
+  (match
+     if quiet then begin
+       Tenant.serve_quiet router tn edges ~len:count;
+       match Tenant.engine tn with
+       | Some e ->
+           let r = Engine.result e in
+           let b = Buffer.create 24 in
+           Proto.add_ack b
+             {
+               Proto.count;
+               pos = Engine.pos e;
+               cum_comm = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.comm;
+               cum_mig = r.Rbgp_ring.Simulator.cost.Rbgp_ring.Cost.mig;
+               ack_max_load = r.Rbgp_ring.Simulator.max_load;
+               violations = r.Rbgp_ring.Simulator.capacity_violations;
+             };
+           send_frame conn ~stream:f.stream Proto.Ack (Buffer.contents b)
+       | None -> failwith "tenant engine vanished mid-request"
+     end
+     else begin
+       let start_pos = Tenant.pos tn in
+       let ds = Tenant.serve router tn edges ~len:count in
+       let b = Buffer.create ((Array.length ds * 12) + 16) in
+       Proto.add_decisions b ~start_pos ds;
+       send_frame conn ~stream:f.stream Proto.Decisions (Buffer.contents b)
+     end
+   with
   | () -> ()
   | exception
       (( Fault.Injected_crash _ | Failure _ | Invalid_argument _
@@ -282,7 +288,8 @@ let handle_req server conn (f : Proto.frame) tn quiet =
     when server.supervise ->
       let msg = Printexc.to_string e in
       Tenant.kill router tn msg;
-      send_error conn ~stream:f.stream ~code:Proto.err_tenant_failed msg
+      send_error conn ~stream:f.stream ~code:Proto.err_tenant_failed msg);
+  Proto.trim_edges conn.reqs
 
 let handle_frame server conn (f : Proto.frame) =
   match f.op with
@@ -345,7 +352,7 @@ let handle_frame server conn (f : Proto.frame) =
 
 let rec dispatch_frames server conn =
   if not (conn.closing || conn.dead) then begin
-    match Proto.next conn.dec with
+    match Proto.next_req conn.dec conn.reqs with
     | Some f ->
         handle_frame server conn f;
         dispatch_frames server conn
@@ -436,6 +443,7 @@ let make_conn kind fd =
     fd;
     kind;
     dec = Proto.dechunker ();
+    reqs = Proto.edge_buf ();
     http_buf = Buffer.create 256;
     out = Outbuf.create ();
     streams = Hashtbl.create 4;
@@ -514,6 +522,7 @@ let run ?(timeout = 0.2) s =
 type client = {
   cfd : Unix.file_descr;
   cdec : Proto.dechunker;
+  enc : Proto.encoder;  (** request frames, encoded in place *)
   cbuf : bytes;
   pump : (unit -> unit) option;
   mutable srv_draining : bool;
@@ -532,9 +541,8 @@ let client_wait_writable c =
   | Some pump -> pump ()
   | None -> ignore (Sockio.select [] [ c.cfd ] 1.0)
 
-let send_all c s =
-  let b = Bytes.unsafe_of_string s in
-  let total = String.length s in
+let send_bytes c b off len =
+  let total = off + len in
   let rec go off =
     if off < total then begin
       match Sockio.write c.cfd b off (total - off) with
@@ -545,7 +553,9 @@ let send_all c s =
       | `Closed -> raise (Disconnected "peer closed while writing")
     end
   in
-  go 0
+  go off
+
+let send_all c s = send_bytes c (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let rec recv_frame c =
   match Proto.next c.cdec with
@@ -586,6 +596,7 @@ let connect ?pump addr =
     {
       cfd = fd;
       cdec = Proto.dechunker ();
+      enc = Proto.encoder ();
       cbuf = Bytes.create 65536;
       pump;
       srv_draining = false;
@@ -615,14 +626,23 @@ let open_stream c ~stream (o : Proto.open_payload) =
   let f = await c ~stream Proto.Opened in
   Proto.read_opened f.Proto.payload
 
+(* The frame is encoded into the client's own buffer and written from
+   there: no frame string per call. *)
+let send_req c ~stream op edges ~pos ~len =
+  let enc = c.enc in
+  Proto.encode_req enc ~stream op edges ~pos ~len;
+  send_bytes c enc.Proto.buf enc.Proto.first
+    (enc.Proto.stop - enc.Proto.first);
+  Proto.trim_encoder enc
+
 let request c ~stream edges ~pos ~len =
-  send_all c (Proto.req_frame ~stream Proto.Req edges ~pos ~len);
+  send_req c ~stream Proto.Req edges ~pos ~len;
   let f = await c ~stream Proto.Decisions in
   let _start, ds = Proto.read_decisions f.Proto.payload in
   ds
 
 let request_quiet c ~stream edges ~pos ~len =
-  send_all c (Proto.req_frame ~stream Proto.Req_quiet edges ~pos ~len);
+  send_req c ~stream Proto.Req_quiet edges ~pos ~len;
   let f = await c ~stream Proto.Ack in
   Proto.read_ack f.Proto.payload
 

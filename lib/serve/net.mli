@@ -6,8 +6,14 @@
 
     One [select] loop owns every file descriptor: the RPC listener, the
     optional HTTP listener, and all accepted connections, each with a
-    {!Proto.dechunker} for torn-frame reassembly and an output queue for
-    partially-written replies.  Backpressure is per connection: when a
+    {!Proto.dechunker} for torn-frame reassembly, a {!Proto.edge_buf}
+    into which request batches are decoded straight from the dechunker's
+    window and served in place, and an output queue for
+    partially-written replies.  A connection keeps these buffers between
+    frames, so a steady stream of batches allocates nothing per edge.
+    What one large frame grew is released once it is served: an edge
+    array above 64 KiB of payload, and a window or output queue above
+    1 MiB once it is empty.  Backpressure is per connection: when a
     peer's queued output exceeds a high-water mark the server stops
     {e reading} from that peer until the queue drains below the low-water
     mark — a slow consumer throttles itself, never the other tenants.
@@ -116,12 +122,14 @@ val request :
   client -> stream:int -> int array -> pos:int -> len:int ->
   Engine.decision array
 (** Serve [len] edges starting at [pos]: sends [Req], awaits
-    [Decisions]. *)
+    [Decisions].  The frame is encoded in one pass into a send buffer
+    the client keeps ({!Proto.encode_req}) and written from there. *)
 
 val request_quiet :
   client -> stream:int -> int array -> pos:int -> len:int ->
   Proto.ack_payload
-(** Quiet path: sends [Req_quiet], awaits [Ack]. *)
+(** Quiet path: sends [Req_quiet], encoded as by {!request}, and awaits
+    [Ack]. *)
 
 val checkpoint : client -> stream:int -> int
 (** Force a durable checkpoint; returns its position. *)

@@ -145,7 +145,9 @@ let parse_varint d pos =
   in
   go 0 0 0
 
-let next d =
+(* The frame at the front of the window once all of it is buffered:
+   [Some (stream, op, header bytes, payload bytes)]. *)
+let front d =
   match parse_varint d 0 with
   | `Torn -> None
   | `Got (stream, c1) -> (
@@ -163,15 +165,30 @@ let next d =
                   (Protocol_error (Printf.sprintf "payload %d over limit" plen));
               let hdr = c1 + c2 + c3 in
               if d.len < hdr + plen then None
-              else begin
-                let payload =
-                  Bytes.sub_string d.buf (d.start + hdr) plen
-                in
-                d.start <- d.start + hdr + plen;
-                d.len <- d.len - hdr - plen;
-                if d.len = 0 then d.start <- 0;
-                Some { stream; op; payload }
-              end))
+              else Some (stream, op, hdr, plen)))
+
+(* Drop a delivered frame from the window.  An emptied window that grew
+   past [retain_window] for one large frame goes back to its initial
+   size, so the connection does not keep it. *)
+let retain_window = 1 lsl 20
+
+let consume d n =
+  d.start <- d.start + n;
+  d.len <- d.len - n;
+  if d.len = 0 then begin
+    d.start <- 0;
+    if Bytes.length d.buf > retain_window then d.buf <- Bytes.create 4096
+  end
+
+let take_payload d ~stream op hdr plen =
+  let payload = Bytes.sub_string d.buf (d.start + hdr) plen in
+  consume d (hdr + plen);
+  Some { stream; op; payload }
+
+let next d =
+  match front d with
+  | None -> None
+  | Some (stream, op, hdr, plen) -> take_payload d ~stream op hdr plen
 
 (* Payload codecs.  Decoders wrap Binc's [Invalid_argument] (truncated
    input) into [Protocol_error] so connection handlers distinguish a bad
@@ -246,10 +263,16 @@ let read_open payload =
       { tenant; alg; n; ell; epsilon; seed })
     payload
 
-(* Request frames carry the socket path's per-request bytes, so they
-   are coded in tight loops over one exactly sized buffer rather than
-   through [Buffer] and [Binc] calls per edge; the bytes are those of
-   [frame_to_string] over a payload of edge varints. *)
+(* --- request batches ---------------------------------------------------
+
+   Request frames carry the socket path's per-request bytes, so both
+   directions code them in one pass over buffers that the caller keeps:
+   the client's [encoder] and the connection's [edge_buf].  The per-edge
+   loops, [encode_edges] and [decode_edges], are r11 hot roots: they
+   write into buffers sized before the loop starts and allocate only the
+   message of a raise.  The bytes are those of [frame_to_string] over a
+   payload of [Binc] edge varints, and the errors are those of
+   [Binc.add_varint] and [Binc.read_varint], at the same byte. *)
 
 (* Bytes in the varint of [v >= 0]. *)
 let rec varint_len v = if v < 0x80 then 1 else 1 + varint_len (v lsr 7)
@@ -265,59 +288,158 @@ let rec put_varint b pos v =
     put_varint b (pos + 1) (v lsr 7)
   end
 
-let req_frame ~stream op edges ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length edges then
-    invalid_arg "Proto.req_frame";
-  let plen = ref 0 in
+(* Buffers are kept up to [retain_edges] edges: an encoder sized for that
+   many (9 bytes each), an edge array of that length (512 KiB), which
+   holds any payload up to 64 KiB.  A larger batch grows them for itself
+   only: [trim_encoder] and [trim_edges] release them once it is done. *)
+let retain_edges = 1 lsl 16
+
+(* The payload is written after [header_room] bytes, and the header
+   right-aligned in front of it once the payload length is known: a
+   stream id takes at most 9 bytes, the opcode 1, and a length up to
+   [max_payload] 4. *)
+let header_room = 16
+
+type encoder = { mutable buf : bytes; mutable first : int; mutable stop : int }
+
+let encoder () = { buf = Bytes.empty; first = header_room; stop = header_room }
+
+(* The varints of [edges.(pos .. pos+len-1)] from [p]; returns the
+   position after the last.  Edges below 2^14, every edge of a ring up to
+   16384 nodes, take the 1- and 2-byte branches. *)
+let encode_edges b p edges ~pos ~len =
+  let p = ref p in
   for i = pos to pos + len - 1 do
     let e = edges.(i) in
-    if e < 0 then invalid_arg "Binc.add_varint: negative";
-    plen := !plen + varint_len e
+    if e < 0x80 then begin
+      if e < 0 then invalid_arg "Binc.add_varint: negative";
+      Bytes.set b !p (Char.unsafe_chr e);
+      p := !p + 1
+    end
+    else if e < 0x4000 then begin
+      Bytes.set b !p (Char.unsafe_chr (0x80 lor (e land 0x7f)));
+      Bytes.set b (!p + 1) (Char.unsafe_chr (e lsr 7));
+      p := !p + 2
+    end
+    else p := put_varint b !p e
   done;
-  let plen = !plen in
-  if plen > max_payload then
-    raise (Protocol_error (Printf.sprintf "payload %d over limit" plen));
+  !p
+
+(* The error of a batch whose payload does not fit [max_payload]: a
+   negative edge anywhere comes first, as it would in [Binc.add_varint]
+   over the whole batch. *)
+let oversized_batch edges ~pos ~len =
+  let plen = ref 0 in
+  for i = pos to pos + len - 1 do
+    if edges.(i) < 0 then invalid_arg "Binc.add_varint: negative";
+    plen := !plen + varint_len edges.(i)
+  done;
+  raise (Protocol_error (Printf.sprintf "payload %d over limit" !plen))
+
+(* A buffer of at least [need] bytes: doubling up to the retained size,
+   exactly [need] above it. *)
+let fresh_size ~have ~need ~retain =
+  if need > retain then need else Int.min retain (Int.max need (2 * have))
+
+let encode_req enc ~stream op edges ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length edges then
+    invalid_arg "Proto.encode_req";
+  (* every edge takes at most 9 bytes; a payload that would need more
+     than [max_payload + 9] is over the limit, so the loop runs out of
+     buffer (a bounds [Invalid_argument]) only for a batch that fails *)
+  let need = header_room + Int.min (9 * len) (max_payload + 9) in
+  if Bytes.length enc.buf < need then
+    enc.buf <-
+      Bytes.create
+        (fresh_size ~have:(Bytes.length enc.buf) ~need
+           ~retain:(header_room + (9 * retain_edges)));
+  let stop =
+    match encode_edges enc.buf header_room edges ~pos ~len with
+    | stop -> stop
+    | exception Invalid_argument _ -> oversized_batch edges ~pos ~len
+  in
+  let plen = stop - header_room in
+  if plen > max_payload then oversized_batch edges ~pos ~len;
   if stream < 0 then invalid_arg "Binc.add_varint: negative";
   let opn = op_to_int op in
-  let b =
-    Bytes.create (varint_len stream + varint_len opn + varint_len plen + plen)
+  let first =
+    header_room - (varint_len stream + varint_len opn + varint_len plen)
   in
-  let p = ref (put_varint b (put_varint b (put_varint b 0 stream) opn) plen) in
-  for i = pos to pos + len - 1 do
-    p := put_varint b !p edges.(i)
-  done;
-  Bytes.unsafe_to_string b
+  let p = put_varint enc.buf first stream in
+  ignore (put_varint enc.buf (put_varint enc.buf p opn) plen);
+  enc.first <- first;
+  enc.stop <- stop
 
-(* Two passes: count the varints (each ends in the one byte of it below
-   0x80), then decode them into an array of exactly that size.  The
-   errors are [Binc.read_varint]'s, raised at the same byte. *)
-let read_req payload =
-  let len = String.length payload in
-  let count = ref 0 in
-  for i = 0 to len - 1 do
-    if Char.code payload.[i] < 0x80 then incr count
-  done;
-  let edges = Array.make !count 0 in
-  let k = ref 0 and v = ref 0 and shift = ref 0 in
-  for p = 0 to len - 1 do
+let trim_encoder enc =
+  if Bytes.length enc.buf > header_room + (9 * retain_edges) then
+    enc.buf <- Bytes.empty
+
+type edge_buf = { mutable arr : int array; mutable count : int }
+
+let edge_buf () = { arr = [||]; count = 0 }
+
+(* The varint at [p] in a payload of [b.(off .. stop-1)] when the 1- and
+   2-byte paths do not take it: written to [arr.(k)], returns the
+   position after it.  The checks and their order are
+   [Binc.read_varint]'s. *)
+let decode_long arr k b p ~off ~stop =
+  let v = ref 0 and shift = ref 0 and q = ref p and continue = ref true in
+  while !continue do
+    if !q >= stop then
+      raise (Protocol_error (Printf.sprintf "req: Binc.read_varint: truncated input at byte %d" (stop - off)));
     if !shift > 62 then
       raise (Protocol_error "req: Binc.read_varint: varint too long");
-    let b = Char.code payload.[p] in
-    v := !v lor ((b land 0x7f) lsl !shift);
-    if b < 0x80 then begin
-      edges.(!k) <- !v;
-      incr k;
-      v := 0;
-      shift := 0
-    end
-    else shift := !shift + 7
+    let c = Char.code (Bytes.get b !q) in
+    q := !q + 1;
+    v := !v lor ((c land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    continue := c >= 0x80
   done;
-  if !shift > 0 then
-    raise
-      (Protocol_error
-         (Printf.sprintf "req: Binc.read_varint: truncated input at byte %d"
-            len));
-  edges
+  arr.(k) <- !v;
+  !q
+
+(* The edges of the payload [b.(off .. off+plen-1)] into [arr], which
+   holds at least [plen] (every varint takes a byte); returns their
+   count. *)
+let decode_edges arr b ~off ~plen =
+  let stop = off + plen in
+  let p = ref off and k = ref 0 in
+  while !p < stop do
+    let b0 = Char.code (Bytes.get b !p) in
+    if b0 < 0x80 then begin
+      arr.(!k) <- b0;
+      p := !p + 1
+    end
+    else if !p + 1 < stop && Char.code (Bytes.get b (!p + 1)) < 0x80 then begin
+      arr.(!k) <- (b0 land 0x7f) lor (Char.code (Bytes.get b (!p + 1)) lsl 7);
+      p := !p + 2
+    end
+    else p := decode_long arr !k b !p ~off ~stop;
+    k := !k + 1
+  done;
+  !k
+
+let trim_edges es =
+  if Array.length es.arr > retain_edges then begin
+    es.arr <- [||];
+    es.count <- 0
+  end
+
+let next_req d es =
+  match front d with
+  | None -> None
+  | Some (stream, ((Req | Req_quiet) as op), hdr, plen) ->
+      if Array.length es.arr < plen then
+        es.arr <-
+          Array.make
+            (fresh_size ~have:(Array.length es.arr) ~need:plen
+               ~retain:retain_edges)
+            0;
+      es.count <- 0;
+      es.count <- decode_edges es.arr d.buf ~off:(d.start + hdr) ~plen;
+      consume d (hdr + plen);
+      Some { stream; op; payload = "" }
+  | Some (stream, op, hdr, plen) -> take_payload d ~stream op hdr plen
 
 let add_opened buf ~pos = Rbgp_util.Binc.add_varint buf pos
 

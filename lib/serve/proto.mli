@@ -97,7 +97,8 @@ val feed_string : dechunker -> string -> unit
 val next : dechunker -> frame option
 (** The next complete frame, or [None] if the buffered bytes end in a
     torn frame (or are empty).  Raises {!Protocol_error} on input no
-    completion could repair. *)
+    completion could repair.  A window that grew past 1 MiB for a large
+    frame shrinks back once it is empty. *)
 
 val pending_bytes : dechunker -> int
 (** Bytes buffered but not yet delivered as frames (parked tail). *)
@@ -123,17 +124,58 @@ type open_payload = {
 val add_open : Buffer.t -> open_payload -> unit
 val read_open : string -> open_payload
 
-val req_frame : stream:int -> op -> int array -> pos:int -> len:int -> string
-(** [req_frame ~stream op edges ~pos ~len] is a whole request frame
-    ([op] is {!Req} or {!Req_quiet}): {!frame_to_string} over a payload
-    of [len] consecutive edge varints from [pos] — identical to the
-    RBGT/v1 request framing.  Written straight into the returned string.
+(** {2 Request batches}
+
+    The socket path's per-request bytes.  A [Req]/[Req_quiet] payload is
+    the edges' varints back to back, identical to the RBGT/v1 request
+    framing.  Both directions code it in one pass into buffers the
+    caller keeps and reuses, so a steady stream of batches allocates
+    neither a frame string nor an edge array per call.  The buffers are
+    kept while they fit 65536 edges (an encoder for that many edges, an
+    edge array for a payload of up to 64 KiB); what a larger batch grew
+    is released by the trim functions once that batch is done, so one
+    16 MiB frame does not stay pinned for the lifetime of a client or
+    connection. *)
+
+type encoder = private {
+  mutable buf : bytes;
+  mutable first : int;
+  mutable stop : int;
+}
+(** The client's send buffer.  After {!encode_req}, the frame is
+    [buf.(first .. stop-1)]. *)
+
+val encoder : unit -> encoder
+
+val encode_req :
+  encoder -> stream:int -> op -> int array -> pos:int -> len:int -> unit
+(** [encode_req enc ~stream op edges ~pos ~len] encodes a whole request
+    frame ([op] is {!Req} or {!Req_quiet}) over [len] consecutive edges
+    from [pos]: the bytes of {!frame_to_string} over their varints.  The
+    payload is written after room reserved for the header, and the
+    header right-aligned in that room once the payload length is known.
     Raises [Invalid_argument] on a bad range or a negative edge, and
     {!Protocol_error} on a payload over {!max_payload}. *)
 
-val read_req : string -> int array
-(** The edges of a request payload.  Raises {!Protocol_error} on a
-    payload that ends inside a varint or holds one over 63 bits. *)
+val trim_encoder : encoder -> unit
+(** Release a buffer grown for a batch of more than 65536 edges. *)
+
+type edge_buf = private { mutable arr : int array; mutable count : int }
+(** The server's edge buffer: a decoded batch is [arr.(0 .. count-1)],
+    valid until the next decode or trim. *)
+
+val edge_buf : unit -> edge_buf
+
+val next_req : dechunker -> edge_buf -> frame option
+(** {!next} for the server: a [Req] or [Req_quiet] payload is decoded
+    straight from the dechunker's window into the buffer, and its frame
+    carries an empty payload string.  Other frames are delivered as by
+    {!next}.  Raises {!Protocol_error} on a request payload that ends
+    inside a varint or holds one over 9 bytes, with [Binc.read_varint]'s
+    message at the same byte. *)
+
+val trim_edges : edge_buf -> unit
+(** Release an edge array grown for a payload of more than 64 KiB. *)
 
 val add_opened : Buffer.t -> pos:int -> unit
 val read_opened : string -> int

@@ -104,22 +104,23 @@ let maybe_roll t tn ~before ~after =
   if t.every > 0 && after / t.every > before / t.every then
     ignore (checkpoint_now t tn)
 
-let serve t tn edges =
+(* A batch is the first [len] edges of [edges]: the socket path serves
+   the connection's reused edge buffer in place. *)
+let serve t tn edges ~len =
   match (tn.st, tn.engine) with
   | Serving, Some e ->
       let before = Engine.pos e in
-      let ds = Array.map (Engine.ingest e) edges in
+      let ds = Array.init len (fun j -> Engine.ingest e edges.(j)) in
       maybe_roll t tn ~before ~after:(Engine.pos e);
       ds
   | _ -> failwith (Printf.sprintf "tenant %s is not serving" tn.tid)
 
-let serve_quiet t tn edges =
+let serve_quiet t tn edges ~len =
   match (tn.st, tn.engine) with
   | Serving, Some e ->
       let before = Engine.pos e in
-      Engine.ingest_batch_quiet e edges;
-      maybe_roll t tn ~before ~after:(Engine.pos e);
-      ()
+      Engine.ingest_prefix_quiet e edges ~len;
+      maybe_roll t tn ~before ~after:(Engine.pos e)
   | _ -> failwith (Printf.sprintf "tenant %s is not serving" tn.tid)
 
 let closed_payload_of tn =

@@ -66,14 +66,17 @@ val open_tenant :
     ([err_config_mismatch], [err_proto] for a bad id or unknown
     algorithm, [err_tenant_failed] when a resume attempt itself fails). *)
 
-val serve : t -> tenant -> int array -> Engine.decision array
-(** {!Engine.ingest} on each edge plus the rolling-checkpoint cadence.  Raises
-    [Failure] if the tenant is not [Serving]; engine exceptions (including
-    {!Fault.Injected_crash}) propagate to the caller, which decides
-    between {!kill} (supervised) and dying (unsupervised). *)
+val serve : t -> tenant -> int array -> len:int -> Engine.decision array
+(** {!Engine.ingest} on each of the first [len] edges plus the
+    rolling-checkpoint cadence: the server passes its reused edge buffer
+    and the batch's count.  Raises [Failure] if the tenant is not
+    [Serving]; engine exceptions (including {!Fault.Injected_crash})
+    propagate to the caller, which decides between {!kill} (supervised)
+    and dying (unsupervised). *)
 
-val serve_quiet : t -> tenant -> int array -> unit
-(** {!Engine.ingest_batch_quiet} plus the same cadence. *)
+val serve_quiet : t -> tenant -> int array -> len:int -> unit
+(** {!Engine.ingest_prefix_quiet} over the first [len] edges plus the
+    same cadence. *)
 
 val checkpoint_now : t -> tenant -> int
 (** Snapshot immediately (rolling write when a directory is configured);

@@ -105,6 +105,11 @@ let region_of_string s =
 let region_pos r = r.rpos
 let region_at_end r = r.rpos >= r.rend
 
+let region_seek r pos =
+  if pos < 0 || pos > r.rend then
+    invalid_arg "Binc.region_seek: position out of range";
+  r.rpos <- pos
+
 let region_read_string r len =
   if len < 0 || r.rpos + len > r.rend then
     truncated "region_read_string" r.rpos;

@@ -80,6 +80,10 @@ val region_of_string : string -> region
 val region_pos : region -> int
 val region_at_end : region -> bool
 
+val region_seek : region -> int -> unit
+(** Move the cursor to an absolute position; raises [Invalid_argument]
+    outside [0 .. length]. *)
+
 val region_read_string : region -> int -> string
 (** Read exactly [len] bytes; raises [Invalid_argument] when fewer remain. *)
 

@@ -49,7 +49,9 @@ let input_request_opt ?path ?(base = 0) ic ~n =
       fail ?path "torn frame (truncated varint at byte %d)"
         (pos_in ic - base - k)
   | exception Invalid_argument _ ->
-      fail ?path "torn frame (truncated varint at byte %d)" (pos_in ic - base)
+      (* the varint was refused at its tenth byte *)
+      fail ?path "bad frame (varint over 9 bytes at byte %d)"
+        (pos_in ic - base - 10)
 
 (* --- zero-copy region path (mmap) ------------------------------------- *)
 
@@ -100,24 +102,62 @@ let header_of_region ?path r =
   let seed = Binc.region_read_zigzag r in
   { version = v; n; ell; seed }
 
+(* The error path of [decode_requests_into]: a block that holds a bad
+   frame (a torn or over-long varint, or an edge out of range) is read
+   again frame by frame from its start.  The valid requests before the
+   bad frame are delivered and the cursor parks on that frame's first
+   byte, so the call that meets it first raises, and so does every later
+   one, as the channel backend does after its first error.  The messages
+   are [input_request_opt]'s, naming the same byte. *)
+let recheck_block ?path r ~n out ~limit ~block_start =
+  Binc.region_seek r block_start;
+  let rec go j =
+    if j >= limit || Binc.region_at_end r then j
+    else begin
+      let start = Binc.region_pos r in
+      match Binc.region_read_varint r with
+      | e when e >= 0 && e < n ->
+          out.(j) <- e;
+          go (j + 1)
+      | e ->
+          let frame_end = Binc.region_pos r in
+          Binc.region_seek r start;
+          if j > 0 then j
+          else
+            fail ?path "edge %d out of [0, %d) (frame ends at byte %d)" e n
+              frame_end
+      | exception Invalid_argument _ ->
+          (* a varint runs past the region end (torn) or is refused at its
+             tenth byte *)
+          let torn = Binc.region_at_end r in
+          Binc.region_seek r start;
+          if j > 0 then j
+          else if torn then
+            fail ?path "torn frame (truncated varint at byte %d)" start
+          else fail ?path "bad frame (varint over 9 bytes at byte %d)" start
+    end
+  in
+  go 0
+
 (* Bulk frame decode + validation, the hot half of the mmap ingest path:
    one block-decoder call, one branch-per-request validation scan, no
    allocation.  Torn-tail behaviour mirrors [input_request_opt] frame for
-   frame (see Binc.decode_varints). *)
+   frame (see Binc.decode_varints); any other bad frame takes
+   [recheck_block]. *)
 let decode_requests_into ?path r ~n out ~limit =
   let block_start = Binc.region_pos r in
-  let got =
-    try Binc.decode_varints r out ~limit
-    with Invalid_argument _ ->
-      fail ?path "torn frame (truncated varint at byte %d)" (Binc.region_pos r)
-  in
-  for j = 0 to got - 1 do
-    let e = out.(j) in
-    if e < 0 || e >= n then
-      fail ?path "edge %d out of [0, %d) (request %d of block at byte %d)" e n
-        j block_start
-  done;
-  got
+  match Binc.decode_varints r out ~limit with
+  | exception Invalid_argument _ ->
+      recheck_block ?path r ~n out ~limit ~block_start
+  | got -> (
+      match
+        for j = 0 to got - 1 do
+          let e = out.(j) in
+          if e < 0 || e >= n then raise Exit
+        done
+      with
+      | () -> got
+      | exception Exit -> recheck_block ?path r ~n out ~limit ~block_start)
 
 let write ~path ~n ?(ell = 0) ?(seed = 0) trace =
   let oc = open_out_bin path in

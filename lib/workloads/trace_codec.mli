@@ -71,8 +71,10 @@ val decode_requests_into :
   ?path:string -> Rbgp_util.Binc.region -> n:int -> int array -> limit:int -> int
 (** Bulk-decode up to [limit] requests into the array, validating each
     against [n]; returns how many were decoded, [0] only at a clean end
-    of region.  Complete frames before a torn tail are delivered; the
-    next call raises. *)
+    of region.  The valid requests before a bad frame (a torn tail, a
+    varint over 9 bytes, an edge out of range) are delivered and the
+    cursor stays on that frame, so the next call and every later one
+    raise, with {!input_request_opt}'s message naming the same byte. *)
 
 val write :
   path:string -> n:int -> ?ell:int -> ?seed:int -> int array -> unit

@@ -192,6 +192,23 @@ let gen_edge =
         int_range 0 max_int;
       ])
 
+(* The frame [encode_req] leaves in the encoder, as a string. *)
+let encoded enc =
+  Bytes.sub_string enc.Proto.buf enc.Proto.first
+    (enc.Proto.stop - enc.Proto.first)
+
+let decoded es = Ok (Array.sub es.Proto.arr 0 es.Proto.count)
+
+(* A request payload as the server decodes it: straight from a
+   dechunker's window into the edge buffer. *)
+let decode es payload =
+  let d = Proto.dechunker () in
+  Proto.feed_string d (Proto.frame_to_string ~stream:1 Proto.Req payload);
+  match Proto.next_req d es with
+  | Some _ -> decoded es
+  | None -> Error "frame not delivered"
+  | exception Proto.Protocol_error m -> Error m
+
 let qcheck_req_codec =
   qtest ~count:500 "qcheck: request frames and payloads == Binc varints"
     QCheck2.Gen.(
@@ -204,22 +221,115 @@ let qcheck_req_codec =
       return (edges, pos, len, stream, junk))
     (fun (edges, pos, len, stream, junk) ->
       let payload = reference_req_payload edges ~pos ~len in
-      let decode s =
-        match Proto.read_req s with
-        | a -> Ok a
-        | exception Proto.Protocol_error m -> Error m
-      in
+      let enc = Proto.encoder () and es = Proto.edge_buf () in
+      Proto.encode_req enc ~stream Proto.Req_quiet edges ~pos ~len;
       List.for_all Fun.id
         [
-          Proto.req_frame ~stream Proto.Req_quiet edges ~pos ~len
-          = Proto.frame_to_string ~stream Proto.Req_quiet payload;
-          decode payload = Ok (Array.sub edges pos len);
-          decode junk = reference_read_req junk;
-          decode (payload ^ junk) = reference_read_req (payload ^ junk);
-          decode (payload ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")
+          encoded enc = Proto.frame_to_string ~stream Proto.Req_quiet payload;
+          decode es payload = Ok (Array.sub edges pos len);
+          decode es junk = reference_read_req junk;
+          decode es (payload ^ junk) = reference_read_req (payload ^ junk);
+          decode es (payload ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")
           = reference_read_req
               (payload ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01");
         ])
+
+(* One client encoder and one server-side dechunker and edge buffer, the
+   state a connection keeps, carry a whole sequence of batches: empty
+   ones, edges of 3 bytes and more, batches that grow the buffers and
+   then shorter ones that must not see the longer ones' stale edges.
+   Each frame reaches the server through the dechunker window in two
+   pieces.  Between the batches, junk payloads decode (or fail, at the
+   same byte) into the same edge buffer exactly as the Binc reference
+   does. *)
+let qcheck_req_codec_reused =
+  let batch =
+    QCheck2.Gen.(
+      let* size =
+        frequency
+          [ (1, return 0); (4, int_range 1 64); (2, int_range 1000 5000) ]
+      in
+      array_size (return size) gen_edge)
+  in
+  qtest ~count:60
+    "qcheck: reused request buffers == Binc varints, frame by frame"
+    QCheck2.Gen.(
+      let* grow = list_size (int_range 1 6) batch in
+      let* shrink =
+        list_size (int_range 1 4) (array_size (int_range 0 20) gen_edge)
+      in
+      let* junk =
+        list_size (int_range 1 6) (string_size ~gen:char (int_range 0 24))
+      in
+      let* cuts = list_size (return 10) (int_range 0 1_000_000) in
+      return (grow @ shrink, junk, cuts))
+    (fun (batches, junk, cuts) ->
+      let enc = Proto.encoder () in
+      let d = Proto.dechunker () and es = Proto.edge_buf () in
+      let cut i len = List.nth cuts (i mod List.length cuts) mod (len + 1) in
+      let frame_ok i edges =
+        let len = Array.length edges and stream = 1 + (i mod 3) in
+        let op = if i land 1 = 0 then Proto.Req else Proto.Req_quiet in
+        Proto.encode_req enc ~stream op edges ~pos:0 ~len;
+        let wire = encoded enc in
+        let at = cut i (String.length wire) in
+        Proto.feed_string d (String.sub wire 0 at);
+        let early = Proto.next_req d es in
+        Proto.feed_string d (String.sub wire at (String.length wire - at));
+        let f =
+          match early with Some f -> Some f | None -> Proto.next_req d es
+        in
+        let got = decoded es in
+        Proto.trim_edges es;
+        Proto.trim_encoder enc;
+        wire
+        = Proto.frame_to_string ~stream op
+            (reference_req_payload edges ~pos:0 ~len)
+        && (match f with
+           | Some f ->
+               f.Proto.stream = stream
+               && Proto.op_to_int f.Proto.op = Proto.op_to_int op
+               && String.equal f.Proto.payload ""
+           | None -> false)
+        && got = Ok edges
+        && Proto.pending_bytes d = 0
+      in
+      let junk_ok j = decode es j = reference_read_req j in
+      List.for_all Fun.id (List.mapi frame_ok batches)
+      && List.for_all junk_ok junk
+      && List.for_all Fun.id (List.mapi frame_ok (List.rev batches)))
+
+(* A batch above the retained size grows the buffers for its own frame
+   only: trimming releases the encoder's and the edge array, the
+   dechunker's window (over 1 MiB for this frame) shrinks back once
+   empty, and the next, ordinary frame decodes exactly. *)
+let test_req_buffers_retention () =
+  let big = Array.init 400_000 (fun i -> 16_384 + (i * 7919 mod 3_000)) in
+  let small = [| 3; 200; 70_000 |] in
+  let enc = Proto.encoder () in
+  let d = Proto.dechunker () and es = Proto.edge_buf () in
+  let roundtrip edges =
+    Proto.encode_req enc ~stream:1 Proto.Req_quiet edges ~pos:0
+      ~len:(Array.length edges);
+    Proto.feed_string d (encoded enc);
+    ignore (Proto.next_req d es);
+    Alcotest.(check (array int)) "batch decoded" edges
+      (Array.sub es.Proto.arr 0 es.Proto.count)
+  in
+  roundtrip big;
+  Alcotest.(check bool) "the large batch grew the edge array" true
+    (Array.length es.Proto.arr >= 400_000);
+  Alcotest.(check bool) "the emptied window went back to 4 KiB" true
+    (Obj.reachable_words (Obj.repr d) < 1024);
+  Proto.trim_encoder enc;
+  Proto.trim_edges es;
+  Alcotest.(check int) "encoder buffer released" 0 (Bytes.length enc.Proto.buf);
+  Alcotest.(check int) "edge array released" 0 (Array.length es.Proto.arr);
+  roundtrip small;
+  Proto.trim_encoder enc;
+  Proto.trim_edges es;
+  Alcotest.(check bool) "an ordinary batch's buffers are kept" true
+    (Bytes.length enc.Proto.buf > 0 && Array.length es.Proto.arr >= 3)
 
 (* --- in-process server + client ---------------------------------------- *)
 
@@ -368,6 +478,88 @@ let test_quiet_path_identity () =
                     (Ckpt.to_string (Engine.checkpoint engine))
               | None -> Alcotest.fail "engine released early")
           | None -> Alcotest.fail "tenant missing");
+          Net.close cl))
+
+(* The server decodes every batch into one edge buffer that its
+   connection keeps: a 4096-edge batch followed by a 10-edge one must
+   bill exactly 10 edges the second time, so the tenant ends in the
+   checkpoint of a pipe-mode engine fed the same two batches. *)
+let test_short_batch_after_long () =
+  let n = 128 and ell = 8 in
+  let long = gen_trace ~n ~steps:4096 ~seed:51 in
+  let short = gen_trace ~n ~steps:10 ~seed:52 in
+  let twin =
+    Engine.create ~epsilon:0.5 ~alg:"onl-dynamic" ~seed:4
+      (Instance.blocks ~n ~ell)
+  in
+  Engine.ingest_batch_quiet twin long;
+  Engine.ingest_batch_quiet twin short;
+  with_tempdir (fun dir ->
+      with_server ~dir (fun router server addr ->
+          let cl = connect_pumped server addr in
+          ignore
+            (Net.open_stream cl ~stream:1
+               (open_cfg ~tenant:"s" ~alg:"onl-dynamic" ~seed:4 ~n ~ell));
+          let a1 = Net.request_quiet cl ~stream:1 long ~pos:0 ~len:4096 in
+          let a2 = Net.request_quiet cl ~stream:1 short ~pos:0 ~len:10 in
+          Alcotest.(check (list int)) "acks count each batch"
+            [ 4096; 4096; 10; 4106 ]
+            [ a1.Proto.count; a1.Proto.pos; a2.Proto.count; a2.Proto.pos ];
+          (match Tenant.find router "s" with
+          | Some tn -> (
+              match Tenant.engine tn with
+              | Some engine ->
+                  Alcotest.(check string)
+                    "checkpoint identical to the pipe twin's"
+                    (Ckpt.to_string (Engine.checkpoint twin))
+                    (Ckpt.to_string (Engine.checkpoint engine))
+              | None -> Alcotest.fail "engine released early")
+          | None -> Alcotest.fail "tenant missing");
+          Net.close cl))
+
+(* Heap words allocated by [k] warmed request_quiet round trips of
+   [len] edges to a never-move tenant, both ends in this process.  Minor
+   words come from [Gc.minor_words], which counts the current minor heap
+   ([Gc.counters]' minor count moves only at a minor collection); words
+   allocated straight into the major heap, blocks above 256 words such
+   as a fresh edge array or payload copy, from [Gc.counters]. *)
+let words_per_round_trip cl ~stream trace ~len ~k =
+  for _ = 1 to 3 do
+    ignore (Net.request_quiet cl ~stream trace ~pos:0 ~len)
+  done;
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  for _ = 1 to k do
+    ignore (Net.request_quiet cl ~stream trace ~pos:0 ~len)
+  done;
+  (words () -. w0) /. float_of_int k
+
+(* The socket path's own work is proportional to the bytes and allocates
+   nothing per edge: frames are encoded into the client's buffer and
+   decoded from the server's window into the connection's edge array.
+   What a warmed round trip allocates (select lists, the ack and its
+   frame records) must not grow with the batch: 4096 edges may not cost
+   more heap words than 256 do, give or take a few. *)
+let test_socket_allocation_budget () =
+  let n = 1024 and ell = 16 in
+  let trace = gen_trace ~n ~steps:4096 ~seed:61 in
+  with_tempdir (fun dir ->
+      with_server ~dir (fun _router server addr ->
+          let cl = connect_pumped server addr in
+          ignore
+            (Net.open_stream cl ~stream:1
+               (open_cfg ~tenant:"nm" ~alg:"never-move" ~seed:1 ~n ~ell));
+          let per_trip len = words_per_round_trip cl ~stream:1 trace ~len ~k:100 in
+          let small = per_trip 256 in
+          let large = per_trip 4096 in
+          if large > small +. 16. then
+            Alcotest.failf
+              "a round trip of 4096 edges allocates %.1f heap words, of 256 \
+               edges %.1f: the socket path allocates per edge"
+              large small;
           Net.close cl))
 
 let test_config_mismatch_and_unknown_stream () =
@@ -607,11 +799,108 @@ let test_http_observability () =
                   "POST /metrics HTTP/1.0\r\n\r\n"));
           Net.close cl))
 
+(* The whole /metrics body against its Printf formats: the tenant gauges
+   as [%s] and [%d] lines after the exposition of every tenant's series,
+   uptime and checkpoint age masked.  Of three tenants one is closed
+   (up 0, its last series kept) and one never checkpointed (no age
+   line). *)
+let exposition series =
+  let buf = Buffer.create 4096 in
+  Metrics.prometheus_exposition buf series;
+  Buffer.contents buf
+
+let mask_sample prefix body =
+  String.split_on_char '\n' body
+  |> List.map (fun line ->
+         if Astring.String.is_prefix ~affix:prefix line then
+           match String.rindex_opt line ' ' with
+           | Some i -> String.sub line 0 (i + 1) ^ "_"
+           | None -> line
+         else line)
+  |> String.concat "\n"
+
+let test_metrics_body_bytes () =
+  let n = 64 and ell = 4 in
+  let trace = gen_trace ~n ~steps:300 ~seed:71 in
+  with_tempdir (fun dir ->
+      with_server ~dir (fun router server addr ->
+          let cl = connect_pumped server addr in
+          List.iteri
+            (fun i (tenant, alg) ->
+              ignore
+                (Net.open_stream cl ~stream:(i + 1)
+                   (open_cfg ~tenant ~alg ~seed:i ~n ~ell));
+              ignore
+                (Net.request cl ~stream:(i + 1) trace ~pos:0
+                   ~len:(100 * (i + 1))))
+            [ ("a", "onl-dynamic"); ("b", "never-move"); ("c", "greedy-colocate") ];
+          ignore (Net.checkpoint cl ~stream:1);
+          ignore (Net.close_stream cl ~stream:2);
+          let body =
+            body_of
+              (Http.handle ~router ~draining:false "GET /metrics HTTP/1.0\r\n\r\n")
+          in
+          let tns = Tenant.tenants router in
+          let want =
+            exposition
+              (List.filter_map
+                 (fun tn ->
+                   Option.map
+                     (fun s ->
+                       ( [ ("tenant", Tenant.id tn);
+                           ("alg", (Tenant.config tn).Proto.alg) ],
+                         s ))
+                     (Tenant.metrics_snapshot tn))
+                 tns)
+            ^ "# HELP rbgp_tenant_up Tenant state: 1 serving, 0 closed or dead.\n\
+               # TYPE rbgp_tenant_up gauge\n"
+            ^ String.concat ""
+                (List.map
+                   (fun tn ->
+                     Printf.sprintf "rbgp_tenant_up{tenant=\"%s\"} %d\n"
+                       (Tenant.id tn)
+                       (match Tenant.state tn with Tenant.Serving -> 1 | _ -> 0))
+                   tns)
+            ^ "# HELP rbgp_tenant_position Requests served (including those \
+               before a resumed checkpoint).\n\
+               # TYPE rbgp_tenant_position gauge\n"
+            ^ String.concat ""
+                (List.map
+                   (fun tn ->
+                     Printf.sprintf "rbgp_tenant_position{tenant=\"%s\"} %d\n"
+                       (Tenant.id tn) (Tenant.pos tn))
+                   tns)
+            ^ "# HELP rbgp_checkpoint_age_seconds Seconds since the tenant's \
+               last durable checkpoint.\n\
+               # TYPE rbgp_checkpoint_age_seconds gauge\n"
+            ^ String.concat ""
+                (List.filter_map
+                   (fun tn ->
+                     Option.map
+                       (fun age ->
+                         Printf.sprintf
+                           "rbgp_checkpoint_age_seconds{tenant=\"%s\"} %.3f\n"
+                           (Tenant.id tn) age)
+                       (Tenant.ckpt_age_s tn))
+                   tns)
+          in
+          let mask b =
+            mask_sample "rbgp_checkpoint_age_seconds{"
+              (mask_sample "rbgp_uptime_seconds{" b)
+          in
+          Alcotest.(check string) "/metrics body == its Printf formats"
+            (mask want) (mask body);
+          Alcotest.(check bool) "a closed and a never-checkpointed tenant" true
+            (Astring.String.is_infix ~affix:"rbgp_tenant_up{tenant=\"b\"} 0" body
+            && not
+                 (Astring.String.is_infix
+                    ~affix:"rbgp_checkpoint_age_seconds{tenant=\"c\"}" body));
+          Net.close cl))
+
 let test_prometheus_escaping () =
   let m = Metrics.create () in
   let body =
-    Metrics.prometheus_exposition
-      [ ([ ("tenant", "a\\b\"c\nd") ], Metrics.snapshot m) ]
+    exposition [ ([ ("tenant", "a\\b\"c\nd") ], Metrics.snapshot m) ]
   in
   Alcotest.(check bool) "label value escaped" true
     (Astring.String.is_infix ~affix:{|tenant="a\\b\"c\nd"|} body)
@@ -629,6 +918,9 @@ let () =
           Alcotest.test_case "unrepairable input raises" `Quick
             test_dechunker_rejects_garbage;
           qcheck_req_codec;
+          qcheck_req_codec_reused;
+          Alcotest.test_case "large batches do not pin their buffers" `Quick
+            test_req_buffers_retention;
         ] );
       ( "isolation",
         [
@@ -636,6 +928,10 @@ let () =
             `Quick test_two_tenants_isolated;
           Alcotest.test_case "quiet path reaches the same state" `Quick
             test_quiet_path_identity;
+          Alcotest.test_case "a short batch after a long one bills only itself"
+            `Quick test_short_batch_after_long;
+          Alcotest.test_case "socket round trip allocation flat in batch size"
+            `Quick test_socket_allocation_budget;
           Alcotest.test_case "config mismatch and unknown stream errors"
             `Quick test_config_mismatch_and_unknown_stream;
         ] );
@@ -652,5 +948,7 @@ let () =
             test_http_observability;
           Alcotest.test_case "prometheus label escaping" `Quick
             test_prometheus_escaping;
+          Alcotest.test_case "/metrics body bytes == Printf formats" `Quick
+            test_metrics_body_bytes;
         ] );
     ]

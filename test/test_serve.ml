@@ -1475,6 +1475,74 @@ let test_source_pipe_eof_mid_frame () =
   Alcotest.(check (option int)) "torn frame starts at byte 10" (Some 10)
     !torn_at
 
+(* A bad frame that is not a torn tail, seen by both backends of one
+   file: an edge out of range (header + 5, 9, 6, 7 with n = 8) and a
+   varint over nine bytes (header + 5, 6 + ten continuation bytes, then
+   3).  Each backend delivers the valid requests before the bad frame,
+   then raises on every later call, and both name the same byte in the
+   same message: the end of the out-of-range frame (10), the start of
+   the over-long one (10). *)
+let test_source_bad_frame_parity () =
+  let n = 8 and ell = 4 in
+  let outcomes ~mmap ~limit path =
+    let src = Source.open_file ~mmap ~n path in
+    Fun.protect
+      ~finally:(fun () -> Source.close src)
+      (fun () ->
+        let dst = Array.make 4 0 in
+        List.init 4 (fun _ ->
+            match Source.next_batch src dst ~limit with
+            | got -> Ok (Array.to_list (Array.sub dst 0 got))
+            | exception Invalid_argument msg -> Error msg))
+  in
+  let probe label write limit want =
+    let path = Filename.temp_file "rbgp_bad" ".rbt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        Trace_codec.output_header oc ~n ~ell ~seed:0;
+        write oc;
+        close_out oc;
+        let show = function
+          | Ok es -> String.concat ";" (List.map string_of_int es)
+          | Error msg -> msg
+        in
+        let chan = outcomes ~mmap:`Off ~limit path in
+        let mapped = outcomes ~mmap:`On ~limit path in
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s, limit %d: mmap == channel" label limit)
+          (List.map show chan) (List.map show mapped);
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s, limit %d: valid prefix, then the error" label
+             limit)
+          (List.map
+             (function
+               | Ok es -> String.concat ";" (List.map string_of_int es)
+               | Error m -> Printf.sprintf "Trace_codec: %s: %s" path m)
+             want)
+          (List.map show chan))
+  in
+  let out_of_range oc =
+    List.iter (Trace_codec.output_request oc) [ 5; 9; 6; 7 ]
+  in
+  let range_err = "edge 9 out of [0, 8) (frame ends at byte 10)" in
+  probe "edge out of range" out_of_range 2
+    [ Ok [ 5 ]; Error range_err; Error range_err; Error range_err ];
+  probe "edge out of range" out_of_range 1
+    [ Ok [ 5 ]; Error range_err; Error range_err; Error range_err ];
+  let overlong oc =
+    List.iter (Trace_codec.output_request oc) [ 5; 6 ];
+    output_string oc (String.make 10 '\xff');
+    output_byte oc 1;
+    Trace_codec.output_request oc 3
+  in
+  let long_err = "bad frame (varint over 9 bytes at byte 10)" in
+  probe "varint over nine bytes" overlong 4
+    [ Ok [ 5; 6 ]; Error long_err; Error long_err; Error long_err ];
+  probe "varint over nine bytes" overlong 1
+    [ Ok [ 5 ]; Ok [ 6 ]; Error long_err; Error long_err ]
+
 (* --- metrics -------------------------------------------------------- *)
 
 let test_metrics_histogram () =
@@ -1525,13 +1593,19 @@ let test_metrics_bucket_index () =
 
 (* A float-summing reference of the metrics record: the latency sum as
    the float it was before it became an int, buckets by the loop.  Its
-   JSONL record and its Prometheus histogram must match Metrics byte for
-   byte, wall-clock fields (rps, elapsed_s) masked.  Latencies are kept
-   small enough that every float partial sum is exact (below 2^53), the
-   range where the two sums are the same number. *)
+   JSONL record must match Metrics byte for byte, wall-clock fields (rps,
+   elapsed_s) masked, and so must the whole Prometheus exposition of
+   several such series, rendered here with the Printf formats the
+   exposition was first written with ([%d], [%g] of 2.0 ** (i + 1) *.
+   1e-9, [%.9g]), uptime masked.  The series carry two labels, none, and
+   a label value that needs escaping.  Latencies are kept small enough
+   that every float partial sum is exact (below 2^53), the range where
+   the two sums are the same number. *)
 type metrics_op =
   | Obs of int * int * int * int  (* latency, comm, moved, max_load *)
   | Batch of int * int * int * int * int  (* count, latency, comm, mig, max_load *)
+  | Degraded
+  | Recovered
 
 type ref_metrics = {
   rb : int array;
@@ -1540,6 +1614,8 @@ type ref_metrics = {
   mutable rmig : int;
   mutable rmax : int;
   mutable rsum : float;
+  mutable rdeg : int;
+  mutable rrec : int;
 }
 
 let ref_apply r op =
@@ -1561,6 +1637,17 @@ let ref_apply r op =
         let lat = Stdlib.max 0 lat in
         file count (lat / count) lat comm mig max_load
       end
+  | Degraded -> r.rdeg <- r.rdeg + 1
+  | Recovered -> r.rrec <- r.rrec + 1
+
+let metrics_apply m op =
+  match op with
+  | Obs (lat, comm, moved, max_load) ->
+      Metrics.observe m ~latency_ns:lat ~comm ~moved ~max_load
+  | Batch (count, lat, comm, mig, max_load) ->
+      Metrics.observe_batch m ~count ~latency_ns:lat ~comm ~mig ~max_load
+  | Degraded -> Metrics.note_degraded m
+  | Recovered -> Metrics.note_recovered m
 
 let ref_quantile r q =
   if r.rn = 0 then 0
@@ -1579,33 +1666,92 @@ let ref_json r =
   Printf.sprintf
     "{\"type\":\"metrics\",\"requests\":%d,\"rps\":_,\"p50_ns\":%d,\
      \"p90_ns\":%d,\"p99_ns\":%d,\"mean_ns\":%.0f,\"comm\":%d,\"mig\":%d,\
-     \"max_load\":%d,\"degraded\":0,\"recovered\":0,\"elapsed_s\":_}"
+     \"max_load\":%d,\"degraded\":%d,\"recovered\":%d,\"elapsed_s\":_}"
     r.rn (ref_quantile r 0.5) (ref_quantile r 0.9) (ref_quantile r 0.99)
     (if r.rn = 0 then 0.0 else r.rsum /. float_of_int r.rn)
-    r.rcomm r.rmig r.rmax
+    r.rcomm r.rmig r.rmax r.rdeg r.rrec
 
-let ref_histogram r =
-  let buf = Buffer.create 1024 in
+let ref_escape v =
+  let buf = Buffer.create (String.length v) in
+  String.iter
+    (function
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    v;
+  Buffer.contents buf
+
+let ref_labels = function
+  | [] -> ""
+  | labels ->
+      "{"
+      ^ String.concat ","
+          (List.map
+             (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (ref_escape v))
+             labels)
+      ^ "}"
+
+let ref_labels_le labels le =
+  "{"
+  ^ String.concat ""
+      (List.map
+         (fun (k, v) -> Printf.sprintf "%s=\"%s\"," k (ref_escape v))
+         labels)
+  ^ Printf.sprintf "le=\"%s\"}" le
+
+let ref_exposition series =
+  let buf = Buffer.create 4096 in
+  let family name help kind value =
+    Buffer.add_string buf
+      (Printf.sprintf "# HELP rbgp_%s %s\n# TYPE rbgp_%s %s\n" name help name
+         kind);
+    List.iter
+      (fun (labels, r) ->
+        Buffer.add_string buf
+          (Printf.sprintf "rbgp_%s%s %s\n" name (ref_labels labels) (value r)))
+      series
+  in
+  let int f r = Printf.sprintf "%d" (f r) in
+  family "requests_total" "Requests served." "counter" (int (fun r -> r.rn));
+  family "comm_cost_total" "Cumulative communication cost." "counter"
+    (int (fun r -> r.rcomm));
+  family "migration_cost_total" "Cumulative migration cost." "counter"
+    (int (fun r -> r.rmig));
+  family "degraded_requests_total"
+    "Requests served on the degraded never-move path." "counter"
+    (int (fun r -> r.rdeg));
+  family "solver_repromotions_total"
+    "Re-promotions from the degraded path back to the real solver." "counter"
+    (int (fun r -> r.rrec));
+  family "max_load" "Maximum cluster load observed." "gauge"
+    (int (fun r -> r.rmax));
+  family "uptime_seconds" "Seconds since metrics were created." "gauge"
+    (fun _ -> "_");
   Buffer.add_string buf
     "# HELP rbgp_ingest_latency_seconds Ingest latency histogram.\n\
      # TYPE rbgp_ingest_latency_seconds histogram\n";
-  let cum = ref 0 in
-  Array.iteri
-    (fun i c ->
-      cum := !cum + c;
-      if c > 0 then
-        Buffer.add_string buf
-          (Printf.sprintf
-             "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"%g\"} %d\n"
-             ((2.0 ** float_of_int (i + 1)) *. 1e-9)
-             !cum))
-    r.rb;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"+Inf\"} %d\n\
-        rbgp_ingest_latency_seconds_sum{tenant=\"t\"} %.9g\n\
-        rbgp_ingest_latency_seconds_count{tenant=\"t\"} %d\n"
-       r.rn (r.rsum *. 1e-9) r.rn);
+  List.iter
+    (fun (labels, r) ->
+      let cum = ref 0 in
+      Array.iteri
+        (fun i c ->
+          cum := !cum + c;
+          if c > 0 then
+            Buffer.add_string buf
+              (Printf.sprintf "rbgp_ingest_latency_seconds_bucket%s %d\n"
+                 (ref_labels_le labels
+                    (Printf.sprintf "%g" ((2.0 ** float_of_int (i + 1)) *. 1e-9)))
+                 !cum))
+        r.rb;
+      Buffer.add_string buf
+        (Printf.sprintf
+           "rbgp_ingest_latency_seconds_bucket%s %d\n\
+            rbgp_ingest_latency_seconds_sum%s %.9g\n\
+            rbgp_ingest_latency_seconds_count%s %d\n"
+           (ref_labels_le labels "+Inf") r.rn (ref_labels labels)
+           (r.rsum *. 1e-9) (ref_labels labels) r.rn))
+    series;
   Buffer.contents buf
 
 (* [s] with the value after [key] (up to the next ',' or '}') replaced
@@ -1621,10 +1767,17 @@ let mask_value key s =
       in
       before ^ key ^ "_" ^ Astring.String.with_index_range ~first:stop after
 
-let histogram_section s =
-  match Astring.String.cut ~sep:"# HELP rbgp_ingest_latency_seconds" s with
-  | Some (_, rest) -> "# HELP rbgp_ingest_latency_seconds" ^ rest
-  | None -> ""
+(* An exposition with the value of every [rbgp_uptime_seconds] sample
+   replaced by "_". *)
+let mask_uptime s =
+  String.split_on_char '\n' s
+  |> List.map (fun line ->
+         if Astring.String.is_prefix ~affix:"rbgp_uptime_seconds" line then
+           match String.rindex_opt line ' ' with
+           | Some i -> String.sub line 0 (i + 1) ^ "_"
+           | None -> line
+         else line)
+  |> String.concat "\n"
 
 let qcheck_metrics_match_float_reference =
   let latency =
@@ -1640,44 +1793,90 @@ let qcheck_metrics_match_float_reference =
   in
   let op =
     QCheck2.Gen.(
-      oneof
+      frequency
         [
-          map
-            (fun (lat, comm, moved, max_load) -> Obs (lat, comm, moved, max_load))
-            (tup4 latency (int_range 0 1) (int_range 0 3) (int_range 0 50));
-          map
-            (fun ((count, lat), (comm, mig, max_load)) ->
-              Batch (count, lat, comm, mig, max_load))
-            (pair
-               (pair (int_range 0 64) latency)
-               (triple (int_range 0 64) (int_range 0 64) (int_range 0 50)));
+          ( 8,
+            map
+              (fun (lat, comm, moved, max_load) ->
+                Obs (lat, comm, moved, max_load))
+              (tup4 latency (int_range 0 1) (int_range 0 3) (int_range 0 50)) );
+          ( 8,
+            map
+              (fun ((count, lat), (comm, mig, max_load)) ->
+                Batch (count, lat, comm, mig, max_load))
+              (pair
+                 (pair (int_range 0 64) latency)
+                 (triple (int_range 0 64) (int_range 0 64) (int_range 0 50))) );
+          (1, return Degraded);
+          (1, return Recovered);
         ])
   in
+  let labels =
+    [
+      [ ("tenant", "t"); ("alg", "onl-dynamic") ];
+      [];
+      [ ("tenant", "a\\b\"c\nd") ];
+    ]
+  in
   qtest ~count:300 "metrics JSONL and histogram == float-sum reference"
-    QCheck2.Gen.(list_size (int_range 0 200) op)
-    (fun ops ->
-      let m = Metrics.create () in
-      let r =
-        { rb = Array.make 63 0; rn = 0; rcomm = 0; rmig = 0; rmax = 0; rsum = 0.0 }
+    QCheck2.Gen.(
+      list_repeat (List.length labels) (list_size (int_range 0 200) op))
+    (fun op_lists ->
+      let run ops =
+        let m = Metrics.create () in
+        let r =
+          {
+            rb = Array.make 63 0;
+            rn = 0;
+            rcomm = 0;
+            rmig = 0;
+            rmax = 0;
+            rsum = 0.0;
+            rdeg = 0;
+            rrec = 0;
+          }
+        in
+        List.iter
+          (fun op ->
+            ref_apply r op;
+            metrics_apply m op)
+          ops;
+        (m, r)
       in
-      List.iter
-        (fun op ->
-          ref_apply r op;
-          match op with
-          | Obs (lat, comm, moved, max_load) ->
-              Metrics.observe m ~latency_ns:lat ~comm ~moved ~max_load
-          | Batch (count, lat, comm, mig, max_load) ->
-              Metrics.observe_batch m ~count ~latency_ns:lat ~comm ~mig ~max_load)
-        ops;
-      let s = Metrics.snapshot m in
-      let json =
-        mask_value "\"elapsed_s\":" (mask_value "\"rps\":" (Metrics.json_of_snapshot s))
+      let runs = List.map run op_lists in
+      let json_ok (m, r) =
+        let json =
+          mask_value "\"elapsed_s\":"
+            (mask_value "\"rps\":" (Metrics.json_of_snapshot (Metrics.snapshot m)))
+        in
+        let mean = if r.rn = 0 then 0.0 else r.rsum /. float_of_int r.rn in
+        String.equal json (ref_json r)
+        && Float.equal (Metrics.mean_latency_ns m) mean
       in
-      let prom = Metrics.prometheus_exposition [ ([ ("tenant", "t") ], s) ] in
-      let mean = if r.rn = 0 then 0.0 else r.rsum /. float_of_int r.rn in
-      String.equal json (ref_json r)
-      && String.equal (histogram_section prom) (ref_histogram r)
-      && Float.equal (Metrics.mean_latency_ns m) mean)
+      let prom =
+        let buf = Buffer.create 4096 in
+        Metrics.prometheus_exposition buf
+          (List.map2 (fun l (m, _) -> (l, Metrics.snapshot m)) labels runs);
+        Buffer.contents buf
+      in
+      List.for_all json_ok runs
+      && String.equal (mask_uptime prom)
+           (ref_exposition (List.map2 (fun l (_, r) -> (l, r)) labels runs)))
+
+(* The exposition's digit writer against [%d], the extremes included. *)
+let qcheck_metrics_add_int =
+  qtest ~count:2000 "metrics add_int == %d"
+    QCheck2.Gen.(
+      oneof
+        [
+          int;
+          int_range (-1000) 1000;
+          oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 9; 10 ];
+        ])
+    (fun n ->
+      let buf = Buffer.create 24 in
+      Metrics.add_int buf n;
+      String.equal (Buffer.contents buf) (Printf.sprintf "%d" n))
 
 (* --- capacity check --------------------------------------------------- *)
 
@@ -1784,6 +1983,8 @@ let () =
             test_source_owned_channel_closed_on_header_error;
           Alcotest.test_case "pipe EOF mid-frame is a torn frame" `Quick
             test_source_pipe_eof_mid_frame;
+          Alcotest.test_case "bad frames: mmap == channel, byte for byte"
+            `Quick test_source_bad_frame_parity;
           Alcotest.test_case "skip-prefix verifies the stream digest" `Quick
             test_consume_prefix_digest;
         ] );
@@ -1793,5 +1994,6 @@ let () =
           Alcotest.test_case "O(1) bucket index == shift loop" `Quick
             test_metrics_bucket_index;
           qcheck_metrics_match_float_reference;
+          qcheck_metrics_add_int;
         ] );
     ]
