@@ -28,15 +28,21 @@ let seed_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sizes, for smoke runs.")
 
-let domains_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some d when d >= 1 -> Ok d
-      | _ -> Error (`Msg "expected a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
+(* Integer flags are checked when the command line is parsed, so a bad
+   value is a usage error that names the flag (exit 124), not a run that
+   serves nothing or an exception from deep inside. *)
+let int_at_least lo what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some d when d >= lo -> Ok d
+    | _ -> Error (`Msg ("expected " ^ what))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "a positive integer"
+let non_negative_int = int_at_least 0 "a non-negative integer"
+
+let domains_arg =
   Arg.(
     value
     & opt (some positive_int) None
@@ -240,10 +246,7 @@ let serve_loop engine source ~decisions ~metrics_every ~checkpoint_path
   let write_ckpt () =
     match checkpoint_path with
     | Some path ->
-        if checkpoint_keep > 1 then
-          Ckpt.write_rolling ~path ~keep:checkpoint_keep
-            (Engine.checkpoint engine)
-        else Ckpt.write ~path (Engine.checkpoint engine)
+        Ckpt.write_rolling ~path ~keep:checkpoint_keep (Engine.checkpoint engine)
     | None -> ()
   in
   (* a cadence boundary (metrics-every / checkpoint-every) fires when a
@@ -252,7 +255,7 @@ let serve_loop engine source ~decisions ~metrics_every ~checkpoint_path
   let crossed every ~before ~after =
     every > 0 && after / every > before / every
   in
-  let buf = Array.make (Stdlib.max 1 batch) 0 in
+  let buf = Array.make batch 0 in
   (* full batches go to the engine without the defensive copy — on the
      mmap source that makes the whole pull-to-solve path allocation-free *)
   let batch_view got = if got = Array.length buf then buf else Array.sub buf 0 got in
@@ -414,7 +417,7 @@ let decisions_arg =
 
 let metrics_every_arg =
   Arg.(
-    value & opt int 1000
+    value & opt non_negative_int 1000
     & info [ "metrics-every" ] ~docv:"N"
         ~doc:
           "Embed a metrics record in the JSONL stream every N requests \
@@ -429,21 +432,21 @@ let checkpoint_path_arg =
 
 let checkpoint_every_arg =
   Arg.(
-    value & opt int 0
+    value & opt non_negative_int 0
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:"Refresh the --checkpoint snapshot every N requests (0: only \
               at exit).")
 
 let stop_after_arg =
   Arg.(
-    value & opt (some int) None
+    value & opt (some non_negative_int) None
     & info [ "stop-after" ] ~docv:"N"
         ~doc:"Stop serving after N requests even if the source has more \
               (e.g. to take a mid-stream checkpoint).")
 
 let batch_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "batch" ] ~docv:"N"
         ~doc:
           "Read up to N requests per block from the source and hand each \
@@ -455,7 +458,7 @@ let batch_arg =
 
 let checkpoint_keep_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "checkpoint-keep" ] ~docv:"K"
         ~doc:
           "Keep K rolling checkpoint generations (FILE, FILE.1, ..., \
@@ -476,7 +479,7 @@ let faults_arg =
 
 let solver_budget_arg =
   Arg.(
-    value & opt int 0
+    value & opt non_negative_int 0
     & info [ "solver-budget" ] ~docv:"NS"
         ~doc:
           "Per-request solver budget in nanoseconds (0 disables).  A \
@@ -487,7 +490,7 @@ let solver_budget_arg =
 
 let budget_cooloff_arg =
   Arg.(
-    value & opt int 64
+    value & opt positive_int 64
     & info [ "budget-cooloff" ] ~docv:"N"
         ~doc:
           "How many requests the engine serves on the degraded never-move \
@@ -660,12 +663,9 @@ type client_tenant = {
 }
 
 let client_result_json (ct : client_tenant) (c : Proto.closed_payload) =
-  Printf.sprintf
-    "{\"type\":\"result\",\"alg\":\"%s\",\"requests\":%d,\"comm\":%d,\
-     \"mig\":%d,\"total\":%d,\"max_load\":%d,\"violations\":%d}"
-    ct.spec.ct_alg c.Proto.closed_pos c.Proto.closed_comm c.Proto.closed_mig
-    (c.Proto.closed_comm + c.Proto.closed_mig)
-    c.Proto.closed_max_load c.Proto.closed_violations
+  Engine.result_json ~alg:ct.spec.ct_alg ~requests:c.Proto.closed_pos
+    ~comm:c.Proto.closed_comm ~mig:c.Proto.closed_mig
+    ~max_load:c.Proto.closed_max_load ~violations:c.Proto.closed_violations
 
 let skip_requests src count =
   let chunk = Array.make (Stdlib.min 8192 (Stdlib.max 1 count)) 0 in
@@ -780,7 +780,7 @@ let run_client ~connect ~tenant_specs ~batch ~quiet ~reconnect ~do_shutdown =
         })
       tenant_specs
   in
-  let buf = Array.make (Stdlib.max 1 batch) 0 in
+  let buf = Array.make batch 0 in
   let cl = ref (client_connect_with_retry ~addr ~attempts:20) in
   client_open_all !cl tenants;
   let unfinished () = List.exists (fun ct -> not ct.finished) tenants in
@@ -850,7 +850,7 @@ let client_cmd =
   in
   let batch_arg =
     Arg.(
-      value & opt int 512
+      value & opt positive_int 512
       & info [ "batch" ] ~docv:"N"
           ~doc:"Requests per frame (one in-flight frame per tenant).")
   in

@@ -399,12 +399,15 @@ let decision_to_json d =
   Bytes.set b pos '}';
   Bytes.unsafe_to_string b
 
-let result_to_json t =
-  let r = result t in
+let result_json ~alg ~requests ~comm ~mig ~max_load ~violations =
   Printf.sprintf
     "{\"type\":\"result\",\"alg\":\"%s\",\"requests\":%d,\"comm\":%d,\
      \"mig\":%d,\"total\":%d,\"max_load\":%d,\"violations\":%d}"
-    t.alg_name r.Simulator.steps r.Simulator.cost.Cost.comm
-    r.Simulator.cost.Cost.mig
-    (Cost.total r.Simulator.cost)
-    r.Simulator.max_load r.Simulator.capacity_violations
+    alg requests comm mig (comm + mig) max_load violations
+
+let result_to_json t =
+  let r = result t in
+  result_json ~alg:t.alg_name ~requests:r.Simulator.steps
+    ~comm:r.Simulator.cost.Cost.comm ~mig:r.Simulator.cost.Cost.mig
+    ~max_load:r.Simulator.max_load
+    ~violations:r.Simulator.capacity_violations

@@ -151,6 +151,19 @@ val decision_to_json : decision -> string
     exactly that size, which becomes the returned string and is the
     call's only allocation. *)
 
+val result_json :
+  alg:string ->
+  requests:int ->
+  comm:int ->
+  mig:int ->
+  max_load:int ->
+  violations:int ->
+  string
+(** Final summary record (type tag ["result"]) over a run's totals:
+    algorithm, requests served, cumulative costs and their sum, max
+    load, violations.  [rbgp serve] prints it for an engine
+    ({!result_to_json}) and [rbgp client] for a closed stream, so the
+    two records are the same bytes for the same run. *)
+
 val result_to_json : t -> string
-(** Final summary record (type tag ["result"]): algorithm, requests
-    served, cumulative costs, max load, violations. *)
+(** {!result_json} over this engine's totals. *)

@@ -236,7 +236,7 @@ let bucket_bounds =
   List.init nbuckets (fun i ->
       Printf.sprintf "%g" ((2.0 ** float_of_int (i + 1)) *. 1e-9))
 
-let prometheus_exposition ?(namespace = "rbgp") buf series =
+let prometheus_exposition buf series =
   let rendered =
     List.map
       (fun (labels, s) ->
@@ -245,7 +245,7 @@ let prometheus_exposition ?(namespace = "rbgp") buf series =
       series
   in
   let family name help kind =
-    let metric = namespace ^ "_" ^ name in
+    let metric = "rbgp_" ^ name in
     Buffer.add_string buf "# HELP ";
     Buffer.add_string buf metric;
     Buffer.add_char buf ' ';

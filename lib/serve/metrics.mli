@@ -90,18 +90,15 @@ val summary_of_snapshot : snapshot -> string
 (** Same human-readable paragraph as {!summary}. *)
 
 val prometheus_exposition :
-  ?namespace:string ->
-  Buffer.t ->
-  ((string * string) list * snapshot) list ->
-  unit
+  Buffer.t -> ((string * string) list * snapshot) list -> unit
 (** Append the Prometheus text exposition (format 0.0.4) of a set of
     labeled snapshots to the buffer: one series per (labels, snapshot)
     pair, e.g. one per tenant with [["tenant", id]].  Emits counters for
     requests and comm/mig/degraded/recovered, gauges for max load and
     uptime, and the ingest-latency histogram with power-of-two bucket
     bounds rendered in seconds (only non-empty buckets are listed, plus
-    the mandatory [+Inf]).  [namespace] (default ["rbgp"]) prefixes every
-    metric name.  Label values are escaped per the exposition spec.
+    the mandatory [+Inf]).  Every metric name starts with [rbgp_].
+    Label values are escaped per the exposition spec.
 
     A scrape renders each series' label block once, writes integers
     digit by digit and takes the bucket bounds from a table built at

@@ -126,57 +126,15 @@ module Sockio = struct
     fd
 end
 
-(* Per-connection output queue: bytes accepted eagerly, drained by the
-   select loop as the peer allows.  Same grow/compact discipline as the
-   protocol dechunker. *)
-module Outbuf = struct
-  type t = { mutable buf : bytes; mutable start : int; mutable len : int }
-
-  let create () = { buf = Bytes.create 4096; start = 0; len = 0 }
-  let length t = t.len
-
-  let add_string t s =
-    let slen = String.length s in
-    let cap = Bytes.length t.buf in
-    if t.start + t.len + slen > cap then begin
-      if t.len + slen <= cap then begin
-        Bytes.blit t.buf t.start t.buf 0 t.len;
-        t.start <- 0
-      end
-      else begin
-        let cap' =
-          let rec grow c = if c >= t.len + slen then c else grow (2 * c) in
-          grow (2 * cap)
-        in
-        let nb = Bytes.create cap' in
-        Bytes.blit t.buf t.start nb 0 t.len;
-        t.buf <- nb;
-        t.start <- 0
-      end
-    end;
-    Bytes.blit_string s 0 t.buf (t.start + t.len) slen;
-    t.len <- t.len + slen
-
-  (* An emptied queue that grew past 1 MiB for one large reply goes back
-     to its initial size, so the connection does not keep it. *)
-  let consume t n =
-    t.start <- t.start + n;
-    t.len <- t.len - n;
-    if t.len = 0 then begin
-      t.start <- 0;
-      if Bytes.length t.buf > 1 lsl 20 then t.buf <- Bytes.create 4096
-    end
-end
-
 type kind = Rpc | Http
 
 type conn = {
   fd : Unix.file_descr;
   kind : kind;
-  dec : Proto.dechunker;
+  inq : Proto.queue;  (** RPC frames, or the HTTP request head *)
+  outq : Proto.queue;  (** replies not yet written *)
+  payload : Buffer.t;  (** the reply being built, reused *)
   reqs : Proto.edge_buf;  (** the current request batch, decoded in place *)
-  http_buf : Buffer.t;
-  out : Outbuf.t;
   streams : (int, Tenant.tenant) Hashtbl.t;
   mutable greeted : bool;
   mutable closing : bool;  (** flush the queue, then close *)
@@ -200,10 +158,9 @@ type server = {
   mutable closed : bool;
 }
 
-let server ?http ?(backlog = 64) ?(supervise = false) ?(hwm = 256 * 1024)
-    ~router addr =
+let server ?http ?(supervise = false) ?(hwm = 256 * 1024) ~router addr =
   if hwm < 4096 then invalid_arg "Net.server: hwm";
-  let lfd = Sockio.listen_on addr backlog in
+  let lfd = Sockio.listen_on addr 64 in
   let hfd =
     match http with Some a -> Some (Sockio.listen_on a 16) | None -> None
   in
@@ -234,18 +191,12 @@ let draining s = s.draining_
 let connections s = List.length s.conns
 let request_drain s = s.drain_req <- true
 
-let send_frame conn ~stream op payload =
-  Outbuf.add_string conn.out (Proto.frame_to_string ~stream op payload)
+(* Queue the frame whose payload is in [conn.payload]. *)
+let reply conn ~stream op = Proto.put_frame conn.outq ~stream op conn.payload
 
 let send_error conn ~stream ~code msg =
-  let b = Buffer.create (String.length msg + 8) in
-  Proto.add_error b ~code msg;
-  send_frame conn ~stream Proto.Error_frame (Buffer.contents b)
-
-let hello_payload () =
-  let b = Buffer.create 8 in
-  Proto.add_hello b;
-  Buffer.contents b
+  Proto.add_error conn.payload ~code msg;
+  reply conn ~stream Proto.Error_frame
 
 (* Engine exceptions a supervised server absorbs by killing the tenant:
    the same named set the CLI supervisor restarts on.  Anything else is
@@ -260,8 +211,7 @@ let handle_req server conn (f : Proto.frame) tn quiet =
        match Tenant.engine tn with
        | Some e ->
            let r = Engine.result e in
-           let b = Buffer.create 24 in
-           Proto.add_ack b
+           Proto.add_ack conn.payload
              {
                Proto.count;
                pos = Engine.pos e;
@@ -270,15 +220,14 @@ let handle_req server conn (f : Proto.frame) tn quiet =
                ack_max_load = r.Rbgp_ring.Simulator.max_load;
                violations = r.Rbgp_ring.Simulator.capacity_violations;
              };
-           send_frame conn ~stream:f.stream Proto.Ack (Buffer.contents b)
+           reply conn ~stream:f.stream Proto.Ack
        | None -> failwith "tenant engine vanished mid-request"
      end
      else begin
        let start_pos = Tenant.pos tn in
        let ds = Tenant.serve router tn edges ~len:count in
-       let b = Buffer.create ((Array.length ds * 12) + 16) in
-       Proto.add_decisions b ~start_pos ds;
-       send_frame conn ~stream:f.stream Proto.Decisions (Buffer.contents b)
+       Proto.add_decisions conn.payload ~start_pos ds;
+       reply conn ~stream:f.stream Proto.Decisions
      end
    with
   | () -> ()
@@ -302,7 +251,8 @@ let handle_frame server conn (f : Proto.frame) =
       end
       else begin
         conn.greeted <- true;
-        send_frame conn ~stream:0 Proto.Hello (hello_payload ())
+        Proto.add_hello conn.payload;
+        reply conn ~stream:0 Proto.Hello
       end
   | _ when not conn.greeted ->
       send_error conn ~stream:0 ~code:Proto.err_proto "hello first";
@@ -318,9 +268,8 @@ let handle_frame server conn (f : Proto.frame) =
         match Tenant.open_tenant server.router o with
         | Ok (tn, pos) ->
             Hashtbl.replace conn.streams f.stream tn;
-            let b = Buffer.create 8 in
-            Proto.add_opened b ~pos;
-            send_frame conn ~stream:f.stream Proto.Opened (Buffer.contents b)
+            Proto.add_opened conn.payload ~pos;
+            reply conn ~stream:f.stream Proto.Opened
         | Error (code, msg) -> send_error conn ~stream:f.stream ~code msg)
   | Proto.Req | Proto.Req_quiet | Proto.Ckpt | Proto.Close_stream -> (
       match Hashtbl.find_opt conn.streams f.stream with
@@ -333,17 +282,13 @@ let handle_frame server conn (f : Proto.frame) =
           | Proto.Req_quiet -> handle_req server conn f tn true
           | Proto.Ckpt ->
               let pos = Tenant.checkpoint_now server.router tn in
-              let b = Buffer.create 8 in
-              Proto.add_ckpt_ok b ~pos;
-              send_frame conn ~stream:f.stream Proto.Ckpt_ok
-                (Buffer.contents b)
+              Proto.add_ckpt_ok conn.payload ~pos;
+              reply conn ~stream:f.stream Proto.Ckpt_ok
           | _ ->
-              let payload = Tenant.close server.router tn in
+              let closed = Tenant.close server.router tn in
               Hashtbl.remove conn.streams f.stream;
-              let b = Buffer.create 16 in
-              Proto.add_closed b payload;
-              send_frame conn ~stream:f.stream Proto.Closed
-                (Buffer.contents b)))
+              Proto.add_closed conn.payload closed;
+              reply conn ~stream:f.stream Proto.Closed))
   | Proto.Opened | Proto.Decisions | Proto.Ack | Proto.Ckpt_ok
   | Proto.Closed | Proto.Error_frame | Proto.Draining ->
       send_error conn ~stream:f.stream ~code:Proto.err_proto
@@ -352,32 +297,34 @@ let handle_frame server conn (f : Proto.frame) =
 
 let rec dispatch_frames server conn =
   if not (conn.closing || conn.dead) then begin
-    match Proto.next_req conn.dec conn.reqs with
+    match Proto.next_req conn.inq conn.reqs with
     | Some f ->
         handle_frame server conn f;
         dispatch_frames server conn
     | None -> ()
   end
 
-let ingest_rpc server conn n =
-  Proto.feed conn.dec server.rdbuf 0 n;
+let ingest_rpc server conn =
   match dispatch_frames server conn with
   | () -> ()
   | exception Proto.Protocol_error msg ->
       send_error conn ~stream:0 ~code:Proto.err_proto msg;
       conn.closing <- true
 
-let ingest_http server conn n =
-  Buffer.add_subbytes conn.http_buf server.rdbuf 0 n;
-  if Buffer.length conn.http_buf > Http.max_request_bytes then begin
-    Outbuf.add_string conn.out
+(* The request head accumulates in the input queue; one response is
+   queued once it is complete (or too large), then the connection
+   closes. *)
+let ingest_http server conn =
+  let q = conn.inq in
+  if q.Proto.len > Http.max_request_bytes then begin
+    Proto.feed_string conn.outq
       (Http.response ~status:431 ~content_type:"text/plain" "too large\n");
     conn.closing <- true
   end
   else begin
-    let req = Buffer.contents conn.http_buf in
+    let req = Bytes.sub_string q.Proto.buf q.Proto.start q.Proto.len in
     if Http.request_complete req then begin
-      Outbuf.add_string conn.out
+      Proto.feed_string conn.outq
         (Http.handle ~router:server.router ~draining:server.draining_ req);
       conn.closing <- true
     end
@@ -388,26 +335,28 @@ let read_conn server conn =
   | `Eof -> conn.dead <- true
   | `Would_block -> ()
   | `Did n -> (
+      Proto.feed conn.inq server.rdbuf 0 n;
       match conn.kind with
-      | Rpc -> ingest_rpc server conn n
-      | Http -> ingest_http server conn n)
+      | Rpc -> ingest_rpc server conn
+      | Http -> ingest_http server conn)
+
+(* Write [q] to [fd] until it is empty or the peer stops taking bytes:
+   the one drain loop of the server's connections and the client. *)
+let rec drain fd q =
+  if q.Proto.len = 0 then `Empty
+  else
+    match Sockio.write fd q.Proto.buf q.Proto.start q.Proto.len with
+    | `Did n ->
+        Proto.consume q n;
+        drain fd q
+    | `Would_block -> `Blocked
+    | `Closed -> `Closed
 
 let flush_conn conn =
-  let rec go () =
-    if conn.out.Outbuf.len > 0 then begin
-      let chunk = min conn.out.Outbuf.len 65536 in
-      match
-        Sockio.write conn.fd conn.out.Outbuf.buf conn.out.Outbuf.start chunk
-      with
-      | `Did n ->
-          Outbuf.consume conn.out n;
-          go ()
-      | `Would_block -> ()
-      | `Closed -> conn.dead <- true
-    end
-  in
-  go ();
-  if conn.closing && Outbuf.length conn.out = 0 then conn.dead <- true
+  match drain conn.fd conn.outq with
+  | `Empty -> if conn.closing then conn.dead <- true
+  | `Blocked -> ()
+  | `Closed -> conn.dead <- true
 
 let close_conn conn =
   Sockio.close_fd conn.fd;
@@ -432,7 +381,7 @@ let begin_drain s =
     List.iter
       (fun conn ->
         (match conn.kind with
-        | Rpc -> send_frame conn ~stream:0 Proto.Draining ""
+        | Rpc -> reply conn ~stream:0 Proto.Draining
         | Http -> ());
         conn.closing <- true)
       s.conns
@@ -442,10 +391,10 @@ let make_conn kind fd =
   {
     fd;
     kind;
-    dec = Proto.dechunker ();
+    inq = Proto.queue ();
+    outq = Proto.queue ();
+    payload = Buffer.create 256;
     reqs = Proto.edge_buf ();
-    http_buf = Buffer.create 256;
-    out = Outbuf.create ();
     streams = Hashtbl.create 4;
     greeted = (match kind with Http -> true | Rpc -> false);
     closing = false;
@@ -477,7 +426,7 @@ let step ?(timeout = 0.0) s =
     List.iter
       (fun conn ->
         if not conn.dead then begin
-          let queued = Outbuf.length conn.out in
+          let queued = conn.outq.Proto.len in
           if conn.throttled && queued <= s.lwm then conn.throttled <- false;
           if (not conn.throttled) && queued >= s.hwm then
             conn.throttled <- true;
@@ -500,7 +449,7 @@ let step ?(timeout = 0.0) s =
       (fun conn ->
         if
           (not conn.dead)
-          && (List.memq conn.fd ready_w || Outbuf.length conn.out > 0)
+          && (List.memq conn.fd ready_w || conn.outq.Proto.len > 0)
         then flush_conn conn)
       s.conns;
     let dead, live = List.partition (fun conn -> conn.dead) s.conns in
@@ -521,9 +470,10 @@ let run ?(timeout = 0.2) s =
 
 type client = {
   cfd : Unix.file_descr;
-  cdec : Proto.dechunker;
-  enc : Proto.encoder;  (** request frames, encoded in place *)
-  cbuf : bytes;
+  cin : Proto.queue;  (** replies, parsed off the front *)
+  cout : Proto.queue;  (** the request being sent *)
+  cbuf : bytes;  (** socket reads land here, then in [cin] *)
+  cpayload : Buffer.t;  (** the request payload being built, reused *)
   pump : (unit -> unit) option;
   mutable srv_draining : bool;
   mutable cclosed : bool;
@@ -541,29 +491,27 @@ let client_wait_writable c =
   | Some pump -> pump ()
   | None -> ignore (Sockio.select [] [ c.cfd ] 1.0)
 
-let send_bytes c b off len =
-  let total = off + len in
-  let rec go off =
-    if off < total then begin
-      match Sockio.write c.cfd b off (total - off) with
-      | `Did n -> go (off + n)
-      | `Would_block ->
-          client_wait_writable c;
-          go off
-      | `Closed -> raise (Disconnected "peer closed while writing")
-    end
-  in
-  go off
+(* Block until the output queue is written. *)
+let rec send c =
+  match drain c.cfd c.cout with
+  | `Empty -> ()
+  | `Blocked ->
+      client_wait_writable c;
+      send c
+  | `Closed -> raise (Disconnected "peer closed while writing")
 
-let send_all c s = send_bytes c (Bytes.unsafe_of_string s) 0 (String.length s)
+(* Send the frame whose payload is in [c.cpayload]. *)
+let send_frame c ~stream op =
+  Proto.put_frame c.cout ~stream op c.cpayload;
+  send c
 
 let rec recv_frame c =
-  match Proto.next c.cdec with
+  match Proto.next c.cin with
   | Some f -> f
   | None -> (
       match Sockio.read c.cfd c.cbuf 0 (Bytes.length c.cbuf) with
       | `Did n ->
-          Proto.feed c.cdec c.cbuf 0 n;
+          Proto.feed c.cin c.cbuf 0 n;
           recv_frame c
       | `Eof -> raise (Disconnected "server closed the connection")
       | `Would_block ->
@@ -595,15 +543,17 @@ let connect ?pump addr =
   let c =
     {
       cfd = fd;
-      cdec = Proto.dechunker ();
-      enc = Proto.encoder ();
+      cin = Proto.queue ();
+      cout = Proto.queue ();
       cbuf = Bytes.create 65536;
+      cpayload = Buffer.create 256;
       pump;
       srv_draining = false;
       cclosed = false;
     }
   in
-  send_all c (Proto.frame_to_string ~stream:0 Proto.Hello (hello_payload ()));
+  Proto.add_hello c.cpayload;
+  send_frame c ~stream:0 Proto.Hello;
   let f = await c ~stream:0 Proto.Hello in
   let v = Proto.read_hello f.Proto.payload in
   if v <> Proto.version then
@@ -620,20 +570,17 @@ let close c =
 let server_draining c = c.srv_draining
 
 let open_stream c ~stream (o : Proto.open_payload) =
-  let b = Buffer.create 64 in
-  Proto.add_open b o;
-  send_all c (Proto.frame_to_string ~stream Proto.Open_stream (Buffer.contents b));
+  Proto.add_open c.cpayload o;
+  send_frame c ~stream Proto.Open_stream;
   let f = await c ~stream Proto.Opened in
   Proto.read_opened f.Proto.payload
 
-(* The frame is encoded into the client's own buffer and written from
-   there: no frame string per call. *)
+(* The frame is encoded into the client's output queue, which [send] has
+   always emptied by the time a call starts, and written from there: no
+   frame string per call. *)
 let send_req c ~stream op edges ~pos ~len =
-  let enc = c.enc in
-  Proto.encode_req enc ~stream op edges ~pos ~len;
-  send_bytes c enc.Proto.buf enc.Proto.first
-    (enc.Proto.stop - enc.Proto.first);
-  Proto.trim_encoder enc
+  Proto.put_req c.cout ~stream op edges ~pos ~len;
+  send c
 
 let request c ~stream edges ~pos ~len =
   send_req c ~stream Proto.Req edges ~pos ~len;
@@ -647,17 +594,17 @@ let request_quiet c ~stream edges ~pos ~len =
   Proto.read_ack f.Proto.payload
 
 let checkpoint c ~stream =
-  send_all c (Proto.frame_to_string ~stream Proto.Ckpt "");
+  send_frame c ~stream Proto.Ckpt;
   let f = await c ~stream Proto.Ckpt_ok in
   Proto.read_ckpt_ok f.Proto.payload
 
 let close_stream c ~stream =
-  send_all c (Proto.frame_to_string ~stream Proto.Close_stream "");
+  send_frame c ~stream Proto.Close_stream;
   let f = await c ~stream Proto.Closed in
   Proto.read_closed f.Proto.payload
 
 let shutdown_server c =
-  send_all c (Proto.frame_to_string ~stream:0 Proto.Shutdown "");
+  send_frame c ~stream:0 Proto.Shutdown;
   let rec drainloop () =
     match recv_frame c with
     | _ -> drainloop ()

@@ -5,18 +5,22 @@
     {2 Server}
 
     One [select] loop owns every file descriptor: the RPC listener, the
-    optional HTTP listener, and all accepted connections, each with a
-    {!Proto.dechunker} for torn-frame reassembly, a {!Proto.edge_buf}
-    into which request batches are decoded straight from the dechunker's
-    window and served in place, and an output queue for
-    partially-written replies.  A connection keeps these buffers between
-    frames, so a steady stream of batches allocates nothing per edge.
+    optional HTTP listener, and all accepted connections.  A connection
+    is two {!Proto.queue}s: the input queue, where torn frames (or an
+    HTTP request head) wait for their remaining bytes, and the output
+    queue, where replies wait for the peer.  Replies are written into the
+    output queue in place ({!Proto.put_frame}) from one payload buffer
+    the connection reuses, and request batches are decoded straight from
+    the input queue's window into a {!Proto.edge_buf} and served in
+    place, so a steady stream of batches allocates nothing per edge.
     What one large frame grew is released once it is served: an edge
-    array above 64 KiB of payload, and a window or output queue above
-    1 MiB once it is empty.  Backpressure is per connection: when a
-    peer's queued output exceeds a high-water mark the server stops
-    {e reading} from that peer until the queue drains below the low-water
-    mark — a slow consumer throttles itself, never the other tenants.
+    array above 64 KiB of payload, a payload buffer above 1 MiB, and a
+    queue above 1 MiB once it is empty.  One drain loop writes an output
+    queue to its socket, for the server's connections and the client
+    alike.  Backpressure is per connection: when a peer's queued output
+    exceeds a high-water mark the server stops {e reading} from that
+    peer until the queue drains below the low-water mark — a slow
+    consumer throttles itself, never the other tenants.
 
     Graceful drain ({!begin_drain}, or a [Shutdown] frame): stop
     accepting, checkpoint and close every tenant ({!Tenant.drain}),
@@ -34,8 +38,10 @@
 
     {2 Client}
 
-    Synchronous RPC: one in-flight request per stream, frames parsed
-    through the same dechunker.  An optional [pump] callback runs
+    Synchronous RPC: one in-flight request per stream, through the same
+    pair of queues as a server connection: a call writes its frame into
+    the output queue, drains it, and parses the reply off the input
+    queue.  An optional [pump] callback runs
     whenever the client would block, which lets tests and the bench
     drive an in-process server cooperatively (no second process, no
     domain); against a real server it is simply never needed.
@@ -56,17 +62,12 @@ val addr_to_string : addr -> string
 type server
 
 val server :
-  ?http:addr ->
-  ?backlog:int ->
-  ?supervise:bool ->
-  ?hwm:int ->
-  router:Tenant.t ->
-  addr ->
-  server
-(** Bind and listen (both sockets non-blocking; an existing Unix-socket
-    path is replaced).  [hwm] is the per-connection output high-water
-    mark in bytes (default 256 KiB; the low-water mark is a quarter of
-    it).  [supervise] defaults to [false]. *)
+  ?http:addr -> ?supervise:bool -> ?hwm:int -> router:Tenant.t -> addr -> server
+(** Bind and listen (both sockets non-blocking, a backlog of 64; an
+    existing Unix-socket path is replaced).  [hwm] is the per-connection
+    output high-water mark in bytes (default 256 KiB, at least 4096; the
+    low-water mark is a quarter of it).  [supervise] defaults to
+    [false]. *)
 
 val step : ?timeout:float -> server -> bool
 (** One select round: accept, read, dispatch frames, flush.  Returns
@@ -122,8 +123,8 @@ val request :
   client -> stream:int -> int array -> pos:int -> len:int ->
   Engine.decision array
 (** Serve [len] edges starting at [pos]: sends [Req], awaits
-    [Decisions].  The frame is encoded in one pass into a send buffer
-    the client keeps ({!Proto.encode_req}) and written from there. *)
+    [Decisions].  The frame is encoded in one pass into the client's
+    output queue ({!Proto.put_req}) and written from there. *)
 
 val request_quiet :
   client -> stream:int -> int array -> pos:int -> len:int ->

@@ -77,68 +77,105 @@ let err_draining = 5
 
 type frame = { stream : int; op : op; payload : string }
 
-let add_frame buf ~stream op payload =
-  let len = String.length payload in
-  if len > max_payload then
-    raise (Protocol_error (Printf.sprintf "payload %d over limit" len));
-  Rbgp_util.Binc.add_varint buf stream;
-  Rbgp_util.Binc.add_varint buf (op_to_int op);
-  Rbgp_util.Binc.add_varint buf len;
-  Buffer.add_string buf payload
+(* A queue keeps its bytes in [buf.(start .. start+len-1)].  Writers
+   append after them, compacting or growing the window first ([room]);
+   readers take bytes off the front ([consume]).  A frame whose header
+   or payload runs past the queued bytes is a torn frame: [next] returns
+   [None] and leaves the window untouched, exactly the parking
+   discipline of the mmap/channel trace readers. *)
+type queue = { mutable buf : bytes; mutable start : int; mutable len : int }
 
-let frame_to_string ~stream op payload =
-  let buf = Buffer.create (String.length payload + 12) in
-  add_frame buf ~stream op payload;
-  Buffer.contents buf
+let queue () = { buf = Bytes.create 4096; start = 0; len = 0 }
 
-(* The dechunker keeps undelivered bytes in [buf.(start .. start+len)];
-   [feed] appends (compacting or growing first) and [next] parses frames
-   off the front.  A frame whose header or payload runs past the
-   buffered bytes is a torn frame: [next] returns [None] and leaves the
-   cursor untouched, exactly the parking discipline of the mmap/channel
-   trace readers. *)
-type dechunker = { mutable buf : bytes; mutable start : int; mutable len : int }
-
-let dechunker () = { buf = Bytes.create 4096; start = 0; len = 0 }
-
-let feed d src off len =
-  if off < 0 || len < 0 || off + len > Bytes.length src then
-    invalid_arg "Proto.feed";
-  let cap = Bytes.length d.buf in
-  if d.start + d.len + len > cap then begin
-    if d.len + len <= cap then begin
-      Bytes.blit d.buf d.start d.buf 0 d.len;
-      d.start <- 0
-    end
+(* Make room for [n] more bytes after the window: move the window to the
+   front if that is enough, else move it into a buffer doubled until it
+   is. *)
+let room q n =
+  let cap = Bytes.length q.buf in
+  if q.start + q.len + n > cap then begin
+    if q.len + n <= cap then Bytes.blit q.buf q.start q.buf 0 q.len
     else begin
       let cap' =
-        let rec grow c = if c >= d.len + len then c else grow (2 * c) in
+        let rec grow c = if c >= q.len + n then c else grow (2 * c) in
         grow (2 * cap)
       in
       let nb = Bytes.create cap' in
-      Bytes.blit d.buf d.start nb 0 d.len;
-      d.buf <- nb;
-      d.start <- 0
-    end
+      Bytes.blit q.buf q.start nb 0 q.len;
+      q.buf <- nb
+    end;
+    q.start <- 0
+  end
+
+(* The one retention rule: an emptied window that grew past
+   [retain_window] for one large frame goes back to its initial size, so
+   a connection or client does not keep it. *)
+let retain_window = 1 lsl 20
+
+let consume q n =
+  if n < 0 || n > q.len then invalid_arg "Proto.consume";
+  q.start <- q.start + n;
+  q.len <- q.len - n;
+  if q.len = 0 then begin
+    q.start <- 0;
+    if Bytes.length q.buf > retain_window then q.buf <- Bytes.create 4096
+  end
+
+let feed q src off len =
+  if off < 0 || len < 0 || off + len > Bytes.length src then
+    invalid_arg "Proto.feed";
+  room q len;
+  Bytes.blit src off q.buf (q.start + q.len) len;
+  q.len <- q.len + len
+
+let feed_string q s = feed q (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* Bytes in the varint of [v >= 0]. *)
+let rec varint_len v = if v < 0x80 then 1 else 1 + varint_len (v lsr 7)
+
+(* Write [v >= 0]'s varint at [pos]; returns the position after it. *)
+let rec put_varint b pos v =
+  if v < 0x80 then begin
+    Bytes.set b pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    put_varint b (pos + 1) (v lsr 7)
+  end
+
+(* Write the header of a frame with a [plen]-byte payload at [p];
+   returns the position after it. *)
+let put_header b p ~stream op ~plen =
+  put_varint b (put_varint b (put_varint b p stream) (op_to_int op)) plen
+
+let header_len ~stream op ~plen =
+  varint_len stream + varint_len (op_to_int op) + varint_len plen
+
+let put_frame q ~stream op payload =
+  let plen = Buffer.length payload in
+  if plen > max_payload || stream < 0 then begin
+    Buffer.reset payload;
+    if plen > max_payload then
+      raise (Protocol_error (Printf.sprintf "payload %d over limit" plen));
+    invalid_arg "Binc.add_varint: negative"
   end;
-  Bytes.blit src off d.buf (d.start + d.len) len;
-  d.len <- d.len + len
+  let n = header_len ~stream op ~plen + plen in
+  room q n;
+  let p = put_header q.buf (q.start + q.len) ~stream op ~plen in
+  Buffer.blit payload 0 q.buf p plen;
+  q.len <- q.len + n;
+  if plen > retain_window then Buffer.reset payload else Buffer.clear payload
 
-let feed_string d s =
-  feed d (Bytes.unsafe_of_string s) 0 (String.length s)
-
-let pending_bytes d = d.len
-
-(* Incremental LEB128 parse at [pos] relative to the undelivered window:
+(* Incremental LEB128 parse at [pos] relative to the queued window:
    [`Got (value, bytes_consumed)] or [`Torn] when the varint runs past
    the buffered bytes.  Over 10 bytes can never complete into a 63-bit
    varint, so that raises rather than parks. *)
-let parse_varint d pos =
+let parse_varint q pos =
   let rec go i shift acc =
     if i >= 10 then raise (Protocol_error "varint over 63 bits")
-    else if pos + i >= d.len then `Torn
+    else if pos + i >= q.len then `Torn
     else begin
-      let b = Char.code (Bytes.get d.buf (d.start + pos + i)) in
+      let b = Char.code (Bytes.get q.buf (q.start + pos + i)) in
       let acc = acc lor ((b land 0x7f) lsl shift) in
       if b < 0x80 then `Got (acc, i + 1) else go (i + 1) (shift + 7) acc
     end
@@ -147,15 +184,15 @@ let parse_varint d pos =
 
 (* The frame at the front of the window once all of it is buffered:
    [Some (stream, op, header bytes, payload bytes)]. *)
-let front d =
-  match parse_varint d 0 with
+let front q =
+  match parse_varint q 0 with
   | `Torn -> None
   | `Got (stream, c1) -> (
-      match parse_varint d c1 with
+      match parse_varint q c1 with
       | `Torn -> None
       | `Got (opn, c2) -> (
           let op = op_of_int opn in
-          match parse_varint d (c1 + c2) with
+          match parse_varint q (c1 + c2) with
           | `Torn -> None
           | `Got (plen, c3) ->
               if plen < 0 || stream < 0 then
@@ -164,31 +201,18 @@ let front d =
                 raise
                   (Protocol_error (Printf.sprintf "payload %d over limit" plen));
               let hdr = c1 + c2 + c3 in
-              if d.len < hdr + plen then None
+              if q.len < hdr + plen then None
               else Some (stream, op, hdr, plen)))
 
-(* Drop a delivered frame from the window.  An emptied window that grew
-   past [retain_window] for one large frame goes back to its initial
-   size, so the connection does not keep it. *)
-let retain_window = 1 lsl 20
-
-let consume d n =
-  d.start <- d.start + n;
-  d.len <- d.len - n;
-  if d.len = 0 then begin
-    d.start <- 0;
-    if Bytes.length d.buf > retain_window then d.buf <- Bytes.create 4096
-  end
-
-let take_payload d ~stream op hdr plen =
-  let payload = Bytes.sub_string d.buf (d.start + hdr) plen in
-  consume d (hdr + plen);
+let take_payload q ~stream op hdr plen =
+  let payload = Bytes.sub_string q.buf (q.start + hdr) plen in
+  consume q (hdr + plen);
   Some { stream; op; payload }
 
-let next d =
-  match front d with
+let next q =
+  match front q with
   | None -> None
-  | Some (stream, op, hdr, plen) -> take_payload d ~stream op hdr plen
+  | Some (stream, op, hdr, plen) -> take_payload q ~stream op hdr plen
 
 (* Payload codecs.  Decoders wrap Binc's [Invalid_argument] (truncated
    input) into [Protocol_error] so connection handlers distinguish a bad
@@ -267,31 +291,16 @@ let read_open payload =
 
    Request frames carry the socket path's per-request bytes, so both
    directions code them in one pass over buffers that the caller keeps:
-   the client's [encoder] and the connection's [edge_buf].  The per-edge
-   loops, [encode_edges] and [decode_edges], are r11 hot roots: they
-   write into buffers sized before the loop starts and allocate only the
-   message of a raise.  The bytes are those of [frame_to_string] over a
+   the client's output queue and the connection's [edge_buf].  The
+   per-edge loops, [encode_edges] and [decode_edges], are r11 hot roots:
+   they write into buffers sized before the loop starts and allocate only
+   the message of a raise.  The bytes are a frame's header varints over a
    payload of [Binc] edge varints, and the errors are those of
    [Binc.add_varint] and [Binc.read_varint], at the same byte. *)
 
-(* Bytes in the varint of [v >= 0]. *)
-let rec varint_len v = if v < 0x80 then 1 else 1 + varint_len (v lsr 7)
-
-(* Write [v >= 0]'s varint at [pos]; returns the position after it. *)
-let rec put_varint b pos v =
-  if v < 0x80 then begin
-    Bytes.set b pos (Char.unsafe_chr v);
-    pos + 1
-  end
-  else begin
-    Bytes.set b pos (Char.unsafe_chr (0x80 lor (v land 0x7f)));
-    put_varint b (pos + 1) (v lsr 7)
-  end
-
-(* Buffers are kept up to [retain_edges] edges: an encoder sized for that
-   many (9 bytes each), an edge array of that length (512 KiB), which
-   holds any payload up to 64 KiB.  A larger batch grows them for itself
-   only: [trim_encoder] and [trim_edges] release them once it is done. *)
+(* The edge array is kept up to [retain_edges] slots (512 KiB), which
+   holds any payload up to 64 KiB.  A larger batch grows it for itself
+   only: [trim_edges] releases it once that batch is served. *)
 let retain_edges = 1 lsl 16
 
 (* The payload is written after [header_room] bytes, and the header
@@ -299,10 +308,6 @@ let retain_edges = 1 lsl 16
    stream id takes at most 9 bytes, the opcode 1, and a length up to
    [max_payload] 4. *)
 let header_room = 16
-
-type encoder = { mutable buf : bytes; mutable first : int; mutable stop : int }
-
-let encoder () = { buf = Bytes.empty; first = header_room; stop = header_room }
 
 (* The varints of [edges.(pos .. pos+len-1)] from [p]; returns the
    position after the last.  Edges below 2^14, every edge of a ring up to
@@ -336,47 +341,37 @@ let oversized_batch edges ~pos ~len =
   done;
   raise (Protocol_error (Printf.sprintf "payload %d over limit" !plen))
 
-(* A buffer of at least [need] bytes: doubling up to the retained size,
-   exactly [need] above it. *)
-let fresh_size ~have ~need ~retain =
-  if need > retain then need else Int.min retain (Int.max need (2 * have))
-
-let encode_req enc ~stream op edges ~pos ~len =
+let put_req q ~stream op edges ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length edges then
-    invalid_arg "Proto.encode_req";
-  (* every edge takes at most 9 bytes; a payload that would need more
-     than [max_payload + 9] is over the limit, so the loop runs out of
-     buffer (a bounds [Invalid_argument]) only for a batch that fails *)
-  let need = header_room + Int.min (9 * len) (max_payload + 9) in
-  if Bytes.length enc.buf < need then
-    enc.buf <-
-      Bytes.create
-        (fresh_size ~have:(Bytes.length enc.buf) ~need
-           ~retain:(header_room + (9 * retain_edges)));
+    invalid_arg "Proto.put_req";
+  if q.len > 0 then invalid_arg "Proto.put_req: queue not drained";
+  (* every edge takes at most 9 bytes and the room holds the payload of
+     any batch under the limit, so running out of buffer (a bounds
+     [Invalid_argument]) means the batch is over it *)
+  room q (header_room + Int.min (9 * len) (max_payload + 9));
+  let base = q.start + header_room in
   let stop =
-    match encode_edges enc.buf header_room edges ~pos ~len with
+    match encode_edges q.buf base edges ~pos ~len with
     | stop -> stop
     | exception Invalid_argument _ -> oversized_batch edges ~pos ~len
   in
-  let plen = stop - header_room in
+  let plen = stop - base in
   if plen > max_payload then oversized_batch edges ~pos ~len;
   if stream < 0 then invalid_arg "Binc.add_varint: negative";
-  let opn = op_to_int op in
-  let first =
-    header_room - (varint_len stream + varint_len opn + varint_len plen)
-  in
-  let p = put_varint enc.buf first stream in
-  ignore (put_varint enc.buf (put_varint enc.buf p opn) plen);
-  enc.first <- first;
-  enc.stop <- stop
-
-let trim_encoder enc =
-  if Bytes.length enc.buf > header_room + (9 * retain_edges) then
-    enc.buf <- Bytes.empty
+  let first = base - header_len ~stream op ~plen in
+  ignore (put_header q.buf first ~stream op ~plen);
+  q.start <- first;
+  q.len <- stop - first
 
 type edge_buf = { mutable arr : int array; mutable count : int }
 
 let edge_buf () = { arr = [||]; count = 0 }
+
+(* An edge array of at least [need] slots: doubling up to the retained
+   size, exactly [need] above it. *)
+let fresh_size ~have ~need =
+  if need > retain_edges then need
+  else Int.min retain_edges (Int.max need (2 * have))
 
 (* The varint at [p] in a payload of [b.(off .. stop-1)] when the 1- and
    2-byte paths do not take it: written to [arr.(k)], returns the
@@ -425,21 +420,18 @@ let trim_edges es =
     es.count <- 0
   end
 
-let next_req d es =
-  match front d with
+let next_req q es =
+  match front q with
   | None -> None
   | Some (stream, ((Req | Req_quiet) as op), hdr, plen) ->
       if Array.length es.arr < plen then
         es.arr <-
-          Array.make
-            (fresh_size ~have:(Array.length es.arr) ~need:plen
-               ~retain:retain_edges)
-            0;
+          Array.make (fresh_size ~have:(Array.length es.arr) ~need:plen) 0;
       es.count <- 0;
-      es.count <- decode_edges es.arr d.buf ~off:(d.start + hdr) ~plen;
-      consume d (hdr + plen);
+      es.count <- decode_edges es.arr q.buf ~off:(q.start + hdr) ~plen;
+      consume q (hdr + plen);
       Some { stream; op; payload = "" }
-  | Some (stream, op, hdr, plen) -> take_payload d ~stream op hdr plen
+  | Some (stream, op, hdr, plen) -> take_payload q ~stream op hdr plen
 
 let add_opened buf ~pos = Rbgp_util.Binc.add_varint buf pos
 

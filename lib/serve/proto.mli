@@ -8,12 +8,14 @@
     are themselves varint-packed with {!Rbgp_util.Binc}, the same codec
     the RBGT/v1 trace format and RBGC checkpoints use.
 
-    Socket reads deliver arbitrary byte boundaries, so decoding goes
-    through a {!dechunker} that parks torn frames — the discipline the
-    mmap/channel {!Source} readers already follow: complete frames are
-    delivered, an incomplete tail is retained until more bytes arrive,
-    and only impossible input (varint overflow, oversized payload)
-    raises. *)
+    Bytes move through one type, the {!queue}: a connection and a client
+    each hold one for input and one for output.  Socket reads deliver
+    arbitrary byte boundaries, so reading parks torn frames — the
+    discipline the mmap/channel {!Source} readers already follow:
+    complete frames are delivered, an incomplete tail is retained until
+    more bytes arrive, and only impossible input (varint overflow,
+    oversized payload) raises.  Frames are written into a queue in
+    place, by {!put_frame} and {!put_req}. *)
 
 exception Protocol_error of string
 (** Corrupt or hostile input: varint longer than 63 bits, unknown
@@ -74,39 +76,54 @@ val err_draining : int  (** 5 — server is draining; no new work *)
 
 type frame = { stream : int; op : op; payload : string }
 
-val add_frame : Buffer.t -> stream:int -> op -> string -> unit
-(** Append one encoded frame. *)
+(** {2 Byte queues} *)
 
-val frame_to_string : stream:int -> op -> string -> string
+type queue = private {
+  mutable buf : bytes;
+  mutable start : int;
+  mutable len : int;
+}
+(** A byte stream between a peer and its reader or writer: the queued
+    bytes are [buf.(start .. start+len-1)].  Writers append after them,
+    moving them to the front or into a buffer twice the size first when
+    they need the room; readers take bytes off the front.
 
-(** {2 Incremental decoding: the dechunker} *)
+    One retention rule covers every queue: once a queue is empty, a
+    buffer that grew past 1 MiB for one large frame is replaced by a
+    4 KiB one, so a connection or client does not keep it. *)
 
-type dechunker
-(** Reassembles frames from arbitrarily-split byte arrivals.  Feed it
-    whatever a socket read returned; pull complete frames with {!next}.
-    A torn frame (header or payload) is parked until completed by later
-    feeds — byte boundaries are invisible in the frame sequence. *)
+val queue : unit -> queue
 
-val dechunker : unit -> dechunker
+val feed : queue -> bytes -> int -> int -> unit
+(** [feed q buf off len] appends [len] bytes starting at [off]. *)
 
-val feed : dechunker -> bytes -> int -> int -> unit
-(** [feed d buf off len] appends [len] bytes starting at [off]. *)
+val feed_string : queue -> string -> unit
 
-val feed_string : dechunker -> string -> unit
+val consume : queue -> int -> unit
+(** [consume q n] drops the first [n] queued bytes (those a socket write
+    took), applying the retention rule when the queue empties. *)
 
-val next : dechunker -> frame option
-(** The next complete frame, or [None] if the buffered bytes end in a
-    torn frame (or are empty).  Raises {!Protocol_error} on input no
-    completion could repair.  A window that grew past 1 MiB for a large
-    frame shrinks back once it is empty. *)
+val next : queue -> frame option
+(** The next complete frame off the front, or [None] if the queued bytes
+    end in a torn frame (or are empty): a torn frame is parked until
+    later feeds complete it, so byte boundaries are invisible in the
+    frame sequence.  Raises {!Protocol_error} on input no completion
+    could repair. *)
 
-val pending_bytes : dechunker -> int
-(** Bytes buffered but not yet delivered as frames (parked tail). *)
+val put_frame : queue -> stream:int -> op -> Buffer.t -> unit
+(** [put_frame q ~stream op payload] appends one frame: its header
+    varints, then the payload's bytes, blitted once from the buffer.
+    The buffer is then emptied, and reset to its initial size if it
+    held more than 1 MiB, so the caller can reuse one payload buffer for
+    every frame.  Raises {!Protocol_error} on a payload over
+    {!max_payload} and [Invalid_argument] on a negative stream, with the
+    buffer emptied and nothing appended. *)
 
 (** {2 Payload codecs}
 
-    Encoders append to a [Buffer.t]; decoders read a payload string and
-    raise {!Protocol_error} on truncated or trailing bytes. *)
+    Encoders append to a [Buffer.t], the payload {!put_frame} takes;
+    decoders read a payload string and raise {!Protocol_error} on
+    truncated or trailing bytes. *)
 
 val add_hello : Buffer.t -> unit
 val read_hello : string -> int
@@ -128,37 +145,26 @@ val read_open : string -> open_payload
 
     The socket path's per-request bytes.  A [Req]/[Req_quiet] payload is
     the edges' varints back to back, identical to the RBGT/v1 request
-    framing.  Both directions code it in one pass into buffers the
-    caller keeps and reuses, so a steady stream of batches allocates
-    neither a frame string nor an edge array per call.  The buffers are
-    kept while they fit 65536 edges (an encoder for that many edges, an
-    edge array for a payload of up to 64 KiB); what a larger batch grew
-    is released by the trim functions once that batch is done, so one
-    16 MiB frame does not stay pinned for the lifetime of a client or
-    connection. *)
+    framing.  Both directions code it in one pass, the client into its
+    output queue and the server into an edge array the connection
+    keeps, so a steady stream of batches allocates neither a frame
+    string nor an edge array per call.  The edge array is kept while it
+    holds a payload of up to 64 KiB (65536 edges); what a larger batch
+    grew is released by {!trim_edges} once that batch is served, so one
+    16 MiB frame does not pin a 128 MB array for the lifetime of a
+    connection.  The queues follow their own retention rule. *)
 
-type encoder = private {
-  mutable buf : bytes;
-  mutable first : int;
-  mutable stop : int;
-}
-(** The client's send buffer.  After {!encode_req}, the frame is
-    [buf.(first .. stop-1)]. *)
-
-val encoder : unit -> encoder
-
-val encode_req :
-  encoder -> stream:int -> op -> int array -> pos:int -> len:int -> unit
-(** [encode_req enc ~stream op edges ~pos ~len] encodes a whole request
-    frame ([op] is {!Req} or {!Req_quiet}) over [len] consecutive edges
-    from [pos]: the bytes of {!frame_to_string} over their varints.  The
-    payload is written after room reserved for the header, and the
-    header right-aligned in that room once the payload length is known.
-    Raises [Invalid_argument] on a bad range or a negative edge, and
+val put_req :
+  queue -> stream:int -> op -> int array -> pos:int -> len:int -> unit
+(** [put_req q ~stream op edges ~pos ~len] writes a whole request frame
+    ([op] is {!Req} or {!Req_quiet}) over [len] consecutive edges from
+    [pos] into the empty queue [q], in one pass: the payload varints go
+    after room reserved for the header, and the header right-aligned in
+    that room once the payload length is known; the queue's window
+    starts at the header.  The bytes are a frame's header varints over
+    the edges' [Binc] varints.  Raises [Invalid_argument] on a queue
+    that still holds bytes, a bad range or a negative edge, and
     {!Protocol_error} on a payload over {!max_payload}. *)
-
-val trim_encoder : encoder -> unit
-(** Release a buffer grown for a batch of more than 65536 edges. *)
 
 type edge_buf = private { mutable arr : int array; mutable count : int }
 (** The server's edge buffer: a decoded batch is [arr.(0 .. count-1)],
@@ -166,9 +172,9 @@ type edge_buf = private { mutable arr : int array; mutable count : int }
 
 val edge_buf : unit -> edge_buf
 
-val next_req : dechunker -> edge_buf -> frame option
+val next_req : queue -> edge_buf -> frame option
 (** {!next} for the server: a [Req] or [Req_quiet] payload is decoded
-    straight from the dechunker's window into the buffer, and its frame
+    straight from the queue's window into the buffer, and its frame
     carries an empty payload string.  Other frames are delivered as by
     {!next}.  Raises {!Protocol_error} on a request payload that ends
     inside a varint or holds one over 9 bytes, with [Binc.read_varint]'s

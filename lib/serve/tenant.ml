@@ -75,14 +75,11 @@ let tenants t =
   Hashtbl.fold (fun _ tn acc -> tn :: acc) t.slots []
   |> List.sort (fun a b -> String.compare a.tid b.tid)
 
+(* Do two configurations name the same engine?  The tenant id is not
+   part of it. *)
 let config_eq (a : Proto.open_payload) (b : Proto.open_payload) =
   String.equal a.alg b.alg && a.n = b.n && a.ell = b.ell && a.seed = b.seed
   && Float.equal a.epsilon b.epsilon
-
-let ckpt_matches (ck : Checkpoint.t) (o : Proto.open_payload) =
-  String.equal ck.alg o.alg && ck.n = o.n && ck.ell = o.ell
-  && ck.seed = o.seed
-  && Float.equal ck.epsilon o.epsilon
 
 let checkpoint_now t tn =
   match tn.engine with
@@ -209,13 +206,16 @@ let install_engine tn e =
    for a brand-new id): newest durable generation first, then the
    in-memory snapshot, then a fresh engine at position 0. *)
 let revive t tn (o : Proto.open_payload) =
-  let from_ckpt ck =
-    if not (ckpt_matches ck o) then
+  let from_ckpt (ck : Checkpoint.t) =
+    let was =
+      { o with alg = ck.alg; n = ck.n; ell = ck.ell; epsilon = ck.epsilon;
+               seed = ck.seed }
+    in
+    if not (config_eq was o) then
       Error
         ( Proto.err_config_mismatch,
           Printf.sprintf "tenant %s: checkpoint was %s n=%d ell=%d seed=%d"
-            tn.tid ck.Checkpoint.alg ck.Checkpoint.n ck.Checkpoint.ell
-            ck.Checkpoint.seed )
+            tn.tid was.alg was.n was.ell was.seed )
     else begin
       match Engine.resume ck with
       | e ->

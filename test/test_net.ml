@@ -1,8 +1,11 @@
 (* The networked serving tier, end to end and in process.
 
-   The dechunker suite is the satellite-2 contract: a multi-frame byte
-   stream split at EVERY byte boundary — and at random boundaries under
-   qcheck — reassembles frame for frame into the unsplit sequence.
+   The framing suite holds the byte queue to its contract: a multi-frame
+   byte stream split at EVERY byte boundary — and at random boundaries
+   under qcheck — reassembles frame for frame into the unsplit sequence,
+   and both frame writers ([put_frame], [put_req]) write exactly the
+   frames built here from [Binc] varints, however the queue they write
+   into is drained.
 
    The isolation suite is the tentpole's acceptance criterion: two
    tenants interleaved over one socket connection produce decisions,
@@ -56,7 +59,16 @@ let with_tempdir f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
-(* --- dechunker: split-anywhere reassembly ------------------------------ *)
+(* --- framing: split-anywhere reassembly and the frame writers --------- *)
+
+(* A whole frame by definition: header varints, then the payload. *)
+let reference_frame ~stream op payload =
+  let b = Buffer.create (String.length payload + 12) in
+  Rbgp_util.Binc.add_varint b stream;
+  Rbgp_util.Binc.add_varint b (Proto.op_to_int op);
+  Rbgp_util.Binc.add_varint b (String.length payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
 
 let frame_key (f : Proto.frame) =
   Printf.sprintf "%d|%d|%S" f.Proto.stream
@@ -64,11 +76,17 @@ let frame_key (f : Proto.frame) =
     f.Proto.payload
 
 let encode_frames frames =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (stream, op, payload) -> Proto.add_frame buf ~stream op payload)
-    frames;
-  Buffer.contents buf
+  String.concat ""
+    (List.map
+       (fun (stream, op, payload) -> reference_frame ~stream op payload)
+       frames)
+
+(* Take the first [n] queued bytes off [q], as a socket write would. *)
+let take ?n q =
+  let n = Option.value n ~default:q.Proto.len in
+  let s = Bytes.sub_string q.Proto.buf q.Proto.start n in
+  Proto.consume q n;
+  s
 
 let drain_frames d =
   let rec go acc =
@@ -79,7 +97,7 @@ let drain_frames d =
 (* Feed [wire] in pieces cut at [cuts] (sorted positions), pulling
    complete frames after every piece exactly as the serve loop does. *)
 let reassemble wire cuts =
-  let d = Proto.dechunker () in
+  let d = Proto.queue () in
   let acc = ref [] in
   let prev = ref 0 in
   List.iter
@@ -88,9 +106,8 @@ let reassemble wire cuts =
       acc := !acc @ drain_frames d;
       prev := cut)
     (cuts @ [ String.length wire ]);
-  if Proto.pending_bytes d <> 0 then
-    Alcotest.failf "dechunker parked %d bytes of a complete stream"
-      (Proto.pending_bytes d);
+  if d.Proto.len <> 0 then
+    Alcotest.failf "the queue parked %d bytes of a complete stream" d.Proto.len;
   !acc
 
 let sample_frames =
@@ -149,9 +166,56 @@ let qcheck_dechunker_random_splits =
       in
       List.equal String.equal want got)
 
+(* [put_frame] appends the reference frame from one reused payload
+   buffer, which it empties, whatever the queue holds: between frames a
+   socket write takes a chosen number of bytes off the front, so frames
+   land after a parked tail, at a moved window and in a grown buffer. *)
+let qcheck_put_frame =
+  qtest ~count:300 "qcheck: put_frame == reference frames, partly drained"
+    QCheck2.Gen.(
+      let frame =
+        triple (int_range 0 1000)
+          (map Proto.op_of_int (int_range 1 14))
+          (string_size ~gen:char
+             (frequency [ (4, int_range 0 300); (1, int_range 3000 9000) ]))
+      in
+      pair (list_size (int_range 1 12) frame)
+        (list_size (return 12) (int_range 0 10_000)))
+    (fun (frames, takes) ->
+      let q = Proto.queue () and payload = Buffer.create 16 in
+      let out = Buffer.create 1024 in
+      List.iteri
+        (fun i (stream, op, p) ->
+          Buffer.add_string payload p;
+          Proto.put_frame q ~stream op payload;
+          if Buffer.length payload <> 0 then Alcotest.fail "payload kept";
+          let n = List.nth takes i mod (q.Proto.len + 1) in
+          Buffer.add_string out (take ~n q))
+        frames;
+      Buffer.add_string out (take q);
+      String.equal (Buffer.contents out) (encode_frames frames))
+
+let test_put_frame_limits () =
+  let q = Proto.queue () and payload = Buffer.create 16 in
+  Buffer.add_string payload (String.make (Proto.max_payload + 1) 'x');
+  Alcotest.check_raises "an oversized payload is refused"
+    (Proto.Protocol_error
+       (Printf.sprintf "payload %d over limit" (Proto.max_payload + 1)))
+    (fun () -> Proto.put_frame q ~stream:1 Proto.Decisions payload);
+  Buffer.add_string payload "abc";
+  Alcotest.check_raises "a negative stream is refused"
+    (Invalid_argument "Binc.add_varint: negative") (fun () ->
+      Proto.put_frame q ~stream:(-1) Proto.Ack payload);
+  Alcotest.(check (pair int int)) "nothing queued, the payload emptied" (0, 0)
+    (q.Proto.len, Buffer.length payload);
+  Buffer.add_string payload "ok";
+  Proto.put_frame q ~stream:3 Proto.Ack payload;
+  Alcotest.(check string) "the next frame is whole"
+    (reference_frame ~stream:3 Proto.Ack "ok") (take q)
+
 let test_dechunker_rejects_garbage () =
   (* A varint that never terminates within 10 bytes is unrepairable. *)
-  let d = Proto.dechunker () in
+  let d = Proto.queue () in
   Alcotest.check_raises "varint overflow raises"
     (Proto.Protocol_error "varint over 63 bits") (fun () ->
       Proto.feed_string d (String.make 11 '\xff');
@@ -192,18 +256,13 @@ let gen_edge =
         int_range 0 max_int;
       ])
 
-(* The frame [encode_req] leaves in the encoder, as a string. *)
-let encoded enc =
-  Bytes.sub_string enc.Proto.buf enc.Proto.first
-    (enc.Proto.stop - enc.Proto.first)
-
 let decoded es = Ok (Array.sub es.Proto.arr 0 es.Proto.count)
 
-(* A request payload as the server decodes it: straight from a
-   dechunker's window into the edge buffer. *)
+(* A request payload as the server decodes it: straight from a queue's
+   window into the edge buffer. *)
 let decode es payload =
-  let d = Proto.dechunker () in
-  Proto.feed_string d (Proto.frame_to_string ~stream:1 Proto.Req payload);
+  let d = Proto.queue () in
+  Proto.feed_string d (reference_frame ~stream:1 Proto.Req payload);
   match Proto.next_req d es with
   | Some _ -> decoded es
   | None -> Error "frame not delivered"
@@ -221,11 +280,11 @@ let qcheck_req_codec =
       return (edges, pos, len, stream, junk))
     (fun (edges, pos, len, stream, junk) ->
       let payload = reference_req_payload edges ~pos ~len in
-      let enc = Proto.encoder () and es = Proto.edge_buf () in
-      Proto.encode_req enc ~stream Proto.Req_quiet edges ~pos ~len;
+      let out = Proto.queue () and es = Proto.edge_buf () in
+      Proto.put_req out ~stream Proto.Req_quiet edges ~pos ~len;
       List.for_all Fun.id
         [
-          encoded enc = Proto.frame_to_string ~stream Proto.Req_quiet payload;
+          take out = reference_frame ~stream Proto.Req_quiet payload;
           decode es payload = Ok (Array.sub edges pos len);
           decode es junk = reference_read_req junk;
           decode es (payload ^ junk) = reference_read_req (payload ^ junk);
@@ -234,12 +293,12 @@ let qcheck_req_codec =
               (payload ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01");
         ])
 
-(* One client encoder and one server-side dechunker and edge buffer, the
-   state a connection keeps, carry a whole sequence of batches: empty
-   ones, edges of 3 bytes and more, batches that grow the buffers and
-   then shorter ones that must not see the longer ones' stale edges.
-   Each frame reaches the server through the dechunker window in two
-   pieces.  Between the batches, junk payloads decode (or fail, at the
+(* One client output queue and one server-side input queue and edge
+   buffer, the state a client and a connection keep, carry a whole
+   sequence of batches: empty ones, edges of 3 bytes and more, batches
+   that grow the buffers and then shorter ones that must not see the
+   longer ones' stale edges.  Each frame reaches the server's window in
+   two pieces.  Between the batches, junk payloads decode (or fail, at the
    same byte) into the same edge buffer exactly as the Binc reference
    does. *)
 let qcheck_req_codec_reused =
@@ -264,14 +323,14 @@ let qcheck_req_codec_reused =
       let* cuts = list_size (return 10) (int_range 0 1_000_000) in
       return (grow @ shrink, junk, cuts))
     (fun (batches, junk, cuts) ->
-      let enc = Proto.encoder () in
-      let d = Proto.dechunker () and es = Proto.edge_buf () in
+      let out = Proto.queue () in
+      let d = Proto.queue () and es = Proto.edge_buf () in
       let cut i len = List.nth cuts (i mod List.length cuts) mod (len + 1) in
       let frame_ok i edges =
         let len = Array.length edges and stream = 1 + (i mod 3) in
         let op = if i land 1 = 0 then Proto.Req else Proto.Req_quiet in
-        Proto.encode_req enc ~stream op edges ~pos:0 ~len;
-        let wire = encoded enc in
+        Proto.put_req out ~stream op edges ~pos:0 ~len;
+        let wire = take out in
         let at = cut i (String.length wire) in
         Proto.feed_string d (String.sub wire 0 at);
         let early = Proto.next_req d es in
@@ -281,10 +340,8 @@ let qcheck_req_codec_reused =
         in
         let got = decoded es in
         Proto.trim_edges es;
-        Proto.trim_encoder enc;
         wire
-        = Proto.frame_to_string ~stream op
-            (reference_req_payload edges ~pos:0 ~len)
+        = reference_frame ~stream op (reference_req_payload edges ~pos:0 ~len)
         && (match f with
            | Some f ->
                f.Proto.stream = stream
@@ -292,7 +349,7 @@ let qcheck_req_codec_reused =
                && String.equal f.Proto.payload ""
            | None -> false)
         && got = Ok edges
-        && Proto.pending_bytes d = 0
+        && d.Proto.len = 0
       in
       let junk_ok j = decode es j = reference_read_req j in
       List.for_all Fun.id (List.mapi frame_ok batches)
@@ -300,18 +357,18 @@ let qcheck_req_codec_reused =
       && List.for_all Fun.id (List.mapi frame_ok (List.rev batches)))
 
 (* A batch above the retained size grows the buffers for its own frame
-   only: trimming releases the encoder's and the edge array, the
-   dechunker's window (over 1 MiB for this frame) shrinks back once
-   empty, and the next, ordinary frame decodes exactly. *)
+   only: both queues (over 1 MiB for this frame) go back to 4 KiB once
+   empty, trimming releases the edge array, and the next, ordinary frame
+   decodes exactly through buffers that are then kept. *)
 let test_req_buffers_retention () =
   let big = Array.init 400_000 (fun i -> 16_384 + (i * 7919 mod 3_000)) in
   let small = [| 3; 200; 70_000 |] in
-  let enc = Proto.encoder () in
-  let d = Proto.dechunker () and es = Proto.edge_buf () in
+  let out = Proto.queue () in
+  let d = Proto.queue () and es = Proto.edge_buf () in
   let roundtrip edges =
-    Proto.encode_req enc ~stream:1 Proto.Req_quiet edges ~pos:0
+    Proto.put_req out ~stream:1 Proto.Req_quiet edges ~pos:0
       ~len:(Array.length edges);
-    Proto.feed_string d (encoded enc);
+    Proto.feed_string d (take out);
     ignore (Proto.next_req d es);
     Alcotest.(check (array int)) "batch decoded" edges
       (Array.sub es.Proto.arr 0 es.Proto.count)
@@ -319,17 +376,18 @@ let test_req_buffers_retention () =
   roundtrip big;
   Alcotest.(check bool) "the large batch grew the edge array" true
     (Array.length es.Proto.arr >= 400_000);
-  Alcotest.(check bool) "the emptied window went back to 4 KiB" true
-    (Obj.reachable_words (Obj.repr d) < 1024);
-  Proto.trim_encoder enc;
+  Alcotest.(check (pair int int)) "both emptied queues went back to 4 KiB"
+    (4096, 4096)
+    (Bytes.length out.Proto.buf, Bytes.length d.Proto.buf);
   Proto.trim_edges es;
-  Alcotest.(check int) "encoder buffer released" 0 (Bytes.length enc.Proto.buf);
   Alcotest.(check int) "edge array released" 0 (Array.length es.Proto.arr);
   roundtrip small;
-  Proto.trim_encoder enc;
+  Proto.trim_edges es;
+  let kept = out.Proto.buf and arr = es.Proto.arr in
+  roundtrip small;
   Proto.trim_edges es;
   Alcotest.(check bool) "an ordinary batch's buffers are kept" true
-    (Bytes.length enc.Proto.buf > 0 && Array.length es.Proto.arr >= 3)
+    (out.Proto.buf == kept && es.Proto.arr == arr && Array.length arr >= 3)
 
 (* --- in-process server + client ---------------------------------------- *)
 
@@ -664,6 +722,503 @@ let test_kill_and_reconnect_resume () =
               | None -> Alcotest.fail "tenant missing");
               Net.close cl)))
 
+(* --- schedule oracle: socket == pipe under random multi-tenant traffic --- *)
+
+(* One in-process server (supervised, [hwm] 4096) serves 2-4 tenants on
+   small instances through the pumped client.  A schedule interleaves
+   decision and quiet batches of random length (0 included), forced
+   checkpoints, close + re-open, and disconnect + reconnect; one
+   [crash@k] kills whichever engine first serves request [k], and the
+   client re-opens that stream and resumes from the [Opened] position.
+
+   Two kinds of traffic reach parts of the framing layer that one
+   synchronous call at a time does not:
+   - one tenant takes a single decision batch whose reply is larger than
+     what a Unix socket absorbs in one write, so the connection's output
+     queue holds more than [hwm] when the next step starts and the
+     throttle latch engages and releases;
+   - a second connection pipelines bursts of request frames, often
+     longer than the server's 4 KiB input window, written in pieces of
+     chosen sizes with a server step after each, so the window holds
+     complete frames followed by a torn one when the next piece arrives
+     and must compact or grow; several replies share one read on the way
+     back.
+
+   A final drain sends every tenant's remaining requests, closes some
+   streams explicitly and leaves the rest to the server's drain.
+
+   The oracle, per tenant, against its isolated [Engine] run: every
+   decision received (latency masked) equals the reference decision at
+   its step, every ack and every closed payload carries the reference
+   totals at its position, and the checkpoint file left after the drain
+   is byte-identical to the reference checkpoint.  Torn checkpoint
+   writes are test_crash's. *)
+
+type sched_tenant = {
+  st_alg : string;
+  st_n : int;
+  st_ell : int;
+  st_seed : int;
+  st_trace_seed : int;
+  st_tail : int;  (** requests left over for the final drain *)
+  st_close : bool;  (** closed by the client (else by the drain) *)
+}
+
+type sched_op =
+  | Send of int * int * bool  (** tenant, batch length, quiet *)
+  | Force_ckpt of int
+  | Reopen of int  (** close_stream, then open_stream *)
+  | Reconnect  (** drop the connection, dial, re-open every stream *)
+  | Big of int  (** the one batch whose reply outgrows the socket *)
+  | Burst of (int * int * bool) list * int list
+      (** pipelined batches on the second connection, and the sizes of
+          the pieces they are written in (cycled) *)
+
+type schedule = {
+  sc_tenants : sched_tenant array;
+  sc_ops : sched_op list;
+  sc_every : int;  (** the router's rolling checkpoint cadence *)
+  sc_crash : int;
+}
+
+let print_schedule sc =
+  let batch (i, len, q) =
+    Printf.sprintf "%s t%d %d" (if q then "quiet" else "req") i len
+  in
+  let op = function
+    | Send (i, len, q) -> batch (i, len, q)
+    | Force_ckpt i -> Printf.sprintf "ckpt t%d" i
+    | Reopen i -> Printf.sprintf "reopen t%d" i
+    | Reconnect -> "reconnect"
+    | Big i -> Printf.sprintf "big t%d" i
+    | Burst (bs, pieces) ->
+        Printf.sprintf "burst (%s) in pieces of %s"
+          (String.concat ", " (List.map batch bs))
+          (String.concat "," (List.map string_of_int pieces))
+  in
+  Printf.sprintf "every=%d crash@%d tenants=[%s] ops=[%s]" sc.sc_every
+    sc.sc_crash
+    (String.concat "; "
+       (Array.to_list
+          (Array.mapi
+             (fun i t ->
+               Printf.sprintf "t%d %s n=%d ell=%d seed=%d trace=%d tail=%d %s"
+                 i t.st_alg t.st_n t.st_ell t.st_seed t.st_trace_seed
+                 t.st_tail
+                 (if t.st_close then "close" else "drain"))
+             sc.sc_tenants)))
+    (String.concat "; " (List.map op sc.sc_ops))
+
+let gen_schedule =
+  QCheck2.Gen.(
+    let* k = int_range 2 4 in
+    let tenant =
+      let* st_alg = oneofl Rbgp_serve.Registry.names in
+      let* st_n, st_ell = oneofl [ (16, 2); (16, 4); (24, 4); (32, 4) ] in
+      let* st_seed = int_range 0 1000 in
+      let* st_trace_seed = int_range 0 1_000_000 in
+      let* st_tail = int_range 0 60 in
+      let* st_close = bool in
+      return { st_alg; st_n; st_ell; st_seed; st_trace_seed; st_tail; st_close }
+    in
+    let* sc_tenants = array_size (return k) tenant in
+    let batch ~long =
+      let* i = int_range 0 (k - 1) in
+      let* len =
+        frequency
+          [ (1, return 0); (5, int_range 1 120); (2, int_range 400 long) ]
+      in
+      let* quiet = bool in
+      return (i, len, quiet)
+    in
+    let op =
+      let* i = int_range 0 (k - 1) in
+      frequency
+        [
+          (8, map (fun (i, len, q) -> Send (i, len, q)) (batch ~long:900));
+          ( 2,
+            map2
+              (fun bs pieces -> Burst (bs, pieces))
+              (list_size (int_range 2 8) (batch ~long:1500))
+              (list_size (int_range 1 4) (int_range 1 1500)) );
+          (1, return (Force_ckpt i));
+          (1, return (Reopen i));
+          (1, return Reconnect);
+        ]
+    in
+    let* ops = list_size (int_range 4 24) op in
+    let* big = int_range 0 (k - 1) in
+    let* big_at = int_range 0 (List.length ops) in
+    let sc_ops =
+      List.filteri (fun j _ -> j < big_at) ops
+      @ (Big big :: List.filteri (fun j _ -> j >= big_at) ops)
+    in
+    let* sc_every = oneofl [ 0; 64; 250 ] in
+    let* sc_crash = int_range 1 400 in
+    return { sc_tenants; sc_ops; sc_every; sc_crash })
+
+(* Bytes a fresh Unix stream socket accepts before a non-blocking write
+   would block: a reply longer than this plus [hwm] leaves more than
+   [hwm] queued after the server's first flush. *)
+let socket_capacity =
+  lazy
+    (let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     Unix.set_nonblock a;
+     let chunk = Bytes.create 65536 and total = ref 0 and full = ref false in
+     while not !full do
+       match Unix.write a chunk 0 (Bytes.length chunk) with
+       | n -> total := !total + n
+       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+           full := true
+     done;
+     Unix.close a;
+     Unix.close b;
+     !total)
+
+let sched_hwm = 4096
+
+(* A decision takes at least 7 bytes on the wire (seven varints). *)
+let big_batch () = ((Lazy.force socket_capacity + (2 * sched_hwm)) / 7) + 1
+
+let run_schedule sc =
+  let k = Array.length sc.sc_tenants in
+  let big = big_batch () in
+  let traces =
+    Array.mapi
+      (fun i t ->
+        let sent =
+          List.fold_left
+            (fun acc op ->
+              match op with
+              | Send (j, len, _) when j = i -> acc + len
+              | Big j when j = i -> acc + big
+              | Burst (bs, _) ->
+                  List.fold_left
+                    (fun acc (j, len, _) -> if j = i then acc + len else acc)
+                    acc bs
+              | _ -> acc)
+            0 sc.sc_ops
+        in
+        gen_trace ~n:t.st_n ~steps:(sent + t.st_tail) ~seed:t.st_trace_seed)
+      sc.sc_tenants
+  in
+  let refs =
+    Array.mapi
+      (fun i t ->
+        let ds, result, ckpt =
+          reference_run ~alg:t.st_alg ~seed:t.st_seed ~n:t.st_n ~ell:t.st_ell
+            traces.(i)
+        in
+        (Array.of_list ds, result, ckpt))
+      sc.sc_tenants
+  in
+  let fail fmt = Printf.ksprintf failwith fmt in
+  (* the reference totals after [pos] requests; before the first, the
+     initial assignment's load *)
+  let totals_at i pos =
+    let ds, _, _ = refs.(i) in
+    if pos = 0 then begin
+      let t = sc.sc_tenants.(i) in
+      let fresh =
+        Engine.create ~epsilon:0.5 ~alg:t.st_alg ~seed:t.st_seed
+          (Instance.blocks ~n:t.st_n ~ell:t.st_ell)
+      in
+      (0, 0, (Engine.result fresh).Rbgp_ring.Simulator.max_load)
+    end
+    else
+      let d = ds.(pos - 1) in
+      (d.Engine.cum_comm, d.Engine.cum_mig, d.Engine.max_load)
+  in
+  let id i = Printf.sprintf "t%d" i in
+  let cfg i =
+    let t = sc.sc_tenants.(i) in
+    open_cfg ~tenant:(id i) ~alg:t.st_alg ~seed:t.st_seed ~n:t.st_n
+      ~ell:t.st_ell
+  in
+  with_tempdir (fun dir ->
+      let router =
+        Tenant.create ~checkpoint_dir:dir ~checkpoint_every:sc.sc_every
+          ~checkpoint_keep:2 ()
+      in
+      let path = next_sock dir in
+      let addr = Net.Unix_sock path in
+      let server = Net.server ~supervise:true ~hwm:sched_hwm ~router addr in
+      Fun.protect ~finally:(fun () -> Net.shutdown server) @@ fun () ->
+      let pumps = ref 0 in
+      let pump () =
+        incr pumps;
+        if !pumps > 1_000_000 then fail "the server stopped making progress";
+        ignore (Net.step server)
+      in
+      let pos = Array.make k 0 in
+      let seen = Array.init k (fun _ -> Hashtbl.create 256) in
+      let crashed = ref false in
+      let note_crash i =
+        if !crashed then fail "%s failed after the one crash" (id i);
+        crashed := true
+      in
+      let check_totals what i ~at (comm, mig, max_load) =
+        if (comm, mig, max_load) <> totals_at i at then
+          fail "%s: %s totals at %d differ from the isolated run" (id i) what at
+      in
+      let take_ack i ~at ~len (a : Proto.ack_payload) =
+        if a.Proto.count <> len || a.Proto.pos <> at + len then
+          fail "%s: ack for %d at %d reads %d at %d" (id i) len at a.Proto.count
+            a.Proto.pos;
+        check_totals "ack" i ~at:(at + len)
+          (a.Proto.cum_comm, a.Proto.cum_mig, a.Proto.ack_max_load);
+        pos.(i) <- at + len
+      in
+      let take_decisions i ~at ~len ds =
+        if Array.length ds <> len then
+          fail "%s: %d decisions for %d requests" (id i) (Array.length ds) len;
+        Array.iteri
+          (fun j (d : Engine.decision) ->
+            if d.Engine.step <> at + j then
+              fail "%s: decision %d carries step %d" (id i) (at + j)
+                d.Engine.step;
+            Hashtbl.replace seen.(i) d.Engine.step (decision_key d))
+          ds;
+        pos.(i) <- at + len
+      in
+      let open_at cl i ~expect =
+        let resume = Net.open_stream cl ~stream:(i + 1) (cfg i) in
+        (match expect with
+        | Some p when resume <> p ->
+            fail "%s re-opened at %d, expected %d" (id i) resume p
+        | _ ->
+            if resume > pos.(i) then fail "%s resumes past its sends" (id i));
+        pos.(i) <- resume
+      in
+      let clip i len = Stdlib.min len (Array.length traces.(i) - pos.(i)) in
+      let send cl i len quiet =
+        let at = pos.(i) and len = clip i len in
+        match
+          if quiet then
+            take_ack i ~at ~len
+              (Net.request_quiet cl ~stream:(i + 1) traces.(i) ~pos:at ~len)
+          else
+            take_decisions i ~at ~len
+              (Net.request cl ~stream:(i + 1) traces.(i) ~pos:at ~len)
+        with
+        | () -> ()
+        | exception Net.Server_error (code, _)
+          when code = Proto.err_tenant_failed ->
+            note_crash i;
+            open_at cl i ~expect:None
+      in
+      let cl = ref (Net.connect ~pump addr) in
+      for i = 0 to k - 1 do
+        open_at !cl i ~expect:(Some 0)
+      done;
+      (* the pipelining connection binds tenant i to stream 101 + i *)
+      let raw = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close raw) @@ fun () ->
+      Unix.connect raw (Unix.ADDR_UNIX path);
+      Unix.set_nonblock raw;
+      let raw_in = Proto.queue () and rdbuf = Bytes.create 65536 in
+      let raw_write s =
+        let off = ref 0 in
+        while !off < String.length s do
+          match Unix.write_substring raw s !off (String.length s - !off) with
+          | n -> off := !off + n
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              pump ()
+        done
+      in
+      let rec raw_replies acc count =
+        if count = 0 then List.rev acc
+        else
+          match Proto.next raw_in with
+          | Some f -> raw_replies (f :: acc) (count - 1)
+          | None ->
+              (match Unix.read raw rdbuf 0 (Bytes.length rdbuf) with
+              | 0 -> fail "the server closed the pipelining connection"
+              | n -> Proto.feed raw_in rdbuf 0 n
+              | exception
+                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  pump ());
+              raw_replies acc count
+      in
+      let burst frames pieces =
+        let wire = String.concat "" frames and sizes = Array.of_list pieces in
+        let rec write at j =
+          if at < String.length wire then begin
+            let len =
+              Stdlib.min
+                sizes.(j mod Array.length sizes)
+                (String.length wire - at)
+            in
+            raw_write (String.sub wire at len);
+            pump ();
+            write (at + len) (j + 1)
+          end
+        in
+        write 0 0;
+        raw_replies [] (List.length frames)
+      in
+      let payload add =
+        let b = Buffer.create 64 in
+        add b;
+        Buffer.contents b
+      in
+      (match
+         burst
+           (reference_frame ~stream:0 Proto.Hello (payload Proto.add_hello)
+           :: List.init k (fun i ->
+                  reference_frame ~stream:(101 + i) Proto.Open_stream
+                    (payload (fun b -> Proto.add_open b (cfg i)))))
+           [ 5 ]
+       with
+      | hello :: opened ->
+          ignore (Proto.read_hello hello.Proto.payload);
+          List.iteri
+            (fun i (f : Proto.frame) ->
+              if Proto.read_opened f.Proto.payload <> pos.(i) then
+                fail "%s opened on the second connection elsewhere" (id i))
+            opened
+      | [] -> fail "no hello on the second connection");
+      let pipeline batches pieces =
+        let planned = Array.copy pos in
+        let batches =
+          List.map
+            (fun (i, len, quiet) ->
+              let at = planned.(i) in
+              let len = Stdlib.min len (Array.length traces.(i) - at) in
+              planned.(i) <- at + len;
+              (i, at, len, quiet))
+            batches
+        in
+        let replies =
+          burst
+            (List.map
+               (fun (i, at, len, quiet) ->
+                 reference_frame ~stream:(101 + i)
+                   (if quiet then Proto.Req_quiet else Proto.Req)
+                   (reference_req_payload traces.(i) ~pos:at ~len))
+               batches)
+            pieces
+        in
+        (* after a tenant fails, its later batches in the burst fail too *)
+        let failed = Array.make k false in
+        List.iter2
+          (fun (i, at, len, quiet) (f : Proto.frame) ->
+            if f.Proto.stream <> 101 + i then
+              fail "%s: a reply on stream %d" (id i) f.Proto.stream;
+            match f.Proto.op with
+            | Proto.Error_frame ->
+                let code, msg = Proto.read_error f.Proto.payload in
+                if code <> Proto.err_tenant_failed then
+                  fail "%s: error %d (%s)" (id i) code msg;
+                if not failed.(i) then note_crash i;
+                failed.(i) <- true
+            | _ when failed.(i) -> fail "%s served after it failed" (id i)
+            | Proto.Ack when quiet ->
+                take_ack i ~at ~len (Proto.read_ack f.Proto.payload)
+            | Proto.Decisions when not quiet ->
+                take_decisions i ~at ~len
+                  (snd (Proto.read_decisions f.Proto.payload))
+            | op -> fail "%s: a %s reply" (id i) (Proto.op_name op))
+          batches replies;
+        Array.iteri (fun i f -> if f then open_at !cl i ~expect:None) failed
+      in
+      Fault.configure (Printf.sprintf "crash@%d" sc.sc_crash);
+      Fun.protect ~finally:Fault.disable (fun () ->
+          List.iter
+            (function
+              | Send (i, len, quiet) -> send !cl i len quiet
+              | Big i -> send !cl i big false
+              | Burst (batches, pieces) -> pipeline batches pieces
+              | Force_ckpt i ->
+                  let at = Net.checkpoint !cl ~stream:(i + 1) in
+                  if at <> pos.(i) then
+                    fail "%s checkpointed at %d, sent %d" (id i) at pos.(i)
+              | Reopen i ->
+                  let c = Net.close_stream !cl ~stream:(i + 1) in
+                  if c.Proto.closed_pos <> pos.(i) then
+                    fail "%s closed at %d, sent %d" (id i) c.Proto.closed_pos
+                      pos.(i);
+                  check_totals "closed" i ~at:pos.(i)
+                    ( c.Proto.closed_comm,
+                      c.Proto.closed_mig,
+                      c.Proto.closed_max_load );
+                  open_at !cl i ~expect:(Some pos.(i))
+              | Reconnect ->
+                  Net.close !cl;
+                  cl := Net.connect ~pump addr;
+                  for i = 0 to k - 1 do
+                    open_at !cl i ~expect:(Some pos.(i))
+                  done)
+            sc.sc_ops;
+          (* the final drain: every tenant's remaining requests *)
+          Array.iteri
+            (fun i trace ->
+              let turn = ref 0 in
+              while pos.(i) < Array.length trace do
+                incr turn;
+                send !cl i 97 (!turn land 1 = 0)
+              done)
+            traces);
+      if not !crashed then fail "crash@%d never fired" sc.sc_crash;
+      Array.iteri
+        (fun i t ->
+          if t.st_close then begin
+            let c = Net.close_stream !cl ~stream:(i + 1) in
+            let _, result, _ = refs.(i) in
+            let cost = result.Rbgp_ring.Simulator.cost in
+            if
+              [
+                c.Proto.closed_pos;
+                c.Proto.closed_comm;
+                c.Proto.closed_mig;
+                c.Proto.closed_max_load;
+                c.Proto.closed_violations;
+              ]
+              <> [
+                   result.Rbgp_ring.Simulator.steps;
+                   cost.Rbgp_ring.Cost.comm;
+                   cost.Rbgp_ring.Cost.mig;
+                   result.Rbgp_ring.Simulator.max_load;
+                   result.Rbgp_ring.Simulator.capacity_violations;
+                 ]
+            then fail "%s: closed totals differ from the isolated result" (id i)
+          end)
+        sc.sc_tenants;
+      Net.shutdown_server !cl;
+      let rounds = ref 0 in
+      while Net.step server do
+        incr rounds;
+        if !rounds > 1000 then fail "the drain never completed"
+      done;
+      Array.iteri
+        (fun i (ds, _, ckpt) ->
+          Hashtbl.iter
+            (fun step key ->
+              if not (String.equal key (decision_key ds.(step))) then
+                fail "%s: decision %d differs from the isolated run" (id i)
+                  step)
+            seen.(i);
+          (match Tenant.find router (id i) with
+          | Some tn -> (
+              match Tenant.state tn with
+              | Tenant.Closed -> ()
+              | Tenant.Serving | Tenant.Dead _ ->
+                  fail "%s is not closed after the drain" (id i))
+          | None -> fail "%s is missing" (id i));
+          let file = Filename.concat dir (id i ^ ".ckpt") in
+          let bytes = In_channel.with_open_bin file In_channel.input_all in
+          if not (String.equal bytes (Ckpt.to_string ckpt)) then
+            fail "%s: final checkpoint differs from the isolated run's" (id i))
+        refs;
+      true)
+
+let qcheck_schedule_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:30 ~print:print_schedule
+       ~name:"qcheck: multi-tenant schedules == isolated engine runs"
+       gen_schedule run_schedule)
+
 (* --- drain semantics ---------------------------------------------------- *)
 
 let test_drain_rejects_new_opens () =
@@ -897,6 +1452,55 @@ let test_metrics_body_bytes () =
                     ~affix:"rbgp_checkpoint_age_seconds{tenant=\"c\"}" body));
           Net.close cl))
 
+(* The HTTP listener over a real socket: a request head that arrives in
+   two reads accumulates in the connection's input queue and is answered
+   once, byte for byte as [Http.handle] answers it, and a head over the
+   limit is answered 431; the server closes the connection after each
+   response. *)
+let test_http_over_socket () =
+  with_tempdir (fun dir ->
+      let router = Tenant.create ~checkpoint_dir:dir () in
+      let http = next_sock dir in
+      let server =
+        Net.server ~http:(Net.Unix_sock http) ~router
+          (Net.Unix_sock (next_sock dir))
+      in
+      Fun.protect ~finally:(fun () -> Net.shutdown server) @@ fun () ->
+      let scrape pieces =
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX http);
+        List.iter
+          (fun piece ->
+            ignore (Unix.write_substring fd piece 0 (String.length piece));
+            ignore (Net.step server);
+            ignore (Net.step server))
+          pieces;
+        Unix.set_nonblock fd;
+        let got = Buffer.create 256 and chunk = Bytes.create 4096 in
+        let rec read rounds =
+          if rounds > 1000 then Alcotest.fail "the server never closed";
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Buffer.contents got
+          | n ->
+              Buffer.add_subbytes got chunk 0 n;
+              read rounds
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              ignore (Net.step server);
+              read (rounds + 1)
+        in
+        read 0
+      in
+      let head = "GET /healthz HTTP/1.0\r\n\r\n" in
+      Alcotest.(check string) "a head in two reads, answered once"
+        (Http.handle ~router ~draining:false head)
+        (scrape
+           [ String.sub head 0 12; String.sub head 12 (String.length head - 12) ]);
+      Alcotest.(check string) "a head over the limit is answered 431"
+        (Http.response ~status:431 ~content_type:"text/plain" "too large\n")
+        (scrape [ String.make (Http.max_request_bytes + 1) 'x' ]))
+
 let test_prometheus_escaping () =
   let m = Metrics.create () in
   let body =
@@ -915,6 +1519,9 @@ let () =
           Alcotest.test_case "byte-at-a-time feed" `Quick
             test_dechunker_byte_at_a_time;
           qcheck_dechunker_random_splits;
+          qcheck_put_frame;
+          Alcotest.test_case "put_frame refuses oversized payloads" `Quick
+            test_put_frame_limits;
           Alcotest.test_case "unrepairable input raises" `Quick
             test_dechunker_rejects_garbage;
           qcheck_req_codec;
@@ -942,6 +1549,7 @@ let () =
           Alcotest.test_case "drain closes tenants and rejects opens" `Quick
             test_drain_rejects_new_opens;
         ] );
+      ("schedule", [ qcheck_schedule_oracle ]);
       ( "http",
         [
           Alcotest.test_case "/metrics, /tenants and snapshots agree" `Quick
@@ -950,5 +1558,7 @@ let () =
             test_prometheus_escaping;
           Alcotest.test_case "/metrics body bytes == Printf formats" `Quick
             test_metrics_body_bytes;
+          Alcotest.test_case "a scrape over the socket, head in two reads"
+            `Quick test_http_over_socket;
         ] );
     ]
