@@ -515,10 +515,11 @@ let decode_bench () =
 
    An arm serves 500,000 requests (about 14 ms) so that what the arms pay
    once per pass stays a small share of it: the disabled arm opens its
-   trace through [Source.open_file], which sniffs the format first and
-   costs about 25 us more than the hook-free arm's [Trace_codec.map].
-   At half this length the median overhead reads about 1%, and host
-   noise can carry the interval's upper end over the bound. *)
+   trace through [Source.open_file], which stats the file and reads the
+   format from the mapped region, about 2 us more than the hook-free
+   arm's [Trace_codec.map].  At half this length the median overhead
+   reads about 1%, and host noise can carry the interval's upper end
+   over the bound. *)
 let faults_bench () =
   let n = 4096 and ell = 32 and steps = 500_000 and batch = 4096 in
   let triples = 641 in

@@ -12,6 +12,39 @@
 *)
 
 open Cmdliner
+module Engine = Rbgp_serve.Engine
+module Metrics = Rbgp_serve.Metrics
+module Ckpt = Rbgp_serve.Checkpoint
+module Source = Rbgp_serve.Source
+module Fault = Rbgp_serve.Fault
+module Net = Rbgp_serve.Net
+module Tenant = Rbgp_serve.Tenant
+module Proto = Rbgp_serve.Proto
+module Registry = Rbgp_serve.Registry
+
+(* Every command body runs under one handler (lint's runs inside
+   [Rbgp_lint.Cli.term]): bad input, a missing file or an unreachable peer
+   is one line "rbgp <cmd>: <message>" on stderr and exit code 1 (as
+   [checkpoint verify] reports an invalid file), not cmdliner's
+   internal-error banner.  [Fault.Injected_crash] is not caught: it models
+   a kill. *)
+let guarded name body =
+  let fail msg =
+    Printf.eprintf "rbgp %s: %s\n" name msg;
+    exit 1
+  in
+  match body () with
+  | () -> ()
+  | exception
+      ( Sys_error msg | Invalid_argument msg | Failure msg
+      | Net.Disconnected msg ) ->
+      fail msg
+  | exception Net.Server_error (code, msg) ->
+      fail (Printf.sprintf "server error %d: %s" code msg)
+
+let command name ~doc term =
+  let body = guarded name in
+  Cmd.v (Cmd.info name ~doc) Term.(const body $ term)
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -42,6 +75,17 @@ let int_at_least lo what =
 let positive_int = int_at_least 1 "a positive integer"
 let non_negative_int = int_at_least 0 "a non-negative integer"
 
+(* Socket addresses are parsed with the command line too, so a bad one is
+   a usage error naming the flag. *)
+let addr_conv =
+  let parse s =
+    match Net.parse_addr s with
+    | addr -> Ok addr
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  let print fmt addr = Format.pp_print_string fmt (Net.addr_to_string addr) in
+  Arg.conv (parse, print)
+
 let domains_arg =
   Arg.(
     value
@@ -66,21 +110,16 @@ let exp_id_arg =
     & info [] ~docv:"EXPERIMENT" ~doc)
 
 let exp_cmd =
-  let run id quick seed domains verbose =
+  let run id quick seed domains verbose () =
     setup_logs verbose;
     Rbgp_util.Pool.set_domains domains;
     Rbgp_harness.Report.run ~quick ~seed id
   in
-  Cmd.v
-    (Cmd.info "exp" ~doc:"Run one of the E1-E13 experiments (see DESIGN.md).")
+  command "exp" ~doc:"Run one of the E1-E14 experiments (see DESIGN.md)."
     Term.(
       const run $ exp_id_arg $ quick_arg $ seed_arg $ domains_arg $ verbose_arg)
 
 (* --- sim ------------------------------------------------------------ *)
-
-let alg_names =
-  [ "onl-dynamic"; "onl-static"; "never-move"; "greedy-colocate";
-    "counter-threshold"; "static-oracle" ]
 
 let workload_trace ~workload ~n ~steps rng =
   match workload with
@@ -93,15 +132,19 @@ let workload_trace ~workload ~n ~steps rng =
   | "cut-chaser" -> Rbgp_workloads.Workloads.adversary_cut_chaser ~n
   | w -> invalid_arg ("unknown workload " ^ w)
 
-let sim alg workload n ell steps epsilon seed verbose trace_file save_trace show =
+(* The algorithm is built through the registry from [seed], as [rbgp
+   serve] builds it, so a trace file run here bills what serve bills. *)
+let sim alg workload n ell steps epsilon seed verbose trace_file save_trace
+    show () =
   setup_logs verbose;
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
-  let rng = Rbgp_util.Rng.create seed in
-  let trace_t =
+  let trace_t, source =
     match trace_file with
     | Some path ->
-        Rbgp_ring.Trace.fixed (Rbgp_workloads.Trace_io.load ~path ~n)
-    | None -> workload_trace ~workload ~n ~steps rng
+        (Rbgp_ring.Trace.fixed (Rbgp_workloads.Trace_io.load ~path ~n), path)
+    | None ->
+        ( workload_trace ~workload ~n ~steps (Rbgp_util.Rng.create seed),
+          workload )
   in
   let tarr =
     match trace_t with Rbgp_ring.Trace.Fixed a -> a | _ -> [||]
@@ -115,26 +158,11 @@ let sim alg workload n ell steps epsilon seed verbose trace_file save_trace show
       Printf.printf "trace saved to %s\n" path
   | Some _ -> prerr_endline "cannot save an adaptive trace"
   | None -> ());
-  let online =
-    match alg with
-    | "onl-dynamic" ->
-        Rbgp_core.Dynamic_alg.online
-          (Rbgp_core.Dynamic_alg.create ~epsilon inst (Rbgp_util.Rng.split rng))
-    | "onl-static" ->
-        Rbgp_core.Static_alg.online
-          (Rbgp_core.Static_alg.create ~epsilon inst (Rbgp_util.Rng.split rng))
-    | "never-move" -> Rbgp_baselines.Baselines.never_move inst
-    | "greedy-colocate" -> Rbgp_baselines.Baselines.greedy_colocate inst
-    | "counter-threshold" ->
-        Rbgp_baselines.Baselines.counter_threshold ~epsilon inst
-    | "static-oracle" ->
-        if Array.length tarr = 0 then
-          invalid_arg "static-oracle needs an oblivious workload";
-        Rbgp_baselines.Baselines.static_oracle inst ~trace:tarr
-    | a -> invalid_arg ("unknown algorithm " ^ a)
-  in
+  if String.equal alg "static-oracle" && Array.length tarr = 0 then
+    invalid_arg "static-oracle needs an oblivious workload";
+  let online = Registry.build_for_trace alg ~epsilon ~seed ~trace:tarr inst in
   let r = Rbgp_ring.Simulator.run inst online trace_t ~steps in
-  Printf.printf "%s on %s (n=%d ell=%d k=%d steps=%d seed=%d)\n" alg workload n
+  Printf.printf "%s on %s (n=%d ell=%d k=%d steps=%d seed=%d)\n" alg source n
     ell inst.Rbgp_ring.Instance.k steps seed;
   Printf.printf "  cost: %s\n" (Rbgp_ring.Cost.to_string r.Rbgp_ring.Simulator.cost);
   Printf.printf "  max load: %d (capacity %d, claimed augmentation %.2f)\n"
@@ -159,8 +187,12 @@ let sim_cmd =
   let alg =
     Arg.(
       value
-      & opt (enum_of alg_names) "onl-dynamic"
-      & info [ "alg" ] ~docv:"ALG" ~doc:"Algorithm to run.")
+      & opt (enum_of (Registry.names @ [ "static-oracle" ])) "onl-dynamic"
+      & info [ "alg" ] ~docv:"ALG"
+          ~doc:
+            "Algorithm to run: any algorithm $(b,rbgp serve) takes, built \
+             from the same seed, or static-oracle (needs an oblivious \
+             workload).")
   in
   let workload =
     Arg.(
@@ -197,22 +229,12 @@ let sim_cmd =
       value & flag
       & info [ "show" ] ~doc:"Render the final assignment as ASCII art.")
   in
-  Cmd.v
-    (Cmd.info "sim" ~doc:"Run a single algorithm on a single workload.")
+  command "sim" ~doc:"Run a single algorithm on a single workload."
     Term.(
       const sim $ alg $ workload $ n $ ell $ steps $ epsilon $ seed_arg
       $ verbose_arg $ trace_file $ save_trace $ show)
 
 (* --- serve / resume ------------------------------------------------- *)
-
-module Engine = Rbgp_serve.Engine
-module Metrics = Rbgp_serve.Metrics
-module Ckpt = Rbgp_serve.Checkpoint
-module Source = Rbgp_serve.Source
-module Fault = Rbgp_serve.Fault
-module Net = Rbgp_serve.Net
-module Tenant = Rbgp_serve.Tenant
-module Proto = Rbgp_serve.Proto
 
 (* --faults wins over RBGP_FAULTS; with neither, hooks stay disabled. *)
 let configure_faults = function
@@ -313,11 +335,10 @@ let supervised_serve ~alg ~epsilon ~seed ~inst ~trace ~format
   let ckpt_path =
     match checkpoint_path with
     | Some p -> p
-    | None -> invalid_arg "serve: --supervise requires --checkpoint"
+    | None -> invalid_arg "--supervise requires --checkpoint"
   in
   if trace = "-" then
-    invalid_arg
-      "serve: --supervise needs a re-openable --trace file, not stdin";
+    invalid_arg "--supervise needs a re-openable --trace file, not stdin";
   let max_restarts = 16 in
   let restarts = ref 0 in
   let rec attempt () =
@@ -517,18 +538,16 @@ let install_handler signal handler =
 
 let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every ~checkpoint_keep
     ~supervise =
-  let addr = Net.parse_addr listen in
-  let http = Option.map Net.parse_addr http in
   (match checkpoint_dir with
   | Some dir ->
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
       else if not (Sys.is_directory dir) then
-        invalid_arg (Printf.sprintf "serve: --checkpoint-dir %s is a file" dir)
+        invalid_arg (Printf.sprintf "--checkpoint-dir %s is a file" dir)
   | None -> ());
   let router =
     Tenant.create ?checkpoint_dir ~checkpoint_every ~checkpoint_keep ()
   in
-  let server = Net.server ?http ~supervise ~router addr in
+  let server = Net.server ?http ~supervise ~router listen in
   (* request_drain only sets a flag, so it is safe from a signal
      handler; the next select round performs the actual drain. *)
   install_handler Sys.sigterm (fun _ -> Net.request_drain server);
@@ -536,7 +555,7 @@ let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every ~checkpoint_keep
   install_handler Sys.sigusr1 (fun _ -> dump_tenant_metrics router);
   install_handler Sys.sigpipe (fun _ -> ());
   Logs.app (fun k ->
-      k "serving on %s%s%s" listen
+      k "serving on %s%s%s" (Net.addr_to_string listen)
         (match http with
         | Some a -> Printf.sprintf ", http on %s" (Net.addr_to_string a)
         | None -> "")
@@ -547,7 +566,7 @@ let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every ~checkpoint_keep
 let listen_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some addr_conv) None
     & info [ "listen" ] ~docv:"ADDR"
         ~doc:
           "Serve over a socket instead of a trace/stdin: listen on ADDR \
@@ -561,7 +580,7 @@ let listen_arg =
 let http_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some addr_conv) None
     & info [ "http" ] ~docv:"ADDR"
         ~doc:
           "With --listen: also expose HTTP observability on ADDR \
@@ -676,7 +695,7 @@ let skip_requests src count =
     if got = 0 then
       failwith
         (Printf.sprintf
-           "client: trace ends at request %d but the server resumes at %d"
+           "trace ends at request %d but the server resumes at %d"
            !at count);
     at := !at + got
   done
@@ -752,8 +771,7 @@ let client_round cl ct ~batch ~quiet ~buf =
         true
       end
 
-let run_client ~connect ~tenant_specs ~batch ~quiet ~reconnect ~do_shutdown =
-  let addr = Net.parse_addr connect in
+let run_client ~addr ~tenant_specs ~batch ~quiet ~reconnect ~do_shutdown =
   let tenants =
     List.mapi
       (fun i spec ->
@@ -790,7 +808,7 @@ let run_client ~connect ~tenant_specs ~batch ~quiet ~reconnect ~do_shutdown =
   let max_reconnects = 32 in
   let recover msg =
     if (not reconnect) || !reconnects >= max_reconnects then
-      failwith (Printf.sprintf "client: connection lost (%s)" msg)
+      failwith (Printf.sprintf "connection lost (%s)" msg)
     else begin
       incr reconnects;
       Logs.warn (fun k ->
@@ -832,7 +850,7 @@ let client_cmd =
   let connect_arg =
     Arg.(
       required
-      & opt (some string) None
+      & opt (some addr_conv) None
       & info [ "connect" ] ~docv:"ADDR"
           ~doc:"Server address (unix:PATH or tcp:HOST:PORT).")
   in
@@ -881,18 +899,17 @@ let client_cmd =
             "After all tenants finish (or immediately with no --tenant), \
              ask the server to drain gracefully and stop.")
   in
-  let run connect tenant_specs batch quiet reconnect shutdown verbose =
+  let run addr tenant_specs batch quiet reconnect shutdown verbose () =
     setup_logs verbose;
-    run_client ~connect ~tenant_specs ~batch ~quiet ~reconnect
+    run_client ~addr ~tenant_specs ~batch ~quiet ~reconnect
       ~do_shutdown:shutdown
   in
-  Cmd.v
-    (Cmd.info "client"
-       ~doc:
-         "Drive a networked rbgp server: open one stream per tenant over \
-          a single connection, replay trace files through it, write the \
-          decision/result JSONL locally, and optionally reconnect-resume \
-          across server crashes.")
+  command "client"
+    ~doc:
+      "Drive a networked rbgp server: open one stream per tenant over a \
+       single connection, replay trace files through it, write the \
+       decision/result JSONL locally, and optionally reconnect-resume \
+       across server crashes."
     Term.(
       const run $ connect_arg $ tenant_arg $ batch_arg $ quiet_arg
       $ reconnect_arg $ shutdown_arg $ verbose_arg)
@@ -901,7 +918,7 @@ let serve_cmd =
   let alg_arg =
     Arg.(
       value
-      & opt (enum_of Rbgp_serve.Registry.names) "onl-dynamic"
+      & opt (enum_of Registry.names) "onl-dynamic"
       & info [ "alg" ] ~docv:"ALG" ~doc:"Algorithm to serve with.")
   in
   let n = Arg.(value & opt int 256 & info [ "n" ] ~doc:"Number of processes.") in
@@ -923,7 +940,7 @@ let serve_cmd =
   let run alg n ell epsilon seed trace format mmap no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
       stop_after batch faults solver_budget budget_cooloff supervise
-      listen http checkpoint_dir verbose =
+      listen http checkpoint_dir verbose () =
     setup_logs verbose;
     configure_faults faults;
     match listen with
@@ -950,12 +967,11 @@ let serve_cmd =
             ~checkpoint_keep ~stop_after ~batch)
     end
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Stream requests through an algorithm: one JSONL decision per \
-          request, live metrics, optional rolling checkpoints, fault \
-          injection and supervised crash recovery.")
+  command "serve"
+    ~doc:
+      "Stream requests through an algorithm: one JSONL decision per \
+       request, live metrics, optional rolling checkpoints, fault \
+       injection and supervised crash recovery."
     Term.(
       const run $ alg_arg $ n $ ell $ epsilon $ seed_arg $ trace_arg
       $ format_arg $ mmap_arg $ decisions_arg
@@ -982,7 +998,7 @@ let resume_cmd =
   in
   let run from trace format mmap skip_prefix no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
-      stop_after batch faults solver_budget budget_cooloff verbose =
+      stop_after batch faults solver_budget budget_cooloff verbose () =
     setup_logs verbose;
     configure_faults faults;
     let ckpt = Ckpt.read ~path:from in
@@ -998,11 +1014,10 @@ let resume_cmd =
           ~checkpoint_path ~checkpoint_every ~checkpoint_keep ~stop_after
           ~batch)
   in
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:
-         "Resume a checkpointed serving run: O(state) restore of the \
-          algorithm's snapshot, verified against the stored assignment.")
+  command "resume"
+    ~doc:
+      "Resume a checkpointed serving run: O(state) restore of the \
+       algorithm's snapshot, verified against the stored assignment."
     Term.(
       const run $ from_arg $ trace_arg $ format_arg $ mmap_arg
       $ skip_prefix_arg $ decisions_arg $ metrics_every_arg
@@ -1027,7 +1042,7 @@ let checkpoint_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"CKPT" ~doc:"With 'verify': the checkpoint to check.")
   in
-  let run first second =
+  let run first second () =
     match (first, second) with
     | "verify", Some path -> (
         match Ckpt.verify ~path with
@@ -1045,14 +1060,23 @@ let checkpoint_cmd =
         Printf.eprintf "checkpoint: unexpected extra argument %s\n" extra;
         Stdlib.exit 2
   in
-  Cmd.v
-    (Cmd.info "checkpoint"
-       ~doc:
-         "Describe a checkpoint file as a JSON record, or verify its \
-          integrity ('rbgp checkpoint verify FILE').")
+  command "checkpoint"
+    ~doc:
+      "Describe a checkpoint file as a JSON record, or verify its \
+       integrity ('rbgp checkpoint verify FILE')."
     Term.(const run $ file_arg $ second_arg)
 
 (* --- trace: generate / convert -------------------------------------- *)
+
+(* Every request of a source, in order. *)
+let read_all src =
+  let block = Array.make 65536 0 in
+  let rec go acc =
+    match Source.next_batch src block ~limit:(Array.length block) with
+    | 0 -> Array.concat (List.rev acc)
+    | got -> go (Array.sub block 0 got :: acc)
+  in
+  go []
 
 let trace_cmd =
   let workload =
@@ -1086,8 +1110,9 @@ let trace_cmd =
       & opt (some string) None
       & info [ "convert" ] ~docv:"FILE"
           ~doc:
-            "Convert FILE (text or binary, auto-detected) instead of \
-             generating a workload; --n must match the trace.")
+            "Convert FILE (text or binary, detected as $(b,rbgp serve) \
+             detects it) instead of generating a workload; --n must match \
+             the trace.")
   in
   let out_format_arg =
     Arg.(
@@ -1097,7 +1122,7 @@ let trace_cmd =
             "Output format: text, bin, or auto (bin iff the output path \
              ends in .rbt).")
   in
-  let run workload n ell steps seed convert out format =
+  let run workload n ell steps seed convert out format () =
     let format =
       match format with
       | (`Text | `Binary) as f -> f
@@ -1107,14 +1132,18 @@ let trace_cmd =
       match convert with
       | Some path ->
           let comment = Printf.sprintf "converted from %s (n=%d)" path n in
-          if Rbgp_workloads.Trace_codec.looks_binary ~path then begin
-            let hdr = Rbgp_workloads.Trace_codec.read_header ~path in
-            ( Rbgp_workloads.Trace_codec.read ~path ~n,
-              hdr.Rbgp_workloads.Trace_codec.ell,
-              hdr.Rbgp_workloads.Trace_codec.seed,
-              comment )
-          end
-          else (Rbgp_workloads.Trace_io.load ~path ~n, ell, seed, comment)
+          let src = Source.open_file ~n path in
+          Fun.protect
+            ~finally:(fun () -> Source.close src)
+            (fun () ->
+              let trace = read_all src in
+              match Source.header src with
+              | Some hdr ->
+                  ( trace,
+                    hdr.Rbgp_workloads.Trace_codec.ell,
+                    hdr.Rbgp_workloads.Trace_codec.seed,
+                    comment )
+              | None -> (trace, ell, seed, comment))
       | None -> (
           let rng = Rbgp_util.Rng.create seed in
           let comment =
@@ -1123,7 +1152,7 @@ let trace_cmd =
           match workload_trace ~workload ~n ~steps rng with
           | Rbgp_ring.Trace.Fixed a -> (a, ell, seed, comment)
           | Rbgp_ring.Trace.Adaptive _ ->
-              invalid_arg "trace: adaptive workloads cannot be exported")
+              invalid_arg "adaptive workloads cannot be exported")
     in
     (match format with
     | `Text -> Rbgp_workloads.Trace_io.save ~path:out ~comment trace
@@ -1132,11 +1161,10 @@ let trace_cmd =
     Printf.printf "wrote %d requests to %s (%s)\n" (Array.length trace) out
       (match format with `Text -> "text" | `Binary -> "binary")
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Generate a request trace file, or convert one between the text \
-          and framed binary formats.")
+  command "trace"
+    ~doc:
+      "Generate a request trace file, or convert one between the text and \
+       framed binary formats."
     Term.(
       const run $ workload $ n $ ell $ steps $ seed_arg $ convert_arg
       $ out_arg $ out_format_arg)

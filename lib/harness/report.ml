@@ -4,6 +4,8 @@ module Stats = Rbgp_util.Stats
 module Cost = Rbgp_ring.Cost
 module Trace = Rbgp_ring.Trace
 module Instance = Rbgp_ring.Instance
+module Simulator = Rbgp_ring.Simulator
+module Registry = Rbgp_serve.Registry
 module W = Rbgp_workloads.Workloads
 
 let header id title =
@@ -26,9 +28,26 @@ let trace_array trace steps =
 (* total: the simulator always fills [per_step] when run with
    [~record_steps:true], as every caller below does *)
 let per_step_series r =
-  match r.Rbgp_ring.Simulator.per_step with
+  match r.Simulator.per_step with
   | Some series -> series
   | None -> invalid_arg "Report: run was not recorded with ~record_steps:true"
+
+(* Run independent experiment cells across domains, results in input
+   order.  Every cell is self-contained: instances, traces and rng streams
+   are built before the fan-out and every in-cell rng comes from an
+   explicit integer seed, so with any domain count the result list is the
+   sequential one byte for byte.  This is the harness's one pool call
+   site. *)
+let fan_out cells = Rbgp_util.Pool.map_list (fun f -> f ()) cells
+
+(* The paper's two algorithms and the baselines, in table column order;
+   every name builds through [Registry.build_for_trace] *)
+let head_to_head =
+  [ "onl-dynamic"; "onl-static"; "never-move"; "greedy-colocate";
+    "counter-threshold"; "static-oracle"; "component-learning" ]
+
+let build name ~epsilon ~seed inst =
+  (Registry.find name).Registry.build ~epsilon ~seed inst
 
 (* split the flat result list of a fan-out back into rows of [width] cells *)
 let rec take width l =
@@ -53,23 +72,23 @@ let load_experiment ~id ~title ~quick ~seed ~make_alg ~bound_of =
   in
   List.iter
     (fun (n, ell) ->
-      let inst = Runner.instance ~n ~ell in
+      let inst = Instance.blocks ~n ~ell in
       let k = inst.Instance.k in
       let rng = Rng.create seed in
       List.iter
         (fun (wname, trace) ->
           let alg = make_alg inst (Rng.split rng) in
           let bound = bound_of alg *. fi k in
-          let r = Runner.run_alg inst alg trace ~steps in
+          let r = Simulator.run inst alg trace ~steps in
           Tbl.add_row tbl
             [
               Tbl.cell_i n;
               Tbl.cell_i ell;
               Tbl.cell_i k;
               wname;
-              Tbl.cell_i r.Runner.max_load;
+              Tbl.cell_i r.Simulator.max_load;
               Tbl.cell_f bound;
-              (if fi r.Runner.max_load <= bound +. 1e-6 then "yes" else "NO");
+              (if fi r.Simulator.max_load <= bound +. 1e-6 then "yes" else "NO");
             ])
         (W.all_fixed ~n ~steps (Rng.split rng)))
     sizes;
@@ -115,7 +134,7 @@ let e2_interval_ratio ?(quick = false) ?(seed = 13) () =
       (fun k ->
         let ell = 8 in
         let n = ell * k in
-        let inst = Runner.instance ~n ~ell in
+        let inst = Instance.blocks ~n ~ell in
         let steps = if quick then 2_000 else 50 * n in
         let rng = Rng.create seed in
         List.map
@@ -124,20 +143,24 @@ let e2_interval_ratio ?(quick = false) ?(seed = 13) () =
             ignore (Rng.split rng);
             ( (k, n, wname),
               fun () ->
-                let mean, sd =
-                  Runner.averaged ~seeds:solver_seeds (fun s ->
-                      let alg =
-                        Rbgp_core.Dynamic_alg.create ~shift:0 ~epsilon inst
-                          (Rng.create (seed + (1000 * s)))
-                      in
-                      let (_ : Runner.run) =
-                        Runner.run_alg inst
-                          (Rbgp_core.Dynamic_alg.online alg)
-                          (Trace.fixed tarr) ~steps
-                      in
-                      Rbgp_core.Dynamic_alg.interval_hit_cost alg
-                      +. Rbgp_core.Dynamic_alg.interval_move_cost alg)
+                let costs =
+                  Array.of_list
+                    (List.map
+                       (fun s ->
+                         let alg =
+                           Rbgp_core.Dynamic_alg.create ~shift:0 ~epsilon inst
+                             (Rng.create (seed + (1000 * s)))
+                         in
+                         let (_ : Simulator.result) =
+                           Simulator.run inst
+                             (Rbgp_core.Dynamic_alg.online alg)
+                             (Trace.fixed tarr) ~steps
+                         in
+                         Rbgp_core.Dynamic_alg.interval_hit_cost alg
+                         +. Rbgp_core.Dynamic_alg.interval_move_cost alg)
+                       solver_seeds)
                 in
+                let mean = Stats.mean costs and sd = Stats.stddev costs in
                 let opt_r =
                   Rbgp_offline.Lower_bound.interval_opt inst tarr ~shift:0
                     ~epsilon
@@ -150,7 +173,7 @@ let e2_interval_ratio ?(quick = false) ?(seed = 13) () =
           ])
       ks
   in
-  let results = Runner.fan_out (List.map snd cells) in
+  let results = fan_out (List.map snd cells) in
   let ratios = ref [] in
   List.iter2
     (fun ((k, n, wname), _) (mean, sd, opt_r) ->
@@ -202,7 +225,7 @@ let e3_dynamic_ratio ?(quick = false) ?(seed = 17) () =
   let tiny_cells =
     List.concat_map
       (fun (n, ell) ->
-        let inst = Runner.instance ~n ~ell in
+        let inst = Instance.blocks ~n ~ell in
         let dp = Rbgp_offline.Dynamic_opt.shared inst () in
         let rng = Rng.create seed in
         List.map
@@ -213,17 +236,17 @@ let e3_dynamic_ratio ?(quick = false) ?(seed = 17) () =
                 let opt = Rbgp_offline.Dynamic_opt.solve dp tarr in
                 let runs =
                   List.map
-                    (fun (spec : Runner.alg_spec) ->
+                    (fun name ->
                       let alg =
-                        spec.Runner.build inst ~trace:tarr ~seed:(seed + 1)
+                        Registry.build_for_trace name ~epsilon:0.5
+                          ~seed:(seed + 1) ~trace:tarr inst
                       in
                       let r =
-                        Runner.run_alg inst alg (Trace.fixed tarr)
+                        Simulator.run inst alg (Trace.fixed tarr)
                           ~steps:tiny_steps
                       in
-                      (spec.Runner.name, Cost.total r.Runner.cost))
-                    (Runner.core_algorithms ~epsilon:0.5
-                    @ Runner.baseline_algorithms ~epsilon:0.5)
+                      (name, Cost.total r.Simulator.cost))
+                    head_to_head
                 in
                 (Cost.total opt, runs) ))
           [
@@ -249,7 +272,7 @@ let e3_dynamic_ratio ?(quick = false) ?(seed = 17) () =
             ])
         runs)
     tiny_cells
-    (Runner.fan_out (List.map snd tiny_cells));
+    (fan_out (List.map snd tiny_cells));
   Tbl.print tbl;
   (* at scale, vs certified lower bound *)
   Printf.printf
@@ -265,7 +288,7 @@ let e3_dynamic_ratio ?(quick = false) ?(seed = 17) () =
   let n = if quick then 128 else 256 in
   let ell = 8 in
   let steps = if quick then 5_000 else 20_000 in
-  let inst = Runner.instance ~n ~ell in
+  let inst = Instance.blocks ~n ~ell in
   let rng = Rng.create (seed + 2) in
   let scale_cells =
     List.map
@@ -277,14 +300,14 @@ let e3_dynamic_ratio ?(quick = false) ?(seed = 17) () =
             let _, ub_cost = Rbgp_offline.Dynamic_heuristic.best inst tarr () in
             let runs =
               List.map
-                (fun (spec : Runner.alg_spec) ->
+                (fun name ->
                   let alg =
-                    spec.Runner.build inst ~trace:tarr ~seed:(seed + 3)
+                    Registry.build_for_trace name ~epsilon:0.5
+                      ~seed:(seed + 3) ~trace:tarr inst
                   in
-                  let r = Runner.run_alg inst alg (Trace.fixed tarr) ~steps in
-                  (spec.Runner.name, Cost.total r.Runner.cost))
-                (Runner.core_algorithms ~epsilon:0.5
-                @ Runner.baseline_algorithms ~epsilon:0.5)
+                  let r = Simulator.run inst alg (Trace.fixed tarr) ~steps in
+                  (name, Cost.total r.Simulator.cost))
+                head_to_head
             in
             (lb, Cost.total ub_cost, runs) ))
       [
@@ -311,7 +334,7 @@ let e3_dynamic_ratio ?(quick = false) ?(seed = 17) () =
             ])
         runs)
     scale_cells
-    (Runner.fan_out (List.map snd scale_cells));
+    (fan_out (List.map snd scale_cells));
   Tbl.print tbl2;
   (* scaling: does the ratio against the feasible offline schedule stay
      bounded as k grows?  (Theorem 2.1 predicts polylog growth; against
@@ -332,22 +355,15 @@ let e3_dynamic_ratio ?(quick = false) ?(seed = 17) () =
         let steps = 50 * n in
         ( (k, n, steps),
           fun () ->
-            let inst = Runner.instance ~n ~ell in
+            let inst = Instance.blocks ~n ~ell in
             let rng = Rng.create (seed + 4) in
             let tarr =
               trace_array (W.rotating ~n ~steps (Rng.split rng)) steps
             in
-            let alg =
-              Rbgp_core.Dynamic_alg.create ~epsilon:0.5 inst
-                (Rng.create (seed + 5))
-            in
-            let r =
-              Runner.run_alg inst
-                (Rbgp_core.Dynamic_alg.online alg)
-                (Trace.fixed tarr) ~steps
-            in
+            let alg = build "onl-dynamic" ~epsilon:0.5 ~seed:(seed + 5) inst in
+            let r = Simulator.run inst alg (Trace.fixed tarr) ~steps in
             let _, ub_cost = Rbgp_offline.Dynamic_heuristic.best inst tarr () in
-            (Cost.total r.Runner.cost, Cost.total ub_cost) ))
+            (Cost.total r.Simulator.cost, Cost.total ub_cost) ))
       ks
   in
   List.iter2
@@ -362,7 +378,7 @@ let e3_dynamic_ratio ?(quick = false) ?(seed = 17) () =
           Tbl.cell_ratio (ratio (fi cost_total) (fi ub));
         ])
     k_cells
-    (Runner.fan_out (List.map snd k_cells));
+    (fan_out (List.map snd k_cells));
   Tbl.print tbl3
 
 (* ------------------------------------------------------------------ *)
@@ -407,16 +423,20 @@ let e4_deterministic_lower_bound ?(quick = false) ?(seed = 19) () =
       let steps = Stdlib.min (if quick then 10_000 else 60_000) (4 * k * k) in
       let ig_seeds = if quick then [ 1 ] else [ 1; 2; 3 ] in
       let ig_cost requests =
-        fst
-          (Runner.averaged ~seeds:ig_seeds (fun s ->
-               let ig =
-                 Rbgp_hitting.Interval_growing.create ~k
-                   (Rng.create (seed + (1000 * s)))
-               in
-               Rbgp_hitting.Game.run (Rbgp_hitting.Interval_growing.player ig)
-                 requests;
-               Rbgp_hitting.Interval_growing.hit_cost ig
-               +. Rbgp_hitting.Interval_growing.move_cost ig))
+        Stats.mean
+          (Array.of_list
+             (List.map
+                (fun s ->
+                  let ig =
+                    Rbgp_hitting.Interval_growing.create ~k
+                      (Rng.create (seed + (1000 * s)))
+                  in
+                  Rbgp_hitting.Game.run
+                    (Rbgp_hitting.Interval_growing.player ig)
+                    requests;
+                  Rbgp_hitting.Interval_growing.hit_cost ig
+                  +. Rbgp_hitting.Interval_growing.move_cost ig)
+                ig_seeds))
       in
       (* chase the deterministic dodger, then replay its trace obliviously *)
       let dodger = Rbgp_hitting.Game.greedy_dodge ~k () in
@@ -471,17 +491,21 @@ let e5_hitting_ratio ?(quick = false) ?(seed = 23) () =
             ( (k, wname),
               fun () ->
                 let seeds = if quick then [ 1 ] else [ 1; 2; 3 ] in
-                let mean, _ =
-                  Runner.averaged ~seeds (fun s ->
-                      let ig =
-                        Rbgp_hitting.Interval_growing.create ~k
-                          (Rng.create (seed + s))
-                      in
-                      Rbgp_hitting.Game.run
-                        (Rbgp_hitting.Interval_growing.player ig)
-                        requests;
-                      Rbgp_hitting.Interval_growing.hit_cost ig
-                      +. Rbgp_hitting.Interval_growing.move_cost ig)
+                let mean =
+                  Stats.mean
+                    (Array.of_list
+                       (List.map
+                          (fun s ->
+                            let ig =
+                              Rbgp_hitting.Interval_growing.create ~k
+                                (Rng.create (seed + s))
+                            in
+                            Rbgp_hitting.Game.run
+                              (Rbgp_hitting.Interval_growing.player ig)
+                              requests;
+                            Rbgp_hitting.Interval_growing.hit_cost ig
+                            +. Rbgp_hitting.Interval_growing.move_cost ig)
+                          seeds))
                 in
                 let opt = Rbgp_hitting.Static_opt.static ~k requests in
                 (mean, opt) ))
@@ -507,7 +531,7 @@ let e5_hitting_ratio ?(quick = false) ?(seed = 23) () =
           Tbl.cell_ratio (r /. (log (fi k) /. log 2.0));
         ])
     cells
-    (Runner.fan_out (List.map snd cells));
+    (fan_out (List.map snd cells));
   Tbl.print tbl
 
 (* ------------------------------------------------------------------ *)
@@ -530,7 +554,7 @@ let e7_static_ratio ?(quick = false) ?(seed = 29) () =
       (fun k ->
         let ell = 8 in
         let n = ell * k in
-        let inst = Runner.instance ~n ~ell in
+        let inst = Instance.blocks ~n ~ell in
         let steps = if quick then 2_000 else 40 * n in
         let rng = Rng.create seed in
         List.map
@@ -539,19 +563,21 @@ let e7_static_ratio ?(quick = false) ?(seed = 29) () =
             ignore (Rng.split rng);
             ( (k, n, wname),
               fun () ->
-                let mean, sd =
-                  Runner.averaged ~seeds (fun s ->
-                      let alg =
-                        Rbgp_core.Static_alg.create ~epsilon inst
-                          (Rng.create (seed + (1000 * s)))
-                      in
-                      let r =
-                        Runner.run_alg inst
-                          (Rbgp_core.Static_alg.online alg)
-                          (Trace.fixed tarr) ~steps
-                      in
-                      fi (Cost.total r.Runner.cost))
+                let costs =
+                  Array.of_list
+                    (List.map
+                       (fun s ->
+                         let alg =
+                           build "onl-static" ~epsilon ~seed:(seed + (1000 * s))
+                             inst
+                         in
+                         let r =
+                           Simulator.run inst alg (Trace.fixed tarr) ~steps
+                         in
+                         fi (Cost.total r.Simulator.cost))
+                       seeds)
                 in
+                let mean = Stats.mean costs and sd = Stats.stddev costs in
                 let opt = Rbgp_offline.Static_opt.segmented inst tarr in
                 let lb =
                   Rbgp_offline.Static_opt.crossing_lower_bound inst tarr
@@ -578,30 +604,25 @@ let e7_static_ratio ?(quick = false) ?(seed = 29) () =
           Tbl.cell_ratio (ratio mean (fi opt_total));
         ])
     cells
-    (Runner.fan_out (List.map snd cells));
+    (fan_out (List.map snd cells));
   Tbl.print tbl;
   (* strictness: short, cheap sequences must still give bounded ratios *)
   Printf.printf "\nstrictness check (short cheap sequences, no additive term):\n";
   let tbl2 = Tbl.create ~headers:[ "steps"; "onl-static"; "static OPT"; "ratio" ] in
-  let inst = Runner.instance ~n:64 ~ell:4 in
+  let inst = Instance.blocks ~n:64 ~ell:4 in
   List.iter
     (fun steps ->
       (* all requests inside one server's block: OPT pays nothing *)
       let tarr = Array.init steps (fun i -> 1 + (i mod 8)) in
-      let alg =
-        Rbgp_core.Static_alg.create ~epsilon inst (Rng.create (seed + steps))
-      in
-      let r =
-        Runner.run_alg inst (Rbgp_core.Static_alg.online alg)
-          (Trace.fixed tarr) ~steps
-      in
+      let alg = build "onl-static" ~epsilon ~seed:(seed + steps) inst in
+      let r = Simulator.run inst alg (Trace.fixed tarr) ~steps in
       let opt = Rbgp_offline.Static_opt.segmented inst tarr in
       Tbl.add_row tbl2
         [
           Tbl.cell_i steps;
-          Tbl.cell_i (Cost.total r.Runner.cost);
+          Tbl.cell_i (Cost.total r.Simulator.cost);
           Tbl.cell_i opt.Rbgp_offline.Static_opt.total;
-          (let c = Cost.total r.Runner.cost in
+          (let c = Cost.total r.Simulator.cost in
            if opt.Rbgp_offline.Static_opt.total = 0 then
              if c = 0 then "0/0 (strict)" else Printf.sprintf "%d/0 VIOLATION" c
            else Tbl.cell_ratio (ratio (fi c) (fi opt.Rbgp_offline.Static_opt.total)));
@@ -618,47 +639,46 @@ let e8_head_to_head ?(quick = false) ?(seed = 31) () =
   let n = if quick then 128 else 256 in
   let ell = 8 in
   let steps = if quick then 5_000 else 20_000 in
-  let inst = Runner.instance ~n ~ell in
+  let inst = Instance.blocks ~n ~ell in
   let epsilon = 0.5 in
   let rng = Rng.create seed in
-  let specs =
-    Runner.core_algorithms ~epsilon @ Runner.baseline_algorithms ~epsilon
-  in
-  let tbl =
-    Tbl.create
-      ~headers:
-        ("workload" :: List.map (fun (s : Runner.alg_spec) -> s.Runner.name) specs)
-  in
+  let tbl = Tbl.create ~headers:("workload" :: head_to_head) in
   let oblivious = W.all_fixed ~n ~steps (Rng.split rng) in
   (* one cell per (workload x algorithm); the flat fan-out result is split
-     back into table rows of |specs| cells *)
+     back into table rows of |head_to_head| cells *)
   let cells =
     List.concat_map
       (fun (_, trace) ->
         let tarr = trace_array trace steps in
         List.map
-          (fun (spec : Runner.alg_spec) () ->
-            let alg = spec.Runner.build inst ~trace:tarr ~seed:(seed + 1) in
-            let r = Runner.run_alg inst alg (Trace.fixed tarr) ~steps in
-            Tbl.cell_i (Cost.total r.Runner.cost))
-          specs)
+          (fun name () ->
+            let alg =
+              Registry.build_for_trace name ~epsilon ~seed:(seed + 1)
+                ~trace:tarr inst
+            in
+            let r = Simulator.run inst alg (Trace.fixed tarr) ~steps in
+            Tbl.cell_i (Cost.total r.Simulator.cost))
+          head_to_head)
       oblivious
   in
   (* adaptive adversary: no static-oracle (it needs the trace up front);
      each cell drives its own adversary instance *)
-  let adaptive_specs =
-    List.filter (fun (s : Runner.alg_spec) -> s.Runner.name <> "static-oracle") specs
-  in
   let adaptive_cells =
-    List.map
-      (fun (spec : Runner.alg_spec) () ->
-        let alg = spec.Runner.build inst ~trace:[||] ~seed:(seed + 1) in
-        let r = Runner.run_alg inst alg (W.adversary_cut_chaser ~n) ~steps in
-        Tbl.cell_i (Cost.total r.Runner.cost))
-      adaptive_specs
+    List.filter_map
+      (fun name ->
+        if String.equal name "static-oracle" then None
+        else
+          Some
+            (fun () ->
+              let alg = build name ~epsilon ~seed:(seed + 1) inst in
+              let r =
+                Simulator.run inst alg (W.adversary_cut_chaser ~n) ~steps
+              in
+              Tbl.cell_i (Cost.total r.Simulator.cost)))
+      head_to_head
   in
-  let results = Runner.fan_out (cells @ adaptive_cells) in
-  let width = List.length specs in
+  let results = fan_out (cells @ adaptive_cells) in
+  let width = List.length head_to_head in
   let rest =
     List.fold_left
       (fun remaining (wname, _) ->
@@ -680,14 +700,18 @@ let e9_mts_ablation ?(quick = false) ?(seed = 37) () =
   let n = if quick then 128 else 256 in
   let ell = 8 in
   let steps = if quick then 5_000 else 20_000 in
-  let inst = Runner.instance ~n ~ell in
+  let inst = Instance.blocks ~n ~ell in
   let rng = Rng.create seed in
-  let specs = Runner.mts_variants ~epsilon:0.5 in
-  let tbl =
-    Tbl.create
-      ~headers:
-        ("workload" :: List.map (fun (s : Runner.alg_spec) -> s.Runner.name) specs)
+  (* (column label, registry name): onl-dynamic is the smin-MW variant *)
+  let variants =
+    [
+      ("dyn/smin-mw", "onl-dynamic");
+      ("dyn/wfa", "dyn/wfa");
+      ("dyn/hst-mw", "dyn/hst-mw");
+      ("dyn/marking", "dyn/marking");
+    ]
   in
+  let tbl = Tbl.create ~headers:("workload" :: List.map fst variants) in
   let workloads =
     [
       ("uniform", `Fixed (W.uniform ~n ~steps (Rng.split rng)));
@@ -702,26 +726,26 @@ let e9_mts_ablation ?(quick = false) ?(seed = 37) () =
     List.concat_map
       (fun (_, kind) ->
         List.map
-          (fun (spec : Runner.alg_spec) () ->
+          (fun (_, name) () ->
             let trace =
               match kind with
               | `Fixed t -> t
               | `Adaptive -> W.adversary_cut_chaser ~n
             in
-            let alg = spec.Runner.build inst ~trace:[||] ~seed:(seed + 1) in
-            let r = Runner.run_alg inst alg trace ~steps in
-            Tbl.cell_i (Cost.total r.Runner.cost))
-          specs)
+            let alg = build name ~epsilon:0.5 ~seed:(seed + 1) inst in
+            let r = Simulator.run inst alg trace ~steps in
+            Tbl.cell_i (Cost.total r.Simulator.cost))
+          variants)
       workloads
   in
-  let width = List.length specs in
+  let width = List.length variants in
   let (_ : string list) =
     List.fold_left
       (fun remaining (wname, _) ->
         let row, rest = take width remaining in
         Tbl.add_row tbl (wname :: row);
         rest)
-      (Runner.fan_out cells) workloads
+      (fan_out cells) workloads
   in
   Tbl.print tbl
 
@@ -747,7 +771,7 @@ let e10_well_behaved ?(quick = false) ?(seed = 41) () =
   let cells =
     List.concat_map
       (fun (n, ell) ->
-        let inst = Runner.instance ~n ~ell in
+        let inst = Instance.blocks ~n ~ell in
         let k = inst.Instance.k in
         let dp = Rbgp_offline.Dynamic_opt.shared inst () in
         let rng = Rng.create seed in
@@ -794,7 +818,7 @@ let e10_well_behaved ?(quick = false) ?(seed = 41) () =
           (if ok then "ok" else "VIOLATED");
         ])
     cells
-    (Runner.fan_out (List.map snd cells));
+    (fan_out (List.map snd cells));
   Tbl.print tbl
 
 (* ------------------------------------------------------------------ *)
@@ -806,7 +830,7 @@ let e11_epsilon_ablation ?(quick = false) ?(seed = 43) () =
   let n = if quick then 128 else 256 in
   let ell = 8 in
   let steps = if quick then 5_000 else 20_000 in
-  let inst = Runner.instance ~n ~ell in
+  let inst = Instance.blocks ~n ~ell in
   let rng = Rng.create seed in
   let tarr = trace_array (W.rotating ~n ~steps (Rng.split rng)) steps in
   let tbl =
@@ -814,53 +838,33 @@ let e11_epsilon_ablation ?(quick = false) ?(seed = 43) () =
       ~headers:
         [ "epsilon"; "alg"; "claimed aug"; "max load / k"; "total cost" ]
   in
-  let makers =
-    [
-      ( "onl-dynamic",
-        fun epsilon ->
-          Some
-            (Rbgp_core.Dynamic_alg.online
-               (Rbgp_core.Dynamic_alg.create ~epsilon inst
-                  (Rng.create (seed + 1)))) );
-      ( "onl-static",
-        fun epsilon ->
-          Some
-            (Rbgp_core.Static_alg.online
-               (Rbgp_core.Static_alg.create ~epsilon inst
-                  (Rng.create (seed + 2)))) );
-    ]
-  in
+  let algorithms = [ ("onl-dynamic", seed + 1); ("onl-static", seed + 2) ] in
   let cells =
     List.concat_map
       (fun epsilon ->
         List.map
-          (fun (name, make) () ->
-            match make epsilon with
-            | None -> None
-            | Some (alg : Rbgp_ring.Online.t) ->
-                let r = Runner.run_alg inst alg (Trace.fixed tarr) ~steps in
-                Some
-                  ( epsilon,
-                    name,
-                    alg.Rbgp_ring.Online.augmentation,
-                    r.Runner.max_load,
-                    Cost.total r.Runner.cost ))
-          makers)
+          (fun (name, alg_seed) () ->
+            let alg = build name ~epsilon ~seed:alg_seed inst in
+            let r = Simulator.run inst alg (Trace.fixed tarr) ~steps in
+            ( epsilon,
+              name,
+              alg.Rbgp_ring.Online.augmentation,
+              r.Simulator.max_load,
+              Cost.total r.Simulator.cost ))
+          algorithms)
       (if quick then [ 0.25; 1.0 ] else [ 0.1; 0.25; 0.5; 1.0; 2.0 ])
   in
   List.iter
-    (function
-      | None -> ()
-      | Some (epsilon, name, aug, max_load, cost_total) ->
-          Tbl.add_row tbl
-            [
-              Printf.sprintf "%.2f" epsilon;
-              name;
-              Printf.sprintf "%.2f" aug;
-              Printf.sprintf "%.2f" (fi max_load /. fi inst.Instance.k);
-              Tbl.cell_i cost_total;
-            ])
-    (Runner.fan_out cells);
+    (fun (epsilon, name, aug, max_load, cost_total) ->
+      Tbl.add_row tbl
+        [
+          Printf.sprintf "%.2f" epsilon;
+          name;
+          Printf.sprintf "%.2f" aug;
+          Printf.sprintf "%.2f" (fi max_load /. fi inst.Instance.k);
+          Tbl.cell_i cost_total;
+        ])
+    (fan_out cells);
   Tbl.print tbl
 
 (* ------------------------------------------------------------------ *)
@@ -872,7 +876,7 @@ let e12_parameter_ablation ?(quick = false) ?(seed = 47) () =
   let n = if quick then 128 else 256 in
   let ell = 8 in
   let steps = if quick then 5_000 else 20_000 in
-  let inst = Runner.instance ~n ~ell in
+  let inst = Instance.blocks ~n ~ell in
   let k = inst.Instance.k in
   let rng = Rng.create seed in
   let tarr = trace_array (W.zipf ~n ~steps (Rng.split rng)) steps in
@@ -894,11 +898,11 @@ let e12_parameter_ablation ?(quick = false) ?(seed = 47) () =
             (Rng.create (seed + 1))
         in
         let r =
-          Runner.run_alg inst
+          Simulator.run inst
             (Rbgp_core.Dynamic_alg.online alg)
             (Trace.fixed tarr) ~steps
         in
-        (factor, r.Runner.cost))
+        (factor, r.Simulator.cost))
       (if quick then [ 0.25; 1.0 ] else [ 0.1; 0.25; 0.5; 1.0; 2.0; 4.0 ])
   in
   List.iter
@@ -910,7 +914,7 @@ let e12_parameter_ablation ?(quick = false) ?(seed = 47) () =
           Tbl.cell_i cost.Cost.mig;
           Tbl.cell_i (Cost.total cost);
         ])
-    (Runner.fan_out factor_cells);
+    (fan_out factor_cells);
   Tbl.print tbl;
   (* delta_bar: eager (paper's 14/15) vs lazier deactivation *)
   Printf.printf "\nslicing threshold delta_bar (static algorithm, zipf trace):\n";
@@ -925,11 +929,11 @@ let e12_parameter_ablation ?(quick = false) ?(seed = 47) () =
             (Rng.create (seed + 2))
         in
         let r =
-          Runner.run_alg ~strict:false inst
+          Simulator.run ~strict:false inst
             (Rbgp_core.Static_alg.online alg)
             (Trace.fixed tarr) ~steps
         in
-        (delta_bar, r.Runner.cost, r.Runner.max_load))
+        (delta_bar, r.Simulator.cost, r.Simulator.max_load))
       (if quick then [ 0.75; 14.0 /. 15.0 ]
        else [ 0.6; 0.75; 0.85; 14.0 /. 15.0; 0.97 ])
   in
@@ -943,7 +947,7 @@ let e12_parameter_ablation ?(quick = false) ?(seed = 47) () =
           Tbl.cell_i (Cost.total cost);
           Printf.sprintf "%.2f" (fi max_load /. fi k);
         ])
-    (Runner.fan_out delta_cells);
+    (fan_out delta_cells);
   Tbl.print tbl2;
   Printf.printf
     "note: delta_bar below the paper's max(2/(2+eps'), 14/15) voids the \
@@ -960,23 +964,21 @@ let e13_time_series ?(quick = false) ?(seed = 53) () =
   let ell = 8 in
   let steps = if quick then 8_000 else 24_000 in
   let samples = 8 in
-  let inst = Runner.instance ~n ~ell in
+  let inst = Instance.blocks ~n ~ell in
   let rng = Rng.create seed in
   let tarr = trace_array (W.rotating ~n ~steps (Rng.split rng)) steps in
-  let specs =
-    Runner.core_algorithms ~epsilon:0.5 @ Runner.baseline_algorithms ~epsilon:0.5
-  in
   let curves =
     List.map
-      (fun (spec : Runner.alg_spec) ->
-        let alg = spec.Runner.build inst ~trace:tarr ~seed:(seed + 1) in
-        let r =
-          Rbgp_ring.Simulator.run ~record_steps:true inst alg
-            (Trace.fixed tarr) ~steps
+      (fun name ->
+        let alg =
+          Registry.build_for_trace name ~epsilon:0.5 ~seed:(seed + 1)
+            ~trace:tarr inst
         in
-        let series = per_step_series r in
-        (spec.Runner.name, series))
-      specs
+        let r =
+          Simulator.run ~record_steps:true inst alg (Trace.fixed tarr) ~steps
+        in
+        (name, per_step_series r))
+      head_to_head
   in
   let tbl =
     Tbl.create ~headers:("step" :: List.map fst curves)
@@ -1011,23 +1013,15 @@ let e14_learning_variant ?(quick = false) ?(seed = 59) () =
   let n = if quick then 128 else 256 in
   let ell = 8 in
   let steps = if quick then 5_000 else 20_000 in
-  let inst = Runner.instance ~n ~ell in
+  let inst = Instance.blocks ~n ~ell in
   let rng = Rng.create seed in
+  (* (name, seed offset); the baselines draw no randomness *)
   let algorithms =
     [
-      ( "component-learning",
-        fun () -> Rbgp_baselines.Baselines.component_learning inst );
-      ( "onl-dynamic",
-        fun () ->
-          Rbgp_core.Dynamic_alg.online
-            (Rbgp_core.Dynamic_alg.create ~epsilon:0.5 inst
-               (Rng.create (seed + 1))) );
-      ( "onl-static",
-        fun () ->
-          Rbgp_core.Static_alg.online
-            (Rbgp_core.Static_alg.create ~epsilon:0.5 inst
-               (Rng.create (seed + 2))) );
-      ("never-move", fun () -> Rbgp_baselines.Baselines.never_move inst);
+      ("component-learning", 0);
+      ("onl-dynamic", 1);
+      ("onl-static", 2);
+      ("never-move", 0);
     ]
   in
   (* each cell is "first half + second half": a converging algorithm's
@@ -1042,10 +1036,11 @@ let e14_learning_variant ?(quick = false) ?(seed = 59) () =
       let tarr = trace_array trace steps in
       let row =
         List.map
-          (fun (_, make) ->
+          (fun (name, offset) ->
+            let alg = build name ~epsilon:0.5 ~seed:(seed + offset) inst in
             let r =
-              Rbgp_ring.Simulator.run ~record_steps:true inst (make ())
-                (Trace.fixed tarr) ~steps
+              Simulator.run ~record_steps:true inst alg (Trace.fixed tarr)
+                ~steps
             in
             let series = per_step_series r in
             let total i = fst series.(i) + snd series.(i) in

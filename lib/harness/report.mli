@@ -7,7 +7,9 @@
     seconds to a couple of minutes each.
 
     All randomness is derived from the experiment's [seed] argument, so
-    every table is exactly reproducible. *)
+    every table is exactly reproducible.  Algorithms are built by name
+    through {!Rbgp_serve.Registry}, from the same seed scheme as
+    [rbgp serve]. *)
 
 val e1_dynamic_load : ?quick:bool -> ?seed:int -> unit -> unit
 (** Lemma 3.1: the dynamic algorithm's load never exceeds [2 k' - 1]. *)
@@ -75,5 +77,5 @@ val all : (string * string * (?quick:bool -> ?seed:int -> unit -> unit)) list
     harness. *)
 
 val run : ?quick:bool -> ?seed:int -> string -> unit
-(** Run one experiment by id (["e1"] ... ["e10"] or ["all"]).  Raises
+(** Run one experiment by id (["e1"] ... ["e14"] or ["all"]).  Raises
     [Invalid_argument] on unknown ids. *)

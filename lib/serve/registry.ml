@@ -61,3 +61,8 @@ let find name =
       invalid_arg
         (Printf.sprintf "Registry.find: unknown algorithm %S (known: %s)" name
            (String.concat ", " names))
+
+let build_for_trace name ~epsilon ~seed ~trace inst =
+  match name with
+  | "static-oracle" -> Rbgp_baselines.Baselines.static_oracle inst ~trace
+  | name -> (find name).build ~epsilon ~seed inst

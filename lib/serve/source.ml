@@ -98,23 +98,64 @@ let of_channel ?(path = "<channel>") ?(owns_channel = false) ~format ~n ic =
       if owns_channel then close_in_noerr ic;
       raise e
 
-let map_file ~n path =
-  let region = Trace_codec.map path in
+let of_region ~n path region =
   let hdr = Trace_codec.header_of_region ~path region in
   check_header ~path ~n hdr;
   { backend = Mapped { region; path }; hdr = Some hdr; n; path }
 
+let magic_len = String.length Trace_codec.magic
+
+let region_has_magic region =
+  let found =
+    match Binc.region_read_string region magic_len with
+    | m -> String.equal m Trace_codec.magic
+    | exception Invalid_argument _ -> false
+  in
+  Binc.region_seek region 0;
+  found
+
+(* [`Auto] sniffs the format once, from the bytes that are then served:
+   the mapped region, or the first bytes of the channel the source keeps,
+   sought back.  Only a regular, non-empty file is sniffed.  A pipe cannot
+   give bytes back, so any other path reads as text, as stdin does. *)
 let open_file ?(format = `Auto) ?(mmap = `Auto) ~n path =
-  let format =
-    match format with
-    | (`Text | `Binary) as f -> f
-    | `Auto -> if Trace_codec.looks_binary ~path then `Binary else `Text
+  let channel format =
+    of_channel ~path ~owns_channel:true ~format ~n (open_in_bin path)
   in
   match (format, mmap) with
-  | `Binary, `On -> map_file ~n path
-  | `Binary, `Auto when Trace_codec.can_map ~path -> map_file ~n path
-  | `Binary, (`Auto | `Off) | `Text, _ ->
-      of_channel ~path ~owns_channel:true ~format ~n (open_in_bin path)
+  | `Text, _ -> channel `Text
+  | `Binary, `On -> of_region ~n path (Trace_codec.map path)
+  | `Binary, `Off -> channel `Binary
+  | `Binary, `Auto ->
+      if Trace_codec.can_map ~path then of_region ~n path (Trace_codec.map path)
+      else channel `Binary
+  | `Auto, _ when not (Trace_codec.can_map ~path) -> channel `Text
+  | `Auto, (`Auto | `On) ->
+      let region = Trace_codec.map path in
+      if region_has_magic region then of_region ~n path region
+      else channel `Text
+  | `Auto, `Off -> (
+      let ic = open_in_bin path in
+      let sniff () =
+        let head = Bytes.create magic_len in
+        let rec fill got =
+          if got = magic_len then got
+          else
+            match input ic head got (magic_len - got) with
+            | 0 -> got
+            | k -> fill (got + k)
+        in
+        let got = fill 0 in
+        seek_in ic 0;
+        if String.equal (Bytes.sub_string head 0 got) Trace_codec.magic then
+          `Binary
+        else `Text
+      in
+      match sniff () with
+      | format -> of_channel ~path ~owns_channel:true ~format ~n ic
+      | exception e ->
+          close_in_noerr ic;
+          raise e)
 
 (* An injected frame corruption must surface exactly like a real decode
    failure, so mangled values are re-validated here with a message naming

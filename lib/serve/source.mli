@@ -6,6 +6,10 @@
     and reports a clean end-of-stream, so the serving loop never
     materializes the trace.
 
+    The format of a file opened with [`Auto] is sniffed once, from the
+    bytes that are then served (see {!open_file}); a pipe, like stdin,
+    reads as text unless the binary format is asked for.
+
     Regular binary trace files are mmap'ed by default (see {!open_file}):
     requests are block-decoded straight out of the mapped bytes with no
     per-byte closure calls, no read syscalls and no intermediate copies —
@@ -27,8 +31,9 @@ type format = [ `Auto | `Text | `Binary ]
 
 type mmap = [ `Auto | `On | `Off ]
 (** [`Auto] maps regular, non-empty binary files and falls back to the
-    channel reader otherwise; [`On] requires the mmap path (raises when
-    the file cannot be mapped); [`Off] always streams through a channel. *)
+    channel reader otherwise; [`On] requires the mmap path for a binary
+    trace (raises when the file cannot be mapped); [`Off] always streams
+    through a channel. *)
 
 val of_channel :
   ?path:string ->
@@ -47,10 +52,17 @@ val of_channel :
     take back. *)
 
 val open_file : ?format:format -> ?mmap:mmap -> n:int -> string -> t
-(** Open a trace file; [`Auto] (default) detects the binary magic.  With
-    [mmap:`Auto] (default) a regular binary file is mapped read-only and
-    served through the block decoder.  Construction failures never leak
-    the underlying descriptor.  The caller must {!close}. *)
+(** Open a trace file.  [`Auto] (default) detects the binary magic, once,
+    in the bytes the source then serves: a regular, non-empty file is
+    mapped and its magic read from the region (under [mmap:`Off], the
+    first bytes of the channel the source keeps are read and sought
+    back).  Any other path (a pipe or FIFO, an empty file) cannot give
+    bytes back, so [`Auto] reads it as text, as stdin does; pass
+    [`Binary] for a framed stream.  With [mmap:`Auto] (default) a regular
+    binary file is mapped read-only and served through the block decoder.
+    A missing file raises [Sys_error] (unless [`Binary] and [`On] are
+    both given, which map at once).  Construction failures never leak the
+    underlying descriptor.  The caller must {!close}. *)
 
 val next_batch : t -> int array -> limit:int -> int
 (** [next_batch t dst ~limit] fills [dst.(0 ..)] with up to [limit]

@@ -225,11 +225,3 @@ let read ~path ~n =
         end
       done;
       Array.sub !buf 0 !len
-
-let read_header ~path = with_in path (fun ic -> input_header ~path ic)
-
-let looks_binary ~path =
-  with_in path (fun ic ->
-      match really_input_string ic (String.length magic) with
-      | m -> String.equal m magic
-      | exception End_of_file -> false)

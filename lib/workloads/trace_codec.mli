@@ -86,9 +86,3 @@ val read : path:string -> n:int -> int array
 val fold :
   path:string -> n:int -> init:'a -> f:('a -> int -> 'a) -> header * 'a
 (** Streams the file request by request without materializing it. *)
-
-val read_header : path:string -> header
-
-val looks_binary : path:string -> bool
-(** Does the file start with {!magic}?  (Used to auto-detect the trace
-    format; text traces never start with these bytes.) *)

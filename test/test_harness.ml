@@ -1,58 +1,73 @@
-(* Tests for the experiment harness: the runner's agreement with the
-   simulator, the algorithm registries, and smoke-running representative
-   experiments end to end (the cheap ones; the full suite is exercised by
+(* Tests for the experiment harness: the registry it builds every
+   algorithm through, and smoke-running representative experiments end to
+   end (the cheap ones; the full suite is exercised by
    `dune exec bench/main.exe`). *)
 
 module Instance = Rbgp_ring.Instance
 module Cost = Rbgp_ring.Cost
 module Trace = Rbgp_ring.Trace
-module Runner = Rbgp_harness.Runner
+module Simulator = Rbgp_ring.Simulator
+module Registry = Rbgp_serve.Registry
 module Report = Rbgp_harness.Report
+module Stats = Rbgp_util.Stats
 module Rng = Rbgp_util.Rng
 
+(* the experiments' name -> algorithm: every streamable registry name and
+   the batch-only static-oracle *)
+let table_names = Registry.names @ [ "static-oracle" ]
+
+(* a registry build is the constructor it names: the same bill, run for
+   run, as the baseline built directly *)
 let test_run_alg_matches_simulator () =
-  let inst = Runner.instance ~n:32 ~ell:4 in
+  let inst = Instance.blocks ~n:32 ~ell:4 in
   let rng = Rng.create 1 in
   let trace = Array.init 1_000 (fun _ -> Rng.int rng 32) in
-  let run =
-    Runner.run_alg inst
-      (Rbgp_baselines.Baselines.never_move inst)
-      (Trace.fixed trace) ~steps:1_000
+  let run alg = Simulator.run inst alg (Trace.fixed trace) ~steps:1_000 in
+  let via_registry =
+    Registry.build_for_trace "never-move" ~epsilon:0.5 ~seed:1 ~trace inst
   in
-  let direct =
-    Rbgp_ring.Simulator.run inst
-      (Rbgp_baselines.Baselines.never_move inst)
-      (Trace.fixed trace) ~steps:1_000
-  in
+  let direct = run (Rbgp_baselines.Baselines.never_move inst) in
   Alcotest.(check int) "same total"
-    (Cost.total direct.Rbgp_ring.Simulator.cost)
-    (Cost.total run.Runner.cost);
-  Alcotest.(check string) "algorithm name" "never-move" run.Runner.alg
+    (Cost.total direct.Simulator.cost)
+    (Cost.total (run via_registry).Simulator.cost);
+  Alcotest.(check string) "algorithm name" "never-move"
+    via_registry.Rbgp_ring.Online.name
 
 let test_registries () =
-  let core = Runner.core_algorithms ~epsilon:0.5 in
-  let base = Runner.baseline_algorithms ~epsilon:0.5 in
-  let mts = Runner.mts_variants ~epsilon:0.5 in
-  Alcotest.(check int) "two core algorithms" 2 (List.length core);
-  Alcotest.(check int) "five baselines" 5 (List.length base);
-  Alcotest.(check int) "four MTS variants" 4 (List.length mts);
-  (* every spec builds a runnable algorithm *)
-  let inst = Runner.instance ~n:32 ~ell:4 in
+  Alcotest.(check (list string))
+    "nine streamable algorithms, in order"
+    [ "onl-dynamic"; "onl-static"; "dyn/wfa"; "dyn/hst-mw"; "dyn/marking";
+      "never-move"; "greedy-colocate"; "counter-threshold";
+      "component-learning" ]
+    Registry.names;
+  Alcotest.(check bool) "static-oracle is batch-only" true
+    (match Registry.find "static-oracle" with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  (* every name builds a runnable algorithm, and a streamable one is the
+     same algorithm whether or not the trace is handed over *)
+  let inst = Instance.blocks ~n:32 ~ell:4 in
   let trace = Array.init 200 (fun i -> i mod 32) in
+  let total alg =
+    Cost.total (Simulator.run inst alg (Trace.fixed trace) ~steps:200).Simulator.cost
+  in
   List.iter
-    (fun (spec : Runner.alg_spec) ->
-      let alg = spec.Runner.build inst ~trace ~seed:3 in
-      let r = Runner.run_alg inst alg (Trace.fixed trace) ~steps:200 in
-      Alcotest.(check bool)
-        (spec.Runner.name ^ " runs")
-        true
-        (Cost.total r.Runner.cost >= 0))
-    (core @ base @ mts)
+    (fun name ->
+      let alg = Registry.build_for_trace name ~epsilon:0.5 ~seed:3 ~trace inst in
+      let cost = total alg in
+      Alcotest.(check bool) (name ^ " runs") true (cost >= 0);
+      if not (String.equal name "static-oracle") then
+        Alcotest.(check int)
+          (name ^ " ignores the trace")
+          cost
+          (total ((Registry.find name).Registry.build ~epsilon:0.5 ~seed:3 inst)))
+    table_names
 
+(* the experiments' mean and spread over seeds *)
 let test_averaged () =
-  let mean, sd = Runner.averaged ~seeds:[ 1; 2; 3 ] (fun s -> float_of_int s) in
-  Alcotest.(check (float 1e-9)) "mean" 2.0 mean;
-  Alcotest.(check (float 1e-9)) "sd" 1.0 sd
+  let samples = Array.of_list (List.map float_of_int [ 1; 2; 3 ]) in
+  Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean samples);
+  Alcotest.(check (float 1e-9)) "sd" 1.0 (Stats.stddev samples)
 
 let test_experiment_ids () =
   Alcotest.(check int) "fourteen experiments" 14 (List.length Report.all);

@@ -13,7 +13,8 @@ module Assignment = Rbgp_ring.Assignment
 module Online = Rbgp_ring.Online
 module Trace = Rbgp_ring.Trace
 module Cost = Rbgp_ring.Cost
-module Runner = Rbgp_harness.Runner
+module Instance = Rbgp_ring.Instance
+module Registry = Rbgp_serve.Registry
 module Report = Rbgp_harness.Report
 
 let qtest ?(count = 100) name gen prop =
@@ -173,9 +174,9 @@ let gen_case =
    previous step, the running maximum is the max of Assignment.max_load,
    and a violation is a step that fails check_capacity.  The
    shadow-and-journal-billed result must agree on all four. *)
-let matches_oracle (n, ell, seed, trace) (spec : Runner.alg_spec) =
-  let inst = Runner.instance ~n ~ell in
-  let alg = spec.Runner.build inst ~trace ~seed in
+let matches_oracle (n, ell, seed, trace) name =
+  let inst = Instance.blocks ~n ~ell in
+  let alg = Registry.build_for_trace name ~epsilon:0.5 ~seed ~trace inst in
   let current = alg.Online.assignment () in
   let oracle = Assignment.copy current in
   let max_load = ref (Assignment.max_load oracle) in
@@ -206,7 +207,20 @@ let matches_oracle (n, ell, seed, trace) (spec : Runner.alg_spec) =
   && r.Simulator.max_load = !max_load
   && r.Simulator.capacity_violations = !violations
 
-let prop_matches_oracle specs case = List.for_all (matches_oracle case) specs
+let prop_matches_oracle names case = List.for_all (matches_oracle case) names
+
+(* Every name the experiments build, in two groups that share
+   onl-dynamic (the smin-MW variant): the paper's algorithms and the
+   baselines, static-oracle included, and onl-dynamic with each MTS
+   solver. *)
+let is_variant name = String.starts_with ~prefix:"dyn/" name
+
+let core_and_baselines =
+  List.filter (fun name -> not (is_variant name)) Registry.names
+  @ [ "static-oracle" ]
+
+let mts_variants =
+  "onl-dynamic" :: List.filter is_variant Registry.names
 
 let () =
   Alcotest.run "pool"
@@ -237,10 +251,8 @@ let () =
         [
           qtest ~count:40 "incremental matches oracle (core + baselines)"
             gen_case
-            (prop_matches_oracle
-               (Runner.core_algorithms ~epsilon:0.5
-               @ Runner.baseline_algorithms ~epsilon:0.5));
+            (prop_matches_oracle core_and_baselines);
           qtest ~count:20 "mts variants match oracle" gen_case
-            (prop_matches_oracle (Runner.mts_variants ~epsilon:0.5));
+            (prop_matches_oracle mts_variants);
         ] );
     ]

@@ -1078,15 +1078,22 @@ let qcheck_binary_text_roundtrip =
       with_temp ".rbt" (fun bin ->
           with_temp ".txt" (fun txt ->
               Trace_codec.write ~path:bin ~n ~ell ~seed trace;
-              let hdr = Trace_codec.read_header ~path:bin in
               let from_bin = Trace_codec.read ~path:bin ~n in
               Trace_io.save ~path:txt from_bin;
               let from_txt = Trace_io.load ~path:txt ~n in
-              Trace_codec.looks_binary ~path:bin
-              && (not (Trace_codec.looks_binary ~path:txt))
-              && hdr.Trace_codec.n = n
-              && hdr.Trace_codec.ell = ell
-              && hdr.Trace_codec.seed = seed
+              (* the format sniff: a header for the binary file only *)
+              let header path =
+                let src = Source.open_file ~n path in
+                Fun.protect
+                  ~finally:(fun () -> Source.close src)
+                  (fun () -> Source.header src)
+              in
+              (match (header bin, header txt) with
+              | Some hdr, None ->
+                  hdr.Trace_codec.n = n
+                  && hdr.Trace_codec.ell = ell
+                  && hdr.Trace_codec.seed = seed
+              | _ -> false)
               && from_bin = trace && from_txt = trace)))
 
 let test_codec_streaming_fold () =
@@ -1210,6 +1217,121 @@ let test_source_mmap_kinds () =
               Alcotest.(check int) "mmap header seed" 5 h.Trace_codec.seed
           | None -> Alcotest.fail "mapped binary source lost its header");
           Source.close src))
+
+(* [`Auto] sniffs the format once, from the bytes it then serves: the
+   mapped region of a regular file, or the first bytes of the kept channel
+   under --mmap off.  Every mode yields the backend, header, requests and
+   errors it always did.  A pipe is never sniffed: it reads as text unless
+   the binary format is asked for. *)
+let test_source_format_sniff () =
+  let n = 64 in
+  let trace = gen_trace ~n ~steps:300 ~seed:9 in
+  let drain src =
+    Fun.protect
+      ~finally:(fun () -> Source.close src)
+      (fun () ->
+        let buf = Array.make 128 0 and acc = ref [] in
+        let rec go () =
+          match Source.next_batch src buf ~limit:128 with
+          | 0 -> Array.concat (List.rev !acc)
+          | got ->
+              acc := Array.sub buf 0 got :: !acc;
+              go ()
+        in
+        (Source.kind src, Option.is_some (Source.header src), go ()))
+  in
+  let pp_kind = function `Mmap -> "mmap" | `Channel -> "channel" in
+  let kind = Alcotest.testable (Fmt.of_to_string pp_kind) ( = ) in
+  let write_raw path contents =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc contents)
+  in
+  let raises_invalid label ~affix f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %S" label msg affix)
+          true
+          (Astring.String.is_infix ~affix msg)
+  in
+  let modes = [ `Auto; `On; `Off ] in
+  let mode_name = function `Auto -> "auto" | `On -> "on" | `Off -> "off" in
+  with_temp ".rbt" (fun bin ->
+      with_temp ".txt" (fun txt ->
+          Trace_codec.write ~path:bin ~n ~ell:4 ~seed:9 trace;
+          Trace_io.save ~path:txt trace;
+          List.iter
+            (fun mmap ->
+              let m = mode_name mmap in
+              let k, hdr, got = drain (Source.open_file ~mmap ~n bin) in
+              Alcotest.check kind ("binary, mmap " ^ m)
+                (if mmap = `Off then `Channel else `Mmap)
+                k;
+              Alcotest.(check bool) ("binary header, mmap " ^ m) true hdr;
+              Alcotest.(check (array int)) ("binary requests, mmap " ^ m) trace got;
+              let k, hdr, got = drain (Source.open_file ~mmap ~n txt) in
+              Alcotest.check kind ("text, mmap " ^ m) `Channel k;
+              Alcotest.(check bool) ("no text header, mmap " ^ m) false hdr;
+              Alcotest.(check (array int)) ("text requests, mmap " ^ m) trace got;
+              raises_invalid ("wrong n, mmap " ^ m) ~affix:bin (fun () ->
+                  drain (Source.open_file ~mmap ~n:(2 * n) bin));
+              (match Source.open_file ~mmap ~n (bin ^ ".missing") with
+              | _ -> Alcotest.fail "missing file opened"
+              | exception Sys_error _ -> ());
+              (* shorter than the magic, or only its first bytes: text *)
+              write_raw txt "7\n";
+              let _, _, got = drain (Source.open_file ~mmap ~n txt) in
+              Alcotest.(check (array int)) ("two-byte text, mmap " ^ m) [| 7 |] got;
+              write_raw txt "RBGX\n";
+              raises_invalid ("magic-like text, mmap " ^ m) ~affix:"line 1"
+                (fun () -> drain (Source.open_file ~mmap ~n txt));
+              write_raw txt "";
+              let _, _, got = drain (Source.open_file ~mmap ~n txt) in
+              Alcotest.(check (array int)) ("empty file, mmap " ^ m) [||] got;
+              if mmap <> `On then
+                raises_invalid ("empty binary, mmap " ^ m) ~affix:"missing magic"
+                  (fun () ->
+                    drain (Source.open_file ~format:`Binary ~mmap ~n txt));
+              Trace_io.save ~path:txt trace)
+            modes));
+  (* a FIFO, held open for writing by this process so that neither open
+     blocks; it is closed once the source is open, so the data ends in an
+     EOF *)
+  let fifo = Filename.temp_file "rbgp_fifo" "" in
+  Sys.remove fifo;
+  Unix.mkfifo fifo 0o600;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove fifo)
+    (fun () ->
+      let through_fifo ?format contents =
+        let fd = Unix.openfile fifo [ Unix.O_RDWR ] 0 in
+        let src =
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let b = Bytes.of_string contents in
+              ignore (Unix.write fd b 0 (Bytes.length b));
+              Source.open_file ?format ~n fifo)
+        in
+        drain src
+      in
+      let small = Array.sub trace 0 100 in
+      with_temp ".rbt" (fun bin ->
+          with_temp ".txt" (fun txt ->
+              Trace_codec.write ~path:bin ~n ~ell:4 ~seed:9 small;
+              Trace_io.save ~path:txt small;
+              let read path = In_channel.with_open_bin path In_channel.input_all in
+              let k, hdr, got = through_fifo (read txt) in
+              Alcotest.check kind "fifo streams" `Channel k;
+              Alcotest.(check bool) "fifo text: no header" false hdr;
+              Alcotest.(check (array int)) "fifo reads as text" small got;
+              let _, hdr, got = through_fifo ~format:`Binary (read bin) in
+              Alcotest.(check bool) "fifo binary header" true hdr;
+              Alcotest.(check (array int)) "fifo binary with --format bin" small
+                got;
+              raises_invalid "fifo binary without --format bin" ~affix:"line 1"
+                (fun () -> through_fifo (read bin)))))
 
 let test_source_next_batch_matches_trace () =
   let n = 96 in
@@ -1971,6 +2093,8 @@ let () =
         [
           Alcotest.test_case "mmap auto-detection and kinds" `Quick
             test_source_mmap_kinds;
+          Alcotest.test_case "format sniff reads the served bytes" `Quick
+            test_source_format_sniff;
           Alcotest.test_case "next_batch == trace (both backends)" `Quick
             test_source_next_batch_matches_trace;
           Alcotest.test_case "quiet batches == instrumented batches" `Quick
