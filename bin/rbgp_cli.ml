@@ -41,6 +41,10 @@ let guarded name body =
       fail msg
   | exception Net.Server_error (code, msg) ->
       fail (Printf.sprintf "server error %d: %s" code msg)
+  | exception Unix.Unix_error (err, fn, arg) ->
+      (* a last resort: the library names what failed where it can *)
+      let where = if arg = "" then fn else fn ^ " " ^ arg in
+      fail (where ^ ": " ^ Unix.error_message err)
 
 let command name ~doc term =
   let body = guarded name in

@@ -4,9 +4,11 @@ module Cost = Rbgp_ring.Cost
 type t = {
   inst : Instance.t;
   states : int array array;  (* each state = assignment array of length n *)
-  dist : int array array;  (* pairwise Hamming distances *)
+  dist : Bytes.t;
+      (* pairwise Hamming distances, m x m row-major, one byte per pair:
+         byte [i * m + j] is d(i, j) *)
+  cuts : Bytes.t array;  (* byte j of [cuts.(e)] is 1 iff state j cuts edge e *)
   initial_dist : int array;  (* distance from the initial assignment *)
-  class_of : int array;  (* symmetry class id of each state (interned) *)
   class_count : int;
 }
 
@@ -96,38 +98,38 @@ let enumerate_states (inst : Instance.t) ?(max_states = 3000) () =
          max_states);
   let states = Array.of_list (List.rev !states) in
   let m = Array.length states in
-  let hamming a b =
+  let hamming (a : int array) (b : int array) =
     let d = ref 0 in
     for p = 0 to n - 1 do
       if a.(p) <> b.(p) then incr d
     done;
     !d
   in
-  let dist = Array.make_matrix m m 0 in
+  (* each pair once; a distance must fit its byte *)
+  let dist = Bytes.make (m * m) '\000' in
   for i = 0 to m - 1 do
+    let si = states.(i) in
     for j = i + 1 to m - 1 do
-      let d = hamming states.(i) states.(j) in
-      dist.(i).(j) <- d;
-      dist.(j).(i) <- d
+      let d = hamming si states.(j) in
+      if d > 255 then
+        invalid_arg "Dynamic_opt.enumerate_states: distance over 255";
+      Bytes.set dist ((i * m) + j) (Char.unsafe_chr d);
+      Bytes.set dist ((j * m) + i) (Char.unsafe_chr d)
     done
   done;
+  let cuts =
+    Array.init n (fun e ->
+        let e' = (e + 1) mod n in
+        Bytes.init m (fun j ->
+            let s = states.(j) in
+            if s.(e) <> s.(e') then '\001' else '\000'))
+  in
   let initial_dist = Array.map (hamming inst.Instance.initial) states in
   (* intern canonical forms: states in one rotation/relabeling orbit share
-     one hashtable entry and one class id *)
-  let classes : (int array, int) Hashtbl.t = Hashtbl.create (Int.max 16 m) in
-  let class_of =
-    Array.map
-      (fun s ->
-        let key = canonical s in
-        match Hashtbl.find_opt classes key with
-        | Some id -> id
-        | None ->
-            let id = Hashtbl.length classes in
-            Hashtbl.add classes key id;
-            id)
-      states
-  in
-  { inst; states; dist; initial_dist; class_of; class_count = Hashtbl.length classes }
+     one hashtable entry, so the table's size is the class count *)
+  let classes : (int array, unit) Hashtbl.t = Hashtbl.create (Int.max 16 m) in
+  Array.iter (fun s -> Hashtbl.replace classes (canonical s) ()) states;
+  { inst; states; dist; cuts; initial_dist; class_count = Hashtbl.length classes }
 
 let state_count t = Array.length t.states
 let symmetry_class_count t = t.class_count
@@ -179,12 +181,16 @@ let shared (inst : Instance.t) ?(max_states = 3000) () =
       Mutex.unlock cache_mutex;
       t
 
+(* Each solver returns the final cost row and [parent step j], the state
+   that serves request [step - 1] when state [j] serves request [step]:
+   the least (c(i) + d(i, j), c(i), i) over the step's input row c. *)
+
 (* --- reference solver (exhaustive transitions) ----------------------- *)
 
-(* The original full-enumeration Viterbi step: every state relaxes from
-   every state, O(m^2) per request.  Kept verbatim (modulo int costs) as
-   the cross-check oracle for the pruned solver. *)
-let run_dp_reference t trace =
+(* The exhaustive Viterbi step: every state relaxes from every state,
+   O(m^2) per request, keeping a parent per state and step.  It is the
+   cross-check oracle for the pruned solver. *)
+let run_reference t trace =
   let n = t.inst.Instance.n in
   let m = Array.length t.states in
   let steps = Array.length trace in
@@ -199,10 +205,10 @@ let run_dp_reference t trace =
         let s = t.states.(j) in
         let comm = if s.(e) <> s.(e') then 1 else 0 in
         let best = ref max_int and arg = ref (-1) in
-        let dj = t.dist.(j) in
+        let row = j * m in
         for i = 0 to m - 1 do
-          let v = cost.(i) + dj.(i) in
-          if v < !best then begin
+          let v = cost.(i) + Char.code (Bytes.get t.dist (row + i)) in
+          if v < !best || (v = !best && cost.(i) < cost.(!arg)) then begin
             best := v;
             arg := i
           end
@@ -212,116 +218,178 @@ let run_dp_reference t trace =
       done;
       Array.blit next 0 cost 0 m)
     trace;
-  (cost, parent)
+  (cost, fun step j -> parent.(step).(j))
 
 (* --- pruned solver ---------------------------------------------------- *)
 
-(* Dominance pruning.  Hamming distance obeys the triangle inequality, so
-   if cost(i) >= cost(i') + dist(i', i) every continuation of i can be
-   rerouted through i' at no extra cost: for all j,
-     cost(i) + d(i, j) >= cost(i') + d(i', i) + d(i, j) >= cost(i') + d(i', j).
-   Hence only non-dominated states need to relax their successors.  The
-   frontier is built in two stages: an O(m) filter against the global
-   argmin (which already removes the bulk — after one transform the spread
-   of the cost vector is at most the diameter n), then an exact pairwise
-   sweep over the survivors in ascending cost order.  Relaxation then runs
-   over frontier rows only, cache-friendly, O(|F| m) instead of O(m^2). *)
-let run_dp_pruned t trace =
+(* Step t turns its input row c into L' = min_i c(i) + d(i, .) and feeds
+   L' + chi_(e_t) to step t+1, where chi_e marks the states that cut edge
+   e.  So c = L + chi, with L the previous step's output (initial_dist at
+   t = 0).  Both are 1-Lipschitz in Hamming distance: a distance transform
+   always is, and initial_dist is a distance.  Hence, for every j,
+     L(j) <= min_i c(i) + d(i, j) <= c(j) = L(j) + chi(j).
+   A state that does not cut the previous edge keeps c(j).  A state that
+   cuts it drops to c(j) - 1 exactly when some non-cutting i is tight,
+   c(i) + d(i, j) = c(j) - 1: a cutting i pays c(i) = L(i) + 1, too much.
+
+   The tight test needs only the sources' dominance frontier.  Hamming
+   distance obeys the triangle inequality, so if c(i') + d(i', i) <= c(i)
+   with i' <> i, then c(i') + d(i', j) <= c(i) + d(i, j) for every j and
+   c(i') < c(i): a tight i has a strictly cheaper tight i' that is not
+   dominated.  The frontier takes an O(m) filter against the cheapest
+   source, a counting sort on c(i) - min in [0, n] (index order within a
+   cost), then one sweep that tests each candidate against the kept ones
+   through the candidate's own row.  The frontier is then walked in cost
+   order against the targets still open: a target closes at its first
+   tight source, or at the first source with c(i) >= c(j) - 1, which
+   cannot be tight.
+
+   No parents are kept.  The schedule's parent of j is the least
+   (c(i) + d(i, j), c(i), i) over all states, as in the reference solver,
+   and the walk back recomputes it from the step's input row in O(m).
+   Rows hold L_t - min L_t in one byte each: L_t is 1-Lipschitz, so the
+   spread is at most the largest distance, which enumeration keeps under
+   256, and min L_t = min c_t, because L <= c and every value of L is
+   some c(i) + d(i, j) >= min c.  c_(t+1) = L_t + chi_(e_t) is rebuilt
+   from the cut row. *)
+let run_pruned t trace =
   let n = t.inst.Instance.n in
   let m = Array.length t.states in
   let steps = Array.length trace in
-  let cost = Array.copy t.initial_dist in
-  let next = Array.make m 0 in
-  let parent = Array.make_matrix steps m (-1) in
-  let candidate = Array.make m 0 in
-  let frontier = Array.make m 0 in
-  Array.iteri
-    (fun step e ->
-      if e < 0 || e >= n then invalid_arg "Dynamic_opt: edge out of range";
-      let e' = (e + 1) mod n in
-      (* stage 1: global argmin and min-dominance filter *)
-      let c = ref 0 in
-      for i = 1 to m - 1 do
-        if cost.(i) < cost.(!c) then c := i
-      done;
-      let c = !c in
-      let dc = t.dist.(c) and base = cost.(c) in
+  let dist = t.dist in
+  let c = Array.copy t.initial_dist in
+  let rows = Bytes.create (steps * m) in
+  let cand = Array.make m 0 and sorted = Array.make m 0 in
+  let tgt = Array.make m 0 in
+  let fidx = Array.make m 0 and fcost = Array.make m 0 in
+  let counts = Array.make (n + 2) 0 in
+  (* at t = 0 no state has paid for a cut: c = initial_dist = L *)
+  let no_cut = Bytes.make m '\000' in
+  for step = 0 to steps - 1 do
+    let e = trace.(step) in
+    if e < 0 || e >= n then invalid_arg "Dynamic_opt: edge out of range";
+    let chi = if step = 0 then no_cut else t.cuts.(trace.(step - 1)) in
+    (* the row minimum, the cheapest source and the targets *)
+    let lmin = ref max_int and piv = ref (-1) and nt = ref 0 in
+    for j = 0 to m - 1 do
+      let cj = c.(j) in
+      if cj < !lmin then lmin := cj;
+      if Bytes.get chi j <> '\000' then begin
+        tgt.(!nt) <- j;
+        incr nt
+      end
+      else if !piv < 0 || cj < c.(!piv) then piv := j
+    done;
+    if !nt > 0 && !piv >= 0 then begin
+      let p = !piv in
+      let base = c.(p) and prow = p * m in
+      (* filter against the cheapest source, counting offsets from it *)
+      Array.fill counts 0 (n + 2) 0;
       let ncand = ref 0 in
       for i = 0 to m - 1 do
-        if i = c || cost.(i) < base + dc.(i) then begin
-          candidate.(!ncand) <- i;
-          incr ncand
+        if Bytes.get chi i = '\000' then begin
+          let ci = c.(i) in
+          if i = p || ci < base + Char.code (Bytes.get dist (prow + i)) then begin
+            cand.(!ncand) <- i;
+            incr ncand;
+            let o = ci - base + 1 in
+            counts.(o) <- counts.(o) + 1
+          end
         end
       done;
-      (* stage 2: exact pairwise dominance over the survivors, cheapest
-         first (a dominating state always costs no more than the dominated
-         one, so one forward pass suffices) *)
-      let cand = Array.sub candidate 0 !ncand in
-      Array.sort
-        (fun i j ->
-          if cost.(i) <> cost.(j) then Int.compare cost.(i) cost.(j)
-          else Int.compare i j)
-        cand;
+      for o = 1 to n + 1 do
+        counts.(o) <- counts.(o) + counts.(o - 1)
+      done;
+      for q = 0 to !ncand - 1 do
+        let i = cand.(q) in
+        let o = c.(i) - base in
+        sorted.(counts.(o)) <- i;
+        counts.(o) <- counts.(o) + 1
+      done;
+      (* exact pairwise dominance, cheapest first *)
       let nf = ref 0 in
-      Array.iter
-        (fun i ->
-          let dominated = ref false in
-          let fi = ref 0 in
-          while (not !dominated) && !fi < !nf do
-            let j = frontier.(!fi) in
-            if cost.(j) + t.dist.(j).(i) <= cost.(i) && j <> i then
-              dominated := true;
-            incr fi
-          done;
-          if not !dominated then begin
-            frontier.(!nf) <- i;
-            incr nf
-          end)
-        cand;
-      (* relax successors from the frontier only *)
-      Array.fill next 0 m max_int;
-      let prow = parent.(step) in
-      for fi = 0 to !nf - 1 do
-        let i = frontier.(fi) in
-        let ci = cost.(i) in
-        let di = t.dist.(i) in
-        for j = 0 to m - 1 do
-          let v = ci + di.(j) in
-          if v < next.(j) then begin
-            next.(j) <- v;
-            prow.(j) <- i
+      for q = 0 to !ncand - 1 do
+        let i = sorted.(q) in
+        let ci = c.(i) and row = i * m in
+        let dominated = ref false and k = ref 0 in
+        while (not !dominated) && !k < !nf && fcost.(!k) < ci do
+          if fcost.(!k) + Char.code (Bytes.get dist (row + fidx.(!k))) <= ci
+          then dominated := true;
+          incr k
+        done;
+        if not !dominated then begin
+          fidx.(!nf) <- i;
+          fcost.(!nf) <- ci;
+          incr nf
+        end
+      done;
+      (* each target drops by one iff a frontier source is tight; with the
+         sources outside, a step reads |F| rows of the matrix, not one per
+         target *)
+      let k = ref 0 in
+      while !nt > 0 && !k < !nf do
+        let cf = fcost.(!k) and row = fidx.(!k) * m in
+        let w = ref 0 in
+        for q = 0 to !nt - 1 do
+          let j = tgt.(q) in
+          let tight = c.(j) - 1 in
+          if cf + Char.code (Bytes.get dist (row + j)) = tight then
+            c.(j) <- tight
+          else if cf < tight then begin
+            tgt.(!w) <- j;
+            incr w
           end
-        done
-      done;
-      for j = 0 to m - 1 do
-        let s = t.states.(j) in
-        if s.(e) <> s.(e') then next.(j) <- next.(j) + 1
-      done;
-      Array.blit next 0 cost 0 m)
-    trace;
-  (cost, parent)
+        done;
+        nt := !w;
+        incr k
+      done
+    end;
+    (* c is L_t now: keep it for the walk back, then charge edge e *)
+    let cut = t.cuts.(e) and row = step * m and lmin = !lmin in
+    for j = 0 to m - 1 do
+      let l = c.(j) in
+      Bytes.set rows (row + j) (Char.unsafe_chr (l - lmin));
+      c.(j) <- l + Char.code (Bytes.get cut j)
+    done
+  done;
+  (* step's input row is c = L_(step-1) + chi_(e_(step-1)), up to a shift *)
+  let parent step j =
+    let row = (step - 1) * m and drow = j * m in
+    let cut = t.cuts.(trace.(step - 1)) in
+    let best = ref max_int and best_c = ref max_int and arg = ref 0 in
+    for i = 0 to m - 1 do
+      let ci =
+        Char.code (Bytes.get rows (row + i)) + Char.code (Bytes.get cut i)
+      in
+      let v = ci + Char.code (Bytes.get dist (drow + i)) in
+      if v < !best || (v = !best && ci < !best_c) then begin
+        best := v;
+        best_c := ci;
+        arg := i
+      end
+    done;
+    !arg
+  in
+  (c, parent)
 
-let run_dp ?(reference = false) t trace =
-  if reference then run_dp_reference t trace else run_dp_pruned t trace
-
-let solve_schedule ?reference t trace =
+let solve_schedule ?(reference = false) t trace =
   let steps = Array.length trace in
   if steps = 0 then ([||], Cost.zero ())
   else begin
-    let cost, parent = run_dp ?reference t trace in
+    let cost, parent =
+      if reference then run_reference t trace else run_pruned t trace
+    in
     let m = Array.length t.states in
-    let best = ref 0 in
-    for j = 1 to m - 1 do
-      if cost.(j) < cost.(!best) then best := j
-    done;
     let idx = Array.make steps 0 in
-    idx.(steps - 1) <- !best;
+    for j = 1 to m - 1 do
+      if cost.(j) < cost.(idx.(steps - 1)) then idx.(steps - 1) <- j
+    done;
     for step = steps - 2 downto 0 do
-      idx.(step) <- parent.(step + 1).(idx.(step + 1))
+      idx.(step) <- parent (step + 1) idx.(step + 1)
     done;
     let schedule = Array.map (fun i -> Array.copy t.states.(i)) idx in
     let c = Rbgp_ring.Simulator.replay_cost t.inst trace ~assignments:schedule in
-    if Cost.total c <> cost.(!best) then
+    if Cost.total c <> cost.(idx.(steps - 1)) then
       failwith "Dynamic_opt.solve_schedule: replay disagrees with DP";
     (schedule, c)
   end

@@ -11,21 +11,33 @@
     The state space is every function [n -> ell] with loads at most [k];
     creation refuses instances with more than [max_states] (default 3000).
 
-    Two solvers share the enumerated table:
+    The table holds the states, their pairwise migration distances as one
+    byte per pair ([m^2] bytes, row-major; a distance over 255 raises
+    [Invalid_argument] at enumeration) and, per edge, one byte per state
+    marking the states that cut it.  Two solvers read it:
 
-    - the {b pruned} solver (default) compresses each step's frontier by
-      dominance — Hamming distance obeys the triangle inequality, so a
-      state whose cost-to-here is at least another state's cost plus their
-      migration distance can never start an optimal continuation — and
-      relaxes successors only from the surviving states:
-      [O(T * (m + |F| m))] with [|F|] typically a small fraction of [m];
-    - the {b reference} solver ([~reference:true]) is the original
-      exhaustive [O(T * m^2)] relaxation, kept as the cross-check oracle
-      (a qcheck property pits the two against each other on random small
-      instances under every workload generator).
+    - the {b pruned} solver (default) uses that every cost row after a
+      distance transform is 1-Lipschitz in Hamming distance: a request
+      can lower the transformed cost only of the states that cut the
+      previous request's edge, and only by one, so a step tests just
+      those states against the dominance frontier of the others.  That
+      is [O(m + |C| |F| + |F| |T|)] per request, with [|T|] the states
+      that cut the previous edge, [|C|] the candidates left by the
+      argmin filter and [|F|] the frontier (typically a small fraction
+      of [m]).  It keeps each step's cost row ([m] bytes) and rebuilds
+      the schedule's parents from them on the way back, [O(m)] per
+      step;
+    - the {b reference} solver ([~reference:true]) is the exhaustive
+      [O(T * m^2)] relaxation with a parent per state and step, kept as
+      the cross-check oracle (a qcheck property pits the two against
+      each other on random small instances under every workload
+      generator).
 
-    Both return the same optimal cost; optimal schedules may differ when
-    several are tied, and each solver verifies its own schedule by replay.
+    Both return one schedule: the final state is the lowest-index
+    argmin, and the parent of state [j] at a step is the least
+    [(c(i) + d(i, j), c(i), i)] over the step's input costs [c] — the
+    cheapest source on an equal value, then the lowest index.  Each
+    solver verifies its schedule by replay.
 
     This is the certified ground truth for E3/E10 on small instances and the
     cross-check for {!Lower_bound} (the lower bound must never exceed it). *)
@@ -43,8 +55,9 @@ val canonical : int array -> int array
     assignment is what prevents the DP from quotienting by it. *)
 
 val enumerate_states : Rbgp_ring.Instance.t -> ?max_states:int -> unit -> t
-(** Precomputes the configuration space, pairwise migration distances and
-    the interned canonical classes (shared across traces on the same
+(** Precomputes the configuration space, pairwise migration distances
+    (each pair once, [m^2] bytes), the per-edge cut rows and the count
+    of interned canonical classes (shared across traces on the same
     instance). *)
 
 val shared : Rbgp_ring.Instance.t -> ?max_states:int -> unit -> t

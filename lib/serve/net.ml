@@ -103,13 +103,21 @@ module Sockio = struct
     | Unix_sock path -> unlink_quiet path
     | Tcp _ -> ());
     let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-    (match addr with
-    | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-    | Unix_sock _ -> ());
-    Unix.bind fd sa;
-    Unix.listen fd backlog;
-    Unix.set_nonblock fd;
-    fd
+    match
+      (match addr with
+      | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+      | Unix_sock _ -> ());
+      Unix.bind fd sa;
+      Unix.listen fd backlog;
+      Unix.set_nonblock fd
+    with
+    | () -> fd
+    | exception Unix.Unix_error (e, _, _) ->
+        close_fd fd;
+        raise
+          (Sys_error
+             (Printf.sprintf "listen %s: %s" (addr_to_string addr)
+                (Unix.error_message e)))
 
   let dial addr =
     let domain, sa = sockaddr_of addr in

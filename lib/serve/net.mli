@@ -67,7 +67,8 @@ val server :
     existing Unix-socket path is replaced).  [hwm] is the per-connection
     output high-water mark in bytes (default 256 KiB, at least 4096; the
     low-water mark is a quarter of it).  [supervise] defaults to
-    [false]. *)
+    [false].  Raises [Sys_error "listen <addr>: <reason>"] when a socket
+    cannot be bound or listened on. *)
 
 val step : ?timeout:float -> server -> bool
 (** One select round: accept, read, dispatch frames, flush.  Returns

@@ -60,9 +60,9 @@ val open_file : ?format:format -> ?mmap:mmap -> n:int -> string -> t
     bytes back, so [`Auto] reads it as text, as stdin does; pass
     [`Binary] for a framed stream.  With [mmap:`Auto] (default) a regular
     binary file is mapped read-only and served through the block decoder.
-    A missing file raises [Sys_error] (unless [`Binary] and [`On] are
-    both given, which map at once).  Construction failures never leak the
-    underlying descriptor.  The caller must {!close}. *)
+    A missing file raises [Sys_error "<path>: <reason>"] in every mode.
+    Construction failures never leak the underlying descriptor.  The
+    caller must {!close}. *)
 
 val next_batch : t -> int array -> limit:int -> int
 (** [next_batch t dst ~limit] fills [dst.(0 ..)] with up to [limit]

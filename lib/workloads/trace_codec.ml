@@ -58,8 +58,14 @@ let input_request_opt ?path ?(base = 0) ic ~n =
 let map ?path:path_label path =
   let label = match path_label with Some p -> p | None -> path in
   let fd =
-    Rbgp_util.Durable.retry_transient (fun () ->
-        Unix.openfile path [ Unix.O_RDONLY ] 0)
+    match
+      Rbgp_util.Durable.retry_transient (fun () ->
+          Unix.openfile path [ Unix.O_RDONLY ] 0)
+    with
+    | fd -> fd
+    | exception Unix.Unix_error (err, _, _) ->
+        (* as open_in_bin reports it, so every Source mode fails alike *)
+        raise (Sys_error (label ^ ": " ^ Unix.error_message err))
   in
   match
     Bigarray.array1_of_genarray

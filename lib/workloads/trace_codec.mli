@@ -62,8 +62,8 @@ val map : ?path:string -> string -> Rbgp_util.Binc.region
     mapping) and returns a region over its bytes; the file descriptor is
     closed before returning.  Raises [Invalid_argument] (naming [?path],
     default the file path) when the file cannot be mapped — pipes and
-    other non-regular files — and [Unix.Unix_error] when it cannot be
-    opened at all. *)
+    other non-regular files — and [Sys_error "<path>: <reason>"], as
+    [open_in_bin] does, when it cannot be opened at all. *)
 
 val header_of_region : ?path:string -> Rbgp_util.Binc.region -> header
 

@@ -408,6 +408,21 @@ let with_server ?(supervise = false) ?checkpoint_every ~dir f =
     ~finally:(fun () -> Net.shutdown server)
     (fun () -> f router server addr)
 
+(* A socket that cannot be bound is one Sys_error naming the address. *)
+let test_listen_error_names_address () =
+  let missing = Filename.temp_file "rbgp_nodir" "" in
+  Sys.remove missing;
+  let addr = Net.Unix_sock (Filename.concat missing "s.sock") in
+  let want =
+    Printf.sprintf "listen %s: %s" (Net.addr_to_string addr)
+      (Unix.error_message Unix.ENOENT)
+  in
+  match Net.server ~router:(Tenant.create ()) addr with
+  | server ->
+      Net.shutdown server;
+      Alcotest.fail "listened under a missing directory"
+  | exception Sys_error msg -> Alcotest.(check string) "message" want msg
+
 let connect_pumped server addr =
   Net.connect ~pump:(fun () -> ignore (Net.step server)) addr
 
@@ -1541,6 +1556,8 @@ let () =
             `Quick test_socket_allocation_budget;
           Alcotest.test_case "config mismatch and unknown stream errors"
             `Quick test_config_mismatch_and_unknown_stream;
+          Alcotest.test_case "a failed listen names the address" `Quick
+            test_listen_error_names_address;
         ] );
       ( "recovery",
         [

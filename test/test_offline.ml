@@ -13,8 +13,8 @@ module Dopt = Rbgp_offline.Dynamic_opt
 module Lb = Rbgp_offline.Lower_bound
 module Rng = Rbgp_util.Rng
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* --- Hungarian --------------------------------------------------------- *)
 
@@ -195,19 +195,28 @@ let test_dopt_too_large () =
 (* --- pruned solver vs retained exhaustive reference ----------------------- *)
 
 (* every feasible small shape crossed with every oblivious workload
-   generator: the dominance-pruned DP must agree with the exhaustive
-   reference relaxation exactly (integer costs, so equality is exact) *)
-let dopt_shapes = [| (4, 2); (6, 2); (6, 3); (8, 2); (8, 4); (9, 3); (10, 2) |]
+   generator: the dominance-pruned DP must return the exhaustive reference
+   relaxation's schedule and cost exactly (both break ties the same way).
+   The last two shapes have spare capacity, so not every state is fully
+   loaded. *)
+let dopt_shapes =
+  Array.append
+    (Array.map
+       (fun (n, ell) -> Instance.blocks ~n ~ell)
+       [| (4, 2); (6, 2); (6, 3); (8, 2); (8, 4); (9, 3); (10, 2) |])
+    [| Instance.make ~n:5 ~ell:2 ~k:3 (); Instance.make ~n:7 ~ell:3 ~k:3 () |]
 
 let test_dopt_pruned_eq_reference =
   qtest ~count:70 "pruned DP = reference DP (all workload generators)"
+    ~print:(fun (si, seed, wi) ->
+      Printf.sprintf "shape %d, seed %d, workload %d" si seed wi)
     QCheck2.Gen.(
       int_range 0 (Array.length dopt_shapes - 1) >>= fun si ->
       int_range 0 10_000 >>= fun seed ->
       nat >|= fun wi -> (si, seed, wi))
     (fun (si, seed, wi) ->
-      let n, ell = dopt_shapes.(si) in
-      let inst = Instance.blocks ~n ~ell in
+      let inst = dopt_shapes.(si) in
+      let n = inst.Instance.n in
       let rng = Rng.create seed in
       let workloads = Rbgp_workloads.Workloads.all_fixed ~n ~steps:20 rng in
       let trace =
@@ -216,8 +225,9 @@ let test_dopt_pruned_eq_reference =
         | _ -> assert false (* all_fixed only yields fixed traces *)
       in
       let dp = Dopt.shared inst () in
-      Cost.total (Dopt.solve dp trace)
-      = Cost.total (Dopt.solve ~reference:true dp trace))
+      let schedule, cost = Dopt.solve_schedule dp trace in
+      let ref_schedule, ref_cost = Dopt.solve_schedule ~reference:true dp trace in
+      schedule = ref_schedule && Cost.total cost = Cost.total ref_cost)
 
 (* --- canonicalization ----------------------------------------------------- *)
 

@@ -1218,6 +1218,28 @@ let test_source_mmap_kinds () =
           | None -> Alcotest.fail "mapped binary source lost its header");
           Source.close src))
 
+(* A missing file is one Sys_error naming the path in every mode, as
+   open_in_bin reports it: the mapped modes open with Unix.openfile. *)
+let test_source_missing_file () =
+  let path = Filename.temp_file "rbgp_missing" ".rbt" in
+  Sys.remove path;
+  let want = path ^ ": " ^ Unix.error_message Unix.ENOENT in
+  let check label f =
+    match f () with
+    | () -> Alcotest.failf "%s: opened a missing file" label
+    | exception Sys_error msg -> Alcotest.(check string) label want msg
+  in
+  List.iter
+    (fun (label, format, mmap) ->
+      check label (fun () -> Source.close (Source.open_file ~format ~mmap ~n:16 path)))
+    [
+      ("binary, mmap on", `Binary, `On);
+      ("binary, mmap off", `Binary, `Off);
+      ("auto, mmap on", `Auto, `On);
+      ("text", `Text, `Auto);
+    ];
+  check "Trace_codec.map" (fun () -> ignore (Trace_codec.map path))
+
 (* [`Auto] sniffs the format once, from the bytes it then serves: the
    mapped region of a regular file, or the first bytes of the kept channel
    under --mmap off.  Every mode yields the backend, header, requests and
@@ -2095,6 +2117,8 @@ let () =
             test_source_mmap_kinds;
           Alcotest.test_case "format sniff reads the served bytes" `Quick
             test_source_format_sniff;
+          Alcotest.test_case "a missing file is a Sys_error naming it" `Quick
+            test_source_missing_file;
           Alcotest.test_case "next_batch == trace (both backends)" `Quick
             test_source_next_batch_matches_trace;
           Alcotest.test_case "quiet batches == instrumented batches" `Quick
