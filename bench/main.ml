@@ -169,7 +169,8 @@ let st_alg =
   Rbgp_core.Static_alg.create ~epsilon:0.5 inst (Rbgp_util.Rng.split rng)
 
 let st_online = Rbgp_core.Static_alg.online st_alg
-let ig = Rbgp_hitting.Interval_growing.create ~k (Rbgp_util.Rng.split rng)
+let ig =
+  Rbgp_hitting.Interval_growing.(player (line ~k (Rbgp_util.Rng.split rng)))
 
 let online_step (online : Rbgp_ring.Online.t) =
   let i = ref 0 in
@@ -218,7 +219,7 @@ let components_spec : (string * (unit -> unit)) list =
       let i = ref 0 in
       fun () ->
         incr i;
-        ignore (Rbgp_hitting.Interval_growing.serve ig (!i * 97 mod k)) );
+        ig.Rbgp_hitting.Game.serve (!i * 97 mod k) );
   ]
 
 (* --- results ----------------------------------------------------------- *)

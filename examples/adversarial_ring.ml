@@ -64,12 +64,11 @@ let () =
     (Rbgp_hitting.Game.total_cost dodger)
     (Rbgp_hitting.Game.total_cost dodger /. opt)
     (k / 2);
-  let ig = Rbgp_hitting.Interval_growing.create ~k (Rbgp_util.Rng.split rng) in
-  Rbgp_hitting.Game.run (Rbgp_hitting.Interval_growing.player ig) trace;
-  let ig_cost =
-    Rbgp_hitting.Interval_growing.hit_cost ig
-    +. Rbgp_hitting.Interval_growing.move_cost ig
+  let ig =
+    Rbgp_hitting.Interval_growing.(player (line ~k (Rbgp_util.Rng.split rng)))
   in
+  Rbgp_hitting.Game.run ig trace;
+  let ig_cost = Rbgp_hitting.Game.total_cost ig in
   Format.printf
     "  interval-growing (randomized, same trace): %.0f  -> ratio %.1f \
      (log2 k = %.1f)@."

@@ -15,26 +15,12 @@ let epsilon = 0.5
 
 let () =
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
-  let rng = Rbgp_util.Rng.create 12 in
   let algorithms =
-    [
-      ("dyn", fun ~trace:_ ->
-        Rbgp_core.Dynamic_alg.online
-          (Rbgp_core.Dynamic_alg.create ~epsilon inst (Rbgp_util.Rng.split rng)));
-      ("static", fun ~trace:_ ->
-        Rbgp_core.Static_alg.online
-          (Rbgp_core.Static_alg.create ~epsilon inst (Rbgp_util.Rng.split rng)));
-      ("never", fun ~trace:_ -> Rbgp_baselines.Baselines.never_move inst);
-      ("greedy", fun ~trace:_ -> Rbgp_baselines.Baselines.greedy_colocate inst);
-      ("counter", fun ~trace:_ ->
-        Rbgp_baselines.Baselines.counter_threshold ~epsilon inst);
-      ("oracle", fun ~trace -> Rbgp_baselines.Baselines.static_oracle inst ~trace);
-    ]
+    [ "onl-dynamic"; "onl-static"; "never-move"; "greedy-colocate";
+      "counter-threshold"; "static-oracle" ]
   in
   let tbl =
-    Rbgp_util.Tbl.create
-      ~headers:
-        ("workload" :: List.map fst algorithms @ [ "dynOPT>=" ])
+    Rbgp_util.Tbl.create ~headers:(("workload" :: algorithms) @ [ "dynOPT>=" ])
   in
   List.iter
     (fun (wname, trace) ->
@@ -43,8 +29,11 @@ let () =
       in
       let cells =
         List.map
-          (fun (_, make) ->
-            let alg = make ~trace:tarr in
+          (fun name ->
+            let alg =
+              Rbgp_serve.Registry.build_for_trace name ~epsilon ~seed:12
+                ~trace:tarr inst
+            in
             let r =
               Rbgp_ring.Simulator.run inst alg (Rbgp_ring.Trace.fixed tarr)
                 ~steps
@@ -55,5 +44,5 @@ let () =
       in
       let lb = Rbgp_offline.Lower_bound.dynamic_lb inst tarr () in
       Rbgp_util.Tbl.add_row tbl ((wname :: cells) @ [ Rbgp_util.Tbl.cell_i lb ]))
-    (Rbgp_workloads.Workloads.all_fixed ~n ~steps (Rbgp_util.Rng.split rng));
+    (Rbgp_workloads.Workloads.all_fixed ~n ~steps (Rbgp_util.Rng.create 12));
   Rbgp_util.Tbl.print tbl

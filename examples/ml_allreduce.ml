@@ -39,8 +39,7 @@ let build_trace rng =
 
 let () =
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
-  let rng = Rbgp_util.Rng.create 7 in
-  let trace = build_trace (Rbgp_util.Rng.split rng) in
+  let trace = build_trace (Rbgp_util.Rng.create 7) in
   let k = inst.Rbgp_ring.Instance.k in
   Format.printf
     "elastic training: %d workers, %d servers (capacity %d), %d requests@."
@@ -49,30 +48,24 @@ let () =
     "any partition pays ~%d on the allreduce sweeps alone (steps * 2/3 / k)@."
     (steps * 2 / 3 / k);
 
-  let algorithms =
-    [
-      ("onl-dynamic (Thm 2.1)",
-       Rbgp_core.Dynamic_alg.online
-         (Rbgp_core.Dynamic_alg.create ~epsilon:0.5 inst
-            (Rbgp_util.Rng.split rng)));
-      ("onl-static (Thm 2.2)",
-       Rbgp_core.Static_alg.online
-         (Rbgp_core.Static_alg.create ~epsilon:0.5 inst
-            (Rbgp_util.Rng.split rng)));
-      ("never-move", Rbgp_baselines.Baselines.never_move inst);
-      ("greedy-colocate", Rbgp_baselines.Baselines.greedy_colocate inst);
-      ("static-oracle (offline)",
-       Rbgp_baselines.Baselines.static_oracle inst ~trace);
-    ]
-  in
   List.iter
-    (fun (name, alg) ->
+    (fun (name, label) ->
+      let alg =
+        Rbgp_serve.Registry.build_for_trace name ~epsilon:0.5 ~seed:7 ~trace
+          inst
+      in
       let r =
         Rbgp_ring.Simulator.run inst alg (Rbgp_ring.Trace.fixed trace) ~steps
       in
-      Format.printf "  %-24s %a  (max load %d)@." name Rbgp_ring.Cost.pp
+      Format.printf "  %-24s %a  (max load %d)@." label Rbgp_ring.Cost.pp
         r.Rbgp_ring.Simulator.cost r.Rbgp_ring.Simulator.max_load)
-    algorithms;
+    [
+      ("onl-dynamic", "onl-dynamic (Thm 2.1)");
+      ("onl-static", "onl-static (Thm 2.2)");
+      ("never-move", "never-move");
+      ("greedy-colocate", "greedy-colocate");
+      ("static-oracle", "static-oracle (offline)");
+    ];
 
   let lb = Rbgp_offline.Lower_bound.dynamic_lb inst trace () in
   Format.printf "certified dynamic OPT lower bound: %d@." lb

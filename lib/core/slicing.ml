@@ -1,7 +1,6 @@
 module Instance = Rbgp_ring.Instance
 module Segment = Rbgp_ring.Segment
-module Dist = Rbgp_util.Dist
-module Smin_weights = Rbgp_util.Smin_weights
+module Player = Rbgp_hitting.Interval_growing
 module Rng = Rbgp_util.Rng
 module Binc = Rbgp_util.Binc
 
@@ -18,20 +17,15 @@ type event =
 type interval = {
   id : int;
   center : int;  (* the initial cut edge this interval grew from *)
-  mutable seg : Segment.t;  (* vertex segment; edges = first..last-1 *)
+  player : Player.t;  (* its segment, cut edge and rank *)
   mutable status : status;
-  mutable cut : int;  (* global edge; meaningful while Active *)
-  mutable weights : Smin_weights.t;
-      (* grad smin over the interval's edge counts, local order; read
-         while Active *)
-  mutable rank : int;
 }
 
 type t = {
   inst : Instance.t;
   delta_bar : float;
   rng : Rng.t;
-  x : float array;
+  x : float array;  (* every player's counts *)
   intervals : interval array;
   covering : int list array;
       (* edge -> the ids of the active intervals holding it, ascending *)
@@ -41,22 +35,10 @@ type t = {
 }
 
 let n t = t.inst.Instance.n
-let k t = t.inst.Instance.k
 
-let edge_count_of seg = Segment.length seg - 1
-
-(* local index of global edge e in the interval, for e inside it *)
-let local t itv e =
-  let d = (e - itv.seg.Segment.start) mod n t in
-  if d < 0 then d + n t else d
-
-(* The interval's player over its edges, with the same scale c as the
-   dense grad smin_c of its edge counts. *)
-let weights_of x seg =
-  let m = edge_count_of seg and first = Segment.first seg in
-  let c = Float.max 1.0 (float_of_int m) in
-  Smin_weights.create ~c
-    (Array.init m (fun j -> x.((first + j) mod Array.length x)))
+let seg t itv =
+  Segment.make ~n:(n t) ~start:(Player.first itv.player)
+    ~len:(Player.width itv.player)
 
 (* --- the edge -> active-interval index ---------------------------------- *)
 
@@ -66,8 +48,8 @@ let rec insert id = function
       if id < x then id :: ids else if id = x then ids else x :: insert id rest
 
 let update_covering t itv f =
-  let first = Segment.first itv.seg in
-  for j = 0 to edge_count_of itv.seg - 1 do
+  let first = Player.first itv.player in
+  for j = 0 to Player.width itv.player - 2 do
     let e = (first + j) mod n t in
     t.covering.(e) <- f t.covering.(e)
   done
@@ -82,19 +64,16 @@ let create ?(delta_bar = 14.0 /. 15.0) (inst : Instance.t) rng =
     invalid_arg "Slicing.create: requires n > k";
   let n = inst.Instance.n in
   let x = Array.make n 0.0 in
+  let geometry = Player.Ring { n; k = inst.Instance.k } in
   let intervals =
     Array.of_list
       (List.mapi
          (fun id e ->
-           let seg = Segment.make ~n ~start:e ~len:2 in
            {
              id;
              center = e;
-             seg;
+             player = Player.create geometry ~delta_bar ~counts:x rng e;
              status = Active;
-             cut = e;
-             weights = weights_of x seg;
-             rank = 0;
            })
          (Instance.initial_cut_edges inst))
   in
@@ -124,23 +103,20 @@ let is_mono t seg =
   let best = Array.fold_left Stdlib.max 0 counts in
   float_of_int best > t.delta_bar *. float_of_int (Segment.length seg)
 
-let grow_seg t seg =
-  let w = Segment.length seg in
-  let desired = Stdlib.min (2 * w) (Stdlib.min (k t + 1) (n t)) in
-  let extra = desired - w in
-  let left = extra / 2 in
-  Segment.make ~n:(n t) ~start:(Segment.first seg - left) ~len:desired
+(* [Segment.subset] of the two intervals.  A growth tests every
+   interval, so this builds no segments. *)
+let contains t outer inner =
+  let n = n t and w = Player.width outer.player in
+  let off = Player.first inner.player - Player.first outer.player in
+  w >= n || ((off + n) mod n) + Player.width inner.player <= w
 
-(* the cut moves from local edge [from_local] to [to_local], a distance
-   measured inside the interval *)
-let move_cut t itv ~from_local ~to_local =
-  let to_edge = (Segment.first itv.seg + to_local) mod n t in
-  let d = abs (to_local - from_local) in
-  t.move <- t.move + d;
+(* the player moved [dist] inside its interval, from [from_edge] *)
+let moved t itv ~from_edge dist =
+  t.move <- t.move + dist;
   t.events <-
-    Cut_moved { id = itv.id; from_edge = itv.cut; to_edge; dist = d }
-    :: t.events;
-  itv.cut <- to_edge
+    Cut_moved
+      { id = itv.id; from_edge; to_edge = Player.position itv.player; dist }
+    :: t.events
 
 let deactivate t itv reason =
   Log.debug (fun m ->
@@ -149,52 +125,39 @@ let deactivate t itv reason =
         | Mono -> "monochromatic"
         | Dominated -> "dominated"
         | Active -> assert false)
-        itv.cut);
+        (Player.position itv.player));
   itv.status <- reason;
   uncover t itv;
-  t.events <- Cut_removed { id = itv.id; edge = itv.cut; reason } :: t.events
+  t.events <-
+    Cut_removed { id = itv.id; edge = Player.position itv.player; reason }
+    :: t.events
 
-(* The interval doubles around its center.  Unless that makes it
-   monochromatic, it deactivates every active interval it now contains
-   and draws a fresh cut edge from its grown distribution. *)
+(* The interval doubles.  Unless that makes it monochromatic, it
+   deactivates every active interval it now contains and its player
+   draws a fresh cut edge from the grown distribution. *)
 let grow t itv =
-  itv.seg <- grow_seg t itv.seg;
-  itv.rank <- itv.rank + 1;
+  Player.double itv.player;
+  let grown = seg t itv in
   Log.debug (fun m ->
-      m "interval %d grew to rank %d (%a)" itv.id itv.rank Segment.pp itv.seg);
-  if is_mono t itv.seg then deactivate t itv Mono
+      m "interval %d grew to rank %d (%a)" itv.id (Player.rank itv.player)
+        Segment.pp grown);
+  if is_mono t grown then deactivate t itv Mono
   else begin
     cover t itv;
     Array.iter
       (fun other ->
-        if
-          other.id <> itv.id && other.status = Active
-          && Segment.subset other.seg itv.seg
+        if other.id <> itv.id && other.status = Active && contains t itv other
         then deactivate t other Dominated)
       t.intervals;
-    itv.weights <- weights_of t.x itv.seg;
-    let from_local = local t itv itv.cut in
-    let to_local = Dist.sample t.rng (Smin_weights.dist itv.weights) in
-    if to_local <> from_local then move_cut t itv ~from_local ~to_local
+    let from_edge = Player.position itv.player in
+    let d = Player.resample itv.player in
+    if d > 0 then moved t itv ~from_edge d
   end
-
-let try_grow t itv =
-  let cap = Stdlib.min (k t + 1) (n t) in
-  let continue = ref true in
-  while !continue && itv.status = Active do
-    let w = Segment.length itv.seg in
-    if
-      w < cap
-      && float_of_int (Smin_weights.min_count itv.weights)
-         >= (1.0 -. t.delta_bar) *. float_of_int w
-    then grow t itv
-    else continue := false
-  done
 
 let rec charge_hits t e = function
   | [] -> ()
   | id :: ids ->
-      if t.intervals.(id).cut = e then t.hit <- t.hit + 1;
+      if Player.position t.intervals.(id).player = e then t.hit <- t.hit + 1;
       charge_hits t e ids
 
 let rec step_intervals t e = function
@@ -202,12 +165,12 @@ let rec step_intervals t e = function
   | id :: ids ->
       let itv = t.intervals.(id) in
       if itv.status = Active then begin
-        let from_local = local t itv itv.cut in
-        let to_local =
-          Smin_weights.step itv.weights t.rng (local t itv e) from_local
-        in
-        if to_local <> from_local then move_cut t itv ~from_local ~to_local;
-        try_grow t itv
+        let from_edge = Player.position itv.player in
+        let d = Player.step itv.player e in
+        if d > 0 then moved t itv ~from_edge d;
+        while itv.status = Active && Player.due itv.player do
+          grow t itv
+        done
       end;
       step_intervals t e ids
 
@@ -235,16 +198,16 @@ let initial_cuts t =
 let active_cuts t =
   Array.to_list t.intervals
   |> List.filter (fun itv -> itv.status = Active)
-  |> List.map (fun itv -> (itv.id, itv.cut))
+  |> List.map (fun itv -> (itv.id, Player.position itv.player))
 
 let get t id =
   if id < 0 || id >= Array.length t.intervals then
     invalid_arg "Slicing: interval id out of range";
   t.intervals.(id)
 
-let interval_seg t id = (get t id).seg
+let interval_seg t id = seg t (get t id)
 let interval_status t id = (get t id).status
-let interval_rank t id = (get t id).rank
+let interval_rank t id = Player.rank (get t id).player
 let interval_count t = Array.length t.intervals
 let hit_cost t = float_of_int t.hit
 let move_cost t = float_of_int t.move
@@ -260,20 +223,19 @@ let read_nat r what =
   v
 
 (* Request counts, hit and move are whole numbers (unit requests, integer
-   distances): varints.  An interval's weights are omitted: while the
-   interval is active they are [weights_of] its segment under the current
-   counts, and an inactive interval never reads them again. *)
+   distances): varints.  A player's weights are omitted: they are
+   rebuilt from its segment under the current counts. *)
 let save buf t =
   Binc.add_counts buf t.x;
   Rng.save buf t.rng;
   Binc.add_varint buf (Array.length t.intervals);
   Array.iter
     (fun itv ->
-      Binc.add_varint buf (Segment.first itv.seg);
-      Binc.add_varint buf (Segment.length itv.seg);
+      Binc.add_varint buf (Player.first itv.player);
+      Binc.add_varint buf (Player.width itv.player);
       Binc.add_varint buf (status_tag itv.status);
-      Binc.add_varint buf itv.cut;
-      Binc.add_varint buf itv.rank)
+      Binc.add_varint buf (Player.position itv.player);
+      Binc.add_varint buf (Player.rank itv.player))
     t.intervals;
   Binc.add_varint buf t.hit;
   Binc.add_varint buf t.move
@@ -290,7 +252,7 @@ let load r t =
   Array.iter
     (fun itv ->
       let first = read_nat r "segment start" in
-      let len = read_nat r "segment length" in
+      let width = read_nat r "segment length" in
       let status =
         match Binc.read_varint r with
         | 0 -> Active
@@ -298,25 +260,17 @@ let load r t =
         | 2 -> Dominated
         | tag -> invalid_arg (Printf.sprintf "Slicing.load: bad status %d" tag)
       in
-      let cut = read_nat r "cut" in
+      let position = read_nat r "cut" in
       let rank = read_nat r "rank" in
-      if first >= n || len < 2 || len > n || cut >= n then
+      if first >= n || width < 2 || width > n || position >= n then
         invalid_arg "Slicing.load: interval out of range";
-      itv.seg <- Segment.make ~n ~start:first ~len;
+      Player.restore itv.player ~first ~width ~position ~rank;
       itv.status <- status;
-      itv.cut <- cut;
-      itv.rank <- rank;
       (* every interval Slicing grows holds its cut edge *)
-      if status = Active && local t itv cut >= len - 1 then
+      if status = Active && not (Player.holds itv.player position) then
         invalid_arg "Slicing.load: cut outside its interval")
     t.intervals;
   t.hit <- read_nat r "hit cost";
   t.move <- read_nat r "move cost";
   Array.fill t.covering 0 n [];
-  Array.iter
-    (fun itv ->
-      if itv.status = Active then begin
-        itv.weights <- weights_of t.x itv.seg;
-        cover t itv
-      end)
-    t.intervals
+  Array.iter (fun itv -> if itv.status = Active then cover t itv) t.intervals

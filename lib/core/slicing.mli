@@ -1,13 +1,14 @@
 (** The Slicing procedure (Section 4.2, Algorithm 1).
 
     One growing interval lives around every initial cut edge of the
-    instance, running the hitting-game machinery of Section 4.1 adapted to
-    the ring: inside its interval, each active player keeps its cut edge
-    distributed as [grad smin'(x_I)] of the global request-count vector
-    restricted to the interval, moving through the maximal-stay coupling;
-    when every edge of an interval has been requested at least
-    [(1 - delta_bar) |I|] times the interval doubles (around its center,
-    capped at [k+1] vertices — the ring has no boundary to clamp against).
+    instance: a {!Rbgp_hitting.Interval_growing} player on the ring
+    geometry, the same player E4 and E5 run on the line.  Inside its
+    interval each active player keeps its cut edge distributed as
+    [grad smin'(x_I)] of the global request counts restricted to the
+    interval; when every edge has been requested at least
+    [(1 - delta_bar) |I|] times the interval doubles around its center,
+    capped at [k+1] vertices, and the cut is drawn again.  Slicing adds
+    the rules below, between a doubling and its draw.
 
     Two deactivation rules keep the interval structure sparse:
     - an interval that becomes [delta_bar]-monochromatic with respect to
@@ -44,8 +45,8 @@ val create :
 val serve : t -> int -> event list
 (** Process a request; returns the emitted events in order.  The active
     intervals holding the edge come from an edge index, and each one's
-    cut moves by {!Rbgp_util.Smin_weights.step}, so a request that emits
-    nothing costs O(1) per such interval and allocates nothing. *)
+    cut moves by {!Rbgp_hitting.Interval_growing.step}, so a request that
+    emits nothing costs O(1) per such interval and allocates nothing. *)
 
 val initial_cuts : t -> int list
 (** The cut edges at creation (one per initial cut edge of the instance). *)
@@ -75,6 +76,6 @@ val save : Buffer.t -> t -> unit
 
 val load : Rbgp_util.Binc.reader -> t -> unit
 (** Read a {!save} into a freshly created instance on the same problem
-    instance, recomputing each active interval's cut distribution from
-    the counts.  Raises [Invalid_argument] on malformed input, including
+    instance, recomputing each interval's cut distribution from the
+    counts.  Raises [Invalid_argument] on malformed input, including
     an active interval whose cut lies outside it. *)

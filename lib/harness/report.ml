@@ -428,14 +428,11 @@ let e4_deterministic_lower_bound ?(quick = false) ?(seed = 19) () =
              (List.map
                 (fun s ->
                   let ig =
-                    Rbgp_hitting.Interval_growing.create ~k
-                      (Rng.create (seed + (1000 * s)))
+                    Rbgp_hitting.Interval_growing.(
+                      player (line ~k (Rng.create (seed + (1000 * s)))))
                   in
-                  Rbgp_hitting.Game.run
-                    (Rbgp_hitting.Interval_growing.player ig)
-                    requests;
-                  Rbgp_hitting.Interval_growing.hit_cost ig
-                  +. Rbgp_hitting.Interval_growing.move_cost ig)
+                  Rbgp_hitting.Game.run ig requests;
+                  Rbgp_hitting.Game.total_cost ig)
                 ig_seeds))
       in
       (* chase the deterministic dodger, then replay its trace obliviously *)
@@ -451,10 +448,10 @@ let e4_deterministic_lower_bound ?(quick = false) ?(seed = 19) () =
       row ~k ~steps ~trace_name:"chase-dodge" ~player_name:"interval-growing"
         (ig_cost chase_trace) opt;
       (* and adaptively against the randomized player itself *)
-      let ig =
-        Rbgp_hitting.Interval_growing.create ~k (Rng.create (seed + k))
+      let player =
+        Rbgp_hitting.Interval_growing.(
+          player (line ~k (Rng.create (seed + k))))
       in
-      let player = Rbgp_hitting.Interval_growing.player ig in
       let adaptive_trace =
         Rbgp_hitting.Game.run_adaptive player ~steps ~next:(fun _ pos ->
             Rbgp_hitting.Adversary.chase 0 pos)
@@ -497,14 +494,11 @@ let e5_hitting_ratio ?(quick = false) ?(seed = 23) () =
                        (List.map
                           (fun s ->
                             let ig =
-                              Rbgp_hitting.Interval_growing.create ~k
-                                (Rng.create (seed + s))
+                              Rbgp_hitting.Interval_growing.(
+                                player (line ~k (Rng.create (seed + s))))
                             in
-                            Rbgp_hitting.Game.run
-                              (Rbgp_hitting.Interval_growing.player ig)
-                              requests;
-                            Rbgp_hitting.Interval_growing.hit_cost ig
-                            +. Rbgp_hitting.Interval_growing.move_cost ig)
+                            Rbgp_hitting.Game.run ig requests;
+                            Rbgp_hitting.Game.total_cost ig)
                           seeds))
                 in
                 let opt = Rbgp_hitting.Static_opt.static ~k requests in

@@ -7,9 +7,10 @@
     cost); moving costs the travelled distance.  The comparator is the best
     *static* strategy (move once at the start, never again).
 
-    This module defines the player interface shared by
-    {!Interval_growing} and by MTS solvers adapted to the game, plus
-    drivers for oblivious and adaptive request sequences.  The adaptive
+    This module defines the player interface that
+    {!Interval_growing.player}, {!greedy_dodge} and MTS solvers adapted to
+    the game ({!of_mts}) implement, plus drivers for oblivious and adaptive
+    request sequences.  The adaptive
     driver sees the player's realized position — exactly the adversary of
     Lemma 4.1, which forces any deterministic player to pay
     [Omega(k) * OPT]. *)

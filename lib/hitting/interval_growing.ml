@@ -1,124 +1,129 @@
 module Dist = Rbgp_util.Dist
-module Smin = Rbgp_util.Smin
 module Rng = Rbgp_util.Rng
+module Smin_weights = Rbgp_util.Smin_weights
+
+type geometry = Line of int | Ring of { n : int; k : int }
 
 type t = {
-  k : int;  (* number of edges; vertices are 0..k *)
-  delta_bar : float;
+  geometry : geometry;
+  size : int;  (* edges of the geometry *)
+  cap : int;  (* the most vertices an interval holds *)
+  threshold : float;  (* 1 - delta_bar *)
+  counts : float array;  (* the caller's, read at growth *)
   rng : Rng.t;
-  x : float array;  (* request counts per edge *)
-  mutable vl : int;  (* interval left vertex *)
-  mutable vr : int;  (* interval right vertex *)
-  mutable position : int;  (* current edge *)
-  mutable dist : Dist.t;  (* distribution over edges vl..vr-1 *)
-  mutable phases : int;
-  mutable hit : float;
-  mutable move : float;
+  mutable first : int;  (* first vertex *)
+  mutable width : int;  (* vertices; the edges are first .. first + width - 2 *)
+  mutable position : int;  (* the current edge *)
+  mutable weights : Smin_weights.t;
+      (* grad smin over the interval's edge counts, in local order *)
+  mutable rank : int;
 }
 
-let edges_of_interval vl vr = vr - vl (* edges vl..vr-1 *)
+(* The interval's edges in local order, scaled by their number as the
+   dense grad smin_c of the edge counts is. *)
+let weights_of counts ~first ~width =
+  let m = width - 1 and size = Array.length counts in
+  Smin_weights.create
+    ~c:(Float.max 1.0 (float_of_int m))
+    (Array.init m (fun j -> counts.((first + j) mod size)))
 
-let scale vl vr = Float.max 1.0 (float_of_int (edges_of_interval vl vr))
-
-let dist_of t vl vr =
-  let m = edges_of_interval vl vr in
-  let buf = Array.make m 0.0 in
-  Smin.grad_sub_into ~c:(scale vl vr) t.x ~lo:vl ~hi:(vr - 1) buf;
-  Dist.of_grad buf
-
-let grow_rule ~k ~vl ~vr =
-  let w = vr - vl + 1 in
-  let desired = Stdlib.min (2 * w) (k + 1) in
-  let extra = desired - w in
-  let left = extra / 2 and right = extra - (extra / 2) in
-  let vl' = vl - left and vr' = vr + right in
-  (* shift back inside [0, k] without shrinking *)
-  let shift =
-    if vl' < 0 then -vl' else if vr' > k then k - vr' else 0
+let create geometry ?(delta_bar = 14.0 /. 15.0) ~counts rng start =
+  let size, cap =
+    match geometry with
+    | Line k ->
+        if k <= 0 then
+          invalid_arg "Interval_growing.create: k must be positive";
+        (k, k + 1)
+    | Ring { n; k } -> (n, Stdlib.min (k + 1) n)
   in
-  (vl' + shift, vr' + shift)
-
-let create ~k ?(delta_bar = 14.0 /. 15.0) ?start rng =
-  if k <= 0 then invalid_arg "Interval_growing.create: k must be positive";
   if not (delta_bar > 0.5 && delta_bar < 1.0) then
     invalid_arg "Interval_growing.create: delta_bar out of (1/2, 1)";
-  let start = match start with Some s -> s | None -> Game.start_edge ~k in
-  if start < 0 || start >= k then
+  if start < 0 || start >= size then
     invalid_arg "Interval_growing.create: start edge out of range";
-  let t =
-    {
-      k;
-      delta_bar;
-      rng;
-      x = Array.make k 0.0;
-      vl = start;
-      vr = start + 1;
-      position = start;
-      dist = Dist.point 0 ~n:1;
-      phases = 0;
-      hit = 0.0;
-      move = 0.0;
-    }
-  in
-  t.dist <- dist_of t t.vl t.vr;
-  t
+  if Array.length counts <> size then
+    invalid_arg "Interval_growing.create: one count per edge";
+  {
+    geometry;
+    size;
+    cap;
+    threshold = 1.0 -. delta_bar;
+    counts;
+    rng;
+    first = start;
+    width = 2;
+    position = start;
+    weights = weights_of counts ~first:start ~width:2;
+    rank = 0;
+  }
 
-let min_in_interval t =
-  let m = ref t.x.(t.vl) in
-  for e = t.vl + 1 to t.vr - 1 do
-    if t.x.(e) < !m then m := t.x.(e)
-  done;
-  !m
+let line ~k ?delta_bar ?start rng =
+  let start = match start with Some s -> s | None -> Game.start_edge ~k in
+  create (Line k) ?delta_bar ~counts:(Array.make k 0.0) rng start
 
-let move_to t new_pos =
-  t.move <- t.move +. float_of_int (abs (new_pos - t.position));
-  t.position <- new_pos
+let local t e =
+  let d = (e - t.first) mod t.size in
+  if d < 0 then d + t.size else d
 
-let maybe_grow t =
-  let continue = ref true in
-  while !continue do
-    let width = t.vr - t.vl + 1 in
-    if width >= t.k + 1 then continue := false
-    else if min_in_interval t >= (1.0 -. t.delta_bar) *. float_of_int width
-    then begin
-      let vl', vr' = grow_rule ~k:t.k ~vl:t.vl ~vr:t.vr in
-      t.vl <- vl';
-      t.vr <- vr';
-      t.phases <- t.phases + 1;
-      t.dist <- dist_of t t.vl t.vr;
-      let new_pos = t.vl + Dist.sample t.rng t.dist in
-      move_to t new_pos
-    end
-    else continue := false
-  done
+let holds t e = local t e < t.width - 1
 
-let serve t e =
-  if e < 0 || e >= t.k then invalid_arg "Interval_growing.serve: edge out of range";
-  if e = t.position then t.hit <- t.hit +. 1.0;
-  t.x.(e) <- t.x.(e) +. 1.0;
-  if e >= t.vl && e < t.vr then begin
-    let new_dist = dist_of t t.vl t.vr in
-    let rel =
-      Dist.resample_coupled t.rng ~current:(t.position - t.vl)
-        ~old_dist:t.dist ~new_dist
-    in
-    t.dist <- new_dist;
-    move_to t (t.vl + rel)
-  end;
-  maybe_grow t
+let step t e =
+  let from = local t t.position in
+  let to_ = Smin_weights.step t.weights t.rng (local t e) from in
+  t.position <- (t.first + to_) mod t.size;
+  abs (to_ - from)
 
-let position t = t.position
-let interval t = (t.vl, t.vr)
-let phases t = t.phases
-let request_count t e = int_of_float t.x.(e)
-let hit_cost t = t.hit
-let move_cost t = t.move
+let due t =
+  t.width < t.cap
+  && float_of_int (Smin_weights.min_count t.weights)
+     >= t.threshold *. float_of_int t.width
+
+let double t =
+  let w = t.width in
+  let desired = Stdlib.min (2 * w) t.cap in
+  let first = t.first - ((desired - w) / 2) in
+  t.first <-
+    (match t.geometry with
+    | Line _ -> Stdlib.max 0 (Stdlib.min first (t.size + 1 - desired))
+    | Ring _ -> (first + t.size) mod t.size);
+  t.width <- desired;
+  t.rank <- t.rank + 1
+
+let resample t =
+  let from = local t t.position in
+  t.weights <- weights_of t.counts ~first:t.first ~width:t.width;
+  let to_ = Dist.sample t.rng (Smin_weights.dist t.weights) in
+  t.position <- (t.first + to_) mod t.size;
+  abs (to_ - from)
 
 let player t =
+  let hit = ref 0.0 and move = ref 0.0 in
+  let serve e =
+    if e < 0 || e >= t.size then
+      invalid_arg "Interval_growing.serve: edge out of range";
+    if e = t.position then hit := !hit +. 1.0;
+    t.counts.(e) <- t.counts.(e) +. 1.0;
+    if holds t e then move := !move +. float_of_int (step t e);
+    while due t do
+      double t;
+      move := !move +. float_of_int (resample t)
+    done
+  in
   {
     Game.name = "interval-growing";
-    position = (fun () -> position t);
-    serve = (fun e -> serve t e);
-    hit_cost = (fun () -> hit_cost t);
-    move_cost = (fun () -> move_cost t);
+    position = (fun () -> t.position);
+    serve;
+    hit_cost = (fun () -> !hit);
+    move_cost = (fun () -> !move);
   }
+
+let position t = t.position
+let first t = t.first
+let width t = t.width
+let rank t = t.rank
+
+let restore t ~first ~width ~position ~rank =
+  t.first <- first;
+  t.width <- width;
+  t.position <- position;
+  t.rank <- rank;
+  t.weights <- weights_of t.counts ~first ~width

@@ -170,7 +170,12 @@ let server ?http ?(supervise = false) ?(hwm = 256 * 1024) ~router addr =
   if hwm < 4096 then invalid_arg "Net.server: hwm";
   let lfd = Sockio.listen_on addr 64 in
   let hfd =
-    match http with Some a -> Some (Sockio.listen_on a 16) | None -> None
+    try Option.map (fun a -> Sockio.listen_on a 16) http
+    with e ->
+      (* give back the RPC listener bound above *)
+      Sockio.close_fd lfd;
+      (match addr with Unix_sock p -> Sockio.unlink_quiet p | Tcp _ -> ());
+      raise e
   in
   let unix_paths =
     List.filter_map

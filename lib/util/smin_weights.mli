@@ -1,8 +1,9 @@
 (** A state kept distributed as [grad smin_c x] (Appendix A) while unit
     tasks raise the counts [x] one at a time, moving through the
     maximal-stay coupling ({!Dist.resample_coupled_u}).  This is the step
-    of the smooth-min MW solver ([Rbgp_mts.Smin_mw]) and of every Slicing
-    interval's hitting-game player ([Rbgp_core.Slicing]).
+    of the smooth-min MW solver ([Rbgp_mts.Smin_mw]) and of the
+    interval-growing player ([Rbgp_hitting.Interval_growing]), which plays
+    the hitting game and every Slicing interval.
 
     The weights are kept in factored form: [w_i = exp (m - x_i / c)] for
     the minimum [m] of the scaled counts, with the smallest count and the

@@ -408,20 +408,37 @@ let with_server ?(supervise = false) ?checkpoint_every ~dir f =
     ~finally:(fun () -> Net.shutdown server)
     (fun () -> f router server addr)
 
-(* A socket that cannot be bound is one Sys_error naming the address. *)
+(* The lowest free descriptor: a listener left open would hold it. *)
+let next_fd () =
+  let fd = Unix.openfile Filename.null [ Unix.O_RDONLY ] 0 in
+  Unix.close fd;
+  fd
+
+(* A socket that cannot be bound is one Sys_error naming the address:
+   the RPC address under a missing directory, or a good RPC address with
+   the HTTP one there.  Either way nothing stays open or on disk. *)
 let test_listen_error_names_address () =
   let missing = Filename.temp_file "rbgp_nodir" "" in
   Sys.remove missing;
-  let addr = Net.Unix_sock (Filename.concat missing "s.sock") in
+  let bad = Net.Unix_sock (Filename.concat missing "s.sock") in
+  let rpc_path = Filename.temp_file "rbgp_rpc" ".sock" in
+  Sys.remove rpc_path;
   let want =
-    Printf.sprintf "listen %s: %s" (Net.addr_to_string addr)
+    Printf.sprintf "listen %s: %s" (Net.addr_to_string bad)
       (Unix.error_message Unix.ENOENT)
   in
-  match Net.server ~router:(Tenant.create ()) addr with
-  | server ->
-      Net.shutdown server;
-      Alcotest.fail "listened under a missing directory"
-  | exception Sys_error msg -> Alcotest.(check string) "message" want msg
+  List.iter
+    (fun (addr, http) ->
+      let fd = next_fd () in
+      (match Net.server ?http ~router:(Tenant.create ()) addr with
+      | server ->
+          Net.shutdown server;
+          Alcotest.fail "listened under a missing directory"
+      | exception Sys_error msg -> Alcotest.(check string) "message" want msg);
+      Alcotest.(check bool) "no listener left open" true (next_fd () = fd);
+      Alcotest.(check bool) "no socket file left" false
+        (Sys.file_exists rpc_path))
+    [ (bad, None); (Net.Unix_sock rpc_path, Some bad) ]
 
 let connect_pumped server addr =
   Net.connect ~pump:(fun () -> ignore (Net.step server)) addr

@@ -682,25 +682,36 @@ let qcheck_checkpoint_resume =
    served except varint counters, which gain a byte per 7 bits.  Between
    T = 2k and 20k on n = 48 edges each per-edge count gains at most one
    byte, and a few scalar counters one each — where the served prefix of
-   the replay format alone grew by 18,000 bytes. *)
+   the replay format alone grew by 18,000 bytes.  The last two shapes
+   are the one CI serves, with its bound (under 64 B from 1,000 to 9,000
+   requests at n = 256, ell = 8), for every registry algorithm. *)
 let test_checkpoint_size_flat () =
-  let n = 48 and ell = 4 in
-  let inst = Instance.blocks ~n ~ell in
-  let trace = gen_trace ~n ~steps:20_000 ~seed:41 in
   List.iter
-    (fun (spec : Registry.spec) ->
-      let alg = spec.Registry.name in
-      let e = Engine.create ~alg ~seed:7 inst in
-      let size () = String.length (Ckpt.to_string (Engine.checkpoint e)) in
-      Engine.ingest_batch_quiet e (Array.sub trace 0 2_000);
-      let at_2k = size () in
-      Engine.ingest_batch_quiet e (Array.sub trace 2_000 18_000);
-      let at_20k = size () in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %d bytes at T=2k, %d at T=20k" alg at_2k at_20k)
-        true
-        (abs (at_20k - at_2k) <= n + 16))
-    Registry.all
+    (fun (n, ell, workload, trace, t1, t2, slack) ->
+      let inst = Instance.blocks ~n ~ell in
+      List.iter
+        (fun alg ->
+          let e = Engine.create ~alg ~seed:7 inst in
+          let size () = String.length (Ckpt.to_string (Engine.checkpoint e)) in
+          Engine.ingest_batch_quiet e (Array.sub trace 0 t1);
+          let at_t1 = size () in
+          Engine.ingest_batch_quiet e (Array.sub trace t1 (t2 - t1));
+          let at_t2 = size () in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, n=%d, %s: %d bytes at T=%d, %d at T=%d" alg n
+               workload at_t1 t1 at_t2 t2)
+            true
+            (abs (at_t2 - at_t1) <= slack))
+        Registry.names)
+    [
+      (48, 4, "rotating", gen_trace ~n:48 ~steps:20_000 ~seed:41, 2_000,
+       20_000, 48 + 16);
+      (256, 8, "rotating", gen_trace ~n:256 ~steps:9_000 ~seed:8, 1_000,
+       9_000, 63);
+      ( 256, 8, "uniform",
+        fixed (Workloads.uniform ~n:256 ~steps:9_000 (Rng.create 8)),
+        1_000, 9_000, 63 );
+    ]
 
 (* --- batched ingest ---------------------------------------------------- *)
 
