@@ -22,12 +22,11 @@ module Tenant = Rbgp_serve.Tenant
 module Proto = Rbgp_serve.Proto
 module Registry = Rbgp_serve.Registry
 
-(* Every command body runs under one handler (lint's runs inside
-   [Rbgp_lint.Cli.term]): bad input, a missing file or an unreachable peer
-   is one line "rbgp <cmd>: <message>" on stderr and exit code 1 (as
-   [checkpoint verify] reports an invalid file), not cmdliner's
-   internal-error banner.  [Fault.Injected_crash] is not caught: it models
-   a kill. *)
+(* Every command body runs under one handler: bad input, a missing file
+   or an unreachable peer is one line "rbgp <cmd>: <message>" on stderr
+   and exit code 1 (as [checkpoint verify] reports an invalid file), not
+   cmdliner's internal-error banner.  [Fault.Injected_crash] is not
+   caught: it models a kill. *)
 let guarded name body =
   let fail msg =
     Printf.eprintf "rbgp %s: %s\n" name msg;
@@ -136,6 +135,22 @@ let workload_trace ~workload ~n ~steps rng =
   | "cut-chaser" -> Rbgp_workloads.Workloads.adversary_cut_chaser ~n
   | w -> invalid_arg ("unknown workload " ^ w)
 
+(* Every request of a trace file in either format, sniffed as [rbgp
+   serve] sniffs it, with the binary header when there is one. *)
+let read_trace ~n path =
+  let src = Source.open_file ~n path in
+  Fun.protect
+    ~finally:(fun () -> Source.close src)
+    (fun () ->
+      let block = Array.make 65536 0 in
+      let rec go acc =
+        match Source.next_batch src block ~limit:(Array.length block) with
+        | 0 -> Array.concat (List.rev acc)
+        | got -> go (Array.sub block 0 got :: acc)
+      in
+      let trace = go [] in
+      (trace, Source.header src))
+
 (* The algorithm is built through the registry from [seed], as [rbgp
    serve] builds it, so a trace file run here bills what serve bills. *)
 let sim alg workload n ell steps epsilon seed verbose trace_file save_trace
@@ -144,8 +159,7 @@ let sim alg workload n ell steps epsilon seed verbose trace_file save_trace
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
   let trace_t, source =
     match trace_file with
-    | Some path ->
-        (Rbgp_ring.Trace.fixed (Rbgp_workloads.Trace_io.load ~path ~n), path)
+    | Some path -> (Rbgp_ring.Trace.fixed (fst (read_trace ~n path)), path)
     | None ->
         ( workload_trace ~workload ~n ~steps (Rbgp_util.Rng.create seed),
           workload )
@@ -219,7 +233,10 @@ let sim_cmd =
       value
       & opt (some string) None
       & info [ "trace-file" ] ~docv:"FILE"
-          ~doc:"Read the request trace from FILE (one edge per line).")
+          ~doc:
+            "Read the request trace from FILE, in the text (one edge per \
+             line) or the framed binary format, detected as $(b,serve) \
+             detects it.")
   in
   let save_trace =
     Arg.(
@@ -1072,16 +1089,6 @@ let checkpoint_cmd =
 
 (* --- trace: generate / convert -------------------------------------- *)
 
-(* Every request of a source, in order. *)
-let read_all src =
-  let block = Array.make 65536 0 in
-  let rec go acc =
-    match Source.next_batch src block ~limit:(Array.length block) with
-    | 0 -> Array.concat (List.rev acc)
-    | got -> go (Array.sub block 0 got :: acc)
-  in
-  go []
-
 let trace_cmd =
   let workload =
     Arg.(
@@ -1136,18 +1143,13 @@ let trace_cmd =
       match convert with
       | Some path ->
           let comment = Printf.sprintf "converted from %s (n=%d)" path n in
-          let src = Source.open_file ~n path in
-          Fun.protect
-            ~finally:(fun () -> Source.close src)
-            (fun () ->
-              let trace = read_all src in
-              match Source.header src with
-              | Some hdr ->
-                  ( trace,
-                    hdr.Rbgp_workloads.Trace_codec.ell,
-                    hdr.Rbgp_workloads.Trace_codec.seed,
-                    comment )
-              | None -> (trace, ell, seed, comment))
+          (match read_trace ~n path with
+          | trace, Some hdr ->
+              ( trace,
+                hdr.Rbgp_workloads.Trace_codec.ell,
+                hdr.Rbgp_workloads.Trace_codec.seed,
+                comment )
+          | trace, None -> (trace, ell, seed, comment))
       | None -> (
           let rng = Rbgp_util.Rng.create seed in
           let comment =
@@ -1173,18 +1175,6 @@ let trace_cmd =
       const run $ workload $ n $ ell $ steps $ seed_arg $ convert_arg
       $ out_arg $ out_format_arg)
 
-(* --- lint: repo-specific static analysis ----------------------------- *)
-
-let lint_cmd =
-  let today =
-    let tm = Unix.localtime (Unix.time ()) in
-    (tm.Unix.tm_year + 1900, tm.Unix.tm_mon + 1, tm.Unix.tm_mday)
-  in
-  let exit_nonzero code = if code <> 0 then Stdlib.exit code in
-  Cmd.v
-    (Cmd.info "lint" ~doc:Rbgp_lint.Cli.doc)
-    Term.(const exit_nonzero $ Rbgp_lint.Cli.term ~today)
-
 let main =
   Cmd.group
     (Cmd.info "rbgp" ~version:"1.0.0"
@@ -1192,6 +1182,6 @@ let main =
          "Online balanced graph partitioning for ring demands (SPAA 2023 \
           reproduction).")
     [ exp_cmd; sim_cmd; serve_cmd; client_cmd; resume_cmd; checkpoint_cmd;
-      trace_cmd; lint_cmd ]
+      trace_cmd ]
 
 let () = exit (Cmd.eval main)

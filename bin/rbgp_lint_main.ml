@@ -1,4 +1,4 @@
-(* Standalone linter entry point (also available as `rbgp lint`):
+(* The linter's entry point:
 
      rbgp-lint                       # scan lib bin bench with the
                                      # checked-in allowlist

@@ -261,9 +261,6 @@ let clusters t =
   Hashtbl.fold (fun _ c acc -> c :: acc) t.registry []
   |> List.sort (fun a b -> Int.compare a.cid b.cid)
 
-let max_cluster_size t =
-  Hashtbl.fold (fun _ c acc -> Int.max acc c.size) t.registry 0
-
 let iter_slices t f =
   match t.whole with
   | Some s -> f s

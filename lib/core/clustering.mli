@@ -43,7 +43,6 @@ val apply_event : t -> Slicing.event -> unit
 val clusters : t -> cluster list
 (** All color clusters plus the live (non-empty) singletons. *)
 
-val max_cluster_size : t -> int
 val assignment_into : t -> int array -> unit
 (** Write the process-to-server map implied by
     slice -> cluster -> server. *)

@@ -218,7 +218,6 @@ let step t ~opt_assignment ~request =
   !stats
 
 let hit_cost t = t.hit
-let move_cost t = t.move
 let total_cost t = t.hit + t.move
 
 let marked_count t =
@@ -246,6 +245,8 @@ let potential t =
   in
   ((1.0 +. t.epsilon) /. t.epsilon *. log2 k' *. m) +. seg_term
 
+(* (IH), (IM), (IS) and the segment-size bound against the given OPT
+   assignment; {!replay} checks them after every step. *)
 let check_invariants t ~opt_assignment =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in

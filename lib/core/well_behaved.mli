@@ -39,19 +39,13 @@ val step : t -> opt_assignment:int array -> request:int -> step_stats
     request.  The OPT assignment must be balanced (loads <= k). *)
 
 val hit_cost : t -> int
-val move_cost : t -> int
 val total_cost : t -> int
-val marked_count : t -> int
 val cut_edges : t -> int list
 val segment_sizes : t -> int list
 
 val potential : t -> float
 (** The Lemma 3.4 potential
     [(1+eps)/eps * log2(k') * M + sum |S| log2(k' / |S|)]. *)
-
-val check_invariants : t -> opt_assignment:int array -> (unit, string) result
-(** Verify (IH), (IM), (IS) and the segment-size bound against the given
-    OPT assignment. *)
 
 val replay :
   Rbgp_ring.Instance.t ->

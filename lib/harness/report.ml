@@ -12,8 +12,8 @@ let header id title =
   Printf.printf "\n=== %s: %s ===\n" (String.uppercase_ascii id) title
 
 (* a zero-cost comparator against a positive online cost is an explicit
-   "inf" in the tables (rendered by Tbl.cell_ratio, like Cost.scale_ratio's
-   infinity), never a locale-dependent Printf artifact; 0/0 stays nan
+   "inf" in the tables (rendered by Tbl.cell_ratio), never a
+   locale-dependent Printf artifact; 0/0 stays nan
    ("no signal") *)
 let ratio a b =
   if b > 0.0 then a /. b else if a > 0.0 then Float.infinity else Float.nan

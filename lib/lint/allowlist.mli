@@ -33,12 +33,6 @@ val parse : string -> (t, string) result
 
 val load : path:string -> (t, string) result
 
-val matches : entry -> Finding.t -> bool
-(** Rule equality + normalized-path suffix match + optional line match. *)
-
-val is_expired : today:(int * int * int) option -> entry -> bool
-(** False when [today] is [None] (expiry not enforced, e.g. in replay). *)
-
 type applied = {
   live : Finding.t list;  (** not suppressed — these fail the run *)
   suppressed : (Finding.t * entry) list;
@@ -48,5 +42,8 @@ type applied = {
 }
 
 val apply : ?today:(int * int * int) -> t -> Finding.t list -> applied
-(** First matching entry wins.  An expired entry no longer suppresses: its
-    findings return to [live] and the pairing is reported in [expired]. *)
+(** An entry matches a finding on rule equality, a normalized-path
+    suffix match and the optional line.  First matching entry wins.  An
+    expired entry (never, when [today] is [None]) no longer suppresses:
+    its findings return to [live] and the pairing is reported in
+    [expired]. *)

@@ -1,5 +1,4 @@
-(* The shared Cmdliner term behind both entry points: the standalone
-   rbgp-lint executable and the `rbgp lint` subcommand.  The term returns
+(* The Cmdliner term behind the rbgp-lint executable.  The term returns
    the process exit code (0 clean, 1 findings, 2 configuration error);
    callers decide how to exit.  "today" is an input so this library never
    reads the clock (rule R2 patrols all of lib/, this directory included). *)
@@ -49,8 +48,8 @@ let rules_arg =
     & opt (some string) None
     & info [ "rules" ] ~docv:"LIST"
         ~doc:
-          "Comma-separated rule ids to run (e.g. $(b,r11-hot-alloc,r13-\\
-           comparator-coverage)); other rules are skipped and their \
+          "Comma-separated rule ids or rNN prefixes to run (e.g. \
+           $(b,r11-hot-alloc,r13)); other rules are skipped and their \
            allowlist entries are not reported stale.  parse-error always \
            runs.")
 

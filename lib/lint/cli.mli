@@ -1,15 +1,10 @@
-(** The shared Cmdliner term behind both entry points — the standalone
-    [rbgp-lint] executable and the [rbgp lint] subcommand.
+(** The Cmdliner term behind the [rbgp-lint] executable.
 
     The term evaluates to the process exit code: 0 clean, 1 live
     findings, 2 configuration error (bad allowlist or rule filter).
     [today] feeds allowlist expiry and is supplied by the executable
     (this library never reads the clock — rule R2 patrols all of lib/,
     this directory included); the [--today] flag overrides it. *)
-
-val default_allowlist : string
-(** ["lint/allowlist.txt"], used when it exists and no [--allowlist] was
-    given. *)
 
 val parse_rules_filter : string option -> (string list option, string) result
 (** Parses a [--rules] spec: comma-separated full rule ids
@@ -19,4 +14,4 @@ val parse_rules_filter : string option -> (string list option, string) result
 val term : today:(int * int * int) -> int Cmdliner.Term.t
 
 val doc : string
-(** One-line command description shared by both entry points. *)
+(** One-line command description. *)

@@ -9,12 +9,6 @@
     [to_json] is a function of the sources alone, pinned by a
     byte-identity test. *)
 
-val intrinsic : string list -> Index.site_kind option
-(** The site a call to a stdlib value makes, by dotted path, with the
-    human label used in finding messages: an allocation, or partiality
-    from an unnamed idiom other than r3's [List.hd], [List.tl] and
-    [Option.get]; [None] for every other value. *)
-
 type edge = { to_id : string; e_line : int; e_handled : bool }
 
 type info = {

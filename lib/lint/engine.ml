@@ -77,20 +77,32 @@ let lint_paths paths =
 
 (* --- interprocedural pass ---------------------------------------------- *)
 
-(* The test file set for r13 lives beside the scanned dirs: for each
-   scanned dir, its sibling "test" directory (so "lib" from the repo root
-   finds "./test", and "../lib" from a test sandbox finds "../test").
-   When none exists, r13 has no coverage evidence and stays silent. *)
-let test_dirs_of dirs =
+(* The evidence beyond the scanned dirs lives beside them: for each
+   scanned dir, its sibling directories of the given names (so "lib"
+   from the repo root finds "./test", and "../lib" from a test sandbox
+   finds "../test").  r13 reads the "test" siblings; r14 reads every
+   project directory that is not scanned itself.  When none exists, the
+   rule has no evidence and stays silent. *)
+let siblings_of ~names dirs =
   List.sort_uniq String.compare
-    (List.filter_map
+    (List.concat_map
        (fun dir ->
-         let td = Filename.concat (Filename.dirname dir) "test" in
-         if Sys.file_exists td && Sys.is_directory td then Some td else None)
+         List.filter_map
+           (fun name ->
+             let d = Filename.concat (Filename.dirname dir) name in
+             if Sys.file_exists d && Sys.is_directory d then Some d else None)
+           names)
        dirs)
+
+let project_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
 
 let index_of_paths paths =
   Index.of_sources (List.map (fun p -> (p, read_file p)) paths)
+
+let same_site (a : Finding.t) (b : Finding.t) =
+  String.equal a.Finding.file b.Finding.file
+  && Int.equal a.Finding.line b.Finding.line
+  && Int.equal a.Finding.col b.Finding.col
 
 let interprocedural_findings ?extra_hot_roots ~dirs paths =
   let index = index_of_paths paths in
@@ -98,13 +110,32 @@ let interprocedural_findings ?extra_hot_roots ~dirs paths =
   let r11 = Rules.hot_alloc effects in
   let r12 = Rules.transitive_partial effects in
   let r13 =
-    match test_dirs_of dirs with
+    match siblings_of ~names:[ "test" ] dirs with
     | [] -> []
     | test_dirs ->
         let tests = index_of_paths (scan_dirs test_dirs) in
         Rules.comparator_coverage ~index ~tests
   in
-  List.sort Finding.compare (r11 @ r12 @ r13)
+  let r14 =
+    match siblings_of ~names:project_dirs dirs with
+    | [] -> []
+    | siblings ->
+        (* siblings are indexed for their references only: they stay out
+           of the r11/r12 graph (perfbench's Clock would collide with
+           lib/util's) and are not linted *)
+        let scanned = List.map Finding.normalize_path dirs in
+        let unscanned =
+          List.filter
+            (fun d -> not (List.mem (Finding.normalize_path d) scanned))
+            siblings
+        in
+        let evidence = index_of_paths (scan_dirs unscanned) in
+        (* one rule id per site: r13 owns an untested comparator *)
+        List.filter
+          (fun f -> not (List.exists (same_site f) r13))
+          (Rules.unused_export ~index ~evidence)
+  in
+  List.sort Finding.compare (r11 @ r12 @ r13 @ r14)
 
 let graph ?extra_hot_roots ~dirs () =
   Effects.to_json

@@ -16,23 +16,6 @@ val scan_dirs : string list -> string list
     each file once); skips [_build], [_opam] and dot-directories.
     Missing directories are ignored. *)
 
-val lint_paths : string list -> Finding.t list
-(** [lint_source] over each file plus the file-set rule (R6).  Per-file
-    rules only — the interprocedural pass (r11–r13) runs in {!run}. *)
-
-val test_dirs_of : string list -> string list
-(** The sibling ["test"] directories of the scanned dirs that exist on
-    disk — r13's coverage evidence.  Empty means r13 stays silent. *)
-
-val interprocedural_findings :
-  ?extra_hot_roots:string list ->
-  dirs:string list ->
-  string list ->
-  Finding.t list
-(** The r11/r12/r13 pass: index the given files, build the call graph,
-    and cross-check comparator coverage against {!test_dirs_of}[ dirs].
-    Sorted. *)
-
 val graph :
   ?extra_hot_roots:string list -> dirs:string list -> unit -> Ljson.t
 (** The call-graph dump ([--graph-out]): schema ["rbgp-lint-graph/2"], a
@@ -54,7 +37,15 @@ val run :
   dirs:string list ->
   unit ->
   outcome
-(** [rules] restricts the run to the named rule ids ([parse-error] stays
+(** Every per-file rule and r6 over the files under [dirs], then the
+    interprocedural pass: r11/r12 over their call graph, r13 against the
+    sibling ["test"] directories and r14 against the sibling project
+    directories ([lib], [bin], [bench], [perfbench], [examples], [test])
+    that [dirs] does not include.  Siblings are indexed for their
+    references only, never linted; with none on disk, r13 and r14 stay
+    silent.
+
+    [rules] restricts the run to the named rule ids ([parse-error] stays
     live regardless — an unparseable file must not exempt itself); the
     allowlist narrows with it so entries for unselected rules are not
     reported stale.  [extra_hot_roots] adds display names ("Mod.name")

@@ -1,6 +1,6 @@
 (* The cross-module value index: the syntactic substrate of the call
    graph (effects.ml) and the index-level rules (r11-hot-alloc,
-   r12-transitive-partial, r13-comparator-coverage).
+   r12-transitive-partial, r13-comparator-coverage, r14-unused-export).
 
    One pass over every parsed implementation collects, per top-level (or
    nested-module) value binding:
@@ -15,9 +15,9 @@
        intervening named handler.
 
    Alongside the nodes the index keeps each file's module aliases
-   ([module P = Rbgp_util.Pool]), the values each interface exposes (for
-   the comparator-coverage rule), and resolution tables from (module,
-   value) names to node ids.
+   ([module P = Rbgp_util.Pool], and local [let module M = P in]), the
+   values each interface exposes (for r13 and r14), and resolution
+   tables from (module, value) names to node ids.
 
    Resolution is deliberately syntactic and over-approximate: a name
    defined by two modules (the tree has two [Engine]s) resolves to every
@@ -166,6 +166,9 @@ let stays_local x body =
 let collect_body ctx expr0 =
   let sites = ref [] and refs = ref [] in
   let handled = ref 0 in
+  (* module paths of the enclosing local opens ([M.(e)], [let open M in
+     e]), innermost first *)
+  let opens = ref [] in
   let loc_of (loc : Location.t) =
     let p = loc.Location.loc_start in
     (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
@@ -177,13 +180,20 @@ let collect_body ctx expr0 =
       :: !sites
   in
   let add_ref lid loc =
-    let p = normalize_path_ident ctx lid in
-    if p <> [] then begin
-      let line, col = loc_of loc in
+    let line, col = loc_of loc in
+    let push p =
       refs :=
         { r_path = p; r_line = line; r_col = col; r_handled = !handled > 0 }
         :: !refs
-    end
+    in
+    match normalize_path_ident ctx lid with
+    | [] -> ()
+    | [ v ] as p ->
+        (* under a local open a bare name may be the opened module's:
+           record both readings (over-approximate, like resolution) *)
+        push p;
+        List.iter (fun m -> push (m @ [ v ])) !opens
+    | p -> push p
   in
   let rec peel_top self (e : Parsetree.expression) =
     (* the binding's own parameter spine: not allocations *)
@@ -248,6 +258,22 @@ let collect_body ctx expr0 =
             | _ -> self.Ast_iterator.value_binding self vb)
           vbs;
         expr_of self body
+    | Parsetree.Pexp_letmodule
+        ( { txt = Some name; _ },
+          { pmod_desc = Parsetree.Pmod_ident { txt; _ }; _ },
+          body ) ->
+        (* a local alias scopes over [body] only; recording it file-wide
+           over-approximates, like a top-level alias *)
+        Hashtbl.replace ctx.aliases name
+          (strip_wrappers (strip_stdlib (flatten [] txt)));
+        expr_of self body
+    | Parsetree.Pexp_open
+        ( { popen_expr = { pmod_desc = Parsetree.Pmod_ident { txt; _ }; _ }; _ },
+          body ) ->
+        let outer = !opens in
+        opens := normalize_path_ident ctx txt :: outer;
+        expr_of self body;
+        opens := outer
     | Parsetree.Pexp_try (body, cases) ->
         incr handled;
         expr_of self body;

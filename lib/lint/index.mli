@@ -1,7 +1,7 @@
 (** The cross-module value index: per-module value definitions, their
     direct allocation sites, and the raw references their bodies make —
     the syntactic substrate the call graph (effects.ml) and the
-    interprocedural rules (r11–r13) resolve over.
+    interprocedural rules (r11–r14) resolve over.
 
     Deliberately syntactic and over-approximate: a value name defined by
     two modules resolves to every candidate, and first-class dispatch
@@ -78,7 +78,6 @@ val resolve :
 val references : t -> (string option * string) list
 (** Every (module, value) pair the indexed implementations reference,
     alias-expanded and deduplicated — the coverage evidence for
-    r13-comparator-coverage when built over the test file set. *)
-
-val module_basename : string -> string
-(** ["lib/serve/engine.ml"] → ["Engine"]. *)
+    r13-comparator-coverage when built over the test file set, and
+    r14-unused-export's when built over the unscanned sibling
+    directories. *)

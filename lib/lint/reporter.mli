@@ -6,11 +6,8 @@
     JSON (schema ["rbgp-lint/2"]): the CI artifact.  Round-trippable —
     {!findings_of_json} reconstructs the live findings exactly. *)
 
-val summary_line : Engine.outcome -> string
 val to_text : Engine.outcome -> string
-
-val to_json : Engine.outcome -> Ljson.t
 val to_json_string : Engine.outcome -> string
 
 val findings_of_json : Ljson.t -> (Finding.t list, string) result
-(** Inverse of the ["findings"] array of {!to_json}. *)
+(** Inverse of the ["findings"] array of {!to_json_string}. *)

@@ -535,7 +535,7 @@ let missing_mli ~files =
       else None)
     files
 
-(* --- interprocedural rules (r11–r13) ---------------------------------- *)
+(* --- interprocedural rules (r11–r14) ---------------------------------- *)
 
 (* The direct sites of every definition reachable from a root, as
    findings.  They land on the site itself (not the path), so allowlist
@@ -633,6 +633,39 @@ let comparator_coverage ~(index : Index.t) ~(tests : Index.t) =
       else None)
     (Index.exposed index)
 
+(* r14-unused-export: every value a lib interface exposes is referenced
+   from outside its own module: named qualified ([M.v], alias-expanded)
+   by a scanned file, which is every call edge the graph resolves from
+   another file plus the values no edge can reach (externals, pattern
+   bindings), or by a file of [evidence], the unscanned sibling
+   directories (perfbench/, examples/, test/, ...).  A bare name only
+   ever resolves inside its own file, so it is no evidence.  A reference
+   from test/ is enough: oracles and accessors that tests check other
+   code with stay.  Inside a module the compiler takes over once a value
+   leaves the interface (dune's dev profile makes warnings 32 and 69
+   errors). *)
+let unused_export ~(index : Index.t) ~(evidence : Index.t) =
+  let named = Hashtbl.create 1024 in
+  List.iter
+    (fun (m, v) -> Option.iter (fun m -> Hashtbl.replace named (m, v) ()) m)
+    (Index.references index @ Index.references evidence);
+  List.filter_map
+    (fun (e : Index.exposed) ->
+      if
+        is_lib (scope_of_path e.Index.e_file)
+        && not (Hashtbl.mem named (e.Index.e_modname, e.Index.e_name))
+      then
+        Some
+          (Finding.make ~rule:"r14-unused-export" ~file:e.Index.e_file
+             ~line:e.Index.e_line ~col:e.Index.e_col
+             (Printf.sprintf
+                "%s.%s is exposed but never referenced from outside its \
+                 module — drop it from the interface (and delete it if the \
+                 module does not use it either), or justify why it stays"
+                e.Index.e_modname e.Index.e_name))
+      else None)
+    (Index.exposed index)
+
 let descriptions =
   [
     ( "r1-poly-compare",
@@ -689,6 +722,10 @@ let descriptions =
       "every comparator/equal/hash value exposed in a lib/**.mli is \
        referenced from test/ — exactness of comparators is what the \
        competitive guarantees ride on, so coverage is a ratchet" );
+    ( "r14-unused-export",
+      "every value exposed in a lib/**.mli is referenced from outside its \
+       own module — by another lib module, bin/, bench/, perfbench/, \
+       examples/ or test/ — so dead code is a finding" );
     ("parse-error", "file must parse with the OCaml 5.1 grammar");
   ]
 
@@ -743,6 +780,28 @@ let explain rule =
            a bare reference under a local open.  The competitive-ratio \
            harness trusts comparator exactness, so an untested comparator \
            is an unverified invariant."
+    | "r14-unused-export" ->
+        Some
+          "Over the same index as r11: an exposed value counts as used \
+           when a scanned file, or a file in an unscanned sibling \
+           directory (lib, bin, bench, perfbench, examples, test beside a \
+           scanned directory), names it qualified (M.v, through module \
+           aliases, local aliases and local opens) — every call edge the \
+           graph resolves from another file, plus externals no edge \
+           reaches.  Bare names resolve only inside their own file and do \
+           not count: a value only its module uses belongs out of the \
+           interface, where dune's dev \
+           profile turns it into an unused-value error (warning 32) the \
+           moment nothing uses it.  A test reference is enough, so \
+           oracles that tests check other code against stay; a value \
+           that only its own test calls is a judgement call the rule \
+           leaves to review.  With no sibling directory on disk the rule \
+           has no evidence and stays silent (rbgp-lint lib/serve cannot \
+           see the other directories' uses), and a comparator that \
+           r13-comparator-coverage reports is left to r13.  References \
+           inside a functor argument or a first-class module unpack are \
+           invisible; such a value needs an allowlist entry saying who \
+           uses it."
     | _ -> None
   in
   match (List.assoc_opt rule descriptions, extended) with

@@ -36,18 +36,11 @@
       r3's reachable from the serve/net request path with no intervening
       handler.
     - [r13-comparator-coverage] — comparator-shaped values exposed from
-      lib interfaces but never referenced by the test suite. *)
-
-type scope = { area : [ `Lib | `Bin | `Bench | `Other ]; sublib : string option }
-
-val scope_of_path : string -> scope
-(** Classifies a (possibly relative) path by its first [lib]/[bin]/[bench]
-    segment; [sublib] is the library directory under [lib]. *)
-
-val is_hot : scope -> bool
-(** True for the hot-path libraries patrolled by the strict R1 checks. *)
-
-val is_lib : scope -> bool
+      lib interfaces but never referenced by the test suite.
+    - [r14-unused-export] — values exposed from lib interfaces but never
+      referenced from outside their own module: not by another scanned
+      file, nor by a sibling lib/, bin/, bench/, perfbench/, examples/ or
+      test/ directory. *)
 
 val check_structure : path:string -> Parsetree.structure -> Finding.t list
 (** Every per-file rule (r1–r5, r7, r9, r10) over one implementation
@@ -70,7 +63,10 @@ val comparator_coverage : index:Index.t -> tests:Index.t -> Finding.t list
     a [_]-separated segment) exposed in lib interfaces of [index] but
     never referenced by [tests]. *)
 
-val is_comparator_name : string -> bool
+val unused_export : index:Index.t -> evidence:Index.t -> Finding.t list
+(** R14: one finding per value a lib interface of [index] exposes that
+    neither [index] nor [evidence] (the unscanned sibling directories)
+    names qualified — a bare name resolves only inside its own file. *)
 
 val descriptions : (string * string) list
 (** [(rule id, one-line description)] for [--list-rules] and the

@@ -7,9 +7,8 @@
     omit the region; columns convert between the 0-based compiler
     convention and SARIF's 1-based [startColumn]. *)
 
-val to_json : Engine.outcome -> Ljson.t
 val to_string : Engine.outcome -> string
 
 val findings_of_json : Ljson.t -> (Finding.t list, string) result
 (** The un-suppressed results of [runs\[0\]], as findings — inverse of
-    {!to_json} on the live set (round-trip tested). *)
+    {!to_string} on the live set (round-trip tested). *)

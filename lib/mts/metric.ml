@@ -24,7 +24,3 @@ let diameter = function
 
 let check_state t i =
   if i < 0 || i >= size t then invalid_arg "Metric: state out of range"
-
-let pp fmt = function
-  | Line s -> Format.fprintf fmt "line(%d)" s
-  | Uniform s -> Format.fprintf fmt "uniform(%d)" s

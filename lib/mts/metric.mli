@@ -14,4 +14,3 @@ val size : t -> int
 val distance : t -> int -> int -> int
 val diameter : t -> int
 val check_state : t -> int -> unit
-val pp : Format.formatter -> t -> unit

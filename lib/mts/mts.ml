@@ -24,7 +24,6 @@ let make ~name ~metric ~start ~next ~save ~load =
   }
 
 let name t = t.name
-let metric t = t.metric
 let state t = t.state
 
 let serve t e =

@@ -51,7 +51,6 @@ val restore : Rbgp_util.Binc.reader -> t -> unit
     count vector of the wrong length. *)
 
 val name : t -> string
-val metric : t -> Metric.t
 val state : t -> int
 
 val serve : t -> int -> int

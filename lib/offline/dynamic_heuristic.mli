@@ -16,9 +16,6 @@
     crossover).  Experiment E3 reports the resulting bracket
     [LB <= OPT <= UB]. *)
 
-val windowed : Rbgp_ring.Instance.t -> int array -> window:int -> Rbgp_ring.Cost.t
-(** Cost of the window-wise static schedule.  [window >= 1]. *)
-
 val best :
   Rbgp_ring.Instance.t -> int array -> ?windows:int list -> unit ->
   int * Rbgp_ring.Cost.t

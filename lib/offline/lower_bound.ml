@@ -82,5 +82,3 @@ let interval_opt (inst : Instance.t) trace ~shift ~epsilon =
         !total +. Rbgp_mts.Offline.opt_cost_indicators_free ~scratch metric sub)
     subs;
   !total
-
-let static_lb = Static_opt.crossing_lower_bound

@@ -44,9 +44,3 @@ val interval_opt :
     [R] (in [\[0, n)]) under the exact decomposition
     {!Rbgp_ring.Intervals.make} — the same one {!Rbgp_core.Dynamic_alg}
     uses, so this is the true denominator of Lemma 3.3. *)
-
-val static_lb : Rbgp_ring.Instance.t -> int array -> int
-(** Certified lower bound on the static optimum
-    ({!Static_opt.crossing_lower_bound}), re-exported for harness symmetry;
-    also a lower bound on nothing else — the dynamic optimum can be far
-    below it. *)

@@ -143,9 +143,3 @@ let restore_array t a =
     a
 
 let to_array t = Array.copy t.map
-let instance t = t.inst
-
-let pp fmt t =
-  Format.fprintf fmt "assignment loads=[%s] cuts=%d"
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.loads)))
-    (List.length (cut_edges t))

@@ -36,10 +36,6 @@ val journal_clear : journal -> unit
 (** Forget any recorded moves: moves made during algorithm setup, before
     simulation starts, or moves a consumer has just billed. *)
 
-val of_array : Instance.t -> int array -> t
-(** Copies the given map; validates server ids are in range (loads are not
-    validated here — use {!max_load} / {!check_capacity}). *)
-
 val copy : t -> t
 (** Snapshot of the map and loads; the copy has no journal attached. *)
 
@@ -83,5 +79,3 @@ val restore_array : t -> int array -> unit
     clears setup-time journal entries).  Validates lengths and server ids. *)
 
 val to_array : t -> int array
-val instance : t -> Instance.t
-val pp : Format.formatter -> t -> unit

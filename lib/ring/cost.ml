@@ -3,17 +3,6 @@ type t = { mutable comm : int; mutable mig : int }
 let zero () = { comm = 0; mig = 0 }
 let total t = t.comm + t.mig
 
-let add acc delta =
-  acc.comm <- acc.comm + delta.comm;
-  acc.mig <- acc.mig + delta.mig
-
-let plus a b = { comm = a.comm + b.comm; mig = a.mig + b.mig }
-
-let scale_ratio a b =
-  let ta = total a and tb = total b in
-  if tb = 0 then if ta = 0 then 1.0 else infinity
-  else float_of_int ta /. float_of_int tb
-
 let pp fmt t =
   Format.fprintf fmt "comm=%d mig=%d total=%d" t.comm t.mig (total t)
 

@@ -9,13 +9,5 @@ type t = { mutable comm : int; mutable mig : int }
 
 val zero : unit -> t
 val total : t -> int
-val add : t -> t -> unit
-(** [add acc delta] accumulates [delta] into [acc]. *)
-
-val plus : t -> t -> t
-val scale_ratio : t -> t -> float
-(** [scale_ratio a b = total a / total b] as float; [infinity] when [b] is
-    zero and [a] is not; [1.0] when both are zero. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

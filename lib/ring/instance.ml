@@ -34,8 +34,6 @@ let blocks ~n ~ell =
     invalid_arg "Instance.blocks: ell must divide n";
   make ~n ~ell ~k:(n / ell) ()
 
-let edge_count t = t.n
-
 let initial_cut_edges t =
   let acc = ref [] in
   for e = t.n - 1 downto 0 do

@@ -26,9 +26,6 @@ val blocks : n:int -> ell:int -> t
 (** Convenience: [make ~n ~ell ~k:(n / ell)] requiring [ell] divides [n] —
     the paper's setting [k = n / ell] with fully loaded servers. *)
 
-val edge_count : t -> int
-(** Number of ring edges, equals [n]. *)
-
 val initial_cut_edges : t -> int list
 (** Edges [e] with [initial.(e) <> initial.(e+1 mod n)] in increasing
     order — the initial cut edges that seed the slicing procedure. *)

@@ -29,8 +29,6 @@ let width t i =
   check_interval t i;
   t.widths.(i)
 
-let max_width t = Array.fold_left Int.max 0 t.widths
-
 let base t i =
   check_interval t i;
   let off = ref 0 in

@@ -38,7 +38,6 @@ val make : n:int -> k:int -> epsilon:float -> shift:int -> t
 (** Requires [n >= 2], [k >= 1], [epsilon > 0], [0 <= shift < n]. *)
 
 val width : t -> int -> int
-val max_width : t -> int
 
 val base : t -> int -> int
 (** First edge (and first vertex) of interval [i]. *)

@@ -3,8 +3,6 @@ type t = Fixed of int array | Adaptive of (int -> Assignment.t -> int)
 let fixed a = Fixed a
 let adaptive f = Adaptive f
 
-let length = function Fixed a -> Some (Array.length a) | Adaptive _ -> None
-
 let next t step assignment =
   match t with
   | Fixed a ->

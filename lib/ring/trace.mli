@@ -17,9 +17,6 @@ type t =
 val fixed : int array -> t
 val adaptive : (int -> Assignment.t -> int) -> t
 
-val length : t -> int option
-(** Length of a fixed trace; [None] for adaptive ones. *)
-
 val next : t -> int -> Assignment.t -> int
 (** [next t step assignment]: the request at [step].  For fixed traces the
     assignment is ignored; out-of-bounds steps raise [Invalid_argument]. *)

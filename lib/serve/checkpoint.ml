@@ -21,6 +21,7 @@ type t = {
   degraded_left : int;
 }
 
+(* the file magic, and the format version this build writes and reads *)
 let magic = "RBGC"
 let version = 3
 

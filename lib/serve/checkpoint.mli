@@ -58,11 +58,6 @@ type t = {
           mid-degradation *)
 }
 
-val magic : string
-
-val version : int
-(** The format version this build writes and reads (3). *)
-
 val digest_empty : int
 (** The digest of the empty request sequence. *)
 

@@ -183,8 +183,6 @@ let ingest_batch_quiet t edges =
 
 let pos t = t.pos
 let alg_name t = t.alg_name
-let epsilon t = t.epsilon
-let seed t = t.seed
 let instance t = t.inst
 let result t = Simulator.stepper_result t.stepper
 let assignment t = Assignment.to_array (t.online.Online.assignment ())

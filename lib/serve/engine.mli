@@ -113,8 +113,6 @@ val pos : t -> int
 (** Requests served so far (including those before a resumed checkpoint). *)
 
 val alg_name : t -> string
-val epsilon : t -> float
-val seed : t -> int
 
 val instance : t -> Rbgp_ring.Instance.t
 (** The run's identity parameters, as passed to {!create} (or recovered

@@ -37,7 +37,6 @@ exception Injected_crash of string
 
 type plan = {
   rng : Rbgp_util.Rng.t;
-  spec : string;
   mutable crash_at : int; (* request index; -1 = none / already fired *)
   mutable ckpt_tear : int; (* 1-based checkpoint-write ordinal; -1 = none *)
   tear_keep : int; (* bytes kept by the tear; -1 = half of the record *)
@@ -131,7 +130,6 @@ let parse spec =
   |> List.iter parse_item;
   {
     rng = Rbgp_util.Rng.create !seed;
-    spec;
     crash_at = !crash_at;
     ckpt_tear = !ckpt_tear;
     tear_keep = !tear_keep;
@@ -156,7 +154,6 @@ let configure_from_env () =
 
 let disable () = state := None
 let armed () = Option.is_some !state
-let describe () = Option.map (fun p -> p.spec) !state
 
 (* ---- hooks ---- *)
 

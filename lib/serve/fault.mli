@@ -32,9 +32,6 @@ val configure_from_env : unit -> unit
 val disable : unit -> unit
 val armed : unit -> bool
 
-val describe : unit -> string option
-(** The active plan's spec, for logs. *)
-
 (** {1 Hooks} — called by the serve stack; all no-ops when disarmed. *)
 
 val crash_check : step:int -> unit

@@ -19,7 +19,7 @@
 type t
 
 val create : unit -> t
-(** Starts the clock (monotonic, see {!elapsed_s}). *)
+(** Starts the clock (monotonic, see {!rps}). *)
 
 val observe : t -> latency_ns:int -> comm:int -> moved:int -> max_load:int -> unit
 (** Record one served request: its ingest latency, the communication
@@ -50,12 +50,9 @@ val max_load : t -> int
 val degraded : t -> int
 val recovered : t -> int
 
-val elapsed_s : t -> float
-(** Seconds since {!create}, on the monotonic clock
-    ({!Rbgp_util.Clock}). *)
-
 val rps : t -> float
-(** [requests / elapsed]; [0.] before the first request. *)
+(** [requests / elapsed], elapsed since {!create} on the monotonic clock
+    ({!Rbgp_util.Clock}); [0.] before the first request. *)
 
 val quantile : t -> float -> int
 (** [quantile t q] for [q] in [\[0, 1\]]: approximate latency in
@@ -78,9 +75,6 @@ type snapshot
 val snapshot : t -> snapshot
 
 val snapshot_requests : snapshot -> int
-val snapshot_rps : snapshot -> float
-val snapshot_quantile : snapshot -> float -> int
-(** Same bucket-resolution semantics as {!quantile}. *)
 
 val json_of_snapshot : snapshot -> string
 (** Same one-line JSON object as {!to_json}, rendered from the frozen

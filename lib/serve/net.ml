@@ -199,9 +199,6 @@ let server ?http ?(supervise = false) ?(hwm = 256 * 1024) ~router addr =
     closed = false;
   }
 
-let stopped s = s.stopped_
-let draining s = s.draining_
-let connections s = List.length s.conns
 let request_drain s = s.drain_req <- true
 
 (* Queue the frame whose payload is in [conn.payload]. *)
@@ -488,7 +485,6 @@ type client = {
   cbuf : bytes;  (** socket reads land here, then in [cin] *)
   cpayload : Buffer.t;  (** the request payload being built, reused *)
   pump : (unit -> unit) option;
-  mutable srv_draining : bool;
   mutable cclosed : bool;
 }
 
@@ -541,10 +537,8 @@ let rec await c ~stream expect =
     let code, msg = Proto.read_error f.Proto.payload in
     raise (Server_error (code, msg))
   end
-  else if f.Proto.stream = 0 && op_eq f.Proto.op Proto.Draining then begin
-    c.srv_draining <- true;
+  else if f.Proto.stream = 0 && op_eq f.Proto.op Proto.Draining then
     await c ~stream expect
-  end
   else
     raise
       (Proto.Protocol_error
@@ -561,7 +555,6 @@ let connect ?pump addr =
       cbuf = Bytes.create 65536;
       cpayload = Buffer.create 256;
       pump;
-      srv_draining = false;
       cclosed = false;
     }
   in
@@ -579,8 +572,6 @@ let close c =
     c.cclosed <- true;
     Sockio.close_fd c.cfd
   end
-
-let server_draining c = c.srv_draining
 
 let open_stream c ~stream (o : Proto.open_payload) =
   Proto.add_open c.cpayload o;

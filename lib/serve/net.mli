@@ -86,14 +86,9 @@ val begin_drain : server -> unit
 (** Checkpoint + close all tenants, notify and flush connections, stop
     accepting; [step] returns [false] once every queue is flushed. *)
 
-val stopped : server -> bool
-
 val shutdown : server -> unit
 (** Close every fd and unlink Unix-socket paths (idempotent; called
     automatically when a drain completes). *)
-
-val draining : server -> bool
-val connections : server -> int
 
 (** {2 Client} *)
 
@@ -111,9 +106,6 @@ val connect : ?pump:(unit -> unit) -> addr -> client
     whenever the client would block on the socket. *)
 
 val close : client -> unit
-
-val server_draining : client -> bool
-(** Has a [Draining] notice arrived on this connection? *)
 
 val open_stream : client -> stream:int -> Proto.open_payload -> int
 (** Bind [stream] to a tenant; returns the position to resume sending

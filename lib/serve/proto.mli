@@ -22,9 +22,6 @@ exception Protocol_error of string
     opcode, payload over {!max_payload}, bad hello magic.  Never raised
     for merely-incomplete input. *)
 
-val magic : string
-(** ["RBGN"] *)
-
 val version : int
 
 val max_payload : int

@@ -67,8 +67,6 @@ let path_for t tid =
   | Some dir -> Some (Filename.concat dir (tid ^ ".ckpt"))
   | None -> None
 
-let ckpt_path t tn = path_for t tn.tid
-
 let find t tid = Hashtbl.find_opt t.slots tid
 
 let tenants t =

@@ -55,8 +55,6 @@ val create :
     is durable, but close/kill still snapshot in memory so re-opening
     resumes exactly within the process lifetime. *)
 
-val valid_id : string -> bool
-
 val open_tenant :
   t -> Proto.open_payload -> (tenant * int, int * string) result
 (** Bind (or re-bind) a tenant.  [Ok (tenant, pos)] carries the position
@@ -115,4 +113,3 @@ val ckpt_age_s : tenant -> float option
     first) — the per-tenant staleness gauge behind the HTTP
     checkpoint-age endpoint. *)
 
-val ckpt_path : t -> tenant -> string option

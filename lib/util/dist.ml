@@ -55,13 +55,6 @@ let point i ~n =
 let size = Array.length
 let prob (t : t) i = t.(i)
 
-let support (t : t) =
-  let acc = ref [] in
-  for i = Array.length t - 1 downto 0 do
-    if t.(i) > 0.0 then acc := i :: !acc
-  done;
-  !acc
-
 (* Inverse-CDF walk for a uniform [u] in [0, 1). *)
 let sample_at u (t : t) =
   let n = Array.length t in
@@ -137,25 +130,5 @@ let l1_distance (a : t) (b : t) =
   !acc
 
 let tv_distance a b = 0.5 *. l1_distance a b
-
-let earthmover_line (a : t) (b : t) =
-  if Array.length a <> Array.length b then
-    invalid_arg "Dist.earthmover_line: size mismatch";
-  (* W1 on the line = sum over cut points of |F_a(i) - F_b(i)| *)
-  let acc = ref 0.0 in
-  let fa = ref 0.0 and fb = ref 0.0 in
-  for i = 0 to Array.length a - 2 do
-    fa := !fa +. a.(i);
-    fb := !fb +. b.(i);
-    acc := !acc +. Float.abs (!fa -. !fb)
-  done;
-  !acc
-
-let expectation (t : t) f =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length t - 1 do
-    if t.(i) > 0.0 then acc := !acc +. (t.(i) *. f i)
-  done;
-  !acc
 
 let to_array (t : t) = Array.copy t

@@ -40,7 +40,6 @@ val point : int -> n:int -> t
 
 val size : t -> int
 val prob : t -> int -> float
-val support : t -> int list
 
 val sample : Rng.t -> t -> int
 (** Exact inverse-CDF sampling. *)
@@ -73,12 +72,6 @@ val tv_distance : t -> t -> float
 (** Total variation distance, [1/2 * L1]. *)
 
 val l1_distance : t -> t -> float
-
-val earthmover_line : t -> t -> float
-(** Earthmover (Wasserstein-1) distance under the line metric
-    [d(i,j) = |i - j|], computed by the prefix-sum formula. *)
-
-val expectation : t -> (int -> float) -> float
 
 val to_array : t -> float array
 (** Fresh copy of the underlying vector. *)

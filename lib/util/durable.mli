@@ -15,12 +15,6 @@ val atomic_write : path:string -> string -> unit
     Raises [Sys_error] / [Unix.Unix_error] on genuine I/O failure; the
     tmp file is removed on the error path. *)
 
-val fsync_dir : string -> unit
-(** [fsync_dir dir] fsyncs the directory [dir] so a preceding rename in
-    it survives power loss.  Filesystems that cannot fsync a directory
-    (the open or fsync is refused) are tolerated silently — the rename
-    is still atomic, only its durability window widens. *)
-
 val retry_transient : ?attempts:int -> (unit -> 'a) -> 'a
 (** [retry_transient f] runs [f], retrying when it raises
     [Unix.Unix_error] with [EINTR], [EAGAIN] or [EWOULDBLOCK] — the

@@ -99,8 +99,6 @@ let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
 
 let float t = float_of_int (bits53 t) *. 0x1p-53
 
-let bool t = Int64.logand (step t) 1L = 1L
-
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
@@ -112,15 +110,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let geometric t p =
-  if not (p > 0.0 && p <= 1.0) then invalid_arg "Rng.geometric: p out of range";
-  if p >= 1.0 then 0
-  else
-    let u = float t in
-    (* inverse CDF of the geometric distribution counting failures *)
-    int_of_float (Float.of_int 1 *. floor (log1p (-.u) /. log1p (-.p)))
-
-let exponential t rate =
-  if not (rate > 0.0) then invalid_arg "Rng.exponential: rate must be positive";
-  -.log1p (-.float t) /. rate

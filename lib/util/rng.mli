@@ -51,17 +51,8 @@ val bits53 : t -> int
     returns.  A caller compares it against a scaled threshold and
     converts only when it needs the float. *)
 
-val bool : t -> bool
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val geometric : t -> float -> int
-(** [geometric t p] is the number of failures before the first success of a
-    Bernoulli(p) process, for [0 < p <= 1]. *)
-
-val exponential : t -> float -> float
-(** [exponential t rate] samples Exp(rate). *)

@@ -35,4 +35,8 @@ val smin_sub : c:float -> float array -> lo:int -> hi:int -> float
     (inclusive bounds), without copying. *)
 
 val grad_sub_into : c:float -> float array -> lo:int -> hi:int -> float array -> unit
-(** Gradient of {!smin_sub} written into an [hi - lo + 1]-sized buffer. *)
+(** Gradient of {!smin_sub} written into an [hi - lo + 1]-sized buffer.
+    No program calls it: the players run the O(1) cached
+    {!Smin_weights}.  It stays as the dense oracle that [test_hitting]'s
+    line player and [test_static]'s dense Slicing compare against after
+    every request. *)

@@ -18,31 +18,6 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let min xs =
-  check_nonempty "Stats.min" xs;
-  Array.fold_left Float.min xs.(0) xs
-
-let max xs =
-  check_nonempty "Stats.max" xs;
-  Array.fold_left Float.max xs.(0) xs
-
-let quantile xs q =
-  check_nonempty "Stats.quantile" xs;
-  if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q out of [0,1]";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let n = Array.length sorted in
-  if n = 1 then sorted.(0)
-  else begin
-    let pos = q *. float_of_int (n - 1) in
-    let lo = int_of_float (floor pos) in
-    let hi = Int.min (lo + 1) (n - 1) in
-    let frac = pos -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
-
-let median xs = quantile xs 0.5
-
 type linfit = { slope : float; intercept : float; r2 : float }
 
 let linear_fit xs ys =
@@ -72,9 +47,3 @@ let map_positive name f xs =
 
 let loglog_fit xs ys =
   linear_fit (map_positive "Stats.loglog_fit" log xs) (map_positive "Stats.loglog_fit" log ys)
-
-let log_x_fit xs ys = linear_fit (map_positive "Stats.log_x_fit" log xs) ys
-
-let describe xs =
-  Printf.sprintf "mean %.3f sd %.3f min %.3f med %.3f max %.3f" (mean xs)
-    (stddev xs) (min xs) (median xs) (max xs)

@@ -1,23 +1,15 @@
 (** Small statistics toolkit for the experiment harness.
 
-    Competitive-ratio experiments summarize many seeded runs (mean, standard
-    deviation, quantiles) and fit growth exponents by least squares on
+    Competitive-ratio experiments summarize many seeded runs (mean and
+    standard deviation) and fit growth exponents by least squares on
     log-transformed data (e.g. "does cost/OPT grow like log^2 k or like k?").
     Everything operates on plain float arrays. *)
 
 val mean : float array -> float
-val variance : float array -> float
-(** Unbiased sample variance (n-1 denominator); 0 for fewer than 2 points. *)
 
 val stddev : float array -> float
-val min : float array -> float
-val max : float array -> float
-
-val quantile : float array -> float -> float
-(** [quantile xs q] for [0 <= q <= 1], linear interpolation between order
-    statistics.  Does not mutate the input. *)
-
-val median : float array -> float
+(** Square root of the unbiased sample variance (n-1 denominator); 0 for
+    fewer than 2 points. *)
 
 type linfit = { slope : float; intercept : float; r2 : float }
 
@@ -27,10 +19,3 @@ val linear_fit : float array -> float array -> linfit
 val loglog_fit : float array -> float array -> linfit
 (** Least squares of [log y] against [log x]: the slope estimates the
     polynomial growth exponent.  All inputs must be positive. *)
-
-val log_x_fit : float array -> float array -> linfit
-(** Least squares of [y] against [log x]: a good fit (high r2, stable slope)
-    indicates logarithmic growth of y in x. *)
-
-val describe : float array -> string
-(** One-line summary "mean m sd s min a med b max c" used in reports. *)

@@ -33,6 +33,5 @@ val cell_i : int -> string
 val cell_ratio : float -> string
 (** Format a competitive ratio with two decimals, rendering the
     non-finite cases explicitly as ["inf"], ["-inf"] and ["nan"] — e.g. a
-    comparator of cost zero against a positive online cost
-    ({!Rbgp_ring.Cost.scale_ratio} returns [infinity] there) must not
+    comparator of cost zero against a positive online cost must not
     depend on [Printf]'s locale-dependent float formatting. *)

@@ -177,57 +177,3 @@ let write ~path ~n ?(ell = 0) ?(seed = 0) trace =
             fail ~path "cannot write edge %d out of [0, %d)" e n;
           output_request oc e)
         trace)
-
-let with_in path f =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
-
-let fold ~path ~n ~init ~f =
-  with_in path (fun ic ->
-      let header = input_header ~path ic in
-      if header.n <> n then
-        fail ~path "header n = %d does not match expected n = %d" header.n n;
-      let acc = ref init in
-      let continue = ref true in
-      while !continue do
-        match input_request_opt ~path ic ~n with
-        | Some e -> acc := f !acc e
-        | None -> continue := false
-      done;
-      (header, !acc))
-
-let read_channel ~path ~n =
-  let _, acc = fold ~path ~n ~init:[] ~f:(fun acc e -> e :: acc) in
-  Array.of_list (List.rev acc)
-
-let read ~path ~n =
-  match map path with
-  | exception Unix.Unix_error _ -> read_channel ~path ~n
-  | exception Invalid_argument _ ->
-      (* unmappable (pipe, special file): the channel path owns the error *)
-      read_channel ~path ~n
-  | r ->
-      let header = header_of_region ~path r in
-      if header.n <> n then
-        fail ~path "header n = %d does not match expected n = %d" header.n n;
-      let block_len = 65536 in
-      let block = Array.make block_len 0 in
-      let buf = ref (Array.make block_len 0) in
-      let len = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let got = decode_requests_into ~path r ~n block ~limit:block_len in
-        if got = 0 then continue := false
-        else begin
-          if !len + got > Array.length !buf then begin
-            let bigger =
-              Array.make (Stdlib.max (2 * Array.length !buf) (!len + got)) 0
-            in
-            Array.blit !buf 0 bigger 0 !len;
-            buf := bigger
-          end;
-          Array.blit block 0 !buf !len got;
-          len := !len + got
-        end
-      done;
-      Array.sub !buf 0 !len

@@ -24,8 +24,6 @@
 val magic : string
 (** ["RBGT"]. *)
 
-val version : int
-
 type header = { version : int; n : int; ell : int; seed : int }
 
 val output_header : out_channel -> n:int -> ell:int -> seed:int -> unit
@@ -78,11 +76,3 @@ val decode_requests_into :
 
 val write :
   path:string -> n:int -> ?ell:int -> ?seed:int -> int array -> unit
-
-val read : path:string -> n:int -> int array
-(** Loads a whole trace; validates the header's [n] equals the caller's
-    expectation.  Prefer {!fold} for large files. *)
-
-val fold :
-  path:string -> n:int -> init:'a -> f:('a -> int -> 'a) -> header * 'a
-(** Streams the file request by request without materializing it. *)

@@ -30,24 +30,3 @@ let rec input_request_from ~path ~lineno ic ~n =
 let input_request_opt ?(path = "<channel>") ?lineno ic ~n =
   let lineno = match lineno with Some r -> r | None -> ref 0 in
   input_request_from ~path ~lineno ic ~n
-
-let fold_channel ?(path = "<channel>") ic ~n ~init ~f =
-  let acc = ref init in
-  let lineno = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match input_request_from ~path ~lineno ic ~n with
-    | Some e -> acc := f !acc e
-    | None -> continue := false
-  done;
-  !acc
-
-let fold ~path ~n ~init ~f =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> fold_channel ~path ic ~n ~init ~f)
-
-let load ~path ~n =
-  let acc = fold ~path ~n ~init:[] ~f:(fun acc e -> e :: acc) in
-  Array.of_list (List.rev acc)

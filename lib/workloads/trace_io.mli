@@ -8,25 +8,11 @@
 
 val save : path:string -> ?comment:string -> int array -> unit
 
-val fold : path:string -> n:int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Streams the file line by line without materializing the trace — the
-    reader behind both [load] and [rbgp serve]'s text input.  Validates
-    every entry against the ring size [n]; raises [Invalid_argument]
-    naming the file path and offending line number otherwise, and
-    [Sys_error] on I/O failure. *)
-
-val fold_channel :
-  ?path:string -> in_channel -> n:int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** [fold] over an already-open channel (e.g. stdin); reads to
-    end-of-stream.  [path] is only used in error messages (default
-    ["<channel>"]). *)
-
 val input_request_opt :
   ?path:string -> ?lineno:int ref -> in_channel -> n:int -> int option
-(** Pull one request: skips blank/comment lines, validates the edge,
-    [None] at end-of-stream.  The streaming serving loop reads stdin this
-    way.  Pass the same [lineno] ref across calls to keep error messages'
-    line numbers accurate. *)
-
-val load : path:string -> n:int -> int array
-(** [fold] materialized into an array, same validation and errors. *)
+(** Pull one request: skips blank/comment lines, validates the edge
+    against the ring size [n], [None] at end-of-stream.  A malformed or
+    out-of-range line raises [Invalid_argument] naming [path] and the
+    line number.  [Rbgp_serve.Source] reads text traces, files and
+    stdin alike, this way.  Pass the same [lineno] ref across calls to
+    keep error messages' line numbers accurate. *)

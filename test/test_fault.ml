@@ -119,12 +119,7 @@ let test_retry_transient () =
 let test_spec_parsing () =
   Alcotest.(check bool) "disarmed by default" false (Fault.armed ());
   with_faults "crash@5,read-eintr:0.25,solver-stall@9:77,seed=12" (fun () ->
-      Alcotest.(check bool) "armed" true (Fault.armed ());
-      (match Fault.describe () with
-      | Some spec ->
-          Alcotest.(check bool) "describe echoes the spec" true
-            (Astring.String.is_infix ~affix:"crash@5" spec)
-      | None -> Alcotest.fail "armed plan has no description"));
+      Alcotest.(check bool) "armed" true (Fault.armed ()));
   Alcotest.(check bool) "disabled again" false (Fault.armed ());
   Fault.configure "";
   Alcotest.(check bool) "empty spec disarms" false (Fault.armed ());

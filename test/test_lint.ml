@@ -369,7 +369,7 @@ let test_json_roundtrip () =
                 true (Finding.equal a b))
             live parsed)
 
-(* --- interprocedural rules (r11–r13) ----------------------------------- *)
+(* --- interprocedural rules (r11–r14) ----------------------------------- *)
 
 let effects_of sources = Effects.infer (Index.of_sources sources)
 
@@ -596,6 +596,92 @@ let test_r13 () =
     [ "r13-comparator-coverage" ]
     (rules_of_findings bare)
 
+(* R14: an exposed value that nothing outside its module references
+   flags, whether nothing uses it or only its own module does; a
+   reference from another lib module (through a local module alias, and
+   to an external, which no call edge reaches), from a sibling
+   perfbench/ or examples/ file (the latter under a local open), or from
+   test/ (through a module alias) clears it. *)
+let test_r14 () =
+  let index =
+    Index.of_sources
+      [
+        ( "lib/ring/seg.mli",
+          "val dead : int -> int\nval inner : int -> int\n\
+           val shared : int -> int\nval benched : int -> int\n\
+           val shown : int -> int\nval tested : int -> int\n\
+           external stamp : unit -> int = \"seg_stamp\"\n" );
+        ( "lib/ring/seg.ml",
+          "let dead x = x\nlet inner x = x + 1\nlet outer x = inner x\n\
+           let shared x = x\nlet benched x = x\nlet shown x = x\n\
+           let tested x = x\nexternal stamp : unit -> int = \"seg_stamp\"\n" );
+        ( "lib/core/user.ml",
+          "let f x = let module S = Seg in S.shared x + Seg.stamp ()\n" );
+      ]
+  in
+  let evidence =
+    Index.of_sources
+      [
+        ("perfbench/w_seg.ml", "let run () = Seg.benched 1\n");
+        ("examples/demo.ml", "let () = ignore Rbgp_ring.Seg.(shown 2)\n");
+        ( "test/test_seg.ml",
+          "module S = Rbgp_ring.Seg\nlet () = ignore (S.tested 3)\n" );
+      ]
+  in
+  let flagged = Rules.unused_export ~index ~evidence in
+  Alcotest.(check (list (pair string int)))
+    "dead (line 1) and internal-only inner (line 2) flag, nothing else"
+    [ ("r14-unused-export", 1); ("r14-unused-export", 2) ]
+    (List.map (fun f -> (f.Finding.rule, f.Finding.line)) flagged)
+
+(* r14 on disk: an untested, unreferenced comparator is r13's alone (one
+   rule id per site), and linting a directory with no sibling project
+   directory beside it leaves r13 and r14 silent. *)
+let test_r14_siblings () =
+  let root = Filename.temp_dir "rbgp_lint_r14" "" in
+  let write rel contents =
+    let path = Filename.concat root rel in
+    let rec mkdirs d =
+      if not (Sys.file_exists d) then begin
+        mkdirs (Filename.dirname d);
+        Sys.mkdir d 0o755
+      end
+    in
+    mkdirs (Filename.dirname path);
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+  in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> remove (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> remove root)
+    (fun () ->
+      write "lib/ring/seg.mli"
+        "val compare_arc : int -> int -> int\nval dead : int -> int\n";
+      write "lib/ring/seg.ml"
+        "let compare_arc a b = Int.compare a b\nlet dead x = x\n";
+      write "test/test_seg.ml" "let () = ()\n";
+      let rules dirs =
+        List.filter_map
+          (fun (f : Finding.t) ->
+            match f.Finding.rule with
+            | ("r13-comparator-coverage" | "r14-unused-export") as r ->
+                Some (r, f.Finding.line)
+            | _ -> None)
+          (Engine.run ~dirs ()).Engine.live
+      in
+      Alcotest.(check (list (pair string int)))
+        "comparator is r13's, the dead value r14's"
+        [ ("r13-comparator-coverage", 1); ("r14-unused-export", 2) ]
+        (rules [ Filename.concat root "lib" ]);
+      Alcotest.(check (list (pair string int)))
+        "no sibling directory: r13 and r14 silent" []
+        (rules [ Filename.concat root "lib/ring" ]))
+
 (* Root reachability across modules: the hot traversal crosses a handled
    call edge (a caught allocation still allocates), the serve traversal
    stops at it, and constant bindings are never entered. *)
@@ -691,7 +777,12 @@ let test_explain () =
             (r ^ " explanation is substantial") true
             (String.length text > 200)
       | None -> Alcotest.failf "no --explain text for %s" r)
-    [ "r11-hot-alloc"; "r12-transitive-partial"; "r13-comparator-coverage" ];
+    [
+      "r11-hot-alloc";
+      "r12-transitive-partial";
+      "r13-comparator-coverage";
+      "r14-unused-export";
+    ];
   Alcotest.(check bool) "every described rule explains" true
     (List.for_all
        (fun (id, _) -> Option.is_some (Rules.explain id))
@@ -950,6 +1041,8 @@ let () =
             test_shadowed_definitions;
           Alcotest.test_case "r12 transitive partiality" `Quick test_r12;
           Alcotest.test_case "r13 comparator coverage" `Quick test_r13;
+          Alcotest.test_case "r14 unused exports" `Quick test_r14;
+          Alcotest.test_case "r14 evidence on disk" `Quick test_r14_siblings;
           Alcotest.test_case "root reachability" `Quick test_reachability;
           Alcotest.test_case "one rule id per site" `Quick
             test_one_rule_per_site;

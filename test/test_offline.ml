@@ -376,12 +376,6 @@ let test_dynamic_lb_matches_oracle =
                Stdlib.max acc (oracle_lb_for_offset inst trace off))
              0 (default_offsets k))
 
-let test_static_lb_reexport =
-  qtest ~count:50 "static_lb = crossing_lower_bound" tiny_ring_gen
-    (fun (n, ell, trace) ->
-      let inst = Instance.blocks ~n ~ell in
-      Lb.static_lb inst trace = Sopt.crossing_lower_bound inst trace)
-
 let test_dynamic_heuristic_bracket =
   (* the feasible windowed schedule must land between the exact optimum and
      the (re-priced) static optimum *)
@@ -454,7 +448,6 @@ let () =
           test_dynamic_lb_certified;
           test_phase_count_matches_window_dp;
           test_dynamic_lb_matches_oracle;
-          test_static_lb_reexport;
           test_dynamic_heuristic_bracket;
           Alcotest.test_case "interval opt sanity" `Quick test_interval_opt_sane;
         ] );

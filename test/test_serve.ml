@@ -1074,6 +1074,21 @@ let with_temp ext f =
   let path = Filename.temp_file "rbgp_trace" ext in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+(* A whole trace file in either format, read through [Source] as [rbgp
+   sim --trace-file] reads it. *)
+let read_trace ~n path =
+  let src = Source.open_file ~n path in
+  Fun.protect
+    ~finally:(fun () -> Source.close src)
+    (fun () ->
+      let block = Array.make 4096 0 in
+      let rec go acc =
+        match Source.next_batch src block ~limit:(Array.length block) with
+        | 0 -> Array.concat (List.rev acc)
+        | got -> go (Array.sub block 0 got :: acc)
+      in
+      go [])
+
 let qcheck_binary_text_roundtrip =
   let gen =
     QCheck2.Gen.(
@@ -1089,9 +1104,9 @@ let qcheck_binary_text_roundtrip =
       with_temp ".rbt" (fun bin ->
           with_temp ".txt" (fun txt ->
               Trace_codec.write ~path:bin ~n ~ell ~seed trace;
-              let from_bin = Trace_codec.read ~path:bin ~n in
+              let from_bin = read_trace ~n bin in
               Trace_io.save ~path:txt from_bin;
-              let from_txt = Trace_io.load ~path:txt ~n in
+              let from_txt = read_trace ~n txt in
               (* the format sniff: a header for the binary file only *)
               let header path =
                 let src = Source.open_file ~n path in
@@ -1107,18 +1122,6 @@ let qcheck_binary_text_roundtrip =
               | _ -> false)
               && from_bin = trace && from_txt = trace)))
 
-let test_codec_streaming_fold () =
-  let n = 200 in
-  let trace = Array.init 1000 (fun i -> (i * 17) mod n) in
-  with_temp ".rbt" (fun path ->
-      Trace_codec.write ~path ~n ~ell:8 ~seed:42 trace;
-      let hdr, rev =
-        Trace_codec.fold ~path ~n ~init:[] ~f:(fun acc e -> e :: acc)
-      in
-      Alcotest.(check int) "header n" n hdr.Trace_codec.n;
-      Alcotest.(check (array int)) "fold == read" trace
-        (Array.of_list (List.rev rev)))
-
 let test_codec_detects_torn_frame () =
   let n = 300 in
   (* edge 200 needs a two-byte varint: chopping one byte tears the frame *)
@@ -1128,7 +1131,7 @@ let test_codec_detects_torn_frame () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc
             (String.sub raw 0 (String.length raw - 1)));
-      match Trace_codec.read ~path ~n with
+      match read_trace ~n path with
       | _ -> Alcotest.fail "torn frame accepted"
       | exception Invalid_argument msg ->
           Alcotest.(check bool) "error mentions torn frame" true
@@ -1137,28 +1140,15 @@ let test_codec_detects_torn_frame () =
 let test_codec_rejects_wrong_n () =
   with_temp ".rbt" (fun path ->
       Trace_codec.write ~path ~n:64 ~ell:0 ~seed:0 [| 1; 2; 3 |];
-      match Trace_codec.read ~path ~n:128 with
+      match read_trace ~n:128 path with
       | _ -> Alcotest.fail "mismatched n accepted"
       | exception Invalid_argument _ -> ())
-
-let test_trace_io_fold_matches_load () =
-  let n = 50 in
-  let trace = Array.init 400 (fun i -> (i * 7) mod n) in
-  with_temp ".txt" (fun path ->
-      Trace_io.save ~path ~comment:"fold test" trace;
-      let folded =
-        Trace_io.fold ~path ~n ~init:[] ~f:(fun acc e -> e :: acc)
-      in
-      Alcotest.(check (array int)) "fold == load" (Trace_io.load ~path ~n)
-        (Array.of_list (List.rev folded));
-      Alcotest.(check (array int)) "load == original" trace
-        (Trace_io.load ~path ~n))
 
 let test_trace_io_error_names_path () =
   with_temp ".txt" (fun path ->
       Out_channel.with_open_text path (fun oc ->
           Out_channel.output_string oc "1\nbogus\n2\n");
-      match Trace_io.load ~path ~n:10 with
+      match read_trace ~n:10 path with
       | _ -> Alcotest.fail "bogus line accepted"
       | exception Invalid_argument msg ->
           Alcotest.(check bool)
@@ -2113,12 +2103,9 @@ let () =
       ( "codec",
         [
           qcheck_binary_text_roundtrip;
-          Alcotest.test_case "streaming fold" `Quick test_codec_streaming_fold;
           Alcotest.test_case "torn frame detected" `Quick
             test_codec_detects_torn_frame;
           Alcotest.test_case "wrong n rejected" `Quick test_codec_rejects_wrong_n;
-          Alcotest.test_case "text fold matches load" `Quick
-            test_trace_io_fold_matches_load;
           Alcotest.test_case "text errors name the path" `Quick
             test_trace_io_error_names_path;
         ] );

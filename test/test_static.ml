@@ -437,7 +437,6 @@ let test_static_augmentation_formula () =
 module Dense_slicing = struct
   type interval = {
     id : int;
-    center : int;
     mutable seg : Segment.t;
     mutable status : Slicing.status;
     mutable cut : int;
@@ -489,7 +488,6 @@ module Dense_slicing = struct
         (fun id e ->
           {
             id;
-            center = e;
             seg = Segment.make ~n:inst.Instance.n ~start:e ~len:2;
             status = Slicing.Active;
             cut = e;

@@ -142,6 +142,23 @@ let test_seeded_reproducibility () =
   let b = arr (W.uniform ~n:32 ~steps:500 (Rng.create 42)) in
   Alcotest.(check (array int)) "same seed, same trace" a b
 
+(* A whole trace file in either format, read through [Source] as [rbgp
+   sim --trace-file] reads it. *)
+let read_trace ~n path =
+  let src = Rbgp_serve.Source.open_file ~n path in
+  Fun.protect
+    ~finally:(fun () -> Rbgp_serve.Source.close src)
+    (fun () ->
+      let block = Array.make 4096 0 in
+      let rec go acc =
+        match
+          Rbgp_serve.Source.next_batch src block ~limit:(Array.length block)
+        with
+        | 0 -> Array.concat (List.rev acc)
+        | got -> go (Array.sub block 0 got :: acc)
+      in
+      go [])
+
 let test_trace_io_roundtrip () =
   let path = Filename.temp_file "rbgp_trace" ".txt" in
   Fun.protect
@@ -149,7 +166,7 @@ let test_trace_io_roundtrip () =
     (fun () ->
       let t = arr (W.uniform ~n:32 ~steps:500 (Rng.create 9)) in
       Rbgp_workloads.Trace_io.save ~path ~comment:"roundtrip test" t;
-      let t' = Rbgp_workloads.Trace_io.load ~path ~n:32 in
+      let t' = read_trace ~n:32 path in
       Alcotest.(check (array int)) "roundtrip" t t')
 
 let test_trace_io_validation () =
@@ -162,7 +179,7 @@ let test_trace_io_validation () =
       close_out oc;
       Alcotest.(check bool) "out-of-range rejected" true
         (try
-           ignore (Rbgp_workloads.Trace_io.load ~path ~n:32);
+           ignore (read_trace ~n:32 path);
            false
          with Invalid_argument _ -> true);
       let oc = open_out path in
@@ -170,7 +187,7 @@ let test_trace_io_validation () =
       close_out oc;
       Alcotest.(check bool) "garbage rejected" true
         (try
-           ignore (Rbgp_workloads.Trace_io.load ~path ~n:32);
+           ignore (read_trace ~n:32 path);
            false
          with Invalid_argument _ -> true))
 
