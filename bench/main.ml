@@ -154,6 +154,18 @@ let offline_reqs = Array.init 512 (fun i -> (i * 131) mod k)
 let inst = Rbgp_ring.Instance.blocks ~n:512 ~ell:8
 let trace512 = Array.init 4096 (fun i -> (i * 73) mod 512)
 
+(* quick E3's at-scale shape: the windowed upper bound over a uniform
+   trace, one segmented static OPT per window of every grid size *)
+let e3_inst = Rbgp_ring.Instance.blocks ~n:128 ~ell:8
+
+let e3_trace =
+  match
+    Rbgp_workloads.Workloads.uniform ~n:128 ~steps:5000
+      (Rbgp_util.Rng.create 3)
+  with
+  | Rbgp_ring.Trace.Fixed a -> a
+  | Rbgp_ring.Trace.Adaptive _ -> assert false (* uniform is oblivious *)
+
 (* the E10 comparator shape: exact dynamic OPT on the largest instance the
    experiment uses, pruned vs the retained exhaustive reference *)
 let dopt_inst = Rbgp_ring.Instance.blocks ~n:9 ~ell:3
@@ -197,6 +209,9 @@ let components_spec : (string * (unit -> unit)) list =
     );
     ( "offline: segmented static OPT n=512",
       fun () -> ignore (Rbgp_offline.Static_opt.segmented inst trace512) );
+    ( "offline: windowed dynamic UB n=128 ell=8 T=5000",
+      fun () -> ignore (Rbgp_offline.Dynamic_heuristic.best e3_inst e3_trace ())
+    );
     ( "offline: dynamic LB n=512 T=4096",
       fun () -> ignore (Rbgp_offline.Lower_bound.dynamic_lb inst trace512 ())
     );

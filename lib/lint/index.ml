@@ -3,7 +3,8 @@
    r12-transitive-partial, r13-comparator-coverage, r14-unused-export).
 
    One pass over every parsed implementation collects, per top-level (or
-   nested-module) value binding:
+   nested-module, or functor-argument) value binding, and per first-class
+   module unpack [(val e)]:
 
      - the *references* its body makes — applied heads and first-class
        uses alike, recorded as raw dotted paths for later resolution;
@@ -319,7 +320,26 @@ let binding_name (vb : Parsetree.value_binding) =
   of_pat vb.Parsetree.pvb_pat
 
 let walk_structure ctx str =
-  let add_node ~modpath (vb : Parsetree.value_binding) =
+  let add_node ~modpath name (loc : Location.t) expr =
+    let sites, refs, is_function, is_alias = collect_body ctx expr in
+    let qual = String.concat "." (modpath @ [ name ]) in
+    ctx.collected <-
+      {
+        id = ctx.path ^ "#" ^ qual;
+        display = ctx.modname ^ "." ^ qual;
+        file = ctx.path;
+        modname = ctx.modname;
+        name;
+        n_line = loc.Location.loc_start.Lexing.pos_lnum;
+        is_function;
+        is_alias;
+        sites;
+        refs;
+      }
+      :: ctx.collected
+  in
+  let add_binding ~modpath (vb : Parsetree.value_binding) =
+    let loc = vb.Parsetree.pvb_loc in
     let name =
       match binding_name vb with
       | Some name -> name
@@ -329,33 +349,14 @@ let walk_structure ctx str =
              files exercise comparators, and r13's coverage evidence
              must see those references.  A synthetic per-line name keeps
              the node addressable and un-referenceable. *)
-          Printf.sprintf "_anon:%d"
-            vb.Parsetree.pvb_loc.Location.loc_start.Lexing.pos_lnum
+          Printf.sprintf "_anon:%d" loc.Location.loc_start.Lexing.pos_lnum
     in
-    let sites, refs, is_function, is_alias =
-      collect_body ctx vb.Parsetree.pvb_expr
-    in
-    let qual = String.concat "." (modpath @ [ name ]) in
-    let line = vb.Parsetree.pvb_loc.Location.loc_start.Lexing.pos_lnum in
-    ctx.collected <-
-      {
-        id = ctx.path ^ "#" ^ qual;
-        display = ctx.modname ^ "." ^ qual;
-        file = ctx.path;
-        modname = ctx.modname;
-        name;
-        n_line = line;
-        is_function;
-        is_alias;
-        sites;
-        refs;
-      }
-      :: ctx.collected
+    add_node ~modpath name loc vb.Parsetree.pvb_expr
   in
   let rec structure ~modpath str = List.iter (item ~modpath) str
   and item ~modpath (si : Parsetree.structure_item) =
     match si.Parsetree.pstr_desc with
-    | Parsetree.Pstr_value (_, vbs) -> List.iter (add_node ~modpath) vbs
+    | Parsetree.Pstr_value (_, vbs) -> List.iter (add_binding ~modpath) vbs
     | Parsetree.Pstr_module mb -> module_binding ~modpath mb
     | Parsetree.Pstr_recmodule mbs ->
         List.iter (module_binding ~modpath) mbs
@@ -377,6 +378,18 @@ let walk_structure ctx str =
     | Parsetree.Pmod_structure str -> structure ~modpath str
     | Parsetree.Pmod_functor (_, body) -> module_expr ~modpath body
     | Parsetree.Pmod_constraint (me, _) -> module_expr ~modpath me
+    | Parsetree.Pmod_apply (f, arg) ->
+        (* [F (struct ... end)]: the argument's bindings are nodes like a
+           nested module's *)
+        module_expr ~modpath f;
+        module_expr ~modpath arg
+    | Parsetree.Pmod_unpack e ->
+        (* [(val e)]: a synthetic node, as for a pattern binding, holds
+           what [e] references ([module Log = (val Logs.src_log src)]) *)
+        let loc = me.Parsetree.pmod_loc in
+        add_node ~modpath
+          (Printf.sprintf "_unpack:%d" loc.Location.loc_start.Lexing.pos_lnum)
+          loc e
     | _ -> ()
   in
   structure ~modpath:[] str

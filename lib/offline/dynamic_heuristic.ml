@@ -1,7 +1,8 @@
 module Instance = Rbgp_ring.Instance
 module Cost = Rbgp_ring.Cost
 
-let windowed (inst : Instance.t) trace ~window =
+(* [sc] is the caller's DP scratch, shared by every window of a call *)
+let windowed sc (inst : Instance.t) trace ~window =
   if window < 1 then invalid_arg "Dynamic_heuristic.windowed: window >= 1";
   let steps = Array.length trace in
   let cost = Cost.zero () in
@@ -10,8 +11,7 @@ let windowed (inst : Instance.t) trace ~window =
   let t = ref 0 in
   while !t < steps do
     let len = Int.min window (steps - !t) in
-    let chunk = Array.sub trace !t len in
-    let sol = Static_opt.segmented inst chunk in
+    let sol = Static_opt.segmented_window sc trace ~pos:!t ~len in
     (* [segmented] prices migration against the instance's initial
        assignment; re-price against the schedule's current one and keep the
        cheaper of (move to the chunk optimum) vs (stay where we are) *)
@@ -20,19 +20,18 @@ let windowed (inst : Instance.t) trace ~window =
     Array.iteri
       (fun p s -> if s <> !prev.(p) then incr move_cost)
       candidate;
-    let crossing_of a =
-      Array.fold_left
-        (fun acc e -> if a.(e) <> a.((e + 1) mod n) then acc + 1 else acc)
-        0 chunk
-    in
-    let stay_total = crossing_of !prev in
+    let stay_total = ref 0 in
+    for i = !t to !t + len - 1 do
+      let e = trace.(i) in
+      if !prev.(e) <> !prev.((e + 1) mod n) then incr stay_total
+    done;
     let move_total = !move_cost + sol.Static_opt.crossing in
-    if move_total < stay_total then begin
+    if move_total < !stay_total then begin
       cost.Cost.mig <- cost.Cost.mig + !move_cost;
       cost.Cost.comm <- cost.Cost.comm + sol.Static_opt.crossing;
       prev := candidate
     end
-    else cost.Cost.comm <- cost.Cost.comm + stay_total;
+    else cost.Cost.comm <- cost.Cost.comm + !stay_total;
     t := !t + len
   done;
   cost
@@ -48,8 +47,11 @@ let best (inst : Instance.t) trace ?windows () =
         in
         if steps = 0 then [ 1 ] else grid 64 []
   in
+  let sc = Static_opt.scratch inst in
   let scored =
-    List.map (fun w -> (w, windowed inst trace ~window:(Int.max 1 w))) candidates
+    List.map
+      (fun w -> (w, windowed sc inst trace ~window:(Int.max 1 w)))
+      candidates
   in
   match scored with
   | [] -> invalid_arg "Dynamic_heuristic.best: no window candidates"

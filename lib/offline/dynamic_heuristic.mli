@@ -14,7 +14,15 @@
     cheapest — a simple but effective offline baseline (small windows track
     drift, large windows amortize migration; the sweep finds the
     crossover).  Experiment E3 reports the resulting bracket
-    [LB <= OPT <= UB]. *)
+    [LB <= OPT <= UB].
+
+    All windows of a call share one {!Static_opt.scratch}, and each chunk
+    of [len] requests is solved in place: one edge-count pass, the band DP
+    and the move-or-stay pricing, [O(n + len + k * ell * (sigma + 1) +
+    ell^3)] with the slack [sigma = ell * k - n] and the [ell^3] of the
+    Hungarian naming.  That is [O(n + len)] per chunk at fixed [ell] and
+    [sigma = 0], so one window size [w] costs [O(T + n * T / w)] over a
+    trace of [T] requests. *)
 
 val best :
   Rbgp_ring.Instance.t -> int array -> ?windows:int list -> unit ->

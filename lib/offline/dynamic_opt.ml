@@ -9,7 +9,6 @@ type t = {
          byte [i * m + j] is d(i, j) *)
   cuts : Bytes.t array;  (* byte j of [cuts.(e)] is 1 iff state j cuts edge e *)
   initial_dist : int array;  (* distance from the initial assignment *)
-  class_count : int;
 }
 
 (* --- symmetry canonicalization -------------------------------------- *)
@@ -23,9 +22,8 @@ type t = {
    orbit have identical crossing structure and identical pairwise-distance
    rows up to the induced permutation of the state space; the DP below
    cannot quotient by the orbit (the fixed initial assignment breaks the
-   symmetry through migration costs), but the canonical key is what the
-   enumeration interns to count classes, and it powers the shared-table
-   cache hash. *)
+   symmetry through migration costs), but the canonical key powers the
+   shared-table cache hash. *)
 (* Lexicographic comparison of equal-length int arrays — exactly what the
    polymorphic compare this replaces computed (lengths match by
    construction: all candidates are length-n assignment vectors). *)
@@ -125,14 +123,9 @@ let enumerate_states (inst : Instance.t) ?(max_states = 3000) () =
             if s.(e) <> s.(e') then '\001' else '\000'))
   in
   let initial_dist = Array.map (hamming inst.Instance.initial) states in
-  (* intern canonical forms: states in one rotation/relabeling orbit share
-     one hashtable entry, so the table's size is the class count *)
-  let classes : (int array, unit) Hashtbl.t = Hashtbl.create (Int.max 16 m) in
-  Array.iter (fun s -> Hashtbl.replace classes (canonical s) ()) states;
-  { inst; states; dist; cuts; initial_dist; class_count = Hashtbl.length classes }
+  { inst; states; dist; cuts; initial_dist }
 
 let state_count t = Array.length t.states
-let symmetry_class_count t = t.class_count
 
 (* --- shared-table cache ---------------------------------------------- *)
 

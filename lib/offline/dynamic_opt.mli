@@ -56,9 +56,8 @@ val canonical : int array -> int array
 
 val enumerate_states : Rbgp_ring.Instance.t -> ?max_states:int -> unit -> t
 (** Precomputes the configuration space, pairwise migration distances
-    (each pair once, [m^2] bytes), the per-edge cut rows and the count
-    of interned canonical classes (shared across traces on the same
-    instance). *)
+    (each pair once, [m^2] bytes) and the per-edge cut rows (shared
+    across traces on the same instance). *)
 
 val shared : Rbgp_ring.Instance.t -> ?max_states:int -> unit -> t
 (** Memoized {!enumerate_states}: a process-wide, mutex-protected cache
@@ -70,10 +69,6 @@ val shared : Rbgp_ring.Instance.t -> ?max_states:int -> unit -> t
     free after the first. *)
 
 val state_count : t -> int
-
-val symmetry_class_count : t -> int
-(** Number of distinct rotation/relabeling orbits among the enumerated
-    states (the canonical forms interned during enumeration). *)
 
 val solve : ?reference:bool -> t -> int array -> Rbgp_ring.Cost.t
 (** Exact minimum total cost for the trace; the returned cost splits

@@ -7,19 +7,24 @@ type solution = {
   total : int;
 }
 
+(* Per-edge request counts of [trace.(pos .. pos+len-1)], into [x]. *)
+let count_edges (inst : Instance.t) x trace ~pos ~len =
+  Array.fill x 0 inst.Instance.n 0;
+  for t = pos to pos + len - 1 do
+    let e = trace.(t) in
+    if e < 0 || e >= inst.Instance.n then
+      invalid_arg "Static_opt: trace edge out of range";
+    x.(e) <- x.(e) + 1
+  done
+
 let edge_counts (inst : Instance.t) trace =
   let x = Array.make inst.Instance.n 0 in
-  Array.iter
-    (fun e ->
-      if e < 0 || e >= inst.Instance.n then
-        invalid_arg "Static_opt: trace edge out of range";
-      x.(e) <- x.(e) + 1)
-    trace;
+  count_edges inst x trace ~pos:0 ~len:(Array.length trace);
   x
 
-let cost_of_assignment (inst : Instance.t) trace a =
-  let n = inst.Instance.n in
-  if Array.length a <> n then invalid_arg "Static_opt.cost_of_assignment: bad length";
+let check_balanced (inst : Instance.t) a =
+  if Array.length a <> inst.Instance.n then
+    invalid_arg "Static_opt.cost_of_assignment: bad length";
   let loads = Array.make inst.Instance.ell 0 in
   Array.iter
     (fun s ->
@@ -31,19 +36,27 @@ let cost_of_assignment (inst : Instance.t) trace a =
     (fun load ->
       if load > inst.Instance.k then
         invalid_arg "Static_opt.cost_of_assignment: unbalanced assignment")
-    loads;
-  let x = edge_counts inst trace in
+    loads
+
+(* Price a balanced [a] against per-edge request counts [x]; the solution
+   keeps [a] itself. *)
+let price (inst : Instance.t) x a =
+  let n = inst.Instance.n in
   let migration = ref 0 and crossing = ref 0 in
   for p = 0 to n - 1 do
     if a.(p) <> inst.Instance.initial.(p) then incr migration;
     if a.(p) <> a.((p + 1) mod n) then crossing := !crossing + x.(p)
   done;
   {
-    assignment = Array.copy a;
+    assignment = a;
     migration = !migration;
     crossing = !crossing;
     total = !migration + !crossing;
   }
+
+let cost_of_assignment (inst : Instance.t) trace a =
+  check_balanced inst a;
+  price inst (edge_counts inst trace) (Array.copy a)
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive optimum                                                  *)
@@ -168,52 +181,88 @@ let crossing_lower_bound (inst : Instance.t) trace =
   done;
   !best
 
-(* DP with segment count: g.(s).(i) = min crossing with cuts at relabeled
-   positions 0 and i, using s+1 cuts total so far.  Returns the optimal cut
-   set (original edge indices). *)
-let best_cut_set (inst : Instance.t) x =
+(* The DP below runs from each anchor c0 (the first cut among edges
+   0..k-1, as above) over relabeled positions i, edge (c0 + i) mod n:
+   g.(s).(i) is the least crossing of s+1 cuts, at 0 and the s-th at i, with
+   every gap at most k.  Only a band of positions can take the s-th cut of
+   a partition into at most [ell] segments of at most [k]: at least s (gaps
+   are at least 1), at most s*k (gaps at most k), and at least
+   n - (ell - s)*k (the remaining at most ell - s segments must close the
+   cycle).  An entry below s or above s*k is unreachable; one below
+   n - (ell - s)*k cannot close the cycle and feeds only entries below the
+   next layer's band.  So the band holds every value, parent and tie-break
+   the full n-wide table would, and with slack sigma = ell*k - n it is at
+   most sigma + 1 wide: O(k * ell * (sigma + 1)) per solve. *)
+type scratch = {
+  inst : Instance.t;
+  x : int array;  (* per-edge request counts of the window being solved *)
+  lo : int array;  (* the band of layer s is [lo.(s), hi.(s)] *)
+  hi : int array;
+  g : int array array;  (* g.(s).(i - lo.(s)) *)
+  parent : int array array;  (* the s-1-th cut of g.(s)'s argmin *)
+  w : Window_min.t;
+}
+
+let scratch (inst : Instance.t) =
   let n = inst.Instance.n and k = inst.Instance.k and ell = inst.Instance.ell in
+  let lo = Array.init ell (fun s -> Int.max s (n - ((ell - s) * k))) in
+  let hi = Array.init ell (fun s -> Int.min (n - 1) (s * k)) in
+  let width = Int.min n ((ell * k) - n + 1) in
+  {
+    inst;
+    x = Array.make n 0;
+    lo;
+    hi;
+    g = Array.make_matrix ell width unreachable;
+    parent = Array.make_matrix ell width (-1);
+    w = Window_min.create ~k ~capacity:width;
+  }
+
+(* The optimal cut set (original edge indices) for the counts in [sc.x]. *)
+let best_cut_set sc =
+  let n = sc.inst.Instance.n and k = sc.inst.Instance.k in
+  let ell = sc.inst.Instance.ell in
+  let x = sc.x and lo = sc.lo and hi = sc.hi and g = sc.g and w = sc.w in
   let best = ref unreachable and best_cuts = ref None in
-  (* DP layers and deque reused across anchors/layers to avoid
-     re-allocating per anchor *)
-  let g = Array.make_matrix ell n unreachable in
-  let parent = Array.make_matrix ell n (-1) in
-  let w = Window_min.create ~k ~capacity:n in
   for c0 = 0 to Int.min (k - 1) (n - 1) do
     let arr i = x.((c0 + i) mod n) in
-    for s = 0 to ell - 1 do
-      Array.fill g.(s) 0 n unreachable;
-      Array.fill parent.(s) 0 n (-1)
-    done;
+    (* layer 0's band is the anchor alone *)
     g.(0).(0) <- arr 0;
     for s = 1 to ell - 1 do
+      let prev = g.(s - 1) and cur = g.(s) and parent = sc.parent.(s) in
+      let plo = lo.(s - 1) and phi = hi.(s - 1) in
       Window_min.reset w;
-      (* we also need argmin; store (value, idx) by scanning the deque head *)
-      let push i v = if v < unreachable then Window_min.push w i v in
-      push 0 g.(s - 1).(0);
-      for i = 1 to n - 1 do
+      (* the next previous-layer position to push *)
+      let next = ref plo in
+      for i = lo.(s) to hi.(s) do
+        while !next < i && !next <= phi do
+          let v = prev.(!next - plo) in
+          if v < unreachable then Window_min.push w !next v;
+          incr next
+        done;
         let m = Window_min.min_before w i in
         if m < unreachable then begin
-          g.(s).(i) <- m + arr i;
-          (* recover the argmin by scanning back over the window: O(k) worst
-             case, but only executed when we later reconstruct; to keep the
-             forward pass O(n) we store the head index of the deque. *)
-          parent.(s).(i) <- w.Window_min.idx.(w.Window_min.head)
-        end;
-        push i g.(s - 1).(i)
+          cur.(i - lo.(s)) <- m + arr i;
+          (* the deque's head is the argmin (the latest on a tie) *)
+          parent.(i - lo.(s)) <- w.Window_min.idx.(w.Window_min.head)
+        end
+        else cur.(i - lo.(s)) <- unreachable
       done
     done;
     (* close the cycle: last cut i with n - i <= k; s+1 cuts = s+1 segments *)
     for s = 0 to ell - 1 do
-      for i = Int.max 1 (n - k) to n - 1 do
-        if g.(s).(i) < !best then begin
-          best := g.(s).(i);
+      for i = Int.max lo.(s) (Int.max 1 (n - k)) to hi.(s) do
+        if g.(s).(i - lo.(s)) < !best then begin
+          best := g.(s).(i - lo.(s));
           (* reconstruct relabeled cut positions *)
           let cuts = ref [] in
           let cur = ref i and level = ref s in
           while !cur >= 0 && !level >= 0 do
             cuts := ((c0 + !cur) mod n) :: !cuts;
-            let p = if !level = 0 then -1 else parent.(!level).(!cur) in
+            let p =
+              if !level = 0 then -1
+              else sc.parent.(!level).(!cur - lo.(!level))
+            in
             cur := p;
             decr level
           done;
@@ -223,14 +272,15 @@ let best_cut_set (inst : Instance.t) x =
     done
   done;
   match !best_cuts with
-  | Some cuts -> (List.sort_uniq Int.compare cuts, !best)
+  | Some cuts -> List.sort_uniq Int.compare cuts
   | None -> failwith "Static_opt: no feasible segmented partition"
 
-let segmented_dp (inst : Instance.t) trace =
+(* The segments of the optimal cut set, named by servers so that migration
+   is least (Hungarian), as an assignment. *)
+let segmented_dp sc =
+  let inst = sc.inst in
   let n = inst.Instance.n and ell = inst.Instance.ell in
-  let x = edge_counts inst trace in
-  let cuts, _crossing = best_cut_set inst x in
-  let cuts = Array.of_list cuts in
+  let cuts = Array.of_list (best_cut_set sc) in
   let m = Array.length cuts in
   (* segment i = processes (cuts.(i) + 1 .. cuts.(i+1)) cyclically *)
   let overlap = Array.make_matrix ell ell 0 in
@@ -259,13 +309,24 @@ let segmented_dp (inst : Instance.t) trace =
     let seg = Rbgp_ring.Segment.of_endpoints ~n start cuts.((i + 1) mod m) in
     Rbgp_ring.Segment.iter (fun p -> a.(p) <- naming.(i)) seg
   done;
-  cost_of_assignment inst trace a
+  a
 
-let segmented (inst : Instance.t) trace =
+let segmented_window sc trace ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length trace then
+    invalid_arg "Static_opt.segmented_window: window out of range";
+  let inst = sc.inst in
   check_splittable inst;
-  let dp = segmented_dp inst trace in
+  count_edges inst sc.x trace ~pos ~len;
+  let a = segmented_dp sc in
+  check_balanced inst a;
+  let dp = price inst sc.x a in
   (* The DP minimizes crossing cost and only then migration; the initial
      assignment (zero migration) can beat it when many cut sets tie at the
      same crossing cost, so consider it as a candidate too. *)
-  let stay = cost_of_assignment inst trace inst.Instance.initial in
+  let initial = inst.Instance.initial in
+  check_balanced inst initial;
+  let stay = price inst sc.x (Array.copy initial) in
   if stay.total <= dp.total then stay else dp
+
+let segmented (inst : Instance.t) trace =
+  segmented_window (scratch inst) trace ~pos:0 ~len:(Array.length trace)

@@ -682,6 +682,46 @@ let test_r14_siblings () =
         "no sibling directory: r13 and r14 silent" []
         (rules [ Filename.concat root "lib/ring" ]))
 
+(* Module expressions are walked too: a value referenced only inside a
+   functor argument, or only inside [(val ...)], is neither an r14
+   finding nor missing from the call graph, and a hot root bound inside
+   a functor argument reaches what it calls. *)
+let test_module_exprs () =
+  let index =
+    Index.of_sources
+      [
+        ("lib/core/seg.mli", "val mix : int -> int\nval src : Logs.src\n");
+        ("lib/core/seg.ml", "let mix x = [ x ]\nlet src = Logs.Src.create \"seg\"\n");
+        ( "lib/core/user.ml",
+          "module H = Hashtbl.Make (struct\n\
+          \  type t = int\n\
+          \  let equal = Int.equal\n\
+          \  let hash x = List.length (Seg.mix x)\n\
+           end)\n\
+           module Log = (val Logs.src_log Seg.src)\n" );
+      ]
+  in
+  Alcotest.(check int) "no r14 finding" 0
+    (List.length (Rules.unused_export ~index ~evidence:(Index.of_sources [])));
+  let fx = Effects.infer ~extra_hot_roots:[ "User.H.hash" ] index in
+  let callers id =
+    List.filter
+      (fun from ->
+        match Effects.info fx from with
+        | Some i ->
+            List.exists (fun (e : Effects.edge) -> String.equal e.Effects.to_id id) i.Effects.edges
+        | None -> false)
+      (Effects.node_ids fx)
+  in
+  Alcotest.(check (list string)) "functor argument calls Seg.mix"
+    [ "lib/core/user.ml#H.hash" ] (callers "lib/core/seg.ml#mix");
+  Alcotest.(check (list string)) "(val ...) reads Seg.src"
+    [ "lib/core/user.ml#Log._unpack:6" ] (callers "lib/core/seg.ml#src");
+  Alcotest.(check (list (pair string int)))
+    "the list Seg.mix builds is reachable from User.H.hash"
+    [ ("lib/core/seg.ml", 1) ]
+    (List.map (fun f -> (f.Finding.file, f.Finding.line)) (Rules.hot_alloc fx))
+
 (* Root reachability across modules: the hot traversal crosses a handled
    call edge (a caught allocation still allocates), the serve traversal
    stops at it, and constant bindings are never entered. *)
@@ -1043,6 +1083,8 @@ let () =
           Alcotest.test_case "r13 comparator coverage" `Quick test_r13;
           Alcotest.test_case "r14 unused exports" `Quick test_r14;
           Alcotest.test_case "r14 evidence on disk" `Quick test_r14_siblings;
+          Alcotest.test_case "functor arguments and (val ...)" `Quick
+            test_module_exprs;
           Alcotest.test_case "root reachability" `Quick test_reachability;
           Alcotest.test_case "one rule id per site" `Quick
             test_one_rule_per_site;

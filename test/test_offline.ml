@@ -56,19 +56,34 @@ let tiny_ring_gen =
     list_size (int_range 0 40) (int_range 0 (n - 1)) >|= fun es ->
     (n, ell, Array.of_list es))
 
+(* the blocks shapes of [tiny_ring_gen] (slack sigma = ell * k - n = 0)
+   and shapes with spare capacity (sigma = 1, 2, 4) *)
+let static_shape_gen =
+  QCheck2.Gen.(
+    oneofl
+      [ (6, 2, 3); (6, 3, 2); (8, 2, 4); (9, 3, 3); (5, 2, 3); (7, 3, 3);
+        (8, 3, 4) ]
+    >>= fun (n, ell, k) ->
+    list_size (int_range 0 40) (int_range 0 (n - 1)) >|= fun es ->
+    (n, ell, k, Array.of_list es))
+
+let print_shape (n, ell, k, trace) =
+  Printf.sprintf "n=%d ell=%d k=%d trace=[%s]" n ell k
+    (String.concat ";" (Array.to_list (Array.map string_of_int trace)))
+
 let test_static_order =
-  qtest ~count:150 "crossing LB <= brute force <= segmented" tiny_ring_gen
-    (fun (n, ell, trace) ->
-      let inst = Instance.blocks ~n ~ell in
+  qtest ~count:150 ~print:print_shape "crossing LB <= brute force <= segmented"
+    static_shape_gen (fun (n, ell, k, trace) ->
+      let inst = Instance.make ~n ~ell ~k () in
       let lb = Sopt.crossing_lower_bound inst trace in
       let brute = Sopt.brute_force inst trace in
       let seg = Sopt.segmented inst trace in
       lb <= brute.Sopt.total && brute.Sopt.total <= seg.Sopt.total)
 
 let test_static_solutions_priced =
-  qtest ~count:150 "solutions re-price consistently" tiny_ring_gen
-    (fun (n, ell, trace) ->
-      let inst = Instance.blocks ~n ~ell in
+  qtest ~count:150 ~print:print_shape "solutions re-price consistently"
+    static_shape_gen (fun (n, ell, k, trace) ->
+      let inst = Instance.make ~n ~ell ~k () in
       let check (s : Sopt.solution) =
         let again = Sopt.cost_of_assignment inst trace s.Sopt.assignment in
         again.Sopt.total = s.Sopt.total
@@ -77,6 +92,150 @@ let test_static_solutions_priced =
         && s.Sopt.total = s.Sopt.crossing + s.Sopt.migration
       in
       check (Sopt.brute_force inst trace) && check (Sopt.segmented inst trace))
+
+(* The full-table cycle DP over cut placements: every anchor, every
+   layer, every position, each layer refilled per anchor.  With its
+   Hungarian naming and the stay-at-initial candidate it is the oracle of
+   [Sopt.segmented], which walks only this table's feasible band. *)
+let unreachable = max_int / 4
+
+module Window_min = struct
+  type t = {
+    k : int;
+    idx : int array;
+    value : int array;
+    mutable head : int;
+    mutable tail : int;
+  }
+
+  let create ~k ~capacity =
+    { k; idx = Array.make capacity 0; value = Array.make capacity 0;
+      head = 0; tail = 0 }
+
+  let reset t =
+    t.head <- 0;
+    t.tail <- 0
+
+  let push t i v =
+    while t.tail > t.head && t.value.(t.tail - 1) >= v do
+      t.tail <- t.tail - 1
+    done;
+    t.idx.(t.tail) <- i;
+    t.value.(t.tail) <- v;
+    t.tail <- t.tail + 1
+
+  let min_before t i =
+    while t.tail > t.head && t.idx.(t.head) < i - t.k do
+      t.head <- t.head + 1
+    done;
+    if t.tail = t.head then unreachable else t.value.(t.head)
+end
+
+let full_table_cut_set (inst : Instance.t) x =
+  let n = inst.Instance.n and k = inst.Instance.k and ell = inst.Instance.ell in
+  let best = ref unreachable and best_cuts = ref None in
+  let g = Array.make_matrix ell n unreachable in
+  let parent = Array.make_matrix ell n (-1) in
+  let w = Window_min.create ~k ~capacity:n in
+  for c0 = 0 to Int.min (k - 1) (n - 1) do
+    let arr i = x.((c0 + i) mod n) in
+    for s = 0 to ell - 1 do
+      Array.fill g.(s) 0 n unreachable;
+      Array.fill parent.(s) 0 n (-1)
+    done;
+    g.(0).(0) <- arr 0;
+    for s = 1 to ell - 1 do
+      Window_min.reset w;
+      let push i v = if v < unreachable then Window_min.push w i v in
+      push 0 g.(s - 1).(0);
+      for i = 1 to n - 1 do
+        let m = Window_min.min_before w i in
+        if m < unreachable then begin
+          g.(s).(i) <- m + arr i;
+          parent.(s).(i) <- w.Window_min.idx.(w.Window_min.head)
+        end;
+        push i g.(s - 1).(i)
+      done
+    done;
+    for s = 0 to ell - 1 do
+      for i = Int.max 1 (n - k) to n - 1 do
+        if g.(s).(i) < !best then begin
+          best := g.(s).(i);
+          let cuts = ref [] in
+          let cur = ref i and level = ref s in
+          while !cur >= 0 && !level >= 0 do
+            cuts := ((c0 + !cur) mod n) :: !cuts;
+            let p = if !level = 0 then -1 else parent.(!level).(!cur) in
+            cur := p;
+            decr level
+          done;
+          best_cuts := Some !cuts
+        end
+      done
+    done
+  done;
+  match !best_cuts with
+  | Some cuts -> List.sort_uniq Int.compare cuts
+  | None -> failwith "full_table_cut_set: no feasible segmented partition"
+
+let oracle_segmented (inst : Instance.t) trace =
+  let module Segment = Rbgp_ring.Segment in
+  let n = inst.Instance.n and ell = inst.Instance.ell in
+  let x = Array.make n 0 in
+  Array.iter (fun e -> x.(e) <- x.(e) + 1) trace;
+  let cuts = Array.of_list (full_table_cut_set inst x) in
+  let m = Array.length cuts in
+  let segment i = Segment.of_endpoints ~n ((cuts.(i) + 1) mod n) cuts.((i + 1) mod m) in
+  let cost =
+    Array.init ell (fun i ->
+        Array.init ell (fun s ->
+            if i < m then
+              float_of_int
+                (Segment.fold
+                   (fun acc p ->
+                     if inst.Instance.initial.(p) = s then acc else acc + 1)
+                   0 (segment i))
+            else 0.0))
+  in
+  let naming, _ = Hungarian.solve cost in
+  let a = Array.make n (-1) in
+  for i = 0 to m - 1 do
+    Segment.iter (fun p -> a.(p) <- naming.(i)) (segment i)
+  done;
+  let dp = Sopt.cost_of_assignment inst trace a in
+  let stay = Sopt.cost_of_assignment inst trace inst.Instance.initial in
+  if stay.Sopt.total <= dp.Sopt.total then stay else dp
+
+(* random shapes with n <= ell * k and any slack, a random balanced
+   initial assignment, and traces skewed onto a few hot edges (so that
+   many cut sets tie and the tie-breaks show) *)
+let banded_gen =
+  QCheck2.Gen.(
+    let* ell = int_range 2 6 in
+    let* k = int_range 1 8 in
+    let* n = int_range (k + 1) (ell * k) in
+    let* slots = shuffle_l (List.init (ell * k) (fun i -> i / k)) in
+    let initial = Array.of_list (List.filteri (fun i _ -> i < n) slots) in
+    let* hot = list_size (int_range 1 3) (int_bound (n - 1)) in
+    let* trace =
+      array_size (int_bound 60)
+        (frequency [ (3, oneofl hot); (1, int_bound (n - 1)) ])
+    in
+    return (n, ell, k, initial, trace))
+
+let test_segmented_eq_full_table =
+  qtest ~count:2000 "segmented = full-table DP oracle (any slack)"
+    ~print:(fun (n, ell, k, initial, trace) ->
+      let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+      Printf.sprintf "n=%d ell=%d k=%d initial=[%s] trace=[%s]" n ell k
+        (ints initial) (ints trace))
+    banded_gen
+    (fun (n, ell, k, initial, trace) ->
+      let inst = Instance.make ~n ~ell ~k ~initial () in
+      let got = Sopt.segmented inst trace and want = oracle_segmented inst trace in
+      got.Sopt.assignment = want.Sopt.assignment
+      && got.Sopt.crossing = want.Sopt.crossing
+      && got.Sopt.total = want.Sopt.total)
 
 let test_static_empty_trace () =
   let inst = Instance.blocks ~n:8 ~ell:2 in
@@ -114,12 +273,8 @@ let test_dopt_state_count () =
   (* C(4,2) = 6 balanced configurations *)
   Alcotest.(check int) "states" 6 (Dopt.state_count dp)
 
-let brute_dynamic inst trace =
-  (* exhaustive search over schedules (tiny instances only) *)
-  let dp = Dopt.enumerate_states inst () in
-  let m = Dopt.state_count dp in
-  ignore m;
-  (* enumerate sequences of configurations directly *)
+(* every assignment with loads at most k *)
+let balanced_states (inst : Instance.t) =
   let states = ref [] in
   let n = inst.Instance.n and ell = inst.Instance.ell and k = inst.Instance.k in
   let a = Array.make n 0 in
@@ -137,7 +292,13 @@ let brute_dynamic inst trace =
       done
   in
   gen 0;
-  let states = Array.of_list !states in
+  Array.of_list !states
+
+let brute_dynamic inst trace =
+  (* exhaustive search over schedules of configurations (tiny instances
+     only) *)
+  let n = inst.Instance.n in
+  let states = balanced_states inst in
   let best = ref max_int in
   let steps = Array.length trace in
   let ham x y =
@@ -265,9 +426,13 @@ let test_canonical_idempotent =
 let test_symmetry_classes () =
   (* n=4, ell=2: six balanced configurations, two orbits under
      rotation x relabeling (contiguous blocks vs alternating) *)
-  let dp = Dopt.shared (Instance.blocks ~n:4 ~ell:2) () in
-  Alcotest.(check int) "states" 6 (Dopt.state_count dp);
-  Alcotest.(check int) "classes" 2 (Dopt.symmetry_class_count dp)
+  let inst = Instance.blocks ~n:4 ~ell:2 in
+  Alcotest.(check int) "states" 6 (Dopt.state_count (Dopt.shared inst ()));
+  let classes =
+    List.sort_uniq compare
+      (Array.to_list (Array.map Dopt.canonical (balanced_states inst)))
+  in
+  Alcotest.(check int) "classes" 2 (List.length classes)
 
 let test_shared_is_cached () =
   let inst = Instance.blocks ~n:6 ~ell:3 in
@@ -419,6 +584,7 @@ let () =
         [
           test_static_order;
           test_static_solutions_priced;
+          test_segmented_eq_full_table;
           Alcotest.test_case "empty trace" `Quick test_static_empty_trace;
           Alcotest.test_case "hot edge avoided" `Quick test_static_hot_edge;
           Alcotest.test_case "validation" `Quick test_cost_of_assignment_validation;
