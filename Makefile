@@ -28,12 +28,11 @@ experiments:
 	dune exec bin/rbgp_cli.exe -- exp all | tee experiments_full.txt
 
 # static analysis over lib/ bin/ bench/; exits 1 on any finding that is
-# not justified in lint/allowlist.txt and writes the CI artifacts
-# (JSON report + SARIF 2.1.0 for code-scanning upload)
+# not justified in lint/allowlist.txt and writes the CI artifact
+# (SARIF 2.1.0 for code-scanning upload)
 lint:
 	dune exec bin/rbgp_lint_main.exe -- lib bin bench \
-	  --allowlist lint/allowlist.txt --json-out lint_report.json \
-	  --sarif-out lint_report.sarif
+	  --allowlist lint/allowlist.txt --sarif-out lint_report.sarif
 
 examples:
 	dune exec examples/quickstart.exe

@@ -2,19 +2,15 @@
 
      rbgp-lint                       # scan lib bin bench with the
                                      # checked-in allowlist
-     rbgp-lint --json-out report.json
+     rbgp-lint --sarif-out report.sarif
      rbgp-lint --list-rules          # describe the rule set
      rbgp-lint --explain r11-hot-alloc   # one rule's rationale
 
    Exit codes: 0 clean, 1 findings, 2 configuration error. *)
 
-let today () =
-  let tm = Unix.localtime (Unix.time ()) in
-  (tm.Unix.tm_year + 1900, tm.Unix.tm_mon + 1, tm.Unix.tm_mday)
-
 let cmd =
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "rbgp-lint" ~version:"1.0.0" ~doc:Rbgp_lint.Cli.doc)
-    (Rbgp_lint.Cli.term ~today:(today ()))
+    Rbgp_lint.Cli.term
 
 let () = exit (Cmdliner.Cmd.eval' cmd)

@@ -181,7 +181,6 @@ let online t =
     ~serve:(fun e -> serve t e)
     ~save:(save t) ~load:(load t)
 
-let shift t = t.dec.Intervals.shift
 let cut_edges t = Array.copy t.cuts
 
 let interval_hit_cost t =

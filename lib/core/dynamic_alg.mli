@@ -52,8 +52,6 @@ val serve : t -> int -> unit
     assignment incrementally along the moved range.  Raises
     [Invalid_argument] on an out-of-range edge. *)
 
-val shift : t -> int
-
 val cut_edges : t -> int array
 (** Current cut edge of each interval (global indices). *)
 

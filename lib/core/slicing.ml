@@ -211,7 +211,6 @@ let interval_rank t id = Player.rank (get t id).player
 let interval_count t = Array.length t.intervals
 let hit_cost t = float_of_int t.hit
 let move_cost t = float_of_int t.move
-let request_count t e = int_of_float t.x.(e)
 
 (* --- O(state) snapshot ------------------------------------------------- *)
 

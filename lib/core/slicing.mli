@@ -67,8 +67,6 @@ val hit_cost : t -> float
 val move_cost : t -> float
 (** Sum of cut-edge movement distances ([sum cost_move(I)]). *)
 
-val request_count : t -> int -> int
-
 val save : Buffer.t -> t -> unit
 (** Append the procedure's whole state: request counts, rng words, each
     interval's segment, status, cut and rank, and the hit/move costs.

@@ -25,12 +25,12 @@ let trace_array trace steps =
   | Trace.Fixed a -> Array.sub a 0 steps
   | Trace.Adaptive _ -> invalid_arg "trace_array: adaptive trace"
 
-(* total: the simulator always fills [per_step] when run with
-   [~record_steps:true], as every caller below does *)
-let per_step_series r =
-  match r.Simulator.per_step with
-  | Some series -> series
-  | None -> invalid_arg "Report: run was not recorded with ~record_steps:true"
+(* cumulative cost (comm + mig) after every step of one run *)
+let cumulative_totals inst alg tarr ~steps =
+  let totals = Array.make steps 0 in
+  let on_step t c = totals.(t) <- Cost.total c in
+  ignore (Simulator.run ~on_step inst alg (Trace.fixed tarr) ~steps);
+  totals
 
 (* Run independent experiment cells across domains, results in input
    order.  Every cell is self-contained: instances, traces and rng streams
@@ -968,10 +968,7 @@ let e13_time_series ?(quick = false) ?(seed = 53) () =
           Registry.build_for_trace name ~epsilon:0.5 ~seed:(seed + 1)
             ~trace:tarr inst
         in
-        let r =
-          Simulator.run ~record_steps:true inst alg (Trace.fixed tarr) ~steps
-        in
-        (name, per_step_series r))
+        (name, cumulative_totals inst alg tarr ~steps))
       head_to_head
   in
   let tbl =
@@ -982,9 +979,7 @@ let e13_time_series ?(quick = false) ?(seed = 53) () =
     Tbl.add_row tbl
       (Tbl.cell_i (step + 1)
       :: List.map
-           (fun (_, series) ->
-             let comm, mig = series.(step) in
-             Tbl.cell_i (comm + mig))
+           (fun (_, totals) -> Tbl.cell_i totals.(step))
            curves)
   done;
   Tbl.print tbl;
@@ -1032,14 +1027,9 @@ let e14_learning_variant ?(quick = false) ?(seed = 59) () =
         List.map
           (fun (name, offset) ->
             let alg = build name ~epsilon:0.5 ~seed:(seed + offset) inst in
-            let r =
-              Simulator.run ~record_steps:true inst alg (Trace.fixed tarr)
-                ~steps
-            in
-            let series = per_step_series r in
-            let total i = fst series.(i) + snd series.(i) in
-            let half = total ((steps / 2) - 1) in
-            Printf.sprintf "%d+%d" half (total (steps - 1) - half))
+            let totals = cumulative_totals inst alg tarr ~steps in
+            let half = totals.((steps / 2) - 1) in
+            Printf.sprintf "%d+%d" half (totals.(steps - 1) - half))
           algorithms
       in
       Tbl.add_row tbl (wname :: row))

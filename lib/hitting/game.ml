@@ -1,5 +1,4 @@
 type player = {
-  name : string;
   position : unit -> int;
   serve : int -> unit;
   hit_cost : unit -> float;
@@ -11,16 +10,6 @@ let total_cost p = p.hit_cost () +. p.move_cost ()
 let start_edge ~k =
   if k <= 0 then invalid_arg "Game.start_edge: k must be positive";
   ((k + 1) / 2) - 1 |> Stdlib.max 0
-
-let of_mts mts =
-  let module M = Rbgp_mts.Mts in
-  {
-    name = M.name mts;
-    position = (fun () -> M.state mts);
-    serve = (fun e -> ignore (M.serve mts e));
-    hit_cost = (fun () -> M.hit_cost mts);
-    move_cost = (fun () -> M.move_cost mts);
-  }
 
 let greedy_dodge ~k ?start () =
   if k <= 0 then invalid_arg "Game.greedy_dodge: k must be positive";
@@ -41,7 +30,6 @@ let greedy_dodge ~k ?start () =
       end
   in
   {
-    name = "greedy-dodge";
     position = (fun () -> !pos);
     serve;
     hit_cost = (fun () -> !hit);

@@ -8,15 +8,13 @@
     *static* strategy (move once at the start, never again).
 
     This module defines the player interface that
-    {!Interval_growing.player}, {!greedy_dodge} and MTS solvers adapted to
-    the game ({!of_mts}) implement, plus drivers for oblivious and adaptive
-    request sequences.  The adaptive
+    {!Interval_growing.player} and {!greedy_dodge} implement, plus drivers
+    for oblivious and adaptive request sequences.  The adaptive
     driver sees the player's realized position — exactly the adversary of
     Lemma 4.1, which forces any deterministic player to pay
     [Omega(k) * OPT]. *)
 
 type player = {
-  name : string;
   position : unit -> int;
   serve : int -> unit;  (** request an edge in [\[0, k)] *)
   hit_cost : unit -> float;
@@ -27,14 +25,6 @@ val total_cost : player -> float
 
 val start_edge : k:int -> int
 (** The central starting edge [ceil(k/2) - 1] (0-based). *)
-
-val of_mts : Rbgp_mts.Mts.t -> player
-(** Adapt an MTS solver on [Line k] to the game: each request becomes the
-    unit task on its edge ({!Rbgp_mts.Mts.serve}).  Movement/hit
-    accounting is the solver's own.
-    Note the MTS convention charges the hit at the {e new} state while the
-    game charges it at the {e old} position; for competitive-ratio purposes
-    the two differ by at most the movement cost (tests quantify this). *)
 
 val greedy_dodge : k:int -> ?start:int -> unit -> player
 (** The archetypal deterministic player the Lemma 4.1 adversary defeats:

@@ -109,8 +109,7 @@ let player t =
     done
   in
   {
-    Game.name = "interval-growing";
-    position = (fun () -> t.position);
+    Game.position = (fun () -> t.position);
     serve;
     hit_cost = (fun () -> !hit);
     move_cost = (fun () -> !move);

@@ -19,17 +19,3 @@ let static ~k ?start requests =
     if v < !best then best := v
   done;
   !best
-
-let static_position ~k ?start requests =
-  let start = resolve_start ~k start in
-  let hits = counts ~k requests in
-  let best = ref 0 in
-  for p = 1 to k - 1 do
-    let v q = abs (start - q) + hits.(q) in
-    if v p < v !best then best := p
-  done;
-  !best
-
-let dynamic ~k ?start requests =
-  let start = resolve_start ~k start in
-  Rbgp_mts.Offline.opt_cost_indicators (Rbgp_mts.Metric.Line k) ~start requests

@@ -1,16 +1,8 @@
-(** Offline comparators for the hitting game.
+(** The offline comparator of the hitting game.
 
     The game's yardstick (Section 4.1) is the optimal *static* strategy:
     pick one edge [p] at the start, pay the travel [|start - p|], then pay
-    one per request to [p].  The dynamic offline optimum (used by tests to
-    sanity-check that static OPT >= dynamic OPT and by E4's tables) is the
-    exact MTS optimum on the line with indicator tasks. *)
+    one per request to [p]. *)
 
 val static : k:int -> ?start:int -> int array -> float
 (** Exact static optimum for a request sequence over edges [0..k-1]. *)
-
-val static_position : k:int -> ?start:int -> int array -> int
-(** An edge achieving {!static}. *)
-
-val dynamic : k:int -> ?start:int -> int array -> float
-(** Exact dynamic (fully offline) optimum. *)

@@ -1,5 +1,5 @@
 (* The checked-in allowlist: every suppression carries a written
-   justification, and entries can expire.
+   justification.
 
    File format (line-oriented):
 
@@ -7,27 +7,23 @@
      # justification.  An entry without a justification is a parse error —
      # the acceptance bar is "every allowlist entry carries a written
      # justification", enforced here rather than by review.
-     rule-id path[:line] [expires=YYYY-MM-DD]
+     rule-id path[:line]
 
      (blank lines reset the pending justification, so file headers do not
-      leak into the first entry)
+      leak into the first entry; any field after the path is a parse
+      error naming it)
 
    Matching is by rule id and normalized-path suffix, so the same file
    works from the repository root ("lib/util/pool.ml") and from the test
    sandbox ("../lib/util/pool.ml").  A file-level entry (no :line)
    suppresses every finding of that rule in the file — deliberate: line
    numbers churn, and the justification is about the file's design, not
-   one occurrence.
-
-   Expiry ([expires=YYYY-MM-DD], inclusive) makes temporary waivers
-   honest: past the date the entry stops suppressing (the findings come
-   back as errors) and the entry itself is reported. *)
+   one occurrence. *)
 
 type entry = {
   rule : string;
   path : string;
   line : int option;
-  expires : (int * int * int) option;  (* (year, month, day) *)
   justification : string;
   source_line : int;  (* line in the allowlist file, for error messages *)
 }
@@ -37,27 +33,6 @@ type t = entry list
 let entry_id e =
   Printf.sprintf "%s %s%s" e.rule e.path
     (match e.line with Some l -> Printf.sprintf ":%d" l | None -> "")
-
-let date_compare (y1, m1, d1) (y2, m2, d2) =
-  let c = Int.compare y1 y2 in
-  if c <> 0 then c
-  else
-    let c = Int.compare m1 m2 in
-    if c <> 0 then c else Int.compare d1 d2
-
-let parse_date s =
-  match String.split_on_char '-' s with
-  | [ y; m; d ] -> (
-      match (int_of_string_opt y, int_of_string_opt m, int_of_string_opt d) with
-      | Some y, Some m, Some d when m >= 1 && m <= 12 && d >= 1 && d <= 31 ->
-          Some (y, m, d)
-      | _ -> None)
-  | _ -> None
-
-let is_expired ~today e =
-  match (today, e.expires) with
-  | Some today, Some expires -> date_compare today expires > 0
-  | _ -> false
 
 let parse source =
   let lines = String.split_on_char '\n' source in
@@ -82,56 +57,39 @@ let parse source =
             (fun s -> not (String.equal s ""))
             (String.split_on_char ' ' line)
         with
-        | rule :: target :: rest ->
-            let expires =
-              List.fold_left
-                (fun acc tok ->
-                  match acc with
-                  | Error _ -> acc
-                  | Ok _ ->
-                      if String.length tok > 8 && String.equal (String.sub tok 0 8) "expires=" then
-                        match
-                          parse_date (String.sub tok 8 (String.length tok - 8))
-                        with
-                        | Some d -> Ok (Some d)
-                        | None -> Error (Printf.sprintf "bad date in %S" tok)
-                      else Error (Printf.sprintf "unknown field %S" tok))
-                (Ok None) rest
+        | _ :: _ :: field :: _ ->
+            fail lineno (Printf.sprintf "unknown field %S after the path" field)
+        | [ rule; target ] ->
+            let path, line_opt =
+              match String.rindex_opt target ':' with
+              | Some j -> (
+                  let p = String.sub target 0 j in
+                  let l = String.sub target (j + 1) (String.length target - j - 1) in
+                  match int_of_string_opt l with
+                  | Some l -> (p, Some l)
+                  | None -> (target, None))
+              | None -> (target, None)
             in
-            (match expires with
-            | Error msg -> fail lineno msg
-            | Ok expires -> (
-                let path, line_opt =
-                  match String.rindex_opt target ':' with
-                  | Some j -> (
-                      let p = String.sub target 0 j in
-                      let l = String.sub target (j + 1) (String.length target - j - 1) in
-                      match int_of_string_opt l with
-                      | Some l -> (p, Some l)
-                      | None -> (target, None))
-                  | None -> (target, None)
-                in
-                let justification =
-                  String.concat " " (List.rev !pending) |> String.trim
-                in
-                if String.equal justification "" then
-                  fail lineno
-                    (Printf.sprintf
-                       "entry %S has no justification; add a '#' comment \
-                        line above it explaining why the finding is safe"
-                       line)
-                else
-                  entries :=
-                    {
-                      rule;
-                      path = Finding.normalize_path path;
-                      line = line_opt;
-                      expires;
-                      justification;
-                      source_line = lineno;
-                    }
-                    :: !entries;
-                pending := []))
+            let justification =
+              String.concat " " (List.rev !pending) |> String.trim
+            in
+            if String.equal justification "" then
+              fail lineno
+                (Printf.sprintf
+                   "entry %S has no justification; add a '#' comment line \
+                    above it explaining why the finding is safe"
+                   line)
+            else
+              entries :=
+                {
+                  rule;
+                  path = Finding.normalize_path path;
+                  line = line_opt;
+                  justification;
+                  source_line = lineno;
+                }
+                :: !entries;
+            pending := []
         | _ -> fail lineno (Printf.sprintf "malformed entry %S" line))
     lines;
   match !error with
@@ -162,20 +120,15 @@ let matches e (f : Finding.t) =
 type applied = {
   live : Finding.t list;
   suppressed : (Finding.t * entry) list;
-  expired : (Finding.t * entry) list;
   stale : entry list;
 }
 
-let apply ?today t findings =
+let apply t findings =
   let used = Hashtbl.create 16 in
-  let live = ref [] and suppressed = ref [] and expired = ref [] in
+  let live = ref [] and suppressed = ref [] in
   List.iter
     (fun f ->
       match List.find_opt (fun e -> matches e f) t with
-      | Some e when is_expired ~today e ->
-          Hashtbl.replace used e.source_line ();
-          expired := (f, e) :: !expired;
-          live := f :: !live
       | Some e ->
           Hashtbl.replace used e.source_line ();
           suppressed := (f, e) :: !suppressed
@@ -184,9 +137,4 @@ let apply ?today t findings =
   let stale =
     List.filter (fun e -> not (Hashtbl.mem used e.source_line)) t
   in
-  {
-    live = List.rev !live;
-    suppressed = List.rev !suppressed;
-    expired = List.rev !expired;
-    stale;
-  }
+  { live = List.rev !live; suppressed = List.rev !suppressed; stale }

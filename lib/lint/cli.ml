@@ -1,7 +1,6 @@
 (* The Cmdliner term behind the rbgp-lint executable.  The term returns
    the process exit code (0 clean, 1 findings, 2 configuration error);
-   callers decide how to exit.  "today" is an input so this library never
-   reads the clock (rule R2 patrols all of lib/, this directory included). *)
+   callers decide how to exit. *)
 
 open Cmdliner
 
@@ -29,18 +28,6 @@ let no_allowlist_arg =
   Arg.(
     value & flag
     & info [ "no-allowlist" ] ~doc:"Ignore the allowlist entirely.")
-
-let json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ] ~doc:"Print the JSON report to stdout instead of text.")
-
-let json_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json-out" ] ~docv:"FILE"
-        ~doc:"Also write the JSON report to FILE (the CI artifact).")
 
 let rules_arg =
   Arg.(
@@ -91,24 +78,6 @@ let hot_root_arg =
           "Add a hot root for r11 by display name (repeatable), on top of \
            the built-in set (Engine.ingest*, Dynamic_alg.serve, \
            Binc.decode_varints*, Proto.encode_edges, Proto.decode_edges).")
-
-let today_arg =
-  let date =
-    let parse s =
-      match Allowlist.parse_date s with
-      | Some d -> Ok d
-      | None -> Error (`Msg (Printf.sprintf "expected YYYY-MM-DD, got %S" s))
-    in
-    let print ppf (y, m, d) = Format.fprintf ppf "%04d-%02d-%02d" y m d in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt (some date) None
-    & info [ "today" ] ~docv:"YYYY-MM-DD"
-        ~doc:
-          "Override the date used for allowlist expiry (for reproducible \
-           runs; defaults to the system date).")
 
 let print_rules () =
   List.iter
@@ -172,23 +141,18 @@ let write_file path contents =
       Out_channel.output_string oc contents;
       Out_channel.output_char oc '\n')
 
-let lint ~today ~dirs ~allowlist ~rules ~extra_hot_roots ~json ~json_out
-    ~sarif_out ~graph_out =
-  let outcome = Engine.run ~today ~allowlist ?rules ~extra_hot_roots ~dirs () in
-  Option.iter
-    (fun path -> write_file path (Reporter.to_json_string outcome))
-    json_out;
+let lint ~dirs ~allowlist ~rules ~extra_hot_roots ~sarif_out ~graph_out =
+  let outcome = Engine.run ~allowlist ?rules ~extra_hot_roots ~dirs () in
   Option.iter (fun path -> write_file path (Sarif.to_string outcome)) sarif_out;
   Option.iter
     (fun path ->
       write_file path (Ljson.to_string (Engine.graph ~extra_hot_roots ~dirs ())))
     graph_out;
-  if json then print_endline (Reporter.to_json_string outcome)
-  else print_string (Reporter.to_text outcome);
+  print_string (Reporter.to_text outcome);
   if outcome.Engine.live = [] then 0 else 1
 
-let run ~today dirs allowlist_path no_allowlist json json_out sarif_out
-    graph_out rules_spec list_rules explain hot_roots today_override =
+let run dirs allowlist_path no_allowlist sarif_out graph_out rules_spec
+    list_rules explain hot_roots =
   if list_rules then begin
     print_rules ();
     0
@@ -205,7 +169,6 @@ let run ~today dirs allowlist_path no_allowlist json json_out sarif_out
               ("rbgp-lint: unknown rule " ^ rule ^ " (see --list-rules)");
             2)
     | None -> (
-        let today = match today_override with Some d -> d | None -> today in
         let config =
           let* allowlist = load_allowlist ~no_allowlist ~allowlist_path in
           let* rules = parse_rules_filter rules_spec in
@@ -216,15 +179,13 @@ let run ~today dirs allowlist_path no_allowlist json json_out sarif_out
             prerr_endline ("rbgp-lint: " ^ msg);
             2
         | Ok (allowlist, rules) ->
-            lint ~today ~dirs ~allowlist ~rules ~extra_hot_roots:hot_roots
-              ~json ~json_out ~sarif_out ~graph_out)
+            lint ~dirs ~allowlist ~rules ~extra_hot_roots:hot_roots
+              ~sarif_out ~graph_out)
 
-let term ~today =
+let term =
   Term.(
-    const (run ~today)
-    $ dirs_arg $ allowlist_arg $ no_allowlist_arg $ json_arg $ json_out_arg
-    $ sarif_out_arg $ graph_out_arg $ rules_arg $ list_rules_arg
-    $ explain_arg $ hot_root_arg $ today_arg)
+    const run $ dirs_arg $ allowlist_arg $ no_allowlist_arg $ sarif_out_arg
+    $ graph_out_arg $ rules_arg $ list_rules_arg $ explain_arg $ hot_root_arg)
 
 let doc =
   "Repo-specific static analysis: determinism, domain-safety and hot-path \

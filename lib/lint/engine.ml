@@ -3,8 +3,7 @@
    then fold in the allowlist.
 
    Everything is deterministic: directory walks sort entries, findings
-   sort by location, and no wall clock is read here — expiry "today" is an
-   input, supplied by the executables (bin/ is outside the R2 scope). *)
+   sort by location, and no wall clock is read. *)
 
 let lint_source ~path source =
   let lexbuf = Lexing.from_string source in
@@ -147,11 +146,10 @@ type outcome = {
   files : int;
   live : Finding.t list;
   suppressed : (Finding.t * Allowlist.entry) list;
-  expired : (Finding.t * Allowlist.entry) list;
   stale : Allowlist.entry list;
 }
 
-let run ?today ?(allowlist = []) ?rules ?extra_hot_roots ~dirs () =
+let run ?(allowlist = []) ?rules ?extra_hot_roots ~dirs () =
   let paths = scan_dirs dirs in
   let findings =
     List.sort Finding.compare
@@ -175,11 +173,10 @@ let run ?today ?(allowlist = []) ?rules ?extra_hot_roots ~dirs () =
             (fun (e : Allowlist.entry) -> List.mem e.Allowlist.rule selected)
             allowlist )
   in
-  let applied = Allowlist.apply ?today allowlist findings in
+  let applied = Allowlist.apply allowlist findings in
   {
     files = List.length paths;
     live = applied.Allowlist.live;
     suppressed = applied.Allowlist.suppressed;
-    expired = applied.Allowlist.expired;
     stale = applied.Allowlist.stale;
   }

@@ -2,8 +2,7 @@
     (compiler-libs), run the rules, fold in the allowlist.
 
     Deterministic by construction: directory walks sort entries, findings
-    sort by location, and no wall clock is read in this library — the
-    expiry date is an input supplied by the executables. *)
+    sort by location, and no wall clock is read. *)
 
 val lint_source : path:string -> string -> Finding.t list
 (** Parse one [.ml]/[.mli] (selected by the [path] suffix) from a string
@@ -25,12 +24,10 @@ type outcome = {
   files : int;
   live : Finding.t list;  (** unsuppressed findings — these fail the run *)
   suppressed : (Finding.t * Allowlist.entry) list;
-  expired : (Finding.t * Allowlist.entry) list;
   stale : Allowlist.entry list;
 }
 
 val run :
-  ?today:(int * int * int) ->
   ?allowlist:Allowlist.t ->
   ?rules:string list ->
   ?extra_hot_roots:string list ->

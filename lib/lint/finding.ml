@@ -51,27 +51,7 @@ let compare_finding a b =
         if c <> 0 then c else String.compare a.message b.message
 
 let compare = compare_finding
-let equal a b = compare_finding a b = 0
 
 let to_text f =
   Printf.sprintf "%s:%d:%d: [%s] error: %s" f.file f.line f.col f.rule
     f.message
-
-let to_json f =
-  Ljson.Obj
-    [
-      ("rule", Ljson.Str f.rule);
-      ("file", Ljson.Str f.file);
-      ("line", Ljson.Num (float_of_int f.line));
-      ("col", Ljson.Num (float_of_int f.col));
-      ("message", Ljson.Str f.message);
-    ]
-
-let of_json j =
-  let ( let* ) o f = match o with Some v -> f v | None -> None in
-  let* rule = Option.bind (Ljson.member "rule" j) Ljson.to_str in
-  let* file = Option.bind (Ljson.member "file" j) Ljson.to_str in
-  let* line = Option.bind (Ljson.member "line" j) Ljson.to_int in
-  let* col = Option.bind (Ljson.member "col" j) Ljson.to_int in
-  let* message = Option.bind (Ljson.member "message" j) Ljson.to_str in
-  Some { rule; file; line; col; message }

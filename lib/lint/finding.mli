@@ -26,10 +26,5 @@ val of_location : rule:string -> file:string -> Location.t -> string -> t
 val compare : t -> t -> int
 (** Orders by (file, line, col, rule, message) — the report order. *)
 
-val equal : t -> t -> bool
-
 val to_text : t -> string
 (** [file:line:col: [rule] error: message] — clickable in editors. *)
-
-val to_json : t -> Ljson.t
-val of_json : Ljson.t -> t option

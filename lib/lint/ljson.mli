@@ -1,9 +1,7 @@
-(** Minimal JSON tree with printer and parser.
+(** Minimal JSON tree and printer.
 
-    Just enough JSON for the linter's machine-readable reports — no opam
-    dependency.  The parser accepts everything the
-    printer emits (standard escapes; [\uXXXX] for ASCII only) and rejects
-    trailing garbage. *)
+    Just enough JSON for the linter's SARIF report and call-graph dump,
+    and for the bench's BENCH file — no opam dependency. *)
 
 type t =
   | Null
@@ -15,14 +13,4 @@ type t =
 
 val to_string : t -> string
 (** Compact (single-line) rendering.  Integral [Num] values print without
-    a decimal point, so reports are stable under round-trips. *)
-
-val parse : string -> (t, string) result
-(** [Error msg] carries the byte offset of the first syntax error. *)
-
-val member : string -> t -> t option
-(** Field lookup; [None] on missing key or non-object. *)
-
-val to_list : t -> t list option
-val to_str : t -> string option
-val to_int : t -> int option
+    a decimal point. *)

@@ -8,8 +8,7 @@
 
    Column convention: Finding.col is 0-based (compiler convention),
    SARIF's startColumn is 1-based.  Whole-file findings (line = 0) omit
-   the region.  [findings_of_json] inverts the un-suppressed results for
-   the qcheck round-trip. *)
+   the region. *)
 
 let schema_uri =
   "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
@@ -105,69 +104,3 @@ let to_json (o : Engine.outcome) =
     ]
 
 let to_string o = Ljson.to_string (to_json o)
-
-(* --- parse-back (round-trip tests, CI sanity) -------------------------- *)
-
-let ( let* ) r f = Result.bind r f
-
-let req what = function Some v -> Ok v | None -> Error ("sarif: missing " ^ what)
-
-let finding_of_result j =
-  let* rule = req "ruleId" Option.(Ljson.member "ruleId" j |> fold ~none:None ~some:Ljson.to_str) in
-  let* message =
-    req "message.text"
-      Option.(
-        Ljson.member "message" j
-        |> fold ~none:None ~some:(Ljson.member "text")
-        |> fold ~none:None ~some:Ljson.to_str)
-  in
-  let* loc =
-    req "locations[0]"
-      (match Ljson.member "locations" j with
-      | Some (Ljson.Arr (l :: _)) -> Some l
-      | _ -> None)
-  in
-  let* phys = req "physicalLocation" (Ljson.member "physicalLocation" loc) in
-  let* file =
-    req "artifactLocation.uri"
-      Option.(
-        Ljson.member "artifactLocation" phys
-        |> fold ~none:None ~some:(Ljson.member "uri")
-        |> fold ~none:None ~some:Ljson.to_str)
-  in
-  let line, col =
-    match Ljson.member "region" phys with
-    | Some region ->
-        let get k =
-          Option.(Ljson.member k region |> fold ~none:None ~some:Ljson.to_int)
-        in
-        ( Option.value ~default:0 (get "startLine"),
-          Option.value ~default:1 (get "startColumn") - 1 )
-    | None -> (0, 0)
-  in
-  Ok (Finding.make ~rule ~file ~line ~col message)
-
-let is_suppressed j =
-  match Ljson.member "suppressions" j with
-  | Some (Ljson.Arr (_ :: _)) -> true
-  | _ -> false
-
-let findings_of_json j =
-  let* results =
-    req "runs[0].results"
-      (match Ljson.member "runs" j with
-      | Some (Ljson.Arr (run :: _)) -> (
-          match Ljson.member "results" run with
-          | Some (Ljson.Arr rs) -> Some rs
-          | _ -> None)
-      | _ -> None)
-  in
-  List.fold_left
-    (fun acc r ->
-      let* acc = acc in
-      if is_suppressed r then Ok acc
-      else
-        let* f = finding_of_result r in
-        Ok (f :: acc))
-    (Ok []) results
-  |> Result.map List.rev

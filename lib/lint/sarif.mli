@@ -1,5 +1,5 @@
-(** SARIF 2.1.0 rendering of a lint outcome — the CI code-scanning
-    artifact.
+(** SARIF 2.1.0 rendering of a lint outcome — the linter's one
+    machine-readable report, and the CI code-scanning artifact.
 
     Live findings become results at level ["error"]; suppressed
     findings are emitted with a [suppressions] entry carrying the
@@ -8,7 +8,3 @@
     convention and SARIF's 1-based [startColumn]. *)
 
 val to_string : Engine.outcome -> string
-
-val findings_of_json : Ljson.t -> (Finding.t list, string) result
-(** The un-suppressed results of [runs\[0\]], as findings — inverse of
-    {!to_string} on the live set (round-trip tested). *)

@@ -63,7 +63,7 @@ let solver : Mts.factory =
     current_dist := new_dist;
     state
   in
-  Mts.make ~name:"hst-mw" ~metric ~start ~next
+  Mts.make ~metric ~start ~next
     ~save:(fun buf ->
       Rbgp_util.Binc.add_counts buf x;
       Rbgp_util.Rng.save buf rng)

@@ -25,7 +25,7 @@ let solver : Mts.factory =
           arr.(Rbgp_util.Rng.int rng (Array.length arr))
     end
   in
-  Mts.make ~name:"marking" ~metric ~start ~next
+  Mts.make ~metric ~start ~next
     ~save:(fun buf ->
       Rbgp_util.Binc.add_counts buf phase_cost;
       Rbgp_util.Rng.save buf rng)

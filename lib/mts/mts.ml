@@ -1,7 +1,6 @@
 module Binc = Rbgp_util.Binc
 
 type t = {
-  name : string;
   metric : Metric.t;
   mutable state : int;
   (* hit and move accumulate whole units (a hit is 1, a move on either
@@ -16,14 +15,10 @@ type t = {
 
 type factory = Metric.t -> start:int -> rng:Rbgp_util.Rng.t -> t
 
-let make ~name ~metric ~start ~next ~save ~load =
+let make ~metric ~start ~next ~save ~load =
   Metric.check_state metric start;
-  {
-    name; metric; state = start; hit = 0; move = 0; steps = 0; next; save;
-    load;
-  }
+  { metric; state = start; hit = 0; move = 0; steps = 0; next; save; load }
 
-let name t = t.name
 let state t = t.state
 
 let serve t e =

@@ -21,14 +21,13 @@ type factory = Metric.t -> start:int -> rng:Rbgp_util.Rng.t -> t
     rng. *)
 
 val make :
-  name:string ->
   metric:Metric.t ->
   start:int ->
   next:(int -> int -> int) ->
   save:(Buffer.t -> unit) ->
   load:(Rbgp_util.Binc.reader -> unit) ->
   t
-(** [make ~name ~metric ~start ~next ~save ~load] wraps a transition
+(** [make ~metric ~start ~next ~save ~load] wraps a transition
     function [next task_state current_state -> new_state] with state
     tracking and cost accounting.  [next] sees only tasks already checked
     to be in range.  [save] and [load] are the solver's own state codec:
@@ -50,7 +49,6 @@ val restore : Rbgp_util.Binc.reader -> t -> unit
     [Invalid_argument] on truncated input, an out-of-range state or a
     count vector of the wrong length. *)
 
-val name : t -> string
 val state : t -> int
 
 val serve : t -> int -> int

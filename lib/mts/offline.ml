@@ -1,5 +1,3 @@
-type schedule = { states : int array; cost : float }
-
 (* In-place distance transforms over the first [len] entries of [a]:
    a.(i) <- min over j of (a.(j) + d(i, j)).
 
@@ -55,30 +53,11 @@ let check_tasks metric tasks =
         t)
     tasks
 
-(* Forward DP; opt.(x) after step t = min cost serving tasks 0..t ending at
-   x (having already been charged for task t at x). *)
-let run_dp metric ~start tasks =
-  Metric.check_state metric start;
-  check_tasks metric tasks;
-  let s = Metric.size metric in
-  let opt = Array.init s (fun i -> float_of_int (Metric.distance metric start i)) in
-  let history = Array.map (fun _ -> Array.make s 0.0) tasks in
-  Array.iteri
-    (fun t task ->
-      transform_inplace metric opt s;
-      for x = 0 to s - 1 do
-        opt.(x) <- opt.(x) +. task.(x)
-      done;
-      Array.blit opt 0 history.(t) 0 s)
-    tasks;
-  (opt, history)
-
 let opt_cost metric ~start tasks =
   Metric.check_state metric start;
   check_tasks metric tasks;
   if Array.length tasks = 0 then 0.0
   else begin
-    (* cost-only pass: no history materialized *)
     let s = Metric.size metric in
     let opt =
       Array.init s (fun i -> float_of_int (Metric.distance metric start i))
@@ -91,53 +70,6 @@ let opt_cost metric ~start tasks =
         done)
       tasks;
     min_prefix opt s
-  end
-
-let opt_schedule metric ~start tasks =
-  let steps = Array.length tasks in
-  if steps = 0 then { states = [||]; cost = 0.0 }
-  else begin
-    let opt, history = run_dp metric ~start tasks in
-    let s = Metric.size metric in
-    let cost = min_prefix opt s in
-    (* Backward reconstruction: choose end state achieving the optimum, then
-       for each step pick a predecessor consistent with the DP values. *)
-    let states = Array.make steps 0 in
-    let best_end = ref 0 in
-    for x = 1 to s - 1 do
-      if opt.(x) < opt.(!best_end) then best_end := x
-    done;
-    states.(steps - 1) <- !best_end;
-    for t = steps - 2 downto 0 do
-      let succ = states.(t + 1) in
-      (* history.(t).(x) + d(x, succ) + task_(t+1)(succ) = history.(t+1).(succ) *)
-      let target = history.(t + 1).(succ) -. tasks.(t + 1).(succ) in
-      let found = ref (-1) in
-      for x = 0 to s - 1 do
-        if
-          !found < 0
-          && Float.abs
-               (history.(t).(x)
-               +. float_of_int (Metric.distance metric x succ)
-               -. target)
-             <= 1e-9
-        then found := x
-      done;
-      if !found < 0 then
-        (* numerical safety net: pick the minimizer explicitly *)
-        begin
-          let best = ref 0 in
-          for x = 1 to s - 1 do
-            let v y =
-              history.(t).(y) +. float_of_int (Metric.distance metric y succ)
-            in
-            if v x < v !best then best := x
-          done;
-          found := !best
-        end;
-      states.(t) <- !found
-    done;
-    { states; cost }
   end
 
 (* --- indicator-task specializations --------------------------------- *)
@@ -192,19 +124,3 @@ let opt_cost_indicators_free ?scratch metric es =
       es;
     min_prefix opt s
   end
-
-let static_opt_indicators metric ~start es =
-  Metric.check_state metric start;
-  let s = Metric.size metric in
-  let hits = Array.make s 0 in
-  Array.iter
-    (fun e ->
-      Metric.check_state metric e;
-      hits.(e) <- hits.(e) + 1)
-    es;
-  let best = ref infinity in
-  for p = 0 to s - 1 do
-    let v = float_of_int (Metric.distance metric start p + hits.(p)) in
-    if v < !best then best := v
-  done;
-  !best

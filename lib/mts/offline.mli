@@ -7,26 +7,19 @@
     per step on the line (two sweeps — the per-row argmin is monotone, so
     one forward and one backward relaxation replace the quadratic minimum)
     and on the uniform metric (global min + clamp).  Total runtime O(T s)
-    with no per-request allocation; cost-only queries skip the history
-    matrix entirely, and the indicator specializations accept a reusable
-    {!scratch} so grids of per-interval optima allocate nothing per call.
-    Schedule reconstruction via backpointer-free re-derivation.
+    with no per-request allocation, and the indicator specializations
+    accept a reusable {!scratch} so grids of per-interval optima allocate
+    nothing per call.
 
     This is the comparator of Lemma 3.3 ([OPT_MTS(I)]), the certifier for
     the per-interval lower bounds on dynamic OPT (Lemma 4.15 analogue used
     at scale), and the ground truth every online MTS solver is tested
     against. *)
 
-type schedule = { states : int array; cost : float }
-(** [states.(t)] is the state in which task [t] is served. *)
-
 val opt_cost : Metric.t -> start:int -> float array array -> float
 (** Minimum total cost to serve the given task sequence from [start]
     (movement may happen before each task; the task is paid at the state
     occupied when it is served). *)
-
-val opt_schedule : Metric.t -> start:int -> float array array -> schedule
-(** An optimal schedule realizing {!opt_cost}. *)
 
 val opt_cost_indicators : Metric.t -> start:int -> int array -> float
 (** Specialization to indicator tasks (the ring reduction's shape):
@@ -48,8 +41,3 @@ val opt_cost_indicators_free : ?scratch:scratch -> Metric.t -> int array -> floa
     bound, where the offline schedule already owns a position when the
     window's accounting begins.  [?scratch] reuses the given buffer for the
     DP layer instead of allocating one. *)
-
-val static_opt_indicators : Metric.t -> start:int -> int array -> float
-(** Cheapest *static* strategy: pick one state [p] up front, pay
-    [d(start, p)] plus the number of requests hitting [p].  The comparator
-    of the hitting game (Section 4.1). *)

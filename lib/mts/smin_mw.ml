@@ -9,7 +9,7 @@ let default_scale metric = Float.max 1.0 (float_of_int (Metric.diameter metric))
    step as every Slicing interval's player. *)
 let make_solver ~c metric ~start ~rng =
   let w = Smin_weights.create ~c (Array.make (Metric.size metric) 0.0) in
-  Mts.make ~name:(Printf.sprintf "smin-mw(c=%g)" c) ~metric ~start
+  Mts.make ~metric ~start
     ~next:(fun e current -> Smin_weights.step w rng e current)
     ~save:(fun buf ->
       Rbgp_util.Binc.add_counts buf (Smin_weights.counts w);

@@ -75,7 +75,7 @@ let solver_introspect metric ~start =
       w.(i) <- Rbgp_util.Binc.read_float r
     done
   in
-  let t = Mts.make ~name:"wfa" ~metric ~start ~next ~save ~load in
+  let t = Mts.make ~metric ~start ~next ~save ~load in
   (t, fun () -> Array.copy w)
 
 let solver : Mts.factory =

@@ -43,8 +43,6 @@ let to_global t i local =
     invalid_arg "Intervals.to_global: local edge out of range";
   (base t i + local) mod t.n
 
-let edges t i = Array.init (width t i) (fun local -> to_global t i local)
-
 let locate t e =
   if e < 0 || e >= t.n then invalid_arg "Intervals.locate: edge out of range";
   let rel = (((e - t.shift) mod t.n) + t.n) mod t.n in

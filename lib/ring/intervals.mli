@@ -42,9 +42,6 @@ val width : t -> int -> int
 val base : t -> int -> int
 (** First edge (and first vertex) of interval [i]. *)
 
-val edges : t -> int -> int array
-(** Global edge indices of interval [i], in local order. *)
-
 val locate : t -> int -> int * int
 (** The unique [(interval, local_index)] of an edge. *)
 

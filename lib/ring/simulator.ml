@@ -3,7 +3,6 @@ type result = {
   steps : int;
   max_load : int;
   capacity_violations : int;
-  per_step : (int * int) array option;
 }
 
 (* Largest integer load that satisfies [load <= augmentation * k + 1e-9] —
@@ -155,25 +154,21 @@ let stepper_result st =
     steps = st.s_steps;
     max_load = st.s_max_load;
     capacity_violations = st.s_violations;
-    per_step = None;
   }
 
-let run ?(strict = true) ?(record_steps = false) ?on_step (inst : Instance.t)
-    (alg : Online.t) trace ~steps =
+let run ?(strict = true) ?on_step (inst : Instance.t) (alg : Online.t) trace
+    ~steps =
   if steps < 0 then invalid_arg "Simulator.run: negative steps";
   Trace.validate ~n:inst.Instance.n trace ~steps;
   let st = stepper ~strict inst alg in
-  let series = if record_steps then Array.make steps (0, 0) else [||] in
   for t = 0 to steps - 1 do
     let e = Trace.next trace t st.current in
     if e < 0 || e >= inst.Instance.n then
       invalid_arg "Simulator.run: trace produced edge out of range";
     bill st e ~served:true;
-    if record_steps then series.(t) <- (st.s_cost.Cost.comm, st.s_cost.Cost.mig);
     match on_step with None -> () | Some f -> f t st.s_cost
   done;
-  let r = stepper_result st in
-  { r with per_step = (if record_steps then Some series else None) }
+  stepper_result st
 
 let replay_cost (inst : Instance.t) trace ~assignments =
   let steps = Array.length trace in

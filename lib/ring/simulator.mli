@@ -40,8 +40,6 @@ type result = {
   steps : int;
   max_load : int;  (** maximum server load ever observed after a reaction *)
   capacity_violations : int;
-  per_step : (int * int) array option;
-      (** cumulative (comm, mig) after each step when requested *)
 }
 
 type stepper
@@ -114,12 +112,11 @@ val prepare : stepper -> int array -> int -> int * int
     through it. *)
 
 val stepper_result : stepper -> result
-(** Cumulative totals so far ([per_step] is always [None]; the returned
-    [cost] is the live accumulator, not a copy). *)
+(** Cumulative totals so far (the returned [cost] is the live
+    accumulator, not a copy). *)
 
 val run :
   ?strict:bool ->
-  ?record_steps:bool ->
   ?on_step:(int -> Cost.t -> unit) ->
   Instance.t ->
   Online.t ->
@@ -128,9 +125,8 @@ val run :
   result
 (** [run inst alg trace ~steps] simulates [steps] requests.
     @param strict raise [Failure] on a capacity violation (default [true])
-    @param record_steps keep the cumulative cost series (default [false])
     @param on_step called after each step with the step index and cumulative
-    cost *)
+    cost (the live accumulator: read it inside the call) *)
 
 val replay_cost : Instance.t -> int array -> assignments:int array array -> Cost.t
 (** [replay_cost inst trace ~assignments] computes the cost of an arbitrary

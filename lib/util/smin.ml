@@ -1,55 +1,10 @@
-(* Smooth minimum (log-sum-exp of negated inputs), numerically stabilized by
-   shifting with the true minimum: with m = min_i x_i,
-     smin x = m - ln (sum_i e^(m - x_i))
+(* Scaled smooth minimum (log-sum-exp of negated inputs) and its gradient,
+   numerically stabilized by shifting with the true minimum: with
+   m = min_i x_i / c,
+     smin_c x = c (m - ln (sum_i e^(m - x_i / c)))
    so every exponent is <= 0 and no overflow can occur. *)
 
-let min_sub x lo hi =
-  let m = ref x.(lo) in
-  for i = lo + 1 to hi do
-    if x.(i) < !m then m := x.(i)
-  done;
-  !m
-
-let smin_range x lo hi =
-  if hi < lo then invalid_arg "Smin: empty range";
-  let m = min_sub x lo hi in
-  let acc = ref 0.0 in
-  for i = lo to hi do
-    acc := !acc +. exp (m -. x.(i))
-  done;
-  m -. log !acc
-
-let smin x =
-  if Array.length x = 0 then invalid_arg "Smin.smin: empty vector";
-  smin_range x 0 (Array.length x - 1)
-
-let grad_range_into x lo hi out =
-  if hi < lo then invalid_arg "Smin: empty range";
-  if Array.length out <> hi - lo + 1 then invalid_arg "Smin: bad output size";
-  let m = min_sub x lo hi in
-  let acc = ref 0.0 in
-  for i = lo to hi do
-    let v = exp (m -. x.(i)) in
-    out.(i - lo) <- v;
-    acc := !acc +. v
-  done;
-  let z = !acc in
-  for i = 0 to hi - lo do
-    out.(i) <- out.(i) /. z
-  done
-
-let grad x =
-  if Array.length x = 0 then invalid_arg "Smin.grad: empty vector";
-  let out = Array.make (Array.length x) 0.0 in
-  grad_range_into x 0 (Array.length x - 1) out;
-  out
-
 let check_c c = if not (c >= 1.0) then invalid_arg "Smin: scale c must be >= 1"
-
-let smin_c ~c x =
-  check_c c;
-  if Array.length x = 0 then invalid_arg "Smin.smin_c: empty vector";
-  c *. smin (Array.map (fun v -> v /. c) x)
 
 let grad_c_into ~c x out =
   check_c c;

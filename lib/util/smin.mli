@@ -8,23 +8,15 @@
     bounded by [2/c], Lemma A.3), which is exactly what the hitting-game and
     MTS algorithms need: the gradient is used as the probability distribution
     over positions, and its L1 movement bounds the (expected) migration
-    cost.
+    cost.  [smin] is [smin_c] at [c = 1].
 
     All computations are done with the standard log-sum-exp shift so they are
     numerically stable for arbitrarily large counters. *)
 
-val smin : float array -> float
-(** Smooth minimum of a non-empty vector. *)
-
-val grad : float array -> float array
-(** Gradient of {!smin}: [grad x i = e^(-x_i) / sum_j e^(-x_j)].
-    A probability distribution (Fact A.1 (ii)). *)
-
-val smin_c : c:float -> float array -> float
-(** Scaled smooth minimum [smin_c x = c * smin (x / c)], [c >= 1]. *)
-
 val grad_c : c:float -> float array -> float array
-(** Gradient of {!smin_c}; equals [grad (x / c)] (Lemma A.3 (ii)). *)
+(** Gradient of [smin_c] at a non-empty [x]:
+    [e^(-x_i/c) / sum_j e^(-x_j/c)], a probability distribution
+    (Fact A.1 (ii), Lemma A.3 (ii)).  Requires [c >= 1]. *)
 
 val grad_c_into : c:float -> float array -> float array -> unit
 (** [grad_c_into ~c x out] writes {!grad_c} into [out] without allocating.

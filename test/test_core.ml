@@ -46,7 +46,10 @@ let test_edges_partition =
       let n = dec.Intervals.n in
       let seen = Array.make n 0 in
       for i = 0 to dec.Intervals.ell' - 1 do
-        Array.iter (fun e -> seen.(e) <- seen.(e) + 1) (Intervals.edges dec i)
+        for local = 0 to Intervals.width dec i - 1 do
+          let e = Intervals.to_global dec i local in
+          seen.(e) <- seen.(e) + 1
+        done
       done;
       Array.for_all (( = ) 1) seen)
 
@@ -208,7 +211,8 @@ let test_dyn_shift_range () =
   for seed = 0 to 20 do
     let alg = Dyn.create ~epsilon:0.5 inst (Rng.create seed) in
     Alcotest.(check bool) "shift in range" true
-      (Dyn.shift alg >= 0 && Dyn.shift alg < inst.Instance.n)
+      (let shift = (Dyn.decomposition alg).Intervals.shift in
+       shift >= 0 && shift < inst.Instance.n)
   done
 
 let test_dyn_solver_variants () =

@@ -340,20 +340,11 @@ let test_static_formula =
       done;
       Float.abs (Sopt.static ~k es -. !expected) < 1e-9)
 
-let test_static_position =
-  qtest ~count:300 "static position realizes the optimum" requests_gen
-    (fun (k, es) ->
-      let start = Game.start_edge ~k in
-      let p = Sopt.static_position ~k es in
-      let hits = Array.make k 0 in
-      Array.iter (fun e -> hits.(e) <- hits.(e) + 1) es;
-      Float.abs
-        (float_of_int (abs (p - start) + hits.(p)) -. Sopt.static ~k es)
-      < 1e-9)
-
 let test_dynamic_le_static =
   qtest ~count:300 "dynamic OPT <= static OPT" requests_gen (fun (k, es) ->
-      Sopt.dynamic ~k es <= Sopt.static ~k es +. 1e-9)
+      let start = Game.start_edge ~k in
+      Rbgp_mts.Offline.opt_cost_indicators (Rbgp_mts.Metric.Line k) ~start es
+      <= Sopt.static ~k es +. 1e-9)
 
 (* --- players and adversaries -------------------------------------------- *)
 
@@ -374,16 +365,6 @@ let test_greedy_dodge_chase () =
     true
     (opt >= float_of_int (steps / k) /. 2.0
     && opt <= float_of_int ((steps / k) + (2 * k)))
-
-let test_of_mts_player () =
-  let k = 8 in
-  let m = Rbgp_mts.Metric.Line k in
-  let solver = Rbgp_mts.Work_function.solver m ~start:3 ~rng:(Rng.create 0) in
-  let p = Game.of_mts solver in
-  Alcotest.(check int) "initial position" 3 (p.Game.position ());
-  p.Game.serve 3;
-  p.Game.serve 3;
-  Alcotest.(check bool) "costs accumulate" true (Game.total_cost p > 0.0)
 
 let test_adversaries_ranges () =
   let k = 16 in
@@ -418,11 +399,10 @@ let () =
           Alcotest.test_case "validation" `Quick test_ig_validation;
         ] );
       ( "comparators",
-        [ test_static_formula; test_static_position; test_dynamic_le_static ] );
+        [ test_static_formula; test_dynamic_le_static ] );
       ( "players",
         [
           Alcotest.test_case "greedy-dodge chase" `Quick test_greedy_dodge_chase;
-          Alcotest.test_case "of_mts adapter" `Quick test_of_mts_player;
           Alcotest.test_case "adversary ranges" `Quick test_adversaries_ranges;
         ] );
     ]

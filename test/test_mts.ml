@@ -41,7 +41,7 @@ let test_metric () =
 let test_mts_accounting () =
   (* scripted solver: always moves to the requested state *)
   let metric = Metric.Line 4 in
-  let t = Mts.make ~name:"follow" ~metric ~start:0 ~next:(fun e _ -> e)
+  let t = Mts.make ~metric ~start:0 ~next:(fun e _ -> e)
       ~save:ignore ~load:ignore
   in
   ignore (Mts.serve t 3);
@@ -53,7 +53,7 @@ let test_mts_accounting () =
   Alcotest.(check int) "steps" 2 (Mts.steps t);
   (* a solver that dodges the task pays no hit *)
   let dodge =
-    Mts.make ~name:"dodge" ~metric ~start:0 ~next:(fun e _ -> (e + 1) mod 4)
+    Mts.make ~metric ~start:0 ~next:(fun e _ -> (e + 1) mod 4)
       ~save:ignore ~load:ignore
   in
   ignore (Mts.serve dodge 2);
@@ -63,7 +63,7 @@ let test_mts_accounting () =
 let test_mts_validation () =
   let metric = Metric.Line 3 in
   let t =
-    Mts.make ~name:"id" ~metric ~start:1 ~next:(fun _ s -> s) ~save:ignore
+    Mts.make ~metric ~start:1 ~next:(fun _ s -> s) ~save:ignore
       ~load:ignore
   in
   List.iter
@@ -75,7 +75,7 @@ let test_mts_validation () =
     [ -1; 3; max_int; min_int ];
   Alcotest.(check int) "rejected tasks are not served" 0 (Mts.steps t);
   let rogue =
-    Mts.make ~name:"rogue" ~metric ~start:0 ~next:(fun _ _ -> 3)
+    Mts.make ~metric ~start:0 ~next:(fun _ _ -> 3)
       ~save:ignore ~load:ignore
   in
   Alcotest.check_raises "solver leaving the metric"
@@ -124,25 +124,6 @@ let test_offline_vs_brute_uniform =
       Float.abs (Offline.opt_cost m ~start tasks -. brute_force_opt m ~start tasks)
       < 1e-6)
 
-let schedule_cost metric ~start tasks (sched : Offline.schedule) =
-  let acc = ref 0.0 and prev = ref start in
-  Array.iteri
-    (fun t x ->
-      acc :=
-        !acc +. float_of_int (Metric.distance metric !prev x) +. tasks.(t).(x);
-      prev := x)
-    sched.Offline.states;
-  !acc
-
-let test_offline_schedule =
-  qtest ~count:200 "offline schedule realizes the optimum" tiny_instance_gen
-    (fun (s, start, tasks) ->
-      let m = Metric.Line s in
-      let sched = Offline.opt_schedule m ~start tasks in
-      Float.abs (sched.Offline.cost -. Offline.opt_cost m ~start tasks) < 1e-6
-      && Float.abs (schedule_cost m ~start tasks sched -. sched.Offline.cost)
-         < 1e-6)
-
 let indicator_seq_gen =
   QCheck2.Gen.(
     int_range 2 8 >>= fun s ->
@@ -165,7 +146,7 @@ let test_offline_free_start =
       let m = Metric.Line s in
       let free = Offline.opt_cost_indicators_free m es in
       let fixed = Offline.opt_cost_indicators m ~start es in
-      let static = Offline.static_opt_indicators m ~start es in
+      let static = Rbgp_hitting.Static_opt.static ~k:s ~start es in
       free <= fixed +. 1e-9 && fixed <= static +. 1e-9)
 
 (* --- Work function algorithm ------------------------------------------ *)
@@ -477,7 +458,7 @@ let test_smin_mw_late_miss () =
     in
     seens := seen :: !seens;
     let t = Rbgp_mts.Smin_mw.solver metric ~start ~rng in
-    Mts.make ~name:"checked" ~metric ~start ~save:ignore ~load:ignore
+    Mts.make ~metric ~start ~save:ignore ~load:ignore
       ~next:(fun e _ ->
         let got = Mts.serve t e in
         if serve e <> got then incr parted;
@@ -565,7 +546,6 @@ let () =
         [
           test_offline_vs_brute_line;
           test_offline_vs_brute_uniform;
-          test_offline_schedule;
           test_offline_indicators;
           test_offline_free_start;
         ] );

@@ -252,17 +252,15 @@ let test_simulator_capacity_enforcement () =
 let test_simulator_per_step () =
   let inst = Instance.blocks ~n:8 ~ell:2 in
   let alg = scripted inst [ (1, 3, 1) ] in
-  let r =
-    Simulator.run ~record_steps:true inst alg (Trace.fixed [| 3; 3; 3 |])
-      ~steps:3
-  in
-  match r.Simulator.per_step with
-  | None -> Alcotest.fail "expected series"
-  | Some s ->
-      Alcotest.(check (array (pair int int)))
-        "cumulative series"
-        [| (1, 0); (2, 1); (2, 1) |]
-        s
+  let series = Array.make 3 (0, 0) in
+  ignore
+    (Simulator.run
+       ~on_step:(fun t c -> series.(t) <- (c.Cost.comm, c.Cost.mig))
+       inst alg (Trace.fixed [| 3; 3; 3 |]) ~steps:3);
+  Alcotest.(check (array (pair int int)))
+    "cumulative series"
+    [| (1, 0); (2, 1); (2, 1) |]
+    series
 
 let test_replay_cost () =
   let inst = Instance.blocks ~n:4 ~ell:2 in

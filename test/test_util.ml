@@ -171,15 +171,21 @@ let vec_gen =
 
 let min_arr x = Array.fold_left Float.min x.(0) x
 
+(* smin_c over a whole vector is smin_sub over its full range, and smin
+   and its gradient are the scaled forms at c = 1 *)
+let smin_c ~c x = Smin.smin_sub ~c x ~lo:0 ~hi:(Array.length x - 1)
+let smin x = smin_c ~c:1.0 x
+let grad x = Smin.grad_c ~c:1.0 x
+
 let test_smin_bounds =
   qtest "smin: min - ln n <= smin <= min (Fact A.1 i)" vec_gen (fun x ->
-      let s = Smin.smin x and m = min_arr x in
+      let s = smin x and m = min_arr x in
       let n = float_of_int (Array.length x) in
       s <= m +. 1e-9 && s >= m -. log n -. 1e-9)
 
 let test_smin_grad_dist =
   qtest "smin: gradient is a distribution (Fact A.1 ii)" vec_gen (fun x ->
-      let g = Smin.grad x in
+      let g = grad x in
       let sum = Array.fold_left ( +. ) 0.0 g in
       Array.for_all (fun v -> v >= 0.0) g && Float.abs (sum -. 1.0) < 1e-9)
 
@@ -193,8 +199,8 @@ let test_smin_growth =
   qtest "smin: smin(x+l) - smin(x) >= grad(x).l / 2 (Lemma A.2 i)" pair_gen
     (fun (x, l) ->
       let xl = Array.mapi (fun i v -> v +. l.(i)) x in
-      let lhs = Smin.smin xl -. Smin.smin x in
-      let g = Smin.grad x in
+      let lhs = smin xl -. smin x in
+      let g = grad x in
       let dot = ref 0.0 in
       Array.iteri (fun i gi -> dot := !dot +. (gi *. l.(i))) g;
       lhs >= (0.5 *. !dot) -. 1e-9)
@@ -203,7 +209,7 @@ let test_smin_grad_stability =
   qtest "smin: |grad(x+l) - grad(x)|_1 <= 2 grad(x).l (Lemma A.2 ii)" pair_gen
     (fun (x, l) ->
       let xl = Array.mapi (fun i v -> v +. l.(i)) x in
-      let g = Smin.grad x and g' = Smin.grad xl in
+      let g = grad x and g' = grad xl in
       let l1 = ref 0.0 and dot = ref 0.0 in
       Array.iteri
         (fun i gi ->
@@ -217,7 +223,7 @@ let scaled_gen = QCheck2.Gen.(pair vec_gen (float_range 1.0 20.0))
 let test_smin_c_bounds =
   qtest "smin_c: min - c ln n <= smin_c <= min (Lemma A.3 i)" scaled_gen
     (fun (x, c) ->
-      let s = Smin.smin_c ~c x and m = min_arr x in
+      let s = smin_c ~c x and m = min_arr x in
       let n = float_of_int (Array.length x) in
       s <= m +. 1e-9 && s >= m -. (c *. log n) -. 1e-9)
 
@@ -245,7 +251,7 @@ let test_smin_sub_consistency =
     (fun (x, lo, hi) ->
       let slice = Array.sub x lo (hi - lo + 1) in
       let c = 3.0 in
-      let direct = Smin.smin_c ~c slice in
+      let direct = smin_c ~c slice in
       let sub = Smin.smin_sub ~c x ~lo ~hi in
       let g1 = Smin.grad_c ~c slice in
       let g2 = Array.make (hi - lo + 1) 0.0 in
@@ -256,9 +262,9 @@ let test_smin_sub_consistency =
 let test_smin_huge_counts () =
   (* numerical stability: counters in the millions must not overflow *)
   let x = [| 1e7; 2e7; 1e7 +. 3.0 |] in
-  let s = Smin.smin x in
+  let s = smin x in
   Alcotest.(check bool) "finite" true (Float.is_finite s);
-  let g = Smin.grad x in
+  let g = grad x in
   Alcotest.(check bool) "gradient concentrates on minimum" true (g.(0) > 0.9)
 
 (* --- Dist ------------------------------------------------------------ *)
