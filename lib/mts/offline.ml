@@ -40,39 +40,7 @@ let min_prefix (a : float array) len =
   done;
   !mn
 
-let check_tasks metric tasks =
-  let s = Metric.size metric in
-  Array.iter
-    (fun t ->
-      if Array.length t <> s then
-        invalid_arg "Offline: task vector size mismatch";
-      Array.iter
-        (fun c ->
-          if c < 0.0 || Float.is_nan c then
-            invalid_arg "Offline: negative task cost")
-        t)
-    tasks
-
-let opt_cost metric ~start tasks =
-  Metric.check_state metric start;
-  check_tasks metric tasks;
-  if Array.length tasks = 0 then 0.0
-  else begin
-    let s = Metric.size metric in
-    let opt =
-      Array.init s (fun i -> float_of_int (Metric.distance metric start i))
-    in
-    Array.iter
-      (fun task ->
-        transform_inplace metric opt s;
-        for x = 0 to s - 1 do
-          opt.(x) <- opt.(x) +. task.(x)
-        done)
-      tasks;
-    min_prefix opt s
-  end
-
-(* --- indicator-task specializations --------------------------------- *)
+(* --- indicator tasks ------------------------------------------------- *)
 
 (* Reusable DP buffer, grown on demand, in the spirit of
    [Dist.of_grad_into]: callers that evaluate many per-interval optima
@@ -86,23 +54,6 @@ let scratch () = { buf = [||] }
 let scratch_buf sc len =
   if Array.length sc.buf < len then sc.buf <- Array.make len 0.0;
   sc.buf
-
-let opt_cost_indicators metric ~start es =
-  Metric.check_state metric start;
-  let s = Metric.size metric in
-  Array.iter (fun e -> Metric.check_state metric e) es;
-  if Array.length es = 0 then 0.0
-  else begin
-    let opt =
-      Array.init s (fun i -> float_of_int (Metric.distance metric start i))
-    in
-    Array.iter
-      (fun e ->
-        transform_inplace metric opt s;
-        opt.(e) <- opt.(e) +. 1.0)
-      es;
-    min_prefix opt s
-  end
 
 let opt_cost_indicators_free ?scratch metric es =
   let s = Metric.size metric in

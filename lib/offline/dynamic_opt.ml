@@ -3,68 +3,89 @@ module Cost = Rbgp_ring.Cost
 
 type t = {
   inst : Instance.t;
-  states : int array array;  (* each state = assignment array of length n *)
+  states : int array array;
+      (* each state a partition of the n processes into at most ell blocks
+         of at most k, as a restricted-growth string: blocks numbered in
+         order of first appearance *)
   dist : Bytes.t;
-      (* pairwise Hamming distances, m x m row-major, one byte per pair:
+      (* pairwise migration distances, m x m row-major, one byte per pair:
          byte [i * m + j] is d(i, j) *)
   cuts : Bytes.t array;  (* byte j of [cuts.(e)] is 1 iff state j cuts edge e *)
   initial_dist : int array;  (* distance from the initial assignment *)
 }
 
-(* --- symmetry canonicalization -------------------------------------- *)
+(* --- block matching ---------------------------------------------------- *)
 
-(* Canonical form under the two structural symmetries of the cost model:
-   ring rotation (requests and migrations only see relative positions) and
-   server relabeling (Hamming distance and edge crossings are invariant
-   under applying one permutation of server names to both arguments).  For
-   every rotation offset we relabel servers in order of first appearance
-   and keep the lexicographically smallest result.  Two states in the same
-   orbit have identical crossing structure and identical pairwise-distance
-   rows up to the induced permutation of the state space; the DP below
-   cannot quotient by the orbit (the fixed initial assignment breaks the
-   symmetry through migration costs), but the canonical key powers the
-   shared-table cache hash. *)
-(* Lexicographic comparison of equal-length int arrays — exactly what the
-   polymorphic compare this replaces computed (lengths match by
-   construction: all candidates are length-n assignment vectors). *)
-let compare_int_array a b =
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then Int.compare la lb
-  else begin
-    let c = ref 0 in
-    let i = ref 0 in
-    while !c = 0 && !i < la do
-      c := Int.compare a.(!i) b.(!i);
-      incr i
-    done;
-    !c
-  end
+(* A request is charged when its processes sit on different servers and a
+   migration per moved process, so no cost reads a server's name.  The
+   cheapest labeled move from [a]'s layout to [b]'s keeps the largest
+   overlap of their blocks: it migrates n minus the maximum, over
+   permutations sigma of 0..ell-1, of sum_i |{p : a(p) = i, b(p) = sigma i}|.
+   The search walks sigma in lexicographic order, cuts a branch that
+   cannot beat the best found (each remaining row at its row maximum) and
+   replaces the best only on a strict improvement, so it ends on the
+   lexicographically smallest maximizer. *)
+type matcher = {
+  ell : int;
+  ov : int array;  (* ov.(i * ell + j) = |{p : a(p) = i, b(p) = j}| *)
+  rest : int array;  (* rest.(i): the row maxima of rows i.. summed *)
+  used : bool array;
+  cur : int array;
+  sigma : int array;  (* the best permutation found *)
+  mutable best : int;
+}
 
-let canonical a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let colors = Array.fold_left Int.max 0 a + 1 in
-    let best = ref None in
-    let relabel = Array.make colors (-1) in
-    let cand = Array.make n 0 in
-    for r = 0 to n - 1 do
-      Array.fill relabel 0 colors (-1);
-      let next = ref 0 in
-      for p = 0 to n - 1 do
-        let v = a.((p + r) mod n) in
-        if relabel.(v) < 0 then begin
-          relabel.(v) <- !next;
-          incr next
-        end;
-        cand.(p) <- relabel.(v)
-      done;
-      match !best with
-      | Some b when compare_int_array b cand <= 0 -> ()
-      | _ -> best := Some (Array.copy cand)
+let matcher ell =
+  {
+    ell;
+    ov = Array.make (ell * ell) 0;
+    rest = Array.make (ell + 1) 0;
+    used = Array.make ell false;
+    cur = Array.make ell 0;
+    sigma = Array.make ell 0;
+    best = -1;
+  }
+
+let rec search mt i acc =
+  if acc + mt.rest.(i) > mt.best then
+    if i = mt.ell then begin
+      mt.best <- acc;
+      Array.blit mt.cur 0 mt.sigma 0 mt.ell
+    end
+    else
+      for j = 0 to mt.ell - 1 do
+        if not mt.used.(j) then begin
+          mt.used.(j) <- true;
+          mt.cur.(i) <- j;
+          search mt (i + 1) (acc + mt.ov.((i * mt.ell) + j));
+          mt.used.(j) <- false
+        end
+      done
+
+(* the largest block overlap of [a] with [b]; its sigma is left in
+   [mt.sigma] *)
+let match_blocks mt (a : int array) (b : int array) =
+  let ell = mt.ell and ov = mt.ov in
+  Array.fill ov 0 (ell * ell) 0;
+  for p = 0 to Array.length a - 1 do
+    let c = (a.(p) * ell) + b.(p) in
+    ov.(c) <- ov.(c) + 1
+  done;
+  for i = ell - 1 downto 0 do
+    let mx = ref 0 in
+    for j = 0 to ell - 1 do
+      mx := Int.max !mx ov.((i * ell) + j)
     done;
-    match !best with Some b -> b | None -> assert false
-  end
+    mt.rest.(i) <- mt.rest.(i + 1) + !mx
+  done;
+  mt.best <- -1;
+  search mt 0 0;
+  mt.best
+
+let too_many max_states =
+  invalid_arg
+    (Printf.sprintf "Dynamic_opt.enumerate_states: more than %d partitions"
+       max_states)
 
 let enumerate_states (inst : Instance.t) ?(max_states = 3000) () =
   let n = inst.Instance.n and ell = inst.Instance.ell and k = inst.Instance.k in
@@ -72,43 +93,36 @@ let enumerate_states (inst : Instance.t) ?(max_states = 3000) () =
   let count = ref 0 in
   let a = Array.make n 0 in
   let loads = Array.make ell 0 in
-  let rec go p =
+  (* process p joins one of the [blocks] blocks opened so far, or opens
+     the next one; the strings come out in lexicographic order *)
+  let rec go p blocks =
     if !count > max_states then ()
     else if p = n then begin
       states := Array.copy a :: !states;
       incr count
     end
     else
-      for s = 0 to ell - 1 do
+      for s = 0 to Int.min blocks (ell - 1) do
         if loads.(s) < k then begin
           a.(p) <- s;
           loads.(s) <- loads.(s) + 1;
-          go (p + 1);
+          go (p + 1) (if s = blocks then blocks + 1 else blocks);
           loads.(s) <- loads.(s) - 1
         end
       done
   in
-  go 0;
-  if !count > max_states then
-    invalid_arg
-      (Printf.sprintf
-         "Dynamic_opt.enumerate_states: more than %d balanced configurations"
-         max_states);
+  go 0 0;
+  if !count > max_states then too_many max_states;
   let states = Array.of_list (List.rev !states) in
   let m = Array.length states in
-  let hamming (a : int array) (b : int array) =
-    let d = ref 0 in
-    for p = 0 to n - 1 do
-      if a.(p) <> b.(p) then incr d
-    done;
-    !d
-  in
+  let mt = matcher ell in
+  let distance a b = n - match_blocks mt a b in
   (* each pair once; a distance must fit its byte *)
   let dist = Bytes.make (m * m) '\000' in
   for i = 0 to m - 1 do
     let si = states.(i) in
     for j = i + 1 to m - 1 do
-      let d = hamming si states.(j) in
+      let d = distance si states.(j) in
       if d > 255 then
         invalid_arg "Dynamic_opt.enumerate_states: distance over 255";
       Bytes.set dist ((i * m) + j) (Char.unsafe_chr d);
@@ -122,45 +136,36 @@ let enumerate_states (inst : Instance.t) ?(max_states = 3000) () =
             let s = states.(j) in
             if s.(e) <> s.(e') then '\001' else '\000'))
   in
-  let initial_dist = Array.map (hamming inst.Instance.initial) states in
+  let initial_dist =
+    Array.map (fun s -> distance s inst.Instance.initial) states
+  in
   { inst; states; dist; cuts; initial_dist }
 
 let state_count t = Array.length t.states
 
 (* --- shared-table cache ---------------------------------------------- *)
 
-(* Enumeration is O(m^2 n) (the distance matrix dominates) and the harness,
-   tests and bench rebuild the same handful of tiny instances over and over
-   — once per qcheck case, once per experiment, once per fan-out.  A
-   process-wide memo keyed by the exact instance shape makes every rebuild
-   after the first free.  The canonical form of the initial assignment is
-   folded into the hash key (cheap, high-entropy); equality remains exact.
-   A mutex makes the cache safe to consult from pool workers; the table
-   itself is immutable once built and is shared read-only. *)
+(* Enumeration is O(m^2 (n + ell!)) and the harness, tests and bench
+   rebuild the same handful of tiny instances over and over — once per
+   qcheck case, once per experiment, once per fan-out.  A process-wide
+   memo keyed by the exact instance shape and initial assignment makes
+   every rebuild after the first free.  A mutex makes the cache safe to
+   consult from pool workers; the table itself is immutable once built
+   and is shared read-only. *)
 
-type cache_key = int * int * int * int array * int array
+type cache_key = int * int * int * int array
 
 let cache : (cache_key, t) Hashtbl.t = Hashtbl.create 16
 let cache_mutex = Mutex.create ()
 
 let shared (inst : Instance.t) ?(max_states = 3000) () =
-  let key =
-    ( inst.Instance.n,
-      inst.Instance.ell,
-      inst.Instance.k,
-      inst.Instance.initial,
-      canonical inst.Instance.initial )
-  in
+  let { Instance.n; ell; k; initial } = inst in
+  let key = (n, ell, k, initial) in
   Mutex.lock cache_mutex;
   match Hashtbl.find_opt cache key with
   | Some t ->
       Mutex.unlock cache_mutex;
-      if state_count t > max_states then
-        invalid_arg
-          (Printf.sprintf
-             "Dynamic_opt.enumerate_states: more than %d balanced \
-              configurations"
-             max_states);
+      if state_count t > max_states then too_many max_states;
       t
   | None ->
       (* build outside the lock so slow enumerations don't serialize
@@ -218,18 +223,18 @@ let run_reference t trace =
 (* Step t turns its input row c into L' = min_i c(i) + d(i, .) and feeds
    L' + chi_(e_t) to step t+1, where chi_e marks the states that cut edge
    e.  So c = L + chi, with L the previous step's output (initial_dist at
-   t = 0).  Both are 1-Lipschitz in Hamming distance: a distance transform
-   always is, and initial_dist is a distance.  Hence, for every j,
+   t = 0).  Both are 1-Lipschitz in the migration distance d: a distance
+   transform always is, and initial_dist is a distance.  Hence, for every j,
      L(j) <= min_i c(i) + d(i, j) <= c(j) = L(j) + chi(j).
    A state that does not cut the previous edge keeps c(j).  A state that
    cuts it drops to c(j) - 1 exactly when some non-cutting i is tight,
    c(i) + d(i, j) = c(j) - 1: a cutting i pays c(i) = L(i) + 1, too much.
 
-   The tight test needs only the sources' dominance frontier.  Hamming
-   distance obeys the triangle inequality, so if c(i') + d(i', i) <= c(i)
-   with i' <> i, then c(i') + d(i', j) <= c(i) + d(i, j) for every j and
-   c(i') < c(i): a tight i has a strictly cheaper tight i' that is not
-   dominated.  The frontier takes an O(m) filter against the cheapest
+   The tight test needs only the sources' dominance frontier.  d is
+   Hamming distance quotiented by relabeling, still a metric, so by the
+   triangle inequality, if c(i') + d(i', i) <= c(i) with i' <> i, then
+   c(i') + d(i', j) <= c(i) + d(i, j) for every j and c(i') < c(i): a
+   tight i has a strictly cheaper tight i' that is not dominated.  The frontier takes an O(m) filter against the cheapest
    source, a counting sort on c(i) - min in [0, n] (index order within a
    cost), then one sweep that tests each candidate against the kept ones
    through the candidate's own row.  The frontier is then walked in cost
@@ -380,7 +385,20 @@ let solve_schedule ?(reference = false) t trace =
     for step = steps - 2 downto 0 do
       idx.(step) <- parent (step + 1) idx.(step + 1)
     done;
-    let schedule = Array.map (fun i -> Array.copy t.states.(i)) idx in
+    (* each partition takes the labeling nearest to the labeled state
+       before it (the initial assignment at step 0), the lexicographically
+       smallest on a tie: the move costs exactly d *)
+    let mt = matcher t.inst.Instance.ell in
+    let prev = ref t.inst.Instance.initial in
+    let schedule =
+      Array.map
+        (fun i ->
+          let part = t.states.(i) in
+          ignore (match_blocks mt part !prev : int);
+          prev := Array.map (fun b -> mt.sigma.(b)) part;
+          !prev)
+        idx
+    in
     let c = Rbgp_ring.Simulator.replay_cost t.inst trace ~assignments:schedule in
     if Cost.total c <> cost.(idx.(steps - 1)) then
       failwith "Dynamic_opt.solve_schedule: replay disagrees with DP";

@@ -84,6 +84,38 @@ let test_mts_validation () =
 
 (* --- Offline DP vs brute force ---------------------------------------- *)
 
+(* The offline optimum from a first row [init], relaxed over all pairs:
+   opt_t(x) = min over y of (opt_(t-1)(y) + d(y, x)) + task_t(x).  With
+   init = d(start, .) it is the fixed-start optimum the online solvers are
+   checked against; with init = 0 it is Offline's free-start DP. *)
+let opt_from metric init tasks =
+  let s = Metric.size metric in
+  let opt = Array.copy init in
+  Array.iter
+    (fun task ->
+      let prev = Array.copy opt in
+      for x = 0 to s - 1 do
+        let best = ref infinity in
+        for y = 0 to s - 1 do
+          best :=
+            Float.min !best
+              (prev.(y) +. float_of_int (Metric.distance metric y x))
+        done;
+        opt.(x) <- !best +. task.(x)
+      done)
+    tasks;
+  Array.fold_left Float.min infinity opt
+
+let opt_cost metric ~start tasks =
+  let s = Metric.size metric in
+  opt_from metric
+    (Array.init s (fun x -> float_of_int (Metric.distance metric start x)))
+    tasks
+
+let opt_cost_indicators metric ~start es =
+  let s = Metric.size metric in
+  opt_cost metric ~start (Array.map (fun e -> indicator e ~n:s) es)
+
 let brute_force_opt metric ~start tasks =
   let s = Metric.size metric in
   let steps = Array.length tasks in
@@ -114,14 +146,14 @@ let test_offline_vs_brute_line =
   qtest ~count:200 "offline DP = brute force (line)" tiny_instance_gen
     (fun (s, start, tasks) ->
       let m = Metric.Line s in
-      Float.abs (Offline.opt_cost m ~start tasks -. brute_force_opt m ~start tasks)
+      Float.abs (opt_cost m ~start tasks -. brute_force_opt m ~start tasks)
       < 1e-6)
 
 let test_offline_vs_brute_uniform =
   qtest ~count:200 "offline DP = brute force (uniform)" tiny_instance_gen
     (fun (s, start, tasks) ->
       let m = Metric.Uniform s in
-      Float.abs (Offline.opt_cost m ~start tasks -. brute_force_opt m ~start tasks)
+      Float.abs (opt_cost m ~start tasks -. brute_force_opt m ~start tasks)
       < 1e-6)
 
 let indicator_seq_gen =
@@ -131,21 +163,25 @@ let indicator_seq_gen =
     list_size (int_range 0 30) (int_range 0 (s - 1)) >|= fun es ->
     (s, start, Array.of_list es))
 
+(* Offline's in-place transforms against the relaxation over all pairs *)
 let test_offline_indicators =
   qtest ~count:200 "indicator specialization matches generic DP"
-    indicator_seq_gen (fun (s, start, es) ->
-      let m = Metric.Line s in
+    indicator_seq_gen (fun (s, _, es) ->
       let tasks = Array.map (fun e -> indicator e ~n:s) es in
-      Float.abs
-        (Offline.opt_cost_indicators m ~start es -. Offline.opt_cost m ~start tasks)
-      < 1e-6)
+      List.for_all
+        (fun m ->
+          Float.abs
+            (Offline.opt_cost_indicators_free m es
+            -. opt_from m (Array.make s 0.0) tasks)
+          < 1e-6)
+        [ Metric.Line s; Metric.Uniform s ])
 
 let test_offline_free_start =
   qtest ~count:200 "free start <= fixed start; static >= dynamic"
     indicator_seq_gen (fun (s, start, es) ->
       let m = Metric.Line s in
       let free = Offline.opt_cost_indicators_free m es in
-      let fixed = Offline.opt_cost_indicators m ~start es in
+      let fixed = opt_cost_indicators m ~start es in
       let static = Rbgp_hitting.Static_opt.static ~k:s ~start es in
       free <= fixed +. 1e-9 && fixed <= static +. 1e-9)
 
@@ -159,7 +195,7 @@ let test_wfa_competitive =
       let m = Metric.Line s in
       let t = Wfa.solver m ~start ~rng:(Rng.create 0) in
       Array.iter (fun e -> ignore (Mts.serve t e)) es;
-      let opt = Offline.opt_cost_indicators m ~start es in
+      let opt = opt_cost_indicators m ~start es in
       let bound =
         (float_of_int ((2 * s) - 1) *. opt)
         +. float_of_int ((2 * s - 1) * Metric.diameter m)
@@ -177,7 +213,7 @@ let test_wfa_work_function_invariants =
         if Float.abs (w.(i + 1) -. w.(i)) > 1.0 +. 1e-9 then lipschitz := false
       done;
       let wmin = Array.fold_left Float.min w.(0) w in
-      let opt = Offline.opt_cost_indicators (Metric.Line s) ~start es in
+      let opt = opt_cost_indicators (Metric.Line s) ~start es in
       (* min of the work function IS the offline optimum *)
       !lipschitz && Float.abs (wmin -. opt) < 1e-6)
 
@@ -247,7 +283,7 @@ let test_randomized_reasonable =
     (fun (s, es) ->
       let m = Metric.Line s in
       let start = s / 2 in
-      let opt = Offline.opt_cost_indicators m ~start es in
+      let opt = opt_cost_indicators m ~start es in
       let loose cost = cost <= (20.0 *. opt) +. (30.0 *. float_of_int s) in
       loose (run_solver Rbgp_mts.Smin_mw.solver m ~start es ~seed:1)
       && loose (run_solver Rbgp_mts.Hst_mts.solver m ~start es ~seed:2)
@@ -483,7 +519,7 @@ let test_marking_uniform () =
   let m = Metric.Uniform s in
   let es = Array.init 4_000 (fun i -> i mod 2) in
   let cost = run_solver Rbgp_mts.Marking.solver m ~start:0 es ~seed:7 in
-  let opt = Offline.opt_cost_indicators m ~start:0 es in
+  let opt = opt_cost_indicators m ~start:0 es in
   Alcotest.(check bool)
     (Printf.sprintf "marking %.0f vs opt %.0f" cost opt)
     true

@@ -268,10 +268,16 @@ let test_requires_split () =
 (* --- dynamic optimum ----------------------------------------------------- *)
 
 let test_dopt_state_count () =
-  let inst = Instance.blocks ~n:4 ~ell:2 in
-  let dp = Dopt.enumerate_states inst () in
-  (* C(4,2) = 6 balanced configurations *)
-  Alcotest.(check int) "states" 6 (Dopt.state_count dp)
+  (* partitions into ell blocks of k: n! / ((k!)^ell ell!), C(4,2) / 2! = 3
+     at (4, 2) *)
+  List.iter
+    (fun (n, ell, m) ->
+      let dp = Dopt.enumerate_states (Instance.blocks ~n ~ell) () in
+      Alcotest.(check int) (Printf.sprintf "states (%d, %d)" n ell) m
+        (Dopt.state_count dp))
+    [
+      (4, 2, 3); (6, 3, 15); (8, 2, 35); (9, 3, 280); (10, 2, 126); (8, 4, 105);
+    ]
 
 (* every assignment with loads at most k *)
 let balanced_states (inst : Instance.t) =
@@ -294,6 +300,11 @@ let balanced_states (inst : Instance.t) =
   gen 0;
   Array.of_list !states
 
+let hamming x y =
+  let d = ref 0 in
+  Array.iteri (fun i v -> if v <> y.(i) then incr d) x;
+  !d
+
 let brute_dynamic inst trace =
   (* exhaustive search over schedules of configurations (tiny instances
      only) *)
@@ -301,11 +312,6 @@ let brute_dynamic inst trace =
   let states = balanced_states inst in
   let best = ref max_int in
   let steps = Array.length trace in
-  let ham x y =
-    let d = ref 0 in
-    Array.iteri (fun i v -> if v <> y.(i) then incr d) x;
-    !d
-  in
   let rec go t prev acc =
     if acc >= !best then ()
     else if t = steps then best := acc
@@ -314,7 +320,7 @@ let brute_dynamic inst trace =
         (fun c ->
           let e = trace.(t) in
           let comm = if c.(e) <> c.((e + 1) mod n) then 1 else 0 in
-          go (t + 1) c (acc + ham prev c + comm))
+          go (t + 1) c (acc + hamming prev c + comm))
         states
   in
   go 0 inst.Instance.initial 0;
@@ -353,86 +359,121 @@ let test_dopt_too_large () =
        false
      with Invalid_argument _ -> true)
 
-(* --- pruned solver vs retained exhaustive reference ----------------------- *)
+(* --- small shapes under every workload generator -------------------------- *)
 
-(* every feasible small shape crossed with every oblivious workload
-   generator: the dominance-pruned DP must return the exhaustive reference
-   relaxation's schedule and cost exactly (both break ties the same way).
-   The last two shapes have spare capacity, so not every state is fully
-   loaded. *)
+(* Every feasible small shape; the last four have spare capacity, so not
+   every block is full and a partition may have fewer than ell blocks
+   ((4, 4, 4) starts with every process on one server). *)
 let dopt_shapes =
   Array.append
     (Array.map
        (fun (n, ell) -> Instance.blocks ~n ~ell)
        [| (4, 2); (6, 2); (6, 3); (8, 2); (8, 4); (9, 3); (10, 2) |])
-    [| Instance.make ~n:5 ~ell:2 ~k:3 (); Instance.make ~n:7 ~ell:3 ~k:3 () |]
+    [|
+      Instance.make ~n:5 ~ell:2 ~k:3 ();
+      Instance.make ~n:7 ~ell:3 ~k:3 ();
+      Instance.make ~n:5 ~ell:3 ~k:2 ();
+      Instance.make ~n:4 ~ell:4 ~k:4 ();
+    |]
 
+(* a random shape and a 20-request trace from one oblivious generator *)
+let dopt_case_gen =
+  QCheck2.Gen.(
+    int_range 0 (Array.length dopt_shapes - 1) >>= fun si ->
+    int_range 0 10_000 >>= fun seed ->
+    nat >|= fun wi -> (si, seed, wi))
+
+let print_dopt_case (si, seed, wi) =
+  Printf.sprintf "shape %d, seed %d, workload %d" si seed wi
+
+let dopt_case (si, seed, wi) =
+  let inst = dopt_shapes.(si) in
+  let n = inst.Instance.n in
+  let workloads =
+    Rbgp_workloads.Workloads.all_fixed ~n ~steps:20 (Rng.create seed)
+  in
+  match List.nth workloads (wi mod List.length workloads) with
+  | _, Rbgp_ring.Trace.Fixed t -> (inst, t)
+  | _ -> assert false (* all_fixed only yields fixed traces *)
+
+(* the dominance-pruned DP must return the exhaustive reference
+   relaxation's schedule and cost exactly (both break ties the same way) *)
 let test_dopt_pruned_eq_reference =
   qtest ~count:70 "pruned DP = reference DP (all workload generators)"
-    ~print:(fun (si, seed, wi) ->
-      Printf.sprintf "shape %d, seed %d, workload %d" si seed wi)
-    QCheck2.Gen.(
-      int_range 0 (Array.length dopt_shapes - 1) >>= fun si ->
-      int_range 0 10_000 >>= fun seed ->
-      nat >|= fun wi -> (si, seed, wi))
-    (fun (si, seed, wi) ->
-      let inst = dopt_shapes.(si) in
-      let n = inst.Instance.n in
-      let rng = Rng.create seed in
-      let workloads = Rbgp_workloads.Workloads.all_fixed ~n ~steps:20 rng in
-      let trace =
-        match List.nth workloads (wi mod List.length workloads) with
-        | _, Rbgp_ring.Trace.Fixed t -> t
-        | _ -> assert false (* all_fixed only yields fixed traces *)
-      in
+    ~print:print_dopt_case dopt_case_gen (fun case ->
+      let inst, trace = dopt_case case in
       let dp = Dopt.shared inst () in
       let schedule, cost = Dopt.solve_schedule dp trace in
       let ref_schedule, ref_cost = Dopt.solve_schedule ~reference:true dp trace in
       schedule = ref_schedule && Cost.total cost = Cost.total ref_cost)
 
+(* The labeled state space the partition DP quotients: every assignment
+   with loads at most k under Hamming distance, relaxed densely, O(m^2)
+   per request over a byte matrix built once per shape. *)
+let labeled_dp (inst : Instance.t) =
+  let n = inst.Instance.n in
+  let states = balanced_states inst in
+  let m = Array.length states in
+  let dist = Bytes.create (m * m) in
+  Array.iteri
+    (fun i x ->
+      Array.iteri
+        (fun j y -> Bytes.set dist ((i * m) + j) (Char.chr (hamming x y)))
+        states)
+    states;
+  fun trace ->
+    let cost = Array.map (hamming inst.Instance.initial) states in
+    let next = Array.make m 0 in
+    Array.iter
+      (fun e ->
+        let e' = (e + 1) mod n in
+        for j = 0 to m - 1 do
+          let best = ref max_int and row = j * m in
+          for i = 0 to m - 1 do
+            best :=
+              Int.min !best (cost.(i) + Char.code (Bytes.get dist (row + i)))
+          done;
+          let s = states.(j) in
+          next.(j) <- (!best + if s.(e) <> s.(e') then 1 else 0)
+        done;
+        Array.blit next 0 cost 0 m)
+      trace;
+    Array.fold_left Int.min max_int cost
+
+let labeled_dps = Array.map (fun inst -> lazy (labeled_dp inst)) dopt_shapes
+
+let test_dopt_eq_labeled =
+  qtest ~count:70 "partition DP = labeled DP (all workload generators)"
+    ~print:print_dopt_case dopt_case_gen (fun ((si, _, _) as case) ->
+      let inst, trace = dopt_case case in
+      Cost.total (Dopt.solve (Dopt.shared inst ()) trace)
+      = Lazy.force labeled_dps.(si) trace)
+
 (* --- canonicalization ----------------------------------------------------- *)
 
-let rotate a r =
-  let n = Array.length a in
-  Array.init n (fun i -> a.((i + r) mod n))
-
-let canon_gen =
-  QCheck2.Gen.(
-    oneofl [ (4, 2); (6, 2); (6, 3); (8, 4); (9, 3) ] >>= fun (n, ell) ->
-    array_size (return n) (int_range 0 (ell - 1)) >>= fun a ->
-    int_range 0 (n - 1) >>= fun r ->
-    shuffle_a (Array.init ell Fun.id) >|= fun perm -> (a, r, perm))
-
-let test_canonical_rotation_invariant =
-  qtest ~count:300 "canonical invariant under rotation" canon_gen
-    (fun (a, r, _) -> Dopt.canonical (rotate a r) = Dopt.canonical a)
-
-let test_canonical_relabel_invariant =
-  qtest ~count:300 "canonical invariant under server relabeling" canon_gen
-    (fun (a, _, perm) ->
-      Dopt.canonical (Array.map (fun s -> perm.(s)) a) = Dopt.canonical a)
-
-let test_canonical_combined_invariant =
-  qtest ~count:300 "canonical invariant under rotation o relabeling" canon_gen
-    (fun (a, r, perm) ->
-      Dopt.canonical (rotate (Array.map (fun s -> perm.(s)) a) r)
-      = Dopt.canonical a)
-
-let test_canonical_idempotent =
-  qtest ~count:300 "canonical is idempotent" canon_gen (fun (a, _, _) ->
-      let c = Dopt.canonical a in
-      Dopt.canonical c = c)
+(* servers renamed in order of first appearance *)
+let relabeled a =
+  let names = Hashtbl.create 4 in
+  Array.map
+    (fun s ->
+      match Hashtbl.find_opt names s with
+      | Some v -> v
+      | None ->
+          let v = Hashtbl.length names in
+          Hashtbl.add names s v;
+          v)
+    a
 
 let test_symmetry_classes () =
-  (* n=4, ell=2: six balanced configurations, two orbits under
-     rotation x relabeling (contiguous blocks vs alternating) *)
+  (* n=4, ell=2: six balanced configurations, three classes under server
+     relabeling, each one partition state *)
   let inst = Instance.blocks ~n:4 ~ell:2 in
-  Alcotest.(check int) "states" 6 (Dopt.state_count (Dopt.shared inst ()));
+  Alcotest.(check int) "states" 3 (Dopt.state_count (Dopt.shared inst ()));
   let classes =
     List.sort_uniq compare
-      (Array.to_list (Array.map Dopt.canonical (balanced_states inst)))
+      (Array.to_list (Array.map relabeled (balanced_states inst)))
   in
-  Alcotest.(check int) "classes" 2 (List.length classes)
+  Alcotest.(check int) "classes" 3 (List.length classes)
 
 let test_shared_is_cached () =
   let inst = Instance.blocks ~n:6 ~ell:3 in
@@ -598,13 +639,10 @@ let () =
           Alcotest.test_case "schedule replays" `Quick test_dopt_schedule_replays;
           Alcotest.test_case "size guard" `Quick test_dopt_too_large;
           test_dopt_pruned_eq_reference;
+          test_dopt_eq_labeled;
         ] );
       ( "canonicalization",
         [
-          test_canonical_rotation_invariant;
-          test_canonical_relabel_invariant;
-          test_canonical_combined_invariant;
-          test_canonical_idempotent;
           Alcotest.test_case "symmetry classes n=4 ell=2" `Quick
             test_symmetry_classes;
           Alcotest.test_case "shared table cached" `Quick test_shared_is_cached;
