@@ -26,9 +26,7 @@ let e10_quick_s = { name = "e10_quick_s"; rule = Ceiling 5.0 }
 let decode_speedup = { name = "decode_speedup"; rule = Floor 5.0 }
 let never_move_rps = { name = "never_move_rps"; rule = Floor 1e6 }
 let socket_overhead = { name = "socket_overhead"; rule = Ceiling 0.30 }
-let faults_off_overhead = { name = "faults_off_overhead"; rule = Ceiling 0.02 }
 let decode_identical = { name = "decode_identical"; rule = Every_pair }
-let faults_identical = { name = "faults_identical"; rule = Every_pair }
 let socket_identical = { name = "socket_identical"; rule = Every_pair }
 let parallel_identical = { name = "parallel_identical"; rule = Every_pair }
 
@@ -39,9 +37,7 @@ let table =
     decode_speedup;
     never_move_rps;
     socket_overhead;
-    faults_off_overhead;
     decode_identical;
-    faults_identical;
     socket_identical;
     parallel_identical;
   ]

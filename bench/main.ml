@@ -24,11 +24,12 @@
    3. decode: the block decoder over an mmap'ed region against the
       buffered channel reader, over one framed binary trace.
 
-   4. faults: the crash-safety hooks must be free when off.
+   4. never-move: the quiet mmap pipeline's throughput floor.
 
    5. net: what the socket transport costs over the in-process pipe.
 
-   Sections 3-5 are A/B comparisons run as interleaved pairs ([rounds]).
+   Sections 3 and 5 are A/B comparisons run as interleaved pairs
+   ([rounds]); section 4 runs one arm the same way.
    Every threshold lives in gates.ml; the gate table prints last, and the
    run exits 1 naming every failed gate.  The run writes BENCH_8.json to
    the current directory, stamped with the host it ran on; BENCH_1..7.json
@@ -510,106 +511,47 @@ let decode_bench () =
       check Gates.decode_identical "mmap, channel" (Gates.Bits identical);
     ] )
 
-(* The crash-safety promise: the fault layer costs nothing when it is
-   off.  Three arms of the same quiet never-move pipeline over one mmap'ed
-   trace (never-move, so that the solver does no work and the hooks are
-   as large a share of a request as they can be):
-
-   - hook-free: [Trace_codec.decode_requests_into] feeding
-     [Engine.ingest_batch_quiet] directly, no [Source] and no
-     [Fault.armed] check anywhere;
-   - disabled: the `serve --mmap on` path through [Source.next_batch]
-     with the fault layer off, the shipped default;
-   - armed-idle: the same path under `crash@2000000000`, a plan that
-     never fires, so the cost is the per-block [request_fault_pending]
-     range check plus the per-pull read hooks.
-
-   A triple's overhead is (hook-free rps - disabled rps) / hook-free rps,
-   and the disabled arm's req/s is the quiet pipeline's floor.  Each arm
-   times its serving loop only, on a fresh engine, and all three arms of
-   every triple must end in byte-identical checkpoints.
-
-   An arm serves 500,000 requests (about 14 ms) so that what the arms pay
-   once per pass stays a small share of it: the disabled arm opens its
-   trace through [Source.open_file], which stats the file and reads the
-   format from the mapped region, about 2 us more than the hook-free
-   arm's [Trace_codec.map].  At half this length the median overhead
-   reads about 1%, and host noise can carry the interval's upper end
-   over the bound. *)
-let faults_bench () =
+(* The quiet serving pipeline's floor: the `serve --mmap on
+   --no-decisions` path, [Source.next_batch] over one mmap'ed trace
+   feeding [Engine.ingest_batch_quiet], under never-move, so that the
+   solver does no work and what is timed is decode, accounting, digest
+   and engine glue.  Each pass serves the whole trace on a fresh engine
+   and times its serving loop only; [passes] of them give the interval
+   that the floor reads. *)
+let never_move_bench () =
   let n = 4096 and ell = 32 and steps = 500_000 and batch = 4096 in
-  let triples = 641 in
+  let passes = 21 in
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
   with_temp ".rbt" @@ fun path ->
   Codec.write ~path ~n ~ell ~seed:7 (rotating ~n ~steps 7);
   let block = Array.make batch 0 in
-  let ingest engine got =
-    Engine.ingest_batch_quiet engine
-      (if got = batch then block else Array.sub block 0 got)
-  in
-  let hook_free engine =
-    let r = Codec.map ~path path in
-    ignore (Codec.header_of_region ~path r);
-    let got = ref 1 in
-    while !got > 0 do
-      got := Codec.decode_requests_into ~path r ~n block ~limit:batch;
-      if !got > 0 then ingest engine !got
-    done
-  in
-  let pipeline engine =
-    let src = Rbgp_serve.Source.open_file ~mmap:`On ~n path in
-    let got = ref 1 in
-    while !got > 0 do
-      got := Rbgp_serve.Source.next_batch src block ~limit:batch;
-      if !got > 0 then ingest engine !got
-    done;
-    Rbgp_serve.Source.close src
-  in
-  let pass serve () =
+  let pass () =
     let engine = Engine.create ~alg:"never-move" ~seed:42 inst in
-    let (), dt = timed (fun () -> serve engine) in
+    let src = Rbgp_serve.Source.open_file ~mmap:`On ~n path in
+    let serve () =
+      let got = ref 1 in
+      while !got > 0 do
+        got := Rbgp_serve.Source.next_batch src block ~limit:batch;
+        if !got > 0 then
+          Engine.ingest_batch_quiet engine
+            (if !got = batch then block else Array.sub block 0 !got)
+      done
+    in
+    let (), dt = timed serve in
+    Rbgp_serve.Source.close src;
     assert (Engine.pos engine = steps);
-    (dt, Rbgp_serve.Checkpoint.to_string (Engine.checkpoint engine))
+    dt
   in
-  let armed () =
-    Fun.protect ~finally:Rbgp_serve.Fault.disable (fun () ->
-        Rbgp_serve.Fault.configure "crash@2000000000";
-        pass pipeline ())
-  in
-  ignore (pass hook_free ());
-  let rs = rounds ~rounds:triples [| pass hook_free; pass pipeline; armed |] in
-  let rps a = across rs (fun r -> float_of_int steps /. fst r.(a)) in
-  let hook_free_rps = rps 0 and disabled_rps = rps 1 and armed_rps = rps 2 in
-  let overhead = across rs (fun r -> 1.0 -. (fst r.(0) /. fst r.(1))) in
-  let identical =
-    Array.map
-      (fun r ->
-        String.equal (snd r.(0)) (snd r.(1))
-        && String.equal (snd r.(1)) (snd r.(2)))
-      rs
-  in
+  ignore (pass ());
+  let rs = rounds ~rounds:passes [| pass |] in
+  let rps = across rs (fun r -> float_of_int steps /. r.(0)) in
   Printf.printf
-    "faults (never-move, quiet, %d triples of %d reqs): hook-free %.0f \
-     req/s, disabled %.0f req/s [%.0f, %.0f], armed-idle %.0f req/s, \
-     overhead %s, checkpoints %s\n"
-    triples steps hook_free_rps.median disabled_rps.median disabled_rps.lo
-    disabled_rps.hi armed_rps.median (percent overhead)
-    (identity_text identical);
-  ( J.Obj
-      [
-        ("requests", int steps);
-        ("hook_free_rps", interval_json hook_free_rps);
-        ("disabled_rps", interval_json disabled_rps);
-        ("armed_idle_rps", interval_json armed_rps);
-        ("overhead_frac", interval_json overhead);
-      ],
-    [
-      check Gates.faults_off_overhead "disabled vs hook-free"
-        (Gates.Interval overhead);
-      check Gates.never_move_rps "faults disabled arm"
-        (Gates.Interval disabled_rps);
-      check Gates.faults_identical "3 arms" (Gates.Bits identical);
-    ] )
+    "never-move (quiet mmap pipeline, %d passes of %d reqs): %.0f req/s \
+     [%.0f, %.0f]\n"
+    passes steps rps.median rps.lo rps.hi;
+  ( J.Obj [ ("requests", int steps); ("rps", interval_json rps) ],
+    [ check Gates.never_move_rps "quiet mmap pipeline" (Gates.Interval rps) ]
+  )
 
 (* What the socket costs: the same quiet onl-dynamic batches served
    through the in-process pipe ([Engine.ingest_batch_quiet] driven
@@ -810,14 +752,14 @@ let () =
   let parallel = List.map parallel_check [ "e8"; "e10" ] in
   print_newline ();
   let decode, decode_checks = decode_bench () in
-  let faults, faults_checks = faults_bench () in
+  let never_move, never_move_checks = never_move_bench () in
   let net = List.map net_bench [ 1; 4 ] in
   let verdicts =
     List.map
       (fun c -> (c, Gates.passes c.gate c.reading))
       (component_checks @ experiment_checks
       @ List.concat_map snd parallel
-      @ decode_checks @ faults_checks
+      @ decode_checks @ never_move_checks
       @ List.concat_map snd net)
   in
   write_json "BENCH_8.json"
@@ -828,7 +770,7 @@ let () =
       ("experiments", experiments);
       ("parallel", J.Arr (List.map fst parallel));
       ("decode", decode);
-      ("faults", faults);
+      ("never_move", never_move);
       ("net", J.Arr (List.map fst net));
       ("gates", J.Arr (List.map (fun (c, p) -> verdict_json c p) verdicts));
     ];

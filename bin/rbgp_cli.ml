@@ -16,7 +16,6 @@ module Engine = Rbgp_serve.Engine
 module Metrics = Rbgp_serve.Metrics
 module Ckpt = Rbgp_serve.Checkpoint
 module Source = Rbgp_serve.Source
-module Fault = Rbgp_serve.Fault
 module Net = Rbgp_serve.Net
 module Tenant = Rbgp_serve.Tenant
 module Proto = Rbgp_serve.Proto
@@ -25,8 +24,7 @@ module Registry = Rbgp_serve.Registry
 (* Every command body runs under one handler: bad input, a missing file
    or an unreachable peer is one line "rbgp <cmd>: <message>" on stderr
    and exit code 1 (as [checkpoint verify] reports an invalid file), not
-   cmdliner's internal-error banner.  [Fault.Injected_crash] is not
-   caught: it models a kill. *)
+   cmdliner's internal-error banner. *)
 let guarded name body =
   let fail msg =
     Printf.eprintf "rbgp %s: %s\n" name msg;
@@ -257,11 +255,6 @@ let sim_cmd =
 
 (* --- serve / resume ------------------------------------------------- *)
 
-(* --faults wins over RBGP_FAULTS; with neither, hooks stay disabled. *)
-let configure_faults = function
-  | Some spec -> Fault.configure spec
-  | None -> Fault.configure_from_env ()
-
 let format_conv =
   Arg.enum [ ("auto", `Auto); ("text", `Text); ("bin", `Binary) ]
 
@@ -342,83 +335,6 @@ let serve_loop engine source ~decisions ~metrics_every ~checkpoint_path
   print_endline (Engine.result_to_json engine);
   flush stdout;
   prerr_endline (Metrics.summary m)
-
-(* Supervised serving: run the loop, and on an engine / decode /
-   capacity / injected failure restore the newest checkpoint generation
-   that verifies, skip its digest-verified prefix in the reopened trace, and
-   continue — with bounded exponential backoff between restarts so a
-   persistently failing source cannot spin.  Only failures the recovery
-   machinery is built for are caught (named exception list below); anything
-   else escapes to the top level untouched. *)
-let supervised_serve ~alg ~epsilon ~seed ~inst ~trace ~format
-    ~mmap ~n ~decisions ~metrics_every ~checkpoint_path ~checkpoint_every
-    ~checkpoint_keep ~stop_after ~batch ~budget_ns ~cooloff =
-  let ckpt_path =
-    match checkpoint_path with
-    | Some p -> p
-    | None -> invalid_arg "--supervise requires --checkpoint"
-  in
-  if trace = "-" then
-    invalid_arg "--supervise needs a re-openable --trace file, not stdin";
-  let max_restarts = 16 in
-  let restarts = ref 0 in
-  let rec attempt () =
-    let engine, recovered =
-      if !restarts = 0 then
-        (Engine.create ~epsilon ~alg ~seed inst, None)
-      else
-        match Ckpt.read_latest ~path:ckpt_path () with
-        | r ->
-            List.iter
-              (fun (p, msg) ->
-                Logs.warn (fun k ->
-                    k "supervise: skipped checkpoint generation %s: %s" p msg))
-              r.Ckpt.skipped;
-            Logs.warn (fun k ->
-                k "supervise: restored generation %d at request %d"
-                  r.Ckpt.generation r.Ckpt.ckpt.Ckpt.pos);
-            (Engine.resume r.Ckpt.ckpt, Some r.Ckpt.ckpt)
-        | exception (Invalid_argument msg | Failure msg | Sys_error msg) ->
-            Logs.warn (fun k ->
-                k "supervise: no verifiable checkpoint (%s); starting fresh"
-                  msg);
-            (Engine.create ~epsilon ~alg ~seed inst, None)
-    in
-    Engine.set_solver_budget engine ~budget_ns ~cooloff;
-    let source = open_source ~trace ~format ~mmap ~n in
-    match
-      Fun.protect
-        ~finally:(fun () -> Source.close source)
-        (fun () ->
-          (match recovered with
-          | Some ckpt -> Source.consume_prefix source ckpt
-          | None -> ());
-          (* --stop-after counts the whole run, so a restarted attempt
-             only serves what the restored engine has not already seen *)
-          let stop_after =
-            Option.map
-              (fun s -> Stdlib.max 0 (s - Engine.pos engine))
-              stop_after
-          in
-          serve_loop engine source ~decisions ~metrics_every
-            ~checkpoint_path ~checkpoint_every ~checkpoint_keep ~stop_after
-            ~batch)
-    with
-    | () -> ()
-    | exception
-        (( Fault.Injected_crash _ | Failure _ | Invalid_argument _
-         | Sys_error _ | End_of_file
-         | Unix.Unix_error _ ) as e)
-      when !restarts < max_restarts ->
-        incr restarts;
-        Logs.warn (fun k ->
-            k "supervise: attempt failed (%s); restart %d/%d"
-              (Printexc.to_string e) !restarts max_restarts);
-        Unix.sleepf
-          (Stdlib.min (0.005 *. (2. ** float_of_int (!restarts - 1))) 0.5);
-        attempt ()
-  in
-  attempt ()
 
 let trace_arg =
   Arg.(
@@ -508,17 +424,6 @@ let checkpoint_keep_arg =
            corrupt generations to the newest one that verifies.  K = 1 \
            (the default) keeps a single atomically-replaced snapshot.")
 
-let faults_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:
-          "Deterministic fault-injection plan, e.g. \
-           'ckpt-tear@3,read-eintr:0.01,solver-stall@5000' (see DESIGN.md \
-           for the grammar).  Overrides \\$(b,RBGP_FAULTS).  For testing \
-           the recovery machinery; without a plan every hook is disabled.")
-
 let solver_budget_arg =
   Arg.(
     value & opt non_negative_int 0
@@ -557,8 +462,8 @@ let install_handler signal handler =
   | () -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ()
 
-let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every ~checkpoint_keep
-    ~supervise =
+let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every
+    ~checkpoint_keep =
   (match checkpoint_dir with
   | Some dir ->
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -568,7 +473,7 @@ let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every ~checkpoint_keep
   let router =
     Tenant.create ?checkpoint_dir ~checkpoint_every ~checkpoint_keep ()
   in
-  let server = Net.server ?http ~supervise ~router listen in
+  let server = Net.server ?http ~router listen in
   (* request_drain only sets a flag, so it is safe from a signal
      handler; the next select round performs the actual drain. *)
   install_handler Sys.sigterm (fun _ -> Net.request_drain server);
@@ -576,11 +481,10 @@ let net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every ~checkpoint_keep
   install_handler Sys.sigusr1 (fun _ -> dump_tenant_metrics router);
   install_handler Sys.sigpipe (fun _ -> ());
   Logs.app (fun k ->
-      k "serving on %s%s%s" (Net.addr_to_string listen)
+      k "serving on %s%s" (Net.addr_to_string listen)
         (match http with
         | Some a -> Printf.sprintf ", http on %s" (Net.addr_to_string a)
-        | None -> "")
-        (if supervise then " (supervised)" else ""));
+        | None -> ""));
   Net.run server;
   dump_tenant_metrics router
 
@@ -595,8 +499,10 @@ let listen_arg =
            protocol, hosting one engine per tenant routed by the frame \
            stream id.  Tenants are configured by clients at OPEN time, so \
            --alg/--n/--ell/--trace do not apply; --checkpoint-dir, \
-           --checkpoint-every, --checkpoint-keep, --faults and --supervise \
-           do.")
+           --checkpoint-every and --checkpoint-keep do.  A request that \
+           makes a tenant's engine fail (an out-of-range edge, say) kills \
+           that tenant alone: its stream gets a tenant-failed error and \
+           the other tenants keep serving.")
 
 let http_arg =
   Arg.(
@@ -851,8 +757,8 @@ let run_client ~addr ~tenant_specs ~batch ~quiet ~reconnect ~do_shutdown =
     | exception Net.Disconnected msg -> recover msg
     | exception Net.Server_error (code, msg)
       when code = Proto.err_tenant_failed && reconnect ->
-        (* Supervised server killed the tenant's engine (injected crash):
-           the stream must be re-opened; the server answers with the
+        (* The server killed the tenant after a failed request: the
+           stream must be re-opened; the server answers with the
            checkpointed position to resume from. *)
         recover (Printf.sprintf "tenant failed: %s" msg)
   done;
@@ -907,9 +813,9 @@ let client_cmd =
       value & flag
       & info [ "reconnect" ]
           ~doc:
-            "On connection loss or a supervised tenant failure, reconnect \
-             with bounded backoff, re-open every stream and resume from \
-             the server's checkpointed position (duplicate decisions are \
+            "On connection loss or a tenant failure, reconnect with \
+             bounded backoff, re-open every stream and resume from the \
+             server's checkpointed position (duplicate decisions are \
              suppressed client-side).")
   in
   let shutdown_arg =
@@ -947,58 +853,38 @@ let serve_cmd =
   let epsilon =
     Arg.(value & opt float 0.5 & info [ "epsilon" ] ~doc:"Augmentation slack.")
   in
-  let supervise_arg =
-    Arg.(
-      value & flag
-      & info [ "supervise" ]
-          ~doc:
-            "Supervised serving: catch engine, decode, capacity and injected \
-             failures, restore the newest checkpoint generation that \
-             verifies, skip the digest-verified prefix and continue, with \
-             bounded exponential backoff between restarts.  Requires \
-             --checkpoint and a re-openable --trace file (not stdin).")
-  in
   let run alg n ell epsilon seed trace format mmap no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
-      stop_after batch faults solver_budget budget_cooloff supervise
-      listen http checkpoint_dir verbose () =
+      stop_after batch solver_budget budget_cooloff listen http
+      checkpoint_dir verbose () =
     setup_logs verbose;
-    configure_faults faults;
     match listen with
     | Some listen ->
         net_serve ~listen ~http ~checkpoint_dir ~checkpoint_every
-          ~checkpoint_keep ~supervise
+          ~checkpoint_keep
     | None ->
-    let inst = Rbgp_ring.Instance.blocks ~n ~ell in
-    if supervise then
-      supervised_serve ~alg ~epsilon ~seed ~inst ~trace ~format
-        ~mmap ~n ~decisions:(not no_decisions) ~metrics_every
-        ~checkpoint_path ~checkpoint_every ~checkpoint_keep ~stop_after
-        ~batch ~budget_ns:solver_budget ~cooloff:budget_cooloff
-    else begin
-      let engine = Engine.create ~epsilon ~alg ~seed inst in
-      Engine.set_solver_budget engine ~budget_ns:solver_budget
-        ~cooloff:budget_cooloff;
-      let source = open_source ~trace ~format ~mmap ~n in
-      Fun.protect
-        ~finally:(fun () -> Source.close source)
-        (fun () ->
-          serve_loop engine source ~decisions:(not no_decisions)
-            ~metrics_every ~checkpoint_path ~checkpoint_every
-            ~checkpoint_keep ~stop_after ~batch)
-    end
+        let inst = Rbgp_ring.Instance.blocks ~n ~ell in
+        let engine = Engine.create ~epsilon ~alg ~seed inst in
+        Engine.set_solver_budget engine ~budget_ns:solver_budget
+          ~cooloff:budget_cooloff;
+        let source = open_source ~trace ~format ~mmap ~n in
+        Fun.protect
+          ~finally:(fun () -> Source.close source)
+          (fun () ->
+            serve_loop engine source ~decisions:(not no_decisions)
+              ~metrics_every ~checkpoint_path ~checkpoint_every
+              ~checkpoint_keep ~stop_after ~batch)
   in
   command "serve"
     ~doc:
       "Stream requests through an algorithm: one JSONL decision per \
-       request, live metrics, optional rolling checkpoints, fault \
-       injection and supervised crash recovery."
+       request, live metrics and optional rolling checkpoints."
     Term.(
       const run $ alg_arg $ n $ ell $ epsilon $ seed_arg $ trace_arg
       $ format_arg $ mmap_arg $ decisions_arg
       $ metrics_every_arg $ checkpoint_path_arg $ checkpoint_every_arg
       $ checkpoint_keep_arg $ stop_after_arg $ batch_arg
-      $ faults_arg $ solver_budget_arg $ budget_cooloff_arg $ supervise_arg
+      $ solver_budget_arg $ budget_cooloff_arg
       $ listen_arg $ http_arg $ checkpoint_dir_arg $ verbose_arg)
 
 let resume_cmd =
@@ -1019,9 +905,8 @@ let resume_cmd =
   in
   let run from trace format mmap skip_prefix no_decisions
       metrics_every checkpoint_path checkpoint_every checkpoint_keep
-      stop_after batch faults solver_budget budget_cooloff verbose () =
+      stop_after batch solver_budget budget_cooloff verbose () =
     setup_logs verbose;
-    configure_faults faults;
     let ckpt = Ckpt.read ~path:from in
     let engine = Engine.resume ckpt in
     Engine.set_solver_budget engine ~budget_ns:solver_budget
@@ -1043,7 +928,7 @@ let resume_cmd =
       const run $ from_arg $ trace_arg $ format_arg $ mmap_arg
       $ skip_prefix_arg $ decisions_arg $ metrics_every_arg
       $ checkpoint_path_arg $ checkpoint_every_arg $ checkpoint_keep_arg
-      $ stop_after_arg $ batch_arg $ faults_arg
+      $ stop_after_arg $ batch_arg
       $ solver_budget_arg $ budget_cooloff_arg $ verbose_arg)
 
 let checkpoint_cmd =

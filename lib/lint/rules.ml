@@ -285,16 +285,16 @@ let in_serve p =
    crash (checkpoints, trace artifacts) is produced here, and the only
    sanctioned way to publish it is Durable.atomic_write (tmp + fsync +
    rename + parent-dir fsync).  A bare open_out to a persistent path can
-   be torn by a crash mid-write — exactly the failure the fault injector
-   exists to exercise — so every remaining channel-writer site carries an
+   be torn by a crash mid-write — exactly the state recovery has to fall
+   back past — so every remaining channel-writer site carries an
    allowlist entry saying why a torn file is acceptable there.
 
-   The second half patrols the recovery machinery itself: a handler that
-   binds every exception around code that calls into the Fault or Durable
-   layer swallows Injected_crash, turning a simulated kill into a
-   silently absorbed no-op and making the crash matrix vacuous.  Handlers
-   that name their exceptions (as the supervisor does) or visibly
-   re-raise are fine. *)
+   The second half patrols the callers of the durable layer: a handler
+   that binds every exception around code that calls into Durable
+   swallows a write that really failed (a full disk, a vanished
+   directory), so the caller carries on as if the state had reached
+   disk.  Handlers that name their exceptions or visibly re-raise are
+   fine. *)
 let durable_file_suffixes =
   [ "lib/workloads/trace_codec.ml"; "lib/workloads/trace_io.ml";
     "lib/util/durable.ml" ]
@@ -311,17 +311,14 @@ let durability_findings ~path ~scope (str : Parsetree.structure) =
       Finding.of_location ~rule:"r9-durability" ~file:path loc message
       :: !acc
   in
-  (* does this subtree call into the fault / durable layer? *)
-  let mentions_recovery_layer e0 =
+  (* does this subtree call into the durable layer? *)
+  let mentions_durable e0 =
     let rec member_of m = function
       | x :: _ :: _ when String.equal x m -> true
       | _ :: rest -> member_of m rest
       | [] -> false
     in
-    let hit lid =
-      let p = flatten [] lid in
-      member_of "Fault" p || member_of "Durable" p
-    in
+    let hit lid = member_of "Durable" (flatten [] lid) in
     let found = ref false in
     let expr (self : Ast_iterator.iterator) (e : Parsetree.expression) =
       (match e.Parsetree.pexp_desc with
@@ -364,10 +361,9 @@ let durability_findings ~path ~scope (str : Parsetree.structure) =
     | _ -> false
   in
   let swallow_msg =
-    "catch-all handler around a fault/durability call site swallows \
-     Injected_crash, silently absorbing a simulated kill; name the \
-     exceptions you recover from (and let Injected_crash escape) or \
-     justify via allowlist"
+    "catch-all handler around a Durable call site swallows a failed \
+     durable write, so the caller carries on as if the state reached \
+     disk; name the exceptions you recover from or justify via allowlist"
   in
   let flag_case protected (c : Parsetree.case) =
     match c.Parsetree.pc_lhs.Parsetree.ppat_desc with
@@ -397,9 +393,9 @@ let durability_findings ~path ~scope (str : Parsetree.structure) =
                  f)
         | _ -> ())
     | Parsetree.Pexp_try (body, cases) when is_lib scope ->
-        List.iter (flag_case (mentions_recovery_layer body)) cases
+        List.iter (flag_case (mentions_durable body)) cases
     | Parsetree.Pexp_match (scrut, cases) when is_lib scope ->
-        let protected = mentions_recovery_layer scrut in
+        let protected = mentions_durable scrut in
         List.iter
           (fun (c : Parsetree.case) ->
             match c.Parsetree.pc_lhs.Parsetree.ppat_desc with
@@ -417,11 +413,10 @@ let durability_findings ~path ~scope (str : Parsetree.structure) =
 
 (* The socket transport's contract (net.mli): every raw socket syscall
    lives inside the audited [Sockio] submodule, whose wrappers retry
-   EINTR, surface would-block explicitly, treat reset/broken-pipe as
-   peer departure, and route reads through the fault layer so the crash
-   matrix reaches the networked path.  A bare [Unix.read] elsewhere in
-   lib/serve silently loses all four properties — the kind of drift a
-   review won't catch once the module is large.  The channel reads are
+   EINTR, surface would-block explicitly, and treat reset/broken-pipe as
+   peer departure.  A bare [Unix.read] elsewhere in lib/serve silently
+   loses all three properties — the kind of drift a review won't catch
+   once the module is large.  The channel reads are
    the second half: net-facing code must bound every read by a
    caller-supplied buffer or an explicit limit, never by what the peer
    chooses to send ([input_line], [really_input], ...), and the ingest
@@ -479,8 +474,8 @@ let net_findings ~path (str : Parsetree.structure) =
               (Printf.sprintf
                  "raw socket syscall (Unix.%s) outside the audited Sockio \
                   wrappers; it would skip EINTR retry, would-block \
-                  handling, peer-reset mapping and the fault layer's \
-                  read hooks — call Sockio.%s or justify via allowlist"
+                  handling and peer-reset mapping — call Sockio.%s or \
+                  justify via allowlist"
                  f f)
         | _ -> ());
         match channel_read_message p with
@@ -697,15 +692,15 @@ let descriptions =
        durability-audited modules (lib/serve, lib/workloads/trace_codec.ml, \
        lib/workloads/trace_io.ml, lib/util/durable.ml) — persistent state \
        goes through Durable.atomic_write; and no handler binding every \
-       exception around Fault/Durable call sites in lib/, which would \
-       swallow Injected_crash and blind the crash matrix" );
+       exception around Durable call sites in lib/, which would swallow \
+       a failed durable write" );
     ( "r10-net-safety",
       "no raw socket syscalls (Unix.read / write / accept / connect / \
        select / send / recv ...) outside the audited Sockio wrappers — \
-       which retry EINTR, surface would-block, map peer resets and route \
-       reads through the fault layer — and no unbounded (input_line / \
-       really_input) or per-byte (input_byte / input_char) channel reads, \
-       in lib/serve, lib/ring/trace.ml and lib/util/binc.ml" );
+       which retry EINTR, surface would-block and map peer resets — and \
+       no unbounded (input_line / really_input) or per-byte (input_byte / \
+       input_char) channel reads, in lib/serve, lib/ring/trace.ml and \
+       lib/util/binc.ml" );
     ( "r11-hot-alloc",
       "no heap allocation (closures, tuples, records, list conses, \
        escaping refs, Array.append / @ / ^ / sprintf ...) in functions \

@@ -22,8 +22,8 @@
       modules (lib/serve, the trace writers, lib/util/durable.ml itself),
       where persistent state must route through [Durable.atomic_write];
       and handlers binding every exception ([e], [_ as e]) around
-      [Fault.*]/[Durable.*] call sites in lib/, which would swallow
-      [Injected_crash] and blind the crash-recovery tests.
+      [Durable.*] call sites in lib/, which would swallow a failed
+      durable write.
     - [r10-net-safety] — raw [Unix.read]/[Unix.write]/... outside the
       audited [Sockio] wrappers, and unbounded ([really_input]) or
       per-byte ([input_byte]) channel reads, in lib/serve and the two

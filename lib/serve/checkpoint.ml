@@ -151,27 +151,7 @@ let of_string ?path s =
                                   && String.equal (String.sub msg 0 4) "Binc"
      -> fail ?path "torn record (%s)" msg)
 
-(* All checkpoint bytes reach disk through [Durable.atomic_write] — except
-   when the fault plan tears this write, in which case the truncated bytes
-   are deliberately written straight to the final path (modelling a legacy
-   non-atomic writer or a device that acknowledged an incomplete flush)
-   and the process "dies": recovery must then fall back to an older
-   generation, which is exactly what the crash matrix exercises. *)
-let write ~path t =
-  let data = to_string t in
-  match Fault.checkpoint_write_plan ~len:(String.length data) with
-  | `Full -> Durable.atomic_write ~path data
-  | `Flip bit ->
-      let b = Bytes.of_string data in
-      let i = bit lsr 3 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit land 7))));
-      Durable.atomic_write ~path (Bytes.unsafe_to_string b)
-  | `Tear keep ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (String.sub data 0 (min keep (String.length data))));
-      raise (Fault.Injected_crash (Printf.sprintf "ckpt-tear (%d bytes kept)" keep))
+let write ~path t = Durable.atomic_write ~path (to_string t)
 
 let read ~path =
   let ic = open_in_bin path in

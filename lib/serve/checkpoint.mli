@@ -17,8 +17,8 @@
     [(name, epsilon, seed, instance)], hands the state blob to its
     [restore] hook and verifies the restored assignment against the stored
     one.  The digest lets a caller that re-reads the stream from the
-    beginning ([rbgp resume --skip-prefix], supervised restarts) check
-    that it is the stream the checkpoint served.
+    beginning ([rbgp resume --skip-prefix]) check that it is the stream
+    the checkpoint served.
 
     On-disk layout (version 3): magic ["RBGC"], varint format version,
     the Binc-framed fields in record order (floats as exact IEEE-754
@@ -72,10 +72,7 @@ val digest_block : int -> pos:int -> int array -> int -> int
     [pos + len - 1], in one call and no allocation. *)
 
 val write : path:string -> t -> unit
-(** Atomic durable write via {!Rbgp_util.Durable.atomic_write}.  Honours
-    the active {!Fault} plan: a planned tear writes truncated bytes
-    directly to [path] and raises {!Fault.Injected_crash}; a planned bit
-    flip corrupts the serialized record (still written atomically). *)
+(** Atomic durable write via {!Rbgp_util.Durable.atomic_write}. *)
 
 val write_rolling : path:string -> keep:int -> t -> unit
 (** [write_rolling ~path ~keep t] rotates [path -> path.1 -> ...]

@@ -20,28 +20,20 @@
     {2 Solver budget and degraded serving}
 
     {!set_solver_budget} arms a per-request solve-time budget: when a
-    request's effective latency (measured, plus any {!Fault}-injected
-    stall) exceeds it, the next [cooloff] requests are served on the
-    frozen never-move path ({!Rbgp_ring.Simulator.advance_frozen}) — the
-    solver is bypassed, communication is still billed, nothing moves —
-    and the solver is re-promoted after the cooloff.  Frozen stretches
-    are counted in {!Metrics} ([degraded]/[recovered]).  Frozen requests
-    never reach the algorithm, so its snapshot already accounts for them;
-    a {!checkpoint} taken mid-cooloff records only the remaining cooloff,
-    which {!resume} honours.  Latencies and the budget use the monotonic
-    clock ({!Rbgp_util.Clock}), so a wall-clock step cannot fire a
-    spurious degradation.  Degradation triggers are evaluated at request
+    request's latency exceeds it, the next [cooloff] requests are served
+    on the frozen never-move path ({!Rbgp_ring.Simulator.advance_frozen})
+    — the solver is bypassed, communication is still billed, nothing
+    moves — and the solver is re-promoted after the cooloff.  Frozen
+    stretches are counted in {!Metrics} ([degraded]/[recovered]).  Frozen
+    requests never reach the algorithm, so its snapshot already accounts
+    for them; a {!checkpoint} taken mid-cooloff records only the
+    remaining cooloff, which {!resume} honours.  Latencies and the budget
+    read the engine's clock: the monotonic {!Rbgp_util.Clock.now_ns} by
+    default, so a wall-clock step cannot fire a spurious degradation, or
+    a clock passed to {!create}/{!resume}, through which a test makes a
+    chosen request slow.  Degradation triggers are evaluated at request
     boundaries (block boundaries on the quiet path, which bills a block
-    in one loop and checks the block's mean latency).
-
-    {2 Fault hooks}
-
-    When a {!Fault} plan is armed, ingest checks for planned crashes
-    ([Injected_crash] before the designated request) and consults the
-    plan for injected solver stalls; a quiet block with a counted fault
-    inside it falls back to per-request serving so the fault lands on its
-    exact request index.  Disarmed, the hooks cost one reference read per
-    request or block. *)
+    in one loop and checks the block's mean latency). *)
 
 type decision = {
   step : int;  (** 0-based index of the request just served *)
@@ -58,13 +50,16 @@ type t
 
 val create :
   ?epsilon:float ->
+  ?clock:(unit -> int) ->
   alg:string ->
   seed:int ->
   Rbgp_ring.Instance.t ->
   t
 (** Builds the named algorithm through {!Registry.find} (raising
     [Invalid_argument] for unknown names) and starts a fresh accounting
-    stepper.  [epsilon] defaults to [0.5]. *)
+    stepper.  [epsilon] defaults to [0.5].  [clock] (nanoseconds,
+    non-decreasing; default {!Rbgp_util.Clock.now_ns}) times every
+    request or block for the latencies and the solver budget. *)
 
 val ingest : t -> int -> decision
 (** Serve one request: charge communication, run the algorithm, charge
@@ -88,8 +83,8 @@ val ingest_batch_quiet : t -> int array -> unit
     {!Metrics.observe_batch}).  The solver budget compares the block's
     mean latency.  This is the [--no-decisions] serving path.
 
-    An active cooloff and a block holding a counted fault take the
-    per-request path instead.  Otherwise all edges
+    A block served during a cooloff takes the per-request path instead,
+    frozen until the cooloff ends.  Otherwise all edges
     are validated first: an out-of-range edge anywhere in the block raises
     [Invalid_argument] before any request is billed, leaving position,
     digest, costs and metrics as they were. *)
@@ -132,7 +127,7 @@ val checkpoint : t -> Checkpoint.t
     stream digest, cumulative costs, current assignment, the algorithm's
     snapshot blob and the remaining solver-budget cooloff. *)
 
-val resume : Checkpoint.t -> t
+val resume : ?clock:(unit -> int) -> Checkpoint.t -> t
 (** Reconstruct an engine mid-stream in O(state): rebuild the algorithm
     from [(alg, epsilon, seed, instance)], hand the checkpoint's state
     blob to its [restore] hook, carry over position, digest, costs and
@@ -140,7 +135,8 @@ val resume : Checkpoint.t -> t
     load) against the stored one.  [Failure] is raised when the hook
     rejects the blob or the verification fails — a resumed engine is
     therefore byte-identical (decisions, costs, assignments, checkpoints)
-    to one that never stopped.  Metrics start afresh. *)
+    to one that never stopped.  Metrics start afresh.  [clock] is as for
+    {!create}. *)
 
 val decision_to_json : decision -> string
 (** One-line JSON record (type tag ["decision"]) for the [rbgp serve]

@@ -80,12 +80,6 @@ let recovered t = t.recovered
 
 let elapsed_s t = float_of_int (Rbgp_util.Clock.now_ns () - t.t0_ns) *. 1e-9
 
-let rps t =
-  if t.requests = 0 then 0.0
-  else
-    let dt = elapsed_s t in
-    if dt <= 0.0 then 0.0 else float_of_int t.requests /. dt
-
 (* All rendered surfaces (JSONL record, SIGUSR1 summary, Prometheus
    exposition) are produced from one frozen [snapshot] so the numbers on
    the three surfaces can never disagree about a moving counter. *)

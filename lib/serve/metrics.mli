@@ -19,7 +19,8 @@
 type t
 
 val create : unit -> t
-(** Starts the clock (monotonic, see {!rps}). *)
+(** Starts the clock: the elapsed time behind a {!snapshot}'s request
+    rate is read on the monotonic {!Rbgp_util.Clock} since here. *)
 
 val observe : t -> latency_ns:int -> comm:int -> moved:int -> max_load:int -> unit
 (** Record one served request: its ingest latency, the communication
@@ -49,10 +50,6 @@ val mig : t -> int
 val max_load : t -> int
 val degraded : t -> int
 val recovered : t -> int
-
-val rps : t -> float
-(** [requests / elapsed], elapsed since {!create} on the monotonic clock
-    ({!Rbgp_util.Clock}); [0.] before the first request. *)
 
 val quantile : t -> float -> int
 (** [quantile t q] for [q] in [\[0, 1\]]: approximate latency in

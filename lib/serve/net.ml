@@ -29,16 +29,10 @@ exception Server_error of int * string
    submodule; lint rule r10-net-safety flags Unix I/O calls in lib/serve
    outside it.  Every wrapper retries EINTR, surfaces would-block
    explicitly instead of looping, treats reset/broken-pipe as peer
-   departure, and bounds every read by the caller's buffer.  The armed
-   {!Fault} plan's transient read errors apply to socket reads exactly
-   as they do to trace reads, which is how the crash matrix reaches the
-   networked path. *)
+   departure, and bounds every read by the caller's buffer. *)
 module Sockio = struct
   let rec read fd buf off len =
-    match
-      Fault.before_read ();
-      Unix.read fd buf off len
-    with
+    match Unix.read fd buf off len with
     | 0 -> `Eof
     | n -> `Did n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> read fd buf off len
@@ -152,7 +146,6 @@ type conn = {
 
 type server = {
   router : Tenant.t;
-  supervise : bool;
   hwm : int;
   lwm : int;
   lfd : Unix.file_descr;
@@ -166,7 +159,7 @@ type server = {
   mutable closed : bool;
 }
 
-let server ?http ?(supervise = false) ?(hwm = 256 * 1024) ~router addr =
+let server ?http ?(hwm = 256 * 1024) ~router addr =
   if hwm < 4096 then invalid_arg "Net.server: hwm";
   let lfd = Sockio.listen_on addr 64 in
   let hfd =
@@ -185,7 +178,6 @@ let server ?http ?(supervise = false) ?(hwm = 256 * 1024) ~router addr =
   in
   {
     router;
-    supervise;
     hwm;
     lwm = hwm / 4;
     lfd;
@@ -208,9 +200,11 @@ let send_error conn ~stream ~code msg =
   Proto.add_error conn.payload ~code msg;
   reply conn ~stream Proto.Error_frame
 
-(* Engine exceptions a supervised server absorbs by killing the tenant:
-   the same named set the CLI supervisor restarts on.  Anything else is
-   a programming error and takes the process down in either mode.  The
+(* A request that makes the tenant's engine raise one of the named
+   exceptions (a peer's out-of-range edge, a capacity violation, a failed
+   checkpoint write) kills that tenant alone: its stream is answered with
+   a resumable [err_tenant_failed] while the other tenants keep serving.
+   Anything else is a programming error and takes the process down.  The
    batch is the one [Proto.next_req] decoded into [conn.reqs]. *)
 let handle_req server conn (f : Proto.frame) tn quiet =
   let router = server.router in
@@ -242,9 +236,7 @@ let handle_req server conn (f : Proto.frame) tn quiet =
    with
   | () -> ()
   | exception
-      (( Fault.Injected_crash _ | Failure _ | Invalid_argument _
-       | Sys_error _ | End_of_file ) as e)
-    when server.supervise ->
+      ((Failure _ | Invalid_argument _ | Sys_error _ | End_of_file) as e) ->
       let msg = Printexc.to_string e in
       Tenant.kill router tn msg;
       send_error conn ~stream:f.stream ~code:Proto.err_tenant_failed msg);

@@ -28,13 +28,13 @@
     then stop.  {!request_drain} only sets a flag and is async-signal
     safe — CLI signal handlers use it.
 
-    In supervised mode a tenant engine that raises mid-request (most
-    importantly {!Fault.Injected_crash} — the PR-7 crash matrix with
-    live connections) is killed and reported to its client as a
-    resumable [Error_frame]; the server and the other tenants keep
-    serving.  Unsupervised, the exception propagates and takes the
-    process down, which is what the kill-anywhere recovery tests
-    exercise end to end.
+    Tenant isolation: a request whose engine raises [Failure],
+    [Invalid_argument], [Sys_error] or [End_of_file] (a peer's
+    out-of-range edge, a capacity violation, a failed checkpoint write)
+    kills that tenant alone ({!Tenant.kill}) and is answered with a
+    resumable [err_tenant_failed] [Error_frame]; the server and the
+    other tenants keep serving, and re-opening the stream resumes the
+    tenant from its last checkpoint.
 
     {2 Client}
 
@@ -61,13 +61,11 @@ val addr_to_string : addr -> string
 
 type server
 
-val server :
-  ?http:addr -> ?supervise:bool -> ?hwm:int -> router:Tenant.t -> addr -> server
+val server : ?http:addr -> ?hwm:int -> router:Tenant.t -> addr -> server
 (** Bind and listen (both sockets non-blocking, a backlog of 64; an
     existing Unix-socket path is replaced).  [hwm] is the per-connection
     output high-water mark in bytes (default 256 KiB, at least 4096; the
-    low-water mark is a quarter of it).  [supervise] defaults to
-    [false].  Raises [Sys_error "listen <addr>: <reason>"] when a socket
+    low-water mark is a quarter of it).  Raises [Sys_error "listen <addr>: <reason>"] when a socket
     cannot be bound or listened on. *)
 
 val step : ?timeout:float -> server -> bool

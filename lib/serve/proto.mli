@@ -60,8 +60,9 @@ val err_proto : int  (** 1 — malformed frame or payload *)
 val err_unknown_stream : int  (** 2 — frame for a stream never opened *)
 
 val err_tenant_failed : int
-(** 3 — the tenant's engine died (supervised mode); re-open to resume
-    from its last durable checkpoint *)
+(** 3 — the tenant's engine raised on this request and the tenant was
+    killed (the other tenants keep serving); re-open to resume from its
+    last durable checkpoint *)
 
 val err_config_mismatch : int
 (** 4 — [Open_stream] config disagrees with the live tenant or its

@@ -38,16 +38,10 @@ let check_header ~path ~n (hdr : Trace_codec.header) =
     fail ~path "binary trace is for n = %d, expected n = %d"
       hdr.Trace_codec.n n
 
-(* Each channel pull runs inside [Durable.retry_transient] with the fault
-   layer's [before_read] hook in the same thunk: a transient EINTR/EAGAIN
-   — real or injected — is retried with bounded attempts before it
-   surfaces.  The retried thunk is built once per source, not per pull. *)
-let wrap_reads next_req =
-  let raw () =
-    Fault.before_read ();
-    next_req ()
-  in
-  fun () -> Durable.retry_transient raw
+(* Each channel pull runs inside [Durable.retry_transient]: a transient
+   EINTR/EAGAIN is retried with bounded attempts before it surfaces.  The
+   retried thunk is built once per source, not per pull. *)
+let wrap_reads next_req () = Durable.retry_transient next_req
 
 let of_channel ?(path = "<channel>") ?(owns_channel = false) ~format ~n ic =
   (* every construction failure (header parse, n mismatch) releases the
@@ -157,36 +151,13 @@ let open_file ?(format = `Auto) ?(mmap = `Auto) ~n path =
           close_in_noerr ic;
           raise e)
 
-(* An injected frame corruption must surface exactly like a real decode
-   failure, so mangled values are re-validated here with a message naming
-   the batch index. *)
-let revalidate_batch t dst got =
-  for j = 0 to got - 1 do
-    if dst.(j) < 0 || dst.(j) >= t.n then
-      fail ~path:t.path
-        "injected corruption: edge %d out of [0, %d) at batch index %d"
-        dst.(j) t.n j
-  done
-
 let next_batch t dst ~limit =
   if limit < 0 || limit > Array.length dst then
     fail ~path:t.path "next_batch: bad limit %d (buffer holds %d)" limit
       (Array.length dst);
   match t.backend with
   | Mapped m ->
-      if Fault.armed () then begin
-        let got =
-          Durable.retry_transient (fun () ->
-              Fault.before_read ();
-              Trace_codec.decode_requests_into ~path:m.path m.region ~n:t.n
-                dst ~limit)
-        in
-        if Fault.mangle_batch dst ~got then revalidate_batch t dst got;
-        got
-      end
-      else
-        Trace_codec.decode_requests_into ~path:m.path m.region ~n:t.n dst
-          ~limit
+      Trace_codec.decode_requests_into ~path:m.path m.region ~n:t.n dst ~limit
   | Channel c ->
       (* a decode error ends the stream: the requests pulled before it are
          delivered, and this call (when it pulled none) and every later
@@ -206,8 +177,6 @@ let next_batch t dst ~limit =
        with Invalid_argument _ as err ->
          c.failed <- Some err;
          if !got = 0 then raise err);
-      if Fault.armed () && Fault.mangle_batch dst ~got:!got then
-        revalidate_batch t dst !got;
       !got
 
 let header t = t.hdr

@@ -18,11 +18,9 @@
     produce identical request streams and identical errors (the qcheck
     parity suite in [test_util] covers the decoders frame for frame).
 
-    Every pull runs under {!Rbgp_util.Durable.retry_transient}, so
-    transient [EINTR]/[EAGAIN] conditions — real, or injected through an
-    armed {!Fault} plan's [before_read] hook in the same retried thunk —
-    are absorbed with bounded attempts.  Decode errors (torn frames,
-    out-of-range edges, injected frame corruption) raise
+    Every channel pull runs under {!Rbgp_util.Durable.retry_transient},
+    so transient [EINTR]/[EAGAIN] conditions are absorbed with bounded
+    attempts.  Decode errors (torn frames, out-of-range edges) raise
     [Invalid_argument] naming the path and the absolute byte offset. *)
 
 type t

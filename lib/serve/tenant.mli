@@ -11,7 +11,7 @@
        (absent) ------------> Serving --------------------> Closed
                                 |  ^                          |
                  engine raised  |  | Open_stream              | Open_stream
-                 (supervised)   v  |   (resume from ckpt)     v
+                                v  |   (resume from ckpt)     v
                               Dead ----------------------> Serving
     v}
 
@@ -21,11 +21,11 @@
       config-mismatch error.
     - [Closed]: final checkpoint written, engine released.  Re-opening
       resumes from the newest verifiable checkpoint generation.
-    - [Dead]: the engine raised mid-request under supervision.  The
-      in-memory engine is discarded; re-opening resumes from the last
-      durable checkpoint (or in-memory snapshot when the router has no
-      checkpoint directory) by O(state) snapshot restore — the crash
-      matrix extended to kill-anywhere-with-live-connections.  Neither a
+    - [Dead]: the engine raised mid-request (a peer's out-of-range
+      edge, say; see {!Net}).  The in-memory engine is discarded;
+      re-opening resumes from the last durable checkpoint (or in-memory
+      snapshot when the router has no checkpoint directory) by O(state)
+      snapshot restore, while the other tenants keep serving.  Neither a
       close/re-open nor a kill re-serves anything, so a tenant's re-open
       cost and checkpoint size stay flat however long it has run.
 
@@ -68,9 +68,8 @@ val serve : t -> tenant -> int array -> len:int -> Engine.decision array
 (** {!Engine.ingest} on each of the first [len] edges plus the
     rolling-checkpoint cadence: the server passes its reused edge buffer
     and the batch's count.  Raises [Failure] if the tenant is not
-    [Serving]; engine exceptions (including {!Fault.Injected_crash})
-    propagate to the caller, which decides between {!kill} (supervised)
-    and dying (unsupervised). *)
+    [Serving]; engine exceptions propagate to the caller, which
+    {!kill}s the tenant. *)
 
 val serve_quiet : t -> tenant -> int array -> len:int -> unit
 (** {!Engine.ingest_prefix_quiet} over the first [len] edges plus the
@@ -85,7 +84,7 @@ val close : t -> tenant -> Proto.closed_payload
     run totals for the [Closed] frame. *)
 
 val kill : t -> tenant -> string -> unit
-(** Supervised failure: discard the engine, state [Dead reason].  The
+(** Tenant failure: discard the engine, state [Dead reason].  The
     last durable (or in-memory) checkpoint is untouched — that is what a
     re-open resumes from. *)
 

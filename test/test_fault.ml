@@ -2,10 +2,9 @@
 
    - CRC-32 against the standard check vector and incremental updates;
    - Durable.atomic_write / retry_transient semantics;
-   - fault-plan parsing (including malformed specs) and the determinism
-     of the seeded probabilistic faults;
-   - checkpoint v2 integrity (CRC detection, torn records, v1 compat)
-     and the injected tear / bit-flip write paths;
+   - checkpoint integrity (CRC detection, torn records, refused old
+     versions), and checkpoint files torn or bit-flipped after they were
+     written;
    - rolling generations: write_rolling rotation and read_latest
      fallback past corrupt generations. *)
 
@@ -15,7 +14,6 @@ module Rng = Rbgp_util.Rng
 module Instance = Rbgp_ring.Instance
 module Trace = Rbgp_ring.Trace
 module Workloads = Rbgp_workloads.Workloads
-module Fault = Rbgp_serve.Fault
 module Engine = Rbgp_serve.Engine
 module Ckpt = Rbgp_serve.Checkpoint
 
@@ -23,11 +21,6 @@ let fixed = function Trace.Fixed a -> a | Trace.Adaptive _ -> assert false
 
 let gen_trace ~n ~steps ~seed =
   fixed (Workloads.rotating ~n ~steps (Rng.create seed))
-
-(* Every fault test must leave the process-global plan disarmed. *)
-let with_faults spec f =
-  Fault.configure spec;
-  Fun.protect ~finally:Fault.disable f
 
 let with_tempdir f =
   let dir = Filename.temp_file "rbgp_fault" ".d" in
@@ -114,78 +107,6 @@ let test_retry_transient () =
   | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
       Alcotest.(check int) "attempt budget honoured" 5 !spins
 
-(* --- fault plan parsing ------------------------------------------------ *)
-
-let test_spec_parsing () =
-  Alcotest.(check bool) "disarmed by default" false (Fault.armed ());
-  with_faults "crash@5,read-eintr:0.25,solver-stall@9:77,seed=12" (fun () ->
-      Alcotest.(check bool) "armed" true (Fault.armed ()));
-  Alcotest.(check bool) "disabled again" false (Fault.armed ());
-  Fault.configure "";
-  Alcotest.(check bool) "empty spec disarms" false (Fault.armed ());
-  List.iter
-    (fun bad ->
-      match Fault.configure bad with
-      | () -> Alcotest.failf "malformed spec %S accepted" bad
-      | exception Invalid_argument _ -> ())
-    [ "bogus"; "crash@"; "crash@x"; "read-eintr:nope"; "read-eintr:1.5";
-      "ckpt-tear@0"; "solver-stall@3:"; "seed="; "crash@5@6" ]
-
-let test_counted_faults_fire_once () =
-  with_faults "crash@5" (fun () ->
-      Fault.crash_check ~step:4;
-      (match Fault.crash_check ~step:5 with
-      | () -> Alcotest.fail "crash@5 did not fire"
-      | exception Fault.Injected_crash _ -> ());
-      (* fired faults disarm: a supervised restart re-serving past the
-         same index must not die again *)
-      Fault.crash_check ~step:5);
-  with_faults "solver-stall@7:123" (fun () ->
-      Alcotest.(check int) "no stall before the index" 0
-        (Fault.solver_stall_ns ~step:6);
-      Alcotest.(check int) "stall fires with its budget" 123
-        (Fault.solver_stall_ns ~step:7);
-      Alcotest.(check int) "stall is one-shot" 0
-        (Fault.solver_stall_ns ~step:7))
-
-let test_request_fault_pending () =
-  with_faults "crash@10" (fun () ->
-      Alcotest.(check bool) "inside the block" true
-        (Fault.request_fault_pending ~lo:8 ~hi:16);
-      Alcotest.(check bool) "below the block" false
-        (Fault.request_fault_pending ~lo:0 ~hi:10);
-      Alcotest.(check bool) "above the block" false
-        (Fault.request_fault_pending ~lo:11 ~hi:20));
-  Alcotest.(check bool) "disarmed plans have nothing pending" false
-    (Fault.request_fault_pending ~lo:0 ~hi:max_int)
-
-let test_probabilistic_determinism () =
-  let schedule () =
-    with_faults "read-eintr:0.4,read-eagain:0.2,seed=99" (fun () ->
-        List.init 200 (fun _ ->
-            match Fault.before_read () with
-            | () -> 'n'
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> 'i'
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-              ->
-                'a'))
-  in
-  let a = schedule () and b = schedule () in
-  Alcotest.(check bool) "same seed, same fault schedule" true (a = b);
-  Alcotest.(check bool) "faults actually fire" true (List.mem 'i' a);
-  Alcotest.(check bool) "reads actually succeed" true (List.mem 'n' a)
-
-let test_read_flip () =
-  with_faults "read-flip@2" (fun () ->
-      let dst = [| 1; 2; 3; 4; 5 |] in
-      Alcotest.(check bool) "batch containing the ordinal is mangled" true
-        (Fault.mangle_batch dst ~got:5);
-      Alcotest.(check bool) "the planned slot changed" true (dst.(2) <> 3);
-      Alcotest.(check int) "neighbours untouched" 2 dst.(1);
-      let dst2 = [| 1; 2; 3 |] in
-      Alcotest.(check bool) "flip is one-shot" false
-        (Fault.mangle_batch dst2 ~got:3))
-
 (* --- checkpoint integrity ---------------------------------------------- *)
 
 let test_crc_detects_corruption () =
@@ -261,38 +182,49 @@ let test_older_versions_rejected () =
       Alcotest.(check bool) "future version named" true
         (Astring.String.is_infix ~affix:"version 9" msg)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* The faults a disk or a crash leaves behind, injected into a written
+   file: a flipped bit (silent media corruption) fails the CRC, a torn
+   tail (a write that never finished) fails the decode, and a clean
+   rewrite over either verifies again. *)
 let test_injected_tear_and_flip () =
   with_tempdir (fun dir ->
       let path = Filename.concat dir "run.ckpt" in
-      let e = engine_at ~alg:"onl-static" ~steps:100 in
-      let ckpt = Engine.checkpoint e in
-      (* a flipped write lands (atomically) but fails verification *)
-      with_faults "ckpt-flip@1" (fun () ->
-          Ckpt.write ~path ckpt;
-          (match Ckpt.verify ~path with
-          | Ok _ -> Alcotest.fail "bit-flipped checkpoint verified"
+      let ckpt = Engine.checkpoint (engine_at ~alg:"onl-static" ~steps:100) in
+      Ckpt.write ~path ckpt;
+      let raw = read_file path in
+      List.iter
+        (fun bit ->
+          let b = Bytes.of_string raw in
+          let i = bit lsr 3 in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit land 7))));
+          write_file path (Bytes.to_string b);
+          match Ckpt.verify ~path with
+          | Ok _ -> Alcotest.failf "checkpoint with bit %d flipped verified" bit
           | Error msg ->
-              Alcotest.(check bool) "flip caught by CRC" true
-                (Astring.String.is_infix ~affix:"CRC" msg));
-          (* the fault disarms: the next write is clean *)
-          Ckpt.write ~path ckpt;
+              Alcotest.(check bool)
+                (Printf.sprintf "flip of bit %d caught by the CRC" bit)
+                true
+                (Astring.String.is_infix ~affix:"CRC" msg))
+        [ 8 * 5; (8 * String.length raw / 2) + 3; (8 * String.length raw) - 1 ];
+      List.iter
+        (fun keep ->
+          write_file path (String.sub raw 0 keep);
           match Ckpt.verify ~path with
-          | Ok back -> Alcotest.(check int) "clean rewrite" ckpt.Ckpt.pos
-              back.Ckpt.pos
-          | Error msg -> Alcotest.failf "clean rewrite failed: %s" msg);
-      (* a torn write dies mid-write and leaves a truncated final file *)
-      with_faults "ckpt-tear@1:40" (fun () ->
-          (match Ckpt.write ~path ckpt with
-          | () -> Alcotest.fail "torn write did not kill the process"
-          | exception Fault.Injected_crash _ -> ());
-          Alcotest.(check int) "exactly the torn prefix on disk" 40
-            (let ic = open_in_bin path in
-             Fun.protect
-               ~finally:(fun () -> close_in ic)
-               (fun () -> in_channel_length ic));
-          match Ckpt.verify ~path with
-          | Ok _ -> Alcotest.fail "torn checkpoint verified"
-          | Error _ -> ()))
+          | Ok _ -> Alcotest.failf "checkpoint torn to %d bytes verified" keep
+          | Error _ -> ())
+        [ 0; 40; String.length raw - 1 ];
+      Ckpt.write ~path ckpt;
+      match Ckpt.verify ~path with
+      | Ok back ->
+          Alcotest.(check string) "clean rewrite" (Ckpt.to_string ckpt)
+            (Ckpt.to_string back)
+      | Error msg -> Alcotest.failf "clean rewrite failed: %s" msg)
 
 (* --- rolling generations ----------------------------------------------- *)
 
@@ -342,19 +274,6 @@ let () =
           Alcotest.test_case "crc32 vectors and updates" `Quick test_crc32;
           Alcotest.test_case "atomic_write" `Quick test_atomic_write;
           Alcotest.test_case "retry_transient" `Quick test_retry_transient;
-        ] );
-      ( "plan",
-        [
-          Alcotest.test_case "spec parsing + malformed specs" `Quick
-            test_spec_parsing;
-          Alcotest.test_case "counted faults fire once" `Quick
-            test_counted_faults_fire_once;
-          Alcotest.test_case "request_fault_pending windows" `Quick
-            test_request_fault_pending;
-          Alcotest.test_case "seeded faults are deterministic" `Quick
-            test_probabilistic_determinism;
-          Alcotest.test_case "read-flip mangles one request" `Quick
-            test_read_flip;
         ] );
       ( "checkpoint",
         [

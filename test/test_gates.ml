@@ -27,9 +27,7 @@ let test_table_pinned () =
       g "decode_speedup" (Floor 5.0);
       g "never_move_rps" (Floor 1e6);
       g "socket_overhead" (Ceiling 0.30);
-      g "faults_off_overhead" (Ceiling 0.02);
       g "decode_identical" Every_pair;
-      g "faults_identical" Every_pair;
       g "socket_identical" Every_pair;
       g "parallel_identical" Every_pair;
     ]
@@ -70,7 +68,7 @@ let test_floor_reads_lower_end () =
 
 let test_too_few_pairs_fail () =
   let xs = Array.make 5 0.0 in
-  Alcotest.(check bool) "ceiling" false (verdict Gates.faults_off_overhead xs);
+  Alcotest.(check bool) "ceiling" false (verdict Gates.socket_overhead xs);
   Alcotest.(check bool)
     "floor" false
     (verdict Gates.never_move_rps (Array.make 5 1e9))

@@ -166,34 +166,34 @@ let test_r9 () =
   check_flags "open_out_gen in the binary trace writer flagged"
     "r9-durability" ~path:"lib/workloads/trace_codec.ml"
     "let f path = open_out_gen [ Open_binary ] 0o644 path";
-  check_flags "bound handler around a Fault hook flagged" "r9-durability"
+  check_flags "bound handler around a Durable write flagged" "r9-durability"
     ~path:"lib/serve/fake.ml"
-    "let f step = try Fault.crash_check ~step with e -> ignore e";
+    "let f path d = try Durable.atomic_write ~path d with e -> ignore e";
   check_flags "bare-variable handler around Durable flagged" "r9-durability"
     ~path:"lib/util/fake.ml"
     "let f path d = try Durable.atomic_write ~path d with e -> ignore e";
-  check_flags "[_ as e] handler around a Fault hook flagged" "r9-durability"
-    ~path:"lib/serve/fake.ml"
-    "let f step = try Fault.crash_check ~step with _ as e -> ignore e";
-  check_flags "bound [exception e] around a Fault hook flagged"
+  check_flags "[_ as e] handler around a Durable write flagged"
     "r9-durability" ~path:"lib/serve/fake.ml"
-    "let f step = match Fault.crash_check ~step with () -> 0 \
+    "let f path d = try Durable.atomic_write ~path d with _ as e -> ignore e";
+  check_flags "bound [exception e] around a Durable write flagged"
+    "r9-durability" ~path:"lib/serve/fake.ml"
+    "let f path d = match Durable.atomic_write ~path d with () -> 0 \
      | exception e -> ignore e; 1";
-  check_clean "bare [_] around a Fault hook is r5's, not r9's"
+  check_clean "bare [_] around a Durable write is r5's, not r9's"
     "r9-durability" ~path:"lib/serve/fake.ml"
-    "let f step = try Fault.crash_check ~step with _ -> ()";
-  check_clean "bare [exception _] around a Fault hook is r5's, not r9's"
+    "let f path d = try Durable.atomic_write ~path d with _ -> ()";
+  check_clean "bare [exception _] around a Durable write is r5's, not r9's"
     "r9-durability" ~path:"lib/serve/fake.ml"
-    "let f step = match Fault.crash_check ~step with () -> 0 \
+    "let f path d = match Durable.atomic_write ~path d with () -> 0 \
      | exception _ -> 1";
   check_clean "open_out outside the audited modules is clean"
     "r9-durability" ~path:"lib/harness/fake.ml"
     "let f path = open_out path";
   check_clean "open_out in bin/ is clean" "r9-durability" ~path:"bin/fake.ml"
     "let f path = open_out_bin path";
-  check_clean "named handler around a Fault hook is clean" "r9-durability"
-    ~path:"lib/serve/fake.ml"
-    "let f step = try Fault.crash_check ~step with Not_found -> ()";
+  check_clean "named handler around a Durable write is clean"
+    "r9-durability" ~path:"lib/serve/fake.ml"
+    "let f path d = try Durable.atomic_write ~path d with Sys_error _ -> ()";
   check_clean "re-raising handler around Durable is clean" "r9-durability"
     ~path:"lib/util/fake.ml"
     "let f path d = try Durable.atomic_write ~path d with e -> ignore d; \
@@ -714,15 +714,15 @@ let test_reachability () =
     (Effects.serve_reach handled_only (id "mid"))
 
 (* A site that two rules could claim carries one rule id: Domain.self is
-   r7's (r2 does not repeat it), a catch-all around a Fault hook is r5's
-   (r9 keeps handlers that bind the exception), and List.hd behind a
+   r7's (r2 does not repeat it), a catch-all around a Durable write is
+   r5's (r9 keeps handlers that bind the exception), and List.hd behind a
    serve root is r3's (r12 keeps the partiality r3 does not see). *)
 let test_one_rule_per_site () =
   let sources =
     [
       ("lib/util/fake.ml", "let d () = Domain.self ()\n");
       ( "lib/serve/fake.ml",
-        "let f step = try Fault.crash_check ~step with _ -> ()\n" );
+        "let f path d = try Durable.atomic_write ~path d with _ -> ()\n" );
       ( "lib/serve/net.ml",
         "let pick l = List.hd l\nlet handle_req conn = pick conn\n" );
     ]

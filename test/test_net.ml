@@ -10,8 +10,9 @@
    The isolation suite is the tentpole's acceptance criterion: two
    tenants interleaved over one socket connection produce decisions,
    final totals and checkpoint bytes identical to two engines run in
-   isolation (the pipe-mode baseline), including after a supervised
-   mid-connection engine kill followed by reconnect-and-resume.  Both
+   isolation (the pipe-mode baseline), including after a peer's bad edge
+   kills one tenant mid-connection and the client re-opens and resumes
+   it, while the other tenant keeps serving.  Both
    ends of the socket run in this process: the client's [pump] callback
    single-steps the server whenever the client would block.
 
@@ -25,7 +26,6 @@ module Trace = Rbgp_ring.Trace
 module Workloads = Rbgp_workloads.Workloads
 module Engine = Rbgp_serve.Engine
 module Ckpt = Rbgp_serve.Checkpoint
-module Fault = Rbgp_serve.Fault
 module Metrics = Rbgp_serve.Metrics
 module Proto = Rbgp_serve.Proto
 module Tenant = Rbgp_serve.Tenant
@@ -397,13 +397,13 @@ let next_sock =
     incr c;
     Filename.concat dir (Printf.sprintf "s%d.sock" !c)
 
-let with_server ?(supervise = false) ?checkpoint_every ~dir f =
+let with_server ?checkpoint_every ~dir f =
   let router =
     Tenant.create ~checkpoint_dir:dir
       ?checkpoint_every ~checkpoint_keep:3 ()
   in
   let addr = Net.Unix_sock (next_sock dir) in
-  let server = Net.server ~supervise ~router addr in
+  let server = Net.server ~router addr in
   Fun.protect
     ~finally:(fun () -> Net.shutdown server)
     (fun () -> f router server addr)
@@ -674,17 +674,91 @@ let test_config_mismatch_and_unknown_stream () =
                 Proto.err_unknown_stream code);
           Net.close cl))
 
-(* --- supervised kill mid-connection + reconnect-resume ----------------- *)
+(* --- a tenant killed mid-connection + reconnect-resume ------------------- *)
+
+(* [batch] with edge [bad] (out of range) at index [at] *)
+let poisoned batch ~at ~bad =
+  let b = Array.copy batch in
+  b.(at) <- bad;
+  b
+
+(* One peer sends an out-of-range edge: on a server built without any
+   option, its tenant alone is killed, on the decision path and on the
+   quiet path alike.  The other tenant on the same connection keeps
+   serving and ends on its pipe twin's checkpoint; the killed tenant
+   re-opens at its checkpointed position and, served the rest of its
+   trace, ends on its own twin's. *)
+let test_failing_tenant_killed_alone () =
+  let n = 128 and ell = 8 and steps = 600 in
+  let trace_a = gen_trace ~n ~steps ~seed:41 in
+  let trace_b = gen_trace ~n ~steps ~seed:42 in
+  let _, _, ref_a = reference_run ~alg:"onl-dynamic" ~seed:1 ~n ~ell trace_a in
+  let _, _, ref_b =
+    reference_run ~alg:"greedy-colocate" ~seed:2 ~n ~ell trace_b
+  in
+  with_tempdir (fun dir ->
+      with_server ~dir ~checkpoint_every:100 (fun router server addr ->
+          let cl = connect_pumped server addr in
+          let cfg_a = open_cfg ~tenant:"a" ~alg:"onl-dynamic" ~seed:1 ~n ~ell in
+          ignore (Net.open_stream cl ~stream:1 cfg_a);
+          ignore
+            (Net.open_stream cl ~stream:2
+               (open_cfg ~tenant:"b" ~alg:"greedy-colocate" ~seed:2 ~n ~ell));
+          let serve_b lo hi =
+            ignore (Net.request_quiet cl ~stream:2 trace_b ~pos:lo ~len:(hi - lo))
+          in
+          ignore (Net.request cl ~stream:1 trace_a ~pos:0 ~len:300);
+          serve_b 0 300;
+          let expect_killed what send =
+            (match send () with
+            | () -> Alcotest.failf "%s with edge %d served" what n
+            | exception Net.Server_error (code, msg) ->
+                Alcotest.(check int) (what ^ ": tenant-failed code")
+                  Proto.err_tenant_failed code;
+                Alcotest.(check bool)
+                  (what ^ ": the message names the edge") true
+                  (Astring.String.is_infix ~affix:"out of range" msg));
+            (match Tenant.find router "a" with
+            | Some tn -> (
+                match Tenant.state tn with
+                | Tenant.Dead _ -> ()
+                | _ -> Alcotest.failf "%s: tenant a is not dead" what)
+            | None -> Alcotest.fail "tenant a missing");
+            Alcotest.(check int)
+              (what ^ ": re-opens at its checkpointed position") 300
+              (Net.open_stream cl ~stream:1 cfg_a)
+          in
+          let bad = poisoned (Array.sub trace_a 300 100) ~at:5 ~bad:n in
+          expect_killed "decision batch" (fun () ->
+              ignore (Net.request cl ~stream:1 bad ~pos:0 ~len:100));
+          serve_b 300 450;
+          expect_killed "quiet batch" (fun () ->
+              ignore (Net.request_quiet cl ~stream:1 bad ~pos:0 ~len:100));
+          serve_b 450 steps;
+          ignore (Net.request cl ~stream:1 trace_a ~pos:300 ~len:(steps - 300));
+          List.iter
+            (fun (tid, reference) ->
+              match Tenant.find router tid with
+              | Some tn -> (
+                  match Tenant.engine tn with
+                  | Some engine ->
+                      Alcotest.(check string)
+                        (tid ^ ": checkpoint identical to its pipe twin")
+                        (Ckpt.to_string reference)
+                        (Ckpt.to_string (Engine.checkpoint engine))
+                  | None -> Alcotest.failf "tenant %s has no engine" tid)
+              | None -> Alcotest.failf "tenant %s missing" tid)
+            [ ("a", ref_a); ("b", ref_b) ];
+          Net.close cl))
 
 let test_kill_and_reconnect_resume () =
-  let n = 128 and ell = 8 and steps = 700 in
+  let n = 128 and ell = 8 and steps = 700 and bad_at = 351 in
   let trace = gen_trace ~n ~steps ~seed:31 in
   let ref_ds, _, ref_ckpt =
     reference_run ~alg:"onl-dynamic" ~seed:3 ~n ~ell trace
   in
   with_tempdir (fun dir ->
-      with_server ~supervise:true ~checkpoint_every:64 ~dir
-        (fun router server addr ->
+      with_server ~checkpoint_every:64 ~dir (fun router server addr ->
           let cfg = open_cfg ~tenant:"k" ~alg:"onl-dynamic" ~seed:3 ~n ~ell in
           let cl = connect_pumped server addr in
           ignore (Net.open_stream cl ~stream:1 cfg);
@@ -696,72 +770,75 @@ let test_kill_and_reconnect_resume () =
                 Hashtbl.replace seen d.Engine.step (decision_key d))
               ds
           in
-          Fault.configure "crash@351";
-          Fun.protect ~finally:Fault.disable (fun () ->
-              let batches = batches_of trace ~batch:90 in
-              let crashed = ref false in
-              let rec send cl pos = function
-                | [] -> cl
-                | b :: rest -> (
-                    match
-                      Net.request cl ~stream:1 b ~pos:0 ~len:(Array.length b)
-                    with
-                    | ds ->
-                        record ds;
-                        send cl (pos + Array.length b) rest
-                    | exception Net.Server_error (code, _)
-                      when code = Proto.err_tenant_failed ->
-                        crashed := true;
-                        (* The connection survives a supervised kill:
-                           re-open on the same wire and resume from the
-                           checkpointed position. *)
-                        let resume = Net.open_stream cl ~stream:1 cfg in
-                        if resume > pos then
-                          Alcotest.failf
-                            "resume position %d is past the unsent suffix %d"
-                            resume pos;
-                        let tail =
-                          Array.sub trace resume (Array.length trace - resume)
-                        in
-                        send cl resume (batches_of tail ~batch:90))
-              in
-              let cl = send cl 0 batches in
-              Alcotest.(check bool) "the injected crash fired" true !crashed;
-              Alcotest.(check bool) "tenant was killed and revived" true
-                (match Tenant.find router "k" with
-                | Some tn -> (
-                    match Tenant.state tn with Tenant.Serving -> true | _ -> false)
-                | None -> false);
-              let overlay =
-                List.init steps (fun i ->
-                    match Hashtbl.find_opt seen i with
-                    | Some key -> key
-                    | None -> Printf.sprintf "missing step %d" i)
-              in
-              Alcotest.(check (list string))
-                "overlaid decisions identical to the uninterrupted run"
-                (List.map decision_key ref_ds)
-                overlay;
-              (match Tenant.find router "k" with
-              | Some tn -> (
-                  match Tenant.engine tn with
-                  | Some engine ->
-                      Alcotest.(check string)
-                        "post-recovery checkpoint identical"
-                        (Ckpt.to_string ref_ckpt)
-                        (Ckpt.to_string (Engine.checkpoint engine))
-                  | None -> Alcotest.fail "engine released early")
-              | None -> Alcotest.fail "tenant missing");
-              Net.close cl)))
+          let killed = ref false in
+          let rec send cl pos = function
+            | [] -> cl
+            | b :: rest -> (
+                (* the first batch over request [bad_at] carries an
+                   out-of-range edge there *)
+                let len = Array.length b in
+                let b =
+                  if !killed || bad_at < pos || bad_at >= pos + len then b
+                  else poisoned b ~at:(bad_at - pos) ~bad:n
+                in
+                match Net.request cl ~stream:1 b ~pos:0 ~len with
+                | ds ->
+                    record ds;
+                    send cl (pos + len) rest
+                | exception Net.Server_error (code, _)
+                  when code = Proto.err_tenant_failed ->
+                    killed := true;
+                    (* The connection survives the kill: re-open on the
+                       same wire and resume from the checkpointed
+                       position. *)
+                    let resume = Net.open_stream cl ~stream:1 cfg in
+                    if resume > pos then
+                      Alcotest.failf
+                        "resume position %d is past the unsent suffix %d"
+                        resume pos;
+                    let tail =
+                      Array.sub trace resume (Array.length trace - resume)
+                    in
+                    send cl resume (batches_of tail ~batch:90))
+          in
+          let cl = send cl 0 (batches_of trace ~batch:90) in
+          Alcotest.(check bool) "the bad edge killed the tenant" true !killed;
+          Alcotest.(check bool) "tenant was killed and revived" true
+            (match Tenant.find router "k" with
+            | Some tn -> (
+                match Tenant.state tn with Tenant.Serving -> true | _ -> false)
+            | None -> false);
+          let overlay =
+            List.init steps (fun i ->
+                match Hashtbl.find_opt seen i with
+                | Some key -> key
+                | None -> Printf.sprintf "missing step %d" i)
+          in
+          Alcotest.(check (list string))
+            "overlaid decisions identical to the uninterrupted run"
+            (List.map decision_key ref_ds)
+            overlay;
+          (match Tenant.find router "k" with
+          | Some tn -> (
+              match Tenant.engine tn with
+              | Some engine ->
+                  Alcotest.(check string)
+                    "post-recovery checkpoint identical"
+                    (Ckpt.to_string ref_ckpt)
+                    (Ckpt.to_string (Engine.checkpoint engine))
+              | None -> Alcotest.fail "engine released early")
+          | None -> Alcotest.fail "tenant missing");
+          Net.close cl))
 
 (* --- schedule oracle: socket == pipe under random multi-tenant traffic --- *)
 
-(* One in-process server (supervised, [hwm] 4096) serves 2-4 tenants on
-   small instances through the pumped client.  A schedule interleaves
-   decision and quiet batches of random length (0 included), forced
-   checkpoints, close + re-open, and disconnect + reconnect; one
-   [crash@k] kills whichever engine first serves request [k], and the
-   client re-opens that stream and resumes from the [Opened] position.
+(* One in-process server ([hwm] 4096) serves 2-4 tenants on small
+   instances through the pumped client.  A schedule interleaves decision
+   and quiet batches of random length (0 included), forced checkpoints,
+   close + re-open, and disconnect + reconnect; one [bad@k] puts an
+   out-of-range edge at request [k] of the first batch, of any tenant,
+   that covers it, which kills that tenant, and the client re-opens
+   that stream and resumes from the [Opened] position.
 
    Two kinds of traffic reach parts of the framing layer that one
    synchronous call at a time does not:
@@ -810,7 +887,7 @@ type schedule = {
   sc_tenants : sched_tenant array;
   sc_ops : sched_op list;
   sc_every : int;  (** the router's rolling checkpoint cadence *)
-  sc_crash : int;
+  sc_bad : int;  (** the request that carries the one bad edge *)
 }
 
 let print_schedule sc =
@@ -828,8 +905,8 @@ let print_schedule sc =
           (String.concat ", " (List.map batch bs))
           (String.concat "," (List.map string_of_int pieces))
   in
-  Printf.sprintf "every=%d crash@%d tenants=[%s] ops=[%s]" sc.sc_every
-    sc.sc_crash
+  Printf.sprintf "every=%d bad@%d tenants=[%s] ops=[%s]" sc.sc_every
+    sc.sc_bad
     (String.concat "; "
        (Array.to_list
           (Array.mapi
@@ -886,8 +963,8 @@ let gen_schedule =
       @ (Big big :: List.filteri (fun j _ -> j >= big_at) ops)
     in
     let* sc_every = oneofl [ 0; 64; 250 ] in
-    let* sc_crash = int_range 1 400 in
-    return { sc_tenants; sc_ops; sc_every; sc_crash })
+    let* sc_bad = int_range 1 400 in
+    return { sc_tenants; sc_ops; sc_every; sc_bad })
 
 (* Bytes a fresh Unix stream socket accepts before a non-blocking write
    would block: a reply longer than this plus [hwm] leaves more than
@@ -974,7 +1051,7 @@ let run_schedule sc =
       in
       let path = next_sock dir in
       let addr = Net.Unix_sock path in
-      let server = Net.server ~supervise:true ~hwm:sched_hwm ~router addr in
+      let server = Net.server ~hwm:sched_hwm ~router addr in
       Fun.protect ~finally:(fun () -> Net.shutdown server) @@ fun () ->
       let pumps = ref 0 in
       let pump () =
@@ -984,10 +1061,24 @@ let run_schedule sc =
       in
       let pos = Array.make k 0 in
       let seen = Array.init k (fun _ -> Hashtbl.create 256) in
-      let crashed = ref false in
-      let note_crash i =
-        if !crashed then fail "%s failed after the one crash" (id i);
-        crashed := true
+      let killed = ref false in
+      let note_kill i =
+        if !killed then fail "%s failed after the one bad edge" (id i);
+        killed := true
+      in
+      (* the edges of tenant [i]'s batch at [at]: its trace, or for the
+         first batch of any tenant over request [sc_bad], a copy with an
+         out-of-range edge there *)
+      let poisoned_once = ref false in
+      let edges_for i ~at ~len =
+        if !poisoned_once || sc.sc_bad < at || sc.sc_bad >= at + len then
+          (traces.(i), at)
+        else begin
+          poisoned_once := true;
+          ( poisoned (Array.sub traces.(i) at len) ~at:(sc.sc_bad - at)
+              ~bad:sc.sc_tenants.(i).st_n,
+            0 )
+        end
       in
       let check_totals what i ~at (comm, mig, max_load) =
         if (comm, mig, max_load) <> totals_at i at then
@@ -1025,18 +1116,19 @@ let run_schedule sc =
       let clip i len = Stdlib.min len (Array.length traces.(i) - pos.(i)) in
       let send cl i len quiet =
         let at = pos.(i) and len = clip i len in
+        let edges, from = edges_for i ~at ~len in
         match
           if quiet then
             take_ack i ~at ~len
-              (Net.request_quiet cl ~stream:(i + 1) traces.(i) ~pos:at ~len)
+              (Net.request_quiet cl ~stream:(i + 1) edges ~pos:from ~len)
           else
             take_decisions i ~at ~len
-              (Net.request cl ~stream:(i + 1) traces.(i) ~pos:at ~len)
+              (Net.request cl ~stream:(i + 1) edges ~pos:from ~len)
         with
         | () -> ()
         | exception Net.Server_error (code, _)
           when code = Proto.err_tenant_failed ->
-            note_crash i;
+            note_kill i;
             open_at cl i ~expect:None
       in
       let cl = ref (Net.connect ~pump addr) in
@@ -1126,9 +1218,10 @@ let run_schedule sc =
           burst
             (List.map
                (fun (i, at, len, quiet) ->
+                 let edges, from = edges_for i ~at ~len in
                  reference_frame ~stream:(101 + i)
                    (if quiet then Proto.Req_quiet else Proto.Req)
-                   (reference_req_payload traces.(i) ~pos:at ~len))
+                   (reference_req_payload edges ~pos:from ~len))
                batches)
             pieces
         in
@@ -1143,7 +1236,7 @@ let run_schedule sc =
                 let code, msg = Proto.read_error f.Proto.payload in
                 if code <> Proto.err_tenant_failed then
                   fail "%s: error %d (%s)" (id i) code msg;
-                if not failed.(i) then note_crash i;
+                if not failed.(i) then note_kill i;
                 failed.(i) <- true
             | _ when failed.(i) -> fail "%s served after it failed" (id i)
             | Proto.Ack when quiet ->
@@ -1155,44 +1248,42 @@ let run_schedule sc =
           batches replies;
         Array.iteri (fun i f -> if f then open_at !cl i ~expect:None) failed
       in
-      Fault.configure (Printf.sprintf "crash@%d" sc.sc_crash);
-      Fun.protect ~finally:Fault.disable (fun () ->
-          List.iter
-            (function
-              | Send (i, len, quiet) -> send !cl i len quiet
-              | Big i -> send !cl i big false
-              | Burst (batches, pieces) -> pipeline batches pieces
-              | Force_ckpt i ->
-                  let at = Net.checkpoint !cl ~stream:(i + 1) in
-                  if at <> pos.(i) then
-                    fail "%s checkpointed at %d, sent %d" (id i) at pos.(i)
-              | Reopen i ->
-                  let c = Net.close_stream !cl ~stream:(i + 1) in
-                  if c.Proto.closed_pos <> pos.(i) then
-                    fail "%s closed at %d, sent %d" (id i) c.Proto.closed_pos
-                      pos.(i);
-                  check_totals "closed" i ~at:pos.(i)
-                    ( c.Proto.closed_comm,
-                      c.Proto.closed_mig,
-                      c.Proto.closed_max_load );
-                  open_at !cl i ~expect:(Some pos.(i))
-              | Reconnect ->
-                  Net.close !cl;
-                  cl := Net.connect ~pump addr;
-                  for i = 0 to k - 1 do
-                    open_at !cl i ~expect:(Some pos.(i))
-                  done)
-            sc.sc_ops;
-          (* the final drain: every tenant's remaining requests *)
-          Array.iteri
-            (fun i trace ->
-              let turn = ref 0 in
-              while pos.(i) < Array.length trace do
-                incr turn;
-                send !cl i 97 (!turn land 1 = 0)
+      List.iter
+        (function
+          | Send (i, len, quiet) -> send !cl i len quiet
+          | Big i -> send !cl i big false
+          | Burst (batches, pieces) -> pipeline batches pieces
+          | Force_ckpt i ->
+              let at = Net.checkpoint !cl ~stream:(i + 1) in
+              if at <> pos.(i) then
+                fail "%s checkpointed at %d, sent %d" (id i) at pos.(i)
+          | Reopen i ->
+              let c = Net.close_stream !cl ~stream:(i + 1) in
+              if c.Proto.closed_pos <> pos.(i) then
+                fail "%s closed at %d, sent %d" (id i) c.Proto.closed_pos
+                  pos.(i);
+              check_totals "closed" i ~at:pos.(i)
+                ( c.Proto.closed_comm,
+                  c.Proto.closed_mig,
+                  c.Proto.closed_max_load );
+              open_at !cl i ~expect:(Some pos.(i))
+          | Reconnect ->
+              Net.close !cl;
+              cl := Net.connect ~pump addr;
+              for i = 0 to k - 1 do
+                open_at !cl i ~expect:(Some pos.(i))
               done)
-            traces);
-      if not !crashed then fail "crash@%d never fired" sc.sc_crash;
+        sc.sc_ops;
+      (* the final drain: every tenant's remaining requests *)
+      Array.iteri
+        (fun i trace ->
+          let turn = ref 0 in
+          while pos.(i) < Array.length trace do
+            incr turn;
+            send !cl i 97 (!turn land 1 = 0)
+          done)
+        traces;
+      if not !killed then fail "the bad edge at %d reached no tenant" sc.sc_bad;
       Array.iteri
         (fun i t ->
           if t.st_close then begin
@@ -1575,10 +1666,12 @@ let () =
             `Quick test_config_mismatch_and_unknown_stream;
           Alcotest.test_case "a failed listen names the address" `Quick
             test_listen_error_names_address;
+          Alcotest.test_case "a peer's bad edge kills its tenant alone"
+            `Quick test_failing_tenant_killed_alone;
         ] );
       ( "recovery",
         [
-          Alcotest.test_case "supervised kill + reconnect-resume bit-exact"
+          Alcotest.test_case "tenant kill + reconnect-resume bit-exact"
             `Quick test_kill_and_reconnect_resume;
           Alcotest.test_case "drain closes tenants and rejects opens" `Quick
             test_drain_rejects_new_opens;
